@@ -27,15 +27,15 @@ staticcheck:
 		echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)"; \
 	fi
 
-# The packages with concurrency: parallel multi-instance scoring (model),
-# the experiment worker pool (eval), and the sharded multi-stream fleet.
-# core exercises model+eval transitively; the root package holds the
-# concurrent Fleet integration tests. wire/shard/router are the
+# The packages with concurrency: the experiment worker pool (eval) and
+# the sharded multi-stream fleet. core exercises model+eval
+# transitively; the root package holds the concurrent Fleet integration
+# tests. wire/shard/router are the
 # distributed serve tier — the router test is the end-to-end shard
 # migration integration test, so it runs under the detector too.
 # pressure holds the governor that ticks inside the shard's loop.
 race:
-	$(GO) test -race ./internal/model/... ./internal/eval/... ./internal/core/... ./internal/fleet/... ./internal/wire/... ./internal/shard/... ./internal/router/... ./internal/pressure/... .
+	$(GO) test -race ./internal/eval/... ./internal/core/... ./internal/fleet/... ./internal/wire/... ./internal/shard/... ./internal/router/... ./internal/pressure/... .
 
 # Kernel and hot-path micro-benchmarks at the detector's real shapes.
 bench-kernels:
@@ -133,6 +133,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzLoad -fuzztime=10s ./internal/oselm/
 	$(GO) test -fuzz=FuzzLoadState -fuzztime=10s ./internal/core/
 	$(GO) test -fuzz=FuzzLoadPool -fuzztime=10s ./internal/pool/
+	$(GO) test -fuzz=FuzzLoadStream -fuzztime=10s ./internal/fixed/
 	$(GO) test -fuzz=FuzzLoadMonitor -fuzztime=10s .
 	$(GO) test -fuzz=FuzzLoadFleet -fuzztime=10s .
 

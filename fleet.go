@@ -1,11 +1,12 @@
 package edgedrift
 
 import (
-	"errors"
 	"fmt"
 	"io"
+	"os"
 	"time"
 
+	"edgedrift/internal/ckpt"
 	"edgedrift/internal/core"
 	"edgedrift/internal/fixed"
 	"edgedrift/internal/fleet"
@@ -386,27 +387,32 @@ func (f *Fleet) Save(w io.Writer, prec Precision) error {
 // SaveFile atomically writes the fleet artifact to path (temp file,
 // sync, rename — the same crash-safety contract as Monitor.SaveFile).
 func (f *Fleet) SaveFile(path string, prec Precision) error {
-	return f.f.SaveFile(path, encodeMember(prec))
+	return ckpt.WriteFileAtomic(path, func(w io.Writer) error { return f.Save(w, prec) })
 }
 
-// LoadFleet deserialises a fleet written by Save (FLEET4, or any of the
-// legacy FLEET1–FLEET3 artifacts). Every member — including demoted
-// members, which resume at their reduced precision with the origin
-// retained — is immediately ready to Process. Corruption — container or
-// member level — fails with an error matching ErrBadFormat.
+// LoadFleet deserialises a FLEET4 fleet written by Save. Every member —
+// including demoted members, which resume at their reduced precision
+// with the origin retained — is immediately ready to Process.
+// Corruption — container or member level — and fleets saved before
+// FLEET4 fail with an error matching ErrBadFormat.
 func LoadFleet(r io.Reader, cfg FleetConfig) (*Fleet, error) {
 	fl := NewFleet(cfg)
 	if err := fl.f.Load(r, decodeMember); err != nil {
-		return nil, liftFleetErr(err)
+		return nil, err
 	}
 	return fl, nil
 }
 
 // LoadFleetFile deserialises a fleet artifact written by SaveFile.
 func LoadFleetFile(path string, cfg FleetConfig) (*Fleet, error) {
-	fl := NewFleet(cfg)
-	if err := fl.f.LoadFile(path, decodeMember); err != nil {
-		return nil, liftFleetErr(err)
+	fh, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("edgedrift: load %s: %w", path, err)
+	}
+	defer fh.Close()
+	fl, err := LoadFleet(fh, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("%w (%s)", err, path)
 	}
 	return fl, nil
 }
@@ -460,20 +466,10 @@ func (f *Fleet) ImportMember(st *MemberState) error {
 	if st == nil {
 		return fmt.Errorf("edgedrift: import: nil member state")
 	}
-	err := f.f.ImportMember(st.ID, st.Kind, st.Cohort, st.Payload, st.Samples, st.Drifts, decodeMember)
-	return liftFleetErr(err)
+	return f.f.ImportMember(st.ID, st.Kind, st.Cohort, st.Payload, st.Samples, st.Drifts, decodeMember)
 }
 
 // ErrMergeIncompatible is re-exported so callers can classify merge
 // rejections (see the oselm package): shape/precision/seed-topology
 // mismatches and detect-only members all wrap it.
 var ErrMergeIncompatible = oselm.ErrMergeIncompatible
-
-// liftFleetErr maps the internal container's format error onto the
-// public ErrBadFormat while preserving the cause chain.
-func liftFleetErr(err error) error {
-	if errors.Is(err, fleet.ErrBadFormat) && !errors.Is(err, ErrBadFormat) {
-		return fmt.Errorf("%w: %w", ErrBadFormat, err)
-	}
-	return err
-}

@@ -369,7 +369,7 @@ func FuzzLoadFleet(f *testing.F) {
 	f.Add(art)
 	f.Add(art[:len(art)/2])
 	f.Add([]byte("FLEET4"))
-	f.Add([]byte("FLEET1\x00\x00\x00\x00"))
+	f.Add([]byte("FLEET4\x00\x00\x00\x00")) // empty fleet, footer missing
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -122,5 +124,97 @@ func TestNestedWriters(t *testing.T) {
 	}
 	if err := r.VerifyFooter(); !errors.Is(err, ErrChecksum) {
 		t.Fatalf("outer footer missed inner-footer corruption: %v", err)
+	}
+}
+
+// TestCreateOpenRoundTrip drives one artifact through every framing
+// helper: magic, each primitive, footer.
+func TestCreateOpenRoundTrip(t *testing.T) {
+	var buf bytes.Buffer
+	w, err := Create(&buf, "TEST1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := PutU32(w, 7, 1<<31); err != nil {
+		t.Fatal(err)
+	}
+	if err := PutU64(w, 1<<40); err != nil {
+		t.Fatal(err)
+	}
+	if err := PutF64(w, 0.5, -3); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteFooter(); err != nil {
+		t.Fatal(err)
+	}
+
+	r, err := Open(bytes.NewReader(buf.Bytes()), "TEST1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var a, b uint32
+	if err := GetU32s(r, &a, &b); err != nil || a != 7 || b != 1<<31 {
+		t.Fatalf("u32s = %d, %d, %v", a, b, err)
+	}
+	if v, err := GetU64(r); err != nil || v != 1<<40 {
+		t.Fatalf("u64 = %d, %v", v, err)
+	}
+	if v, err := GetF64(r); err != nil || v != 0.5 {
+		t.Fatalf("f64 = %v, %v", v, err)
+	}
+	f := make([]float64, 1)
+	if err := GetF64s(r, f); err != nil || f[0] != -3 {
+		t.Fatalf("f64s = %v, %v", f, err)
+	}
+	if err := r.VerifyFooter(); err != nil {
+		t.Fatalf("footer over the magic rejected: %v", err)
+	}
+}
+
+// TestOpenRejects: another magic fails as ErrBadFormat itself, a short
+// header as an error matching it.
+func TestOpenRejects(t *testing.T) {
+	if _, err := Open(bytes.NewReader([]byte("TEST0 rest")), "TEST1"); err != ErrBadFormat {
+		t.Fatalf("other magic: err = %v, want ErrBadFormat", err)
+	}
+	if _, err := Open(bytes.NewReader([]byte("TES")), "TEST1"); !errors.Is(err, ErrBadFormat) {
+		t.Fatalf("short header: err = %v, want ErrBadFormat", err)
+	}
+}
+
+func TestCorrupt(t *testing.T) {
+	if Corrupt("x", nil) != nil {
+		t.Fatal("Corrupt(nil) != nil")
+	}
+	err := Corrupt("x", io.ErrUnexpectedEOF)
+	if !errors.Is(err, ErrBadFormat) || !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("err = %v lost a cause", err)
+	}
+	if again := Corrupt("y", err); again != err {
+		t.Fatalf("re-wrapped an ErrBadFormat error: %v", again)
+	}
+}
+
+// TestWriteFileAtomic: a successful save lands at path; a failed save
+// leaves neither a target nor a temp file behind.
+func TestWriteFileAtomic(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "a.ckpt")
+	if err := WriteFileAtomic(path, func(w io.Writer) error {
+		_, err := io.WriteString(w, "body")
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if b, err := os.ReadFile(path); err != nil || string(b) != "body" {
+		t.Fatalf("read back %q, %v", b, err)
+	}
+	boom := errors.New("boom")
+	bad := filepath.Join(dir, "b.ckpt")
+	if err := WriteFileAtomic(bad, func(io.Writer) error { return boom }); err != boom {
+		t.Fatalf("err = %v, want the save error", err)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Fatalf("dir holds %d entries after a failed save, want 1", len(entries))
 	}
 }

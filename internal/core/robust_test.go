@@ -243,7 +243,7 @@ func savedState(t *testing.T) ([]byte, *model.Multi) {
 func TestLoadStateRejectsEveryTruncation(t *testing.T) {
 	full, m := savedState(t)
 	for n := 0; n < len(full); n++ {
-		if _, err := LoadState(bytes.NewReader(full[:n]), m); !errors.Is(err, ErrBadFormat) {
+		if _, err := LoadState(bytes.NewReader(full[:n]), m); !errors.Is(err, ckpt.ErrBadFormat) {
 			t.Fatalf("truncation at %d/%d: err = %v, want ErrBadFormat", n, len(full), err)
 		}
 	}
@@ -254,54 +254,8 @@ func TestLoadStateRejectsEveryFlippedByte(t *testing.T) {
 	for i := range full {
 		mut := append([]byte(nil), full...)
 		mut[i] ^= 0x20
-		if _, err := LoadState(bytes.NewReader(mut), m); !errors.Is(err, ErrBadFormat) {
+		if _, err := LoadState(bytes.NewReader(mut), m); !errors.Is(err, ckpt.ErrBadFormat) {
 			t.Fatalf("flipped byte %d/%d: err = %v, want ErrBadFormat", i, len(full), err)
-		}
-	}
-}
-
-// legacyState rewinds a v3 artifact to the older layouts: strip the two
-// pinned-threshold floats that v3 appended to the float block (they sit
-// right after the 6-byte magic, 13 u32s and 6 f64s), then either keep
-// the recomputed CRC footer (v2) or drop it (v1).
-func legacyState(t *testing.T, full []byte, version byte) []byte {
-	t.Helper()
-	if full[5] != '3' {
-		t.Fatalf("unexpected version byte %q", full[5])
-	}
-	const pinsAt = 6 + 13*4 + 6*8
-	body := append([]byte(nil), full[:pinsAt]...)
-	body = append(body, full[pinsAt+16:len(full)-4]...)
-	body[5] = version
-	if version == '1' {
-		return body
-	}
-	var buf bytes.Buffer
-	cw := ckpt.NewWriter(&buf)
-	if _, err := cw.Write(body); err != nil {
-		t.Fatal(err)
-	}
-	if err := cw.WriteFooter(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-func TestLoadStateLegacyVersions(t *testing.T) {
-	full, m := savedState(t)
-	for _, version := range []byte{'1', '2'} {
-		d, err := LoadState(bytes.NewReader(legacyState(t, full, version)), m)
-		if err != nil {
-			t.Fatalf("v%c state failed to load: %v", version, err)
-		}
-		if !d.calibrated {
-			t.Fatalf("v%c: loaded detector not calibrated", version)
-		}
-		if d.scoreBins == nil {
-			t.Fatalf("v%c: loaded detector missing score histogram", version)
-		}
-		if d.cfg.ErrorThreshold != 0 || d.cfg.DriftThreshold != 0 {
-			t.Fatalf("v%c: legacy load must leave threshold pins zero", version)
 		}
 	}
 }
@@ -330,7 +284,7 @@ func FuzzLoadState(f *testing.F) {
 	full := buf.Bytes()
 	f.Add(full)
 	f.Add(full[:len(full)/2])
-	f.Add([]byte("EDDET2"))
+	f.Add(full[:len(full)-4]) // footer missing
 	f.Add([]byte("EDDET3"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {

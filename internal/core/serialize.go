@@ -1,32 +1,20 @@
 package core
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 
 	"edgedrift/internal/ckpt"
 	"edgedrift/internal/model"
 )
 
-// detMagicV1..detMagicV3 identify serialised detector bundles. v2 adds
-// a CRC32 footer over the v1 payload (see internal/ckpt); v3 appends
-// the caller-pinned threshold overrides (Config.ErrorThreshold /
-// DriftThreshold) to the payload — without them a loaded detector
-// re-derived both thresholds after its next reconstruction where the
-// original held the pins, silently diverging. SaveState writes v3;
-// LoadState accepts all three.
-var (
-	detMagicV1 = [6]byte{'E', 'D', 'D', 'E', 'T', '1'}
-	detMagicV2 = [6]byte{'E', 'D', 'D', 'E', 'T', '2'}
-	detMagicV3 = [6]byte{'E', 'D', 'D', 'E', 'T', '3'}
-)
-
-// ErrBadFormat reports a stream that is not a serialised detector of a
-// known version, or a v2 artifact that is truncated or corrupt.
-var ErrBadFormat = errors.New("core: not a serialised detector (or unsupported version)")
+// magic identifies a serialised detector bundle (EDDET3): the shape and
+// configuration, the thresholds including the caller-pinned overrides
+// (Config.ErrorThreshold / DriftThreshold, which decide how the
+// detector re-derives its thresholds after a reconstruction), the
+// centroids and counts, then a CRC32 footer (see internal/ckpt).
+const magic = "EDDET3"
 
 // Sanity bounds on deserialised shape fields, so a corrupt header fails
 // as ErrBadFormat instead of demanding an absurd allocation.
@@ -35,56 +23,6 @@ const (
 	maxLoadDims          = 1 << 20
 	maxLoadCentroidElems = 1 << 26
 )
-
-func putU32(w io.Writer, v uint32) error {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	_, err := w.Write(b[:])
-	return err
-}
-
-func getU32(r io.Reader) (uint32, error) {
-	var b [4]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b[:]), nil
-}
-
-func putF64(w io.Writer, v float64) error {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-	_, err := w.Write(b[:])
-	return err
-}
-
-func getF64(r io.Reader) (float64, error) {
-	var b [8]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b[:])), nil
-}
-
-func putF64s(w io.Writer, xs []float64) error {
-	for _, v := range xs {
-		if err := putF64(w, v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func getF64s(r io.Reader, dst []float64) error {
-	for i := range dst {
-		v, err := getF64(r)
-		if err != nil {
-			return err
-		}
-		dst[i] = v
-	}
-	return nil
-}
 
 // SaveState serialises the calibrated detector state: configuration,
 // centroids, counts and thresholds. The bound model is NOT included —
@@ -98,47 +36,35 @@ func (d *Detector) SaveState(w io.Writer) error {
 	if d.drift {
 		return errors.New("core: SaveState during reconstruction")
 	}
-	cw := ckpt.NewWriter(w)
-	w = cw
-	if _, err := w.Write(detMagicV3[:]); err != nil {
+	cw, err := ckpt.Create(w, magic)
+	if err == nil {
+		err = ckpt.PutU32(cw,
+			uint32(d.classes), uint32(d.dims), uint32(d.cfg.Window),
+			uint32(d.cfg.NSearch), uint32(d.cfg.NUpdate), uint32(d.cfg.NRecon),
+			uint32(d.cfg.Distance), uint32(d.cfg.Update), boolU32(d.cfg.ResetModelOnDrift),
+			boolU32(d.cfg.ResetWindowState), boolU32(d.cfg.AlwaysCheck),
+			boolU32(d.check), uint32(d.win))
+	}
+	if err == nil {
+		err = ckpt.PutF64(cw,
+			d.cfg.ZDrift, d.cfg.ZError, d.cfg.EWMAGamma,
+			d.thetaError, d.thetaDrift, d.dist,
+			// The pinned-threshold overrides. finishReconstruction only
+			// re-derives a threshold whose cfg pin is zero, so these decide
+			// post-reconstruction behaviour and must survive a round trip.
+			d.cfg.ErrorThreshold, d.cfg.DriftThreshold)
+	}
+	for c := 0; err == nil && c < d.classes; c++ {
+		err = ckpt.PutF64(cw, d.trainCor[c]...)
+		if err == nil {
+			err = ckpt.PutF64(cw, d.cor[c]...)
+		}
+		if err == nil {
+			err = ckpt.PutU32(cw, uint32(d.num[c]), uint32(d.baseNum[c]))
+		}
+	}
+	if err != nil {
 		return err
-	}
-	for _, v := range []uint32{
-		uint32(d.classes), uint32(d.dims), uint32(d.cfg.Window),
-		uint32(d.cfg.NSearch), uint32(d.cfg.NUpdate), uint32(d.cfg.NRecon),
-		uint32(d.cfg.Distance), uint32(d.cfg.Update), boolU32(d.cfg.ResetModelOnDrift),
-		boolU32(d.cfg.ResetWindowState), boolU32(d.cfg.AlwaysCheck),
-		boolU32(d.check), uint32(d.win),
-	} {
-		if err := putU32(w, v); err != nil {
-			return err
-		}
-	}
-	for _, v := range []float64{
-		d.cfg.ZDrift, d.cfg.ZError, d.cfg.EWMAGamma,
-		d.thetaError, d.thetaDrift, d.dist,
-		// v3: the pinned-threshold overrides. finishReconstruction only
-		// re-derives a threshold whose cfg pin is zero, so these decide
-		// post-reconstruction behaviour and must survive a round trip.
-		d.cfg.ErrorThreshold, d.cfg.DriftThreshold,
-	} {
-		if err := putF64(w, v); err != nil {
-			return err
-		}
-	}
-	for c := 0; c < d.classes; c++ {
-		if err := putF64s(w, d.trainCor[c]); err != nil {
-			return err
-		}
-		if err := putF64s(w, d.cor[c]); err != nil {
-			return err
-		}
-		if err := putU32(w, uint32(d.num[c])); err != nil {
-			return err
-		}
-		if err := putU32(w, uint32(d.baseNum[c])); err != nil {
-			return err
-		}
 	}
 	return cw.WriteFooter()
 }
@@ -229,72 +155,42 @@ func (d *Detector) RestoreState(r io.Reader) error {
 	return nil
 }
 
-// LoadState deserialises detector state written by SaveState — the
-// current checksummed v3 format or the legacy v1/v2 formats — and binds
-// it to the given model, which must match the saved class count and
-// dimension. In the checksummed paths every failure wraps ErrBadFormat
-// so callers can classify corruption with errors.Is.
+// LoadState deserialises an EDDET3 detector state written by SaveState
+// and binds it to the given model, which must match the saved class
+// count and dimension. Every failure matches ckpt.ErrBadFormat.
 func LoadState(r io.Reader, m *model.Multi) (*Detector, error) {
-	var got [6]byte
-	if _, err := io.ReadFull(r, got[:]); err != nil {
-		return nil, badFormat(fmt.Errorf("load header: %w", err))
+	cr, err := ckpt.Open(r, magic)
+	if err != nil {
+		return nil, err
 	}
-	switch got {
-	case detMagicV1:
-		return loadStateBody(r, m, false)
-	case detMagicV2, detMagicV3:
-		cr := ckpt.NewReader(r)
-		cr.Fold(got[:])
-		d, err := loadStateBody(cr, m, got == detMagicV3)
-		if err != nil {
-			return nil, badFormat(err)
-		}
-		if err := cr.VerifyFooter(); err != nil {
-			return nil, badFormat(err)
-		}
-		return d, nil
-	default:
-		return nil, ErrBadFormat
+	d, err := loadStateBody(cr, m)
+	if err == nil {
+		err = cr.VerifyFooter()
 	}
+	if err != nil {
+		return nil, ckpt.Corrupt("core", err)
+	}
+	return d, nil
 }
 
-// badFormat wraps a checksummed-format load failure so it matches both
-// ErrBadFormat and the underlying cause.
-func badFormat(err error) error {
-	if errors.Is(err, ErrBadFormat) {
-		return err
-	}
-	return fmt.Errorf("core: corrupt artifact: %w: %w", ErrBadFormat, err)
-}
-
-// loadStateBody parses the payload that follows the magic. hasPins is
-// true for v3, whose float block carries the two pinned-threshold
-// overrides; v1/v2 artifacts predate the pins and load with both zero
-// (their historical behaviour: re-derive after reconstruction).
-func loadStateBody(r io.Reader, m *model.Multi, hasPins bool) (*Detector, error) {
+// loadStateBody parses the payload that follows the magic.
+func loadStateBody(r io.Reader, m *model.Multi) (*Detector, error) {
 	var u [13]uint32
 	for i := range u {
-		v, err := getU32(r)
+		v, err := ckpt.GetU32(r)
 		if err != nil {
 			return nil, err
 		}
 		u[i] = v
 	}
-	f := make([]float64, 6, 8)
-	if hasPins {
-		f = f[:8]
-	}
-	for i := range f {
-		v, err := getF64(r)
-		if err != nil {
-			return nil, err
-		}
-		f[i] = v
+	var f [8]float64
+	if err := ckpt.GetF64s(r, f[:]); err != nil {
+		return nil, err
 	}
 	classes, dims := int(u[0]), int(u[1])
 	if classes <= 0 || classes > maxLoadClasses || dims <= 0 || dims > maxLoadDims ||
 		classes*dims > maxLoadCentroidElems {
-		return nil, fmt.Errorf("%w: implausible shape %d×%d", ErrBadFormat, classes, dims)
+		return nil, fmt.Errorf("%w: implausible shape %d×%d", ckpt.ErrBadFormat, classes, dims)
 	}
 	if m.Classes() != classes {
 		return nil, fmt.Errorf("core: model has %d classes, state has %d", m.Classes(), classes)
@@ -315,10 +211,9 @@ func loadStateBody(r io.Reader, m *model.Multi, hasPins bool) (*Detector, error)
 		ZDrift:            f[0],
 		ZError:            f[1],
 		EWMAGamma:         f[2],
+		ErrorThreshold:    f[6],
+		DriftThreshold:    f[7],
 		Precision:         m.Precision(),
-	}
-	if hasPins {
-		cfg.ErrorThreshold, cfg.DriftThreshold = f[6], f[7]
 	}
 	d, err := New(m, cfg)
 	if err != nil {
@@ -335,22 +230,17 @@ func loadStateBody(r io.Reader, m *model.Multi, hasPins bool) (*Detector, error)
 	for c := 0; c < classes; c++ {
 		d.trainCor[c] = make([]float64, dims)
 		d.cor[c] = make([]float64, dims)
-		if err := getF64s(r, d.trainCor[c]); err != nil {
+		if err := ckpt.GetF64s(r, d.trainCor[c]); err != nil {
 			return nil, err
 		}
-		if err := getF64s(r, d.cor[c]); err != nil {
+		if err := ckpt.GetF64s(r, d.cor[c]); err != nil {
 			return nil, err
 		}
-		n, err := getU32(r)
-		if err != nil {
+		var n, bn uint32
+		if err := ckpt.GetU32s(r, &n, &bn); err != nil {
 			return nil, err
 		}
-		d.num[c] = int(n)
-		bn, err := getU32(r)
-		if err != nil {
-			return nil, err
-		}
-		d.baseNum[c] = int(bn)
+		d.num[c], d.baseNum[c] = int(n), int(bn)
 	}
 	d.calibrated = true
 	d.initScoreBins()

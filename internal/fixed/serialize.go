@@ -2,14 +2,13 @@ package fixed
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 
 	"edgedrift/internal/ckpt"
 )
 
-// qfixMagicV1 identifies a serialised fixed-point monitor (QFIX01): the
+// magic identifies a serialised fixed-point monitor (QFIX01): the
 // magic, the monitor geometry, every instance's quantised parameters,
 // the centroid state and the drift state machine, all as exact Q16.16
 // words — integer state round-trips bit-for-bit by construction. The
@@ -20,18 +19,15 @@ import (
 // migratable: the float Monitor ships as an OSELM3 artifact, the
 // quantised port ships as QFIX01, and the fleet container's member-kind
 // byte says which decoder to use.
-var qfixMagicV1 = [6]byte{'Q', 'F', 'I', 'X', '0', '1'}
+const magic = "QFIX01"
 
-// ErrBadFormat reports a stream that is not a serialised fixed-point
-// monitor, or one that is truncated or corrupt.
-var ErrBadFormat = errors.New("fixed: not a serialised fixed-point monitor (or corrupt artifact)")
-
-// Sanity bounds so a corrupt header fails as ErrBadFormat instead of
+// Sanity bounds so a corrupt header fails as ckpt.ErrBadFormat instead of
 // demanding an absurd allocation.
 const (
-	maxLoadDim     = 1 << 20
-	maxLoadClasses = 1 << 16
-	maxLoadEvents  = 1 << 24
+	maxLoadDim         = 1 << 20
+	maxLoadMatrixElems = 1 << 20
+	maxLoadClasses     = 1 << 16
+	maxLoadEvents      = 1 << 24
 )
 
 // Save serialises the monitor's complete state to w. The artifact is a
@@ -41,18 +37,18 @@ const (
 // h, recon, batch buffers — is rebuilt at load and never carries state
 // across samples).
 func (mon *Monitor) Save(w io.Writer) error {
-	cw := ckpt.NewWriter(w)
-	if _, err := cw.Write(qfixMagicV1[:]); err != nil {
+	cw, err := ckpt.Create(w, magic)
+	if err != nil {
 		return err
 	}
-	if err := putU32s(cw, uint32(mon.dims), uint32(mon.window), uint32(len(mon.instances))); err != nil {
+	if err := ckpt.PutU32(cw, uint32(mon.dims), uint32(mon.window), uint32(len(mon.instances))); err != nil {
 		return err
 	}
 	if err := putQs(cw, []Q{mon.thetaError, mon.thetaDrift}); err != nil {
 		return err
 	}
 	for _, inst := range mon.instances {
-		if err := putU32s(cw, uint32(inst.inputs), uint32(inst.hidden), uint32(inst.sat)); err != nil {
+		if err := ckpt.PutU32(cw, uint32(inst.inputs), uint32(inst.hidden), uint32(inst.sat)); err != nil {
 			return err
 		}
 		for _, qs := range [][]Q{inst.w, inst.bias, inst.beta} {
@@ -68,7 +64,7 @@ func (mon *Monitor) Save(w io.Writer) error {
 		if err := putQs(cw, mon.cor[c]); err != nil {
 			return err
 		}
-		if err := putU32s(cw, uint32(mon.num[c])); err != nil {
+		if err := ckpt.PutU32(cw, uint32(mon.num[c])); err != nil {
 			return err
 		}
 	}
@@ -82,24 +78,24 @@ func (mon *Monitor) Save(w io.Writer) error {
 	if _, err := cw.Write([]byte{flags}); err != nil {
 		return err
 	}
-	if err := putU32s(cw, uint32(mon.win)); err != nil {
+	if err := ckpt.PutU32(cw, uint32(mon.win)); err != nil {
 		return err
 	}
 	if err := putQs(cw, []Q{mon.dist}); err != nil {
 		return err
 	}
-	if err := putU64(cw, uint64(mon.samples)); err != nil {
+	if err := ckpt.PutU64(cw, uint64(mon.samples)); err != nil {
 		return err
 	}
-	if err := putU32s(cw, uint32(len(mon.events))); err != nil {
+	if err := ckpt.PutU32(cw, uint32(len(mon.events))); err != nil {
 		return err
 	}
 	for _, e := range mon.events {
-		if err := putU64(cw, uint64(e)); err != nil {
+		if err := ckpt.PutU64(cw, uint64(e)); err != nil {
 			return err
 		}
 	}
-	if err := putU32s(cw, uint32(mon.sat)); err != nil {
+	if err := ckpt.PutU32(cw, uint32(mon.sat)); err != nil {
 		return err
 	}
 	return cw.WriteFooter()
@@ -109,21 +105,28 @@ func (mon *Monitor) Save(w io.Writer) error {
 // ready to Process; operation counting (SetOps) and batch staging are
 // reattached or rebuilt lazily by the caller as needed.
 func LoadMonitor(r io.Reader) (*Monitor, error) {
-	var got [6]byte
-	if _, err := io.ReadFull(r, got[:]); err != nil {
-		return nil, badFormat(fmt.Errorf("load header: %w", err))
+	cr, err := ckpt.Open(r, magic)
+	if err != nil {
+		return nil, err
 	}
-	if got != qfixMagicV1 {
-		return nil, ErrBadFormat
+	mon, err := loadBody(cr)
+	if err == nil {
+		err = cr.VerifyFooter()
 	}
-	cr := ckpt.NewReader(r)
-	cr.Fold(got[:])
+	if err != nil {
+		return nil, ckpt.Corrupt("fixed", err)
+	}
+	return mon, nil
+}
+
+// loadBody parses the payload that follows the magic.
+func loadBody(r io.Reader) (*Monitor, error) {
 	var dims, window, classes uint32
-	if err := getU32s(cr, &dims, &window, &classes); err != nil {
-		return nil, badFormat(err)
+	if err := ckpt.GetU32s(r, &dims, &window, &classes); err != nil {
+		return nil, err
 	}
 	if dims == 0 || dims > maxLoadDim || window > maxLoadDim || classes == 0 || classes > maxLoadClasses {
-		return nil, badFormat(fmt.Errorf("implausible geometry dims=%d window=%d classes=%d", dims, window, classes))
+		return nil, fmt.Errorf("implausible geometry dims=%d window=%d classes=%d", dims, window, classes)
 	}
 	mon := &Monitor{
 		dims:   int(dims),
@@ -131,17 +134,19 @@ func LoadMonitor(r io.Reader) (*Monitor, error) {
 		num:    make([]int32, classes),
 	}
 	var thetas [2]Q
-	if err := getQs(cr, thetas[:]); err != nil {
-		return nil, badFormat(err)
+	if err := getQs(r, thetas[:]); err != nil {
+		return nil, err
 	}
 	mon.thetaError, mon.thetaDrift = thetas[0], thetas[1]
 	for c := uint32(0); c < classes; c++ {
 		var inputs, hidden, sat uint32
-		if err := getU32s(cr, &inputs, &hidden, &sat); err != nil {
-			return nil, badFormat(err)
+		if err := ckpt.GetU32s(r, &inputs, &hidden, &sat); err != nil {
+			return nil, err
 		}
-		if inputs == 0 || inputs > maxLoadDim || hidden == 0 || hidden > maxLoadDim {
-			return nil, badFormat(fmt.Errorf("instance %d: implausible shape %dx%d", c, inputs, hidden))
+		// Every instance reconstructs a dims-wide sample, and the weight
+		// matrices are bounded before they are allocated.
+		if inputs != dims || hidden == 0 || uint64(hidden)*uint64(inputs) > maxLoadMatrixElems {
+			return nil, fmt.Errorf("instance %d: implausible shape %dx%d", c, inputs, hidden)
 		}
 		inst := &Autoencoder{
 			inputs: int(inputs),
@@ -154,8 +159,8 @@ func LoadMonitor(r io.Reader) (*Monitor, error) {
 			sat:    int(sat),
 		}
 		for _, qs := range [][]Q{inst.w, inst.bias, inst.beta} {
-			if err := getQs(cr, qs); err != nil {
-				return nil, badFormat(fmt.Errorf("instance %d: %w", c, err))
+			if err := getQs(r, qs); err != nil {
+				return nil, fmt.Errorf("instance %d: %w", c, err)
 			}
 		}
 		mon.instances = append(mon.instances, inst)
@@ -163,63 +168,60 @@ func LoadMonitor(r io.Reader) (*Monitor, error) {
 	for c := uint32(0); c < classes; c++ {
 		trainCor := make([]Q, dims)
 		cor := make([]Q, dims)
-		if err := getQs(cr, trainCor); err != nil {
-			return nil, badFormat(err)
+		if err := getQs(r, trainCor); err != nil {
+			return nil, err
 		}
-		if err := getQs(cr, cor); err != nil {
-			return nil, badFormat(err)
+		if err := getQs(r, cor); err != nil {
+			return nil, err
 		}
 		var num uint32
-		if err := getU32s(cr, &num); err != nil {
-			return nil, badFormat(err)
+		if err := ckpt.GetU32s(r, &num); err != nil {
+			return nil, err
 		}
 		mon.trainCor = append(mon.trainCor, trainCor)
 		mon.cor = append(mon.cor, cor)
 		mon.num[c] = int32(num)
 	}
 	var flags [1]byte
-	if _, err := io.ReadFull(cr, flags[:]); err != nil {
-		return nil, badFormat(err)
+	if _, err := io.ReadFull(r, flags[:]); err != nil {
+		return nil, err
 	}
 	mon.check = flags[0]&1 != 0
 	mon.pending = flags[0]&2 != 0
 	var win uint32
-	if err := getU32s(cr, &win); err != nil {
-		return nil, badFormat(err)
+	if err := ckpt.GetU32s(r, &win); err != nil {
+		return nil, err
 	}
 	mon.win = int(win)
 	var dist [1]Q
-	if err := getQs(cr, dist[:]); err != nil {
-		return nil, badFormat(err)
+	if err := getQs(r, dist[:]); err != nil {
+		return nil, err
 	}
 	mon.dist = dist[0]
-	smp, err := getU64(cr)
+	smp, err := ckpt.GetU64(r)
 	if err != nil {
-		return nil, badFormat(err)
+		return nil, err
 	}
 	mon.samples = int(smp)
 	var nEvents uint32
-	if err := getU32s(cr, &nEvents); err != nil {
-		return nil, badFormat(err)
+	if err := ckpt.GetU32s(r, &nEvents); err != nil {
+		return nil, err
 	}
 	if nEvents > maxLoadEvents {
-		return nil, badFormat(fmt.Errorf("implausible event count %d", nEvents))
+		return nil, fmt.Errorf("implausible event count %d", nEvents)
 	}
 	for i := uint32(0); i < nEvents; i++ {
-		e, err := getU64(cr)
+		e, err := ckpt.GetU64(r)
 		if err != nil {
-			return nil, badFormat(err)
+			return nil, err
 		}
 		mon.events = append(mon.events, int(e))
 	}
 	var sat uint32
-	if err := getU32s(cr, &sat); err != nil {
-		return nil, badFormat(err)
+	if err := ckpt.GetU32s(r, &sat); err != nil {
+		return nil, err
 	}
 	mon.sat = int(sat)
-	if err := cr.VerifyFooter(); err != nil {
-		return nil, badFormat(err)
-	}
 	return mon, nil
 }
 
@@ -235,52 +237,6 @@ func LoadStream(r io.Reader) (*Stream, error) {
 		return nil, err
 	}
 	return NewStream(mon), nil
-}
-
-// badFormat wraps a load failure so it matches both ErrBadFormat and
-// the underlying cause (including ckpt.ErrChecksum).
-func badFormat(err error) error {
-	if errors.Is(err, ErrBadFormat) {
-		return err
-	}
-	return fmt.Errorf("fixed: corrupt artifact: %w: %w", ErrBadFormat, err)
-}
-
-func putU32s(w io.Writer, vs ...uint32) error {
-	var b [4]byte
-	for _, v := range vs {
-		binary.LittleEndian.PutUint32(b[:], v)
-		if _, err := w.Write(b[:]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func getU32s(r io.Reader, vs ...*uint32) error {
-	var b [4]byte
-	for _, v := range vs {
-		if _, err := io.ReadFull(r, b[:]); err != nil {
-			return err
-		}
-		*v = binary.LittleEndian.Uint32(b[:])
-	}
-	return nil
-}
-
-func putU64(w io.Writer, v uint64) error {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	_, err := w.Write(b[:])
-	return err
-}
-
-func getU64(r io.Reader) (uint64, error) {
-	var b [8]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b[:]), nil
 }
 
 // putQs writes a Q16.16 vector as little-endian 32-bit words.

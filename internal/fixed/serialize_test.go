@@ -5,6 +5,8 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+
+	"edgedrift/internal/ckpt"
 )
 
 // TestSaveLoadBitIdenticalContinuation is the QFIX01 contract: save a
@@ -107,13 +109,50 @@ func TestLoadCorruptionQFIX(t *testing.T) {
 	for pos := 0; pos < len(art); pos++ {
 		bad := append([]byte(nil), art...)
 		bad[pos] ^= 0x40
-		if _, err := LoadStream(bytes.NewReader(bad)); !errors.Is(err, ErrBadFormat) {
+		if _, err := LoadStream(bytes.NewReader(bad)); !errors.Is(err, ckpt.ErrBadFormat) {
 			t.Fatalf("flip at byte %d: err = %v, want ErrBadFormat", pos, err)
 		}
 	}
 	for _, n := range []int{0, 3, 6, 10, len(art) / 2, len(art) - 1} {
-		if _, err := LoadStream(bytes.NewReader(art[:n])); !errors.Is(err, ErrBadFormat) {
+		if _, err := LoadStream(bytes.NewReader(art[:n])); !errors.Is(err, ckpt.ErrBadFormat) {
 			t.Fatalf("truncation to %d bytes: err = %v, want ErrBadFormat", n, err)
 		}
 	}
+}
+
+// FuzzLoadStream is the QFIX01 decoder's crash-resistance harness:
+// arbitrary bytes must either load into a stage whose re-saved artifact
+// loads again, or fail with ckpt.ErrBadFormat — never panic.
+func FuzzLoadStream(f *testing.F) {
+	det, r := calibratedFloatDetector(f, 9)
+	s := NewStream(QuantizeDetector(det))
+	for i := 0; i < 60; i++ {
+		s.Process(monSample(r, i%monClasses, 2.5))
+	}
+	var buf bytes.Buffer
+	if err := s.Save(&buf); err != nil {
+		f.Fatal(err)
+	}
+	art := buf.Bytes()
+	f.Add(art)
+	f.Add(art[:len(art)/2])
+	f.Add(art[:len(art)-4]) // footer missing
+	f.Add([]byte("QFIX01"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st, err := LoadStream(bytes.NewReader(data))
+		if err != nil {
+			if !errors.Is(err, ckpt.ErrBadFormat) {
+				t.Fatalf("load error %v does not match ckpt.ErrBadFormat", err)
+			}
+			return
+		}
+		var out bytes.Buffer
+		if err := st.Save(&out); err != nil {
+			t.Fatalf("loaded stage cannot re-save: %v", err)
+		}
+		if _, err := LoadStream(&out); err != nil {
+			t.Fatalf("re-saved stage does not load: %v", err)
+		}
+	})
 }

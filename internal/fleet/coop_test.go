@@ -416,60 +416,9 @@ func TestFleet3Corruption(t *testing.T) {
 		bad := append([]byte(nil), art...)
 		bad[pos] ^= 0x40
 		g := New(Config{})
-		if err := g.Load(bytes.NewReader(bad), decMerge); !errors.Is(err, ErrBadFormat) {
+		if err := g.Load(bytes.NewReader(bad), decMerge); !errors.Is(err, ckpt.ErrBadFormat) {
 			t.Fatalf("flip at byte %d: err = %v, want ErrBadFormat", pos, err)
 		}
-	}
-}
-
-// TestLoadFleet2BackwardCompat hand-assembles a FLEET2 artifact (kind
-// byte, no cohort fields) and checks it still loads with the empty
-// cohort.
-func TestLoadFleet2BackwardCompat(t *testing.T) {
-	var mbuf bytes.Buffer
-	inner := ckpt.NewWriter(&mbuf)
-	if err := binary.Write(inner, binary.LittleEndian, []uint64{5, 99}); err != nil {
-		t.Fatal(err)
-	}
-	if err := inner.WriteFooter(); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	cw := ckpt.NewWriter(&buf)
-	if _, err := cw.Write([]byte("FLEET2")); err != nil {
-		t.Fatal(err)
-	}
-	if err := putU32(cw, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := putU32(cw, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := io.WriteString(cw, "s"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cw.Write([]byte{mergeKind}); err != nil {
-		t.Fatal(err)
-	}
-	if err := putU64(cw, uint64(mbuf.Len())); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cw.Write(mbuf.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	if err := cw.WriteFooter(); err != nil {
-		t.Fatal(err)
-	}
-
-	g := New(Config{})
-	if err := g.Load(bytes.NewReader(buf.Bytes()), decMerge); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := g.Cohort("s"); err != nil || got != "" {
-		t.Fatalf("Cohort = %q, %v; want empty", got, err)
-	}
-	if fp, _ := g.MemberFingerprint("s"); fp != 99 {
-		t.Fatalf("fingerprint = %d, want 99", fp)
 	}
 }
 

@@ -310,14 +310,14 @@ func TestLoadCorruption(t *testing.T) {
 		bad := append([]byte(nil), art...)
 		bad[pos] ^= 0x40
 		g := New(Config{})
-		if err := g.Load(bytes.NewReader(bad), decCount); !errors.Is(err, ErrBadFormat) {
+		if err := g.Load(bytes.NewReader(bad), decCount); !errors.Is(err, ckpt.ErrBadFormat) {
 			t.Fatalf("flip at byte %d: err = %v, want ErrBadFormat", pos, err)
 		}
 	}
 	// Truncation at any length must also fail.
 	for _, n := range []int{0, 3, 6, 10, len(art) / 2, len(art) - 1} {
 		g := New(Config{})
-		if err := g.Load(bytes.NewReader(art[:n]), decCount); !errors.Is(err, ErrBadFormat) {
+		if err := g.Load(bytes.NewReader(art[:n]), decCount); !errors.Is(err, ckpt.ErrBadFormat) {
 			t.Fatalf("truncation to %d bytes: err = %v, want ErrBadFormat", n, err)
 		}
 	}
@@ -338,13 +338,13 @@ func TestMemberKindRoundTrip(t *testing.T) {
 	// in the payload, so a dropped or reordered kind cannot go unnoticed.
 	enc := func(id string, s core.Streaming, w io.Writer) (byte, error) {
 		c := s.(*countStage)
-		if err := putU32(w, uint32(c.samples)); err != nil {
+		if err := ckpt.PutU32(w, uint32(c.samples)); err != nil {
 			return 0, err
 		}
 		return byte(c.driftEvery), nil
 	}
 	dec := func(id string, kind byte, r io.Reader) (core.Streaming, error) {
-		n, err := getU32(r)
+		n, err := ckpt.GetU32(r)
 		if err != nil {
 			return nil, err
 		}
@@ -367,57 +367,6 @@ func TestMemberKindRoundTrip(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-// TestLoadFleet1BackwardCompat hand-assembles a FLEET1 artifact (no
-// kind byte) and checks it still loads, with every member decoding as
-// the implicit kind 0.
-func TestLoadFleet1BackwardCompat(t *testing.T) {
-	var mbuf bytes.Buffer
-	inner := ckpt.NewWriter(&mbuf)
-	if err := binary.Write(inner, binary.LittleEndian, []uint32{5, 3}); err != nil {
-		t.Fatal(err)
-	}
-	if err := inner.WriteFooter(); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	cw := ckpt.NewWriter(&buf)
-	if _, err := cw.Write([]byte("FLEET1")); err != nil {
-		t.Fatal(err)
-	}
-	if err := putU32(cw, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := putU32(cw, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := io.WriteString(cw, "s"); err != nil {
-		t.Fatal(err)
-	}
-	if err := putU64(cw, uint64(mbuf.Len())); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cw.Write(mbuf.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	if err := cw.WriteFooter(); err != nil {
-		t.Fatal(err)
-	}
-
-	g := New(Config{})
-	if err := g.Load(bytes.NewReader(buf.Bytes()), decCount); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Do("s", func(s core.Streaming) error {
-		c := s.(*countStage)
-		if c.samples != 5 || c.driftEvery != 3 {
-			t.Errorf("FLEET1 member decoded as %+v", c)
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -566,7 +515,7 @@ func TestImportMemberCorruption(t *testing.T) {
 		bad := append([]byte(nil), payload...)
 		bad[pos] ^= 0x40
 		g := New(Config{})
-		if err := g.ImportMember("s", kind, "", bad, smp, dr, decCount); !errors.Is(err, ErrBadFormat) {
+		if err := g.ImportMember("s", kind, "", bad, smp, dr, decCount); !errors.Is(err, ckpt.ErrBadFormat) {
 			t.Fatalf("flip at byte %d: err = %v, want ErrBadFormat", pos, err)
 		}
 		if g.Len() != 0 {
@@ -575,7 +524,7 @@ func TestImportMemberCorruption(t *testing.T) {
 	}
 	// Trailing garbage after the footer must also fail.
 	g := New(Config{})
-	if err := g.ImportMember("s", kind, "", append(payload, 0), smp, dr, decCount); !errors.Is(err, ErrBadFormat) {
+	if err := g.ImportMember("s", kind, "", append(payload, 0), smp, dr, decCount); !errors.Is(err, ckpt.ErrBadFormat) {
 		t.Fatalf("trailing byte: err = %v, want ErrBadFormat", err)
 	}
 }

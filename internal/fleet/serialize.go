@@ -2,57 +2,30 @@ package fleet
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 
 	"edgedrift/internal/ckpt"
 	"edgedrift/internal/core"
 )
 
-// fleetMagicV1 identifies the original fleet container (FLEET1): the
-// magic, a member count, then each member as (ID, length-prefixed
-// payload) in sorted-ID order. Every member payload is written through
-// its own nested ckpt.Writer and carries its own CRC32 footer, and the
-// whole container — member footers included — is covered by one outer
-// footer. A flipped bit therefore fails twice: once at the damaged
-// member, once at the container level, and the member ID in the error
-// says which stream's state is unusable. FLEET1 is load-only now; every
-// member decodes with the implicit kind 0.
-var fleetMagicV1 = [6]byte{'F', 'L', 'E', 'E', 'T', '1'}
-
-// fleetMagicV2 is FLEET1 plus a one-byte member kind between each ID
-// and its payload length, discriminating member encodings (a float
-// Monitor artifact vs. a Q16.16 stage artifact) so mixed-precision
-// fleets round-trip.
-var fleetMagicV2 = [6]byte{'F', 'L', 'E', 'E', 'T', '2'}
-
-// fleetMagicV3 is FLEET2 plus the cooperative-learning fields between
-// each member's kind byte and its payload length: a length-prefixed
-// cohort name and the member's u64 merge fingerprint at save time. The
-// fingerprint is informational — a loader re-derives the live value
-// from the decoded stage, which is what the cohort index uses — but it
-// lets offline tooling group compatible members without decoding
-// payloads. Save always writes FLEET3; Load accepts all three versions
-// (FLEET1/2 members decode with the empty cohort).
-var fleetMagicV3 = [6]byte{'F', 'L', 'E', 'E', 'T', '3'}
-
-// fleetMagicV4 keeps FLEET3's container layout unchanged and adds the
-// degraded member kind (the public wrapper's kind 2): a member that was
-// demoted at save time carries its retained full-precision origin AND
-// its reduced-precision twin in one payload, so a degraded fleet
-// round-trips into a degraded fleet that still promotes bit-exactly.
-// The magic is bumped anyway — a FLEET3-era loader would otherwise fail
-// on the unknown kind byte deep inside a member instead of cleanly at
-// the header. Save always writes FLEET4; Load accepts all four.
-var fleetMagicV4 = [6]byte{'F', 'L', 'E', 'E', 'T', '4'}
-
-// ErrBadFormat reports a stream that is not a serialised fleet of a
-// known version, or one that is truncated or corrupt.
-var ErrBadFormat = errors.New("fleet: not a serialised fleet (or corrupt artifact)")
+// magic identifies the fleet container (FLEET4): the magic, a member
+// count, then each member in sorted-ID order as its ID, a one-byte
+// member kind (which decoder the payload needs: a float Monitor, a
+// Q16.16 stage, or a degraded member carrying its full-precision origin
+// and reduced-precision twin), a length-prefixed cohort name, the
+// member's u64 merge fingerprint at save time, and a length-prefixed
+// payload. Every member payload is written through its own nested
+// ckpt.Writer and carries its own CRC32 footer, and the whole container
+// — member footers included — is covered by one outer footer. A flipped
+// bit therefore fails twice: once at the damaged member, once at the
+// container level, and the member ID in the error says which stream's
+// state is unusable. The fingerprint is informational — a loader
+// re-derives the live value from the decoded stage, which is what the
+// cohort index uses — but it lets offline tooling group compatible
+// members without decoding payloads.
+const magic = "FLEET4"
 
 // ErrExportCollision reports a failed ExportMember whose rollback found
 // the id re-registered: between the deregistration and the encode
@@ -62,7 +35,7 @@ var ErrBadFormat = errors.New("fleet: not a serialised fleet (or corrupt artifac
 // about rather than discover as silently reset sample counts.
 var ErrExportCollision = errors.New("fleet: export rollback collision: id re-registered during export")
 
-// Sanity bounds so a corrupt header fails as ErrBadFormat instead of
+// Sanity bounds so a corrupt header fails as ckpt.ErrBadFormat instead of
 // demanding an absurd allocation.
 const (
 	maxLoadMembers = 1 << 20
@@ -76,7 +49,7 @@ const (
 type EncodeFunc func(id string, s core.Streaming, w io.Writer) (kind byte, err error)
 
 // DecodeFunc reconstructs one member's stage from its payload, given
-// the kind byte its encoder recorded (always 0 for FLEET1 artifacts).
+// the kind byte its encoder recorded.
 // The reader is exactly the member's payload; reading past it fails.
 type DecodeFunc func(id string, kind byte, r io.Reader) (core.Streaming, error)
 
@@ -88,11 +61,11 @@ type DecodeFunc func(id string, kind byte, r io.Reader) (core.Streaming, error)
 // whole-fleet stop-the-world cut.
 func (f *Fleet) Save(w io.Writer, enc EncodeFunc) error {
 	ids := f.IDs()
-	cw := ckpt.NewWriter(w)
-	if _, err := cw.Write(fleetMagicV4[:]); err != nil {
+	cw, err := ckpt.Create(w, magic)
+	if err != nil {
 		return err
 	}
-	if err := putU32(cw, uint32(len(ids))); err != nil {
+	if err := ckpt.PutU32(cw, uint32(len(ids))); err != nil {
 		return err
 	}
 	var buf bytes.Buffer
@@ -102,7 +75,7 @@ func (f *Fleet) Save(w io.Writer, enc EncodeFunc) error {
 		var cohort string
 		var fprint uint64
 		inner := ckpt.NewWriter(&buf)
-		err := f.Do(id, func(s core.Streaming) error {
+		err = f.Do(id, func(s core.Streaming) error {
 			var encErr error
 			kind, encErr = enc(id, s, inner)
 			return encErr
@@ -118,165 +91,149 @@ func (f *Fleet) Save(w io.Writer, enc EncodeFunc) error {
 		if err := inner.WriteFooter(); err != nil {
 			return fmt.Errorf("fleet: save %q: %w", id, err)
 		}
-		if err := putU32(cw, uint32(len(id))); err != nil {
-			return err
+		err = putString(cw, id)
+		if err == nil {
+			_, err = cw.Write([]byte{kind})
 		}
-		if _, err := io.WriteString(cw, id); err != nil {
-			return err
+		if err == nil {
+			err = putString(cw, cohort)
 		}
-		if _, err := cw.Write([]byte{kind}); err != nil {
-			return err
+		if err == nil {
+			err = ckpt.PutU64(cw, fprint)
 		}
-		if err := putU32(cw, uint32(len(cohort))); err != nil {
-			return err
+		if err == nil {
+			err = ckpt.PutU64(cw, uint64(buf.Len()))
 		}
-		if _, err := io.WriteString(cw, cohort); err != nil {
-			return err
+		if err == nil {
+			_, err = cw.Write(buf.Bytes())
 		}
-		if err := putU64(cw, fprint); err != nil {
-			return err
-		}
-		if err := putU64(cw, uint64(buf.Len())); err != nil {
-			return err
-		}
-		if _, err := cw.Write(buf.Bytes()); err != nil {
+		if err != nil {
 			return err
 		}
 	}
 	return cw.WriteFooter()
 }
 
-// Load reads a fleet container written by Save and registers every
+// Load reads a FLEET4 container written by Save and registers every
 // member into f via Add (typically f is fresh and empty; a duplicate ID
-// fails). Any corruption — container or member level — fails with an
-// error matching ErrBadFormat, naming the damaged member when one can
-// be identified.
+// fails). Members are registered only once the whole container has
+// verified. Any corruption — container or member level — fails with an
+// error matching ckpt.ErrBadFormat, naming the damaged member when one
+// can be identified.
 func (f *Fleet) Load(r io.Reader, dec DecodeFunc) error {
-	var got [6]byte
-	if _, err := io.ReadFull(r, got[:]); err != nil {
-		return badFormat(fmt.Errorf("load header: %w", err))
-	}
-	hasCohort := got == fleetMagicV3 || got == fleetMagicV4
-	hasKind := got == fleetMagicV2 || hasCohort
-	if got != fleetMagicV1 && !hasKind {
-		return ErrBadFormat
-	}
-	cr := ckpt.NewReader(r)
-	cr.Fold(got[:])
-	count, err := getU32(cr)
+	cr, err := ckpt.Open(r, magic)
 	if err != nil {
-		return badFormat(err)
+		return err
 	}
-	if count > maxLoadMembers {
-		return badFormat(fmt.Errorf("implausible member count %d", count))
+	members, err := loadBody(cr, dec)
+	if err == nil {
+		err = cr.VerifyFooter()
 	}
-	for i := uint32(0); i < count; i++ {
-		idLen, err := getU32(cr)
-		if err != nil {
-			return badFormat(err)
-		}
-		if idLen == 0 || idLen > maxLoadIDLen {
-			return badFormat(fmt.Errorf("implausible ID length %d", idLen))
-		}
-		idBytes := make([]byte, idLen)
-		if _, err := io.ReadFull(cr, idBytes); err != nil {
-			return badFormat(err)
-		}
-		id := string(idBytes)
-		var kind byte
-		if hasKind {
-			var kb [1]byte
-			if _, err := io.ReadFull(cr, kb[:]); err != nil {
-				return badFormat(fmt.Errorf("member %q: %w", id, err))
-			}
-			kind = kb[0]
-		}
-		var cohort string
-		if hasCohort {
-			clen, err := getU32(cr)
-			if err != nil {
-				return badFormat(fmt.Errorf("member %q: %w", id, err))
-			}
-			if clen > maxLoadIDLen {
-				return badFormat(fmt.Errorf("member %q: implausible cohort length %d", id, clen))
-			}
-			if clen > 0 {
-				cb := make([]byte, clen)
-				if _, err := io.ReadFull(cr, cb); err != nil {
-					return badFormat(fmt.Errorf("member %q: %w", id, err))
-				}
-				cohort = string(cb)
-			}
-			// The saved fingerprint is folded into the checksum but the
-			// live value is re-derived from the decoded stage: the stage's
-			// own bits are authoritative, not a label alongside them.
-			if _, err := getU64(cr); err != nil {
-				return badFormat(fmt.Errorf("member %q: %w", id, err))
-			}
-		}
-		plen, err := getU64(cr)
-		if err != nil {
-			return badFormat(fmt.Errorf("member %q: %w", id, err))
-		}
-		lim := &io.LimitedReader{R: cr, N: int64(plen)}
-		inner := ckpt.NewReader(lim)
-		s, err := dec(id, kind, inner)
-		if err != nil {
-			return badFormat(fmt.Errorf("member %q: %w", id, err))
-		}
-		if err := inner.VerifyFooter(); err != nil {
-			return badFormat(fmt.Errorf("member %q: %w", id, err))
-		}
-		if lim.N != 0 {
-			return badFormat(fmt.Errorf("member %q: %d payload bytes left unconsumed", id, lim.N))
-		}
-		if err := f.AddMember(id, s, MemberConfig{Cohort: cohort}); err != nil {
+	if err != nil {
+		return ckpt.Corrupt("fleet", err)
+	}
+	for _, m := range members {
+		if err := f.AddMember(m.id, m.stage, MemberConfig{Cohort: m.cohort}); err != nil {
 			return err
 		}
 	}
-	if err := cr.VerifyFooter(); err != nil {
-		return badFormat(err)
-	}
 	return nil
 }
 
-// SaveFile atomically writes the fleet artifact to path (temp file,
-// sync, rename — the same crash-safety contract as Monitor.SaveFile).
-func (f *Fleet) SaveFile(path string, enc EncodeFunc) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")
+// loadedMember is one decoded member record awaiting registration.
+type loadedMember struct {
+	id, cohort string
+	stage      core.Streaming
+}
+
+// loadBody parses the member records that follow the magic.
+func loadBody(r io.Reader, dec DecodeFunc) ([]loadedMember, error) {
+	count, err := ckpt.GetU32(r)
 	if err != nil {
-		return fmt.Errorf("fleet: save %s: %w", path, err)
+		return nil, err
 	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := f.Save(tmp, enc); err != nil {
-		tmp.Close()
+	if count > maxLoadMembers {
+		return nil, fmt.Errorf("implausible member count %d", count)
+	}
+	var members []loadedMember
+	for i := uint32(0); i < count; i++ {
+		m, err := loadMember(r, dec)
+		if err != nil {
+			return nil, err
+		}
+		members = append(members, m)
+	}
+	return members, nil
+}
+
+// loadMember decodes one member record: ID, kind byte, cohort, saved
+// fingerprint and the length-prefixed, checksummed payload.
+func loadMember(r io.Reader, dec DecodeFunc) (m loadedMember, err error) {
+	if m.id, err = getString(r, 1); err != nil {
+		return m, err
+	}
+	defer func() {
+		if err != nil {
+			err = fmt.Errorf("member %q: %w", m.id, err)
+		}
+	}()
+	var kind [1]byte
+	if _, err = io.ReadFull(r, kind[:]); err != nil {
+		return m, err
+	}
+	if m.cohort, err = getString(r, 0); err != nil {
+		return m, err
+	}
+	// The saved fingerprint is folded into the checksum but the live
+	// value is re-derived from the decoded stage: the stage's own bits
+	// are authoritative, not a label alongside them.
+	if _, err = ckpt.GetU64(r); err != nil {
+		return m, err
+	}
+	plen, err := ckpt.GetU64(r)
+	if err != nil {
+		return m, err
+	}
+	lim := &io.LimitedReader{R: r, N: int64(plen)}
+	if m.stage, err = decodePayload(m.id, kind[0], lim, dec); err == nil && lim.N != 0 {
+		err = fmt.Errorf("%d payload bytes left unconsumed", lim.N)
+	}
+	return m, err
+}
+
+// decodePayload decodes one member payload and verifies its own CRC32
+// footer.
+func decodePayload(id string, kind byte, r io.Reader, dec DecodeFunc) (core.Streaming, error) {
+	cr := ckpt.NewReader(r)
+	s, err := dec(id, kind, cr)
+	if err == nil {
+		err = cr.VerifyFooter()
+	}
+	return s, err
+}
+
+// putString writes a u32-length-prefixed string.
+func putString(w io.Writer, s string) error {
+	if err := ckpt.PutU32(w, uint32(len(s))); err != nil {
 		return err
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("fleet: save %s: %w", path, err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("fleet: save %s: %w", path, err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("fleet: save %s: %w", path, err)
-	}
-	return nil
+	_, err := io.WriteString(w, s)
+	return err
 }
 
-// LoadFile reads a fleet artifact written by SaveFile into f.
-func (f *Fleet) LoadFile(path string, dec DecodeFunc) error {
-	fh, err := os.Open(path)
+// getString reads a u32-length-prefixed string of at least min and at
+// most maxLoadIDLen bytes.
+func getString(r io.Reader, min uint32) (string, error) {
+	n, err := ckpt.GetU32(r)
 	if err != nil {
-		return fmt.Errorf("fleet: load %s: %w", path, err)
+		return "", err
 	}
-	defer fh.Close()
-	if err := f.Load(fh, dec); err != nil {
-		return fmt.Errorf("%w (%s)", err, path)
+	if n < min || n > maxLoadIDLen {
+		return "", fmt.Errorf("implausible string length %d", n)
 	}
-	return nil
+	b := make([]byte, n)
+	_, err = io.ReadFull(r, b)
+	return string(b), err
 }
 
 // ExportMember atomically deregisters one member and serialises its
@@ -363,55 +320,12 @@ func (f *Fleet) ExportMember(id string, enc EncodeFunc) (kind byte, cohort strin
 // cooperating with its group.
 func (f *Fleet) ImportMember(id string, kind byte, cohort string, payload []byte, samples, drifts uint64, dec DecodeFunc) error {
 	br := bytes.NewReader(payload)
-	cr := ckpt.NewReader(br)
-	s, err := dec(id, kind, cr)
+	s, err := decodePayload(id, kind, br, dec)
+	if err == nil && br.Len() != 0 {
+		err = fmt.Errorf("%d payload bytes left unconsumed", br.Len())
+	}
 	if err != nil {
-		return badFormat(fmt.Errorf("import %q: %w", id, err))
-	}
-	if err := cr.VerifyFooter(); err != nil {
-		return badFormat(fmt.Errorf("import %q: %w", id, err))
-	}
-	if br.Len() != 0 {
-		return badFormat(fmt.Errorf("import %q: %d payload bytes left unconsumed", id, br.Len()))
+		return ckpt.Corrupt("fleet", fmt.Errorf("import %q: %w", id, err))
 	}
 	return f.addMember(id, s, MemberConfig{Cohort: cohort}, samples, drifts)
-}
-
-// badFormat wraps a load failure so it matches both ErrBadFormat and
-// the underlying cause (including ckpt.ErrChecksum).
-func badFormat(err error) error {
-	if errors.Is(err, ErrBadFormat) {
-		return err
-	}
-	return fmt.Errorf("fleet: corrupt artifact: %w: %w", ErrBadFormat, err)
-}
-
-func putU32(w io.Writer, v uint32) error {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	_, err := w.Write(b[:])
-	return err
-}
-
-func getU32(r io.Reader) (uint32, error) {
-	var b [4]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b[:]), nil
-}
-
-func putU64(w io.Writer, v uint64) error {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	_, err := w.Write(b[:])
-	return err
-}
-
-func getU64(r io.Reader) (uint64, error) {
-	var b [8]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b[:]), nil
 }

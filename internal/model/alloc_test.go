@@ -35,21 +35,18 @@ func TestTrainClosestZeroAllocs(t *testing.T) {
 	}
 }
 
-// The parallel scoring path hands work to persistent goroutines over
-// pre-allocated channels; once the pool is warm, Predict must stay
-// allocation-free there too.
-func TestParallelPredictZeroAllocs(t *testing.T) {
-	m, err := New(Config{Classes: 4, Inputs: 64, Hidden: 22}, rng.New(7))
+// BenchmarkPredict times multi-instance scoring at a production-ish
+// shape (C=8 instances, D=511, H=64).
+func BenchmarkPredict(b *testing.B) {
+	m, err := New(Config{Classes: 8, Inputs: 511, Hidden: 64}, rng.New(11))
 	if err != nil {
-		t.Fatal(err)
+		b.Fatal(err)
 	}
-	defer m.Close()
-	m.SetParallelism(2)
-	m.SetParallelThreshold(1) // force the concurrent path at this size
-	x := make([]float64, 64)
+	x := make([]float64, 511)
 	rng.New(3).FillUniform(x, -1, 1)
-	m.Predict(x) // warm the pool
-	if n := testing.AllocsPerRun(200, func() { m.Predict(x) }); n != 0 {
-		t.Fatalf("parallel Predict allocates %v objects per call, want 0", n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Predict(x)
 	}
 }

@@ -15,12 +15,9 @@ func (m *Multi) ConvertPrecision(p oselm.Precision) (*Multi, error) {
 	cfg := m.cfg
 	cfg.Precision = p
 	nm := &Multi{
-		cfg:          cfg,
-		instances:    make([]*oselm.Autoencoder, len(m.instances)),
-		scores:       make([]float64, len(m.instances)),
-		parWorkers:   1,
-		parThreshold: defaultParallelThreshold,
-		predictMACs:  m.predictMACs,
+		cfg:       cfg,
+		instances: make([]*oselm.Autoencoder, len(m.instances)),
+		scores:    make([]float64, len(m.instances)),
 	}
 	for i, ae := range m.instances {
 		conv, err := ae.ConvertPrecision(p)

@@ -51,20 +51,14 @@ type Config struct {
 
 // Multi is the concrete multi-instance autoencoder model.
 //
-// Multi is not safe for concurrent use by multiple goroutines; the
-// parallelism knobs (SetParallelism) only parallelise the internals of a
-// single Predict call.
+// Multi is not safe for concurrent use by multiple goroutines; callers
+// that need throughput parallelise across streams (see internal/fleet),
+// not within one Predict.
 type Multi struct {
 	cfg       Config
 	instances []*oselm.Autoencoder
 	scores    []float64
 	ops       *opcount.Counter
-
-	// Parallel-scoring state; see parallel.go.
-	parWorkers   int // 1 = sequential (default)
-	parThreshold int // min modelled MACs per Predict before fanning out
-	predictMACs  int // ≈ C·2·D·H, fixed at construction
-	pool         *scorePool
 
 	// batchScores holds one score column per class for PredictBatch,
 	// allocated lazily so per-sample-only deployments carry no extra
@@ -82,12 +76,9 @@ func New(cfg Config, r *rng.Rand) (*Multi, error) {
 		return nil, fmt.Errorf("model: need at least one class, got %d", cfg.Classes)
 	}
 	m := &Multi{
-		cfg:          cfg,
-		instances:    make([]*oselm.Autoencoder, cfg.Classes),
-		scores:       make([]float64, cfg.Classes),
-		parWorkers:   1,
-		parThreshold: defaultParallelThreshold,
-		predictMACs:  cfg.Classes * 2 * cfg.Inputs * cfg.Hidden,
+		cfg:       cfg,
+		instances: make([]*oselm.Autoencoder, cfg.Classes),
+		scores:    make([]float64, cfg.Classes),
 	}
 	for i := range m.instances {
 		ae, err := oselm.NewAutoencoder(oselm.Config{
@@ -113,18 +104,11 @@ func (m *Multi) Classes() int { return m.cfg.Classes }
 func (m *Multi) Config() Config { return m.cfg }
 
 // Predict scores x under every instance and returns the argmin label with
-// its score (Algorithm 1 lines 6–7). When parallel scoring is enabled
-// and the model is large enough (see SetParallelism), the C scorings run
-// concurrently; the result is identical to the sequential path because
-// every instance writes its pre-assigned slot of the score buffer and
-// the argmin scan below is always sequential.
+// its score (Algorithm 1 lines 6–7). The instances score in order and
+// the first lowest score wins.
 func (m *Multi) Predict(x []float64) (int, float64) {
-	if m.parallelOK() {
-		m.pool.score(x)
-	} else {
-		for i, ae := range m.instances {
-			m.scores[i] = ae.Score(x)
-		}
+	for i, ae := range m.instances {
+		m.scores[i] = ae.Score(x)
 	}
 	best, bestScore := 0, m.scores[0]
 	for i, s := range m.scores {
@@ -163,8 +147,7 @@ func (m *Multi) ensureBatchScores() [][]float64 {
 // calling Predict per sample; only the order instances touch memory
 // changes. The argmin scan replicates Predict's exactly (strict <, first
 // index wins) including its comparison charge. Unlike Predict, the
-// Scores() view is not updated. The batch path never fans out to the
-// parallel scorer; it is already bandwidth-optimal sequentially.
+// Scores() view is not updated.
 func (m *Multi) PredictBatch(labels []int, scores []float64, xs [][]float64) {
 	if len(labels) != len(xs) || len(scores) != len(xs) {
 		panic("model: PredictBatch buffer length mismatch")

@@ -6,56 +6,37 @@ import (
 	"math"
 	"testing"
 
+	"edgedrift/internal/ckpt"
 	"edgedrift/internal/oselm"
 )
 
-func savedMulti(t *testing.T) ([]byte, *Multi) {
+func savedMulti(t *testing.T) []byte {
 	t.Helper()
 	m, _, _ := newTrained(t, 60)
 	var buf bytes.Buffer
 	if _, err := m.Save(&buf, oselm.Float64); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes(), m
+	return buf.Bytes()
 }
 
 func TestMultiLoadRejectsEveryTruncation(t *testing.T) {
-	full, _ := savedMulti(t)
+	full := savedMulti(t)
 	for n := 0; n < len(full); n++ {
-		if _, err := Load(bytes.NewReader(full[:n])); !errors.Is(err, ErrBadFormat) {
+		if _, err := Load(bytes.NewReader(full[:n])); !errors.Is(err, ckpt.ErrBadFormat) {
 			t.Fatalf("truncation at %d/%d: err = %v, want ErrBadFormat", n, len(full), err)
 		}
 	}
 }
 
 func TestMultiLoadRejectsEveryFlippedByte(t *testing.T) {
-	full, _ := savedMulti(t)
+	full := savedMulti(t)
 	for i := range full {
 		mut := append([]byte(nil), full...)
 		mut[i] ^= 0x10
-		if _, err := Load(bytes.NewReader(mut)); !errors.Is(err, ErrBadFormat) {
+		if _, err := Load(bytes.NewReader(mut)); !errors.Is(err, ckpt.ErrBadFormat) {
 			t.Fatalf("flipped byte %d/%d: err = %v, want ErrBadFormat", i, len(full), err)
 		}
-	}
-}
-
-// TestMultiLoadV1Legacy: a v1 multi artifact is the same header and
-// instance payloads without the whole-stream footer. The embedded
-// instances carry their own version magics, so leaving them in the
-// current format inside a v1 wrapper is a legal legacy stream.
-func TestMultiLoadV1Legacy(t *testing.T) {
-	full, m := savedMulti(t)
-	v1 := append([]byte(nil), full[:len(full)-4]...)
-	if v1[5] != '2' {
-		t.Fatalf("unexpected version byte %q", v1[5])
-	}
-	v1[5] = '1'
-	got, err := Load(bytes.NewReader(v1))
-	if err != nil {
-		t.Fatalf("v1 artifact failed to load: %v", err)
-	}
-	if got.Classes() != m.Classes() {
-		t.Fatalf("classes %d vs %d", got.Classes(), m.Classes())
 	}
 }
 

@@ -1,8 +1,6 @@
 package model
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 
@@ -10,95 +8,60 @@ import (
 	"edgedrift/internal/oselm"
 )
 
-// multiMagicV1 and multiMagicV2 identify serialised multi-instance
-// models. v2 wraps the v1 layout (header plus per-instance artifacts) in
-// a whole-stream CRC32 footer, covering the per-instance checksums too.
-// Save writes v2; Load accepts both.
-var (
-	multiMagicV1 = [6]byte{'M', 'U', 'L', 'T', 'I', '1'}
-	multiMagicV2 = [6]byte{'M', 'U', 'L', 'T', 'I', '2'}
-)
-
-// ErrBadFormat reports a stream that is not a serialised multi-instance
-// model of a known version, or a v2 artifact that is truncated or
-// corrupt.
-var ErrBadFormat = errors.New("model: not a serialised multi-instance model (or unsupported version)")
+// magic identifies a serialised multi-instance model (MULTI2): the
+// class count and the per-instance autoencoder artifacts, wrapped in a
+// whole-stream CRC32 footer that covers the per-instance checksums too.
+const magic = "MULTI2"
 
 // Save serialises the model — configuration plus every instance — so a
 // host-trained model can be shipped to a device (use oselm.Float32 for
 // the halved deployment footprint).
 func (m *Multi) Save(w io.Writer, prec oselm.Precision) (int64, error) {
-	cw := ckpt.NewWriter(w)
-	if _, err := cw.Write(multiMagicV2[:]); err != nil {
-		return cw.N(), err
+	cw, err := ckpt.Create(w, magic)
+	if err == nil {
+		err = ckpt.PutU32(cw, uint32(m.cfg.Classes))
 	}
-	var head [4]byte
-	binary.LittleEndian.PutUint32(head[:], uint32(m.cfg.Classes))
-	if _, err := cw.Write(head[:]); err != nil {
-		return cw.N(), err
-	}
-	for i, ae := range m.instances {
-		if _, err := ae.Save(cw, prec); err != nil {
-			return cw.N(), fmt.Errorf("model: instance %d: %w", i, err)
+	for i := 0; err == nil && i < len(m.instances); i++ {
+		if _, err = m.instances[i].Save(cw, prec); err != nil {
+			err = fmt.Errorf("model: instance %d: %w", i, err)
 		}
 	}
-	if err := cw.WriteFooter(); err != nil {
-		return cw.N(), err
+	if err == nil {
+		err = cw.WriteFooter()
 	}
-	return cw.N(), nil
+	return cw.N(), err
 }
 
-// Load deserialises a model written by Save — the current checksummed v2
-// format or the legacy v1 format. In the v2 path every failure wraps
-// ErrBadFormat so callers can classify corruption with errors.Is.
+// Load deserialises a MULTI2 model written by Save. Every failure
+// matches ckpt.ErrBadFormat.
 func Load(r io.Reader) (*Multi, error) {
-	var got [6]byte
-	if _, err := io.ReadFull(r, got[:]); err != nil {
-		return nil, badFormat(fmt.Errorf("load header: %w", err))
-	}
-	switch got {
-	case multiMagicV1:
-		return loadBody(r)
-	case multiMagicV2:
-		cr := ckpt.NewReader(r)
-		cr.Fold(got[:])
-		m, err := loadBody(cr)
-		if err != nil {
-			return nil, badFormat(err)
-		}
-		if err := cr.VerifyFooter(); err != nil {
-			return nil, badFormat(err)
-		}
-		return m, nil
-	default:
-		return nil, ErrBadFormat
-	}
-}
-
-// badFormat wraps a v2 load failure so it matches both ErrBadFormat and
-// the underlying cause.
-func badFormat(err error) error {
-	if errors.Is(err, ErrBadFormat) {
-		return err
-	}
-	return fmt.Errorf("model: corrupt artifact: %w: %w", ErrBadFormat, err)
-}
-
-// loadBody parses the version-independent payload that follows the magic.
-func loadBody(r io.Reader) (*Multi, error) {
-	var head [4]byte
-	if _, err := io.ReadFull(r, head[:]); err != nil {
+	cr, err := ckpt.Open(r, magic)
+	if err != nil {
 		return nil, err
 	}
-	classes := int(binary.LittleEndian.Uint32(head[:]))
+	m, err := loadBody(cr)
+	if err == nil {
+		err = cr.VerifyFooter()
+	}
+	if err != nil {
+		return nil, ckpt.Corrupt("model", err)
+	}
+	return m, nil
+}
+
+// loadBody parses the payload that follows the magic.
+func loadBody(r io.Reader) (*Multi, error) {
+	n, err := ckpt.GetU32(r)
+	if err != nil {
+		return nil, err
+	}
+	classes := int(n)
 	if classes <= 0 || classes > 1<<20 {
-		return nil, ErrBadFormat
+		return nil, ckpt.ErrBadFormat
 	}
 	m := &Multi{
-		instances:    make([]*oselm.Autoencoder, classes),
-		scores:       make([]float64, classes),
-		parWorkers:   1,
-		parThreshold: defaultParallelThreshold,
+		instances: make([]*oselm.Autoencoder, classes),
+		scores:    make([]float64, classes),
 	}
 	for i := range m.instances {
 		ae, err := oselm.LoadAutoencoder(r)
@@ -117,9 +80,6 @@ func loadBody(r io.Reader) (*Multi, error) {
 		WeightScale: c0.WeightScale,
 		Precision:   c0.Precision,
 	}
-	// Restore the fields New derives, so SetParallelism works on a
-	// loaded model exactly as on a constructed one.
-	m.predictMACs = classes * 2 * c0.Inputs * c0.Hidden
 	for i, ae := range m.instances[1:] {
 		ci := ae.Model().Config()
 		if ci.Inputs != c0.Inputs {

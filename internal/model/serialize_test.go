@@ -92,7 +92,7 @@ func TestMultiLoadRejectsTruncated(t *testing.T) {
 }
 
 func TestMultiLoadRejectsAbsurdClassCount(t *testing.T) {
-	buf := append([]byte("MULTI1"), 0xff, 0xff, 0xff, 0x7f)
+	buf := append([]byte("MULTI2"), 0xff, 0xff, 0xff, 0x7f)
 	if _, err := Load(bytes.NewReader(buf)); err == nil {
 		t.Fatal("expected class-count rejection")
 	}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"edgedrift/internal/ckpt"
 	"edgedrift/internal/mat"
 	"edgedrift/internal/rng"
 )
@@ -91,38 +92,6 @@ func TestWatchdogSymmetrizeKeepsHealthyStateFinite(t *testing.T) {
 	}
 }
 
-// v1FromV3 converts a single checksummed v3 artifact into the legacy v1
-// layout: version byte '1', the compute-precision byte (offset 7, a v3
-// addition) removed, and no CRC footer. (The formats deliberately kept
-// the rest of the payload identical so the old parser still applies.)
-func v1FromV3(t *testing.T, b []byte) []byte {
-	t.Helper()
-	if len(b) < 12 {
-		t.Fatalf("artifact too short: %d bytes", len(b))
-	}
-	out := append([]byte(nil), b[:len(b)-4]...)
-	if out[5] != '3' {
-		t.Fatalf("unexpected version byte %q", out[5])
-	}
-	out[5] = '1'
-	return append(out[:7], out[8:]...)
-}
-
-func TestLoadV1LegacyArtifact(t *testing.T) {
-	m := trainedModel(t)
-	var buf bytes.Buffer
-	if _, err := m.Save(&buf, Float64); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(bytes.NewReader(v1FromV3(t, buf.Bytes())))
-	if err != nil {
-		t.Fatalf("v1 artifact failed to load: %v", err)
-	}
-	if d := mat.MaxAbsDiff(got.Beta(), m.Beta()); d != 0 {
-		t.Fatalf("v1 round trip differs by %v", d)
-	}
-}
-
 func TestLoadRejectsEveryTruncation(t *testing.T) {
 	m := trainedModel(t)
 	var buf bytes.Buffer
@@ -131,7 +100,7 @@ func TestLoadRejectsEveryTruncation(t *testing.T) {
 	}
 	full := buf.Bytes()
 	for n := 0; n < len(full); n++ {
-		if _, err := Load(bytes.NewReader(full[:n])); !errors.Is(err, ErrBadFormat) {
+		if _, err := Load(bytes.NewReader(full[:n])); !errors.Is(err, ckpt.ErrBadFormat) {
 			t.Fatalf("truncation at %d/%d: err = %v, want ErrBadFormat", n, len(full), err)
 		}
 	}
@@ -147,7 +116,7 @@ func TestLoadRejectsEveryFlippedByte(t *testing.T) {
 	for i := range full {
 		mut := append([]byte(nil), full...)
 		mut[i] ^= 0x40
-		if _, err := Load(bytes.NewReader(mut)); !errors.Is(err, ErrBadFormat) {
+		if _, err := Load(bytes.NewReader(mut)); !errors.Is(err, ckpt.ErrBadFormat) {
 			t.Fatalf("flipped byte %d/%d: err = %v, want ErrBadFormat", i, len(full), err)
 		}
 	}
@@ -170,7 +139,7 @@ func TestAutoencoderLoadRejectsCorruption(t *testing.T) {
 	for i := range full {
 		mut := append([]byte(nil), full...)
 		mut[i] ^= 0x01
-		if _, err := LoadAutoencoder(bytes.NewReader(mut)); !errors.Is(err, ErrBadFormat) {
+		if _, err := LoadAutoencoder(bytes.NewReader(mut)); !errors.Is(err, ckpt.ErrBadFormat) {
 			t.Fatalf("flipped byte %d: err = %v, want ErrBadFormat", i, err)
 		}
 	}
@@ -188,8 +157,8 @@ func FuzzLoad(f *testing.F) {
 	full := buf.Bytes()
 	f.Add(full)
 	f.Add(full[:len(full)/2])
-	f.Add(v1FromV3FuzzSeed(full))
-	f.Add([]byte("OSELM2"))
+	f.Add(full[:len(full)-4]) // footer missing
+	f.Add([]byte("OSELM3"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Must never panic; any error (or a clean load of a lucky valid
@@ -199,13 +168,4 @@ func FuzzLoad(f *testing.F) {
 			t.Fatal("nil model with nil error")
 		}
 	})
-}
-
-func v1FromV3FuzzSeed(b []byte) []byte {
-	if len(b) < 12 || b[5] != '3' {
-		return b
-	}
-	out := append([]byte(nil), b[:len(b)-4]...)
-	out[5] = '1'
-	return append(out[:7], out[8:]...)
 }

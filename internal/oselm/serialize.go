@@ -2,7 +2,6 @@ package oselm
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -70,21 +69,11 @@ func ParsePrecision(s string) (Precision, error) {
 	return 0, fmt.Errorf("unknown precision %q (valid: f64, f32, q16)", s)
 }
 
-// magicV1..magicV3 identify serialised OS-ELM models. v2 appends a
-// CRC32 footer (see internal/ckpt) so corruption fails loudly at load
-// time; v3 adds a compute-precision byte after the wire-precision byte
-// so a reduced-precision model round-trips as one (v1/v2 artifacts load
-// as float64-compute, their historical behaviour). Save writes v3; Load
-// accepts all three.
-var (
-	magicV1 = [6]byte{'O', 'S', 'E', 'L', 'M', '1'}
-	magicV2 = [6]byte{'O', 'S', 'E', 'L', 'M', '2'}
-	magicV3 = [6]byte{'O', 'S', 'E', 'L', 'M', '3'}
-)
-
-// ErrBadFormat reports a stream that is not a serialised model of a
-// known version, or a v2 artifact that is truncated or corrupt.
-var ErrBadFormat = errors.New("oselm: not a serialised OS-ELM model (or unsupported version)")
+// magic identifies a serialised OS-ELM model (OSELM3): the wire- and
+// compute-precision bytes, the shape and RLS constants, the weight
+// slabs, then a CRC32 footer (see internal/ckpt). The compute-precision
+// byte makes a reduced-precision model round-trip as one.
+const magic = "OSELM3"
 
 // Sanity bounds on deserialised dimensions: large enough for any model
 // this library can usefully run, small enough that a bit-flipped header
@@ -95,111 +84,60 @@ const (
 )
 
 func writeFloats(w io.Writer, prec Precision, xs []float64) error {
-	if prec == Float32 {
-		buf := make([]byte, 4*len(xs))
-		for i, v := range xs {
-			binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(float32(v)))
-		}
-		_, err := w.Write(buf)
-		return err
+	if prec == Float64 {
+		return ckpt.PutF64(w, xs...)
 	}
-	buf := make([]byte, 8*len(xs))
+	buf := make([]byte, 4*len(xs))
 	for i, v := range xs {
-		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
+		binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(float32(v)))
 	}
 	_, err := w.Write(buf)
 	return err
 }
 
 func readFloats(r io.Reader, prec Precision, dst []float64) error {
-	if prec == Float32 {
-		buf := make([]byte, 4*len(dst))
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return err
-		}
-		for i := range dst {
-			dst[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:])))
-		}
-		return nil
+	if prec == Float64 {
+		return ckpt.GetF64s(r, dst)
 	}
-	buf := make([]byte, 8*len(dst))
+	buf := make([]byte, 4*len(dst))
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return err
 	}
 	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
+		dst[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:])))
 	}
 	return nil
 }
 
-func writeU32(w io.Writer, v uint32) error {
-	var buf [4]byte
-	binary.LittleEndian.PutUint32(buf[:], v)
-	_, err := w.Write(buf[:])
-	return err
-}
-
-func readU32(r io.Reader) (uint32, error) {
-	var buf [4]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(buf[:]), nil
-}
-
-func writeF64(w io.Writer, v float64) error {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-	_, err := w.Write(buf[:])
-	return err
-}
-
-func readF64(r io.Reader) (float64, error) {
-	var buf [8]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return 0, err
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(buf[:])), nil
-}
-
 // Save serialises the model (random projection, learned state and
-// configuration) to w in the versioned little-endian v3 format: the
-// payload followed by a CRC32 footer. prec selects the on-wire element
-// width; the model's compute precision is carried separately so a
-// float32 model reloads as one. It returns the number of bytes written.
+// configuration) to w as an OSELM3 artifact: the payload followed by a
+// CRC32 footer. prec selects the on-wire element width; the model's
+// compute precision is carried separately so a float32 model reloads as
+// one. It returns the number of bytes written.
 func (m *Model) Save(w io.Writer, prec Precision) (int64, error) {
-	cw := ckpt.NewWriter(w)
 	if prec != Float64 && prec != Float32 {
 		return 0, fmt.Errorf("oselm: %v is not a wire precision (valid: f64, f32)", prec)
 	}
-	if _, err := cw.Write(magicV3[:]); err != nil {
-		return cw.N(), err
+	cw, err := ckpt.Create(w, magic)
+	if err == nil {
+		_, err = cw.Write([]byte{byte(prec), byte(m.cfg.Precision)})
 	}
-	if _, err := cw.Write([]byte{byte(prec), byte(m.cfg.Precision)}); err != nil {
-		return cw.N(), err
+	if err == nil {
+		err = ckpt.PutU32(cw, uint32(m.cfg.Inputs), uint32(m.cfg.Hidden), uint32(m.cfg.Outputs),
+			uint32(m.cfg.Activation), uint32(m.inits))
 	}
-	for _, v := range []uint32{
-		uint32(m.cfg.Inputs), uint32(m.cfg.Hidden), uint32(m.cfg.Outputs),
-		uint32(m.cfg.Activation), uint32(m.inits),
-	} {
-		if err := writeU32(cw, v); err != nil {
-			return cw.N(), err
-		}
-	}
-	for _, v := range []float64{m.cfg.Forgetting, m.cfg.Ridge, m.cfg.WeightScale} {
-		if err := writeF64(cw, v); err != nil {
-			return cw.N(), err
-		}
+	if err == nil {
+		err = ckpt.PutF64(cw, m.cfg.Forgetting, m.cfg.Ridge, m.cfg.WeightScale)
 	}
 	for _, xs := range m.exportSlabs() {
-		if err := writeFloats(cw, prec, xs); err != nil {
-			return cw.N(), err
+		if err == nil {
+			err = writeFloats(cw, prec, xs)
 		}
 	}
-	if err := cw.WriteFooter(); err != nil {
-		return cw.N(), err
+	if err == nil {
+		err = cw.WriteFooter()
 	}
-	return cw.N(), nil
+	return cw.N(), err
 }
 
 // exportSlabs returns the persistent state in serialisation order
@@ -219,94 +157,42 @@ func (m *Model) exportSlabs() [][]float64 {
 	return [][]float64{w, bias, beta, m.p.Data}
 }
 
-// Load deserialises a model written by Save — the current checksummed v2
-// format or the legacy v1 format. The returned model is ready to predict
-// and to continue sequential training. In the v2 path every failure
-// (truncation, checksum mismatch, implausible header) wraps ErrBadFormat
-// so callers can classify corruption with errors.Is.
+// Load deserialises an OSELM3 model written by Save. The returned model
+// is ready to predict and to continue sequential training. Every failure
+// (unknown magic, truncation, checksum mismatch, implausible header)
+// matches ckpt.ErrBadFormat.
 func Load(r io.Reader) (*Model, error) {
-	m, _, err := loadVersioned(r)
-	return m, err
-}
-
-// loadVersioned is Load plus the artifact version it found, so nesting
-// callers (LoadAutoencoder) know whether an enclosing footer follows.
-func loadVersioned(r io.Reader) (*Model, int, error) {
-	var got [6]byte
-	if _, err := io.ReadFull(r, got[:]); err != nil {
-		return nil, 0, badFormat(fmt.Errorf("load header: %w", err))
-	}
-	switch got {
-	case magicV1:
-		m, err := loadBody(r, 1)
-		return m, 1, err
-	case magicV2, magicV3:
-		ver := 2
-		if got == magicV3 {
-			ver = 3
-		}
-		cr := ckpt.NewReader(r)
-		cr.Fold(got[:])
-		m, err := loadBody(cr, ver)
-		if err != nil {
-			return nil, ver, badFormat(err)
-		}
-		if err := cr.VerifyFooter(); err != nil {
-			return nil, ver, badFormat(err)
-		}
-		return m, ver, nil
-	default:
-		return nil, 0, ErrBadFormat
-	}
-}
-
-// badFormat wraps a v2 load failure so it matches both ErrBadFormat and
-// the underlying cause.
-func badFormat(err error) error {
-	if errors.Is(err, ErrBadFormat) {
-		return err
-	}
-	return fmt.Errorf("oselm: corrupt artifact: %w: %w", ErrBadFormat, err)
-}
-
-// loadBody parses the payload that follows the magic. ver 3 carries a
-// compute-precision byte after the wire-precision byte; v1/v2 artifacts
-// predate the precision axis and load as float64-compute models.
-func loadBody(r io.Reader, ver int) (*Model, error) {
-	var precByte [1]byte
-	if _, err := io.ReadFull(r, precByte[:]); err != nil {
+	cr, err := ckpt.Open(r, magic)
+	if err != nil {
 		return nil, err
 	}
-	prec := Precision(precByte[0])
-	if prec != Float64 && prec != Float32 {
-		return nil, ErrBadFormat
+	m, err := loadBody(cr)
+	if err == nil {
+		err = cr.VerifyFooter()
 	}
-	compute := Float64
-	if ver >= 3 {
-		var computeByte [1]byte
-		if _, err := io.ReadFull(r, computeByte[:]); err != nil {
-			return nil, err
-		}
-		compute = Precision(computeByte[0])
-		if compute != Float64 && compute != Float32 {
-			return nil, ErrBadFormat
-		}
+	if err != nil {
+		return nil, ckpt.Corrupt("oselm", err)
+	}
+	return m, nil
+}
+
+// loadBody parses the payload that follows the magic.
+func loadBody(r io.Reader) (*Model, error) {
+	var precs [2]byte
+	if _, err := io.ReadFull(r, precs[:]); err != nil {
+		return nil, err
+	}
+	prec, compute := Precision(precs[0]), Precision(precs[1])
+	if prec > Float32 || compute > Float32 {
+		return nil, ckpt.ErrBadFormat
 	}
 	var u [5]uint32
-	for i := range u {
-		v, err := readU32(r)
-		if err != nil {
-			return nil, err
-		}
-		u[i] = v
+	if err := ckpt.GetU32s(r, &u[0], &u[1], &u[2], &u[3], &u[4]); err != nil {
+		return nil, err
 	}
 	var f [3]float64
-	for i := range f {
-		v, err := readF64(r)
-		if err != nil {
-			return nil, err
-		}
-		f[i] = v
+	if err := ckpt.GetF64s(r, f[:]); err != nil {
+		return nil, err
 	}
 	cfg := Config{
 		Inputs:      int(u[0]),
@@ -357,12 +243,12 @@ func checkLoadDims(c Config) error {
 	dims := [...]int{c.Inputs, c.Hidden, c.Outputs}
 	for _, d := range dims {
 		if d <= 0 || d > maxLoadDim {
-			return fmt.Errorf("%w: implausible dimension %d", ErrBadFormat, d)
+			return fmt.Errorf("%w: implausible dimension %d", ckpt.ErrBadFormat, d)
 		}
 	}
 	for _, n := range [...]int{c.Hidden * c.Inputs, c.Hidden * c.Outputs, c.Hidden * c.Hidden} {
 		if n > maxLoadMatrixElems {
-			return fmt.Errorf("%w: implausible matrix size %d", ErrBadFormat, n)
+			return fmt.Errorf("%w: implausible matrix size %d", ckpt.ErrBadFormat, n)
 		}
 	}
 	return nil
@@ -381,41 +267,35 @@ func newEmpty(c Config) *Model {
 // covered too.
 func (a *Autoencoder) Save(w io.Writer, prec Precision) (int64, error) {
 	cw := ckpt.NewWriter(w)
-	if err := writeU32(cw, uint32(a.metric)); err != nil {
-		return cw.N(), err
+	err := ckpt.PutU32(cw, uint32(a.metric))
+	if err == nil {
+		_, err = a.model.Save(cw, prec)
 	}
-	if _, err := a.model.Save(cw, prec); err != nil {
-		return cw.N(), err
+	if err == nil {
+		err = cw.WriteFooter()
 	}
-	if err := cw.WriteFooter(); err != nil {
-		return cw.N(), err
-	}
-	return cw.N(), nil
+	return cw.N(), err
 }
 
-// LoadAutoencoder deserialises an autoencoder written by Save. Legacy
-// (v1) instances carry no checksums at all; the embedded model's version
-// decides whether the outer footer is expected.
+// LoadAutoencoder deserialises an autoencoder written by Save.
 func LoadAutoencoder(r io.Reader) (*Autoencoder, error) {
 	cr := ckpt.NewReader(r)
-	metric, err := readU32(cr)
+	metric, err := ckpt.GetU32(cr)
 	if err != nil {
-		return nil, badFormat(fmt.Errorf("load metric: %w", err))
+		return nil, ckpt.Corrupt("oselm", fmt.Errorf("load metric: %w", err))
 	}
 	if metric > uint32(L2Norm) {
-		return nil, fmt.Errorf("%w: unknown score metric %d", ErrBadFormat, metric)
+		return nil, fmt.Errorf("%w: unknown score metric %d", ckpt.ErrBadFormat, metric)
 	}
-	m, ver, err := loadVersioned(cr)
+	m, err := Load(cr)
 	if err != nil {
 		return nil, err
 	}
-	if ver >= 2 {
-		if err := cr.VerifyFooter(); err != nil {
-			return nil, badFormat(err)
-		}
+	if err := cr.VerifyFooter(); err != nil {
+		return nil, ckpt.Corrupt("oselm", err)
 	}
 	if m.cfg.Inputs != m.cfg.Outputs {
-		return nil, errors.New("oselm: serialised model is not an autoencoder")
+		return nil, fmt.Errorf("%w: serialised model is not an autoencoder", ckpt.ErrBadFormat)
 	}
 	return &Autoencoder{
 		model:  m,

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"edgedrift/internal/ckpt"
 	"edgedrift/internal/mat"
 	"edgedrift/internal/rng"
 )
@@ -97,8 +98,8 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		t.Fatal("expected error on empty stream")
 	}
 	// Valid magic, bad precision byte.
-	bad := append([]byte("OSELM1"), 99)
-	if _, err := Load(bytes.NewReader(bad)); err != ErrBadFormat {
+	bad := append([]byte("OSELM3"), 99, 0)
+	if _, err := Load(bytes.NewReader(bad)); err != ckpt.ErrBadFormat {
 		t.Fatalf("err = %v, want ErrBadFormat", err)
 	}
 }
@@ -144,7 +145,7 @@ func TestLoadAutoencoderRejectsNonAutoencoder(t *testing.T) {
 	m := trainedModel(t) // Inputs 6 ≠ Outputs 3
 	var buf bytes.Buffer
 	// Fake the autoencoder wrapper: metric word + model.
-	if err := writeU32(&buf, uint32(MSE)); err != nil {
+	if err := ckpt.PutU32(&buf, uint32(MSE)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.Save(&buf, Float64); err != nil {

@@ -19,11 +19,9 @@ package pool
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 
 	"edgedrift/internal/ckpt"
@@ -269,19 +267,15 @@ func (p *Stage) PhaseNow() core.Phase { return p.det.PhaseNow() }
 
 var _ core.Streaming = (*Stage)(nil)
 
-// poolMagic identifies the POOL1 container: the magic, a u32 entry
-// count, then each entry as (f64 θ_error, length-prefixed model blob,
+// magic identifies the POOL1 container: the magic, a u32 entry count,
+// then each entry as (f64 θ_error, length-prefixed model blob,
 // length-prefixed detector blob) in LRU order (most recent first), all
 // covered by one ckpt CRC32 footer. The nested blobs carry their own
 // footers, so a flipped bit fails at both the container and the
 // artifact level.
-var poolMagic = [5]byte{'P', 'O', 'O', 'L', '1'}
+const magic = "POOL1"
 
-// ErrBadFormat reports a stream that is not a serialised POOL1
-// container, or one that is truncated or corrupt.
-var ErrBadFormat = errors.New("pool: not a serialised model pool (or corrupt artifact)")
-
-// Sanity bounds so a corrupt header fails as ErrBadFormat instead of
+// Sanity bounds so a corrupt header fails as ckpt.ErrBadFormat instead of
 // demanding an absurd allocation.
 const (
 	maxLoadEntries  = 1 << 12
@@ -293,35 +287,31 @@ const (
 // across restarts of the same deployment, which persists its detector
 // and model through their own formats.
 func (p *Stage) Save(w io.Writer) error {
-	cw := ckpt.NewWriter(w)
-	if _, err := cw.Write(poolMagic[:]); err != nil {
-		return err
-	}
-	if err := putU32(cw, uint32(len(p.entries))); err != nil {
-		return err
+	cw, err := ckpt.Create(w, magic)
+	if err == nil {
+		err = ckpt.PutU32(cw, uint32(len(p.entries)))
 	}
 	for _, e := range p.entries {
-		if err := putF64(cw, e.thetaError); err != nil {
-			return err
+		if err == nil {
+			err = ckpt.PutF64(cw, e.thetaError)
 		}
-		if err := putU32(cw, uint32(len(e.modelBlob))); err != nil {
-			return err
+		for _, blob := range [][]byte{e.modelBlob, e.detBlob} {
+			if err == nil {
+				err = ckpt.PutU32(cw, uint32(len(blob)))
+			}
+			if err == nil {
+				_, err = cw.Write(blob)
+			}
 		}
-		if _, err := cw.Write(e.modelBlob); err != nil {
-			return err
-		}
-		if err := putU32(cw, uint32(len(e.detBlob))); err != nil {
-			return err
-		}
-		if _, err := cw.Write(e.detBlob); err != nil {
-			return err
-		}
+	}
+	if err != nil {
+		return err
 	}
 	return cw.WriteFooter()
 }
 
 // Load replaces the stage's pooled checkpoints with the POOL1 container
-// read from r. Every failure wraps ErrBadFormat so callers can classify
+// read from r. Every failure matches ckpt.ErrBadFormat so callers can classify
 // corruption with errors.Is; on error the stage keeps its old entries.
 func (p *Stage) Load(r io.Reader) error {
 	entries, err := decodeEntries(r)
@@ -334,44 +324,48 @@ func (p *Stage) Load(r io.Reader) error {
 
 // decodeEntries parses a POOL1 container.
 func decodeEntries(r io.Reader) ([]*entry, error) {
-	var got [5]byte
-	if _, err := io.ReadFull(r, got[:]); err != nil {
-		return nil, badFormat(fmt.Errorf("load header: %w", err))
-	}
-	if got != poolMagic {
-		return nil, ErrBadFormat
-	}
-	cr := ckpt.NewReader(r)
-	cr.Fold(got[:])
-	count, err := getU32(cr)
+	cr, err := ckpt.Open(r, magic)
 	if err != nil {
-		return nil, badFormat(err)
+		return nil, err
+	}
+	entries, err := decodeBody(cr)
+	if err == nil {
+		err = cr.VerifyFooter()
+	}
+	if err != nil {
+		return nil, ckpt.Corrupt("pool", err)
+	}
+	return entries, nil
+}
+
+// decodeBody parses the entries that follow the magic.
+func decodeBody(r io.Reader) ([]*entry, error) {
+	count, err := ckpt.GetU32(r)
+	if err != nil {
+		return nil, err
 	}
 	if count > maxLoadEntries {
-		return nil, badFormat(fmt.Errorf("implausible entry count %d", count))
+		return nil, fmt.Errorf("implausible entry count %d", count)
 	}
 	entries := make([]*entry, 0, count)
 	for i := uint32(0); i < count; i++ {
 		e := &entry{}
-		if e.thetaError, err = getF64(cr); err != nil {
-			return nil, badFormat(err)
+		if e.thetaError, err = ckpt.GetF64(r); err != nil {
+			return nil, err
 		}
-		if e.modelBlob, err = getBlob(cr); err != nil {
-			return nil, badFormat(err)
+		if e.modelBlob, err = getBlob(r); err != nil {
+			return nil, err
 		}
-		if e.detBlob, err = getBlob(cr); err != nil {
-			return nil, badFormat(err)
+		if e.detBlob, err = getBlob(r); err != nil {
+			return nil, err
 		}
 		entries = append(entries, e)
-	}
-	if err := cr.VerifyFooter(); err != nil {
-		return nil, badFormat(err)
 	}
 	return entries, nil
 }
 
 func getBlob(r io.Reader) ([]byte, error) {
-	n, err := getU32(r)
+	n, err := ckpt.GetU32(r)
 	if err != nil {
 		return nil, err
 	}
@@ -383,43 +377,4 @@ func getBlob(r io.Reader) ([]byte, error) {
 		return nil, err
 	}
 	return b, nil
-}
-
-// badFormat wraps a load failure so it matches both ErrBadFormat and
-// the underlying cause (including ckpt.ErrChecksum).
-func badFormat(err error) error {
-	if errors.Is(err, ErrBadFormat) {
-		return err
-	}
-	return fmt.Errorf("pool: corrupt artifact: %w: %w", ErrBadFormat, err)
-}
-
-func putU32(w io.Writer, v uint32) error {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	_, err := w.Write(b[:])
-	return err
-}
-
-func getU32(r io.Reader) (uint32, error) {
-	var b [4]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b[:]), nil
-}
-
-func putF64(w io.Writer, v float64) error {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-	_, err := w.Write(b[:])
-	return err
-}
-
-func getF64(r io.Reader) (float64, error) {
-	var b [8]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b[:])), nil
 }

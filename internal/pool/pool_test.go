@@ -2,9 +2,12 @@ package pool
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"testing"
 
+	"edgedrift/internal/ckpt"
 	"edgedrift/internal/core"
 	"edgedrift/internal/model"
 	"edgedrift/internal/rng"
@@ -297,7 +300,7 @@ func TestPoolLoadCorruption(t *testing.T) {
 	}
 	want := q.Len()
 	for n := 0; n < len(full); n++ {
-		if err := q.Load(bytes.NewReader(full[:n])); !errors.Is(err, ErrBadFormat) {
+		if err := q.Load(bytes.NewReader(full[:n])); !errors.Is(err, ckpt.ErrBadFormat) {
 			t.Fatalf("truncation at %d: err = %v, want ErrBadFormat", n, err)
 		}
 		if q.Len() != want {
@@ -308,12 +311,31 @@ func TestPoolLoadCorruption(t *testing.T) {
 	for i := range full {
 		copy(flipped, full)
 		flipped[i] ^= 0xFF
-		if err := q.Load(bytes.NewReader(flipped)); !errors.Is(err, ErrBadFormat) {
+		if err := q.Load(bytes.NewReader(flipped)); !errors.Is(err, ckpt.ErrBadFormat) {
 			t.Fatalf("byte flip at %d: err = %v, want ErrBadFormat", i, err)
 		}
 		if q.Len() != want {
 			t.Fatalf("byte flip at %d mutated the stage", i)
 		}
+	}
+}
+
+// TestPoolSaveBytesPinned locks the POOL1 bytes for a one-entry pool to
+// the SHA-256 recorded before the checkpoint framing moved into
+// internal/ckpt (amd64 floating point, like the golden fingerprints).
+func TestPoolSaveBytesPinned(t *testing.T) {
+	p, r := newStage(t, 90, Config{})
+	for i := 0; i < 50; i++ {
+		p.Process(sample(r, i%testClasses, 0))
+	}
+	p.checkpoint()
+	var buf bytes.Buffer
+	if err := p.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	const want = "8b3b22ac50f7acf5f3e51b033f637023dff4af874ab26c98086cf8b869374980"
+	if sum := sha256.Sum256(buf.Bytes()); hex.EncodeToString(sum[:]) != want {
+		t.Fatalf("POOL1 bytes drifted: sha256 %x, want %s", sum, want)
 	}
 }
 
@@ -327,7 +349,7 @@ func TestPoolLoadRejectsImplausibleCount(t *testing.T) {
 	}
 	b := buf.Bytes()
 	b[5], b[6], b[7], b[8] = 0, 0, 0, 0x80 // count u32 little-endian
-	if err := empty.Load(bytes.NewReader(b)); !errors.Is(err, ErrBadFormat) {
+	if err := empty.Load(bytes.NewReader(b)); !errors.Is(err, ckpt.ErrBadFormat) {
 		t.Fatalf("err = %v, want ErrBadFormat", err)
 	}
 }
@@ -345,7 +367,7 @@ func FuzzLoadPool(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := &Stage{}
-		if err := p.Load(bytes.NewReader(data)); err != nil && !errors.Is(err, ErrBadFormat) {
+		if err := p.Load(bytes.NewReader(data)); err != nil && !errors.Is(err, ckpt.ErrBadFormat) {
 			t.Fatalf("load error %v does not wrap ErrBadFormat", err)
 		}
 	})

@@ -161,51 +161,6 @@ func TestLoadMonitorRejectsEveryTruncation(t *testing.T) {
 	}
 }
 
-// TestLoadMonitorV1Compat reconstructs the legacy artifact layout (no
-// checksum footers on the model or detector sections) and verifies it
-// still loads: same payload bytes, version magics rewound to v1.
-func TestLoadMonitorV1Compat(t *testing.T) {
-	mon, stream := newFit(t, defaultOpts(), 37)
-	var mb, db bytes.Buffer
-	if _, err := mon.model.Save(&mb, Float64); err != nil {
-		t.Fatal(err)
-	}
-	if err := mon.det.SaveState(&db); err != nil {
-		t.Fatal(err)
-	}
-	toV1 := func(b []byte, version byte) []byte {
-		out := append([]byte(nil), b[:len(b)-4]...)
-		if out[5] != version {
-			t.Fatalf("unexpected version byte %q", out[5])
-		}
-		out[5] = '1'
-		return out
-	}
-	// The v3 detector payload carries the two pinned-threshold floats
-	// right after the fixed header (6-byte magic + 13 u32 + 6 f64); the
-	// v1 layout predates them.
-	det := toV1(db.Bytes(), '3')
-	const pinsAt = 6 + 13*4 + 6*8
-	det = append(det[:pinsAt], det[pinsAt+16:]...)
-	legacy := append(toV1(mb.Bytes(), '2'), det...)
-	got, err := LoadMonitor(bytes.NewReader(legacy))
-	if err != nil {
-		t.Fatalf("v1 monitor artifact failed to load: %v", err)
-	}
-	te1, td1 := mon.Thresholds()
-	te2, td2 := got.Thresholds()
-	if te1 != te2 || td1 != td2 {
-		t.Fatalf("thresholds (%v,%v) vs (%v,%v)", te1, td1, te2, td2)
-	}
-	for i := 0; i < 500; i++ {
-		a := mon.Process(stream.X[i])
-		b := got.Process(stream.X[i])
-		if a.Label != b.Label || a.DriftDetected != b.DriftDetected {
-			t.Fatalf("divergence at %d: %+v vs %+v", i, a, b)
-		}
-	}
-}
-
 // TestSaveLoadContinuesAcrossReconstruction locks the full round-trip
 // contract: a loaded monitor must stay bit-identical to the original
 // through a drift detection AND the reconstruction that follows. The

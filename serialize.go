@@ -5,28 +5,21 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
+	"edgedrift/internal/ckpt"
 	"edgedrift/internal/core"
 	"edgedrift/internal/model"
 	"edgedrift/internal/oselm"
 	"edgedrift/internal/rng"
 )
 
-// ErrBadFormat reports a stream that is not a serialised monitor, or a
-// checksummed (v2) artifact that is truncated or corrupt — including a
+// ErrBadFormat reports a stream that is not a monitor or fleet artifact
+// of the live version (pre-OSELM3/EDDET3 monitors and pre-FLEET4 fleets
+// no longer load), or one that is truncated or corrupt — including a
 // single flipped byte anywhere in the stream. Classify load failures
-// with errors.Is(err, edgedrift.ErrBadFormat).
-var ErrBadFormat = errors.New("edgedrift: not a serialised monitor (or corrupt artifact)")
-
-// wrapLoadErr lifts the internal packages' format errors into the public
-// ErrBadFormat while preserving the full cause chain.
-func wrapLoadErr(stage string, err error) error {
-	if errors.Is(err, model.ErrBadFormat) || errors.Is(err, core.ErrBadFormat) || errors.Is(err, oselm.ErrBadFormat) {
-		return fmt.Errorf("edgedrift: load %s: %w: %w", stage, ErrBadFormat, err)
-	}
-	return fmt.Errorf("edgedrift: load %s: %w", stage, err)
-}
+// with errors.Is(err, edgedrift.ErrBadFormat). It is the one sentinel
+// every checkpoint loader in the module fails with.
+var ErrBadFormat = ckpt.ErrBadFormat
 
 // Precision selects the float width of saved monitors; use Float32 for
 // microcontroller deployment artifacts.
@@ -68,11 +61,11 @@ func (m *Monitor) Save(w io.Writer, prec Precision) error {
 func LoadMonitor(r io.Reader) (*Monitor, error) {
 	mm, err := model.Load(r)
 	if err != nil {
-		return nil, wrapLoadErr("model", err)
+		return nil, fmt.Errorf("edgedrift: load model: %w", err)
 	}
 	det, err := core.LoadState(r, mm)
 	if err != nil {
-		return nil, wrapLoadErr("detector", err)
+		return nil, fmt.Errorf("edgedrift: load detector: %w", err)
 	}
 	cfg := mm.Config()
 	return &Monitor{
@@ -98,27 +91,7 @@ func LoadMonitor(r io.Reader) (*Monitor, error) {
 // leaves either the old artifact or the new one — never a torn file that
 // would fail its checksum on the next boot.
 func (m *Monitor) SaveFile(path string, prec Precision) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("edgedrift: save %s: %w", path, err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := m.Save(tmp, prec); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("edgedrift: save %s: %w", path, err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("edgedrift: save %s: %w", path, err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("edgedrift: save %s: %w", path, err)
-	}
-	return nil
+	return ckpt.WriteFileAtomic(path, func(w io.Writer) error { return m.Save(w, prec) })
 }
 
 // LoadMonitorFile deserialises a monitor artifact written by SaveFile
