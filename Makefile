@@ -1,9 +1,16 @@
 GO ?= go
 
-.PHONY: build cross test vet staticcheck race bench bench-kernels bench-fleet bench-precision bench-compare bench-loadgen bench-coop bench-scenarios bench-pressure fuzz-smoke check
+.PHONY: build fmt cross test vet staticcheck race bench bench-kernels bench-fleet bench-precision bench-compare bench-loadgen bench-coop bench-scenarios bench-pressure fuzz-smoke check
 
 build:
 	$(GO) build ./...
+
+# gofmt gate: fails listing every Go file gofmt would rewrite. Files
+# come from git (tracked plus untracked-but-not-ignored), so build
+# output under ignored directories is never scanned.
+fmt:
+	@out=$$(git ls-files -co --exclude-standard -- '*.go' | xargs gofmt -l); \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # Cross-compile smoke for the 32-bit Arm edge targets the paper deploys
 # to (Pi Pico toolchains, armv7 Linux). Catches 64-bit-only assumptions
@@ -137,7 +144,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzLoadMonitor -fuzztime=10s .
 	$(GO) test -fuzz=FuzzLoadFleet -fuzztime=10s .
 
-# The full pre-merge gate: tier-1 plus the 32-bit Arm cross-compile,
-# static analysis, the race detector over the concurrent packages, and a
-# fuzz smoke over the artifact loaders.
-check: build cross vet staticcheck test race fuzz-smoke
+# The full pre-merge gate: gofmt, tier-1 plus the 32-bit Arm
+# cross-compile, static analysis, the race detector over the concurrent
+# packages, and a fuzz smoke over the artifact loaders.
+check: fmt build cross vet staticcheck test race fuzz-smoke

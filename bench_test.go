@@ -9,13 +9,14 @@
 //
 // is the single command that re-derives the paper's evaluation. The
 // rendered tables themselves are printed by `go run ./cmd/driftbench`.
-package edgedrift
+package edgedrift_test
 
 import (
 	"fmt"
 	"strconv"
 	"testing"
 
+	"edgedrift"
 	"edgedrift/internal/datasets/nslkdd"
 	"edgedrift/internal/eval"
 )
@@ -206,9 +207,9 @@ func BenchmarkAblationMultiWindow(b *testing.B) {
 // (Monitor.MemoryBytes / Streaming.MemoryBytes).
 func BenchmarkScorePrecision(b *testing.B) {
 	ds := nslkdd.Generate(nslkdd.DefaultParams())
-	train := func(b *testing.B, p Precision) *Monitor {
+	train := func(b *testing.B, p edgedrift.Precision) *edgedrift.Monitor {
 		b.Helper()
-		mon, err := New(Options{
+		mon, err := edgedrift.New(edgedrift.Options{
 			Classes: 2, Inputs: nslkdd.Features, Hidden: 22, Window: 100, Seed: 1,
 			Precision: p,
 		})
@@ -222,12 +223,12 @@ func BenchmarkScorePrecision(b *testing.B) {
 	}
 	backends := []struct {
 		name string
-		make func(b *testing.B) Streaming
+		make func(b *testing.B) edgedrift.Streaming
 	}{
-		{"f64", func(b *testing.B) Streaming { return train(b, Float64) }},
-		{"f32", func(b *testing.B) Streaming { return train(b, Float32) }},
-		{"q16", func(b *testing.B) Streaming {
-			q, err := train(b, Float64).QuantizeQ16()
+		{"f64", func(b *testing.B) edgedrift.Streaming { return train(b, edgedrift.Float64) }},
+		{"f32", func(b *testing.B) edgedrift.Streaming { return train(b, edgedrift.Float32) }},
+		{"q16", func(b *testing.B) edgedrift.Streaming {
+			q, err := train(b, edgedrift.Float64).QuantizeQ16()
 			if err != nil {
 				b.Fatalf("quantize: %v", err)
 			}
@@ -251,12 +252,12 @@ func BenchmarkScorePrecision(b *testing.B) {
 		for _, n := range []int{8, 64} {
 			n := n
 			b.Run(fmt.Sprintf("%s/batch%d", bc.name, n), func(b *testing.B) {
-				s := bc.make(b).(BatchStreaming)
+				s := bc.make(b).(edgedrift.BatchStreaming)
 				chunks := make([][][]float64, 0, len(ds.TestX)/n)
 				for lo := 0; lo+n <= len(ds.TestX); lo += n {
 					chunks = append(chunks, ds.TestX[lo:lo+n])
 				}
-				dst := make([]Result, 0, n)
+				dst := make([]edgedrift.Result, 0, n)
 				dst = s.ProcessBatch(dst, chunks[0]) // prime lazy batch buffers
 				b.ReportAllocs()
 				b.ResetTimer()

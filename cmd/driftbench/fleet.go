@@ -69,7 +69,7 @@ func runFleet(args []string) int {
 	}
 
 	f := edgedrift.NewFleet(edgedrift.FleetConfig{
-		Shards: *shards, Workers: *parallel, EventBuffer: 4 * *streams,
+		Shards: *shards, EventBuffer: 4 * *streams,
 	})
 	events := f.Events()
 

@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"os"
 
-	"edgedrift/internal/pressure/bench"
+	"edgedrift/internal/eval"
 )
 
 // runPressure is the `driftbench pressure` subcommand: the forced-
@@ -25,7 +25,7 @@ func runPressure(args []string) int {
 		return 2
 	}
 
-	rep, err := bench.Run(*seed)
+	rep, err := eval.PressureMatrix(*seed)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pressure: %v\n", err)
 		return 1

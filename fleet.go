@@ -13,9 +13,9 @@ import (
 	"edgedrift/internal/oselm"
 )
 
-// FleetConfig configures a Fleet: registry shard count, ProcessAll
-// worker bound, and the drift-event buffer size. The zero value is
-// ready to use (8 shards, GOMAXPROCS workers, 256 buffered events).
+// FleetConfig configures a Fleet: registry shard count, the
+// drift-event buffer size and optional instrumentation. The zero value
+// is ready to use (8 shards, 256 buffered events).
 type FleetConfig = fleet.Config
 
 // FleetEvent is one drift detection, fanned in from every member stream
@@ -131,12 +131,6 @@ func (f *Fleet) ProcessBatchInto(dst []Result, id string, xs [][]float64) ([]Res
 	return f.f.ProcessBatchInto(dst, id, xs)
 }
 
-// ProcessAll fans per-stream batches out over the fleet's bounded
-// worker pool and returns per-stream results keyed like the input.
-func (f *Fleet) ProcessAll(batches map[string][][]float64) (map[string][]Result, error) {
-	return f.f.ProcessAll(batches)
-}
-
 // Events arms drift-event delivery and returns the fleet's single
 // subscriber channel. When the buffer is full, events are dropped and
 // counted (EventsDropped) rather than stalling the processing path.
@@ -238,6 +232,9 @@ func (f *Fleet) MemberPrecision(id string) (degraded bool, active Precision, cap
 
 // asMonitor recovers the Monitor inside a member stage, seeing through
 // the Instrumented wrapper an instrumented fleet adds at registration.
+// It deliberately sees through nothing else (so not core.Find): a
+// serialiser that looked through a Guard would silently drop the guard
+// on save.
 func asMonitor(s core.Streaming) (*Monitor, bool) {
 	for {
 		if mon, ok := s.(*Monitor); ok {

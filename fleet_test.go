@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -189,6 +192,101 @@ func TestFleetSaveLoad(t *testing.T) {
 	}
 	if _, err := edgedrift.LoadFleet(bytes.NewReader(art[:len(art)-3]), edgedrift.FleetConfig{}); !errors.Is(err, edgedrift.ErrBadFormat) {
 		t.Fatal("truncated artifact loaded without error")
+	}
+}
+
+// TestFleetSaveFileLoadFleetFileRoundTrip drives the file-level fleet
+// checkpoint path: SaveFile writes atomically (no stray temp files, and
+// a rename over an existing artifact works), and LoadFleetFile restores
+// a fleet that re-saves byte-identically and continues every stream
+// bit-exactly.
+func TestFleetSaveFileLoadFleetFileRoundTrip(t *testing.T) {
+	fx := newFleetFixture(t)
+	f := edgedrift.NewFleet(edgedrift.FleetConfig{})
+	for i := 0; i < 2; i++ {
+		if err := f.Add(fmt.Sprintf("m%d", i), fx.monitor(t, uint64(40+i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	head, tail := fx.stream[:500], fx.stream[500:1500]
+	for _, id := range f.IDs() {
+		if _, err := f.ProcessBatch(id, head); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "fleet.ed")
+	if err := f.SaveFile(path, edgedrift.Float64); err != nil {
+		t.Fatal(err)
+	}
+	g, err := edgedrift.LoadFleetFile(path, edgedrift.FleetConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := g.Save(&got, edgedrift.Float64); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatal("loaded fleet does not re-save byte-identically")
+	}
+	for _, id := range f.IDs() {
+		wantRS, err := f.ProcessBatch(id, tail)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotRS, err := g.ProcessBatch(id, tail)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(gotRS, wantRS) {
+			t.Fatalf("%s: loaded fleet diverges from original", id)
+		}
+	}
+	entries, err := os.ReadDir(filepath.Dir(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("directory has %d entries, want only the artifact", len(entries))
+	}
+	if err := f.SaveFile(path, edgedrift.Float32); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := edgedrift.LoadFleetFile(path, edgedrift.FleetConfig{}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLoadFleetFileCorruptMatchesErrBadFormat checks a damaged fleet
+// artifact on disk fails with ErrBadFormat and an error naming the file.
+func TestLoadFleetFileCorruptMatchesErrBadFormat(t *testing.T) {
+	fx := newFleetFixture(t)
+	f := edgedrift.NewFleet(edgedrift.FleetConfig{})
+	if err := f.Add("m0", fx.monitor(t, 42)); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "fleet.ed")
+	if err := f.SaveFile(path, edgedrift.Float64); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)/2] ^= 0x01
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = edgedrift.LoadFleetFile(path, edgedrift.FleetConfig{})
+	if !errors.Is(err, edgedrift.ErrBadFormat) {
+		t.Fatalf("err = %v, want ErrBadFormat", err)
+	}
+	if !strings.Contains(err.Error(), path) {
+		t.Fatalf("err = %v, want it to name %s", err, path)
 	}
 }
 

@@ -347,15 +347,15 @@ type Detector struct {
 	// serialisable. The model pool checkpoints from here.
 	driftHook func()
 
-	ops       *opcount.Counter
-	stageOps  [numStages]opcount.Counter
-	stageN    [numStages]uint64
+	ops      *opcount.Counter
+	stageOps [numStages]opcount.Counter
+	stageN   [numStages]uint64
 
 	// Batch-scoring buffers (lazy; see ProcessBatch). Sized batchBlock.
 	batchLabels []int
 	batchScores []float64
-	scoreHist *stats.Running   // anomaly scores seen while monitoring (diagnostics)
-	scoreBins *stats.Histogram // score distribution over [0, 4·θ_error), for health
+	scoreHist   *stats.Running   // anomaly scores seen while monitoring (diagnostics)
+	scoreBins   *stats.Histogram // score distribution over [0, 4·θ_error), for health
 }
 
 // New binds a detector to a model. Calibrate must be called before
@@ -883,9 +883,9 @@ func (d *Detector) Health() health.Snapshot {
 // buffers.
 func (d *Detector) MemoryBytes() int {
 	const f = 8
-	centroids := 2 * d.classes * d.dims * f // trained + recent
-	counts := 2 * d.classes * 8             // num + baseNum
-	scalars := 16 * f                       // thresholds, window state, accumulators
+	centroids := 2 * d.classes * d.dims * f                // trained + recent
+	counts := 2 * d.classes * 8                            // num + baseNum
+	scalars := 16 * f                                      // thresholds, window state, accumulators
 	batch := 8 * (len(d.batchLabels) + len(d.batchScores)) // lazy; 0 until batching is used
 	return d.model.MemoryBytes() + centroids + counts + scalars + batch
 }

@@ -121,22 +121,11 @@ func NewHybrid(inner, sup Streaming, cfg HybridConfig) *Hybrid {
 	if bs, ok := inner.(BatchStreaming); ok {
 		h.batch = bs
 	}
-	for cur := inner; cur != nil; {
-		if h.trigger == nil {
-			if t, ok := cur.(interface{ TriggerReconstruction() }); ok {
-				h.trigger = t.TriggerReconstruction
-			}
-		}
-		if h.phase == nil {
-			if p, ok := cur.(phaser); ok {
-				h.phase = p.PhaseNow
-			}
-		}
-		w, ok := cur.(interface{ Inner() Streaming })
-		if !ok {
-			break
-		}
-		cur = w.Inner()
+	if t, ok := Find[interface{ TriggerReconstruction() }](inner); ok {
+		h.trigger = t.TriggerReconstruction
+	}
+	if p, ok := Find[phaser](inner); ok {
+		h.phase = p.PhaseNow
 	}
 	if r, ok := sup.(interface{ Reset() }); ok {
 		h.supReset = r.Reset

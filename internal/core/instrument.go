@@ -131,12 +131,6 @@ type thresholder interface {
 	Thresholds() (errorThreshold, driftThreshold float64)
 }
 
-// innerer lets capability discovery see through wrapping stages (Guard,
-// Instrumented) to the detector underneath.
-type innerer interface {
-	Inner() Streaming
-}
-
 // NewInstrumented wraps inner with the given instrumentation options.
 func NewInstrumented(inner Streaming, cfg InstrumentConfig) *Instrumented {
 	depth := cfg.TraceDepth
@@ -155,27 +149,15 @@ func NewInstrumented(inner Streaming, cfg InstrumentConfig) *Instrumented {
 	if in.every > 0 {
 		in.untilTimed = 1 // time the first call, then every `every`-th
 	}
-	// Discover capabilities anywhere in the wrapped chain: a Monitor
-	// inside a Guard still exposes its thresholds through the seam.
-	for s := inner; s != nil; {
-		if in.theta == nil {
-			switch t := s.(type) {
-			case errorThresholder:
-				in.theta = t.ThetaError
-			case thresholder:
-				in.theta = func() float64 { e, _ := t.Thresholds(); return e }
-			}
-		}
-		if in.phase == nil {
-			if p, ok := s.(phaser); ok {
-				in.phase = p.PhaseNow
-			}
-		}
-		w, ok := s.(innerer)
-		if !ok {
-			break
-		}
-		s = w.Inner()
+	// A Monitor inside a Guard still exposes its thresholds through the
+	// seam. θ_error proper wins over the Monitor-shaped pair.
+	if t, ok := Find[errorThresholder](inner); ok {
+		in.theta = t.ThetaError
+	} else if t, ok := Find[thresholder](inner); ok {
+		in.theta = func() float64 { e, _ := t.Thresholds(); return e }
+	}
+	if p, ok := Find[phaser](inner); ok {
+		in.phase = p.PhaseNow
 	}
 	return in
 }

@@ -4,8 +4,9 @@ package core
 // model state is a first-class, mergeable value — the seam the fleet's
 // cooperative policies (warm recovery, anti-entropy) are built on. It
 // follows the same capability-interface pattern as BatchStreaming:
-// callers type-assert, and a stage that cannot merge (the Q16.16
-// detect-only port, the batch baselines) simply does not implement it.
+// callers discover it with Find[Merger], and a stage that cannot merge
+// (the Q16.16 detect-only port, the batch baselines) simply does not
+// implement it.
 type Merger interface {
 	// MergeFingerprint returns the stage's merge-compatibility
 	// fingerprint. Two stages can exchange merge state iff their
@@ -45,21 +46,3 @@ func (d *Detector) MergeSeed(states [][]byte) error {
 }
 
 var _ Merger = (*Detector)(nil)
-
-// AsMerger discovers the Merger capability anywhere in a wrapped stage
-// chain, seeing through Guard/Instrumented seams the way NewInstrumented
-// discovers thresholds. It returns false for stages that genuinely
-// cannot merge (the Q16.16 detect-only port, baseline detectors).
-func AsMerger(s Streaming) (Merger, bool) {
-	for s != nil {
-		if m, ok := s.(Merger); ok {
-			return m, true
-		}
-		w, ok := s.(innerer)
-		if !ok {
-			return nil, false
-		}
-		s = w.Inner()
-	}
-	return nil, false
-}

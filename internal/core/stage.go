@@ -52,6 +52,34 @@ type phaser interface {
 	PhaseNow() Phase
 }
 
+// innerer lets capability discovery see through wrapping stages (Guard,
+// Instrumented, Hybrid, pool.Stage) to the detector underneath.
+type innerer interface {
+	Inner() Streaming
+}
+
+// Find discovers the capability T anywhere in a wrapped stage chain:
+// it returns the first of s, s.Inner(), s.Inner().Inner(), ... that
+// implements T, so a Monitor inside a Guard inside an Instrumented
+// wrapper still exposes its merge state, precision lifecycle or
+// thresholds. It returns false when no stage in the chain has T (the
+// Q16.16 detect-only port cannot merge; baseline detectors cannot
+// transition) and for a nil s.
+func Find[T any](s Streaming) (T, bool) {
+	for s != nil {
+		if t, ok := s.(T); ok {
+			return t, true
+		}
+		w, ok := s.(innerer)
+		if !ok {
+			break
+		}
+		s = w.Inner()
+	}
+	var zero T
+	return zero, false
+}
+
 // Guard is the ingestion-guard stage: it applies a GuardPolicy to every
 // sample before the wrapped stage can see it, so a non-finite feature —
 // a flaky sensor over a months-long deployment — never reaches model or

@@ -12,7 +12,7 @@ import (
 // choice: the stage can demote itself to a cheaper backend under
 // pressure and promote back when pressure clears. It follows the same
 // capability-interface pattern as Merger/BatchStreaming — callers
-// discover it with AsTransitioner, and stages that are inherently
+// discover it with Find[Transitioner], and stages that are inherently
 // single-precision (the baseline detectors, the Q16.16 port itself)
 // simply do not implement it.
 //
@@ -36,23 +36,6 @@ type Transitioner interface {
 	ActivePrecision() oselm.Precision
 	// Degraded reports whether the stage is currently demoted.
 	Degraded() bool
-}
-
-// AsTransitioner discovers the Transitioner capability anywhere in a
-// wrapped stage chain, seeing through Guard/Instrumented seams like
-// AsMerger does.
-func AsTransitioner(s Streaming) (Transitioner, bool) {
-	for s != nil {
-		if t, ok := s.(Transitioner); ok {
-			return t, true
-		}
-		w, ok := s.(innerer)
-		if !ok {
-			return nil, false
-		}
-		s = w.Inner()
-	}
-	return nil, false
 }
 
 // CloneAt builds a detector bound to m that continues d's stream: the

@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"edgedrift/internal/health"
 	"edgedrift/internal/model"
 	"edgedrift/internal/oselm"
 )
@@ -109,43 +108,5 @@ func TestCloneAtClampPolicySurvives(t *testing.T) {
 	}
 	if nd.Health().Clamped != d.Health().Clamped+1 {
 		t.Fatalf("clamp counter: clone %d, origin %d", nd.Health().Clamped, d.Health().Clamped)
-	}
-}
-
-// fakeTrans is a minimal stage implementing the Transitioner capability
-// for seam-discovery tests.
-type fakeTrans struct {
-	demoted bool
-}
-
-func (f *fakeTrans) Process(x []float64) Result     { return Result{} }
-func (f *fakeTrans) PhaseNow() Phase                { return Monitoring }
-func (f *fakeTrans) MemoryBytes() int               { return 0 }
-func (f *fakeTrans) Health() health.Snapshot        { return health.Snapshot{} }
-func (f *fakeTrans) Demote(p oselm.Precision) error { f.demoted = true; return nil }
-func (f *fakeTrans) Promote() error                 { f.demoted = false; return nil }
-func (f *fakeTrans) ActivePrecision() oselm.Precision {
-	return oselm.Float64
-}
-func (f *fakeTrans) Degraded() bool { return f.demoted }
-
-// TestAsTransitionerSeesThroughSeams pins capability discovery through
-// the Instrumented wrapper, exactly like AsMerger.
-func TestAsTransitionerSeesThroughSeams(t *testing.T) {
-	ft := &fakeTrans{}
-	wrapped := NewInstrumented(ft, InstrumentConfig{StreamID: "t7"})
-	tr, ok := AsTransitioner(wrapped)
-	if !ok {
-		t.Fatal("AsTransitioner failed through Instrumented")
-	}
-	if err := tr.Demote(oselm.Float32); err != nil || !ft.demoted {
-		t.Fatal("capability did not reach the inner stage")
-	}
-	if _, ok := AsTransitioner(nil); ok {
-		t.Fatal("AsTransitioner(nil) succeeded")
-	}
-	d, _ := newCalibrated(t, 94, DefaultConfig(10))
-	if _, ok := AsTransitioner(machine{d}); ok {
-		t.Fatal("bare detector machine claims the Transitioner capability")
 	}
 }

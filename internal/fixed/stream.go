@@ -3,45 +3,7 @@ package fixed
 import (
 	"edgedrift/internal/core"
 	"edgedrift/internal/health"
-	"edgedrift/internal/oselm"
 )
-
-// ScoreBackend adapts a quantised Autoencoder to the oselm.Backend
-// scoring surface, so callers comparing precision backends can hold the
-// Q16.16 port behind the same interface as the float models. The float
-// boundary is crossed through a retained staging buffer — no per-call
-// allocation.
-type ScoreBackend struct {
-	ae *Autoencoder
-	xq []Q
-}
-
-// NewScoreBackend wraps a quantised autoencoder.
-func NewScoreBackend(ae *Autoencoder) *ScoreBackend {
-	return &ScoreBackend{ae: ae, xq: make([]Q, ae.Inputs())}
-}
-
-// Score quantises x and returns the fixed-point reconstruction error,
-// widened back to float64.
-func (s *ScoreBackend) Score(x []float64) float64 {
-	for i, v := range x {
-		s.xq[i] = FromFloat(v)
-	}
-	return s.ae.Score(s.xq).Float()
-}
-
-// Precision identifies the backend.
-func (s *ScoreBackend) Precision() oselm.Precision { return oselm.Fixed16 }
-
-// MemoryBytes audits the retained state: the quantised weights plus the
-// staging buffer.
-func (s *ScoreBackend) MemoryBytes() int {
-	const w = 4
-	a := s.ae
-	return w * (len(a.w) + len(a.bias) + len(a.beta) + len(a.h) + len(a.recon) + len(s.xq))
-}
-
-var _ oselm.Backend = (*ScoreBackend)(nil)
 
 // Stream adapts a quantised Monitor to the core.Streaming stage
 // contract, so the fleet layer can host Q16.16 members next to float

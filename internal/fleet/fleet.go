@@ -16,14 +16,12 @@ package fleet
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"edgedrift/internal/core"
-	"edgedrift/internal/eval"
 	"edgedrift/internal/health"
 	"edgedrift/internal/oselm"
 )
@@ -45,8 +43,6 @@ type Config struct {
 	// less registry-lock contention when members are added and removed
 	// concurrently with processing.
 	Shards int
-	// Workers bounds ProcessAll's concurrency; 0 means GOMAXPROCS.
-	Workers int
 	// EventBuffer is the drift-event channel capacity; 0 means 256.
 	// Events beyond a full buffer are dropped (and counted) rather than
 	// blocking the processing hot path on a slow subscriber.
@@ -75,9 +71,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
 		c.Shards = 8
-	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	if c.EventBuffer <= 0 {
 		c.EventBuffer = 256
@@ -228,11 +221,11 @@ func (f *Fleet) addMember(id string, s core.Streaming, mc MemberConfig, samples,
 	if bs, ok := mb.stage.(core.BatchStreaming); ok {
 		mb.batch = bs
 	}
-	if mg, ok := core.AsMerger(mb.stage); ok {
+	if mg, ok := core.Find[core.Merger](mb.stage); ok {
 		mb.merger = mg
 		mb.fprint = mg.MergeFingerprint()
 	}
-	if tr, ok := core.AsTransitioner(mb.stage); ok {
+	if tr, ok := core.Find[core.Transitioner](mb.stage); ok {
 		mb.trans = tr
 	}
 	if p, ok := mb.stage.(interface{ PhaseNow() core.Phase }); ok {
@@ -731,40 +724,6 @@ func (f *Fleet) AntiEntropy(cohort string) (int, error) {
 		seeded++
 	}
 	return seeded, nil
-}
-
-// ProcessAll fans a set of per-stream batches out over a bounded worker
-// pool and returns the per-stream results keyed like the input. Each
-// stream's batch is processed sequentially on one worker (preserving
-// per-stream determinism); distinct streams run concurrently. The first
-// failing stream aborts the call.
-func (f *Fleet) ProcessAll(batches map[string][][]float64) (map[string][]core.Result, error) {
-	ids := make([]string, 0, len(batches))
-	for id := range batches {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	results := make([][]core.Result, len(ids))
-	p := eval.NewPool(f.cfg.Workers)
-	for i, id := range ids {
-		i, id := i, id
-		p.Go(func() error {
-			rs, err := f.ProcessBatch(id, batches[id])
-			if err != nil {
-				return err
-			}
-			results[i] = rs
-			return nil
-		})
-	}
-	if err := p.Wait(); err != nil {
-		return nil, err
-	}
-	out := make(map[string][]core.Result, len(ids))
-	for i, id := range ids {
-		out[id] = results[i]
-	}
-	return out, nil
 }
 
 // Subscribe arms drift-event delivery and returns the fleet's single

@@ -125,33 +125,6 @@ func TestProcessBatchMatchesDirect(t *testing.T) {
 	}
 }
 
-// TestProcessAll checks the fan-out path returns every stream's results
-// keyed correctly and identical to sequential processing.
-func TestProcessAll(t *testing.T) {
-	f := New(Config{Workers: 4})
-	batches := map[string][][]float64{}
-	want := map[string][]core.Result{}
-	for i := 0; i < 16; i++ {
-		id := fmt.Sprintf("stream-%02d", i)
-		if err := f.Add(id, &countStage{driftEvery: 5}); err != nil {
-			t.Fatal(err)
-		}
-		xs := samples(40, float64(i))
-		batches[id] = xs
-		ref := &countStage{driftEvery: 5}
-		for _, x := range xs {
-			want[id] = append(want[id], ref.Process(x))
-		}
-	}
-	got, err := f.ProcessAll(batches)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("ProcessAll results differ from sequential reference")
-	}
-}
-
 // TestConcurrentHammer drives many goroutines across shards under the
 // race detector and asserts per-stream determinism: every stream's
 // lifetime counters equal the single-threaded reference no matter how

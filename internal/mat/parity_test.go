@@ -7,7 +7,7 @@ import (
 )
 
 // Parity tests for the cache-blocked and batched kernels against the
-// reference implementations in ref.go, and for the SIMD float32 kernels
+// reference implementations at the end of this file, and for the SIMD float32 kernels
 // against the generic scalar path.
 //
 // Exactness tiers:
@@ -302,5 +302,114 @@ func TestBatchKernelShapePanics(t *testing.T) {
 			}()
 			tc.fn()
 		}()
+	}
+}
+
+// Reference kernels: the pre-blocking implementations of Mul and
+// MulTransA, kept verbatim as the ground truth the parity tests compare
+// the cache-blocked kernels against. The blocked kernels in mat.go are
+// written to preserve these kernels' exact floating-point accumulation
+// association at float64 (see the comments there), so "matches the
+// reference bit for bit" is a testable invariant rather than an
+// aspiration. Do not optimise these: their only job is to stay simple
+// and obviously correct.
+
+// refMul computes dst = a·b with the historical 4-wide k-unrolled loop.
+func refMul[E Element](dst, a, b *MatrixOf[E]) {
+	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
+		panic(ErrShape)
+	}
+	n := a.Cols
+	bc := b.Cols
+	n4 := n &^ 3
+	for i := 0; i < a.Rows; i++ {
+		arow := a.Row(i)
+		drow := dst.Row(i)
+		for j := range drow {
+			drow[j] = 0
+		}
+		var k int
+		for ; k < n4; k += 4 {
+			a0, a1, a2, a3 := arow[k], arow[k+1], arow[k+2], arow[k+3]
+			b0 := b.Data[k*bc : k*bc+bc]
+			b1 := b.Data[(k+1)*bc : (k+1)*bc+bc]
+			b2 := b.Data[(k+2)*bc : (k+2)*bc+bc]
+			b3 := b.Data[(k+3)*bc : (k+3)*bc+bc]
+			if len(b0) < len(drow) || len(b1) < len(drow) || len(b2) < len(drow) || len(b3) < len(drow) {
+				panic(ErrShape) // unreachable; hoists the bounds checks
+			}
+			for j := range drow {
+				drow[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
+			}
+		}
+		for ; k < n; k++ {
+			av := arow[k]
+			if av == 0 {
+				continue
+			}
+			brow := b.Row(k)
+			for j, bv := range brow {
+				drow[j] += av * bv
+			}
+		}
+	}
+}
+
+// refMulTransA computes dst = aᵀ·b with the historical 4-row loop.
+func refMulTransA[E Element](dst, a, b *MatrixOf[E]) {
+	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols {
+		panic(ErrShape)
+	}
+	for i := range dst.Data {
+		dst.Data[i] = 0
+	}
+	n := a.Rows
+	n4 := n &^ 3
+	var k int
+	for ; k < n4; k += 4 {
+		a0, a1, a2, a3 := a.Row(k), a.Row(k+1), a.Row(k+2), a.Row(k+3)
+		b0, b1, b2, b3 := b.Row(k), b.Row(k+1), b.Row(k+2), b.Row(k+3)
+		for i := range a0 {
+			v0, v1, v2, v3 := a0[i], a1[i], a2[i], a3[i]
+			drow := dst.Row(i)
+			if len(b0) < len(drow) || len(b1) < len(drow) || len(b2) < len(drow) || len(b3) < len(drow) {
+				panic(ErrShape) // unreachable; hoists the bounds checks
+			}
+			for j := range drow {
+				drow[j] += v0*b0[j] + v1*b1[j] + v2*b2[j] + v3*b3[j]
+			}
+		}
+	}
+	for ; k < n; k++ {
+		arow := a.Row(k)
+		brow := b.Row(k)
+		for i, av := range arow {
+			if av == 0 {
+				continue
+			}
+			drow := dst.Row(i)
+			for j, bv := range brow {
+				drow[j] += av * bv
+			}
+		}
+	}
+}
+
+// refMulBatch computes dst = a·bᵀ one dot product at a time — the
+// per-sample MulVec loop the batched kernel replaces, kept as the parity
+// reference. Each element is the plain 4-accumulator dotKernel, which is
+// also exactly what MulVec produces per row: the batch path being
+// bit-identical to the per-sample path at every element type reduces to
+// MulBatch matching this function.
+func refMulBatch[E Element](dst, a, b *MatrixOf[E]) {
+	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
+		panic(ErrShape)
+	}
+	for i := 0; i < a.Rows; i++ {
+		arow := a.Row(i)
+		drow := dst.Row(i)
+		for j := 0; j < b.Rows; j++ {
+			drow[j] = dotKernel(b.Row(j), arow)
+		}
 	}
 }

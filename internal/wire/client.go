@@ -9,9 +9,9 @@ import (
 
 // Client is the synchronous request/reply view of a framed connection:
 // one outstanding request at a time, matching the protocol's
-// request/reply discipline. The loadgen's per-connection drivers and
-// the router's migration orchestration both speak through it; the
-// router's hot forwarding path bypasses it and relays raw frames.
+// request/reply discipline. The router's migration, recovery and stats
+// orchestration speaks through it; the router's hot forwarding path and
+// the loadgen's pipelined drivers bypass it and move raw frames.
 type Client struct {
 	conn *Conn
 	buf  []byte // reused request-encoding buffer
@@ -71,49 +71,48 @@ func (c *Client) SendBatch(dst []core.Result, stream string, xs [][]float64) (re
 	}
 }
 
+// call sends one request frame and reads its reply: the reply payload
+// when it has type want, a RemoteError when the peer answered
+// TypeError, ErrProtocol for any other type. The payload aliases the
+// connection's frame buffer until the next read.
+func (c *Client) call(typ byte, payload []byte, want byte) ([]byte, error) {
+	if err := c.conn.WriteFrame(typ, payload); err != nil {
+		return nil, err
+	}
+	got, p, err := c.conn.ReadFrame()
+	if err != nil {
+		return nil, err
+	}
+	switch got {
+	case want:
+		return p, nil
+	case TypeError:
+		return nil, &RemoteError{Msg: string(p)}
+	default:
+		return nil, fmt.Errorf("%w: unexpected reply type %#x to request type %#x", ErrProtocol, got, typ)
+	}
+}
+
 // MigrateOut asks the peer to export a stream and returns its
 // checkpoint. The returned State owns its payload (copied out of the
 // frame buffer).
 func (c *Client) MigrateOut(stream string) (State, error) {
-	if err := c.conn.WriteFrame(TypeMigrateOut, appendString(nil, stream)); err != nil {
-		return State{}, err
-	}
-	typ, p, err := c.conn.ReadFrame()
+	p, err := c.call(TypeMigrateOut, appendString(nil, stream), TypeState)
 	if err != nil {
 		return State{}, err
 	}
-	switch typ {
-	case TypeState:
-		st, err := ParseState(p)
-		if err != nil {
-			return State{}, err
-		}
-		st.Payload = append([]byte(nil), st.Payload...)
-		return st, nil
-	case TypeError:
-		return State{}, &RemoteError{Msg: string(p)}
-	default:
-		return State{}, fmt.Errorf("%w: unexpected reply type %#x to migrate-out", ErrProtocol, typ)
+	st, err := ParseState(p)
+	if err != nil {
+		return State{}, err
 	}
+	st.Payload = append([]byte(nil), st.Payload...)
+	return st, nil
 }
 
 // MigrateIn hands a checkpoint to the peer and waits for its ack.
 func (c *Client) MigrateIn(st State) error {
-	if err := c.conn.WriteFrame(TypeMigrateIn, AppendState(nil, st)); err != nil {
-		return err
-	}
-	typ, p, err := c.conn.ReadFrame()
-	if err != nil {
-		return err
-	}
-	switch typ {
-	case TypeMigrateAck:
-		return nil
-	case TypeError:
-		return &RemoteError{Msg: string(p)}
-	default:
-		return fmt.Errorf("%w: unexpected reply type %#x to migrate-in", ErrProtocol, typ)
-	}
+	_, err := c.call(TypeMigrateIn, AppendState(nil, st), TypeMigrateAck)
+	return err
 }
 
 // FetchState asks the peer for a stream's mergeable model state without
@@ -122,28 +121,18 @@ func (c *Client) MigrateIn(st State) error {
 // buffer. It fails (RemoteError) when the member is mid-reconstruction
 // or has no mergeable state.
 func (c *Client) FetchState(stream string) (MergeStates, error) {
-	if err := c.conn.WriteFrame(TypeFetchState, appendString(nil, stream)); err != nil {
-		return MergeStates{}, err
-	}
-	typ, p, err := c.conn.ReadFrame()
+	p, err := c.call(TypeFetchState, appendString(nil, stream), TypeMergeState)
 	if err != nil {
 		return MergeStates{}, err
 	}
-	switch typ {
-	case TypeMergeState:
-		ms, err := ParseMergeStates(p)
-		if err != nil {
-			return MergeStates{}, err
-		}
-		for i, st := range ms.States {
-			ms.States[i] = append([]byte(nil), st...)
-		}
-		return ms, nil
-	case TypeError:
-		return MergeStates{}, &RemoteError{Msg: string(p)}
-	default:
-		return MergeStates{}, fmt.Errorf("%w: unexpected reply type %#x to fetch-state", ErrProtocol, typ)
+	ms, err := ParseMergeStates(p)
+	if err != nil {
+		return MergeStates{}, err
 	}
+	for i, st := range ms.States {
+		ms.States[i] = append([]byte(nil), st...)
+	}
+	return ms, nil
 }
 
 // MergeSeed hands peer merge states to the shard owning stream, which
@@ -152,38 +141,15 @@ func (c *Client) FetchState(stream string) (MergeStates, error) {
 // the shard rejects the seed otherwise, so an incompatible cross-shard
 // merge fails loudly before any state is touched.
 func (c *Client) MergeSeed(ms MergeStates) error {
-	if err := c.conn.WriteFrame(TypeMergeState, AppendMergeStates(nil, ms)); err != nil {
-		return err
-	}
-	typ, p, err := c.conn.ReadFrame()
-	if err != nil {
-		return err
-	}
-	switch typ {
-	case TypeMergeAck:
-		return nil
-	case TypeError:
-		return &RemoteError{Msg: string(p)}
-	default:
-		return fmt.Errorf("%w: unexpected reply type %#x to merge-seed", ErrProtocol, typ)
-	}
+	_, err := c.call(TypeMergeState, AppendMergeStates(nil, ms), TypeMergeAck)
+	return err
 }
 
 // Stats fetches the peer's counter snapshot.
 func (c *Client) Stats() (Stats, error) {
-	if err := c.conn.WriteFrame(TypeStats, nil); err != nil {
-		return Stats{}, err
-	}
-	typ, p, err := c.conn.ReadFrame()
+	p, err := c.call(TypeStats, nil, TypeStatsReply)
 	if err != nil {
 		return Stats{}, err
 	}
-	switch typ {
-	case TypeStatsReply:
-		return ParseStats(p)
-	case TypeError:
-		return Stats{}, &RemoteError{Msg: string(p)}
-	default:
-		return Stats{}, fmt.Errorf("%w: unexpected reply type %#x to stats", ErrProtocol, typ)
-	}
+	return ParseStats(p)
 }

@@ -574,13 +574,9 @@ func ParseStats(p []byte) (Stats, error) {
 
 // --- Small helpers ---
 
-// AppendStream appends a u16-length-prefixed stream name — the leading
-// field of every stream-addressed payload, so a router can parse just
-// this and relay the rest untouched.
-func AppendStream(dst []byte, s string) []byte { return appendString(dst, s) }
-
-// ParseStream parses a u16-length-prefixed stream name, returning the
-// remaining payload.
+// ParseStream parses the u16-length-prefixed stream name that leads
+// every stream-addressed payload, returning the remaining payload — so
+// a router can parse just the name and relay the rest untouched.
 func ParseStream(p []byte) (s string, rest []byte, err error) { return parseString(p) }
 
 func appendString(dst []byte, s string) []byte {
