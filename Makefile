@@ -140,7 +140,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzLoad -fuzztime=10s ./internal/oselm/
 	$(GO) test -fuzz=FuzzLoadState -fuzztime=10s ./internal/core/
 	$(GO) test -fuzz=FuzzLoadPool -fuzztime=10s ./internal/pool/
-	$(GO) test -fuzz=FuzzLoadStream -fuzztime=10s ./internal/fixed/
+	$(GO) test -fuzz=FuzzLoadMonitor -fuzztime=10s ./internal/fixed/
 	$(GO) test -fuzz=FuzzLoadMonitor -fuzztime=10s .
 	$(GO) test -fuzz=FuzzLoadFleet -fuzztime=10s .
 

@@ -71,7 +71,7 @@ func main() {
 	mcuSamples := 0
 	for i, x := range stream.X {
 		mcuSamples++
-		if mcu.Process(fixed.QuantizeVec(x)).DriftDetected {
+		if mcu.Process(x).DriftDetected {
 			fmt.Printf("mcu:    drift detected at sample %d — flag raised for the host to retrain\n", i)
 			break
 		}

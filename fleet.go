@@ -233,8 +233,8 @@ func (f *Fleet) MemberPrecision(id string) (degraded bool, active Precision, cap
 // asMonitor recovers the Monitor inside a member stage, seeing through
 // the Instrumented wrapper an instrumented fleet adds at registration.
 // It deliberately sees through nothing else (so not core.Find): a
-// serialiser that looked through a Guard would silently drop the guard
-// on save.
+// serialiser that looked through a Hybrid or a pool.Stage would save the
+// Monitor and silently drop the wrapper.
 func asMonitor(s core.Streaming) (*Monitor, bool) {
 	for {
 		if mon, ok := s.(*Monitor); ok {
@@ -248,11 +248,11 @@ func asMonitor(s core.Streaming) (*Monitor, bool) {
 	}
 }
 
-// asFixedStream recovers the Q16.16 stage inside a member, seeing
+// asFixedMonitor recovers the Q16.16 stage inside a member, seeing
 // through the Instrumented wrapper like asMonitor.
-func asFixedStream(s core.Streaming) (*fixed.Stream, bool) {
+func asFixedMonitor(s core.Streaming) (*fixed.Monitor, bool) {
 	for {
-		if fs, ok := s.(*fixed.Stream); ok {
+		if fs, ok := s.(*fixed.Monitor); ok {
 			return fs, true
 		}
 		in, ok := s.(*core.Instrumented)
@@ -269,7 +269,7 @@ func asFixedStream(s core.Streaming) (*fixed.Stream, bool) {
 // be able to checkpoint and migrate q16 members like any other).
 const (
 	memberKindMonitor = 0 // float Monitor, OSELM3 artifact (at the fleet's save precision)
-	memberKindQ16     = 1 // fixed.Stream, QFIX01 artifact
+	memberKindQ16     = 1 // fixed.Monitor, QFIX01 artifact
 	// memberKindDegraded (FLEET4) is a demoted Monitor: one byte naming
 	// the twin's precision, the retained full-precision origin at its
 	// own training precision (exactness is the whole point of
@@ -290,7 +290,7 @@ func encodeMember(prec Precision) fleet.EncodeFunc {
 			}
 			return memberKindMonitor, mon.Save(w, prec)
 		}
-		if fs, ok := asFixedStream(s); ok {
+		if fs, ok := asFixedMonitor(s); ok {
 			return memberKindQ16, fs.Save(w)
 		}
 		return 0, fmt.Errorf("edgedrift: fleet member %q has no wire format (not a Monitor or Q16.16 stage)", id)
@@ -315,7 +315,7 @@ func encodeDegraded(mon *Monitor, w io.Writer) error {
 		// widens the twin's f32 slabs exactly, so this — not the twin's
 		// own precision — is the lossless encoding.
 		return t.Save(w, Float64)
-	case *fixed.Stream:
+	case *fixed.Monitor:
 		return t.Save(w)
 	default:
 		return fmt.Errorf("edgedrift: degraded twin %T has no wire format", mon.degraded)
@@ -328,7 +328,7 @@ func decodeMember(id string, kind byte, r io.Reader) (core.Streaming, error) {
 	case memberKindMonitor:
 		return LoadMonitor(r)
 	case memberKindQ16:
-		return fixed.LoadStream(r)
+		return fixed.LoadMonitor(r)
 	case memberKindDegraded:
 		var ab [1]byte
 		if _, err := io.ReadFull(r, ab[:]); err != nil {
@@ -343,7 +343,7 @@ func decodeMember(id string, kind byte, r io.Reader) (core.Streaming, error) {
 		case Float32:
 			twin, err = LoadMonitor(r)
 		case Fixed16:
-			twin, err = fixed.LoadStream(r)
+			twin, err = fixed.LoadMonitor(r)
 		default:
 			return nil, fmt.Errorf("edgedrift: fleet member %q: implausible twin precision byte %d", id, ab[0])
 		}

@@ -58,7 +58,7 @@ func pinArtifacts(t *testing.T) map[string][]byte {
 		q16.Process(x)
 	}
 	var qbuf bytes.Buffer
-	if err := q16.(*fixed.Stream).Save(&qbuf); err != nil {
+	if err := q16.(*fixed.Monitor).Save(&qbuf); err != nil {
 		t.Fatal(err)
 	}
 	out["qfix01"] = qbuf.Bytes()

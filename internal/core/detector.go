@@ -331,9 +331,13 @@ type Detector struct {
 
 	calibrated bool
 
-	// guard is the ingestion stage wrapped around this detector's raw
-	// state machine; Process delegates through it. See Guard in stage.go.
-	guard *Guard
+	// Ingestion-guard state (Config.Guard): samples refused and
+	// repaired, the last accepted Result a GuardReject rejection
+	// replays, and the GuardClamp repair scratch (preallocated by New).
+	rejected uint64
+	clamped  uint64
+	lastGood Result
+	clampBuf []float64
 	// divergences counts monitoring samples whose score came back
 	// non-finite despite finite input (the model state itself diverged).
 	divergences uint64
@@ -375,33 +379,23 @@ func New(m *model.Multi, cfg Config) (*Detector, error) {
 		dims:      m.Config().Inputs,
 		scoreHist: &stats.Running{},
 	}
-	d.guard = NewGuard(machine{d}, c.Guard, c.ClampLimit)
 	if c.Guard == GuardClamp {
 		// Pre-size the repair scratch so the hot path stays 0-alloc.
-		d.guard.clampBuf = make([]float64, d.dims)
+		d.clampBuf = make([]float64, d.dims)
 	}
 	return d, nil
 }
-
-// machine adapts the detector's raw (unguarded) state machine to the
-// Streaming interface so the ingestion Guard can wrap it like any other
-// stage. It is the composition seam between the two layers that used to
-// be one method.
-type machine struct{ d *Detector }
-
-func (m machine) Process(x []float64) Result { return m.d.processAccepted(x) }
-func (m machine) MemoryBytes() int           { return m.d.MemoryBytes() }
-func (m machine) Health() health.Snapshot    { return m.d.Health() }
-func (m machine) PhaseNow() Phase            { return m.d.PhaseNow() }
 
 // batchBlock is how many monitoring samples the detector scores per
 // model sweep; aligned with the model/oselm chunk so one block is one
 // batched GEMM pair per instance.
 const batchBlock = 64
 
-// ProcessBatch on the raw state machine: score whole blocks through the
-// model's batched forward whenever the model is guaranteed static across
-// the block, fall back to per-sample processing everywhere else.
+// processBatchAccepted is ProcessBatch on the raw state machine, for a
+// run of samples the ingestion guard has admitted: score whole blocks
+// through the model's batched forward whenever the model is guaranteed
+// static across the block, fall back to per-sample processing
+// everywhere else.
 //
 // The fast path requires ops == nil (op-counted runs charge per-sample
 // stage tallies through closures the batch path cannot replicate
@@ -411,8 +405,7 @@ const batchBlock = 64
 // the remaining precomputed scores are discarded and the outer loop
 // resumes — per-sample — on the next sample, exactly as the sequential
 // algorithm would.
-func (m machine) ProcessBatch(dst []Result, xs [][]float64) []Result {
-	d := m.d
+func (d *Detector) processBatchAccepted(dst []Result, xs [][]float64) []Result {
 	i := 0
 	for i < len(xs) {
 		if d.ops != nil || d.drift {
@@ -451,10 +444,7 @@ func (d *Detector) ensureBatchBuffers(n int) ([]int, []float64) {
 	return d.batchLabels[:n], d.batchScores[:n]
 }
 
-var _ Streaming = (*Detector)(nil)
 var _ BatchStreaming = (*Detector)(nil)
-var _ BatchStreaming = (*Guard)(nil)
-var _ BatchStreaming = machine{}
 
 // Config returns the defaulted configuration.
 func (d *Detector) Config() Config { return d.cfg }
@@ -665,10 +655,14 @@ func (d *Detector) stage(s Stage, fn func()) {
 // (Algorithm 1). It panics if Calibrate has not run.
 //
 // Samples carrying a non-finite feature never reach the model or
-// centroid state; they are handled by the composed ingestion Guard
-// stage first (see stage.go). Under the default GuardReject the
-// accepted-sample stream behaves exactly as if the bad samples had
-// never existed — same drift events, same centroids, bit for bit.
+// centroid state; the Config.Guard policy handles them first. Under
+// the default GuardReject the accepted-sample stream behaves exactly as
+// if the bad samples had never existed — same drift events, same
+// centroids, bit for bit — and the rejected sample returns the last
+// accepted Result with Rejected set. GuardClamp repairs the sample into
+// a scratch buffer (NaN → 0, ±Inf → ±ClampLimit) and processes the
+// repaired copy; the caller's slice is never written. GuardPanic
+// panics, for pipelines where a bad sample indicates an upstream bug.
 func (d *Detector) Process(x []float64) Result {
 	if !d.calibrated {
 		panic("core: Process before Calibrate")
@@ -676,17 +670,19 @@ func (d *Detector) Process(x []float64) Result {
 	if len(x) != d.dims {
 		panic(fmt.Sprintf("core: sample dimension %d, want %d", len(x), d.dims))
 	}
-	return d.guard.Process(x)
+	return d.process(x)
 }
 
 // ProcessBatch consumes the samples of xs in order, appending one
 // Result each to dst, with results and post-call state identical to
 // calling Process per sample (see BatchStreaming). Monitoring-phase
 // samples are scored in blocks through the model's batched GEMM
-// forward; reconstruction, op-counted runs and guard-rejected samples
-// take the per-sample path internally. After the lazily-allocated batch
-// buffers exist, the call performs no heap allocation beyond dst's own
-// growth.
+// forward; reconstruction and op-counted runs take the per-sample path
+// internally. The guard splits xs into runs of finite samples, each
+// batched, and sends every non-finite sample through its policy alone;
+// its only per-sample state is lastGood, which only the last result of
+// a run can be observed as. After the lazily-allocated batch buffers
+// exist, the call performs no heap allocation beyond dst's own growth.
 func (d *Detector) ProcessBatch(dst []Result, xs [][]float64) []Result {
 	if !d.calibrated {
 		panic("core: Process before Calibrate")
@@ -696,11 +692,73 @@ func (d *Detector) ProcessBatch(dst []Result, xs [][]float64) []Result {
 			panic(fmt.Sprintf("core: sample dimension %d, want %d", len(x), d.dims))
 		}
 	}
-	return d.guard.ProcessBatch(dst, xs)
+	for i := 0; i < len(xs); {
+		run := 0
+		for i+run < len(xs) && mat.AllFinite(xs[i+run]) {
+			run++
+		}
+		if run == 0 {
+			dst = append(dst, d.process(xs[i]))
+			i++
+			continue
+		}
+		dst = d.processBatchAccepted(dst, xs[i:i+run])
+		d.lastGood = dst[len(dst)-1]
+		i += run
+	}
+	return dst
+}
+
+// process applies the ingestion guard policy to one sample, then runs
+// the admitted (under GuardClamp, repaired) sample through the state
+// machine. The finiteness scan is integer-pipeline work (one subtract
+// and compare per feature) and is deliberately not op-counted: the
+// paper's Table 5/6 cost model tracks floating-point arithmetic on the
+// data path.
+func (d *Detector) process(x []float64) Result {
+	if !mat.AllFinite(x) {
+		switch d.cfg.Guard {
+		case GuardPanic:
+			panic("core: non-finite feature in sample (GuardPanic policy)")
+		case GuardClamp:
+			d.clamped++
+			x = d.clampInto(x)
+		default: // GuardReject
+			d.rejected++
+			res := d.lastGood
+			res.Rejected = true
+			res.DriftDetected = false
+			res.Phase = d.PhaseNow()
+			return res
+		}
+	}
+	res := d.processAccepted(x)
+	d.lastGood = res
+	return res
+}
+
+// clampInto copies x into the repair scratch with non-finite features
+// repaired: NaN → 0, ±Inf → ±ClampLimit. Finite features pass through
+// untouched, however large — the guard repairs corruption, it does not
+// editorialise about outliers.
+func (d *Detector) clampInto(x []float64) []float64 {
+	buf := d.clampBuf[:len(x)]
+	for i, v := range x {
+		switch {
+		case math.IsNaN(v):
+			v = 0
+		case math.IsInf(v, 1):
+			v = d.cfg.ClampLimit
+		case math.IsInf(v, -1):
+			v = -d.cfg.ClampLimit
+		}
+		buf[i] = v
+	}
+	return buf
 }
 
 // processAccepted is the raw Algorithm 1 state machine, running on
-// samples the ingestion Guard has already admitted (and, under
+// samples the ingestion guard has already admitted (and, under
 // GuardClamp, repaired).
 func (d *Detector) processAccepted(x []float64) Result {
 	d.samplesSeen++
@@ -840,15 +898,11 @@ func (d *Detector) SetDriftHook(fn func()) { d.driftHook = fn }
 
 // Rejected returns how many samples the ingestion guard refused
 // (GuardReject policy).
-func (d *Detector) Rejected() uint64 { return d.guard.Rejected() }
+func (d *Detector) Rejected() uint64 { return d.rejected }
 
 // Clamped returns how many samples the ingestion guard repaired
 // (GuardClamp policy).
-func (d *Detector) Clamped() uint64 { return d.guard.Clamped() }
-
-// Divergences returns how many times the model produced a non-finite
-// score on a finite input, forcing a health-driven rebuild.
-func (d *Detector) Divergences() uint64 { return d.divergences }
+func (d *Detector) Clamped() uint64 { return d.clamped }
 
 // Health assembles the detector's structured health snapshot: guard
 // counters, the aggregated RLS watchdog view across all model
@@ -858,8 +912,8 @@ func (d *Detector) Health() health.Snapshot {
 	n, mean, std := d.ScoreStats()
 	s := health.Snapshot{
 		SamplesSeen:      d.samplesSeen,
-		Rejected:         d.guard.Rejected(),
-		Clamped:          d.guard.Clamped(),
+		Rejected:         d.rejected,
+		Clamped:          d.clamped,
 		ModelDivergences: d.divergences,
 		WatchdogResets:   mh.WatchdogResets,
 		PTraceMax:        mh.PTrace,
@@ -880,14 +934,15 @@ func (d *Detector) Health() health.Snapshot {
 // MemoryBytes audits the detector's retained state: the discriminative
 // model plus two centroid sets, counts and O(1) accumulators — the
 // quantity the paper's Table 4 compares against the batch methods'
-// buffers.
+// buffers — and the scratch buffers the hot paths keep.
 func (d *Detector) MemoryBytes() int {
 	const f = 8
 	centroids := 2 * d.classes * d.dims * f                // trained + recent
 	counts := 2 * d.classes * 8                            // num + baseNum
 	scalars := 16 * f                                      // thresholds, window state, accumulators
 	batch := 8 * (len(d.batchLabels) + len(d.batchScores)) // lazy; 0 until batching is used
-	return d.model.MemoryBytes() + centroids + counts + scalars + batch
+	clamp := 8 * len(d.clampBuf)                           // GuardClamp only
+	return d.model.MemoryBytes() + centroids + counts + scalars + batch + clamp
 }
 
 // beginReconstruction transitions into Algorithm 2. The per-class counts

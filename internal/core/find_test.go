@@ -32,8 +32,8 @@ func (c *capStage) Degraded() bool                    { return c.demoted }
 type phaser = interface{ PhaseNow() core.Phase }
 
 // TestFindSeesThroughSeams pins capability discovery through every
-// wrapping stage — Guard, Instrumented, Hybrid and pool.Stage, alone
-// and nested — for each capability the fleet and the wrappers look up:
+// wrapping stage — Instrumented, Hybrid and pool.Stage, alone and
+// nested — for each capability the fleet and the wrappers look up:
 // a found capability must be the wrapped leaf's, and a capability no
 // stage in the chain has must stay undiscovered.
 func TestFindSeesThroughSeams(t *testing.T) {
@@ -57,10 +57,10 @@ func TestFindSeesThroughSeams(t *testing.T) {
 		trans bool // whether the leaf is a Transitioner
 	}{
 		{"bare", leaf, leaf, true},
-		{"Guard", core.NewGuard(leaf, core.GuardReject, 0), leaf, true},
 		{"Instrumented", core.NewInstrumented(leaf, core.InstrumentConfig{StreamID: "s"}), leaf, true},
 		{"Hybrid", core.NewHybrid(leaf, &capStage{}, core.HybridConfig{}), leaf, true},
-		{"Instrumented/Guard", core.NewInstrumented(core.NewGuard(leaf, core.GuardClamp, 0), core.InstrumentConfig{}), leaf, true},
+		{"Hybrid/Hybrid", core.NewHybrid(core.NewHybrid(leaf, &capStage{}, core.HybridConfig{}), &capStage{}, core.HybridConfig{}), leaf, true},
+		{"Instrumented/Hybrid", core.NewInstrumented(core.NewHybrid(leaf, &capStage{}, core.HybridConfig{}), core.InstrumentConfig{}), leaf, true},
 		{"pool.Stage", pooled, det, false},
 		{"Instrumented/pool.Stage", core.NewInstrumented(pooled, core.InstrumentConfig{}), det, false},
 	}

@@ -101,8 +101,8 @@ type Hybrid struct {
 
 // NewHybrid wraps inner with the supervised arm sup. The inner stage's
 // TriggerReconstruction and PhaseNow capabilities are discovered
-// through any depth of wrapping stages (a Guard around a Detector
-// still fuses); an inner stage without TriggerReconstruction degrades
+// through any depth of wrapping stages (an Instrumented around a
+// Detector still fuses); an inner stage without TriggerReconstruction degrades
 // gracefully — supervised fires are counted but trigger nothing.
 func NewHybrid(inner, sup Streaming, cfg HybridConfig) *Hybrid {
 	if inner == nil || sup == nil {

@@ -72,15 +72,15 @@ type StageMetrics struct {
 
 // Instrumented is the observability stage: a wrapper that records
 // per-stage process latency (sampled), result phase transitions, and
-// drift events into a bounded ring-buffer trace, mirroring how Guard
-// wraps a stage with an ingestion policy. It changes nothing about the
-// wrapped stage's behaviour — every Result passes through untouched —
-// and its own cost is a handful of plain integer increments per sample,
-// plus one clock read every SampleEvery-th call when timing is opted
-// in. The counters are deliberately NOT atomic: one uncontended atomic
-// add costs more than the whole per-sample budget this wrapper is
-// allowed (<2% of a detector Process call), so the stage keeps the
-// plain single-writer discipline of every other Streaming stage.
+// drift events into a bounded ring-buffer trace. It changes nothing
+// about the wrapped stage's behaviour — every Result passes through
+// untouched — and its own cost is a handful of plain integer
+// increments per sample, plus one clock read every SampleEvery-th call
+// when timing is opted in. The counters are deliberately NOT atomic:
+// one uncontended atomic add costs more than the whole per-sample
+// budget this wrapper is allowed (<2% of a detector Process call), so
+// the stage keeps the plain single-writer discipline of every other
+// Streaming stage.
 //
 // Consequently Metrics() and Trace() share one read contract: call them
 // from the processing goroutine, or under whatever lock serialises it —
@@ -149,7 +149,7 @@ func NewInstrumented(inner Streaming, cfg InstrumentConfig) *Instrumented {
 	if in.every > 0 {
 		in.untilTimed = 1 // time the first call, then every `every`-th
 	}
-	// A Monitor inside a Guard still exposes its thresholds through the
+	// A Monitor inside a Hybrid still exposes its thresholds through the
 	// seam. θ_error proper wins over the Monitor-shaped pair.
 	if t, ok := Find[errorThresholder](inner); ok {
 		in.theta = t.ThetaError

@@ -59,6 +59,21 @@ func (d *driftStage) Health() health.Snapshot {
 
 func (d *driftStage) ThetaError() float64 { return 0.75 }
 
+// echoStage is a minimal Streaming stage with no capabilities: it
+// scores each sample by its first feature and stays in Monitoring.
+type echoStage struct{ n int }
+
+func (e *echoStage) Process(x []float64) Result {
+	e.n++
+	return Result{Score: x[0], Phase: Monitoring}
+}
+
+func (e *echoStage) MemoryBytes() int { return 8 }
+
+func (e *echoStage) Health() health.Snapshot {
+	return health.Snapshot{SamplesSeen: e.n, PFinite: true, Phase: "monitoring"}
+}
+
 func feed(s Streaming, n int) {
 	x := []float64{0.5}
 	for i := 0; i < n; i++ {
@@ -147,16 +162,16 @@ func TestInstrumentedTraceRing(t *testing.T) {
 	}
 }
 
-// TestInstrumentedThetaThroughGuard locks capability discovery through
-// stage nesting: an Instrumented around a Guard around a detector still
+// TestInstrumentedThetaThroughHybrid locks capability discovery through
+// stage nesting: an Instrumented around a Hybrid around a detector still
 // stamps the detector's θ_error onto trace entries.
-func TestInstrumentedThetaThroughGuard(t *testing.T) {
-	guard := NewGuard(&driftStage{every: 1}, GuardReject, 0)
-	in := NewInstrumented(guard, InstrumentConfig{})
+func TestInstrumentedThetaThroughHybrid(t *testing.T) {
+	hybrid := NewHybrid(&driftStage{every: 1}, &echoStage{}, HybridConfig{})
+	in := NewInstrumented(hybrid, InstrumentConfig{})
 	in.Process([]float64{1})
 	tr := in.Trace()
 	if len(tr) != 1 || tr[0].ThetaError != 0.75 {
-		t.Fatalf("trace through guard = %+v, want ThetaError 0.75", tr)
+		t.Fatalf("trace through hybrid = %+v, want ThetaError 0.75", tr)
 	}
 	if in.ThetaError() != 0.75 {
 		t.Fatal("ThetaError capability must stay visible through nesting")

@@ -142,6 +142,25 @@ func TestGuardClampRepairsWithoutMutatingCaller(t *testing.T) {
 	}
 }
 
+// TestGuardClampScratchAudited pins the GuardClamp repair scratch into
+// MemoryBytes: the only retained-state difference between a clamp and a
+// reject detector is the preallocated Inputs-wide buffer.
+func TestGuardClampScratchAudited(t *testing.T) {
+	clamp, _ := newCalibrated(t, 4, guardCfg(GuardClamp))
+	reject, _ := newCalibrated(t, 4, guardCfg(GuardReject))
+	want := 8 * clamp.Model().Config().Inputs
+	if got := clamp.MemoryBytes() - reject.MemoryBytes(); got != want {
+		t.Fatalf("GuardClamp MemoryBytes exceeds GuardReject by %d, want %d", got, want)
+	}
+	clone, err := clamp.CloneAt(clamp.Model())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if clone.MemoryBytes() != clamp.MemoryBytes() {
+		t.Fatalf("clone MemoryBytes %d, original %d", clone.MemoryBytes(), clamp.MemoryBytes())
+	}
+}
+
 func TestGuardPanicPanics(t *testing.T) {
 	d, _ := newCalibrated(t, 5, guardCfg(GuardPanic))
 	defer func() {

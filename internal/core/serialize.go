@@ -113,7 +113,7 @@ func (d *Detector) CheckpointState(w io.Writer) error {
 // RestoreState adopts a SaveState/CheckpointState artifact into the
 // live detector in place — thresholds, centroids, counts and window
 // state — without rebinding the model pointer, so wrappers holding
-// references to this detector (a Monitor, a Guard, a Hybrid) keep
+// references to this detector (a Monitor, a Hybrid, a pool.Stage) keep
 // working. The artifact's structural configuration must match the
 // detector's; lifetime diagnostics (samplesSeen, driftEvents, health
 // counters) are deliberately kept, because a restore is an event in

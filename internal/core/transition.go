@@ -56,18 +56,13 @@ func (d *Detector) CloneAt(m *model.Multi) (*Detector, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Host-local guard policy: LoadState builds the default reject guard,
-	// so rebuild the stage with d's policy and carry its counters and the
-	// last accepted result (GuardReject replays it on rejection — the
-	// clone must reject bit-identically).
+	// Host-local guard policy: LoadState builds a default reject
+	// detector, so carry d's policy (with its repair scratch), its
+	// counters and the last accepted result (GuardReject replays it on
+	// rejection — the clone must reject bit-identically).
 	nd.cfg.Guard, nd.cfg.ClampLimit = d.cfg.Guard, d.cfg.ClampLimit
-	nd.guard = NewGuard(machine{nd}, nd.cfg.Guard, nd.cfg.ClampLimit)
-	if nd.cfg.Guard == GuardClamp {
-		nd.guard.clampBuf = make([]float64, nd.dims)
-	}
-	nd.guard.rejected = d.guard.rejected
-	nd.guard.clamped = d.guard.clamped
-	nd.guard.lastGood = d.guard.lastGood
+	nd.clampBuf = make([]float64, len(d.clampBuf))
+	nd.rejected, nd.clamped, nd.lastGood = d.rejected, d.clamped, d.lastGood
 	// Lifetime diagnostics: the clone continues this stream's life, so
 	// sample indices, drift history and health counters carry over.
 	nd.samplesSeen = d.samplesSeen

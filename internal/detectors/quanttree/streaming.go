@@ -24,8 +24,8 @@ func (t *Tree) Process(x []float64) core.Result {
 
 // Health reports the tree's structured health snapshot. A QuantTree has
 // no recursive model state that can diverge, so the snapshot is mostly
-// counters: every observed sample is accepted (guarding, if wanted, is a
-// wrapping core.Guard stage).
+// counters: every observed sample is accepted (the tree has no
+// ingestion guard).
 func (t *Tree) Health() health.Snapshot {
 	return health.Snapshot{
 		SamplesSeen: t.seen,

@@ -204,7 +204,7 @@ func ExtensionFixedPoint(seed uint64) *Outcome {
 		if det.Process(x).DriftDetected && fDelay < 0 && i >= stream.DriftAt {
 			fDelay = i - stream.DriftAt
 		}
-		if mon.Process(fixed.QuantizeVec(x)).DriftDetected && qDelay < 0 && i >= stream.DriftAt {
+		if mon.Process(x).DriftDetected && qDelay < 0 && i >= stream.DriftAt {
 			qDelay = i - stream.DriftAt
 		}
 	}

@@ -108,11 +108,6 @@ func Abs(q Q) Q {
 
 func satur(v int64) Q { return mat.SatQ16[Q](v) }
 
-// DotAcc accumulates Σ aᵢ·bᵢ in a 64-bit accumulator and converts once —
-// the standard fixed-point MAC-loop pattern (one shift per dot product,
-// not per term).
-func DotAcc(a, b []Q) Q { return mat.DotQ16(a, b) }
-
 // L1DistAcc returns Σ|aᵢ−bᵢ| with a 64-bit accumulator.
 func L1DistAcc(a, b []Q) Q { return mat.L1DistQ16(a, b) }
 
@@ -139,13 +134,4 @@ func QuantizeVecChecked(xs []float64) ([]Q, int) {
 		}
 	}
 	return out, sat
-}
-
-// DequantizeVec converts back to float64.
-func DequantizeVec(qs []Q) []float64 {
-	out := make([]float64, len(qs))
-	for i, v := range qs {
-		out[i] = v.Float()
-	}
-	return out
 }

@@ -69,19 +69,6 @@ func TestMulSaturates(t *testing.T) {
 	}
 }
 
-func TestDotAccMatchesFloat(t *testing.T) {
-	a := []float64{0.5, -1.25, 2, 0.0625}
-	b := []float64{1, 2, -0.5, 8}
-	qa, qb := QuantizeVec(a), QuantizeVec(b)
-	var want float64
-	for i := range a {
-		want += a[i] * b[i]
-	}
-	if got := DotAcc(qa, qb).Float(); math.Abs(got-want) > 1e-3 {
-		t.Fatalf("DotAcc = %v, want %v", got, want)
-	}
-}
-
 func TestL1DistAcc(t *testing.T) {
 	a := QuantizeVec([]float64{0, 1, -2})
 	b := QuantizeVec([]float64{1, 1, 2})
@@ -105,10 +92,9 @@ func TestSigmoidAccuracy(t *testing.T) {
 
 func TestQuantizeDequantize(t *testing.T) {
 	xs := []float64{1.5, -2.25, 0}
-	back := DequantizeVec(QuantizeVec(xs))
-	for i := range xs {
-		if math.Abs(back[i]-xs[i]) > 1e-4 {
-			t.Fatalf("vec round trip %v → %v", xs[i], back[i])
+	for i, q := range QuantizeVec(xs) {
+		if back := q.Float(); math.Abs(back-xs[i]) > 1e-4 {
+			t.Fatalf("vec round trip %v → %v", xs[i], back)
 		}
 	}
 }
@@ -146,19 +132,4 @@ func TestPropSigmoidMonotone(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func BenchmarkDotAcc511(b *testing.B) {
-	a := make([]Q, 511)
-	c := make([]Q, 511)
-	for i := range a {
-		a[i] = FromFloat(float64(i%7) * 0.1)
-		c[i] = FromFloat(float64(i%5) * 0.2)
-	}
-	var sink Q
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sink += DotAcc(a, c)
-	}
-	_ = sink
 }

@@ -4,15 +4,20 @@ import (
 	"fmt"
 
 	"edgedrift/internal/core"
+	"edgedrift/internal/health"
 	"edgedrift/internal/opcount"
 )
 
 // Monitor is the on-device half of a split deployment: quantised label
 // prediction over C autoencoder instances plus the sequential centroid
 // drift check of Algorithm 1 in pure integer arithmetic. On detection it
-// sets a flag (readable via DriftPending) rather than reconstructing —
-// the host retrains and ships a fresh artifact, the realistic division
-// of labour for an M0+-class device.
+// raises a pending flag (reported as the Reconstructing phase) rather
+// than reconstructing — the host retrains and ships a fresh artifact,
+// the realistic division of labour for an M0+-class device.
+//
+// Monitor is a core.BatchStreaming stage, so the fleet layer can host
+// Q16.16 members next to float detectors: input samples are quantised
+// through retained buffers and results are widened back to float64.
 type Monitor struct {
 	instances []*Autoencoder
 	dims      int
@@ -35,7 +40,10 @@ type Monitor struct {
 	sat     int // values clipped during quantisation
 	ops     *opcount.Counter
 
+	xq []Q // Process's quantised sample
+
 	// Batched-prediction staging (lazy; see ProcessBatch).
+	xqb         [][]Q // quantised sample rows, batchChunk×dims
 	batchCols   [][]Q // per-instance score columns, C×batchChunk
 	batchLabels []int
 	batchScores []Q
@@ -56,6 +64,7 @@ func QuantizeDetector(det *core.Detector) *Monitor {
 		thetaError: thetaE,
 		thetaDrift: thetaD,
 		num:        make([]int32, classes),
+		xq:         make([]Q, m.Config().Inputs),
 	}
 	if satE {
 		mon.sat++
@@ -83,17 +92,6 @@ func QuantizeDetector(det *core.Detector) *Monitor {
 // the fixed-point port is degraded; surface it via health reporting.
 func (mon *Monitor) Saturations() int { return mon.sat }
 
-// Result is the per-sample outcome of the quantised monitor.
-type Result struct {
-	// Label is the argmin-score class.
-	Label int
-	// Score is the winning reconstruction error.
-	Score Q
-	// DriftDetected is true exactly on the window close that crossed
-	// θ_drift.
-	DriftDetected bool
-}
-
 // SetOps attaches an operation counter to the monitor and instances.
 func (mon *Monitor) SetOps(c *opcount.Counter) {
 	mon.ops = c
@@ -102,14 +100,6 @@ func (mon *Monitor) SetOps(c *opcount.Counter) {
 	}
 }
 
-// DriftPending reports whether a drift was detected and the host has not
-// yet acknowledged it (ClearDrift).
-func (mon *Monitor) DriftPending() bool { return mon.pending }
-
-// ClearDrift acknowledges a pending drift, typically after the host has
-// shipped a retrained artifact.
-func (mon *Monitor) ClearDrift() { mon.pending = false }
-
 // Events returns sample indices of detections.
 func (mon *Monitor) Events() []int {
 	out := make([]int, len(mon.events))
@@ -117,33 +107,44 @@ func (mon *Monitor) Events() []int {
 	return out
 }
 
-// Process consumes one quantised sample.
-func (mon *Monitor) Process(x []Q) Result {
-	if len(x) != mon.dims {
-		panic(fmt.Sprintf("fixed: sample dimension %d, want %d", len(x), mon.dims))
+// Process quantises one sample into the retained buffer and runs the
+// fixed-point pipeline on it. It panics on a sample of the wrong width.
+func (mon *Monitor) Process(x []float64) core.Result {
+	mon.checkDims(x)
+	for i, v := range x {
+		mon.xq[i] = FromFloat(v)
 	}
 	mon.samples++
 
 	best, bestScore := 0, Q(0)
 	for c, inst := range mon.instances {
-		s := inst.Score(x)
+		s := inst.Score(mon.xq)
 		if c == 0 || s < bestScore {
 			best, bestScore = c, s
 		}
 	}
 	mon.ops.AddCmp(len(mon.instances) - 1)
-	return mon.step(x, best, bestScore)
+	return mon.step(mon.xq, best, bestScore)
+}
+
+// checkDims panics on a sample of the wrong width, as core.Detector
+// does, rather than score it against stale buffer features.
+func (mon *Monitor) checkDims(x []float64) {
+	if len(x) != mon.dims {
+		panic(fmt.Sprintf("fixed: sample dimension %d, want %d", len(x), mon.dims))
+	}
 }
 
 // step is the post-prediction half of Process: the θ_error gate, the
 // centroid window and the drift decision, operating on an
 // already-computed (label, score) pair so the batched path drives the
 // identical state machine. The caller increments samples first.
-func (mon *Monitor) step(x []Q, best int, bestScore Q) Result {
-	res := Result{Label: best, Score: bestScore}
+func (mon *Monitor) step(x []Q, best int, bestScore Q) core.Result {
+	res := core.Result{Label: best, Score: bestScore.Float()}
 
 	if mon.pending {
 		// Awaiting host action; keep predicting, skip detection.
+		res.Phase = core.Reconstructing
 		return res
 	}
 	if !mon.check && bestScore >= mon.thetaError {
@@ -165,7 +166,23 @@ func (mon *Monitor) step(x []Q, best int, bestScore Q) Result {
 			mon.check = false
 		}
 	}
+	res.Phase = mon.phaseNow()
 	return res
+}
+
+// phaseNow maps the monitor's state onto the detector phase vocabulary:
+// an open check window is Checking, a drift awaiting host action is
+// Reconstructing (the adaptation is in flight, just host-side in the
+// split deployment), everything else is Monitoring.
+func (mon *Monitor) phaseNow() core.Phase {
+	switch {
+	case mon.pending:
+		return core.Reconstructing
+	case mon.check:
+		return core.Checking
+	default:
+		return core.Monitoring
+	}
 }
 
 // scoreBatch predicts a chunk (≤ batchChunk samples): every instance
@@ -194,34 +211,44 @@ func (mon *Monitor) scoreBatch(labels []int, scores []Q, chunk [][]Q) {
 	}
 }
 
-// ensureBatch lazily allocates the chunk-sized label/score staging.
-func (mon *Monitor) ensureBatch() ([]int, []Q) {
-	if mon.batchLabels == nil {
-		mon.batchLabels = make([]int, batchChunk)
-		mon.batchScores = make([]Q, batchChunk)
+// ensureBatch lazily allocates the chunk-sized quantise rows and
+// label/score staging.
+func (mon *Monitor) ensureBatch() {
+	if mon.xqb != nil {
+		return
 	}
-	return mon.batchLabels, mon.batchScores
+	mon.xqb = make([][]Q, batchChunk)
+	for i := range mon.xqb {
+		mon.xqb[i] = make([]Q, mon.dims)
+	}
+	mon.batchLabels = make([]int, batchChunk)
+	mon.batchScores = make([]Q, batchChunk)
 }
 
 // ProcessBatch consumes xs in order, appending one Result per sample to
-// dst. The on-device model is inference-only — nothing mutates the
-// instances between samples, even across a detection — so batching is
-// always valid here and results are bit-identical to per-sample Process
-// calls (see Autoencoder.ScoreBatch for the kernel argument).
-func (mon *Monitor) ProcessBatch(dst []Result, xs [][]Q) []Result {
-	labels, scores := mon.ensureBatch()
+// dst. Each chunk is quantised into retained staging rows and scored
+// through the batched kernel, then the drift state machine steps one
+// sample at a time. The on-device model is inference-only — nothing
+// mutates the instances between samples, even across a detection — so
+// batching is always valid here and results are bit-identical to
+// per-sample Process calls (see Autoencoder.ScoreBatch for the kernel
+// argument). It panics, before consuming anything, if any sample has
+// the wrong width.
+func (mon *Monitor) ProcessBatch(dst []core.Result, xs [][]float64) []core.Result {
+	for _, x := range xs {
+		mon.checkDims(x)
+	}
+	mon.ensureBatch()
 	for start := 0; start < len(xs); start += batchChunk {
-		end := start + batchChunk
-		if end > len(xs) {
-			end = len(xs)
-		}
-		chunk := xs[start:end]
-		for _, x := range chunk {
-			if len(x) != mon.dims {
-				panic(fmt.Sprintf("fixed: sample dimension %d, want %d", len(x), mon.dims))
+		end := min(start+batchChunk, len(xs))
+		chunk := mon.xqb[:end-start]
+		for i, x := range xs[start:end] {
+			for j, v := range x {
+				chunk[i][j] = FromFloat(v)
 			}
 		}
-		mon.scoreBatch(labels[:len(chunk)], scores[:len(chunk)], chunk)
+		labels, scores := mon.batchLabels[:len(chunk)], mon.batchScores[:len(chunk)]
+		mon.scoreBatch(labels, scores, chunk)
 		for i, x := range chunk {
 			mon.samples++
 			dst = append(dst, mon.step(x, labels[i], scores[i]))
@@ -256,7 +283,8 @@ func (mon *Monitor) centroidDist() Q {
 }
 
 // MemoryBytes audits the monitor's retained state: 4-byte words for
-// every weight and centroid — the number that must fit the device.
+// every weight and centroid — the number that must fit the device —
+// plus the quantisation buffers.
 func (mon *Monitor) MemoryBytes() int {
 	const w = 4
 	total := 8 * w // scalars
@@ -267,10 +295,29 @@ func (mon *Monitor) MemoryBytes() int {
 		total += w * (len(mon.cor[c]) + len(mon.trainCor[c]))
 	}
 	total += 4 * len(mon.num)
+	total += w * len(mon.xq)
 	// Batch staging, zero until the batched path is first used.
+	for _, row := range mon.xqb {
+		total += w * len(row)
+	}
 	for _, col := range mon.batchCols {
 		total += w * len(col)
 	}
 	total += 8*len(mon.batchLabels) + w*len(mon.batchScores)
 	return total
 }
+
+// Health reports the fixed-point stage's view of itself. Integer state
+// cannot go non-finite, so PFinite is always true; the interesting
+// counter is QuantSaturations, which records how much of the float
+// model clipped when this stage was quantised.
+func (mon *Monitor) Health() health.Snapshot {
+	return health.Snapshot{
+		SamplesSeen:      mon.samples,
+		PFinite:          true,
+		QuantSaturations: uint64(mon.sat),
+		Phase:            mon.phaseNow().String(),
+	}
+}
+
+var _ core.BatchStreaming = (*Monitor)(nil)

@@ -68,8 +68,7 @@ func TestQuantizedScoresTrackFloat(t *testing.T) {
 		c := i % monClasses
 		x := monSample(r, c, 0)
 		_, fScore := det.Model().Predict(x)
-		res := mon.Process(QuantizeVec(x))
-		qScore := res.Score.Float()
+		qScore := mon.Process(x).Score
 		rel := math.Abs(qScore-fScore) / (fScore + 1e-6)
 		if rel > maxRel {
 			maxRel = rel
@@ -91,7 +90,7 @@ func TestQuantizedLabelsAgreeWithFloat(t *testing.T) {
 		c := i % monClasses
 		x := monSample(r, c, 0)
 		fLabel, _ := det.Model().Predict(x)
-		if mon.Process(QuantizeVec(x)).Label == fLabel {
+		if mon.Process(x).Label == fLabel {
 			agree++
 		}
 	}
@@ -105,34 +104,33 @@ func TestQuantizedMonitorDetectsDrift(t *testing.T) {
 	mon := QuantizeDetector(det)
 	// Stationary phase: no detection.
 	for i := 0; i < 300; i++ {
-		if mon.Process(QuantizeVec(monSample(r, i%monClasses, 0))).DriftDetected {
+		if mon.Process(monSample(r, i%monClasses, 0)).DriftDetected {
 			t.Fatalf("false positive at %d", i)
 		}
 	}
 	// Drift phase.
 	detected := -1
 	for i := 0; i < 2000 && detected < 0; i++ {
-		if mon.Process(QuantizeVec(monSample(r, i%monClasses, 4))).DriftDetected {
+		if mon.Process(monSample(r, i%monClasses, 4)).DriftDetected {
 			detected = i
 		}
 	}
 	if detected < 0 {
 		t.Fatal("quantised monitor never detected the drift")
 	}
-	if !mon.DriftPending() {
-		t.Fatal("DriftPending should be set")
-	}
 	if len(mon.Events()) != 1 {
 		t.Fatalf("events %v", mon.Events())
 	}
-	// While pending, no further detections; predictions continue.
-	res := mon.Process(QuantizeVec(monSample(r, 0, 4)))
-	if res.DriftDetected {
-		t.Fatal("detection while pending")
-	}
-	mon.ClearDrift()
-	if mon.DriftPending() {
-		t.Fatal("ClearDrift failed")
+	// While pending, no further detections; predictions continue and the
+	// phase reports the host-side adaptation in flight.
+	for i := 0; i < 200; i++ {
+		res := mon.Process(monSample(r, i%monClasses, 4))
+		if res.DriftDetected {
+			t.Fatal("detection while pending")
+		}
+		if res.Phase != core.Reconstructing {
+			t.Fatalf("phase while pending = %v, want %v", res.Phase, core.Reconstructing)
+		}
 	}
 }
 
@@ -149,19 +147,29 @@ func TestQuantizedOpsCounted(t *testing.T) {
 	mon := QuantizeDetector(det)
 	var ops opcount.Counter
 	mon.SetOps(&ops)
-	mon.Process(QuantizeVec(monSample(r, 0, 0)))
+	mon.Process(monSample(r, 0, 0))
 	if ops.MulAdd == 0 {
 		t.Fatal("integer MACs not counted")
 	}
 }
 
+// TestProcessPanicsOnBadDims pins the per-sample width check: a short
+// sample must not be scored against stale buffer features, nor a long
+// one truncated.
 func TestProcessPanicsOnBadDims(t *testing.T) {
 	det, _ := calibratedFloatDetector(t, 6)
 	mon := QuantizeDetector(det)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	mon.Process([]Q{1, 2})
+	for _, width := range []int{2, monDims - 1, monDims + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("width %d: expected panic", width)
+				}
+			}()
+			mon.Process(make([]float64, width))
+		}()
+	}
+	if h := mon.Health(); h.SamplesSeen != 0 {
+		t.Fatalf("%d samples consumed by rejected widths", h.SamplesSeen)
+	}
 }

@@ -47,26 +47,26 @@ func TestQuantizeCountsSaturations(t *testing.T) {
 	}
 }
 
-// TestStreamHealthReportsSaturations checks the counter surfaces where
+// TestMonitorHealthReportsSaturations checks the counter surfaces where
 // operators look: a quantised detector built from an out-of-range float
-// model reports its clips through the streaming stage's health snapshot.
-func TestStreamHealthReportsSaturations(t *testing.T) {
+// model reports its clips through the stage's health snapshot.
+func TestMonitorHealthReportsSaturations(t *testing.T) {
 	det, r := calibratedFloatDetector(t, 21)
 	_, _, beta := det.Model().Instance(0).Model().Weights()
 	beta[0] = 1e6
-	s := NewStream(QuantizeDetector(det))
+	s := QuantizeDetector(det)
 	for i := 0; i < 10; i++ {
 		s.Process(monSample(r, i%monClasses, 0))
 	}
 	h := s.Health()
 	if h.QuantSaturations == 0 {
-		t.Fatal("stream health reports zero quantisation saturations for an out-of-range model")
+		t.Fatal("monitor health reports zero quantisation saturations for an out-of-range model")
 	}
 	if h.SamplesSeen != 10 {
-		t.Fatalf("stream health SamplesSeen = %d, want 10", h.SamplesSeen)
+		t.Fatalf("monitor health SamplesSeen = %d, want 10", h.SamplesSeen)
 	}
 	if !h.Healthy() {
-		t.Fatalf("saturation alone must not mark the stream unhealthy: %+v", h)
+		t.Fatalf("saturation alone must not mark the monitor unhealthy: %+v", h)
 	}
 }
 

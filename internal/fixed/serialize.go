@@ -34,8 +34,8 @@ const (
 // sample-boundary snapshot: loading it and feeding the same subsequent
 // samples produces bit-identical results to never having saved, because
 // every retained word is an integer written verbatim (compute staging —
-// h, recon, batch buffers — is rebuilt at load and never carries state
-// across samples).
+// h, recon, quantise and batch buffers — is rebuilt at load and never
+// carries state across samples).
 func (mon *Monitor) Save(w io.Writer) error {
 	cw, err := ckpt.Create(w, magic)
 	if err != nil {
@@ -132,6 +132,7 @@ func loadBody(r io.Reader) (*Monitor, error) {
 		dims:   int(dims),
 		window: int(window),
 		num:    make([]int32, classes),
+		xq:     make([]Q, dims),
 	}
 	var thetas [2]Q
 	if err := getQs(r, thetas[:]); err != nil {
@@ -223,20 +224,6 @@ func loadBody(r io.Reader) (*Monitor, error) {
 	}
 	mon.sat = int(sat)
 	return mon, nil
-}
-
-// Save serialises the stream's wrapped monitor (the stream itself holds
-// only compute staging, rebuilt by LoadStream).
-func (s *Stream) Save(w io.Writer) error { return s.mon.Save(w) }
-
-// LoadStream deserialises a fixed-point streaming stage written by
-// Stream.Save, immediately ready to Process.
-func LoadStream(r io.Reader) (*Stream, error) {
-	mon, err := LoadMonitor(r)
-	if err != nil {
-		return nil, err
-	}
-	return NewStream(mon), nil
 }
 
 // putQs writes a Q16.16 vector as little-endian 32-bit words.

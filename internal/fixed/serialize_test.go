@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"edgedrift/internal/ckpt"
+	"edgedrift/internal/core"
 )
 
 // TestSaveLoadBitIdenticalContinuation is the QFIX01 contract: save a
@@ -16,19 +17,21 @@ import (
 func TestSaveLoadBitIdenticalContinuation(t *testing.T) {
 	det, r := calibratedFloatDetector(t, 42)
 	mon := QuantizeDetector(det)
-	s := NewStream(mon)
 
-	// Drive the stream partway, ending mid-window so the checkpoint
+	// Drive the monitor partway, ending mid-window so the checkpoint
 	// carries non-trivial state-machine and centroid state.
 	for i := 0; i < 137; i++ {
-		s.Process(monSample(r, i%monClasses, 2.5))
+		mon.Process(monSample(r, i%monClasses, 0))
+	}
+	if !mon.check || len(mon.events) != 0 {
+		t.Fatalf("checkpoint not mid-window before any detection: check=%v events=%v", mon.check, mon.events)
 	}
 
 	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
+	if err := mon.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := LoadStream(bytes.NewReader(buf.Bytes()))
+	resumed, err := LoadMonitor(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,21 +44,23 @@ func TestSaveLoadBitIdenticalContinuation(t *testing.T) {
 	for i := 0; i < 120; i++ {
 		post = append(post, monSample(r, i%monClasses, 5))
 	}
-	var want []Result
+	var want []core.Result
 	for _, x := range post {
-		rr := s.mon.Process(quantize(s, x))
-		want = append(want, rr)
+		want = append(want, mon.Process(x))
 	}
-	got := resumed.mon.ProcessBatch(nil, quantizeAll(resumed, post))
+	got := resumed.ProcessBatch(nil, post)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("resumed monitor diverged from the original after load")
 	}
-	if s.mon.samples != resumed.mon.samples || s.mon.sat != resumed.mon.sat {
-		t.Fatalf("counters diverged: samples %d/%d sat %d/%d",
-			s.mon.samples, resumed.mon.samples, s.mon.sat, resumed.mon.sat)
+	if len(mon.Events()) != 1 {
+		t.Fatalf("events %v: the continuation must cross one detection", mon.Events())
 	}
-	if !reflect.DeepEqual(s.mon.Events(), resumed.mon.Events()) {
-		t.Fatalf("event logs diverged: %v vs %v", s.mon.Events(), resumed.mon.Events())
+	if mon.samples != resumed.samples || mon.sat != resumed.sat {
+		t.Fatalf("counters diverged: samples %d/%d sat %d/%d",
+			mon.samples, resumed.samples, mon.sat, resumed.sat)
+	}
+	if !reflect.DeepEqual(mon.Events(), resumed.Events()) {
+		t.Fatalf("event logs diverged: %v vs %v", mon.Events(), resumed.Events())
 	}
 
 	// Save-load-save byte identity: the artifact is deterministic.
@@ -72,27 +77,11 @@ func TestSaveLoadBitIdenticalContinuation(t *testing.T) {
 // checks.
 func LoadedCopySave(t *testing.T, art []byte, w *bytes.Buffer) error {
 	t.Helper()
-	st, err := LoadStream(bytes.NewReader(art))
+	mon, err := LoadMonitor(bytes.NewReader(art))
 	if err != nil {
 		return err
 	}
-	return st.Save(w)
-}
-
-func quantize(s *Stream, x []float64) []Q {
-	out := make([]Q, len(x))
-	for i, v := range x {
-		out[i] = FromFloat(v)
-	}
-	return out
-}
-
-func quantizeAll(s *Stream, xs [][]float64) [][]Q {
-	out := make([][]Q, len(xs))
-	for i, x := range xs {
-		out[i] = quantize(s, x)
-	}
-	return out
+	return mon.Save(w)
 }
 
 // TestLoadCorruptionQFIX flips every byte of the artifact in turn and
@@ -100,37 +89,36 @@ func quantizeAll(s *Stream, xs [][]float64) [][]Q {
 // ErrBadFormat, never a panic or a silently-wrong monitor.
 func TestLoadCorruptionQFIX(t *testing.T) {
 	det, _ := calibratedFloatDetector(t, 7)
-	s := NewStream(QuantizeDetector(det))
 	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
+	if err := QuantizeDetector(det).Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	art := buf.Bytes()
 	for pos := 0; pos < len(art); pos++ {
 		bad := append([]byte(nil), art...)
 		bad[pos] ^= 0x40
-		if _, err := LoadStream(bytes.NewReader(bad)); !errors.Is(err, ckpt.ErrBadFormat) {
+		if _, err := LoadMonitor(bytes.NewReader(bad)); !errors.Is(err, ckpt.ErrBadFormat) {
 			t.Fatalf("flip at byte %d: err = %v, want ErrBadFormat", pos, err)
 		}
 	}
 	for _, n := range []int{0, 3, 6, 10, len(art) / 2, len(art) - 1} {
-		if _, err := LoadStream(bytes.NewReader(art[:n])); !errors.Is(err, ckpt.ErrBadFormat) {
+		if _, err := LoadMonitor(bytes.NewReader(art[:n])); !errors.Is(err, ckpt.ErrBadFormat) {
 			t.Fatalf("truncation to %d bytes: err = %v, want ErrBadFormat", n, err)
 		}
 	}
 }
 
-// FuzzLoadStream is the QFIX01 decoder's crash-resistance harness:
-// arbitrary bytes must either load into a stage whose re-saved artifact
-// loads again, or fail with ckpt.ErrBadFormat — never panic.
-func FuzzLoadStream(f *testing.F) {
+// FuzzLoadMonitor is the QFIX01 decoder's crash-resistance harness:
+// arbitrary bytes must either load into a monitor whose re-saved
+// artifact loads again, or fail with ckpt.ErrBadFormat — never panic.
+func FuzzLoadMonitor(f *testing.F) {
 	det, r := calibratedFloatDetector(f, 9)
-	s := NewStream(QuantizeDetector(det))
+	mon := QuantizeDetector(det)
 	for i := 0; i < 60; i++ {
-		s.Process(monSample(r, i%monClasses, 2.5))
+		mon.Process(monSample(r, i%monClasses, 2.5))
 	}
 	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
+	if err := mon.Save(&buf); err != nil {
 		f.Fatal(err)
 	}
 	art := buf.Bytes()
@@ -140,7 +128,7 @@ func FuzzLoadStream(f *testing.F) {
 	f.Add([]byte("QFIX01"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		st, err := LoadStream(bytes.NewReader(data))
+		st, err := LoadMonitor(bytes.NewReader(data))
 		if err != nil {
 			if !errors.Is(err, ckpt.ErrBadFormat) {
 				t.Fatalf("load error %v does not match ckpt.ErrBadFormat", err)
@@ -151,7 +139,7 @@ func FuzzLoadStream(f *testing.F) {
 		if err := st.Save(&out); err != nil {
 			t.Fatalf("loaded stage cannot re-save: %v", err)
 		}
-		if _, err := LoadStream(&out); err != nil {
+		if _, err := LoadMonitor(&out); err != nil {
 			t.Fatalf("re-saved stage does not load: %v", err)
 		}
 	})

@@ -97,7 +97,7 @@ type member struct {
 	// per sample, and the stage gets contiguous chunks to run as GEMMs.
 	batch core.BatchStreaming
 	// merger is the stage's mergeable-state capability, discovered once
-	// at Add time through the Guard/Instrumented seams (nil for stages
+	// at Add time through the Instrumented/Hybrid seams (nil for stages
 	// that cannot merge, e.g. Q16.16 detect-only members).
 	merger core.Merger
 	// trans is the stage's precision-transition capability, discovered

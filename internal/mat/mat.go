@@ -114,17 +114,6 @@ func (m *MatrixOf[E]) Zero() {
 	}
 }
 
-// SetIdentity overwrites m (which must be square) with the identity.
-func (m *MatrixOf[E]) SetIdentity() {
-	if m.Rows != m.Cols {
-		panic(ErrShape)
-	}
-	m.Zero()
-	for i := 0; i < m.Rows; i++ {
-		m.Data[i*m.Cols+i] = 1
-	}
-}
-
 // Scale multiplies every element of m by s in place.
 func (m *MatrixOf[E]) Scale(s E) {
 	for i := range m.Data {
@@ -140,18 +129,6 @@ func (m *MatrixOf[E]) AddDiag(s E) {
 	for i := 0; i < m.Rows; i++ {
 		m.Data[i*m.Cols+i] += s
 	}
-}
-
-// Transpose returns mᵀ as a new matrix.
-func (m *MatrixOf[E]) Transpose() *MatrixOf[E] {
-	t := NewOf[E](m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			t.Data[j*t.Cols+i] = v
-		}
-	}
-	return t
 }
 
 // Mul computes dst = a·b. dst must not alias a or b; it is resized storage
@@ -224,13 +201,6 @@ func Mul[E Element](dst, a, b *MatrixOf[E]) {
 			}
 		}
 	}
-}
-
-// MulNew returns a·b as a freshly allocated matrix.
-func MulNew[E Element](a, b *MatrixOf[E]) *MatrixOf[E] {
-	dst := NewOf[E](a.Rows, b.Cols)
-	Mul(dst, a, b)
-	return dst
 }
 
 // MulTransA computes dst = aᵀ·b without materialising aᵀ. Eight rows of

@@ -92,7 +92,7 @@ func TestCloneIsDeep(t *testing.T) {
 func TestMulKnownValues(t *testing.T) {
 	a := NewFromData(2, 3, []float64{1, 2, 3, 4, 5, 6})
 	b := NewFromData(3, 2, []float64{7, 8, 9, 10, 11, 12})
-	got := MulNew(a, b)
+	got := mulNew(a, b)
 	want := NewFromData(2, 2, []float64{58, 64, 139, 154})
 	if MaxAbsDiff(got, want) > tol {
 		t.Fatalf("a·b = %v, want %v", got, want)
@@ -114,7 +114,7 @@ func TestMulTransAMatchesExplicitTranspose(t *testing.T) {
 	b := randomMatrix(rng, 5, 4)
 	got := New(3, 4)
 	MulTransA(got, a, b)
-	want := MulNew(a.Transpose(), b)
+	want := mulNew(transpose(a), b)
 	if MaxAbsDiff(got, want) > tol {
 		t.Fatalf("MulTransA disagrees with explicit transpose by %v", MaxAbsDiff(got, want))
 	}
@@ -139,10 +139,29 @@ func TestMulVecAndTrans(t *testing.T) {
 	}
 }
 
+// mulNew returns a·b as a freshly allocated matrix.
+func mulNew(a, b *Matrix) *Matrix {
+	dst := New(a.Rows, b.Cols)
+	Mul(dst, a, b)
+	return dst
+}
+
+// transpose returns mᵀ as a new matrix: the explicit-transpose oracle
+// the MulTransA and Cholesky checks compare against.
+func transpose(m *Matrix) *Matrix {
+	t := New(m.Cols, m.Rows)
+	for i := 0; i < m.Rows; i++ {
+		for j, v := range m.Row(i) {
+			t.Set(j, i, v)
+		}
+	}
+	return t
+}
+
 func TestTransposeRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	m := randomMatrix(rng, 4, 7)
-	tt := m.Transpose().Transpose()
+	tt := transpose(transpose(m))
 	if MaxAbsDiff(m, tt) != 0 {
 		t.Fatal("(mᵀ)ᵀ != m")
 	}
@@ -158,7 +177,7 @@ func TestInverseRecoversIdentity(t *testing.T) {
 		if err := Inverse(inv, a); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		prod := MulNew(a, inv)
+		prod := mulNew(a, inv)
 		if d := MaxAbsDiff(prod, Identity(n)); d > 1e-8 {
 			t.Fatalf("trial %d: a·a⁻¹ deviates from I by %v", trial, d)
 		}
@@ -195,7 +214,7 @@ func TestCholeskyReconstructs(t *testing.T) {
 		if err := Cholesky(l, spd); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		recon := MulNew(l, l.Transpose())
+		recon := mulNew(l, transpose(l))
 		if d := MaxAbsDiff(recon, spd); d > 1e-8 {
 			t.Fatalf("trial %d: L·Lᵀ deviates by %v", trial, d)
 		}
@@ -290,10 +309,6 @@ func TestScaleAndAddDiagAndZero(t *testing.T) {
 	if m.FrobeniusNorm() != 0 {
 		t.Fatal("Zero left non-zero entries")
 	}
-	m.SetIdentity()
-	if MaxAbsDiff(m, Identity(3)) != 0 {
-		t.Fatal("SetIdentity mismatch")
-	}
 }
 
 func TestStringAbbreviatesLarge(t *testing.T) {
@@ -315,8 +330,8 @@ func TestPropMulTransposeIdentity(t *testing.T) {
 		m, n, p := 1+r.Intn(6), 1+r.Intn(6), 1+r.Intn(6)
 		a := randomMatrix(rng, m, n)
 		b := randomMatrix(rng, n, p)
-		lhs := MulNew(a, b).Transpose()
-		rhs := MulNew(b.Transpose(), a.Transpose())
+		lhs := transpose(mulNew(a, b))
+		rhs := mulNew(transpose(b), transpose(a))
 		return MaxAbsDiff(lhs, rhs) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {

@@ -41,13 +41,6 @@ func AxpyVec[E Element](y []E, s E, x []E) {
 	}
 }
 
-// ScaleVec multiplies x by s in place.
-func ScaleVec[E Element](x []E, s E) {
-	for i := range x {
-		x[i] *= s
-	}
-}
-
 // SubVec computes dst = a − b element-wise. dst may alias a or b.
 func SubVec[E Element](dst, a, b []E) {
 	if len(a) != len(b) || len(dst) != len(a) {
@@ -55,16 +48,6 @@ func SubVec[E Element](dst, a, b []E) {
 	}
 	for i := range dst {
 		dst[i] = a[i] - b[i]
-	}
-}
-
-// AddVec computes dst = a + b element-wise. dst may alias a or b.
-func AddVec[E Element](dst, a, b []E) {
-	if len(a) != len(b) || len(dst) != len(a) {
-		panic(ErrShape)
-	}
-	for i := range dst {
-		dst[i] = a[i] + b[i]
 	}
 }
 
@@ -98,15 +81,6 @@ func SqDist[E Element](a, b []E) E {
 		s += d * d
 	}
 	return s
-}
-
-// Norm2 returns the Euclidean norm of x.
-func Norm2[E Element](x []E) float64 {
-	var s E
-	for _, v := range x {
-		s += v * v
-	}
-	return math.Sqrt(float64(s))
 }
 
 // MeanVec computes the element-wise mean of rows into dst (len = row

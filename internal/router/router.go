@@ -343,46 +343,36 @@ func (r *Router) Migrate(stream, to string) error {
 	return nil
 }
 
-func (r *Router) migrateOut(addr, stream string) (wire.State, error) {
-	pl := r.poolFor(addr)
-	sc, err := pl.get()
-	if err != nil {
-		return wire.State{}, err
-	}
-	st, err := wire.NewClient(sc).MigrateOut(stream)
-	if err != nil {
-		// A RemoteError leaves the connection in protocol sync; anything
-		// else means the conn state is unknown.
-		var re *wire.RemoteError
-		if errors.As(err, &re) {
-			pl.put(sc)
-		} else {
-			sc.Close()
-		}
-		return wire.State{}, err
-	}
-	pl.put(sc)
-	return st, nil
+func (r *Router) migrateOut(addr, stream string) (st wire.State, err error) {
+	err = r.call(addr, func(c *wire.Client) (err error) {
+		st, err = c.MigrateOut(stream)
+		return err
+	})
+	return st, err
 }
 
 func (r *Router) migrateIn(addr string, st wire.State) error {
+	return r.call(addr, func(c *wire.Client) error { return c.MigrateIn(st) })
+}
+
+// call runs one request against a pooled connection to addr. The
+// connection goes back to the pool after success or a RemoteError,
+// which leaves it in protocol sync; any other error means its state is
+// unknown, so it is closed.
+func (r *Router) call(addr string, fn func(*wire.Client) error) error {
 	pl := r.poolFor(addr)
 	sc, err := pl.get()
 	if err != nil {
 		return err
 	}
-	err = wire.NewClient(sc).MigrateIn(st)
-	if err != nil {
-		var re *wire.RemoteError
-		if errors.As(err, &re) {
-			pl.put(sc)
-		} else {
-			sc.Close()
-		}
-		return err
+	err = fn(wire.NewClient(sc))
+	var re *wire.RemoteError
+	if err == nil || errors.As(err, &re) {
+		pl.put(sc)
+	} else {
+		sc.Close()
 	}
-	pl.put(sc)
-	return nil
+	return err
 }
 
 // Recover re-seeds a drifted stream's model from the mergeable states
@@ -435,61 +425,29 @@ func (r *Router) Recover(stream string, peers []string) error {
 	return nil
 }
 
-func (r *Router) fetchState(addr, stream string) (wire.MergeStates, error) {
-	pl := r.poolFor(addr)
-	sc, err := pl.get()
-	if err != nil {
-		return wire.MergeStates{}, err
-	}
-	ms, err := wire.NewClient(sc).FetchState(stream)
-	if err != nil {
-		var re *wire.RemoteError
-		if errors.As(err, &re) {
-			pl.put(sc)
-		} else {
-			sc.Close()
-		}
-		return wire.MergeStates{}, err
-	}
-	pl.put(sc)
-	return ms, nil
+func (r *Router) fetchState(addr, stream string) (ms wire.MergeStates, err error) {
+	err = r.call(addr, func(c *wire.Client) (err error) {
+		ms, err = c.FetchState(stream)
+		return err
+	})
+	return ms, err
 }
 
 func (r *Router) mergeSeed(addr string, ms wire.MergeStates) error {
-	pl := r.poolFor(addr)
-	sc, err := pl.get()
-	if err != nil {
-		return err
-	}
-	err = wire.NewClient(sc).MergeSeed(ms)
-	if err != nil {
-		var re *wire.RemoteError
-		if errors.As(err, &re) {
-			pl.put(sc)
-		} else {
-			sc.Close()
-		}
-		return err
-	}
-	pl.put(sc)
-	return nil
+	return r.call(addr, func(c *wire.Client) error { return c.MergeSeed(ms) })
 }
 
 // Stats aggregates the counter snapshots of every shard.
 func (r *Router) Stats() (wire.Stats, error) {
 	var agg wire.Stats
 	for _, addr := range r.cfg.Shards {
-		pl := r.poolFor(addr)
-		sc, err := pl.get()
-		if err != nil {
+		var st wire.Stats
+		if err := r.call(addr, func(c *wire.Client) (err error) {
+			st, err = c.Stats()
+			return err
+		}); err != nil {
 			return agg, fmt.Errorf("router: stats from %s: %w", addr, err)
 		}
-		st, err := wire.NewClient(sc).Stats()
-		if err != nil {
-			sc.Close()
-			return agg, fmt.Errorf("router: stats from %s: %w", addr, err)
-		}
-		pl.put(sc)
 		agg.Streams += st.Streams
 		agg.Samples += st.Samples
 		agg.Drifts += st.Drifts

@@ -83,9 +83,10 @@ type Config struct {
 
 // Server is one shard process's ingest server.
 type Server struct {
-	cfg   Config
-	fleet *edgedrift.Fleet
-	ln    net.Listener
+	cfg    Config
+	fleet  *edgedrift.Fleet
+	ln     net.Listener
+	inputs int // the template's sample width; every batch must match
 
 	mu         sync.Mutex
 	tombstones map[string]bool // migrated-out streams: never auto-recreate
@@ -134,9 +135,14 @@ func New(cfg Config) (*Server, error) {
 	}
 	// Validate the template once up front so a bad artifact fails at
 	// startup, not on the first stream.
-	if _, err := s.newMember(); err != nil {
+	tmpl, err := edgedrift.LoadMonitor(bytes.NewReader(cfg.Template))
+	if err == nil && cfg.Precision == edgedrift.Fixed16 {
+		_, err = tmpl.QuantizeQ16()
+	}
+	if err != nil {
 		return nil, fmt.Errorf("shard: bad template: %w", err)
 	}
+	s.inputs = tmpl.Model().Config().Inputs
 	if cfg.Pressure != nil {
 		interval := cfg.PressureInterval
 		if interval <= 0 {
@@ -413,11 +419,19 @@ func (s *Server) admit(c *wire.Conn, jobs chan job, j job) bool {
 
 // worker drains one connection's queue in FIFO order: per-connection
 // arrival order is the per-stream sample order, as with a local fleet.
+// A batch whose samples are not the template's width is answered with
+// an error frame, in order, and never reaches a member: every member
+// stage panics on a sample of the wrong width.
 func (s *Server) worker(c *wire.Conn, jobs chan job) {
 	var results []edgedrift.Result
 	var ack []byte
 	for j := range jobs {
 		s.queueDepth.Add(-1)
+		// The wire format gives every row of a batch one width.
+		if len(j.xs) > 0 && len(j.xs[0]) != s.inputs {
+			c.WriteFrame(wire.TypeError, []byte(fmt.Sprintf("shard: batch sample dimension %d, want %d", len(j.xs[0]), s.inputs)))
+			continue
+		}
 		start := time.Now()
 		var err error
 		results, err = s.fleet.ProcessBatchInto(results[:0], j.stream, j.xs)

@@ -463,3 +463,47 @@ func TestShardCohortRejectsQ16(t *testing.T) {
 		t.Fatal("Q16.16 shard with a cohort started")
 	}
 }
+
+// TestShardRejectsWrongWidthBatch pins the width check at ingest: a
+// batch narrower or wider than the template is answered with an error
+// frame — not a worker panic that kills the process (float members),
+// nor an ack scored on stale features (Q16.16 members) — and the
+// connection keeps serving correct batches, bit-identically to a local
+// replay that never saw the bad ones.
+func TestShardRejectsWrongWidthBatch(t *testing.T) {
+	template, stream := testTemplate(t)
+	for _, prec := range []edgedrift.Precision{edgedrift.Float64, edgedrift.Fixed16} {
+		t.Run(prec.String(), func(t *testing.T) {
+			_, addr := startShard(t, Config{Template: template, Precision: prec})
+			ref := referenceFleet(t, template, prec, "w")
+			cl, err := wire.DialClient(addr, 2*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			for off, width := range []int{2, 4} {
+				bad := make([][]float64, 5)
+				for i := range bad {
+					bad[i] = make([]float64, width)
+				}
+				_, _, err := cl.SendBatch(nil, "w", bad)
+				var re *wire.RemoteError
+				if !errors.As(err, &re) {
+					t.Fatalf("width %d batch: err = %v, want a RemoteError", width, err)
+				}
+				xs := stream[off*50 : (off+1)*50]
+				got, shed, err := cl.SendBatch(nil, "w", xs)
+				if err != nil || shed != 0 {
+					t.Fatalf("correct batch after width %d: err %v, shed %d", width, err, shed)
+				}
+				want, err := ref.ProcessBatch("w", xs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("results after a rejected width-%d batch diverge from local replay", width)
+				}
+			}
+		})
+	}
+}

@@ -79,11 +79,6 @@ func QuantileSorted(s []float64, q float64) float64 {
 	return s[lo]*(1-frac) + s[hi]*frac
 }
 
-// NormalCDF returns P(Z ≤ x) for a standard normal Z.
-func NormalCDF(x float64) float64 {
-	return 0.5 * math.Erfc(-x/math.Sqrt2)
-}
-
 // NormalQuantile returns the x with P(Z ≤ x) = p for a standard normal Z.
 // It panics for p outside (0, 1).
 func NormalQuantile(p float64) float64 {

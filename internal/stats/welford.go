@@ -32,14 +32,6 @@ func (r *Running) Var() float64 {
 	return r.m2 / float64(r.n)
 }
 
-// SampleVar returns the unbiased sample variance (0 with <2 observations).
-func (r *Running) SampleVar() float64 {
-	if r.n < 2 {
-		return 0
-	}
-	return r.m2 / float64(r.n-1)
-}
-
 // Std returns the population standard deviation.
 func (r *Running) Std() float64 { return math.Sqrt(r.Var()) }
 

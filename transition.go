@@ -118,11 +118,11 @@ func (m *Monitor) deriveAt(p Precision) (*Monitor, error) {
 // detect-only stage — the shared machinery behind both QuantizeQ16 (a
 // standalone port for split deployments) and Demote(Fixed16) (the same
 // port installed as the monitor's degraded twin).
-func (m *Monitor) deriveQ16() (*fixed.Stream, error) {
+func (m *Monitor) deriveQ16() (*fixed.Monitor, error) {
 	if !m.fit {
 		return nil, errors.New("edgedrift: QuantizeQ16 before Fit")
 	}
-	return fixed.NewStream(fixed.QuantizeDetector(m.det)), nil
+	return fixed.QuantizeDetector(m.det), nil
 }
 
 // adoptDegraded reattaches a deserialised twin to the monitor — the
@@ -137,7 +137,7 @@ func (m *Monitor) adoptDegraded(twin core.Streaming) error {
 		if m.opts.Precision != Float64 || t.opts.Precision != Float32 {
 			return fmt.Errorf("edgedrift: degraded twin precision %v under a %v origin", t.opts.Precision, m.opts.Precision)
 		}
-	case *fixed.Stream:
+	case *fixed.Monitor:
 		// Any float origin can carry a q16 twin.
 	default:
 		return fmt.Errorf("edgedrift: %T is not a degraded twin", twin)
