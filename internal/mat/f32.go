@@ -41,7 +41,9 @@ func DotF32(a, b []float32) float32 {
 		panic(ErrShape)
 	}
 	if f32SIMD && len(a) >= f32SIMDMinLen {
-		return dotF32Asm(&a[0], &b[0], len(a))
+		var s [4]float32
+		dotRowsF32Asm(&s[0], &a[0], 0, &b[0], len(a), 1)
+		return s[0]
 	}
 	return dotKernel(a, b)
 }
@@ -51,15 +53,37 @@ func MulVecF32(dst []float32, m *MatrixOf[float32], x []float32) {
 	if len(x) != m.Cols || len(dst) != m.Rows {
 		panic(ErrShape)
 	}
-	cols := m.Cols
-	if f32SIMD && cols >= f32SIMDMinLen {
+	mulVecRowsF32(dst, m.Data, x)
+}
+
+// mulVecRowsF32 sets dst[r] = row r of the row-major len(dst)×len(x)
+// slab w times x — MulVecF32's body, shared with MulBatchF32. The SIMD
+// kernel runs four rows per step. A row's result depends only on that
+// row and x, so the len(dst)%4 leftover rows come from rerunning the
+// last four rows as one step, or, under four rows, from one step per
+// row with a zero row stride.
+func mulVecRowsF32(dst, w, x []float32) {
+	cols := len(x)
+	if !f32SIMD || cols < f32SIMDMinLen {
 		for i := range dst {
-			dst[i] = dotF32Asm(&m.Data[i*cols], &x[0], cols)
+			dst[i] = dotKernel(w[i*cols:i*cols+cols], x)
 		}
 		return
 	}
-	for i := range dst {
-		dst[i] = dotKernel(m.Data[i*cols:i*cols+cols], x)
+	rows := len(dst)
+	g := rows / 4
+	var s [4]float32
+	if g == 0 {
+		for r := range dst {
+			dotRowsF32Asm(&s[0], &w[r*cols], 0, &x[0], cols, 1)
+			dst[r] = s[0]
+		}
+		return
+	}
+	dotRowsF32Asm(&dst[0], &w[0], cols, &x[0], cols, g)
+	if rem := rows - 4*g; rem > 0 {
+		dotRowsF32Asm(&s[0], &w[(rows-4)*cols], cols, &x[0], cols, 1)
+		copy(dst[4*g:], s[4-rem:])
 	}
 }
 
@@ -74,19 +98,14 @@ func MulVecTransF32(dst []float32, m *MatrixOf[float32], x []float32) {
 		MulVecTrans(dst, m, x)
 		return
 	}
-	for j := range dst {
-		dst[j] = 0
-	}
+	clear(dst)
 	cols := m.Cols
 	n := m.Rows
-	n4 := n &^ 3
-	var s [4]float32
-	var i int
-	for ; i < n4; i += 4 {
-		s[0], s[1], s[2], s[3] = x[i], x[i+1], x[i+2], x[i+3]
-		axpy4F32Asm(&dst[0], &m.Data[i*cols], cols, &s, cols)
+	g := n / 4
+	if g > 0 {
+		axpyRowsF32Asm(&dst[0], &m.Data[0], cols, &x[0], cols, g)
 	}
-	for ; i < n; i++ {
+	for i := 4 * g; i < n; i++ {
 		xi := x[i]
 		if xi == 0 {
 			continue
@@ -95,32 +114,23 @@ func MulVecTransF32(dst []float32, m *MatrixOf[float32], x []float32) {
 	}
 }
 
-// MulBatchF32 is the float32 MulBatch: dst = a·bᵀ, each element the same
-// dot kernel MulVecF32 runs per row, blocked so a block of a's rows is
-// L1-resident while each b row streams once per block.
+// MulBatchF32 is the float32 batched hidden-layer pass: dst = a·bᵀ,
+// each row of dst the same mulVecRowsF32 MulVecF32 runs, blocked like
+// MulBatchRows so a block of a's rows is L1-resident while each block
+// of b's rows streams once per block.
 func MulBatchF32(dst, a, b *MatrixOf[float32]) {
 	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic(ErrShape)
 	}
 	dc := dst.Cols
 	cols := a.Cols
-	simd := f32SIMD && cols >= f32SIMDMinLen
 	for i0 := 0; i0 < a.Rows; i0 += batchRowBlock {
-		i1 := i0 + batchRowBlock
-		if i1 > a.Rows {
-			i1 = a.Rows
-		}
-		for j := 0; j < b.Rows; j++ {
-			if simd {
-				brow := &b.Data[j*cols]
-				for i := i0; i < i1; i++ {
-					dst.Data[i*dc+j] = dotF32Asm(brow, &a.Data[i*cols], cols)
-				}
-				continue
-			}
-			brow := b.Row(j)
+		i1 := min(i0+batchRowBlock, a.Rows)
+		for j0 := 0; j0 < b.Rows; j0 += batchRowBlock {
+			j1 := min(j0+batchRowBlock, b.Rows)
+			w := b.Data[j0*cols : j1*cols]
 			for i := i0; i < i1; i++ {
-				dst.Data[i*dc+j] = dotKernel(brow, a.Row(i))
+				mulVecRowsF32(dst.Data[i*dc+j0:i*dc+j1], w, a.Row(i))
 			}
 		}
 	}

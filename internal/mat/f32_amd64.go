@@ -10,10 +10,10 @@ package mat
 // even on capable hardware.
 
 //go:noescape
-func dotF32Asm(a, b *float32, n int) float32
+func dotRowsF32Asm(dst, w *float32, ldw int, x *float32, n, groups int)
 
 //go:noescape
-func axpy4F32Asm(dst, b *float32, ldb int, s *[4]float32, n int)
+func axpyRowsF32Asm(dst, b *float32, ldb int, x *float32, n, groups int)
 
 //go:noescape
 func axpy1F32Asm(dst, b *float32, s float32, n int)

@@ -7,12 +7,12 @@ package mat
 // dispatchers in f32.go compiling on every GOARCH (the ROADMAP's ARM
 // cross-build included).
 
-func dotF32Asm(a, b *float32, n int) float32 {
-	panic("mat: dotF32Asm called without SIMD support")
+func dotRowsF32Asm(dst, w *float32, ldw int, x *float32, n, groups int) {
+	panic("mat: dotRowsF32Asm called without SIMD support")
 }
 
-func axpy4F32Asm(dst, b *float32, ldb int, s *[4]float32, n int) {
-	panic("mat: axpy4F32Asm called without SIMD support")
+func axpyRowsF32Asm(dst, b *float32, ldb int, x *float32, n, groups int) {
+	panic("mat: axpyRowsF32Asm called without SIMD support")
 }
 
 func axpy1F32Asm(dst, b *float32, s float32, n int) {

@@ -42,6 +42,19 @@ var parityShapes = []struct{ n, d, h int }{
 	{65, 63, 129},
 }
 
+// simdShapes is parityShapes plus every h×d in 1..9 × 1..17 (n=3): each
+// side of the SIMD kernels' four-row grouping, lane width, tail masks
+// and minimum lengths.
+func simdShapes() []struct{ n, d, h int } {
+	shapes := append([]struct{ n, d, h int }(nil), parityShapes...)
+	for h := 1; h <= 9; h++ {
+		for d := 1; d <= 17; d++ {
+			shapes = append(shapes, struct{ n, d, h int }{3, d, h})
+		}
+	}
+	return shapes
+}
+
 func fillRand[E Element](rng *rand.Rand, data []E) {
 	for i := range data {
 		// Sprinkle exact zeros so the zero-skip scalar tails are hit.
@@ -173,7 +186,7 @@ func TestF32SIMDKernelsMatchScalar(t *testing.T) {
 	}
 	defer func() { f32SIMD = true }()
 	rng := rand.New(rand.NewSource(6))
-	for _, s := range parityShapes {
+	for _, s := range simdShapes() {
 		w := randomOf[float32](rng, s.h, s.d)
 		x := make([]float32, s.d)
 		fillRand(rng, x)
@@ -219,7 +232,7 @@ func TestF32SIMDKernelsMatchScalar(t *testing.T) {
 func TestF32BatchMatchesPerSample(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	run := func(t *testing.T) {
-		for _, s := range parityShapes {
+		for _, s := range simdShapes() {
 			a := randomOf[float32](rng, s.n, s.d)
 			w := randomOf[float32](rng, s.h, s.d)
 			batch := NewOf[float32](s.n, s.h)
