@@ -119,8 +119,8 @@ func runPrecision(args []string) int {
 		}
 	}
 
-	fmt.Printf("precision: %d-sample NSL-KDD replay, best of %d after warm-up (f32 SIMD: %v)\n",
-		len(ds.TestX), *repeat, mat.F32SIMD())
+	fmt.Printf("precision: %d-sample NSL-KDD replay, best of %d after warm-up (f64 SIMD: %v, f32 SIMD: %v)\n",
+		len(ds.TestX), *repeat, mat.F64SIMD(), mat.F32SIMD())
 	base := rows[0].SamplesPerSec // f64 per-sample
 	for _, r := range rows {
 		fmt.Printf("%-4s batch=%-3d %12.0f samples/s  %6.2fx f64  %8.1f kB retained\n",
@@ -131,6 +131,7 @@ func runPrecision(args []string) int {
 		sum := precisionSummary{
 			Samples:  len(ds.TestX),
 			Repeat:   *repeat,
+			F64SIMD:  mat.F64SIMD(),
 			F32SIMD:  mat.F32SIMD(),
 			Backends: rows,
 		}
@@ -162,6 +163,7 @@ type precisionRow struct {
 type precisionSummary struct {
 	Samples  int            `json:"samples"`
 	Repeat   int            `json:"repeat"`
+	F64SIMD  bool           `json:"f64_simd_kernels"`
 	F32SIMD  bool           `json:"f32_simd"`
 	Backends []precisionRow `json:"backends"`
 }

@@ -193,29 +193,6 @@ func BenchmarkMulBatchRows(b *testing.B) {
 	}
 }
 
-// BenchmarkDotF32 measures the float32 dot kernel with the SIMD
-// dispatch as built (see the f32simd suffix for what ran).
-func BenchmarkDotF32(b *testing.B) {
-	for _, n := range []int{22, 128, 511} {
-		b.Run(fmt.Sprintf("N%d/f32simd=%v", n, F32SIMD()), func(b *testing.B) {
-			r := rng.New(1)
-			x := make([]float32, n)
-			y := make([]float32, n)
-			for i := range x {
-				x[i] = float32(r.Float64()*2 - 1)
-				y[i] = float32(r.Float64()*2 - 1)
-			}
-			b.SetBytes(int64(4 * n))
-			b.ResetTimer()
-			var s float32
-			for i := 0; i < b.N; i++ {
-				s += DotF32(x, y)
-			}
-			sinkFloat32 = s
-		})
-	}
-}
-
 // BenchmarkMulBatchF32 is the float32 hidden-layer GEMM (dst = xs·wᵀ)
 // of the batched scoring path; ns/op is per sample.
 func BenchmarkMulBatchF32(b *testing.B) {
@@ -243,4 +220,3 @@ func BenchmarkMulBatchF32(b *testing.B) {
 
 // sinkFloat defeats dead-code elimination in value-returning benches.
 var sinkFloat float64
-var sinkFloat32 float32

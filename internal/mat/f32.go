@@ -8,19 +8,17 @@ package mat
 // them and fall back to the shared generic kernels everywhere else
 // (including the GOARCH=arm cross-build and pre-AVX2 amd64).
 //
-// The functions are deliberately non-generic: dispatching inside the
-// generic kernels on the element type would box slice headers through
-// interfaces and break the zero-allocation contract of the scoring hot
-// path.
-//
-// Numerically the SIMD kernels fuse multiply-adds and use wider
-// accumulator trees than the scalar reference, so float32 results are
-// CPU-feature-dependent within the usual accumulation-error envelope
-// (the f32 backend's tests are tolerance-based for exactly this
-// reason). What is guaranteed — and what the batch path relies on — is
-// self-consistency: the per-sample and batched entry points below share
-// one kernel per operation, so batched f32 scores are bit-identical to
-// per-sample f32 scores on any given machine.
+// They are separate entry points, not a dispatch inside the generic
+// kernels as the float64 path does (f64.go), because their results
+// differ from the generic kernels': the SIMD kernels fuse multiply-adds
+// and use wider accumulator trees than the scalar reference, so float32
+// results are CPU-feature-dependent within the usual accumulation-error
+// envelope (the f32 backend's tests are tolerance-based for exactly this
+// reason). Callers opt in by choosing the F32 names. What is guaranteed
+// — and what the batch path relies on — is self-consistency: the
+// per-sample and batched entry points below share one kernel per
+// operation, so batched f32 scores are bit-identical to per-sample f32
+// scores on any given machine.
 
 // f32SIMD reports whether the AVX2+FMA kernels are usable on this CPU.
 // Set once at init by the amd64 feature probe; never true elsewhere.
@@ -34,19 +32,6 @@ func F32SIMD() bool { return f32SIMD }
 // f32SIMDMinLen is the vector length below which the scalar kernel wins:
 // under one 8-lane step the asm call is all prologue and tail.
 const f32SIMDMinLen = 8
-
-// DotF32 returns the inner product of a and b (equal lengths).
-func DotF32(a, b []float32) float32 {
-	if len(a) != len(b) {
-		panic(ErrShape)
-	}
-	if f32SIMD && len(a) >= f32SIMDMinLen {
-		var s [4]float32
-		dotRowsF32Asm(&s[0], &a[0], 0, &b[0], len(a), 1)
-		return s[0]
-	}
-	return dotKernel(a, b)
-}
 
 // MulVecF32 computes dst = m·x — the float32 MulVec with SIMD row dots.
 func MulVecF32(dst []float32, m *MatrixOf[float32], x []float32) {

@@ -2,12 +2,12 @@
 
 package mat
 
-// AVX2+FMA feature probe. The asm kernels need AVX2 (256-bit integer-free
-// float ops are AVX1, but VBROADCASTSS from register and the FMA forms we
-// emit assume the AVX2+FMA pairing every AVX2 part ships), FMA3, and —
-// critically — OS support for saving the YMM state (OSXSAVE set and
-// XCR0[2:1] == 11b), without which executing a VEX.256 instruction faults
-// even on capable hardware.
+// CPU feature probe for both SIMD kernel sets. Executing a VEX.256
+// instruction faults unless the OS saves the YMM state (OSXSAVE set and
+// XCR0[2:1] == 11b), even on capable hardware, so both gates start
+// there. The float64 kernels (f64_amd64.s) use AVX alone: VMULPD,
+// VADDPD and VBROADCASTSD from memory. The float32 kernels also use
+// FMA3, and their gate additionally requires AVX2.
 
 //go:noescape
 func dotRowsF32Asm(dst, w *float32, ldw int, x *float32, n, groups int)
@@ -24,7 +24,7 @@ func xgetbv0Asm() (eax, edx uint32)
 
 func init() {
 	maxLeaf, _, _, _ := cpuidAsm(0, 0)
-	if maxLeaf < 7 {
+	if maxLeaf < 1 {
 		return
 	}
 	_, _, c, _ := cpuidAsm(1, 0)
@@ -33,11 +33,15 @@ func init() {
 		osxsaveBit = 1 << 27
 		avxBit     = 1 << 28
 	)
-	if c&fmaBit == 0 || c&osxsaveBit == 0 || c&avxBit == 0 {
+	if c&osxsaveBit == 0 || c&avxBit == 0 {
 		return
 	}
 	xcr0, _ := xgetbv0Asm()
 	if xcr0&6 != 6 { // XMM and YMM state enabled by the OS
+		return
+	}
+	f64SIMD = true
+	if maxLeaf < 7 || c&fmaBit == 0 {
 		return
 	}
 	_, b, _, _ := cpuidAsm(7, 0)

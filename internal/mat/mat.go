@@ -18,6 +18,15 @@
 // internal/fixed. The dense solvers (Inverse, Cholesky) intentionally
 // stay float64-only: they exist for initialisation and covariance
 // conditioning, which the precision axis never moves off float64.
+//
+// Two hand-written SIMD paths sit under the generic layer on amd64.
+// The float64 kernels the scoring and RLS path calls (MulVec,
+// MulVecTrans, Dot, AddScaledOuter and the batch forms) dispatch
+// internally to AVX assembly that is bit-identical to the Go loops
+// (f64.go); the float32 F32-suffixed entry points use AVX2+FMA and
+// match the Go loops only within rounding (f32.go). Every product that
+// feeds an add in this package is written E(x*y), so no architecture
+// may fuse it into a multiply-add and round differently.
 package mat
 
 import (
@@ -173,8 +182,8 @@ func Mul[E Element](dst, a, b *MatrixOf[E]) {
 				panic(ErrShape) // unreachable; hoists the bounds checks
 			}
 			for j := range drow {
-				s := drow[j] + (a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j])
-				drow[j] = s + (a4*b4[j] + a5*b5[j] + a6*b6[j] + a7*b7[j])
+				s := drow[j] + (E(a0*b0[j]) + E(a1*b1[j]) + E(a2*b2[j]) + E(a3*b3[j]))
+				drow[j] = s + (E(a4*b4[j]) + E(a5*b5[j]) + E(a6*b6[j]) + E(a7*b7[j]))
 			}
 		}
 		for ; k < n4; k += 4 {
@@ -187,7 +196,7 @@ func Mul[E Element](dst, a, b *MatrixOf[E]) {
 				panic(ErrShape) // unreachable; hoists the bounds checks
 			}
 			for j := range drow {
-				drow[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
+				drow[j] += E(a0*b0[j]) + E(a1*b1[j]) + E(a2*b2[j]) + E(a3*b3[j])
 			}
 		}
 		for ; k < n; k++ {
@@ -197,7 +206,7 @@ func Mul[E Element](dst, a, b *MatrixOf[E]) {
 			}
 			brow := b.Row(k)
 			for j, bv := range brow {
-				drow[j] += av * bv
+				drow[j] += E(av * bv)
 			}
 		}
 	}
@@ -235,8 +244,8 @@ func MulTransA[E Element](dst, a, b *MatrixOf[E]) {
 				panic(ErrShape) // unreachable; hoists the bounds checks
 			}
 			for j := range drow {
-				s := drow[j] + (v0*b0[j] + v1*b1[j] + v2*b2[j] + v3*b3[j])
-				drow[j] = s + (v4*b4[j] + v5*b5[j] + v6*b6[j] + v7*b7[j])
+				s := drow[j] + (E(v0*b0[j]) + E(v1*b1[j]) + E(v2*b2[j]) + E(v3*b3[j]))
+				drow[j] = s + (E(v4*b4[j]) + E(v5*b5[j]) + E(v6*b6[j]) + E(v7*b7[j]))
 			}
 		}
 	}
@@ -250,7 +259,7 @@ func MulTransA[E Element](dst, a, b *MatrixOf[E]) {
 				panic(ErrShape) // unreachable; hoists the bounds checks
 			}
 			for j := range drow {
-				drow[j] += v0*b0[j] + v1*b1[j] + v2*b2[j] + v3*b3[j]
+				drow[j] += E(v0*b0[j]) + E(v1*b1[j]) + E(v2*b2[j]) + E(v3*b3[j])
 			}
 		}
 	}
@@ -263,7 +272,7 @@ func MulTransA[E Element](dst, a, b *MatrixOf[E]) {
 			}
 			drow := dst.Row(i)
 			for j, bv := range brow {
-				drow[j] += av * bv
+				drow[j] += E(av * bv)
 			}
 		}
 	}
@@ -276,9 +285,19 @@ func MulVec[E Element](dst []E, m *MatrixOf[E], x []E) {
 	if len(x) != m.Cols || len(dst) != m.Rows {
 		panic(ErrShape)
 	}
-	cols := m.Cols
+	mulVecRows(dst, m.Data, x)
+}
+
+// mulVecRows sets dst[r] = dotKernel(row r of w, x) for the row-major
+// len(dst)×len(x) slab w — MulVec's body, shared with MulBatchRows.
+func mulVecRows[E Element](dst, w, x []E) {
+	if useF64SIMD[E](len(x)) {
+		mulVecF64(f64View(dst), f64View(w), f64View(x))
+		return
+	}
+	cols := len(x)
 	for i := range dst {
-		dst[i] = dotKernel(m.Data[i*cols:i*cols+cols], x)
+		dst[i] = dotKernel(w[i*cols:i*cols+cols], x)
 	}
 }
 
@@ -288,6 +307,10 @@ func MulVec[E Element](dst []E, m *MatrixOf[E], x []E) {
 func MulVecTrans[E Element](dst []E, m *MatrixOf[E], x []E) {
 	if len(x) != m.Rows || len(dst) != m.Cols {
 		panic(ErrShape)
+	}
+	if useF64SIMD[E](m.Cols) {
+		mulVecTransF64(f64View(dst), f64View(m.Data), f64View(x))
+		return
 	}
 	for j := range dst {
 		dst[j] = 0
@@ -306,7 +329,7 @@ func MulVecTrans[E Element](dst []E, m *MatrixOf[E], x []E) {
 			panic(ErrShape) // unreachable; hoists the bounds checks
 		}
 		for j := range dst {
-			dst[j] += x0*r0[j] + x1*r1[j] + x2*r2[j] + x3*r3[j]
+			dst[j] += E(x0*r0[j]) + E(x1*r1[j]) + E(x2*r2[j]) + E(x3*r3[j])
 		}
 	}
 	for ; i < n; i++ {
@@ -316,7 +339,7 @@ func MulVecTrans[E Element](dst []E, m *MatrixOf[E], x []E) {
 		}
 		row := m.Row(i)
 		for j, v := range row {
-			dst[j] += xi * v
+			dst[j] += E(xi * v)
 		}
 	}
 }
@@ -331,6 +354,10 @@ func MulVecTrans[E Element](dst []E, m *MatrixOf[E], x []E) {
 func (m *MatrixOf[E]) AddScaledOuter(s E, u, v []E) {
 	if len(u) != m.Rows || len(v) != m.Cols {
 		panic(ErrShape)
+	}
+	if useF64SIMD[E](m.Cols) {
+		addScaledOuterF64(f64View(m.Data), float64(s), f64View(u), f64View(v))
+		return
 	}
 	cols := m.Cols
 	n := len(u)
@@ -347,10 +374,10 @@ func (m *MatrixOf[E]) AddScaledOuter(s E, u, v []E) {
 		}
 		for j := range r0 {
 			vv := v[j]
-			r0[j] += s0 * vv
-			r1[j] += s1 * vv
-			r2[j] += s2 * vv
-			r3[j] += s3 * vv
+			r0[j] += E(s0 * vv)
+			r1[j] += E(s1 * vv)
+			r2[j] += E(s2 * vv)
+			r3[j] += E(s3 * vv)
 		}
 	}
 	for ; i < n; i++ {
@@ -360,21 +387,9 @@ func (m *MatrixOf[E]) AddScaledOuter(s E, u, v []E) {
 		}
 		row := m.Row(i)
 		for j, vv := range v {
-			row[j] += su * vv
+			row[j] += E(su * vv)
 		}
 	}
-}
-
-// QuadForm returns xᵀ·m·x for the square matrix m.
-func (m *MatrixOf[E]) QuadForm(x []E) E {
-	if m.Rows != m.Cols || len(x) != m.Rows {
-		panic(ErrShape)
-	}
-	var total E
-	for i := 0; i < m.Rows; i++ {
-		total += x[i] * dotKernel(m.Row(i), x)
-	}
-	return total
 }
 
 // Inverse computes the inverse of the square matrix a into dst using
@@ -446,7 +461,7 @@ func scaleRow(m *Matrix, i int, s float64) {
 func axpyRow(m *Matrix, i, j int, f float64) {
 	ri, rj := m.Row(i), m.Row(j)
 	for k := range ri {
-		ri[k] += f * rj[k]
+		ri[k] += float64(f * rj[k])
 	}
 }
 
@@ -467,7 +482,7 @@ func Cholesky(dst, a *Matrix) error {
 		d := l.At(j, j)
 		for k := 0; k < j; k++ {
 			v := l.At(j, k)
-			d -= v * v
+			d -= float64(v * v)
 		}
 		if d <= 0 {
 			return ErrSingular
@@ -478,7 +493,7 @@ func Cholesky(dst, a *Matrix) error {
 		for i := j + 1; i < n; i++ {
 			s := l.At(i, j)
 			for k := 0; k < j; k++ {
-				s -= l.At(i, k) * l.At(j, k)
+				s -= float64(l.At(i, k) * l.At(j, k))
 			}
 			l.Set(i, j, s*inv)
 		}
@@ -490,36 +505,6 @@ func Cholesky(dst, a *Matrix) error {
 		}
 	}
 	return nil
-}
-
-// CholeskySolveVec solves (L·Lᵀ)·x = b given the Cholesky factor L,
-// writing x into dst. dst and b may alias.
-func CholeskySolveVec(dst []float64, l *Matrix, b []float64) {
-	n := l.Rows
-	if len(b) != n || len(dst) != n {
-		panic(ErrShape)
-	}
-	// Forward substitution: L·y = b.
-	y := dst
-	if &y[0] != &b[0] {
-		copy(y, b)
-	}
-	for i := 0; i < n; i++ {
-		s := y[i]
-		row := l.Row(i)
-		for k := 0; k < i; k++ {
-			s -= row[k] * y[k]
-		}
-		y[i] = s / row[i]
-	}
-	// Back substitution: Lᵀ·x = y.
-	for i := n - 1; i >= 0; i-- {
-		s := y[i]
-		for k := i + 1; k < n; k++ {
-			s -= l.At(k, i) * y[k]
-		}
-		y[i] = s / l.At(i, i)
-	}
 }
 
 // RidgeGram computes dst = aᵀ·a + λ·I, the regularised Gram matrix used to
@@ -564,7 +549,7 @@ func (m *MatrixOf[E]) Trace() float64 {
 func (m *MatrixOf[E]) FrobeniusNorm() float64 {
 	var s float64
 	for _, v := range m.Data {
-		s += float64(v) * float64(v)
+		s += float64(float64(v) * float64(v))
 	}
 	return math.Sqrt(s)
 }

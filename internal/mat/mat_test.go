@@ -236,45 +236,12 @@ func TestCholeskyRejectsIndefinite(t *testing.T) {
 	}
 }
 
-func TestCholeskySolveMatchesInverse(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	n := 6
-	spd := randomSPD(rng, n)
-	l := New(n, n)
-	if err := Cholesky(l, spd); err != nil {
-		t.Fatal(err)
-	}
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	x := make([]float64, n)
-	CholeskySolveVec(x, l, b)
-	// Check spd·x ≈ b.
-	chk := make([]float64, n)
-	MulVec(chk, spd, x)
-	for i := range b {
-		if !almostEqual(chk[i], b[i], 1e-8) {
-			t.Fatalf("solve residual at %d: %v vs %v", i, chk[i], b[i])
-		}
-	}
-}
-
 func TestAddScaledOuter(t *testing.T) {
 	m := New(2, 3)
 	m.AddScaledOuter(2, []float64{1, -1}, []float64{1, 2, 3})
 	want := NewFromData(2, 3, []float64{2, 4, 6, -2, -4, -6})
 	if MaxAbsDiff(m, want) > tol {
 		t.Fatalf("outer update = %v, want %v", m, want)
-	}
-}
-
-func TestQuadForm(t *testing.T) {
-	m := NewFromData(2, 2, []float64{2, 1, 1, 3})
-	x := []float64{1, -2}
-	// xᵀmx = 2 - 2 - 2 + 12 = 10
-	if got := m.QuadForm(x); !almostEqual(got, 10, tol) {
-		t.Fatalf("QuadForm = %v, want 10", got)
 	}
 }
 

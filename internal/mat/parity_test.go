@@ -1,28 +1,42 @@
 package mat
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 )
 
 // Parity tests for the cache-blocked and batched kernels against the
-// reference implementations at the end of this file, and for the SIMD float32 kernels
-// against the generic scalar path.
+// reference implementations at the end of this file, for the float64
+// SIMD kernels against the generic Go path, and for the SIMD float32
+// kernels against the generic scalar path.
 //
 // Exactness tiers:
 //   - Blocked Mul/MulTransA vs refMul/refMulTransA: bit-identical at
 //     float64 AND float32 — the 8-wide pass is written as two 4-term
 //     statements, preserving the reference association exactly.
-//   - MulBatch/MulBatchRows vs refMulBatch: bit-identical at both float
-//     types — every element is the same dotKernel call.
+//   - MulBatchRows vs refMulBatch and vs per-sample MulVec:
+//     bit-identical at both float types — every element is the same
+//     dot product.
 //   - MulVecBatchQ16 vs MulVecQ16: bit-identical — DotQ16 accumulates in
 //     int64 and saturates once, so per-element order never changes.
+//   - SIMD f64 kernels (f64SIMD on) vs the generic Go code (f64SIMD
+//     off): Float64bits-identical for every dispatched kernel, on every
+//     input including ±0, subnormals, ±Inf, NaN and 1e±300 magnitudes —
+//     same operations, same association, no FMA. The one thing IEEE 754
+//     leaves open is which payload a NaN result carries when two NaNs
+//     with different payloads meet; x86 returns the first operand's and
+//     the Go compiler picks operand order per statement. Inputs whose
+//     NaNs all carry x86's default payload make every NaN in the
+//     computation the same bits, so the strict run compares all bits;
+//     a second run with Go's NaN payload also compares all bits except
+//     that a NaN result only has to be NaN on both sides.
 //   - SIMD f32 kernels vs generic scalar: tolerance-based — FMA and wide
 //     accumulator trees legitimately round differently. The tolerance is
 //     scaled to float32 accumulation error over the vector length.
-//   - SIMD batch vs SIMD per-sample: bit-identical — both entry points
-//     run the same asm kernel per element.
+//   - SIMD batch vs SIMD per-sample: bit-identical at both float types —
+//     both entry points run the same asm kernel per element.
 
 // parityShapes covers the awkward cases: single-element dims, exact
 // multiples of the 4- and 8-wide blocking, one-off-a-multiple (ragged
@@ -109,17 +123,11 @@ func testMulBatchParity[E Element](t *testing.T, seed int64) {
 	for _, s := range parityShapes {
 		a := randomOf[E](rng, s.n, s.d)
 		w := randomOf[E](rng, s.h, s.d)
-		got := NewOf[E](s.n, s.h)
 		want := NewOf[E](s.n, s.h)
-		MulBatch(got, a, w)
 		refMulBatch(want, a, w)
-		requireBitEqual(t, got.Data, want.Data, "MulBatch")
 
 		// Rows form, and per-sample MulVec equivalence.
-		xs := make([][]E, s.n)
-		for i := range xs {
-			xs[i] = a.Row(i)
-		}
+		xs := rowsOf(a)
 		gotRows := NewOf[E](s.n, s.h)
 		MulBatchRows(gotRows, xs, w)
 		requireBitEqual(t, gotRows.Data, want.Data, "MulBatchRows")
@@ -130,6 +138,15 @@ func testMulBatchParity[E Element](t *testing.T, seed int64) {
 			requireBitEqual(t, gotRows.Row(i), per, "MulBatchRows vs MulVec")
 		}
 	}
+}
+
+// rowsOf returns views of m's rows.
+func rowsOf[E Element](m *MatrixOf[E]) [][]E {
+	xs := make([][]E, m.Rows)
+	for i := range xs {
+		xs[i] = m.Row(i)
+	}
+	return xs
 }
 
 func TestMulBatchMatchesReferenceF64(t *testing.T) { testMulBatchParity[float64](t, 3) }
@@ -157,10 +174,175 @@ func TestMulBlockedPropertyRandomShapes(t *testing.T) {
 		requireBitEqual(t, got.Data, want.Data, "MulTransA(property)")
 
 		w := randomOf[float64](rng, h, d)
-		MulBatch(got, a, w)
+		MulBatchRows(got, rowsOf(a), w)
 		refMulBatch(want, a, w)
-		requireBitEqual(t, got.Data, want.Data, "MulBatch(property)")
+		requireBitEqual(t, got.Data, want.Data, "MulBatchRows(property)")
 	}
+}
+
+// x86NaN is the quiet NaN x86 produces for an invalid operation such as
+// ∞·0 or ∞−∞ (sign set, zero payload). Inputs that use it as their only
+// NaN keep every NaN in a computation at one bit pattern.
+var x86NaN = math.Float64frombits(0xfff8000000000000)
+
+// f64Regime fills a float64 input for the SIMD parity test.
+type f64Regime struct {
+	name   string
+	strict bool // NaN results must match bit for bit, not just be NaN
+	fill   func(rng *rand.Rand, data []float64)
+}
+
+// specialsFill returns a fill that sprinkles specials among normals and
+// exact zeros of both signs, at a rate of about 1 in every.
+func specialsFill(specials []float64, every int) func(*rand.Rand, []float64) {
+	return func(rng *rand.Rand, data []float64) {
+		for i := range data {
+			switch {
+			case rng.Intn(8) == 0:
+				data[i] = math.Copysign(0, float64(rng.Intn(2)*2-1))
+			case rng.Intn(every) == 0:
+				data[i] = specials[rng.Intn(len(specials))]
+			default:
+				data[i] = rng.NormFloat64()
+			}
+		}
+	}
+}
+
+var f64Regimes = []f64Regime{
+	{"normal", true, specialsFill([]float64{0}, 1<<30)},
+	{"magnitudes", true, func(rng *rand.Rand, data []float64) {
+		// 1e±300 overflow to ±Inf and underflow through the subnormals.
+		for i := range data {
+			data[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(601)-300))
+			if rng.Intn(8) == 0 {
+				data[i] = 0
+			}
+		}
+	}},
+	{"subnormal", true, specialsFill([]float64{
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		0x1p-1030, -0x1p-1040, 0x1p-1022 - 0x1p-1074,
+	}, 2)},
+	{"specials", true, specialsFill([]float64{
+		math.Inf(1), math.Inf(-1), x86NaN, 1e300, -1e300, 1e-300, -1e-300, 5e-324,
+	}, 16)},
+	{"go-nan", false, specialsFill([]float64{
+		math.Inf(1), math.Inf(-1), math.NaN(), 1e300, -1e-300,
+	}, 16)},
+}
+
+func requireBitsEqual(t *testing.T, got, want []float64, strict bool, what string) {
+	t.Helper()
+	for i := range want {
+		g, w := math.Float64bits(got[i]), math.Float64bits(want[i])
+		if g == w || !strict && math.IsNaN(got[i]) && math.IsNaN(want[i]) {
+			continue
+		}
+		t.Fatalf("%s: element %d = %v (%#016x), want %v (%#016x)", what, i, got[i], g, want[i], w)
+	}
+}
+
+// f64KernelOutputs runs every float64 kernel that dispatches to the SIMD
+// path on one rows×cols weight matrix and returns their outputs in
+// order: Dot, MulVec, MulVecTrans, AddScaledOuter, MulBatchRows and
+// MulBatchTrans.
+func f64KernelOutputs(w *Matrix, x, xh, u, v []float64, s float64, a *Matrix) [][]float64 {
+	rows, cols, n := w.Rows, w.Cols, a.Rows
+	dot := []float64{Dot(w.Row(0), x), Dot(x, x)}
+	mv := make([]float64, rows)
+	MulVec(mv, w, x)
+	mvt := make([]float64, cols)
+	MulVecTrans(mvt, w, xh)
+	outer := w.Clone()
+	outer.AddScaledOuter(s, u, v)
+	batch := New(n, rows)
+	xs := make([][]float64, n)
+	for i := range xs {
+		xs[i] = x
+		if i%2 == 1 {
+			xs[i] = v
+		}
+	}
+	MulBatchRows(batch, xs, w)
+	batchT := New(n, cols)
+	MulBatchTrans(batchT, a, w)
+	return [][]float64{dot, mv, mvt, outer.Data, batch.Data, batchT.Data}
+}
+
+var f64KernelNames = []string{"Dot", "MulVec", "MulVecTrans", "AddScaledOuter", "MulBatchRows", "MulBatchTrans"}
+
+// TestF64SIMDMatchesGo pins the float64 SIMD contract: every dispatched
+// kernel returns exactly the bits of the generic Go code, across
+// simdShapes.
+func TestF64SIMDMatchesGo(t *testing.T) {
+	if !f64SIMD {
+		t.Skip("float64 SIMD kernels not available on this CPU")
+	}
+	defer func() { f64SIMD = true }()
+	rng := rand.New(rand.NewSource(9))
+	for _, reg := range f64Regimes {
+		for _, sh := range simdShapes() {
+			w := New(sh.h, sh.d)
+			reg.fill(rng, w.Data)
+			x, v := make([]float64, sh.d), make([]float64, sh.d)
+			xh, u := make([]float64, sh.h), make([]float64, sh.h)
+			a := New(sh.n, sh.h)
+			for _, d := range [][]float64{x, v, xh, u, a.Data} {
+				reg.fill(rng, d)
+			}
+			// Zero-skip rows: the last row of every 4-row remainder.
+			if sh.h%4 != 0 {
+				xh[sh.h-1] = math.Copysign(0, -1)
+				u[sh.h-1] = 0
+			}
+			scale := []float64{1, -0.5, 1e-300, 0}[rng.Intn(4)]
+
+			f64SIMD = true
+			got := f64KernelOutputs(w, x, xh, u, v, scale, a)
+			f64SIMD = false
+			want := f64KernelOutputs(w, x, xh, u, v, scale, a)
+			f64SIMD = true
+			for k := range want {
+				what := fmt.Sprintf("%s %s n=%d %dx%d", reg.name, f64KernelNames[k], sh.n, sh.h, sh.d)
+				requireBitsEqual(t, got[k], want[k], reg.strict, what)
+			}
+		}
+	}
+}
+
+// TestF64KernelsZeroAlloc pins that dispatching a float64 kernel to the
+// SIMD path (through unsafe.Slice views and stack accumulators)
+// allocates nothing, at the fan shape (D=511, H=22).
+func TestF64KernelsZeroAlloc(t *testing.T) {
+	const d, h, n = 511, 22, 8
+	w := New(h, d)
+	fillRand(rand.New(rand.NewSource(10)), w.Data)
+	x, v := make([]float64, d), make([]float64, d)
+	xh, u := make([]float64, h), make([]float64, h)
+	mv, mvt := make([]float64, h), make([]float64, d)
+	a, batch, batchT := New(n, h), New(n, h), New(n, d)
+	xs := make([][]float64, n)
+	for i := range xs {
+		xs[i] = x
+	}
+	var sink float64
+	for _, k := range []struct {
+		name string
+		fn   func()
+	}{
+		{"Dot", func() { sink += Dot(x, v) }},
+		{"MulVec", func() { MulVec(mv, w, x) }},
+		{"MulVecTrans", func() { MulVecTrans(mvt, w, xh) }},
+		{"AddScaledOuter", func() { w.AddScaledOuter(0, u, v) }},
+		{"MulBatchRows", func() { MulBatchRows(batch, xs, w) }},
+		{"MulBatchTrans", func() { MulBatchTrans(batchT, a, w) }},
+	} {
+		if allocs := testing.AllocsPerRun(20, k.fn); allocs != 0 {
+			t.Errorf("%s (f64SIMD=%v): %v allocs/op, want 0", k.name, f64SIMD, allocs)
+		}
+	}
+	sinkFloat = sink
 }
 
 // f32Tol returns the comparison tolerance for SIMD-vs-scalar float32
@@ -192,7 +374,6 @@ func TestF32SIMDKernelsMatchScalar(t *testing.T) {
 		fillRand(rng, x)
 
 		f32SIMD = true
-		gotDot := DotF32(w.Row(0), x)
 		gotMV := make([]float32, s.h)
 		MulVecF32(gotMV, w, x)
 		xh := make([]float32, s.h)
@@ -201,7 +382,6 @@ func TestF32SIMDKernelsMatchScalar(t *testing.T) {
 		MulVecTransF32(gotMVT, w, xh)
 
 		f32SIMD = false
-		wantDot := DotF32(w.Row(0), x)
 		wantMV := make([]float32, s.h)
 		MulVecF32(wantMV, w, x)
 		wantMVT := make([]float32, s.d)
@@ -209,9 +389,6 @@ func TestF32SIMDKernelsMatchScalar(t *testing.T) {
 		f32SIMD = true
 
 		tol := f32Tol(s.d, maxAbs32(w.Row(0))*maxAbs32(x))
-		if math.Abs(float64(gotDot)-float64(wantDot)) > tol {
-			t.Fatalf("DotF32 d=%d: simd %v scalar %v (tol %v)", s.d, gotDot, wantDot, tol)
-		}
 		for i := range gotMV {
 			if math.Abs(float64(gotMV[i])-float64(wantMV[i])) > tol {
 				t.Fatalf("MulVecF32 shape %dx%d row %d: simd %v scalar %v", s.h, s.d, i, gotMV[i], wantMV[i])
@@ -297,8 +474,8 @@ func TestBatchKernelShapePanics(t *testing.T) {
 		name string
 		fn   func()
 	}{
-		{"MulBatch dims", func() { MulBatch(New(3, 3), a, w) }},
-		{"MulBatch inner", func() { MulBatch(New(3, 2), a, New(2, 5)) }},
+		{"MulBatchRows dims", func() { MulBatchRows(New(3, 3), rowsOf(a), w) }},
+		{"MulBatchRows inner", func() { MulBatchRows(New(3, 2), rowsOf(a), New(2, 5)) }},
 		{"MulBatchRows ragged", func() {
 			MulBatchRows(New(2, 2), [][]float64{make([]float64, 4), make([]float64, 3)}, w)
 		}},
@@ -413,7 +590,7 @@ func refMulTransA[E Element](dst, a, b *MatrixOf[E]) {
 // reference. Each element is the plain 4-accumulator dotKernel, which is
 // also exactly what MulVec produces per row: the batch path being
 // bit-identical to the per-sample path at every element type reduces to
-// MulBatch matching this function.
+// MulBatchRows matching this function.
 func refMulBatch[E Element](dst, a, b *MatrixOf[E]) {
 	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic(ErrShape)

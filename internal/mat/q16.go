@@ -95,7 +95,7 @@ func MulVecQ16[F FixedElement](dst []F, w []F, x []F) {
 // is the row-major rows×cols weight slab and every sample has length
 // cols. Samples are processed in small blocks so each weight row is
 // streamed from memory once per block instead of once per sample — the
-// same amortisation as the float MulBatch. Every element is the same
+// same amortisation as the float MulBatchRows. Every element is the same
 // DotQ16 the per-sample kernel computes (one 64-bit accumulator, one
 // saturation), so batched results are bit-identical to per-sample ones.
 func MulVecBatchQ16[F FixedElement](dst []F, w []F, xs [][]F, rows int) {
@@ -156,7 +156,7 @@ var sigmoidQ16Table [sigmoidQ16Segments + 1]int32
 
 func init() {
 	for i := 0; i <= sigmoidQ16Segments; i++ {
-		x := -8.0 + 16.0*float64(i)/float64(sigmoidQ16Segments)
+		x := -8.0 + float64(16.0*float64(i)/float64(sigmoidQ16Segments))
 		sigmoidQ16Table[i] = int32(math.Round(1.0 / (1.0 + math.Exp(-x)) * float64(Q16One)))
 	}
 }

@@ -7,6 +7,9 @@ func Dot[E Element](a, b []E) E {
 	if len(a) != len(b) {
 		panic(ErrShape)
 	}
+	if useF64SIMD[E](len(a)) {
+		return E(dotF64(f64View(a), f64View(b)))
+	}
 	return dotKernel(a, b)
 }
 
@@ -20,13 +23,13 @@ func dotKernel[E Element](a, b []E) E {
 	n4 := n &^ 3
 	var i int
 	for ; i < n4; i += 4 {
-		s0 += a[i] * b[i]
-		s1 += a[i+1] * b[i+1]
-		s2 += a[i+2] * b[i+2]
-		s3 += a[i+3] * b[i+3]
+		s0 += E(a[i] * b[i])
+		s1 += E(a[i+1] * b[i+1])
+		s2 += E(a[i+2] * b[i+2])
+		s3 += E(a[i+3] * b[i+3])
 	}
 	for ; i < n; i++ {
-		s0 += a[i] * b[i]
+		s0 += E(a[i] * b[i])
 	}
 	return (s0 + s1) + (s2 + s3)
 }
@@ -37,7 +40,7 @@ func AxpyVec[E Element](y []E, s E, x []E) {
 		panic(ErrShape)
 	}
 	for i, v := range x {
-		y[i] += s * v
+		y[i] += E(s * v)
 	}
 }
 
@@ -78,7 +81,7 @@ func SqDist[E Element](a, b []E) E {
 	var s E
 	for i, v := range a {
 		d := v - b[i]
-		s += d * d
+		s += E(d * d)
 	}
 	return s
 }
@@ -118,7 +121,7 @@ func RunningMeanUpdate[E Element](mean []E, n int, x []E) int {
 	fn := E(n)
 	inv := 1 / (fn + 1)
 	for i, v := range x {
-		mean[i] = (mean[i]*fn + v) * inv
+		mean[i] = (E(mean[i]*fn) + v) * inv
 	}
 	return n + 1
 }
@@ -132,38 +135,8 @@ func EWMAUpdate[E Element](mean []E, gamma E, x []E) {
 	}
 	keep := 1 - gamma
 	for i, v := range x {
-		mean[i] = keep*mean[i] + gamma*v
+		mean[i] = E(keep*mean[i]) + E(gamma*v)
 	}
-}
-
-// ArgMin returns the index of the smallest value in xs, breaking ties in
-// favour of the lowest index. It panics on an empty slice.
-func ArgMin[E Element](xs []E) int {
-	if len(xs) == 0 {
-		panic("mat: ArgMin of empty slice")
-	}
-	best := 0
-	for i := 1; i < len(xs); i++ {
-		if xs[i] < xs[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// ArgMax returns the index of the largest value in xs, breaking ties in
-// favour of the lowest index. It panics on an empty slice.
-func ArgMax[E Element](xs []E) int {
-	if len(xs) == 0 {
-		panic("mat: ArgMax of empty slice")
-	}
-	best := 0
-	for i := 1; i < len(xs); i++ {
-		if xs[i] > xs[best] {
-			best = i
-		}
-	}
-	return best
 }
 
 // AllFinite reports whether every element of x is finite. The v−v trick

@@ -113,25 +113,6 @@ func TestEWMAUpdateGammaOneTracksSample(t *testing.T) {
 	}
 }
 
-func TestArgMinArgMax(t *testing.T) {
-	xs := []float64{3, 1, 4, 1, 5}
-	if ArgMin(xs) != 1 { // ties break to lowest index
-		t.Fatalf("ArgMin = %d, want 1", ArgMin(xs))
-	}
-	if ArgMax(xs) != 4 {
-		t.Fatalf("ArgMax = %d, want 4", ArgMax(xs))
-	}
-}
-
-func TestArgMinPanicsOnEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	ArgMin[float64](nil)
-}
-
 func TestCopyVec(t *testing.T) {
 	x := []float64{1, 2}
 	c := CopyVec(x)
