@@ -134,8 +134,9 @@ bench-pressure:
 	$(GO) run ./cmd/driftbench pressure -json BENCH_10.json
 
 # Short fuzz passes over every deserialiser: corrupt or truncated
-# artifacts must fail with ErrBadFormat, never panic. `go test -fuzz`
-# takes one target per invocation, hence one run per format.
+# artifacts must fail with ErrBadFormat, and malformed network frames
+# with ErrProtocol, never panic. `go test -fuzz` takes one target per
+# invocation, hence one run per format.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzLoad -fuzztime=10s ./internal/oselm/
 	$(GO) test -fuzz=FuzzLoadState -fuzztime=10s ./internal/core/
@@ -143,6 +144,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzLoadMonitor -fuzztime=10s ./internal/fixed/
 	$(GO) test -fuzz=FuzzLoadMonitor -fuzztime=10s .
 	$(GO) test -fuzz=FuzzLoadFleet -fuzztime=10s .
+	$(GO) test -fuzz=FuzzParseFrame -fuzztime=10s ./internal/wire/
 
 # The full pre-merge gate: gofmt, tier-1 plus the 32-bit Arm
 # cross-compile, static analysis, the race detector over the concurrent

@@ -9,17 +9,16 @@
 package main
 
 import (
-	"encoding/csv"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 
 	"edgedrift/internal/datasets/coolingfan"
 	"edgedrift/internal/datasets/nslkdd"
 	"edgedrift/internal/datasets/synth"
 	"edgedrift/internal/rng"
+	"edgedrift/internal/stream"
 )
 
 func main() {
@@ -52,41 +51,18 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// writeCSV writes rows of features with an optional integer label column.
+// writeCSV writes rows of features with an integer label column in the
+// layout stream.ReadCSV parses, reporting write, flush and close errors.
 func writeCSV(path string, xs [][]float64, labels []int) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	w := csv.NewWriter(f)
-	defer w.Flush()
-
-	dim := len(xs[0])
-	header := make([]string, 0, dim+1)
-	for j := 0; j < dim; j++ {
-		header = append(header, fmt.Sprintf("f%d", j))
+	err = stream.WriteCSV(f, &stream.Data{X: xs, Y: labels})
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if labels != nil {
-		header = append(header, "label")
-	}
-	if err := w.Write(header); err != nil {
-		return err
-	}
-	row := make([]string, 0, dim+1)
-	for i, x := range xs {
-		row = row[:0]
-		for _, v := range x {
-			row = append(row, strconv.FormatFloat(v, 'g', -1, 64))
-		}
-		if labels != nil {
-			row = append(row, strconv.Itoa(labels[i]))
-		}
-		if err := w.Write(row); err != nil {
-			return err
-		}
-	}
-	return w.Error()
+	return err
 }
 
 func writeNSLKDD(dir string, seed uint64) error {

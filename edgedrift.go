@@ -315,6 +315,37 @@ func (m *Monitor) ProcessBatch(dst []Result, xs [][]float64) []Result {
 	return m.det.ProcessBatch(dst, xs)
 }
 
+// ScratchShape reports the shape of batch scratch the next ProcessBatch
+// scores on (see core.ScratchBorrower): the f32 twin's while demoted at
+// f32, none while demoted to the Q16.16 port or while
+// TrainDuringMonitor sends every sample down the per-sample path.
+func (m *Monitor) ScratchShape() (model.Shape, bool) {
+	switch t := m.degraded.(type) {
+	case nil:
+		if m.opts.TrainDuringMonitor {
+			return model.Shape{}, false
+		}
+		return m.det.ScratchShape()
+	case *Monitor:
+		return t.ScratchShape()
+	default:
+		return model.Shape{}, false
+	}
+}
+
+// BorrowScratch lends s to the active state machine's model for the
+// ProcessBatch calls that follow; nil takes it back. A fleet lends one
+// scratch per concurrent batch instead of each member keeping its own.
+func (m *Monitor) BorrowScratch(s *model.Scratch) {
+	if t, ok := m.degraded.(*Monitor); ok {
+		t.BorrowScratch(s)
+		return
+	}
+	m.det.BorrowScratch(s)
+}
+
+var _ core.ScratchBorrower = (*Monitor)(nil)
+
 // Health assembles a structured health snapshot of the monitor: guard
 // counters, RLS watchdog state, and score-distribution summary. Cheap
 // enough to call every sample; intended for operational dashboards and

@@ -355,11 +355,8 @@ type Detector struct {
 	stageOps [numStages]opcount.Counter
 	stageN   [numStages]uint64
 
-	// Batch-scoring buffers (lazy; see ProcessBatch). Sized batchBlock.
-	batchLabels []int
-	batchScores []float64
-	scoreHist   *stats.Running   // anomaly scores seen while monitoring (diagnostics)
-	scoreBins   *stats.Histogram // score distribution over [0, 4·θ_error), for health
+	scoreHist *stats.Running   // anomaly scores seen while monitoring (diagnostics)
+	scoreBins *stats.Histogram // score distribution over [0, 4·θ_error), for health
 }
 
 // New binds a detector to a model. Calibrate must be called before
@@ -418,7 +415,7 @@ func (d *Detector) processBatchAccepted(dst []Result, xs [][]float64) []Result {
 			n = batchBlock
 		}
 		chunk := xs[i : i+n]
-		labels, scores := d.ensureBatchBuffers(n)
+		labels, scores := d.model.BatchBuffers(n)
 		d.model.PredictBatch(labels, scores, chunk)
 		for k, x := range chunk {
 			d.samplesSeen++
@@ -434,17 +431,17 @@ func (d *Detector) processBatchAccepted(dst []Result, xs [][]float64) []Result {
 	return dst
 }
 
-// ensureBatchBuffers lazily allocates the label/score staging for
-// batched prediction; per-sample-only deployments never carry it.
-func (d *Detector) ensureBatchBuffers(n int) ([]int, []float64) {
-	if d.batchLabels == nil {
-		d.batchLabels = make([]int, batchBlock)
-		d.batchScores = make([]float64, batchBlock)
-	}
-	return d.batchLabels[:n], d.batchScores[:n]
-}
-
 var _ BatchStreaming = (*Detector)(nil)
+
+// ScratchShape reports the shape of the batch scratch ProcessBatch
+// scores on (see ScratchBorrower).
+func (d *Detector) ScratchShape() (model.Shape, bool) { return d.model.Shape(), true }
+
+// BorrowScratch lends s to the detector's model for the ProcessBatch
+// calls that follow; nil takes it back (see ScratchBorrower).
+func (d *Detector) BorrowScratch(s *model.Scratch) { d.model.Lend(s) }
+
+var _ ScratchBorrower = (*Detector)(nil)
 
 // Config returns the defaulted configuration.
 func (d *Detector) Config() Config { return d.cfg }
@@ -603,7 +600,7 @@ func (d *Detector) Calibrate(xs [][]float64, labels []int) error {
 	if d.cfg.DriftThreshold > 0 {
 		d.thetaDrift = d.cfg.DriftThreshold
 	} else {
-		d.thetaDrift = mu + d.cfg.ZDrift*sigma
+		d.thetaDrift = mu + float64(d.cfg.ZDrift*sigma)
 	}
 
 	// θ_error from the model's anomaly scores on the training set.
@@ -615,7 +612,7 @@ func (d *Detector) Calibrate(xs [][]float64, labels []int) error {
 			_, scores[i] = d.model.Predict(x)
 		}
 		m2, s2 := stats.MeanStd(scores)
-		d.thetaError = m2 + d.cfg.ZError*s2
+		d.thetaError = m2 + float64(d.cfg.ZError*s2)
 	}
 
 	d.initScoreBins()
@@ -681,8 +678,9 @@ func (d *Detector) Process(x []float64) Result {
 // internally. The guard splits xs into runs of finite samples, each
 // batched, and sends every non-finite sample through its policy alone;
 // its only per-sample state is lastGood, which only the last result of
-// a run can be observed as. After the lazily-allocated batch buffers
-// exist, the call performs no heap allocation beyond dst's own growth.
+// a run can be observed as. After the model's batch scratch exists
+// (allocated lazily, or lent through BorrowScratch), the call performs
+// no heap allocation beyond dst's own growth.
 func (d *Detector) ProcessBatch(dst []Result, xs [][]float64) []Result {
 	if !d.calibrated {
 		panic("core: Process before Calibrate")
@@ -934,15 +932,15 @@ func (d *Detector) Health() health.Snapshot {
 // MemoryBytes audits the detector's retained state: the discriminative
 // model plus two centroid sets, counts and O(1) accumulators — the
 // quantity the paper's Table 4 compares against the batch methods'
-// buffers — and the scratch buffers the hot paths keep.
+// buffers — and the scratch buffers the hot paths keep. The batch
+// staging lives in the model's scratch and is counted there.
 func (d *Detector) MemoryBytes() int {
 	const f = 8
-	centroids := 2 * d.classes * d.dims * f                // trained + recent
-	counts := 2 * d.classes * 8                            // num + baseNum
-	scalars := 16 * f                                      // thresholds, window state, accumulators
-	batch := 8 * (len(d.batchLabels) + len(d.batchScores)) // lazy; 0 until batching is used
-	clamp := 8 * len(d.clampBuf)                           // GuardClamp only
-	return d.model.MemoryBytes() + centroids + counts + scalars + batch + clamp
+	centroids := 2 * d.classes * d.dims * f // trained + recent
+	counts := 2 * d.classes * 8             // num + baseNum
+	scalars := 16 * f                       // thresholds, window state, accumulators
+	clamp := 8 * len(d.clampBuf)            // GuardClamp only
+	return d.model.MemoryBytes() + centroids + counts + scalars + clamp
 }
 
 // beginReconstruction transitions into Algorithm 2. The per-class counts

@@ -166,13 +166,13 @@ func (d *Detector) finishReconstruction() {
 	}
 	d.baseNum = append(d.baseNum[:0], d.num...)
 	if d.cfg.DriftThreshold <= 0 && d.reconDists.N() > 0 {
-		d.thetaDrift = d.reconDists.Mean() + d.cfg.ZDrift*d.reconDists.Std()
+		d.thetaDrift = d.reconDists.Mean() + float64(d.cfg.ZDrift*d.reconDists.Std())
 	}
 	// Re-derive θ_error from the rebuilt model's own scores (collected in
 	// the predicted-label retraining phase) so check windows re-arm
 	// against the new concept, unless the caller pinned the threshold.
 	if d.cfg.ErrorThreshold <= 0 && d.reconScores.N() > 0 {
-		d.thetaError = d.reconScores.Mean() + d.cfg.ZError*d.reconScores.Std()
+		d.thetaError = d.reconScores.Mean() + float64(d.cfg.ZError*d.reconScores.Std())
 	}
 	d.drift = false
 	d.check = false

@@ -1,6 +1,9 @@
 package core
 
-import "edgedrift/internal/health"
+import (
+	"edgedrift/internal/health"
+	"edgedrift/internal/model"
+)
 
 // Streaming is the composable per-sample stage contract every drift
 // detector in this repository satisfies: the proposed detector, the
@@ -39,6 +42,25 @@ type Streaming interface {
 type BatchStreaming interface {
 	Streaming
 	ProcessBatch(dst []Result, xs [][]float64) []Result
+}
+
+// ScratchBorrower is the optional capability of a stage whose batched
+// scoring can run on borrowed working memory. A host that schedules
+// many stages of one shape — the fleet — keeps one model.Scratch per
+// concurrent caller instead of one per stage: under the stage's lock it
+// asks ScratchShape, lends a scratch of that shape with BorrowScratch,
+// runs ProcessBatch, and takes the scratch back with BorrowScratch(nil)
+// before unlocking. The scratch holds nothing from one call to the
+// next, so results are bit-identical to the stage's own lazy scratch,
+// which a stage that is never lent one keeps allocating. Callers
+// discover the capability with Find[ScratchBorrower].
+type ScratchBorrower interface {
+	// ScratchShape reports the shape of scratch the next ProcessBatch
+	// would use, and false when the active path scores no model batch.
+	ScratchShape() (model.Shape, bool)
+	// BorrowScratch lends s for the ProcessBatch calls that follow; nil
+	// takes it back.
+	BorrowScratch(s *model.Scratch)
 }
 
 // phaser is the optional capability a stage exposes to report its

@@ -23,6 +23,7 @@ import (
 
 	"edgedrift/internal/core"
 	"edgedrift/internal/health"
+	"edgedrift/internal/model"
 	"edgedrift/internal/oselm"
 )
 
@@ -96,6 +97,14 @@ type member struct {
 	// ProcessBatch calls go through one virtual dispatch instead of one
 	// per sample, and the stage gets contiguous chunks to run as GEMMs.
 	batch core.BatchStreaming
+	// borrower is the batch stage's scratch-borrowing capability (nil
+	// when the stage cannot borrow): processMember lends it the fleet's
+	// batch scratch for each batch call instead of the stage keeping
+	// its own.
+	borrower core.ScratchBorrower
+	// slabs are the interned projections the member's model holds,
+	// released when the member leaves the fleet.
+	slabs []*slab
 	// merger is the stage's mergeable-state capability, discovered once
 	// at Add time through the Instrumented/Hybrid seams (nil for stages
 	// that cannot merge, e.g. Q16.16 detect-only members).
@@ -149,6 +158,11 @@ type Fleet struct {
 	demotions          atomic.Uint64
 	promotions         atomic.Uint64
 	transitionFailures atomic.Uint64
+
+	// Lean-member state (see lean.go): the batch scratch lent to members
+	// for each batch call, and the interned random projections.
+	scratch scratchPool
+	proj    projections
 }
 
 // New builds an empty fleet.
@@ -159,6 +173,7 @@ func New(cfg Config) *Fleet {
 		shards:  make([]shard, c.Shards),
 		events:  make(chan Event, c.EventBuffer),
 		cohorts: map[string]map[string]struct{}{},
+		proj:    projections{slabs: map[uint64][]*slab{}},
 	}
 	for i := range f.shards {
 		f.shards[i].members = map[string]*member{}
@@ -220,6 +235,7 @@ func (f *Fleet) addMember(id string, s core.Streaming, mc MemberConfig, samples,
 	}
 	if bs, ok := mb.stage.(core.BatchStreaming); ok {
 		mb.batch = bs
+		mb.borrower, _ = core.Find[core.ScratchBorrower](mb.stage)
 	}
 	if mg, ok := core.Find[core.Merger](mb.stage); ok {
 		mb.merger = mg
@@ -235,16 +251,32 @@ func (f *Fleet) addMember(id string, s core.Streaming, mc MemberConfig, samples,
 		return fmt.Errorf("fleet: stream %q: cohort %q requires a mergeable stage (detect-only members cannot cooperate): %w",
 			id, mc.Cohort, oselm.ErrMergeIncompatible)
 	}
+	// The member lock is held across registration so that no batch can
+	// reach the model before its projections are interned. Taking the
+	// shard lock under a member lock is the order ExportMember uses.
+	mb.mu.Lock()
 	sh := f.shardOf(id)
 	sh.mu.Lock()
 	if _, ok := sh.members[id]; ok {
 		sh.mu.Unlock()
+		mb.mu.Unlock()
 		return fmt.Errorf("fleet: stream %q already registered", id)
 	}
 	sh.members[id] = mb
 	sh.mu.Unlock()
+	if mh, ok := core.Find[modelHolder](mb.stage); ok {
+		mb.slabs = f.proj.intern(mh.Model())
+	}
+	mb.mu.Unlock()
 	f.cohortAdd(mc.Cohort, id)
 	return nil
+}
+
+// modelHolder is the stage capability projection interning uses: the
+// float64 model whose fixed projections the fleet can share (a
+// Monitor's origin model; a bare detector's model).
+type modelHolder interface {
+	Model() *model.Multi
 }
 
 // cohortAdd indexes id under its cohort (no-op for the empty cohort).
@@ -329,6 +361,7 @@ func (f *Fleet) Remove(id string) (samples, drifts uint64, ok bool) {
 	m.removed = true
 	samples, drifts = m.samples, m.drifts
 	cohort := m.cohort
+	f.proj.release(m.slabs)
 	m.mu.Unlock()
 	f.cohortRemove(cohort, id)
 	return samples, drifts, true
@@ -411,8 +444,13 @@ func (f *Fleet) processMember(dst []core.Result, id string, xs [][]float64) ([]c
 	if m.batch != nil {
 		// Batched path: the stage consumes the whole slice in one call
 		// (equivalence to per-sample Process is the BatchStreaming
-		// contract), then the fleet replays its accounting over the
-		// appended results.
+		// contract), on scratch the fleet lends it for the call, then the
+		// fleet replays its accounting over the appended results.
+		if m.borrower != nil {
+			if sc := f.scratch.lend(m.borrower); sc != nil {
+				defer f.scratch.reclaim(m.borrower, sc)
+			}
+		}
 		base := len(dst)
 		dst = m.batch.ProcessBatch(dst, xs)
 		for _, r := range dst[base:] {
@@ -906,12 +944,13 @@ func (f *Fleet) Metrics() Metrics {
 				m.Degraded++
 			}
 		}
-		m.MemoryBytes += mb.stage.MemoryBytes() + len(id) + len(mb.cohort) + memberOverheadBytes
+		m.MemoryBytes += memberBytes(id, mb)
 		m.Streams++
 		m.Samples += sm.Samples
 		m.Drifts += sm.Drifts
 		m.PerStream[id] = sm
 	})
+	m.MemoryBytes += f.sharedBytes()
 	m.EventsDropped = f.dropped.Load()
 	m.WarmRecoveries = f.warmRecoveries.Load()
 	m.ColdFallbacks = f.coldFallbacks.Load()
@@ -947,20 +986,34 @@ func (f *Fleet) MemberHealth() map[string]health.Snapshot {
 // memberOverheadBytes is the registry's own cost per member beyond the
 // stage's audit and the ID/cohort bytes (charged as len(id) +
 // len(cohort)): the member struct (mutex, 16-byte stage interface
-// header, the concrete instr pointer, the 16-byte batch, merger and
-// trans capability headers, the phase func value, the cohort string
-// header, the fingerprint, two uint64 counters, removed mark + padding
-// = 136), the map's *member value (8), and the string header of the map
-// key (16). Pinned to the real layout by an unsafe.Sizeof test so it
-// cannot rot when the struct changes.
-const memberOverheadBytes = 136 + 8 + 16
+// header, the concrete instr pointer, the 16-byte batch, borrower,
+// merger and trans capability headers, the 24-byte slabs slice header,
+// the phase func value, the cohort string header, the fingerprint, two
+// uint64 counters, removed mark + padding = 176), the map's *member
+// value (8), and the string header of the map key (16). Pinned to the
+// real layout by an unsafe.Sizeof test so it cannot rot when the struct
+// changes.
+const memberOverheadBytes = 176 + 8 + 16
+
+// memberBytes is one member's share of the audit: its stage's own
+// state (which leaves out lent scratch and shared projections), its ID
+// and cohort bytes, and the registry overhead.
+func memberBytes(id string, m *member) int {
+	return m.stage.MemoryBytes() + len(id) + len(m.cohort) + memberOverheadBytes
+}
+
+// sharedBytes is the state the fleet holds on its members' behalf,
+// counted once: every batch scratch it has allocated to lend, and every
+// interned projection.
+func (f *Fleet) sharedBytes() int { return f.scratch.size() + f.proj.size() }
 
 // MemoryBytes audits the whole fleet's retained state: the sum of every
-// member's audit plus the registry's own per-member overhead.
+// member's audit plus the registry's own per-member overhead, plus the
+// scratch and projections the fleet shares among members.
 func (f *Fleet) MemoryBytes() int {
-	total := 0
+	total := f.sharedBytes()
 	f.eachMember(func(id string, m *member) {
-		total += m.stage.MemoryBytes() + len(id) + len(m.cohort) + memberOverheadBytes
+		total += memberBytes(id, m)
 	})
 	return total
 }

@@ -60,10 +60,11 @@ type Multi struct {
 	scores    []float64
 	ops       *opcount.Counter
 
-	// batchScores holds one score column per class for PredictBatch,
-	// allocated lazily so per-sample-only deployments carry no extra
-	// state (C × predictBatchChunk).
-	batchScores [][]float64
+	// scratch is the batch working memory (see scratch.go): nil until
+	// the first batch call, m's own after it, or borrowed (lent) from an
+	// owner that lends one scratch to many models.
+	scratch *Scratch
+	lent    bool
 }
 
 var _ Discriminator = (*Multi)(nil)
@@ -129,17 +130,6 @@ func (m *Multi) Scores() []float64 { return m.scores }
 // instance's ScoreBatch call is exactly one GEMM pair.
 const predictBatchChunk = 64
 
-// ensureBatchScores lazily allocates the per-class score columns.
-func (m *Multi) ensureBatchScores() [][]float64 {
-	if m.batchScores == nil {
-		m.batchScores = make([][]float64, m.cfg.Classes)
-		for i := range m.batchScores {
-			m.batchScores[i] = make([]float64, predictBatchChunk)
-		}
-	}
-	return m.batchScores
-}
-
 // PredictBatch predicts every sample of xs, writing the argmin label and
 // its score into labels[i] and scores[i] (both len(xs)). Each instance
 // scores whole chunks through its batched forward, so the per-sample
@@ -152,7 +142,7 @@ func (m *Multi) PredictBatch(labels []int, scores []float64, xs [][]float64) {
 	if len(labels) != len(xs) || len(scores) != len(xs) {
 		panic("model: PredictBatch buffer length mismatch")
 	}
-	bs := m.ensureBatchScores()
+	bs := m.ensureScratch().cols
 	for start := 0; start < len(xs); start += predictBatchChunk {
 		end := start + predictBatchChunk
 		if end > len(xs) {
@@ -269,13 +259,14 @@ func (m *Multi) Health() oselm.Health {
 func (m *Multi) Precision() oselm.Precision { return m.cfg.Precision }
 
 // MemoryBytes reports the retained bytes across all instances plus the
-// score buffer. The score buffer holds one scalar per class at the
-// backend's element width (the float64 slice here is its widened image
-// on reduced-precision backends).
+// score buffer and, when m owns one, its batch scratch. The score
+// buffer holds one scalar per class at the backend's element width (the
+// float64 slice here is its widened image on reduced-precision
+// backends).
 func (m *Multi) MemoryBytes() int {
 	total := m.cfg.Precision.Bytes() * len(m.scores)
-	for _, col := range m.batchScores {
-		total += m.cfg.Precision.Bytes() * len(col)
+	if m.scratch != nil && !m.lent {
+		total += m.scratch.Bytes()
 	}
 	for _, ae := range m.instances {
 		total += ae.MemoryBytes()

@@ -80,10 +80,13 @@ func loadBody(r io.Reader) (*Multi, error) {
 		WeightScale: c0.WeightScale,
 		Precision:   c0.Precision,
 	}
+	// One batch scratch serves every instance in turn, so the instances
+	// must agree on shape and precision, as every saved model does.
 	for i, ae := range m.instances[1:] {
 		ci := ae.Model().Config()
-		if ci.Inputs != c0.Inputs {
-			return nil, fmt.Errorf("model: instance %d dimension %d differs from %d", i+1, ci.Inputs, c0.Inputs)
+		if ci.Inputs != c0.Inputs || ci.Hidden != c0.Hidden || ci.Precision != c0.Precision {
+			return nil, fmt.Errorf("model: instance %d shape %d×%d %v differs from %d×%d %v",
+				i+1, ci.Inputs, ci.Hidden, ci.Precision, c0.Inputs, c0.Hidden, c0.Precision)
 		}
 	}
 	return m, nil

@@ -5,17 +5,20 @@ import (
 	"fmt"
 )
 
-// AdoptState copies src's learned and random state into m in place:
-// the random projection (W, b), the learned output weights β, the RLS
-// inverse-covariance P, the sequential-init counter and the watchdog
-// phase. Both models must share one configuration. Adoption exists for
-// restores that must not rebind pointers — a Monitor or a wrapping
-// stage holds this model, so a checkpointed model is poured into the
-// live instance rather than swapped for it. After AdoptState, m
-// continues a stream bit-identically to src (the watchdog phase is
-// copied because a re-symmetrisation pass landing on a different
-// sample would change bits). The watchdog's lifetime reset counter is
-// deliberately kept — it is m's health history, not model state.
+// AdoptState pours src's learned and random state into m in place:
+// the learned output weights β, the RLS inverse-covariance P, the
+// sequential-init counter and the watchdog phase are copied, and the
+// random projection (W, b) — read-only for life — is rebound to src's
+// unless m already holds the same bits, so a projection m shares with
+// other models is never written through. Both models must share one
+// configuration. Adoption exists for restores that must not rebind the
+// model itself — a Monitor or a wrapping stage holds this model, so a
+// checkpointed model is poured into the live instance rather than
+// swapped for it. After AdoptState, m continues a stream
+// bit-identically to src (the watchdog phase is copied because a
+// re-symmetrisation pass landing on a different sample would change
+// bits). The watchdog's lifetime reset counter is deliberately kept —
+// it is m's health history, not model state.
 func (m *Model) AdoptState(src *Model) error {
 	if src == nil {
 		return errors.New("oselm: AdoptState from nil model")
@@ -24,12 +27,14 @@ func (m *Model) AdoptState(src *Model) error {
 		return fmt.Errorf("oselm: AdoptState config mismatch: have %+v, adopting %+v", m.cfg, src.cfg)
 	}
 	if m.w32 != nil {
-		copy(m.w32.Data, src.w32.Data)
-		copy(m.bias32, src.bias32)
+		if !sameBits32(m.w32.Data, src.w32.Data) || !sameBits32(m.bias32, src.bias32) {
+			m.w32, m.bias32, m.fprintOK = src.w32, src.bias32, false
+		}
 		copy(m.beta32.Data, src.beta32.Data)
 	} else {
-		copy(m.w.Data, src.w.Data)
-		copy(m.bias, src.bias)
+		if !sameBits64(m.w.Data, src.w.Data) || !sameBits64(m.bias, src.bias) {
+			m.w, m.bias, m.wShared, m.fprintOK = src.w, src.bias, src.wShared, false
+		}
 		copy(m.beta.Data, src.beta.Data)
 	}
 	copy(m.p.Data, src.p.Data)

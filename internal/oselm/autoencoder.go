@@ -84,7 +84,7 @@ func (a *Autoencoder) scoreFrom(x, recon []float64) float64 {
 		var s float64
 		for i, v := range x {
 			r := v - recon[i]
-			s += r * r
+			s += float64(r * r)
 		}
 		ops.AddMulAdd(d)
 		ops.AddAdd(d)
@@ -93,7 +93,7 @@ func (a *Autoencoder) scoreFrom(x, recon []float64) float64 {
 		var s float64
 		for i, v := range x {
 			r := v - recon[i]
-			s += r * r
+			s += float64(r * r)
 		}
 		ops.AddMulAdd(d)
 		ops.AddAdd(d)

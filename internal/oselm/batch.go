@@ -22,9 +22,13 @@ import (
 // shapes, and the unit the layers above use to size their own buffers.
 const batchChunk = 64
 
-// batchScratch holds the lazily-allocated batch-forward buffers. Only
-// the backing store for the model's own precision is allocated.
-type batchScratch struct {
+// BatchScratch is the batched-forward working memory for one model
+// shape: a chunk's activations and outputs. Only the backing store for
+// the shape's precision is allocated. A forward pass needs it only for
+// the duration of one call and leaves nothing in it the next call
+// reads, so one scratch can serve any number of models of its shape in
+// turn — the instances of a model.Multi, or every member of a fleet.
+type BatchScratch struct {
 	// Float64 backend.
 	hb *mat.Matrix // batchChunk×Hidden activations
 	ob *mat.Matrix // batchChunk×Outputs forward outputs
@@ -35,8 +39,21 @@ type batchScratch struct {
 	ob32 *mat.MatrixOf[float32] // batchChunk×Outputs forward outputs
 }
 
-// bytes reports the scratch footprint for MemoryBytes.
-func (b *batchScratch) bytes() int {
+// NewBatchScratch allocates the batch scratch for models of shape
+// inputs×hidden×outputs computing at precision p.
+func NewBatchScratch(inputs, hidden, outputs int, p Precision) *BatchScratch {
+	if p == Float32 {
+		return &BatchScratch{
+			xb32: mat.NewOf[float32](batchChunk, inputs),
+			hb32: mat.NewOf[float32](batchChunk, hidden),
+			ob32: mat.NewOf[float32](batchChunk, outputs),
+		}
+	}
+	return &BatchScratch{hb: mat.New(batchChunk, hidden), ob: mat.New(batchChunk, outputs)}
+}
+
+// Bytes reports the scratch footprint.
+func (b *BatchScratch) Bytes() int {
 	n := 0
 	if b.hb != nil {
 		n += 8 * (len(b.hb.Data) + len(b.ob.Data))
@@ -47,21 +64,32 @@ func (b *batchScratch) bytes() int {
 	return n
 }
 
+// fits reports whether b is sized for m's shape and precision.
+func (b *BatchScratch) fits(m *Model) bool {
+	c := m.cfg
+	if m.w32 != nil {
+		return b.xb32 != nil && b.xb32.Cols == c.Inputs && b.hb32.Cols == c.Hidden && b.ob32.Cols == c.Outputs
+	}
+	return b.hb != nil && b.hb.Cols == c.Hidden && b.ob.Cols == c.Outputs
+}
+
+// UseBatchScratch makes m run its batched forwards on s, which the
+// caller owns and counts: m's MemoryBytes leaves it out. A nil s drops
+// the binding, and m allocates its own scratch on its next batch call.
+// s must be sized for m's shape and precision.
+func (m *Model) UseBatchScratch(s *BatchScratch) {
+	if s != nil && !s.fits(m) {
+		panic("oselm: batch scratch does not fit the model's shape")
+	}
+	m.bb, m.bbBorrowed = s, s != nil
+}
+
 // ensureBatch allocates the batch scratch on first use. Per-sample-only
 // deployments (including everything the paper's tables measure) never
 // call a batch entry point, so they carry none of this state.
-func (m *Model) ensureBatch() *batchScratch {
+func (m *Model) ensureBatch() *BatchScratch {
 	if m.bb == nil {
-		bb := &batchScratch{}
-		if m.w32 != nil {
-			bb.xb32 = mat.NewOf[float32](batchChunk, m.cfg.Inputs)
-			bb.hb32 = mat.NewOf[float32](batchChunk, m.cfg.Hidden)
-			bb.ob32 = mat.NewOf[float32](batchChunk, m.cfg.Outputs)
-		} else {
-			bb.hb = mat.New(batchChunk, m.cfg.Hidden)
-			bb.ob = mat.New(batchChunk, m.cfg.Outputs)
-		}
-		m.bb = bb
+		m.bb = NewBatchScratch(m.cfg.Inputs, m.cfg.Hidden, m.cfg.Outputs, m.cfg.Precision)
 	}
 	return m.bb
 }

@@ -3,7 +3,6 @@ package oselm
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
 
 	"edgedrift/internal/mat"
@@ -99,40 +98,57 @@ func sameBits32(a, b []float32) bool {
 // activation, precision, RLS constants, and the bit patterns of the
 // random projection. Two models merge cleanly iff their fingerprints
 // match (up to hash collision); fleet and wire layers use it to check
-// compatibility without shipping full state.
+// compatibility without shipping full state, and the fleet keys its
+// shared projections by it. It is computed once and cached.
 func (m *Model) Fingerprint() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	put := func(v uint64) {
-		for i := range buf {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
+	if !m.fprintOK {
+		m.fprint, m.fprintOK = m.fingerprint(), true
 	}
-	put(uint64(m.cfg.Inputs))
-	put(uint64(m.cfg.Hidden))
-	put(uint64(m.cfg.Outputs))
-	put(uint64(m.cfg.Activation))
-	put(uint64(m.cfg.Precision))
-	put(math.Float64bits(m.cfg.Forgetting))
-	put(math.Float64bits(m.cfg.Ridge))
-	put(math.Float64bits(m.cfg.WeightScale))
+	return m.fprint
+}
+
+// fingerprint computes Fingerprint.
+func (m *Model) fingerprint() uint64 {
+	h := uint64(fnvOffset64)
+	for _, v := range [...]uint64{uint64(m.cfg.Inputs), uint64(m.cfg.Hidden), uint64(m.cfg.Outputs),
+		uint64(m.cfg.Activation), uint64(m.cfg.Precision), math.Float64bits(m.cfg.Forgetting),
+		math.Float64bits(m.cfg.Ridge), math.Float64bits(m.cfg.WeightScale)} {
+		h = fnvWord(h, v)
+	}
 	if m.w32 != nil {
 		for _, v := range m.w32.Data {
-			put(uint64(math.Float32bits(v)))
+			h = fnvWord(h, uint64(math.Float32bits(v)))
 		}
 		for _, v := range m.bias32 {
-			put(uint64(math.Float32bits(v)))
+			h = fnvWord(h, uint64(math.Float32bits(v)))
 		}
 	} else {
 		for _, v := range m.w.Data {
-			put(math.Float64bits(v))
+			h = fnvWord(h, math.Float64bits(v))
 		}
 		for _, v := range m.bias {
-			put(math.Float64bits(v))
+			h = fnvWord(h, math.Float64bits(v))
 		}
 	}
-	return h.Sum64()
+	return h
+}
+
+// FNV-1a 64-bit constants (as in hash/fnv).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnvWord folds v's eight little-endian bytes into the FNV-1a state h —
+// exactly what hash/fnv computes over them, without one interface call
+// per word.
+func fnvWord(h, v uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h ^= v & 0xff
+		h *= fnvPrime64
+		v >>= 8
+	}
+	return h
 }
 
 // P returns a deep copy of the inverse-covariance state, for tests and
@@ -188,7 +204,7 @@ func (m *Model) Merge(srcs ...*Model) error {
 		}
 		total += s.inits
 	}
-	sumInv.AddDiag(-float64(len(srcs)-1) * m.cfg.Ridge)
+	sumInv.AddDiag(float64(-float64(len(srcs)-1) * m.cfg.Ridge))
 	pNew := mat.New(hn, hn)
 	if err := mat.Inverse(pNew, sumInv); err != nil {
 		return fmt.Errorf("oselm: merge: invert joint gram: %w", err)
@@ -232,12 +248,5 @@ func (a *Autoencoder) Merge(srcs ...*Autoencoder) error {
 // Fingerprint returns the autoencoder's merge-compatibility
 // fingerprint: the model's, folded with the score metric.
 func (a *Autoencoder) Fingerprint() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	v := a.model.Fingerprint() ^ (uint64(a.metric) + 1)
-	for i := range buf {
-		buf[i] = byte(v >> (8 * i))
-	}
-	h.Write(buf[:])
-	return h.Sum64()
+	return fnvWord(fnvOffset64, a.model.Fingerprint()^(uint64(a.metric)+1))
 }

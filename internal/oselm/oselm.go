@@ -124,6 +124,14 @@ type Model struct {
 	bias []float64   // Hidden biases (Float64 backend)
 	beta *mat.Matrix // Hidden×Outputs learned output weights (Float64 backend)
 	p    *mat.Matrix // Hidden×Hidden inverse-covariance state (always float64)
+	// wShared marks w and bias as a read-only projection other models
+	// hold too (see ShareProjection); MemoryBytes leaves it to its owner.
+	wShared bool
+	// fprint caches Fingerprint once computed (fprintOK): everything it
+	// hashes is fixed for the model's life, barring an AdoptState that
+	// rebinds the projection.
+	fprint   uint64
+	fprintOK bool
 
 	// Float32 backend state. When cfg.Precision == Float32 the model owns
 	// its inference-side parameters at float32 and the float64 twins above
@@ -147,9 +155,12 @@ type Model struct {
 	ops   *opcount.Counter
 	inits int // samples consumed since last Reset (sequential-only training)
 
-	// bb is the batched-forward scratch, allocated lazily on the first
-	// batch scoring call (see batch.go); nil on per-sample-only models.
-	bb *batchScratch
+	// bb is the batched-forward scratch: allocated lazily on the first
+	// batch scoring call, or borrowed (bbBorrowed) from an owner that
+	// lends one scratch to many models (see batch.go); nil on
+	// per-sample-only models.
+	bb         *BatchScratch
+	bbBorrowed bool
 
 	// RLS health watchdog state; see watchdog().
 	wdPeriod   int     // trains between watchdog passes
@@ -202,12 +213,26 @@ func New(cfg Config, r *rng.Rand) (*Model, error) {
 }
 
 // alloc builds a model with the backend state the configuration's
-// precision selects, leaving weights unset. P, the RLS scratch and the
-// float64 activation image are allocated for every backend.
+// precision selects, leaving weights zero.
 func alloc(c Config) *Model {
+	var w, bias, beta []float64
+	if c.Precision != Float32 {
+		w = make([]float64, c.Hidden*c.Inputs)
+		bias = make([]float64, c.Hidden)
+		beta = make([]float64, c.Hidden*c.Outputs)
+	}
+	return build(c, w, bias, beta, make([]float64, c.Hidden*c.Hidden))
+}
+
+// build assembles a model around the given slabs: P (Hidden×Hidden)
+// for every backend, and W, b and β for the Float64 backend, whose
+// slabs are used as is. The float32 backend allocates its own narrowed
+// state and ignores w, bias and beta. The RLS scratch and the float64
+// activation image are allocated for every backend.
+func build(c Config, w, bias, beta, p []float64) *Model {
 	m := &Model{
 		cfg: c,
-		p:   mat.New(c.Hidden, c.Hidden),
+		p:   &mat.Matrix{Rows: c.Hidden, Cols: c.Hidden, Data: p},
 		h:   make([]float64, c.Hidden),
 		ph:  make([]float64, c.Hidden),
 		e:   make([]float64, c.Outputs),
@@ -222,9 +247,9 @@ func alloc(c Config) *Model {
 		m.u32 = make([]float32, c.Hidden)
 		m.e32 = make([]float32, c.Outputs)
 	} else {
-		m.w = mat.New(c.Hidden, c.Inputs)
-		m.bias = make([]float64, c.Hidden)
-		m.beta = mat.New(c.Hidden, c.Outputs)
+		m.w = &mat.Matrix{Rows: c.Hidden, Cols: c.Inputs, Data: w}
+		m.bias = bias
+		m.beta = &mat.Matrix{Rows: c.Hidden, Cols: c.Outputs, Data: beta}
 	}
 	m.initWatchdog()
 	return m
@@ -632,19 +657,25 @@ func (m *Model) Weights() (w, bias, beta []float64) {
 // the backend's element width. Scratch and staging buffers are included
 // since a deployed implementation must also hold them; P and the RLS
 // scratch are counted at float64 on every backend because that is where
-// they live (see Config.Precision).
+// they live (see Config.Precision). State the model holds but does not
+// own — a borrowed batch scratch, a shared projection — is counted once
+// by its owner instead.
 func (m *Model) MemoryBytes() int {
 	const f64 = 8
 	training := f64 * (len(m.p.Data) + len(m.h) + len(m.ph) + len(m.e))
-	if m.bb != nil {
-		training += m.bb.bytes()
+	if m.bb != nil && !m.bbBorrowed {
+		training += m.bb.Bytes()
 	}
 	es := m.cfg.Precision.Bytes()
 	if m.w32 != nil {
 		return training + es*(len(m.w32.Data)+len(m.bias32)+len(m.beta32.Data)+
 			len(m.h32)+len(m.x32)+len(m.o32)+len(m.u32)+len(m.e32))
 	}
-	return training + es*(len(m.w.Data)+len(m.bias)+len(m.beta.Data))
+	n := training + es*len(m.beta.Data)
+	if !m.wShared {
+		n += es * (len(m.w.Data) + len(m.bias))
+	}
+	return n
 }
 
 // InferenceBytes reports the bytes of inference-side state alone — the

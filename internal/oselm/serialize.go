@@ -76,12 +76,18 @@ func ParsePrecision(s string) (Precision, error) {
 const magic = "OSELM3"
 
 // Sanity bounds on deserialised dimensions: large enough for any model
-// this library can usefully run, small enough that a bit-flipped header
-// can never demand an absurd allocation before the checksum is checked.
+// this library can usefully run. They bound what a header may claim,
+// not what a load allocates: slabs grow only as their bytes arrive (see
+// readSlab), so a bit-flipped header cannot demand an absurd allocation
+// before the checksum is checked.
 const (
 	maxLoadDim         = 1 << 16
 	maxLoadMatrixElems = 1 << 26
 )
+
+// loadChunk is the element count a slab read commits up front; larger
+// slabs double from there as their bytes arrive.
+const loadChunk = 1 << 14
 
 func writeFloats(w io.Writer, prec Precision, xs []float64) error {
 	if prec == Float64 {
@@ -211,29 +217,44 @@ func loadBody(r io.Reader) (*Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("oselm: load config: %w", err)
 	}
-	m := newEmpty(c)
-	if m.w32 == nil {
-		for _, xs := range [][]float64{m.w.Data, m.bias, m.beta.Data, m.p.Data} {
-			if err := readFloats(r, prec, xs); err != nil {
-				return nil, fmt.Errorf("oselm: load weights: %w", err)
-			}
-		}
-	} else {
-		// Float32 backend: stage each slab through a float64 buffer, then
-		// narrow into the owned float32 state. P stays float64.
-		for _, dst := range [][]float32{m.w32.Data, m.bias32, m.beta32.Data} {
-			buf := make([]float64, len(dst))
-			if err := readFloats(r, prec, buf); err != nil {
-				return nil, fmt.Errorf("oselm: load weights: %w", err)
-			}
-			mat.ConvertVec(dst, buf)
-		}
-		if err := readFloats(r, prec, m.p.Data); err != nil {
+	var slabs [4][]float64 // W, b, β, P
+	for i, n := range [...]int{c.Hidden * c.Inputs, c.Hidden, c.Hidden * c.Outputs, c.Hidden * c.Hidden} {
+		if slabs[i], err = readSlab(r, prec, n); err != nil {
 			return nil, fmt.Errorf("oselm: load weights: %w", err)
 		}
 	}
+	m := build(c, slabs[0], slabs[1], slabs[2], slabs[3])
+	if m.w32 != nil {
+		// Float32 backend: narrow the staged slabs into the owned float32
+		// state. P stays float64.
+		mat.ConvertVec(m.w32.Data, slabs[0])
+		mat.ConvertVec(m.bias32, slabs[1])
+		mat.ConvertVec(m.beta32.Data, slabs[2])
+	}
 	m.inits = int(u[4])
 	return m, nil
+}
+
+// readSlab reads an n-element slab, committing memory only as its bytes
+// arrive: the first loadChunk elements, then doubling. A header can
+// claim up to maxLoadMatrixElems elements per slab, and a stream that
+// does not carry them fails having allocated about twice what it did
+// carry, not what it claimed. The returned slice has length and
+// capacity n.
+func readSlab(r io.Reader, prec Precision, n int) ([]float64, error) {
+	xs := make([]float64, min(n, loadChunk))
+	if err := readFloats(r, prec, xs); err != nil {
+		return nil, err
+	}
+	for len(xs) < n {
+		grown := make([]float64, min(n, 2*len(xs)))
+		copy(grown, xs)
+		if err := readFloats(r, prec, grown[len(xs):]); err != nil {
+			return nil, err
+		}
+		xs = grown
+	}
+	return xs, nil
 }
 
 // checkLoadDims rejects deserialised dimensions no valid artifact can
@@ -252,13 +273,6 @@ func checkLoadDims(c Config) error {
 		}
 	}
 	return nil
-}
-
-// newEmpty allocates a model without drawing random weights (they will
-// be overwritten by a load). The configuration's compute precision
-// decides which backend's state gets allocated.
-func newEmpty(c Config) *Model {
-	return alloc(c)
 }
 
 // Save serialises an autoencoder: the score metric followed by its

@@ -2,7 +2,9 @@ package oselm
 
 import (
 	"bytes"
+	"errors"
 	"math"
+	"runtime"
 	"testing"
 
 	"edgedrift/internal/ckpt"
@@ -153,5 +155,38 @@ func TestLoadAutoencoderRejectsNonAutoencoder(t *testing.T) {
 	}
 	if _, err := LoadAutoencoder(&buf); err == nil {
 		t.Fatal("expected non-autoencoder rejection")
+	}
+}
+
+// TestLoadHugeHeaderAllocatesLittle: a header claiming an 8192×8192×8192
+// model — within the per-dimension and per-matrix bounds, but 1.5 GB of
+// float64 slabs — followed by a few bytes must fail as ErrBadFormat
+// without committing more than a sliver of what it claimed: slabs grow
+// only as their bytes arrive.
+func TestLoadHugeHeaderAllocatesLittle(t *testing.T) {
+	var buf bytes.Buffer
+	cw, err := ckpt.Create(&buf, magic)
+	if err == nil {
+		_, err = cw.Write([]byte{byte(Float64), byte(Float64)})
+	}
+	if err == nil {
+		err = ckpt.PutU32(cw, 8192, 8192, 8192, uint32(Sigmoid), 0)
+	}
+	if err == nil {
+		err = ckpt.PutF64(cw, 1, 1e-3, 1, 0.5, 0.25)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = Load(bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ckpt.ErrBadFormat) {
+		t.Fatalf("err = %v, want ErrBadFormat", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<20 {
+		t.Fatalf("loading a %d-byte artifact allocated %d bytes, want < 64 MiB", len(data), got)
 	}
 }

@@ -27,7 +27,7 @@ func MeanStd(xs []float64) (mean, std float64) {
 	var ss float64
 	for _, v := range xs {
 		d := v - mean
-		ss += d * d
+		ss += float64(d * d)
 	}
 	return mean, math.Sqrt(ss / n)
 }
@@ -47,14 +47,14 @@ func Quantile(xs []float64, q float64) float64 {
 	if len(s) == 1 {
 		return s[0]
 	}
-	pos := q * float64(len(s)-1)
+	pos := float64(q * float64(len(s)-1))
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
 		return s[lo]
 	}
 	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
+	return float64(s[lo]*(1-frac)) + float64(s[hi]*frac)
 }
 
 // QuantileSorted is Quantile for an already ascending-sorted sample,
@@ -69,14 +69,14 @@ func QuantileSorted(s []float64, q float64) float64 {
 	if len(s) == 1 {
 		return s[0]
 	}
-	pos := q * float64(len(s)-1)
+	pos := float64(q * float64(len(s)-1))
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
 		return s[lo]
 	}
 	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
+	return float64(s[lo]*(1-frac)) + float64(s[hi]*frac)
 }
 
 // NormalQuantile returns the x with P(Z ≤ x) = p for a standard normal Z.
@@ -123,7 +123,7 @@ func TotalVariation(observed []int, expectedProb []float64) float64 {
 	inv := 1 / float64(n)
 	var s float64
 	for i, o := range observed {
-		s += math.Abs(float64(o)*inv - expectedProb[i])
+		s += math.Abs(float64(float64(o)*inv) - expectedProb[i])
 	}
 	return 0.5 * s
 }
@@ -152,7 +152,7 @@ func (e *EWMA) Observe(x float64) {
 		e.seen = true
 		return
 	}
-	e.value = (1-e.Alpha)*e.value + e.Alpha*x
+	e.value = float64((1-e.Alpha)*e.value) + float64(e.Alpha*x)
 }
 
 // Value returns the current average (0 before any observation).

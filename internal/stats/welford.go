@@ -15,7 +15,7 @@ func (r *Running) Observe(x float64) {
 	r.n++
 	d := x - r.mean
 	r.mean += d / float64(r.n)
-	r.m2 += d * (x - r.mean)
+	r.m2 += float64(d * (x - r.mean))
 }
 
 // N returns the number of observations.
@@ -80,7 +80,7 @@ func (r *RunningVec) Observe(x []float64) {
 	for i, v := range x {
 		d := v - r.mean[i]
 		r.mean[i] += d / fn
-		r.m2[i] += d * (v - r.mean[i])
+		r.m2[i] += float64(d * (v - r.mean[i]))
 	}
 }
 

@@ -191,10 +191,10 @@ func (c *Conn) Handshake() error {
 	if err != nil {
 		return err
 	}
-	if typ != TypeHelloAck || len(p) != 5 || [4]byte(p[:4]) != helloMagic || p[4] != Version {
+	if typ != TypeHelloAck {
 		return fmt.Errorf("%w: bad handshake ack", ErrProtocol)
 	}
-	return nil
+	return parseHello(p)
 }
 
 // AcceptHandshake runs the server half of the Hello exchange.
@@ -203,13 +203,25 @@ func (c *Conn) AcceptHandshake() error {
 	if err != nil {
 		return err
 	}
-	if typ != TypeHello || len(p) != 5 || [4]byte(p[:4]) != helloMagic {
+	if typ != TypeHello {
+		return fmt.Errorf("%w: bad hello", ErrProtocol)
+	}
+	if err := parseHello(p); err != nil {
+		return err
+	}
+	return c.WriteFrame(TypeHelloAck, append(helloMagic[:4:4], Version))
+}
+
+// parseHello checks a Hello or HelloAck payload: the protocol magic
+// followed by this side's version.
+func parseHello(p []byte) error {
+	if len(p) != 5 || [4]byte(p[:4]) != helloMagic {
 		return fmt.Errorf("%w: bad hello", ErrProtocol)
 	}
 	if p[4] != Version {
 		return fmt.Errorf("%w: version %d, want %d", ErrProtocol, p[4], Version)
 	}
-	return c.WriteFrame(TypeHelloAck, append(helloMagic[:4:4], Version))
+	return nil
 }
 
 // Dial connects to a shard and completes the handshake.
@@ -290,8 +302,9 @@ func ParseBatch(p []byte) (Batch, error) {
 	if b.Dims == 0 || b.Count == 0 {
 		return b, fmt.Errorf("%w: empty batch geometry %dx%d", ErrProtocol, b.Count, b.Dims)
 	}
-	if len(b.Samples) != b.Count*b.Dims*8 {
-		return b, fmt.Errorf("%w: batch payload %d bytes, want %d", ErrProtocol, len(b.Samples), b.Count*b.Dims*8)
+	// Sized in uint64: on a 32-bit target Count·Dims·8 overflows int.
+	if want := uint64(b.Count) * uint64(b.Dims) * 8; uint64(len(b.Samples)) != want {
+		return b, fmt.Errorf("%w: batch payload %d bytes, want %d", ErrProtocol, len(b.Samples), want)
 	}
 	return b, nil
 }
@@ -355,12 +368,12 @@ func ParseResults(p []byte, dst []core.Result) (stream string, _ []core.Result, 
 	if len(rest) < 4 {
 		return "", dst, fmt.Errorf("%w: short results header", ErrProtocol)
 	}
-	count := int(binary.LittleEndian.Uint32(rest))
+	count := binary.LittleEndian.Uint32(rest)
 	rest = rest[4:]
-	if len(rest) != count*resultBytes {
-		return "", dst, fmt.Errorf("%w: results payload %d bytes, want %d", ErrProtocol, len(rest), count*resultBytes)
+	if want := uint64(count) * resultBytes; uint64(len(rest)) != want {
+		return "", dst, fmt.Errorf("%w: results payload %d bytes, want %d", ErrProtocol, len(rest), want)
 	}
-	for i := 0; i < count; i++ {
+	for i := 0; i < int(count); i++ {
 		q := rest[i*resultBytes:]
 		flags := q[5]
 		dst = append(dst, core.Result{
