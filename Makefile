@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmt cross test vet staticcheck race bench bench-kernels bench-fleet bench-precision bench-compare bench-loadgen bench-coop bench-scenarios bench-pressure fuzz-smoke check
+.PHONY: build fmt cross test vet staticcheck race bench bench-kernels bench-fleet bench-compare bench-loadgen bench-coop bench-scenarios bench-pressure fuzz-smoke check
 
 build:
 	$(GO) build ./...
@@ -58,13 +58,6 @@ bench-fleet:
 	$(GO) run ./cmd/driftbench fleet -streams 64 -shards 16 -parallel 0
 	$(GO) run ./cmd/driftbench fleet -streams 8 -shards 4 -parallel 4
 
-# Numeric-backend comparison: f64/f32/q16 scoring throughput and
-# retained memory over the same replay, per-sample and through the
-# batched GEMM path (batch 1/8/64), written as the BENCH_6 artifact.
-# `go test -bench=ScorePrecision .` is the benchstat-friendly twin.
-bench-precision:
-	$(GO) run ./cmd/driftbench precision -json BENCH_6.json
-
 # Before/after comparison of the scoring hot path for perf PRs:
 # benchmarks the working tree against BENCH_BASE (default HEAD) with
 # -count=$(BENCH_COUNT) repetitions and diffs via benchstat. Warn-only
@@ -75,7 +68,7 @@ bench-precision:
 # benchstat.txt) for artifact upload.
 BENCH_BASE ?= HEAD
 BENCH_COUNT ?= 10
-BENCH_PATTERN ?= 'BenchmarkScoreBatch|BenchmarkScorePrecision'
+BENCH_PATTERN ?= 'BenchmarkScore$$|BenchmarkScorePrecision'
 BENCH_DIR ?= bench-out
 bench-compare:
 	@mkdir -p $(BENCH_DIR)

@@ -13,7 +13,7 @@ import (
 
 // fingerprintBatched is fingerprint with the stream driven through
 // ProcessBatch in fixed-size chunks instead of per-sample Process calls.
-// The BatchStreaming contract says the two must hash identically.
+// The two must hash identically.
 func fingerprintBatched(mon *edgedrift.Monitor, xs [][]float64, bs int) string {
 	h := fnv.New64a()
 	var b [8]byte
@@ -86,9 +86,8 @@ func TestGoldenStreamBatched(t *testing.T) {
 }
 
 // TestProcessBatchMatchesProcessFloat32 pins the same equivalence on the
-// float32 backend: the batched path must use the exact kernels the
-// per-sample path uses, so the result streams are bit-identical (not
-// merely within tolerance) regardless of SIMD availability.
+// float32 backend: the result streams are bit-identical (not merely
+// within tolerance) regardless of SIMD availability.
 func TestProcessBatchMatchesProcessFloat32(t *testing.T) {
 	fx := newFleetFixture(t)
 	for _, p := range []edgedrift.Precision{edgedrift.Float64, edgedrift.Float32} {
@@ -123,8 +122,8 @@ func TestProcessBatchMatchesProcessFloat32(t *testing.T) {
 }
 
 // TestMonitorProcessBatchZeroAllocs pins the end-to-end batch path —
-// guard, detector, model, backend — at zero allocations per call once
-// the lazy chunk buffers exist, for both float backends.
+// guard, detector, model, backend — at zero allocations per call, for
+// both float backends.
 func TestMonitorProcessBatchZeroAllocs(t *testing.T) {
 	fx := newFleetFixture(t)
 	for _, p := range []edgedrift.Precision{edgedrift.Float64, edgedrift.Float32} {
@@ -133,7 +132,6 @@ func TestMonitorProcessBatchZeroAllocs(t *testing.T) {
 			mon := precisionMonitor(t, fx, p)
 			xs := fx.stream[:96] // stationary prefix: no drift, no rebuild
 			dst := make([]edgedrift.Result, 0, len(xs))
-			dst = mon.ProcessBatch(dst, xs)
 			allocs := testing.AllocsPerRun(100, func() {
 				dst = mon.ProcessBatch(dst[:0], xs)
 			})
@@ -157,10 +155,9 @@ func TestProcessBatchPanicsBeforeFit(t *testing.T) {
 	mon.ProcessBatch(nil, [][]float64{{1, 2, 3}})
 }
 
-// TestProcessBatchTrainDuringMonitorFallback pins the fallback: with
-// on-line training enabled the model mutates between samples, so the
-// batched entry point must behave exactly like per-sample Process calls
-// (which train), not like a frozen-model batch.
+// TestProcessBatchTrainDuringMonitorFallback: with on-line training
+// enabled the model mutates between samples, and ProcessBatch must
+// behave exactly like per-sample Process calls (which train).
 func TestProcessBatchTrainDuringMonitorFallback(t *testing.T) {
 	fx := newFleetFixture(t)
 	build := func() *edgedrift.Monitor {
@@ -185,5 +182,20 @@ func TestProcessBatchTrainDuringMonitorFallback(t *testing.T) {
 	got := bat.ProcessBatch(nil, stream)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("TrainDuringMonitor batch diverged from per-sample stream")
+	}
+}
+
+// TestProcessBatchKeepsNoScratch: ProcessBatch scores through the same
+// per-sample path as Process, so a fitted monitor's audit is the same
+// before and after its first batch.
+func TestProcessBatchKeepsNoScratch(t *testing.T) {
+	fx := newFleetFixture(t)
+	for _, p := range []edgedrift.Precision{edgedrift.Float64, edgedrift.Float32} {
+		mon := precisionMonitor(t, fx, p)
+		before := mon.MemoryBytes()
+		mon.ProcessBatch(nil, fx.stream[:96])
+		if after := mon.MemoryBytes(); after != before {
+			t.Fatalf("%v: MemoryBytes %d after the first ProcessBatch, want %d", p, after, before)
+		}
 	}
 }

@@ -12,7 +12,6 @@
 package edgedrift_test
 
 import (
-	"fmt"
 	"strconv"
 	"testing"
 
@@ -201,10 +200,11 @@ func BenchmarkAblationMultiWindow(b *testing.B) {
 //
 //	benchstat old.txt new.txt
 //
-// compares the backends cell by cell. `driftbench precision -json`
-// wraps the same comparison as the BENCH_6 CI artifact. The retained
-// state of each backend is reported as the state-bytes metric
-// (Monitor.MemoryBytes / Streaming.MemoryBytes).
+// compares the backends cell by cell. `driftbench pressure -json`
+// reports the same backends' throughput and retained memory as the
+// BENCH_10 CI artifact. The retained state of each backend is reported
+// as the state-bytes metric (Monitor.MemoryBytes /
+// Streaming.MemoryBytes).
 func BenchmarkScorePrecision(b *testing.B) {
 	ds := nslkdd.Generate(nslkdd.DefaultParams())
 	train := func(b *testing.B, p edgedrift.Precision) *edgedrift.Monitor {
@@ -246,27 +246,5 @@ func BenchmarkScorePrecision(b *testing.B) {
 			b.StopTimer()
 			b.ReportMetric(float64(s.MemoryBytes()), "state-bytes")
 		})
-		// The batch axis: the same replay driven through ProcessBatch in
-		// fixed-size chunks. ns/op stays per sample, so the batchN rows
-		// compare directly against the per-sample row above.
-		for _, n := range []int{8, 64} {
-			n := n
-			b.Run(fmt.Sprintf("%s/batch%d", bc.name, n), func(b *testing.B) {
-				s := bc.make(b).(edgedrift.BatchStreaming)
-				chunks := make([][][]float64, 0, len(ds.TestX)/n)
-				for lo := 0; lo+n <= len(ds.TestX); lo += n {
-					chunks = append(chunks, ds.TestX[lo:lo+n])
-				}
-				dst := make([]edgedrift.Result, 0, n)
-				dst = s.ProcessBatch(dst, chunks[0]) // prime lazy batch buffers
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i, j := 0, 0; i < b.N; i, j = i+n, j+1 {
-					dst = s.ProcessBatch(dst[:0], chunks[j%len(chunks)])
-				}
-				b.StopTimer()
-				b.ReportMetric(float64(s.MemoryBytes()), "state-bytes")
-			})
-		}
 	}
 }

@@ -12,7 +12,6 @@
 //	driftbench fleet -streams 64      # multi-stream fleet throughput
 //	driftbench fleet -precision q16   # fleet of Q16.16 fixed-point members
 //	driftbench serve -addr :9100      # replay streams, serve /metrics + /health
-//	driftbench precision -json BENCH_6.json  # f64/f32/q16 scoring throughput
 //	driftbench shard -addr :7600      # one shard of the distributed serve tier
 //	driftbench route -shards host1:7600,host2:7600  # consistent-hash router
 //	driftbench loadgen -shard-range 1,2,4 -json BENCH_7.json  # tier scaling curve
@@ -45,9 +44,6 @@ func main() {
 	}
 	if len(os.Args) > 1 && os.Args[1] == "serve" {
 		os.Exit(runServe(os.Args[2:]))
-	}
-	if len(os.Args) > 1 && os.Args[1] == "precision" {
-		os.Exit(runPrecision(os.Args[2:]))
 	}
 	if len(os.Args) > 1 && os.Args[1] == "shard" {
 		os.Exit(runShard(os.Args[2:]))

@@ -151,11 +151,8 @@ type Monitor struct {
 }
 
 // A fitted Monitor is itself a pipeline stage: the Fleet schedules it
-// through the same contract every detector in this repository satisfies,
-// and it exposes the batched-scoring capability so fleet batches run
-// through the GEMM path.
+// through the same contract every detector in this repository satisfies.
 var _ core.Streaming = (*Monitor)(nil)
-var _ core.BatchStreaming = (*Monitor)(nil)
 
 // New builds an untrained Monitor. Call Fit or FitUnsupervised before
 // Process.
@@ -286,65 +283,16 @@ func (m *Monitor) Process(x []float64) Result {
 }
 
 // ProcessBatch consumes a batch of samples in order, appending one
-// Result per sample to dst — results and state bit-identical to calling
-// Process per sample (the BatchStreaming contract). The win is the
-// memory-access pattern: the model scores each chunk through batched
-// GEMM kernels that stream every weight matrix once per chunk instead
-// of once per sample. With TrainDuringMonitor set, the model mutates
-// between samples, so the monitor transparently falls back to the
-// per-sample path.
+// Result per sample to dst: one Process call per sample.
 func (m *Monitor) ProcessBatch(dst []Result, xs [][]float64) []Result {
 	if !m.fit {
 		panic("edgedrift: ProcessBatch before Fit")
 	}
-	if m.degraded != nil {
-		if bs, ok := m.degraded.(core.BatchStreaming); ok {
-			return bs.ProcessBatch(dst, xs)
-		}
-		for _, x := range xs {
-			dst = append(dst, m.degraded.Process(x))
-		}
-		return dst
+	for _, x := range xs {
+		dst = append(dst, m.Process(x))
 	}
-	if m.opts.TrainDuringMonitor {
-		for _, x := range xs {
-			dst = append(dst, m.Process(x))
-		}
-		return dst
-	}
-	return m.det.ProcessBatch(dst, xs)
+	return dst
 }
-
-// ScratchShape reports the shape of batch scratch the next ProcessBatch
-// scores on (see core.ScratchBorrower): the f32 twin's while demoted at
-// f32, none while demoted to the Q16.16 port or while
-// TrainDuringMonitor sends every sample down the per-sample path.
-func (m *Monitor) ScratchShape() (model.Shape, bool) {
-	switch t := m.degraded.(type) {
-	case nil:
-		if m.opts.TrainDuringMonitor {
-			return model.Shape{}, false
-		}
-		return m.det.ScratchShape()
-	case *Monitor:
-		return t.ScratchShape()
-	default:
-		return model.Shape{}, false
-	}
-}
-
-// BorrowScratch lends s to the active state machine's model for the
-// ProcessBatch calls that follow; nil takes it back. A fleet lends one
-// scratch per concurrent batch instead of each member keeping its own.
-func (m *Monitor) BorrowScratch(s *model.Scratch) {
-	if t, ok := m.degraded.(*Monitor); ok {
-		t.BorrowScratch(s)
-		return
-	}
-	m.det.BorrowScratch(s)
-}
-
-var _ core.ScratchBorrower = (*Monitor)(nil)
 
 // Health assembles a structured health snapshot of the monitor: guard
 // counters, RLS watchdog state, and score-distribution summary. Cheap

@@ -42,13 +42,6 @@ type TraceEvent = core.TraceEvent
 // it, and a Fleet can host any mix of them via AddStage.
 type Streaming = core.Streaming
 
-// BatchStreaming is the optional batched-scoring capability a stage can
-// expose: ProcessBatch must be observably identical to per-sample
-// Process calls (see the core package for the contract). Monitors and
-// their Q16.16 ports implement it; the Fleet discovers it at AddStage
-// time and routes whole batches through it.
-type BatchStreaming = core.BatchStreaming
-
 // Fleet monitors many independent streams at once: a sharded,
 // multi-tenant registry of Monitors keyed by stream ID. A Monitor alone
 // is the single-stream special case — one state machine, one goroutine;

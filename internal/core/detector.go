@@ -383,66 +383,6 @@ func New(m *model.Multi, cfg Config) (*Detector, error) {
 	return d, nil
 }
 
-// batchBlock is how many monitoring samples the detector scores per
-// model sweep; aligned with the model/oselm chunk so one block is one
-// batched GEMM pair per instance.
-const batchBlock = 64
-
-// processBatchAccepted is ProcessBatch on the raw state machine, for a
-// run of samples the ingestion guard has admitted: score whole blocks
-// through the model's batched forward whenever the model is guaranteed
-// static across the block, fall back to per-sample processing
-// everywhere else.
-//
-// The fast path requires ops == nil (op-counted runs charge per-sample
-// stage tallies through closures the batch path cannot replicate
-// mid-GEMM) and the monitoring/checking phases (reconstruction trains
-// the model on every sample, so consecutive scores are not batchable).
-// Within a block, a drift detection or divergence mutates the model;
-// the remaining precomputed scores are discarded and the outer loop
-// resumes — per-sample — on the next sample, exactly as the sequential
-// algorithm would.
-func (d *Detector) processBatchAccepted(dst []Result, xs [][]float64) []Result {
-	i := 0
-	for i < len(xs) {
-		if d.ops != nil || d.drift {
-			dst = append(dst, d.processAccepted(xs[i]))
-			i++
-			continue
-		}
-		n := len(xs) - i
-		if n > batchBlock {
-			n = batchBlock
-		}
-		chunk := xs[i : i+n]
-		labels, scores := d.model.BatchBuffers(n)
-		d.model.PredictBatch(labels, scores, chunk)
-		for k, x := range chunk {
-			d.samplesSeen++
-			d.stageN[StageLabelPrediction]++
-			res := d.monitorScored(x, labels[k], scores[k])
-			dst = append(dst, res)
-			i++
-			if d.drift {
-				break // model state changed; precomputed scores are stale
-			}
-		}
-	}
-	return dst
-}
-
-var _ BatchStreaming = (*Detector)(nil)
-
-// ScratchShape reports the shape of the batch scratch ProcessBatch
-// scores on (see ScratchBorrower).
-func (d *Detector) ScratchShape() (model.Shape, bool) { return d.model.Shape(), true }
-
-// BorrowScratch lends s to the detector's model for the ProcessBatch
-// calls that follow; nil takes it back (see ScratchBorrower).
-func (d *Detector) BorrowScratch(s *model.Scratch) { d.model.Lend(s) }
-
-var _ ScratchBorrower = (*Detector)(nil)
-
 // Config returns the defaulted configuration.
 func (d *Detector) Config() Config { return d.cfg }
 
@@ -671,16 +611,9 @@ func (d *Detector) Process(x []float64) Result {
 }
 
 // ProcessBatch consumes the samples of xs in order, appending one
-// Result each to dst, with results and post-call state identical to
-// calling Process per sample (see BatchStreaming). Monitoring-phase
-// samples are scored in blocks through the model's batched GEMM
-// forward; reconstruction and op-counted runs take the per-sample path
-// internally. The guard splits xs into runs of finite samples, each
-// batched, and sends every non-finite sample through its policy alone;
-// its only per-sample state is lastGood, which only the last result of
-// a run can be observed as. After the model's batch scratch exists
-// (allocated lazily, or lent through BorrowScratch), the call performs
-// no heap allocation beyond dst's own growth.
+// Result each to dst: one Process call per sample, after checking every
+// sample's width up front so a malformed batch panics before any sample
+// changes state.
 func (d *Detector) ProcessBatch(dst []Result, xs [][]float64) []Result {
 	if !d.calibrated {
 		panic("core: Process before Calibrate")
@@ -690,19 +623,8 @@ func (d *Detector) ProcessBatch(dst []Result, xs [][]float64) []Result {
 			panic(fmt.Sprintf("core: sample dimension %d, want %d", len(x), d.dims))
 		}
 	}
-	for i := 0; i < len(xs); {
-		run := 0
-		for i+run < len(xs) && mat.AllFinite(xs[i+run]) {
-			run++
-		}
-		if run == 0 {
-			dst = append(dst, d.process(xs[i]))
-			i++
-			continue
-		}
-		dst = d.processBatchAccepted(dst, xs[i:i+run])
-		d.lastGood = dst[len(dst)-1]
-		i += run
+	for _, x := range xs {
+		dst = append(dst, d.process(x))
 	}
 	return dst
 }
@@ -770,16 +692,6 @@ func (d *Detector) processAccepted(x []float64) Result {
 	d.stage(StageLabelPrediction, func() {
 		label, score = d.model.Predict(x)
 	})
-	return d.monitorScored(x, label, score)
-}
-
-// monitorScored is the monitoring-phase tail of Algorithm 1: everything
-// after the label prediction, operating on an already-computed (label,
-// score) pair. Factored out of processAccepted so the batched path —
-// which computes whole blocks of predictions in one model sweep — drives
-// the identical state machine per sample. samplesSeen and the
-// label-prediction stage tally are the caller's responsibility.
-func (d *Detector) monitorScored(x []float64, label int, score float64) Result {
 	if math.IsNaN(score) || math.IsInf(score, 0) {
 		// The input was finite, so the model's own state has diverged
 		// (e.g. RLS blow-up between watchdog passes). Degrade gracefully:

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"fmt"
 	"math"
-	"strings"
 
 	"edgedrift/internal/health"
 )
@@ -37,18 +35,6 @@ func (p FusionPolicy) String() string {
 	}
 }
 
-// ParseFusionPolicy maps the CLI spelling to a FusionPolicy.
-func ParseFusionPolicy(s string) (FusionPolicy, error) {
-	switch strings.ToLower(s) {
-	case "either":
-		return FuseEither, nil
-	case "confirm":
-		return FuseConfirm, nil
-	default:
-		return 0, fmt.Errorf("core: unknown fusion policy %q (either, confirm)", s)
-	}
-}
-
 // HybridConfig configures a Hybrid stage.
 type HybridConfig struct {
 	// Policy is the fusion policy; the zero value is FuseEither.
@@ -79,7 +65,6 @@ const hybridFarPast = math.MinInt / 4
 // dependency can only point this way.
 type Hybrid struct {
 	inner Streaming
-	batch BatchStreaming // inner's optional batch capability
 	sup   Streaming
 	cfg   HybridConfig
 
@@ -118,9 +103,6 @@ func NewHybrid(inner, sup Streaming, cfg HybridConfig) *Hybrid {
 		lastSup:   hybridFarPast,
 		lastUnsup: hybridFarPast,
 	}
-	if bs, ok := inner.(BatchStreaming); ok {
-		h.batch = bs
-	}
 	if t, ok := Find[interface{ TriggerReconstruction() }](inner); ok {
 		h.trigger = t.TriggerReconstruction
 	}
@@ -134,44 +116,21 @@ func NewHybrid(inner, sup Streaming, cfg HybridConfig) *Hybrid {
 }
 
 // Process forwards the sample to the inner detector and returns its
-// result untouched, bookkeeping unsupervised alarms for the fusion
-// counters.
+// result untouched, advancing the pairing clock and booking an
+// unsupervised alarm, which under FuseConfirm is confirmed against a
+// recent supervised one.
 func (h *Hybrid) Process(x []float64) Result {
 	res := h.inner.Process(x)
-	h.afterResult(res)
-	return res
-}
-
-// ProcessBatch forwards to the inner stage's batch path when it has
-// one, preserving the strict per-sample equivalence contract.
-func (h *Hybrid) ProcessBatch(dst []Result, xs [][]float64) []Result {
-	base := len(dst)
-	if h.batch != nil {
-		dst = h.batch.ProcessBatch(dst, xs)
-	} else {
-		for _, x := range xs {
-			dst = append(dst, h.inner.Process(x))
-		}
-	}
-	for _, res := range dst[base:] {
-		h.afterResult(res)
-	}
-	return dst
-}
-
-// afterResult advances the pairing clock and books an unsupervised
-// alarm, confirming it against a recent supervised one under
-// FuseConfirm.
-func (h *Hybrid) afterResult(res Result) {
 	h.step++
 	if !res.DriftDetected {
-		return
+		return res
 	}
 	h.unsupFires++
 	h.lastUnsup = h.step
 	if h.cfg.Policy == FuseConfirm && h.step-h.lastSup <= h.cfg.ConfirmWindow {
 		h.confirms++
 	}
+	return res
 }
 
 // Observe feeds one late label to the supervised arm: the ground truth
@@ -255,7 +214,4 @@ func (h *Hybrid) Health() health.Snapshot {
 	return s
 }
 
-var (
-	_ Streaming      = (*Hybrid)(nil)
-	_ BatchStreaming = (*Hybrid)(nil)
-)
+var _ Streaming = (*Hybrid)(nil)

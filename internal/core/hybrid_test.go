@@ -52,18 +52,12 @@ func (s *fakeInner) Health() health.Snapshot {
 	return health.Snapshot{PFinite: true, Phase: Monitoring.String()}
 }
 
+// TestFusionPolicyParse pins the policies' spellings.
 func TestFusionPolicyParse(t *testing.T) {
-	for _, p := range []FusionPolicy{FuseEither, FuseConfirm} {
-		got, err := ParseFusionPolicy(p.String())
-		if err != nil || got != p {
-			t.Fatalf("round trip %v: got %v, err %v", p, got, err)
+	for p, want := range map[FusionPolicy]string{FuseEither: "either", FuseConfirm: "confirm", 99: "unknown"} {
+		if got := p.String(); got != want {
+			t.Fatalf("FusionPolicy(%d).String() = %q, want %q", int(p), got, want)
 		}
-	}
-	if _, err := ParseFusionPolicy("both"); err == nil {
-		t.Fatal("expected error for unknown policy")
-	}
-	if FusionPolicy(99).String() != "unknown" {
-		t.Fatal("unknown policy must stringify as unknown")
 	}
 }
 
@@ -184,58 +178,6 @@ func TestHybridConfirm(t *testing.T) {
 	}
 	if h3.Health().HybridConfirms != 0 || h2.Health().HybridConfirms != 1 {
 		t.Fatal("health confirm counters wrong")
-	}
-}
-
-// TestHybridBatchEquivalence: the batch path must produce the identical
-// results and fusion counters as the per-sample path.
-func TestHybridBatchEquivalence(t *testing.T) {
-	d1, r1 := newCalibrated(t, 92, DefaultConfig(40))
-	d2, r2 := newCalibrated(t, 92, DefaultConfig(40))
-	h1 := NewHybrid(d1, &fakeSup{FireAt: 1 << 30}, HybridConfig{})
-	h2 := NewHybrid(d2, &fakeSup{FireAt: 1 << 30}, HybridConfig{})
-	const n = 900
-	xs1 := make([][]float64, n)
-	xs2 := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		shift := 0.0
-		if i >= 300 {
-			shift = 6
-		}
-		xs1[i] = sample(r1, i%testClasses, shift)
-		xs2[i] = sample(r2, i%testClasses, shift)
-	}
-	var got []Result
-	for lo := 0; lo < n; lo += 97 {
-		hi := lo + 97
-		if hi > n {
-			hi = n
-		}
-		got = h1.ProcessBatch(got, xs1[lo:hi])
-	}
-	for i := 0; i < n; i++ {
-		want := h2.Process(xs2[i])
-		if got[i] != want {
-			t.Fatalf("step %d: batch %+v, per-sample %+v", i, got[i], want)
-		}
-	}
-	if h1.Health() != h2.Health() {
-		t.Fatalf("health diverged:\nbatch      %+v\nper-sample %+v", h1.Health(), h2.Health())
-	}
-}
-
-// TestHybridFallbackBatch: an inner stage without the batch capability
-// still satisfies ProcessBatch via the per-sample loop.
-func TestHybridFallbackBatch(t *testing.T) {
-	inner := &fakeInner{fire: map[int]bool{3: true}}
-	h := NewHybrid(inner, &fakeSup{FireAt: 1}, HybridConfig{})
-	x := []float64{0}
-	dst := h.ProcessBatch(nil, [][]float64{x, x, x, x})
-	if len(dst) != 4 {
-		t.Fatalf("got %d results", len(dst))
-	}
-	if !dst[2].DriftDetected {
-		t.Fatal("scripted fire lost in fallback batch path")
 	}
 }
 

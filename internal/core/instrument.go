@@ -194,35 +194,6 @@ func (in *Instrumented) Process(x []float64) Result {
 	return res
 }
 
-// ProcessBatch forwards a whole batch to the wrapped stage's batch path
-// and replays the counter/trace accounting over the returned results —
-// observably identical to per-sample Process. Two cases force the
-// per-sample fallback: an inner stage without the batch capability, and
-// armed latency sampling (SampleEvery > 0), whose contract is "time
-// every k-th Process call" — a batched call has no per-sample span to
-// time, so timing-enabled stages keep the exact semantics instead of
-// approximating them.
-func (in *Instrumented) ProcessBatch(dst []Result, xs [][]float64) []Result {
-	bs, ok := in.inner.(BatchStreaming)
-	if !ok || in.every != 0 {
-		for _, x := range xs {
-			dst = append(dst, in.Process(x))
-		}
-		return dst
-	}
-	base := len(dst)
-	dst = bs.ProcessBatch(dst, xs)
-	for _, res := range dst[base:] {
-		in.n++
-		if res.Rejected || res.DriftDetected || res.Phase != in.lastPhase {
-			in.record(res)
-		}
-	}
-	return dst
-}
-
-var _ BatchStreaming = (*Instrumented)(nil)
-
 // record handles the rare per-sample events: guard rejections, phase
 // span closes, and drift-trace writes. Cold by construction — the hot
 // path only calls it when one of those actually happened (and on the

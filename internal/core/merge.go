@@ -2,9 +2,8 @@ package core
 
 // Merger is the optional capability a stage exposes when its trained
 // model state is a first-class, mergeable value — the seam the fleet's
-// cooperative policies (warm recovery, anti-entropy) are built on. It
-// follows the same capability-interface pattern as BatchStreaming:
-// callers discover it with Find[Merger], and a stage that cannot merge
+// cooperative policies (warm recovery, anti-entropy) are built on.
+// Callers discover it with Find[Merger], and a stage that cannot merge
 // (the Q16.16 detect-only port, the batch baselines) simply does not
 // implement it.
 type Merger interface {

@@ -11,10 +11,10 @@ import (
 // numeric precision is a runtime lifecycle rather than a construction
 // choice: the stage can demote itself to a cheaper backend under
 // pressure and promote back when pressure clears. It follows the same
-// capability-interface pattern as Merger/BatchStreaming — callers
-// discover it with Find[Transitioner], and stages that are inherently
-// single-precision (the baseline detectors, the Q16.16 port itself)
-// simply do not implement it.
+// capability-interface pattern as Merger — callers discover it with
+// Find[Transitioner], and stages that are inherently single-precision
+// (the baseline detectors, the Q16.16 port itself) simply do not
+// implement it.
 //
 // The contract is asymmetric by design: Demote derives a
 // reduced-precision twin and KEEPS the full-precision state aside as

@@ -22,15 +22,9 @@ type Autoencoder struct {
 
 	h     []Q
 	recon []Q
-	hb    []Q // batchChunk×hidden staging for ScoreBatch (lazy)
 	sat   int // parameters clipped during quantisation
 	ops   *opcount.Counter
 }
-
-// batchChunk is the sample-block size of the batched fixed-point scorer,
-// matching the float backends' chunk so cross-precision benchmarks
-// compare the same batching discipline.
-const batchChunk = 64
 
 // QuantizeAutoencoder converts a trained float autoencoder for
 // fixed-point inference. Weight magnitudes must fit Q16.16 (they do for
@@ -75,13 +69,6 @@ func (a *Autoencoder) Score(x []Q) Q {
 	}
 	// Hidden layer matvec: h = W·x.
 	mat.MulVecQ16(a.h, a.w, x)
-	return a.scoreFromHidden(x)
-}
-
-// scoreFromHidden finishes a score with the raw hidden matvec W·x
-// already in a.h: bias, sigmoid, output layer and the L1 metric — the
-// shared tail of Score and ScoreBatch.
-func (a *Autoencoder) scoreFromHidden(x []Q) Q {
 	for i, v := range a.h {
 		a.h[i] = Sigmoid(Add(v, a.bias[i]))
 	}
@@ -97,39 +84,4 @@ func (a *Autoencoder) scoreFromHidden(x []Q) Q {
 	a.ops.AddAdd(a.inputs)
 	a.ops.AddDiv(1)
 	return Div(total, FromFloat(float64(a.inputs)))
-}
-
-// ScoreBatch scores every xs[i] into dst[i], computing the hidden-layer
-// matvecs of a whole chunk through the batched integer kernel so the
-// weight slab streams once per block instead of once per sample.
-// Results are bit-identical to per-sample Score calls: DotQ16
-// accumulates each element in one 64-bit register and saturates once,
-// so its value cannot depend on batching, and the per-sample tail is
-// the same code. The model is static (inference-only port), so batching
-// is always semantics-preserving here.
-func (a *Autoencoder) ScoreBatch(dst []Q, xs [][]Q) {
-	if len(dst) != len(xs) {
-		panic("fixed: ScoreBatch buffer length mismatch")
-	}
-	if a.hb == nil {
-		a.hb = make([]Q, batchChunk*a.hidden)
-	}
-	for start := 0; start < len(xs); start += batchChunk {
-		end := start + batchChunk
-		if end > len(xs) {
-			end = len(xs)
-		}
-		chunk := xs[start:end]
-		for i, x := range chunk {
-			if len(x) != a.inputs {
-				panic(fmt.Sprintf("fixed: input dimension %d, want %d", len(chunk[i]), a.inputs))
-			}
-		}
-		hb := a.hb[:len(chunk)*a.hidden]
-		mat.MulVecBatchQ16(hb, a.w, chunk, a.hidden)
-		for i, x := range chunk {
-			copy(a.h, hb[i*a.hidden:(i+1)*a.hidden])
-			dst[start+i] = a.scoreFromHidden(x)
-		}
-	}
 }

@@ -115,12 +115,6 @@ func L1DistAcc(a, b []Q) Q { return mat.L1DistQ16(a, b) }
 // shared piecewise-linear kernel over [−8, 8].
 func Sigmoid(x Q) Q { return mat.SigmoidQ16(x) }
 
-// QuantizeVec converts a float vector to Q with silent saturation.
-func QuantizeVec(xs []float64) []Q {
-	out, _ := QuantizeVecChecked(xs)
-	return out
-}
-
 // QuantizeVecChecked converts a float vector to Q and reports how many
 // elements saturated.
 func QuantizeVecChecked(xs []float64) ([]Q, int) {

@@ -70,8 +70,8 @@ func TestMulSaturates(t *testing.T) {
 }
 
 func TestL1DistAcc(t *testing.T) {
-	a := QuantizeVec([]float64{0, 1, -2})
-	b := QuantizeVec([]float64{1, 1, 2})
+	a, _ := QuantizeVecChecked([]float64{0, 1, -2})
+	b, _ := QuantizeVecChecked([]float64{1, 1, 2})
 	if got := L1DistAcc(a, b).Float(); math.Abs(got-5) > 1e-3 {
 		t.Fatalf("L1 = %v", got)
 	}
@@ -92,7 +92,8 @@ func TestSigmoidAccuracy(t *testing.T) {
 
 func TestQuantizeDequantize(t *testing.T) {
 	xs := []float64{1.5, -2.25, 0}
-	for i, q := range QuantizeVec(xs) {
+	qs, _ := QuantizeVecChecked(xs)
+	for i, q := range qs {
 		if back := q.Float(); math.Abs(back-xs[i]) > 1e-4 {
 			t.Fatalf("vec round trip %v → %v", xs[i], back)
 		}

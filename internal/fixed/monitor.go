@@ -15,7 +15,7 @@ import (
 // than reconstructing — the host retrains and ships a fresh artifact,
 // the realistic division of labour for an M0+-class device.
 //
-// Monitor is a core.BatchStreaming stage, so the fleet layer can host
+// Monitor is a core.Streaming stage, so the fleet layer can host
 // Q16.16 members next to float detectors: input samples are quantised
 // through retained buffers and results are widened back to float64.
 type Monitor struct {
@@ -41,12 +41,6 @@ type Monitor struct {
 	ops     *opcount.Counter
 
 	xq []Q // Process's quantised sample
-
-	// Batched-prediction staging (lazy; see ProcessBatch).
-	xqb         [][]Q // quantised sample rows, batchChunk×dims
-	batchCols   [][]Q // per-instance score columns, C×batchChunk
-	batchLabels []int
-	batchScores []Q
 }
 
 // QuantizeDetector builds a fixed-point monitor from a calibrated float
@@ -108,9 +102,14 @@ func (mon *Monitor) Events() []int {
 }
 
 // Process quantises one sample into the retained buffer and runs the
-// fixed-point pipeline on it. It panics on a sample of the wrong width.
+// fixed-point pipeline on it: the argmin prediction, the θ_error gate,
+// the centroid window and the drift decision. It panics on a sample of
+// the wrong width, as core.Detector does, rather than score it against
+// stale buffer features.
 func (mon *Monitor) Process(x []float64) core.Result {
-	mon.checkDims(x)
+	if len(x) != mon.dims {
+		panic(fmt.Sprintf("fixed: sample dimension %d, want %d", len(x), mon.dims))
+	}
 	for i, v := range x {
 		mon.xq[i] = FromFloat(v)
 	}
@@ -124,22 +123,6 @@ func (mon *Monitor) Process(x []float64) core.Result {
 		}
 	}
 	mon.ops.AddCmp(len(mon.instances) - 1)
-	return mon.step(mon.xq, best, bestScore)
-}
-
-// checkDims panics on a sample of the wrong width, as core.Detector
-// does, rather than score it against stale buffer features.
-func (mon *Monitor) checkDims(x []float64) {
-	if len(x) != mon.dims {
-		panic(fmt.Sprintf("fixed: sample dimension %d, want %d", len(x), mon.dims))
-	}
-}
-
-// step is the post-prediction half of Process: the θ_error gate, the
-// centroid window and the drift decision, operating on an
-// already-computed (label, score) pair so the batched path drives the
-// identical state machine. The caller increments samples first.
-func (mon *Monitor) step(x []Q, best int, bestScore Q) core.Result {
 	res := core.Result{Label: best, Score: bestScore.Float()}
 
 	if mon.pending {
@@ -153,7 +136,7 @@ func (mon *Monitor) step(x []Q, best int, bestScore Q) core.Result {
 	}
 	mon.ops.AddCmp(1)
 	if mon.check && mon.win < mon.window {
-		mon.updateCentroid(best, x)
+		mon.updateCentroid(best, mon.xq)
 		mon.dist = mon.centroidDist()
 		mon.win++
 		if mon.win == mon.window {
@@ -183,78 +166,6 @@ func (mon *Monitor) phaseNow() core.Phase {
 	default:
 		return core.Monitoring
 	}
-}
-
-// scoreBatch predicts a chunk (≤ batchChunk samples): every instance
-// scores the whole chunk through its batched kernel, then the argmin
-// scan — replicating Process's exactly, including the "first instance
-// wins ties" rule and the comparison charge — fills labels and scores.
-func (mon *Monitor) scoreBatch(labels []int, scores []Q, chunk [][]Q) {
-	if mon.batchCols == nil {
-		mon.batchCols = make([][]Q, len(mon.instances))
-		for c := range mon.batchCols {
-			mon.batchCols[c] = make([]Q, batchChunk)
-		}
-	}
-	for c, inst := range mon.instances {
-		inst.ScoreBatch(mon.batchCols[c][:len(chunk)], chunk)
-	}
-	for i := range chunk {
-		best, bestScore := 0, Q(0)
-		for c := range mon.instances {
-			if s := mon.batchCols[c][i]; c == 0 || s < bestScore {
-				best, bestScore = c, s
-			}
-		}
-		mon.ops.AddCmp(len(mon.instances) - 1)
-		labels[i], scores[i] = best, bestScore
-	}
-}
-
-// ensureBatch lazily allocates the chunk-sized quantise rows and
-// label/score staging.
-func (mon *Monitor) ensureBatch() {
-	if mon.xqb != nil {
-		return
-	}
-	mon.xqb = make([][]Q, batchChunk)
-	for i := range mon.xqb {
-		mon.xqb[i] = make([]Q, mon.dims)
-	}
-	mon.batchLabels = make([]int, batchChunk)
-	mon.batchScores = make([]Q, batchChunk)
-}
-
-// ProcessBatch consumes xs in order, appending one Result per sample to
-// dst. Each chunk is quantised into retained staging rows and scored
-// through the batched kernel, then the drift state machine steps one
-// sample at a time. The on-device model is inference-only — nothing
-// mutates the instances between samples, even across a detection — so
-// batching is always valid here and results are bit-identical to
-// per-sample Process calls (see Autoencoder.ScoreBatch for the kernel
-// argument). It panics, before consuming anything, if any sample has
-// the wrong width.
-func (mon *Monitor) ProcessBatch(dst []core.Result, xs [][]float64) []core.Result {
-	for _, x := range xs {
-		mon.checkDims(x)
-	}
-	mon.ensureBatch()
-	for start := 0; start < len(xs); start += batchChunk {
-		end := min(start+batchChunk, len(xs))
-		chunk := mon.xqb[:end-start]
-		for i, x := range xs[start:end] {
-			for j, v := range x {
-				chunk[i][j] = FromFloat(v)
-			}
-		}
-		labels, scores := mon.batchLabels[:len(chunk)], mon.batchScores[:len(chunk)]
-		mon.scoreBatch(labels, scores, chunk)
-		for i, x := range chunk {
-			mon.samples++
-			dst = append(dst, mon.step(x, labels[i], scores[i]))
-		}
-	}
-	return dst
 }
 
 // updateCentroid applies the running-mean rule in fixed point:
@@ -289,21 +200,13 @@ func (mon *Monitor) MemoryBytes() int {
 	const w = 4
 	total := 8 * w // scalars
 	for _, inst := range mon.instances {
-		total += w * (len(inst.w) + len(inst.bias) + len(inst.beta) + len(inst.h) + len(inst.recon) + len(inst.hb))
+		total += w * (len(inst.w) + len(inst.bias) + len(inst.beta) + len(inst.h) + len(inst.recon))
 	}
 	for c := range mon.cor {
 		total += w * (len(mon.cor[c]) + len(mon.trainCor[c]))
 	}
 	total += 4 * len(mon.num)
 	total += w * len(mon.xq)
-	// Batch staging, zero until the batched path is first used.
-	for _, row := range mon.xqb {
-		total += w * len(row)
-	}
-	for _, col := range mon.batchCols {
-		total += w * len(col)
-	}
-	total += 8*len(mon.batchLabels) + w*len(mon.batchScores)
 	return total
 }
 
@@ -320,4 +223,4 @@ func (mon *Monitor) Health() health.Snapshot {
 	}
 }
 
-var _ core.BatchStreaming = (*Monitor)(nil)
+var _ core.Streaming = (*Monitor)(nil)

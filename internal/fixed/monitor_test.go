@@ -173,3 +173,35 @@ func TestProcessPanicsOnBadDims(t *testing.T) {
 		t.Fatalf("%d samples consumed by rejected widths", h.SamplesSeen)
 	}
 }
+
+// TestMonitorBatchMemoryAccounted: the monitor keeps no lazily
+// allocated staging, so its audit is fixed when it is quantised and a
+// trace through monitoring, a check window and a detection adds
+// nothing.
+func TestMonitorBatchMemoryAccounted(t *testing.T) {
+	det, r := calibratedFloatDetector(t, 15)
+	mon := QuantizeDetector(det)
+	before := mon.MemoryBytes()
+	for i := 0; i < 300; i++ {
+		shift := 0.0
+		if i >= 100 {
+			shift = 4
+		}
+		mon.Process(monSample(r, i%monClasses, shift))
+	}
+	if len(mon.Events()) == 0 {
+		t.Fatal("trace crossed no detection")
+	}
+	if after := mon.MemoryBytes(); after != before {
+		t.Fatalf("MemoryBytes %d after the trace, want %d", after, before)
+	}
+}
+
+func TestMonitorProcessZeroAllocs(t *testing.T) {
+	det, r := calibratedFloatDetector(t, 13)
+	mon := QuantizeDetector(det)
+	x := monSample(r, 0, 0)
+	if allocs := testing.AllocsPerRun(100, func() { mon.Process(x) }); allocs != 0 {
+		t.Fatalf("Process allocates %v per call, want 0", allocs)
+	}
+}

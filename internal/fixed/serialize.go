@@ -34,7 +34,7 @@ const (
 // sample-boundary snapshot: loading it and feeding the same subsequent
 // samples produces bit-identical results to never having saved, because
 // every retained word is an integer written verbatim (compute staging —
-// h, recon, quantise and batch buffers — is rebuilt at load and never
+// h, recon and quantise buffers — is rebuilt at load and never
 // carries state across samples).
 func (mon *Monitor) Save(w io.Writer) error {
 	cw, err := ckpt.Create(w, magic)
@@ -102,8 +102,8 @@ func (mon *Monitor) Save(w io.Writer) error {
 }
 
 // LoadMonitor deserialises a monitor written by Save. It is immediately
-// ready to Process; operation counting (SetOps) and batch staging are
-// reattached or rebuilt lazily by the caller as needed.
+// ready to Process; operation counting (SetOps) is reattached by the
+// caller as needed.
 func LoadMonitor(r io.Reader) (*Monitor, error) {
 	cr, err := ckpt.Open(r, magic)
 	if err != nil {

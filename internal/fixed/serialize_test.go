@@ -13,7 +13,7 @@ import (
 // TestSaveLoadBitIdenticalContinuation is the QFIX01 contract: save a
 // mid-stream monitor, load it, and the resumed copy must produce
 // bit-identical results to the original on every subsequent sample —
-// including across a drift detection and through the batched path.
+// including across a drift detection.
 func TestSaveLoadBitIdenticalContinuation(t *testing.T) {
 	det, r := calibratedFloatDetector(t, 42)
 	mon := QuantizeDetector(det)
@@ -37,18 +37,16 @@ func TestSaveLoadBitIdenticalContinuation(t *testing.T) {
 	}
 
 	// The same post-checkpoint samples through both copies, shifted so
-	// drifts fire. Per-sample on the original, batched on the resumed
-	// copy — exercising checkpoint identity and the batch contract at
-	// once.
+	// drifts fire.
 	var post [][]float64
 	for i := 0; i < 120; i++ {
 		post = append(post, monSample(r, i%monClasses, 5))
 	}
-	var want []core.Result
+	var want, got []core.Result
 	for _, x := range post {
 		want = append(want, mon.Process(x))
+		got = append(got, resumed.Process(x))
 	}
-	got := resumed.ProcessBatch(nil, post)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("resumed monitor diverged from the original after load")
 	}

@@ -92,16 +92,6 @@ type member struct {
 	// call target) instead of re-dispatching through the interface, so
 	// instrumentation costs one direct call, not a second virtual one.
 	instr *core.Instrumented
-	// batch is the stage's batched-scoring capability, discovered once at
-	// Add time (nil when the stage is per-sample only). When set, whole
-	// ProcessBatch calls go through one virtual dispatch instead of one
-	// per sample, and the stage gets contiguous chunks to run as GEMMs.
-	batch core.BatchStreaming
-	// borrower is the batch stage's scratch-borrowing capability (nil
-	// when the stage cannot borrow): processMember lends it the fleet's
-	// batch scratch for each batch call instead of the stage keeping
-	// its own.
-	borrower core.ScratchBorrower
 	// slabs are the interned projections the member's model holds,
 	// released when the member leaves the fleet.
 	slabs []*slab
@@ -159,10 +149,8 @@ type Fleet struct {
 	promotions         atomic.Uint64
 	transitionFailures atomic.Uint64
 
-	// Lean-member state (see lean.go): the batch scratch lent to members
-	// for each batch call, and the interned random projections.
-	scratch scratchPool
-	proj    projections
+	// Lean-member state (see lean.go): the interned random projections.
+	proj projections
 }
 
 // New builds an empty fleet.
@@ -232,10 +220,6 @@ func (f *Fleet) addMember(id string, s core.Streaming, mc MemberConfig, samples,
 			TraceDepth:  f.cfg.TraceDepth,
 		})
 		mb.stage = mb.instr
-	}
-	if bs, ok := mb.stage.(core.BatchStreaming); ok {
-		mb.batch = bs
-		mb.borrower, _ = core.Find[core.ScratchBorrower](mb.stage)
 	}
 	if mg, ok := core.Find[core.Merger](mb.stage); ok {
 		mb.merger = mg
@@ -440,29 +424,6 @@ func (f *Fleet) processMember(dst []core.Result, id string, xs [][]float64) ([]c
 	defer m.mu.Unlock()
 	if m.removed {
 		return dst, false, fmt.Errorf("fleet: unknown stream %q", id)
-	}
-	if m.batch != nil {
-		// Batched path: the stage consumes the whole slice in one call
-		// (equivalence to per-sample Process is the BatchStreaming
-		// contract), on scratch the fleet lends it for the call, then the
-		// fleet replays its accounting over the appended results.
-		if m.borrower != nil {
-			if sc := f.scratch.lend(m.borrower); sc != nil {
-				defer f.scratch.reclaim(m.borrower, sc)
-			}
-		}
-		base := len(dst)
-		dst = m.batch.ProcessBatch(dst, xs)
-		for _, r := range dst[base:] {
-			idx := m.samples
-			m.samples++
-			if r.DriftDetected {
-				m.drifts++
-				drifted = true
-				f.emit(Event{StreamID: id, Index: int(idx), Result: r})
-			}
-		}
-		return dst, drifted, nil
 	}
 	for _, x := range xs {
 		var r core.Result
@@ -950,7 +911,7 @@ func (f *Fleet) Metrics() Metrics {
 		m.Drifts += sm.Drifts
 		m.PerStream[id] = sm
 	})
-	m.MemoryBytes += f.sharedBytes()
+	m.MemoryBytes += f.proj.size()
 	m.EventsDropped = f.dropped.Load()
 	m.WarmRecoveries = f.warmRecoveries.Load()
 	m.ColdFallbacks = f.coldFallbacks.Load()
@@ -986,32 +947,26 @@ func (f *Fleet) MemberHealth() map[string]health.Snapshot {
 // memberOverheadBytes is the registry's own cost per member beyond the
 // stage's audit and the ID/cohort bytes (charged as len(id) +
 // len(cohort)): the member struct (mutex, 16-byte stage interface
-// header, the concrete instr pointer, the 16-byte batch, borrower,
-// merger and trans capability headers, the 24-byte slabs slice header,
-// the phase func value, the cohort string header, the fingerprint, two
-// uint64 counters, removed mark + padding = 176), the map's *member
-// value (8), and the string header of the map key (16). Pinned to the
-// real layout by an unsafe.Sizeof test so it cannot rot when the struct
-// changes.
-const memberOverheadBytes = 176 + 8 + 16
+// header, the concrete instr pointer, the 24-byte slabs slice header,
+// the 16-byte merger and trans capability headers, the phase func
+// value, the cohort string header, the fingerprint, two uint64
+// counters, removed mark + padding = 144), the map's *member value (8),
+// and the string header of the map key (16). Pinned to the real layout
+// by an unsafe.Sizeof test so it cannot rot when the struct changes.
+const memberOverheadBytes = 144 + 8 + 16
 
 // memberBytes is one member's share of the audit: its stage's own
-// state (which leaves out lent scratch and shared projections), its ID
+// state (which leaves out shared projections), its ID
 // and cohort bytes, and the registry overhead.
 func memberBytes(id string, m *member) int {
 	return m.stage.MemoryBytes() + len(id) + len(m.cohort) + memberOverheadBytes
 }
 
-// sharedBytes is the state the fleet holds on its members' behalf,
-// counted once: every batch scratch it has allocated to lend, and every
-// interned projection.
-func (f *Fleet) sharedBytes() int { return f.scratch.size() + f.proj.size() }
-
 // MemoryBytes audits the whole fleet's retained state: the sum of every
 // member's audit plus the registry's own per-member overhead, plus the
-// scratch and projections the fleet shares among members.
+// projections the fleet shares among members, each counted once.
 func (f *Fleet) MemoryBytes() int {
-	total := f.sharedBytes()
+	total := f.proj.size()
 	f.eachMember(func(id string, m *member) {
 		total += memberBytes(id, m)
 	})

@@ -3,82 +3,13 @@ package fleet
 import (
 	"sync"
 
-	"edgedrift/internal/core"
 	"edgedrift/internal/model"
 	"edgedrift/internal/oselm"
 )
 
-// Lean members: state a member needs but need not own. A member scores
-// a batch only under its own lock, one batch at a time, so the fleet
-// lends it batch scratch for the call instead of every member keeping
-// its own; and members cloned from one template hold bit-identical
+// Lean members: members cloned from one template hold bit-identical
 // random projections, which never change, so the fleet interns them
-// into one read-only copy. Both are counted once, in Fleet.MemoryBytes.
-
-// scratchPool is the fleet's free list of batch scratch, per shape. A
-// scratch is allocated only when every one of its shape is lent out,
-// so there are never more than the number of concurrent batch calls.
-type scratchPool struct {
-	mu    sync.Mutex
-	lists []scratchList // one per shape seen: a fleet runs one or two
-	bytes int           // every scratch allocated, lent or free
-}
-
-// scratchList is the free scratch of one shape.
-type scratchList struct {
-	shape model.Shape
-	free  []*model.Scratch
-}
-
-// list returns the free list for shape, adding it on first sight. The
-// caller holds p.mu.
-func (p *scratchPool) list(shape model.Shape) *scratchList {
-	for i := range p.lists {
-		if p.lists[i].shape == shape {
-			return &p.lists[i]
-		}
-	}
-	p.lists = append(p.lists, scratchList{shape: shape})
-	return &p.lists[len(p.lists)-1]
-}
-
-// lend takes a scratch of the member's current shape from the pool and
-// lends it to the member; nil when the member scores no model batch.
-// The caller holds the member lock and must reclaim before releasing
-// it.
-func (p *scratchPool) lend(b core.ScratchBorrower) *model.Scratch {
-	shape, ok := b.ScratchShape()
-	if !ok {
-		return nil
-	}
-	p.mu.Lock()
-	var s *model.Scratch
-	if l := p.list(shape); len(l.free) > 0 {
-		s, l.free = l.free[len(l.free)-1], l.free[:len(l.free)-1]
-	} else {
-		s = model.NewScratch(shape)
-		p.bytes += s.Bytes()
-	}
-	p.mu.Unlock()
-	b.BorrowScratch(s)
-	return s
-}
-
-// reclaim takes s back from the member and returns it to the pool.
-func (p *scratchPool) reclaim(b core.ScratchBorrower, s *model.Scratch) {
-	b.BorrowScratch(nil)
-	p.mu.Lock()
-	l := p.list(s.Shape())
-	l.free = append(l.free, s)
-	p.mu.Unlock()
-}
-
-// size reports the bytes of every scratch the pool has allocated.
-func (p *scratchPool) size() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.bytes
-}
+// into one read-only copy, counted once in Fleet.MemoryBytes.
 
 // slab is one interned projection and the number of members holding it.
 type slab struct {

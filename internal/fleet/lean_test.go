@@ -67,9 +67,8 @@ func projectionBytes(ds ...*core.Detector) (bytes, distinct int) {
 }
 
 // TestFleetMemoryAuditCountsSharedStateOnce pins the lean-member audit:
-// Fleet.MemoryBytes is every member's private bytes, plus each distinct
-// interned projection once, plus every batch scratch the fleet
-// allocated to lend — through the Instrumented wrapper too.
+// Fleet.MemoryBytes is every member's private bytes plus each distinct
+// interned projection once — through the Instrumented wrapper too.
 func TestFleetMemoryAuditCountsSharedStateOnce(t *testing.T) {
 	f := New(Config{Instrument: true})
 	var dets []*core.Detector
@@ -102,27 +101,25 @@ func TestFleetMemoryAuditCountsSharedStateOnce(t *testing.T) {
 	if distinct != 6 {
 		t.Fatalf("%d distinct projections, want 6 (two instances × three seed/shape groups)", distinct)
 	}
-	scratchBytes := model.NewScratch(dets[0].Model().Shape()).Bytes() +
-		model.NewScratch(dets[4].Model().Shape()).Bytes()
 	private := 0
 	f.eachMember(func(id string, m *member) { private += memberBytes(id, m) })
-	want := private + slabBytes + scratchBytes
+	want := private + slabBytes
 	if got := f.MemoryBytes(); got != want {
-		t.Fatalf("MemoryBytes = %d, want %d (members %d + projections %d + scratch %d)",
-			got, want, private, slabBytes, scratchBytes)
+		t.Fatalf("MemoryBytes = %d, want %d (members %d + projections %d)",
+			got, want, private, slabBytes)
 	}
 	if got := f.Metrics().MemoryBytes; got != want {
 		t.Fatalf("Metrics().MemoryBytes = %d, want %d", got, want)
 	}
 
-	// A member's own audit holds neither the projection nor the scratch:
-	// the same detector standing alone owns both.
-	shape := dets[0].Model().Shape()
-	perMember := 8 * (shape.Hidden*shape.Inputs + shape.Hidden) * shape.Classes
+	// A member's own audit leaves the projection out: the same detector
+	// standing alone owns it.
+	cfg := dets[0].Model().Config()
+	perMember := 8 * (cfg.Hidden*cfg.Inputs + cfg.Hidden) * cfg.Classes
 	alone := leanDetector(t, 1, 4)
 	xs, _ := leanSamples(16, 4, 7)
 	alone.ProcessBatch(nil, xs)
-	if got, want := alone.MemoryBytes()-dets[0].MemoryBytes(), perMember+model.NewScratch(shape).Bytes(); got != want {
+	if got, want := alone.MemoryBytes()-dets[0].MemoryBytes(), perMember; got != want {
 		t.Fatalf("standalone detector audits %d bytes more than a member, want %d", got, want)
 	}
 

@@ -285,19 +285,13 @@ func MulVec[E Element](dst []E, m *MatrixOf[E], x []E) {
 	if len(x) != m.Cols || len(dst) != m.Rows {
 		panic(ErrShape)
 	}
-	mulVecRows(dst, m.Data, x)
-}
-
-// mulVecRows sets dst[r] = dotKernel(row r of w, x) for the row-major
-// len(dst)×len(x) slab w — MulVec's body, shared with MulBatchRows.
-func mulVecRows[E Element](dst, w, x []E) {
 	if useF64SIMD[E](len(x)) {
-		mulVecF64(f64View(dst), f64View(w), f64View(x))
+		mulVecF64(f64View(dst), f64View(m.Data), f64View(x))
 		return
 	}
 	cols := len(x)
 	for i := range dst {
-		dst[i] = dotKernel(w[i*cols:i*cols+cols], x)
+		dst[i] = dotKernel(m.Data[i*cols:i*cols+cols], x)
 	}
 }
 

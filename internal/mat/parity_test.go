@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// Parity tests for the cache-blocked and batched kernels against the
+// Parity tests for the cache-blocked and batch kernels against the
 // reference implementations at the end of this file, for the float64
 // SIMD kernels against the generic Go path, and for the SIMD float32
 // kernels against the generic scalar path.
@@ -19,8 +19,6 @@ import (
 //   - MulBatchRows vs refMulBatch and vs per-sample MulVec:
 //     bit-identical at both float types — every element is the same
 //     dot product.
-//   - MulVecBatchQ16 vs MulVecQ16: bit-identical — DotQ16 accumulates in
-//     int64 and saturates once, so per-element order never changes.
 //   - SIMD f64 kernels (f64SIMD on) vs the generic Go code (f64SIMD
 //     off): Float64bits-identical for every dispatched kernel, on every
 //     input including ±0, subnormals, ±Inf, NaN and 1e±300 magnitudes —
@@ -35,8 +33,6 @@ import (
 //   - SIMD f32 kernels vs generic scalar: tolerance-based — FMA and wide
 //     accumulator trees legitimately round differently. The tolerance is
 //     scaled to float32 accumulation error over the vector length.
-//   - SIMD batch vs SIMD per-sample: bit-identical at both float types —
-//     both entry points run the same asm kernel per element.
 
 // parityShapes covers the awkward cases: single-element dims, exact
 // multiples of the 4- and 8-wide blocking, one-off-a-multiple (ragged
@@ -403,70 +399,6 @@ func TestF32SIMDKernelsMatchScalar(t *testing.T) {
 	}
 }
 
-// TestF32BatchMatchesPerSample pins the batch-path invariant the scoring
-// stack relies on: batched f32 results are bit-identical to per-sample
-// f32 results through the same dispatchers, SIMD or not.
-func TestF32BatchMatchesPerSample(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	run := func(t *testing.T) {
-		for _, s := range simdShapes() {
-			a := randomOf[float32](rng, s.n, s.d)
-			w := randomOf[float32](rng, s.h, s.d)
-			batch := NewOf[float32](s.n, s.h)
-			MulBatchF32(batch, a, w)
-			per := make([]float32, s.h)
-			for i := 0; i < s.n; i++ {
-				MulVecF32(per, w, a.Row(i))
-				requireBitEqual(t, batch.Row(i), per, "MulBatchF32 vs MulVecF32")
-			}
-
-			h := randomOf[float32](rng, s.n, s.h)
-			beta := randomOf[float32](rng, s.h, s.d)
-			batchT := NewOf[float32](s.n, s.d)
-			MulBatchTransF32(batchT, h, beta)
-			perT := make([]float32, s.d)
-			for i := 0; i < s.n; i++ {
-				MulVecTransF32(perT, beta, h.Row(i))
-				requireBitEqual(t, batchT.Row(i), perT, "MulBatchTransF32 vs MulVecTransF32")
-			}
-		}
-	}
-	t.Run("dispatch", run)
-	if f32SIMD {
-		f32SIMD = false
-		t.Run("scalar", run)
-		f32SIMD = true
-	}
-}
-
-func TestMulVecBatchQ16MatchesPerSample(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	for _, s := range parityShapes {
-		w := make([]int32, s.h*s.d)
-		for i := range w {
-			w[i] = int32(rng.Intn(1<<20) - 1<<19)
-		}
-		xs := make([][]int32, s.n)
-		for i := range xs {
-			xs[i] = make([]int32, s.d)
-			for j := range xs[i] {
-				xs[i][j] = int32(rng.Intn(1<<20) - 1<<19)
-			}
-		}
-		dst := make([]int32, s.n*s.h)
-		MulVecBatchQ16(dst, w, xs, s.h)
-		per := make([]int32, s.h)
-		for i := range xs {
-			MulVecQ16(per, w, xs[i])
-			for r := range per {
-				if dst[i*s.h+r] != per[r] {
-					t.Fatalf("MulVecBatchQ16 sample %d row %d: %d want %d", i, r, dst[i*s.h+r], per[r])
-				}
-			}
-		}
-	}
-}
-
 func TestBatchKernelShapePanics(t *testing.T) {
 	a := New(3, 4)
 	w := New(2, 4)
@@ -478,10 +410,6 @@ func TestBatchKernelShapePanics(t *testing.T) {
 		{"MulBatchRows inner", func() { MulBatchRows(New(3, 2), rowsOf(a), New(2, 5)) }},
 		{"MulBatchRows ragged", func() {
 			MulBatchRows(New(2, 2), [][]float64{make([]float64, 4), make([]float64, 3)}, w)
-		}},
-		{"MulBatchF32", func() { MulBatchF32(NewOf[float32](3, 3), NewOf[float32](3, 4), NewOf[float32](2, 4)) }},
-		{"MulVecBatchQ16", func() {
-			MulVecBatchQ16(make([]int32, 3), make([]int32, 8), [][]int32{make([]int32, 4)}, 2)
 		}},
 	} {
 		func() {
@@ -585,12 +513,10 @@ func refMulTransA[E Element](dst, a, b *MatrixOf[E]) {
 	}
 }
 
-// refMulBatch computes dst = a·bᵀ one dot product at a time — the
-// per-sample MulVec loop the batched kernel replaces, kept as the parity
-// reference. Each element is the plain 4-accumulator dotKernel, which is
-// also exactly what MulVec produces per row: the batch path being
-// bit-identical to the per-sample path at every element type reduces to
-// MulBatchRows matching this function.
+// refMulBatch computes dst = a·bᵀ one dot product at a time, kept as
+// the parity reference. Each element is the plain 4-accumulator
+// dotKernel, which is exactly what MulVec produces per row on the Go
+// path and, bit for bit, on the SIMD path.
 func refMulBatch[E Element](dst, a, b *MatrixOf[E]) {
 	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic(ErrShape)

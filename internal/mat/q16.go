@@ -90,39 +90,6 @@ func MulVecQ16[F FixedElement](dst []F, w []F, x []F) {
 	}
 }
 
-// MulVecBatchQ16 is the batched form of MulVecQ16: for each of the
-// len(xs) samples it computes dst[i*rows:(i+1)*rows] = w·xs[i], where w
-// is the row-major rows×cols weight slab and every sample has length
-// cols. Samples are processed in small blocks so each weight row is
-// streamed from memory once per block instead of once per sample — the
-// same amortisation as the float MulBatchRows. Every element is the same
-// DotQ16 the per-sample kernel computes (one 64-bit accumulator, one
-// saturation), so batched results are bit-identical to per-sample ones.
-func MulVecBatchQ16[F FixedElement](dst []F, w []F, xs [][]F, rows int) {
-	if len(dst) != rows*len(xs) {
-		panic(ErrShape)
-	}
-	const blk = 4
-	for i0 := 0; i0 < len(xs); i0 += blk {
-		i1 := i0 + blk
-		if i1 > len(xs) {
-			i1 = len(xs)
-		}
-		for i := i0; i < i1; i++ {
-			if len(w) != rows*len(xs[i]) {
-				panic(ErrShape)
-			}
-		}
-		cols := len(xs[i0])
-		for r := 0; r < rows; r++ {
-			wrow := w[r*cols : (r+1)*cols]
-			for i := i0; i < i1; i++ {
-				dst[i*rows+r] = DotQ16(wrow, xs[i])
-			}
-		}
-	}
-}
-
 // MulVecTransQ16 computes dst = wᵀ·x for the row-major rows×cols slab w,
 // with rows = len(x) and cols = len(dst) — the fixed-point counterpart
 // of MulVecTrans. Each term saturates individually, matching the

@@ -62,7 +62,6 @@ func TestPredictBatchZeroAllocs(t *testing.T) {
 		xs := multiSamples(96)
 		labels := make([]int, len(xs))
 		scores := make([]float64, len(xs))
-		m.PredictBatch(labels, scores, xs) // allocate batch state once
 		if n := testing.AllocsPerRun(50, func() { m.PredictBatch(labels, scores, xs) }); n != 0 {
 			t.Fatalf("%v: PredictBatch allocates %v objects per call, want 0", p, n)
 		}
@@ -77,54 +76,4 @@ func TestPredictBatchBufferMismatchPanics(t *testing.T) {
 		}
 	}()
 	m.PredictBatch(make([]int, 1), make([]float64, 2), multiSamples(2))
-}
-
-// TestPredictBatchOnLentScratch: two models of one shape take turns on
-// one lent Scratch and predict bit-identically to their own lazy
-// scratch, allocation-free, with the lent scratch left out of their
-// audits. A model's own scratch is one Scratch shared by its instances.
-func TestPredictBatchOnLentScratch(t *testing.T) {
-	for _, p := range []oselm.Precision{oselm.Float64, oselm.Float32} {
-		a, b := batchMulti(t, p, 3), batchMulti(t, p, 3)
-		b.Instance(0).Train(multiSamples(1)[0]) // b's state differs from a's
-		own := batchMulti(t, p, 3)
-		base := own.MemoryBytes()
-		xs := multiSamples(130)
-		wantL, wantS := make([]int, len(xs)), make([]float64, len(xs))
-		own.PredictBatch(wantL, wantS, xs)
-		if got, want := own.MemoryBytes()-base, NewScratch(own.Shape()).Bytes(); got != want {
-			t.Fatalf("%v: own scratch audits %d bytes, want %d", p, got, want)
-		}
-
-		s := NewScratch(a.Shape())
-		gotL, gotS := make([]int, len(xs)), make([]float64, len(xs))
-		run := func(m *Multi) {
-			m.Lend(s)
-			m.PredictBatch(gotL, gotS, xs)
-			m.Lend(nil)
-		}
-		run(b)
-		run(a)
-		for i := range xs {
-			if gotL[i] != wantL[i] || math.Float64bits(gotS[i]) != math.Float64bits(wantS[i]) {
-				t.Fatalf("%v sample %d: lent (%d, %v) own (%d, %v)", p, i, gotL[i], gotS[i], wantL[i], wantS[i])
-			}
-		}
-		if a.MemoryBytes() != base {
-			t.Fatalf("%v: model audits %d bytes after borrowing, want %d", p, a.MemoryBytes(), base)
-		}
-		if n := testing.AllocsPerRun(50, func() { run(a) }); n != 0 {
-			t.Fatalf("%v: PredictBatch on lent scratch allocates %v objects per call, want 0", p, n)
-		}
-	}
-}
-
-func TestLendRejectsWrongShape(t *testing.T) {
-	m := batchMulti(t, oselm.Float64, 2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic lending scratch of another shape")
-		}
-	}()
-	m.Lend(NewScratch(Shape{Classes: 2, Inputs: 24, Hidden: 7, Precision: oselm.Float32}))
 }

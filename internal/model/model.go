@@ -59,12 +59,6 @@ type Multi struct {
 	instances []*oselm.Autoencoder
 	scores    []float64
 	ops       *opcount.Counter
-
-	// scratch is the batch working memory (see scratch.go): nil until
-	// the first batch call, m's own after it, or borrowed (lent) from an
-	// owner that lends one scratch to many models.
-	scratch *Scratch
-	lent    bool
 }
 
 var _ Discriminator = (*Multi)(nil)
@@ -125,43 +119,15 @@ func (m *Multi) Predict(x []float64) (int, float64) {
 // recent Predict (a view; valid until the next Predict).
 func (m *Multi) Scores() []float64 { return m.scores }
 
-// predictBatchChunk bounds how many samples PredictBatch stages per
-// instance sweep; matches the oselm batched-forward chunk so each
-// instance's ScoreBatch call is exactly one GEMM pair.
-const predictBatchChunk = 64
-
 // PredictBatch predicts every sample of xs, writing the argmin label and
-// its score into labels[i] and scores[i] (both len(xs)). Each instance
-// scores whole chunks through its batched forward, so the per-sample
-// arithmetic — and therefore every label and score — is bit-identical to
-// calling Predict per sample; only the order instances touch memory
-// changes. The argmin scan replicates Predict's exactly (strict <, first
-// index wins) including its comparison charge. Unlike Predict, the
-// Scores() view is not updated.
+// its score into labels[i] and scores[i] (both len(xs)), one Predict
+// call per sample.
 func (m *Multi) PredictBatch(labels []int, scores []float64, xs [][]float64) {
 	if len(labels) != len(xs) || len(scores) != len(xs) {
 		panic("model: PredictBatch buffer length mismatch")
 	}
-	bs := m.ensureScratch().cols
-	for start := 0; start < len(xs); start += predictBatchChunk {
-		end := start + predictBatchChunk
-		if end > len(xs) {
-			end = len(xs)
-		}
-		chunk := xs[start:end]
-		for c, ae := range m.instances {
-			ae.ScoreBatch(bs[c][:len(chunk)], chunk)
-		}
-		for i := range chunk {
-			best, bestScore := 0, bs[0][i]
-			for c := range m.instances {
-				if s := bs[c][i]; s < bestScore {
-					best, bestScore = c, s
-				}
-			}
-			m.ops.AddCmp(len(m.instances) - 1)
-			labels[start+i], scores[start+i] = best, bestScore
-		}
+	for i, x := range xs {
+		labels[i], scores[i] = m.Predict(x)
 	}
 }
 
@@ -259,15 +225,11 @@ func (m *Multi) Health() oselm.Health {
 func (m *Multi) Precision() oselm.Precision { return m.cfg.Precision }
 
 // MemoryBytes reports the retained bytes across all instances plus the
-// score buffer and, when m owns one, its batch scratch. The score
-// buffer holds one scalar per class at the backend's element width (the
+// score buffer. The score buffer holds one scalar per class at the backend's element width (the
 // float64 slice here is its widened image on reduced-precision
 // backends).
 func (m *Multi) MemoryBytes() int {
 	total := m.cfg.Precision.Bytes() * len(m.scores)
-	if m.scratch != nil && !m.lent {
-		total += m.scratch.Bytes()
-	}
 	for _, ae := range m.instances {
 		total += ae.MemoryBytes()
 	}

@@ -80,8 +80,8 @@ func loadBody(r io.Reader) (*Multi, error) {
 		WeightScale: c0.WeightScale,
 		Precision:   c0.Precision,
 	}
-	// One batch scratch serves every instance in turn, so the instances
-	// must agree on shape and precision, as every saved model does.
+	// The model's config is instance 0's, so the instances must agree
+	// on shape and precision, as every saved model does.
 	for i, ae := range m.instances[1:] {
 		ci := ae.Model().Config()
 		if ci.Inputs != c0.Inputs || ci.Hidden != c0.Hidden || ci.Precision != c0.Precision {

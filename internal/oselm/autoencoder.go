@@ -3,7 +3,6 @@ package oselm
 import (
 	"math"
 
-	"edgedrift/internal/mat"
 	"edgedrift/internal/opcount"
 	"edgedrift/internal/rng"
 )
@@ -57,17 +56,11 @@ func NewAutoencoder(cfg Config, metric ScoreMetric, r *rng.Rand) (*Autoencoder, 
 	return &Autoencoder{model: m, metric: metric, recon: make([]float64, cfg.Inputs)}, nil
 }
 
-// Score returns the reconstruction-error anomaly score of x.
+// Score returns the reconstruction-error anomaly score of x. The
+// residual is always computed at float64: Predict widens the float32
+// backend's reconstruction before it reaches the metric.
 func (a *Autoencoder) Score(x []float64) float64 {
-	a.model.Predict(a.recon, x)
-	return a.scoreFrom(x, a.recon)
-}
-
-// scoreFrom turns a reconstruction into the metric's scalar score. The
-// residual is always computed at float64 — on the float32 backend the
-// reconstruction is widened before this point, matching the per-sample
-// Predict path — so ScoreBatch and Score share one metric kernel.
-func (a *Autoencoder) scoreFrom(x, recon []float64) float64 {
+	recon := a.model.Predict(a.recon, x)
 	ops := a.model.ops
 	d := len(x)
 	switch a.metric {
@@ -102,34 +95,14 @@ func (a *Autoencoder) scoreFrom(x, recon []float64) float64 {
 	}
 }
 
-// ScoreBatch writes the anomaly score of each xs[i] into dst[i],
-// running the forward passes as batched GEMMs over chunks of up to 64
-// samples (see Model.forwardBatch). Scores are bit-identical to calling
-// Score per sample — the batched kernels only change the memory access
-// pattern, never the per-sample arithmetic — and the call allocates
-// nothing after the model's batch scratch exists. The model must not be
-// trained between the samples of one batch; callers that interleave
-// training fall back to per-sample Score.
+// ScoreBatch writes the anomaly score of each xs[i] into dst[i], one
+// Score call per sample.
 func (a *Autoencoder) ScoreBatch(dst []float64, xs [][]float64) {
 	if len(dst) != len(xs) {
 		panic("oselm: ScoreBatch buffer length mismatch")
 	}
-	m := a.model
-	for start := 0; start < len(xs); start += batchChunk {
-		end := start + batchChunk
-		if end > len(xs) {
-			end = len(xs)
-		}
-		chunk := xs[start:end]
-		m.forwardBatch(chunk)
-		for i := range chunk {
-			if m.w32 != nil {
-				mat.ConvertVec(a.recon, m.bb.ob32.Row(i))
-				dst[start+i] = a.scoreFrom(chunk[i], a.recon)
-			} else {
-				dst[start+i] = a.scoreFrom(chunk[i], m.bb.ob.Row(i))
-			}
-		}
+	for i, x := range xs {
+		dst[i] = a.Score(x)
 	}
 }
 

@@ -54,39 +54,4 @@ func BenchmarkTrain(b *testing.B) {
 	}
 }
 
-// BenchmarkScoreBatch measures the batched scoring path at the paper's
-// cooling-fan shape for both float backends across the batch axis.
-// ns/op is per sample: the batch1 row is the degenerate batch and the
-// batch64 row is one full chunk, so the spread is the GEMM win.
-func BenchmarkScoreBatch(b *testing.B) {
-	const d, h = 511, 22
-	for _, prec := range []Precision{Float64, Float32} {
-		ae, err := NewAutoencoder(Config{Inputs: d, Hidden: h, Precision: prec}, MSE, rng.New(7))
-		if err != nil {
-			b.Fatal(err)
-		}
-		seed := make([]float64, d)
-		rng.New(3).FillUniform(seed, -1, 1)
-		ae.Train(seed)
-		for _, n := range []int{1, 8, 64} {
-			b.Run(fmt.Sprintf("%v/D%d_H%d/batch%d", prec, d, h, n), func(b *testing.B) {
-				r := rng.New(5)
-				xs := make([][]float64, n)
-				for i := range xs {
-					xs[i] = make([]float64, d)
-					r.FillUniform(xs[i], -1, 1)
-				}
-				dst := make([]float64, n)
-				ae.ScoreBatch(dst, xs) // prime lazy batch buffers
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i += n {
-					ae.ScoreBatch(dst, xs)
-				}
-				benchSink = dst[0]
-			})
-		}
-	}
-}
-
 var benchSink float64

@@ -155,13 +155,6 @@ type Model struct {
 	ops   *opcount.Counter
 	inits int // samples consumed since last Reset (sequential-only training)
 
-	// bb is the batched-forward scratch: allocated lazily on the first
-	// batch scoring call, or borrowed (bbBorrowed) from an owner that
-	// lends one scratch to many models (see batch.go); nil on
-	// per-sample-only models.
-	bb         *BatchScratch
-	bbBorrowed bool
-
 	// RLS health watchdog state; see watchdog().
 	wdPeriod   int     // trains between watchdog passes
 	wdCount    int     // trains since the last pass
@@ -337,9 +330,8 @@ func hiddenKernel[E mat.Element](dst []E, w *mat.MatrixOf[E], bias, x []E, act A
 }
 
 // activateKernel applies g(z + b) in place — factored out of
-// hiddenKernel so the batched forward (which computes the matvec part as
-// a GEMM) and the float32 SIMD path run the exact same element-wise
-// arithmetic as the per-sample kernel: bias add and activation at E,
+// hiddenKernel so the float32 SIMD path runs the exact same element-wise
+// arithmetic as the generic kernel: bias add and activation at E,
 // transcendental evaluated at float64 and narrowed, identically in every
 // entry point.
 func activateKernel[E mat.Element](dst, bias []E, act Activation) {
@@ -385,8 +377,7 @@ func (m *Model) hidden32(x []float64) {
 	}
 	mat.ConvertVec(m.x32, x)
 	// The concrete float32 matvec dispatches to the SIMD kernels when the
-	// CPU has them; the batched path runs the same kernel, which is what
-	// keeps batch and per-sample f32 scores bit-identical (see mat/f32.go).
+	// CPU has them (see mat/f32.go).
 	mat.MulVecF32(m.h32, m.w32, m.x32)
 	activateKernel(m.h32, m.bias32, m.cfg.Activation)
 	m.opsHidden()
@@ -657,15 +648,11 @@ func (m *Model) Weights() (w, bias, beta []float64) {
 // the backend's element width. Scratch and staging buffers are included
 // since a deployed implementation must also hold them; P and the RLS
 // scratch are counted at float64 on every backend because that is where
-// they live (see Config.Precision). State the model holds but does not
-// own — a borrowed batch scratch, a shared projection — is counted once
-// by its owner instead.
+// they live (see Config.Precision). A shared projection, which the
+// model holds but does not own, is counted once by its owner instead.
 func (m *Model) MemoryBytes() int {
 	const f64 = 8
 	training := f64 * (len(m.p.Data) + len(m.h) + len(m.ph) + len(m.e))
-	if m.bb != nil && !m.bbBorrowed {
-		training += m.bb.Bytes()
-	}
 	es := m.cfg.Precision.Bytes()
 	if m.w32 != nil {
 		return training + es*(len(m.w32.Data)+len(m.bias32)+len(m.beta32.Data)+

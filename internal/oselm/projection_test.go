@@ -64,13 +64,3 @@ func TestAdoptStateRebindsProjection(t *testing.T) {
 		t.Fatalf("fingerprint %x after adoption, want src's %x (was %x)", got, other.Fingerprint(), fp)
 	}
 }
-
-func TestUseBatchScratchRejectsWrongShape(t *testing.T) {
-	m, _ := New(Config{Inputs: 10, Hidden: 4, Outputs: 10}, rng.New(3))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on a scratch of another shape")
-		}
-	}()
-	m.UseBatchScratch(NewBatchScratch(10, 5, 10, Float64))
-}

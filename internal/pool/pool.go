@@ -54,9 +54,7 @@ type entry struct {
 // Stage wraps a calibrated core.Detector with the model pool. It is a
 // core.Streaming stage: samples flow through Process unchanged, and the
 // pool machinery runs off the detector's drift hook plus a short
-// post-drift countdown. The stage deliberately does not expose the
-// batch capability — a restore must land at an exact sample boundary,
-// which a forwarded batch cannot honour mid-block.
+// post-drift countdown.
 type Stage struct {
 	det *core.Detector
 	cfg Config
@@ -116,11 +114,9 @@ func (p *Stage) Detector() *core.Detector { return p.det }
 // capability-discovery seam wrapping stages walk.
 func (p *Stage) Inner() core.Streaming { return p.det }
 
-// Hits, Misses, Restores, Evictions expose the pool counters.
-func (p *Stage) Hits() uint64      { return p.hits }
-func (p *Stage) Misses() uint64    { return p.misses }
-func (p *Stage) Restores() uint64  { return p.restores }
-func (p *Stage) Evictions() uint64 { return p.evictions }
+// Hits and Restores expose the pool counters; Health carries all four.
+func (p *Stage) Hits() uint64     { return p.hits }
+func (p *Stage) Restores() uint64 { return p.restores }
 
 // Len returns the number of pooled checkpoints.
 func (p *Stage) Len() int { return len(p.entries) }

@@ -167,9 +167,9 @@ func TestPoolRestoreReoccurringBitExact(t *testing.T) {
 	for i := 0; i < 200 && p.Restores() == 0; i++ {
 		p.Process(sample(r, i%testClasses, 0))
 	}
-	if p.Hits() != 1 || p.Restores() != 1 || p.Misses() != 0 {
+	if p.Hits() != 1 || p.Restores() != 1 || p.misses != 0 {
 		t.Fatalf("hits=%d misses=%d restores=%d, want 1/0/1",
-			p.Hits(), p.Misses(), p.Restores())
+			p.Hits(), p.misses, p.Restores())
 	}
 	if got := p.PhaseNow(); got != core.Monitoring {
 		t.Fatalf("phase after restore = %v, want Monitoring", got)
@@ -200,9 +200,9 @@ func TestPoolMissOnNovelDrift(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		p.Process(sample(r, i%testClasses, 6))
 	}
-	if p.Misses() != 1 || p.Restores() != 0 || p.Hits() != 0 {
+	if p.misses != 1 || p.Restores() != 0 || p.Hits() != 0 {
 		t.Fatalf("hits=%d misses=%d restores=%d, want 0/1/0",
-			p.Hits(), p.Misses(), p.Restores())
+			p.Hits(), p.misses, p.Restores())
 	}
 	// Cold adaptation still completes.
 	if got := p.PhaseNow(); got != core.Monitoring {
@@ -221,8 +221,8 @@ func TestPoolLRUEviction(t *testing.T) {
 	if p.Len() != 2 {
 		t.Fatalf("pool holds %d entries, capacity 2", p.Len())
 	}
-	if p.Evictions() != 1 {
-		t.Fatalf("evictions = %d, want 1", p.Evictions())
+	if p.evictions != 1 {
+		t.Fatalf("evictions = %d, want 1", p.evictions)
 	}
 }
 
@@ -236,10 +236,10 @@ func TestPoolHealthCounters(t *testing.T) {
 		p.Process(sample(r, i%testClasses, 0))
 	}
 	s := p.Health()
-	if s.PoolHits != p.Hits() || s.PoolMisses != p.Misses() ||
-		s.PoolRestores != p.Restores() || s.PoolEvictions != p.Evictions() {
+	if s.PoolHits != p.Hits() || s.PoolMisses != p.misses ||
+		s.PoolRestores != p.Restores() || s.PoolEvictions != p.evictions {
 		t.Fatalf("health snapshot %+v does not carry pool counters (%d/%d/%d/%d)",
-			s, p.Hits(), p.Misses(), p.Restores(), p.Evictions())
+			s, p.Hits(), p.misses, p.Restores(), p.evictions)
 	}
 	if s.SamplesSeen == 0 {
 		t.Fatal("health snapshot lost the detector's counters")

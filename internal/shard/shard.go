@@ -3,7 +3,7 @@
 // edgedrift.Fleet. A deployment runs N shard processes behind the
 // consistent-hash router (internal/router); each shard owns a disjoint
 // subset of the streams and lands every Batch frame directly in the
-// fleet's ProcessBatch GEMM path.
+// fleet's ProcessBatch, which takes the member lock once per batch.
 //
 // Ingest is bounded: each connection gets a reader goroutine, a bounded
 // job queue, and one worker goroutine draining it in FIFO order (per

@@ -6,11 +6,11 @@
 // A sample is ~41 float64s, so per-sample framing would drown the
 // detector's O(C·D + H²) arithmetic in syscalls and header bytes. Every
 // Batch frame therefore carries one stream's whole batch, which the
-// shard lands directly in Fleet.ProcessBatch — the GEMM path — and acks
-// with one frame of per-sample results. Results echo every field of
-// core.Result bit-exactly (scores and distances as IEEE-754 bit
-// patterns), which is what lets a client fingerprint a stream across a
-// live migration and assert bit-identical continuation.
+// shard lands directly in Fleet.ProcessBatch — one member lock per
+// batch — and acks with one frame of per-sample results. Results echo
+// every field of core.Result bit-exactly (scores and distances as
+// IEEE-754 bit patterns), which is what lets a client fingerprint a
+// stream across a live migration and assert bit-identical continuation.
 //
 // Frame layout (all integers little-endian):
 //

@@ -136,12 +136,13 @@ func TestFleetSharedProjectionNeverWritten(t *testing.T) {
 	}
 }
 
-// TestFleetConcurrentLentScratchBitIdentical drives many members of two
-// templates from concurrent goroutines, so the fleet lends its batch
-// scratch to several members at once, and checks each stream against
-// the same monitor running alone on its own scratch. Run under -race
-// (make race) it also proves the shared projections are only read.
-func TestFleetConcurrentLentScratchBitIdentical(t *testing.T) {
+// TestFleetConcurrentSharedProjectionBitIdentical drives many members
+// of two templates from concurrent goroutines, so several members score
+// on one interned projection at once, and checks each stream against
+// the same monitor running alone, one Process call per sample. Run
+// under -race (make race) it also proves the shared projections are
+// only read.
+func TestFleetConcurrentSharedProjectionBitIdentical(t *testing.T) {
 	fx := newFleetFixture(t)
 	const members = 8
 	f := edgedrift.NewFleet(edgedrift.FleetConfig{})
@@ -151,8 +152,8 @@ func TestFleetConcurrentLentScratchBitIdentical(t *testing.T) {
 		seed := uint64(1 + i%2)
 		streams[i] = append(append([][]float64(nil), fx.stream[i*100:]...), fx.stream[:i*100]...)
 		alone := fx.monitor(t, seed)
-		for lo := 0; lo < len(streams[i]); lo += 40 {
-			want[i] = alone.ProcessBatch(want[i], streams[i][lo:min(lo+40, len(streams[i]))])
+		for _, x := range streams[i] {
+			want[i] = append(want[i], alone.Process(x))
 		}
 		if err := f.Add(fmt.Sprintf("m%d", i), fx.monitor(t, seed)); err != nil {
 			t.Fatal(err)

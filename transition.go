@@ -12,7 +12,7 @@ import (
 // (re-exported from core): a stage that can Demote to a cheaper numeric
 // backend under pressure and Promote back exactly. Monitor implements
 // it; the fleet and the pressure governor discover it through the same
-// Inner() seam as the Merger and BatchStreaming capabilities.
+// Inner() seam as the Merger capability.
 type Transitioner = core.Transitioner
 
 // Monitor is a Transitioner: precision is a runtime lifecycle, not a

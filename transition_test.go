@@ -181,9 +181,8 @@ func TestDemotedMemoryAudit(t *testing.T) {
 	}
 }
 
-// TestDemotedBatchMatchesPerSample extends the BatchStreaming contract
-// to a demoted monitor: batch and per-sample paths must agree bit for
-// bit through the twin too.
+// TestDemotedBatchMatchesPerSample: on a demoted monitor, ProcessBatch
+// and per-sample Process must agree bit for bit through the twin too.
 func TestDemotedBatchMatchesPerSample(t *testing.T) {
 	ds := goldenDataset()
 	for _, target := range []edgedrift.Precision{edgedrift.Float32, edgedrift.Fixed16} {
