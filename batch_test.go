@@ -155,6 +155,37 @@ func TestProcessBatchPanicsBeforeFit(t *testing.T) {
 	mon.ProcessBatch(nil, [][]float64{{1, 2, 3}})
 }
 
+// TestProcessBatchRejectsShortSampleAtomically pins that ProcessBatch is
+// all-or-nothing on sample width: a batch whose last sample is short
+// panics before any sample advances the monitor, so the monitor goes on
+// bit-identically to a twin that never saw the batch.
+func TestProcessBatchRejectsShortSampleAtomically(t *testing.T) {
+	fx := newFleetFixture(t)
+	mon, twin := fx.monitor(t, 1), fx.monitor(t, 1)
+	const at = 990 // just ahead of the drift at 1000
+	for _, x := range fx.stream[:at] {
+		mon.Process(x)
+		twin.Process(x)
+	}
+	bad := append(append([][]float64(nil), fx.stream[at:at+7]...), []float64{1, 2})
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("ProcessBatch accepted a batch with a short sample")
+			}
+		}()
+		mon.ProcessBatch(nil, bad)
+	}()
+	for i, x := range fx.stream[at:1500] {
+		if got, want := mon.Process(x), twin.Process(x); !reflect.DeepEqual(got, want) {
+			t.Fatalf("sample %d after the rejected batch: %+v, twin %+v", at+i, got, want)
+		}
+	}
+	if !reflect.DeepEqual(mon.DriftEvents(), twin.DriftEvents()) {
+		t.Fatalf("drift events %v, twin %v", mon.DriftEvents(), twin.DriftEvents())
+	}
+}
+
 // TestProcessBatchTrainDuringMonitorFallback: with on-line training
 // enabled the model mutates between samples, and ProcessBatch must
 // behave exactly like per-sample Process calls (which train).

@@ -283,10 +283,18 @@ func (m *Monitor) Process(x []float64) Result {
 }
 
 // ProcessBatch consumes a batch of samples in order, appending one
-// Result per sample to dst: one Process call per sample.
+// Result per sample to dst: one Process call per sample, after checking
+// every sample's width up front, so a malformed batch panics before any
+// sample has advanced the monitor.
 func (m *Monitor) ProcessBatch(dst []Result, xs [][]float64) []Result {
 	if !m.fit {
 		panic("edgedrift: ProcessBatch before Fit")
+	}
+	inputs := m.model.Config().Inputs
+	for _, x := range xs {
+		if len(x) != inputs {
+			panic(fmt.Sprintf("edgedrift: sample dimension %d, want %d", len(x), inputs))
+		}
 	}
 	for _, x := range xs {
 		dst = append(dst, m.Process(x))

@@ -57,6 +57,46 @@ func BenchmarkMulVec(b *testing.B) {
 	}
 }
 
+// BenchmarkMulVecNarrow is the hidden projection at the NSL-KDD
+// surrogate's shape (D=38, H=22), where a matvec is a few hundred
+// nanoseconds and per-call overhead shows.
+func BenchmarkMulVecNarrow(b *testing.B) {
+	const d, h = 38, 22
+	r := rng.New(1)
+	w := randMatrix(r, h, d)
+	x := randVec(r, d)
+	dst := make([]float64, h)
+	b.SetBytes(int64(8 * h * d))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MulVec(dst, w, x)
+	}
+}
+
+// BenchmarkSigmoidBias is the hidden activation of one sample at H=22,
+// the width of every detector configuration, for both float backends.
+func BenchmarkSigmoidBias(b *testing.B) {
+	const h = 22
+	z := randVec(rng.New(1), h)
+	bias := randVec(rng.New(2), h)
+	b.Run("f64", func(b *testing.B) { benchSigmoid(b, z, bias) })
+	b.Run("f32", func(b *testing.B) {
+		z32, bias32 := make([]float32, h), make([]float32, h)
+		ConvertVec(z32, z)
+		ConvertVec(bias32, bias)
+		benchSigmoid(b, z32, bias32)
+	})
+}
+
+func benchSigmoid[E Element](b *testing.B, z, bias []E) {
+	dst := make([]E, len(z))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(dst, z)
+		SigmoidBias(dst, bias)
+	}
+}
+
 func BenchmarkMulVecTrans(b *testing.B) {
 	for _, s := range benchShapes {
 		b.Run(benchName(s.d, s.h), func(b *testing.B) {

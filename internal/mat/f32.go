@@ -1,5 +1,7 @@
 package mat
 
+import "unsafe"
+
 // Float32 fast-path kernels. The generic kernel layer compiles to clean
 // scalar loops — gc does not auto-vectorize — so a float32 matvec runs
 // at the same MACs/cycle as float64 while the paper's pitch for f32 is
@@ -88,4 +90,51 @@ func MulVecTransF32(dst []float32, m *MatrixOf[float32], x []float32) {
 		}
 		axpy1F32Asm(&dst[0], &m.Data[i*cols], xi, cols)
 	}
+}
+
+// useF32AVX reports whether a bit-exact float32 kernel with inner length
+// n should take the AVX path: E is 4 bytes wide and the AVX probe (the
+// float64 kernels' gate, which needs neither AVX2 nor FMA) passed.
+func useF32AVX[E Element](n int) bool {
+	var z E
+	return unsafe.Sizeof(z) == 4 && f64SIMD && n >= f32SIMDMinLen
+}
+
+// addScaledOuterF32 is AddScaledOuter on the AVX path for float32:
+// m ← m + s·u·vᵀ for the row-major len(u)×len(v) slab m, one kernel
+// call per row, skipping the zero rows past the last multiple of four
+// exactly as the generic code does.
+func addScaledOuterF32(m []float32, s float32, u, v []float32) {
+	cols := len(v)
+	n4 := len(u) &^ 3
+	_ = m[len(u)*cols-1]
+	for i, ui := range u {
+		su := s * ui
+		if su == 0 && i >= n4 {
+			continue
+		}
+		outerRowF32Asm(&m[i*cols], &v[0], su, cols)
+	}
+}
+
+// convertF32F64 converts the leading multiple of four elements of src
+// into dst with the AVX conversion kernels when one side is float32 and
+// the other float64, and returns how many it converted (0 otherwise, or
+// without AVX). The kernels round exactly as the scalar conversions do.
+func convertF32F64[D, S Element](dst []D, src []S) int {
+	var d D
+	var s S
+	n := len(src) &^ 3
+	if !f64SIMD || n == 0 {
+		return 0
+	}
+	switch {
+	case unsafe.Sizeof(d) == 4 && unsafe.Sizeof(s) == 8:
+		narrowF32Asm((*float32)(unsafe.Pointer(&dst[0])), (*float64)(unsafe.Pointer(&src[0])), n)
+	case unsafe.Sizeof(d) == 8 && unsafe.Sizeof(s) == 4:
+		widenF64Asm((*float64)(unsafe.Pointer(&dst[0])), (*float32)(unsafe.Pointer(&src[0])), n)
+	default:
+		return 0
+	}
+	return n
 }

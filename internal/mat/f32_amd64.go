@@ -2,12 +2,15 @@
 
 package mat
 
-// CPU feature probe for both SIMD kernel sets. Executing a VEX.256
+// CPU feature probe for the SIMD kernels. Executing a VEX.256
 // instruction faults unless the OS saves the YMM state (OSXSAVE set and
-// XCR0[2:1] == 11b), even on capable hardware, so both gates start
-// there. The float64 kernels (f64_amd64.s) use AVX alone: VMULPD,
-// VADDPD and VBROADCASTSD from memory. The float32 kernels also use
-// FMA3, and their gate additionally requires AVX2.
+// XCR0[2:1] == 11b), even on capable hardware, so every gate starts
+// there. f64SIMD needs AVX alone: it gates the kernels that reproduce
+// the Go code bit for bit — the float64 kernels (f64_amd64.s) and the
+// float32 conversions and rank-1 update below — which use VMULPD/PS,
+// VADDPD/PS, VBROADCASTSD/SS, VCVTPD2PS and VCVTPS2PD. f32SIMD also
+// needs FMA3 and AVX2, for the fused float32 kernels; the vector
+// sigmoid needs the same and then checks itself against math.Exp.
 
 //go:noescape
 func dotRowsF32Asm(dst, w *float32, ldw int, x *float32, n, groups int)
@@ -17,6 +20,15 @@ func axpyRowsF32Asm(dst, b *float32, ldb int, x *float32, n, groups int)
 
 //go:noescape
 func axpy1F32Asm(dst, b *float32, s float32, n int)
+
+//go:noescape
+func outerRowF32Asm(row, v *float32, su float32, n int)
+
+//go:noescape
+func narrowF32Asm(dst *float32, src *float64, n int)
+
+//go:noescape
+func widenF64Asm(dst *float64, src *float32, n int)
 
 func cpuidAsm(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
@@ -47,4 +59,5 @@ func init() {
 	_, b, _, _ := cpuidAsm(7, 0)
 	const avx2Bit = 1 << 5
 	f32SIMD = b&avx2Bit != 0
+	sigmoidSIMD = f32SIMD && sigmoidMatchesExp()
 }

@@ -217,6 +217,84 @@ a1done:
 	VZEROUPPER
 	RET
 
+// func outerRowF32Asm(row, v *float32, su float32, n int)
+//
+// row[j] += su·v[j] for j in [0, n), n >= 1: one row of the float32
+// AddScaledOuter. Unlike the kernels above it is bit-identical to the
+// generic Go code — VMULPS then VADDPS, no FMA — eight lanes per step
+// and the n%8 tail as one masked step.
+TEXT ·outerRowF32Asm(SB), NOSPLIT, $0-32
+	MOVQ row+0(FP), DI
+	MOVQ v+8(FP), SI
+	VBROADCASTSS su+16(FP), Y1
+	MOVQ n+24(FP), CX
+	MOVQ CX, DX
+	SHRQ $3, DX
+	JZ   ortail
+orloop:
+	VMULPS (SI), Y1, Y2
+	VMOVUPS (DI), Y0
+	VADDPS Y2, Y0, Y0
+	VMOVUPS Y0, (DI)
+	ADDQ $32, DI
+	ADDQ $32, SI
+	DECQ DX
+	JNZ  orloop
+ortail:
+	ANDQ $7, CX
+	JZ   ordone
+	MOVQ $8, DX
+	SUBQ CX, DX
+	LEAQ ·f32TailMask(SB), AX
+	VMOVUPS (AX)(DX*4), Y9
+	VMASKMOVPS (SI), Y9, Y2
+	VMULPS Y2, Y1, Y2
+	VMASKMOVPS (DI), Y9, Y0
+	VADDPS Y2, Y0, Y0
+	VMASKMOVPS Y0, Y9, (DI)
+ordone:
+	VZEROUPPER
+	RET
+
+// func narrowF32Asm(dst *float32, src *float64, n int)
+//
+// dst[i] = float32(src[i]) for i in [0, n), n a positive multiple of
+// four: VCVTPD2PS rounds each lane under MXCSR exactly as the scalar
+// conversion (CVTSD2SS) does, NaNs and infinities included.
+TEXT ·narrowF32Asm(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	SHRQ $2, CX
+nrloop:
+	VCVTPD2PSY (SI), X0
+	VMOVUPS X0, (DI)
+	ADDQ $32, SI
+	ADDQ $16, DI
+	DECQ CX
+	JNZ  nrloop
+	VZEROUPPER
+	RET
+
+// func widenF64Asm(dst *float64, src *float32, n int)
+//
+// dst[i] = float64(src[i]) for i in [0, n), n a positive multiple of
+// four: VCVTPS2PD is exact, like the scalar CVTSS2SD.
+TEXT ·widenF64Asm(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	SHRQ $2, CX
+wdloop:
+	VCVTPS2PD (SI), Y0
+	VMOVUPD Y0, (DI)
+	ADDQ $16, SI
+	ADDQ $32, DI
+	DECQ CX
+	JNZ  wdloop
+	VZEROUPPER
+	RET
+
 // func cpuidAsm(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuidAsm(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

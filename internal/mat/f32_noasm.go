@@ -18,3 +18,15 @@ func axpyRowsF32Asm(dst, b *float32, ldb int, x *float32, n, groups int) {
 func axpy1F32Asm(dst, b *float32, s float32, n int) {
 	panic("mat: axpy1F32Asm called without SIMD support")
 }
+
+func narrowF32Asm(dst *float32, src *float64, n int) {
+	panic("mat: narrowF32Asm called without SIMD support")
+}
+
+func widenF64Asm(dst *float64, src *float32, n int) {
+	panic("mat: widenF64Asm called without SIMD support")
+}
+
+func outerRowF32Asm(row, v *float32, su float32, n int) {
+	panic("mat: outerRowF32Asm called without SIMD support")
+}

@@ -20,9 +20,11 @@ import "unsafe"
 // The n%4 tail, the final (s0+s1)+(s2+s3) reduction and the zero-skip
 // on tail rows stay in Go below, written exactly as in the generic code.
 
-// f64SIMD reports whether the AVX float64 kernels are usable on this
-// CPU. Set once at init by the amd64 feature probe; never true
-// elsewhere. Tests toggle it to compare the kernels with the Go code.
+// f64SIMD reports whether the AVX kernels that reproduce the Go code bit
+// for bit are usable on this CPU: the float64 kernels here, and the
+// float32 conversions and rank-1 update (f32.go). Set once at init by
+// the amd64 feature probe; never true elsewhere. Tests toggle it to
+// compare the kernels with the Go code.
 var f64SIMD bool
 
 // F64SIMD reports whether the float64 kernels are running the
@@ -48,42 +50,28 @@ func f64View[E Element](s []E) []float64 {
 	return unsafe.Slice((*float64)(unsafe.Pointer(unsafe.SliceData(s))), len(s))
 }
 
-// finishDot completes dotKernel from its strided accumulators s: the
-// tail a·b (the last len(a) < 4 elements) folds into s0, then the
-// pairwise reduction.
-func finishDot(s *[4]float64, a, b []float64) float64 {
-	s0 := s[0]
-	for i, v := range a {
-		s0 += float64(v * b[i])
-	}
-	return (s0 + s[1]) + (s[2] + s[3])
+// f32View reinterprets s as []float32. Callers check useF32AVX first,
+// which guarantees E has float32's representation.
+func f32View[E Element](s []E) []float32 {
+	return unsafe.Slice((*float32)(unsafe.Pointer(unsafe.SliceData(s))), len(s))
 }
 
-// dotF64 is dotKernel(a, b) on the AVX path; len(a) >= 4, len(b) >= len(a).
+// dotF64 is dotKernel(a, b) on the AVX path: a one-row mulVecF64;
+// len(a) >= 4, len(b) >= len(a).
 func dotF64(a, b []float64) float64 {
-	n4 := len(a) &^ 3
-	var s [4]float64
-	dot1F64Asm(&a[0], &b[0], n4, &s)
-	return finishDot(&s, a[n4:], b[n4:len(a)])
+	var s float64
+	mulVecF64Asm(&s, &a[0], &b[0], 1, len(a))
+	return s
 }
 
 // mulVecF64 sets dst[r] = dotKernel(row r of w, x) for the row-major
-// len(dst)×len(x) slab w, four rows per kernel call; len(x) >= 4.
+// len(dst)×len(x) slab w in one kernel call; len(x) >= 4.
 func mulVecF64(dst, w, x []float64) {
-	cols := len(x)
-	n4 := cols &^ 3
-	var s [4][4]float64
-	r := 0
-	for ; r+4 <= len(dst); r += 4 {
-		rows := w[r*cols : (r+4)*cols]
-		dot4F64Asm(&rows[0], cols, &x[0], n4, &s)
-		for k := range s {
-			dst[r+k] = finishDot(&s[k], rows[k*cols+n4:(k+1)*cols], x[n4:])
-		}
+	if len(dst) == 0 {
+		return
 	}
-	for ; r < len(dst); r++ {
-		dst[r] = dotF64(w[r*cols:(r+1)*cols], x)
-	}
+	_ = w[len(dst)*len(x)-1]
+	mulVecF64Asm(&dst[0], &w[0], &x[0], len(dst), len(x))
 }
 
 // mulVecTransF64 is MulVecTrans on the AVX path: dst = wᵀ·x for the

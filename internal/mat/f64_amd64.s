@@ -1,82 +1,123 @@
-// AVX float64 kernels for the deployed scoring and RLS path. Only
-// reached when the runtime probe in f32_amd64.go set mat.f64SIMD;
-// callers guarantee non-nil pointers and the lengths each kernel names.
+// AVX float64 kernels for the deployed scoring and RLS path. The linear
+// algebra kernels are only reached when the runtime probe in
+// f32_amd64.go set mat.f64SIMD, the sigmoid kernels at the end only
+// when it set mat.sigmoidSIMD; callers guarantee non-nil pointers and
+// the lengths each kernel names.
 //
-// Every kernel is bit-identical to the generic Go kernel it replaces:
-// VMULPD rounds each product and VADDPD each sum exactly as MULSD/ADDSD
-// do, no FMA is emitted, and every lane runs the same add chain, in the
-// same order, as one scalar accumulator or one output element of the Go
-// code. Throughput comes from running independent chains side by side
-// (four weight rows, or four output columns), never from re-associating
-// one. All loads and stores are unaligned; every exit runs VZEROUPPER.
+// Every kernel is bit-identical to the Go code it replaces. In the
+// linear algebra kernels VMULPD rounds each product and VADDPD each sum
+// exactly as MULSD/ADDSD do, no FMA is emitted, and every lane runs the
+// same add chain, in the same order, as one scalar accumulator or one
+// output element of the Go code. Throughput comes from running
+// independent chains side by side (four weight rows, or four output
+// columns), never from re-associating one. The sigmoid kernels use FMA
+// exactly where math.Exp does (see there). All loads and stores are
+// unaligned; every exit runs VZEROUPPER.
 
 #include "textflag.h"
 
-// func dot4F64Asm(w *float64, ldw int, x *float64, n int, acc *[4][4]float64)
+// func mulVecF64Asm(dst, w, x *float64, rows, cols int)
 //
-// For the four rows w, w+ldw, w+2ldw, w+3ldw and n a positive multiple
-// of four, acc[r][k] = Σ w[r][i+k]·x[i+k] over i = 0, 4, …, n−4, summed
-// in that order: lane k of row r's accumulator is dotKernel's s_k. One
-// x load feeds all four rows.
-TEXT ·dot4F64Asm(SB), NOSPLIT, $0-40
-	MOVQ w+0(FP), SI
-	MOVQ ldw+8(FP), DX
+// dst[r] = dotKernel(row r of w, x) for the row-major rows×cols slab w,
+// cols >= 4: the whole matvec in one call. Four rows run side by side,
+// each keeping dotKernel's four strided accumulators s_k as the lanes of
+// one YMM register, and one x load feeds all four. After the 4-element
+// steps the four registers are transposed so that S_k holds s_k of all
+// four rows; the cols%4 tail elements then fold into S_0 in order, and
+// (S_0+S_1)+(S_2+S_3) is dotKernel's reduction for four rows at once.
+// The rows%4 leftover rows rerun the last four rows as one group: a
+// row's result depends only on that row and x, so the rows it recomputes
+// are stored again with the same bits. Under four rows, each row runs
+// alone with all four lanes on it (zero row stride) and only lane 0 is
+// stored.
+TEXT ·mulVecF64Asm(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), R8
+	MOVQ w+8(FP), SI
+	MOVQ x+16(FP), DI
+	MOVQ rows+24(FP), R12
+	MOVQ cols+32(FP), R13
+	MOVQ R13, DX
 	SHLQ $3, DX            // row stride in bytes
+	CMPQ R12, $4
+	JAE  mvgroup
+	XORQ DX, DX            // under four rows: one row per group
+mvgroup:
 	LEAQ (SI)(DX*1), R9    // row 1
 	LEAQ (SI)(DX*2), R10   // row 2
-	LEAQ (R10)(DX*1), R11  // row 3
-	MOVQ x+16(FP), DI
-	MOVQ n+24(FP), CX
-	SHRQ $2, CX            // 4-element steps
+	LEAQ (R9)(DX*2), R11   // row 3
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
 	VXORPD Y3, Y3, Y3
-d4loop:
-	VMOVUPD (DI), Y4
-	VMULPD (SI), Y4, Y5
+	XORQ AX, AX            // byte offset into every row and x
+	MOVQ R13, BX
+	SHRQ $2, BX            // 4-element steps
+mvloop:
+	VMOVUPD (DI)(AX*1), Y4
+	VMULPD (SI)(AX*1), Y4, Y5
 	VADDPD Y5, Y0, Y0
-	VMULPD (R9), Y4, Y6
+	VMULPD (R9)(AX*1), Y4, Y6
 	VADDPD Y6, Y1, Y1
-	VMULPD (R10), Y4, Y7
+	VMULPD (R10)(AX*1), Y4, Y7
 	VADDPD Y7, Y2, Y2
-	VMULPD (R11), Y4, Y8
+	VMULPD (R11)(AX*1), Y4, Y8
 	VADDPD Y8, Y3, Y3
-	ADDQ $32, DI
-	ADDQ $32, SI
-	ADDQ $32, R9
-	ADDQ $32, R10
-	ADDQ $32, R11
-	DECQ CX
-	JNZ  d4loop
-	MOVQ acc+32(FP), AX
-	VMOVUPD Y0, (AX)
-	VMOVUPD Y1, 32(AX)
-	VMOVUPD Y2, 64(AX)
-	VMOVUPD Y3, 96(AX)
-	VZEROUPPER
-	RET
-
-// func dot1F64Asm(a, b *float64, n int, acc *[4]float64)
-//
-// The single-row form of dot4F64Asm: acc[k] = Σ a[i+k]·b[i+k] over
-// i = 0, 4, …, n−4 for n a positive multiple of four.
-TEXT ·dot1F64Asm(SB), NOSPLIT, $0-32
-	MOVQ a+0(FP), SI
-	MOVQ b+8(FP), DI
-	MOVQ n+16(FP), CX
-	SHRQ $2, CX
-	VXORPD Y0, Y0, Y0
-d1loop:
-	VMOVUPD (DI), Y4
-	VMULPD (SI), Y4, Y5
-	VADDPD Y5, Y0, Y0
-	ADDQ $32, DI
-	ADDQ $32, SI
-	DECQ CX
-	JNZ  d1loop
-	MOVQ acc+24(FP), AX
-	VMOVUPD Y0, (AX)
+	ADDQ $32, AX
+	DECQ BX
+	JNZ  mvloop
+	// Transpose: Y_k = s_k of rows 0..3.
+	VUNPCKLPD Y1, Y0, Y4   // r0s0 r1s0 r0s2 r1s2
+	VUNPCKHPD Y1, Y0, Y5   // r0s1 r1s1 r0s3 r1s3
+	VUNPCKLPD Y3, Y2, Y6   // r2s0 r3s0 r2s2 r3s2
+	VUNPCKHPD Y3, Y2, Y7   // r2s1 r3s1 r2s3 r3s3
+	VPERM2F128 $0x20, Y6, Y4, Y0
+	VPERM2F128 $0x20, Y7, Y5, Y1
+	VPERM2F128 $0x31, Y6, Y4, Y2
+	VPERM2F128 $0x31, Y7, Y5, Y3
+	MOVQ R13, BX
+	ANDQ $3, BX
+	JZ   mvreduce
+mvtail:
+	VMOVSD (SI)(AX*1), X4
+	VMOVHPD (R9)(AX*1), X4, X4
+	VMOVSD (R10)(AX*1), X5
+	VMOVHPD (R11)(AX*1), X5, X5
+	VINSERTF128 $1, X5, Y4, Y4
+	VBROADCASTSD (DI)(AX*1), Y5
+	VMULPD Y5, Y4, Y4
+	VADDPD Y4, Y0, Y0
+	ADDQ $8, AX
+	DECQ BX
+	JNZ  mvtail
+mvreduce:
+	VADDPD Y1, Y0, Y0
+	VADDPD Y3, Y2, Y2
+	VADDPD Y2, Y0, Y0
+	TESTQ DX, DX
+	JZ   mvone
+	VMOVUPD Y0, (R8)
+	LEAQ (SI)(DX*4), SI
+	ADDQ $32, R8
+	SUBQ $4, R12
+	JZ   mvdone
+	CMPQ R12, $4
+	JAE  mvgroup
+	// 1–3 rows left: step back so one more group ends at the last row.
+	MOVQ $4, AX
+	SUBQ R12, AX
+	SHLQ $3, AX            // (4−left)·8 bytes of dst
+	SUBQ AX, R8
+	IMULQ R13, AX          // (4−left) rows of w
+	SUBQ AX, SI
+	MOVQ $4, R12
+	JMP  mvgroup
+mvone:
+	VMOVSD X0, (R8)
+	ADDQ $8, R8
+	LEAQ (SI)(R13*8), SI
+	DECQ R12
+	JNZ  mvgroup
+mvdone:
 	VZEROUPPER
 	RET
 
@@ -250,5 +291,156 @@ o4tailloop:
 	DECQ CX
 	JNZ  o4tailloop
 o4done:
+	VZEROUPPER
+	RET
+
+// The vector sigmoid: σ(z+b) = 1/(1+exp(−(z+b))) four lanes at a time,
+// bit-identical to the Go expression 1 / (1 + math.Exp(−(z+b))) on every
+// host that runs it. math.Exp on amd64 is the assembly archExp, which
+// takes an FMA path whenever the CPU has AVX and FMA — always true where
+// these kernels are enabled (the AVX2+FMA gate in f32_amd64.go) — and
+// the kernel below is that path with every scalar instruction replaced
+// by its 4-lane twin, in the same order and with the same constants
+// (the literals are copied from math/exp_amd64.s, so the assembler
+// rounds them to the same bits):
+//
+//	k   = round-to-nearest int32(x·log2e)           CVTSD2SL
+//	r   = fnmadd(k, LN2U, x); r = fnmadd(k, LN2L, r) one rounding each
+//	r   = r·(1/16)
+//	p   = Horner over 1/8! … 1/2!, 1 with FMA        VFMADD213
+//	e   = r·p, then three e·(e+2) and e·(e+2)+1      (e^r)^16 − 1, +1
+//	e   = e · 2^k, 2^k built from the exponent bits
+//	σ   = 1 / (1 + e)
+//
+// archExp leaves that straight line for non-finite x, x > Overflow, and
+// 2^k outside the normal range (k+1023 ≤ 0 or ≥ 2047). A group of four
+// whose arguments are not all within |x| ≤ 708 (which keeps k+1023 in
+// [2, 2044] and excludes NaN and ±Inf) is left untouched and reported
+// to the caller, which evaluates it with math.Exp.
+
+#define SIGCONST(off, v) \
+	DATA sigConst<>+(off)(SB)/8, v; \
+	DATA sigConst<>+(off+8)(SB)/8, v; \
+	DATA sigConst<>+(off+16)(SB)/8, v; \
+	DATA sigConst<>+(off+24)(SB)/8, v
+
+SIGCONST(0, $0x8000000000000000)                            // sign bit
+SIGCONST(32, $708.0)                                        // vector range bound on |x|
+SIGCONST(64, $1.4426950408889634073599246810018920)         // LOG2E
+SIGCONST(96, $0.69314718055966295651160180568695068359375)  // LN2U
+SIGCONST(128, $0.28235290563031577122588448175013436025525412068e-12) // LN2L
+SIGCONST(160, $0.0625)
+SIGCONST(192, $2.4801587301587301587e-5)                    // 1/8!
+SIGCONST(224, $1.9841269841269841270e-4)                    // 1/7!
+SIGCONST(256, $1.3888888888888888889e-3)                    // 1/6!
+SIGCONST(288, $8.3333333333333333333e-3)                    // 1/5!
+SIGCONST(320, $4.1666666666666666667e-2)                    // 1/4!
+SIGCONST(352, $1.6666666666666666667e-1)                    // 1/3!
+SIGCONST(384, $0.5)
+SIGCONST(416, $1.0)
+SIGCONST(448, $2.0)
+SIGCONST(480, $0x7fffffffffffffff)                          // |x| mask
+DATA sigConst<>+512(SB)/4, $1023                            // exponent bias, four int32 lanes
+DATA sigConst<>+516(SB)/4, $1023
+DATA sigConst<>+520(SB)/4, $1023
+DATA sigConst<>+524(SB)/4, $1023
+GLOBL sigConst<>(SB), RODATA|NOPTR, $528
+
+// SIGMOID_Y0 replaces the four float64 arguments x = −(z+b) in Y0 with
+// 1/(1+exp(x)) and jumps to fallback, leaving Y0 and memory untouched,
+// when any |x| > 708 or is NaN. Clobbers Y1, Y2, AX.
+#define SIGMOID_Y0(fallback) \
+	VANDPD sigConst<>+480(SB), Y0, Y1; \
+	VCMPPD $0x12, sigConst<>+32(SB), Y1, Y1; \
+	VMOVMSKPD Y1, AX; \
+	CMPQ AX, $15; \
+	JNE fallback; \
+	VMULPD sigConst<>+64(SB), Y0, Y1; \
+	VCVTPD2DQY Y1, X2; \
+	VCVTDQ2PD X2, Y1; \
+	VFNMADD231PD sigConst<>+96(SB), Y1, Y0; \
+	VFNMADD231PD sigConst<>+128(SB), Y1, Y0; \
+	VMULPD sigConst<>+160(SB), Y0, Y0; \
+	VMOVUPD sigConst<>+192(SB), Y1; \
+	VFMADD213PD sigConst<>+224(SB), Y0, Y1; \
+	VFMADD213PD sigConst<>+256(SB), Y0, Y1; \
+	VFMADD213PD sigConst<>+288(SB), Y0, Y1; \
+	VFMADD213PD sigConst<>+320(SB), Y0, Y1; \
+	VFMADD213PD sigConst<>+352(SB), Y0, Y1; \
+	VFMADD213PD sigConst<>+384(SB), Y0, Y1; \
+	VFMADD213PD sigConst<>+416(SB), Y0, Y1; \
+	VMULPD Y1, Y0, Y0; \
+	VADDPD sigConst<>+448(SB), Y0, Y1; \
+	VMULPD Y1, Y0, Y0; \
+	VADDPD sigConst<>+448(SB), Y0, Y1; \
+	VMULPD Y1, Y0, Y0; \
+	VADDPD sigConst<>+448(SB), Y0, Y1; \
+	VMULPD Y1, Y0, Y0; \
+	VADDPD sigConst<>+448(SB), Y0, Y1; \
+	VFMADD213PD sigConst<>+416(SB), Y1, Y0; \
+	VPADDD sigConst<>+512(SB), X2, X2; \
+	VPMOVZXDQ X2, Y2; \
+	VPSLLQ $52, Y2, Y2; \
+	VMULPD Y2, Y0, Y0; \
+	VADDPD sigConst<>+416(SB), Y0, Y0; \
+	VMOVUPD sigConst<>+416(SB), Y1; \
+	VDIVPD Y0, Y1, Y0
+
+// func sigmoidF64Asm(dst, bias *float64, groups int) int
+//
+// dst[i] = 1/(1+exp(−(dst[i]+bias[i]))) for up to 4·groups elements,
+// four per step. Returns the number of groups done: groups, or the
+// index of the first group with an argument outside the vector range,
+// which is left unchanged.
+TEXT ·sigmoidF64Asm(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ bias+8(FP), SI
+	MOVQ groups+16(FP), CX
+	XORQ BX, BX
+	TESTQ CX, CX
+	JZ   s64done
+s64loop:
+	VMOVUPD (DI), Y0
+	VADDPD (SI), Y0, Y0
+	VXORPD sigConst<>+0(SB), Y0, Y0
+	SIGMOID_Y0(s64done)
+	VMOVUPD Y0, (DI)
+	ADDQ $32, DI
+	ADDQ $32, SI
+	INCQ BX
+	CMPQ BX, CX
+	JB   s64loop
+s64done:
+	MOVQ BX, ret+24(FP)
+	VZEROUPPER
+	RET
+
+// func sigmoidF32Asm(dst, bias *float32, groups int) int
+//
+// The float32 form of sigmoidF64Asm: z+b is added at float32, widened
+// exactly to float64 (VCVTPS2PD, as float64(−z)), and the float64 result
+// narrowed with round-to-nearest (VCVTPD2PS, as a float32 conversion).
+TEXT ·sigmoidF32Asm(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ bias+8(FP), SI
+	MOVQ groups+16(FP), CX
+	XORQ BX, BX
+	TESTQ CX, CX
+	JZ   s32done
+s32loop:
+	VMOVUPS (DI), X0
+	VADDPS (SI), X0, X0
+	VCVTPS2PD X0, Y0
+	VXORPD sigConst<>+0(SB), Y0, Y0
+	SIGMOID_Y0(s32done)
+	VCVTPD2PSY Y0, X0
+	VMOVUPS X0, (DI)
+	ADDQ $16, DI
+	ADDQ $16, SI
+	INCQ BX
+	CMPQ BX, CX
+	JB   s32loop
+s32done:
+	MOVQ BX, ret+24(FP)
 	VZEROUPPER
 	RET

@@ -2,16 +2,12 @@
 
 package mat
 
-// Stubs for the amd64-only float64 kernels. f64SIMD is never set on
-// other architectures, so these are unreachable; they keep the
-// dispatchers in f64.go compiling on every GOARCH.
+// Stubs for the amd64-only float64 kernels. f64SIMD and sigmoidSIMD are
+// never set on other architectures, so these are unreachable; they keep
+// the dispatchers in f64.go and sigmoid.go compiling on every GOARCH.
 
-func dot4F64Asm(w *float64, ldw int, x *float64, n int, acc *[4][4]float64) {
-	panic("mat: dot4F64Asm called without SIMD support")
-}
-
-func dot1F64Asm(a, b *float64, n int, acc *[4]float64) {
-	panic("mat: dot1F64Asm called without SIMD support")
+func mulVecF64Asm(dst, w, x *float64, rows, cols int) {
+	panic("mat: mulVecF64Asm called without SIMD support")
 }
 
 func axpy4F64Asm(dst, b *float64, ldb int, s *[4]float64, n int) {
@@ -24,4 +20,12 @@ func axpy1F64Asm(dst, b *float64, s float64, n int) {
 
 func outer4F64Asm(m *float64, ldm int, v *float64, s *[4]float64, n int) {
 	panic("mat: outer4F64Asm called without SIMD support")
+}
+
+func sigmoidF64Asm(dst, bias *float64, groups int) int {
+	panic("mat: sigmoidF64Asm called without SIMD support")
+}
+
+func sigmoidF32Asm(dst, bias *float32, groups int) int {
+	panic("mat: sigmoidF32Asm called without SIMD support")
 }

@@ -353,6 +353,10 @@ func (m *MatrixOf[E]) AddScaledOuter(s E, u, v []E) {
 		addScaledOuterF64(f64View(m.Data), float64(s), f64View(u), f64View(v))
 		return
 	}
+	if useF32AVX[E](m.Cols) {
+		addScaledOuterF32(f32View(m.Data), float32(s), f32View(u), f32View(v))
+		return
+	}
 	cols := m.Cols
 	n := len(u)
 	n4 := n &^ 3

@@ -54,13 +54,22 @@ var parityShapes = []struct{ n, d, h int }{
 
 // simdShapes is parityShapes plus every h×d in 1..9 × 1..17 (n=3): each
 // side of the SIMD kernels' four-row grouping, lane width, tail masks
-// and minimum lengths.
+// and minimum lengths. Rows 1–9 and 22 also run at the NSL-KDD width 38
+// and the fan width 511, and 22 rows at widths 4–9: the one-call f64
+// matvec's single-row, whole-group and stepped-back last-group cases
+// at each tail length.
 func simdShapes() []struct{ n, d, h int } {
 	shapes := append([]struct{ n, d, h int }(nil), parityShapes...)
 	for h := 1; h <= 9; h++ {
 		for d := 1; d <= 17; d++ {
 			shapes = append(shapes, struct{ n, d, h int }{3, d, h})
 		}
+	}
+	for _, h := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 22} {
+		shapes = append(shapes, struct{ n, d, h int }{2, 38, h}, struct{ n, d, h int }{2, 511, h})
+	}
+	for d := 4; d <= 9; d++ {
+		shapes = append(shapes, struct{ n, d, h int }{2, d, 22})
 	}
 	return shapes
 }
@@ -302,6 +311,87 @@ func TestF64SIMDMatchesGo(t *testing.T) {
 			for k := range want {
 				what := fmt.Sprintf("%s %s n=%d %dx%d", reg.name, f64KernelNames[k], sh.n, sh.h, sh.d)
 				requireBitsEqual(t, got[k], want[k], reg.strict, what)
+			}
+		}
+	}
+}
+
+// TestConvertVecSIMDMatchesGo pins the AVX float32↔float64 conversions
+// to the scalar conversions bit for bit, at lengths either side of the
+// four-lane step and on every regime's specials: NaN payloads,
+// infinities, float32 overflow and underflow, subnormals of both types.
+func TestConvertVecSIMDMatchesGo(t *testing.T) {
+	if !f64SIMD {
+		t.Skip("AVX not available on this CPU")
+	}
+	defer func() { f64SIMD = true }()
+	rng := rand.New(rand.NewSource(12))
+	for _, reg := range f64Regimes {
+		for _, n := range []int{1, 3, 4, 5, 7, 8, 9, 38, 511} {
+			src := make([]float64, n)
+			reg.fill(rng, src)
+			src32 := make([]float32, n)
+			for i, v := range src {
+				src32[i] = float32(v)
+				if i%3 == 0 {
+					src32[i] = float32(v * 0x1p-140) // float32 subnormals
+				}
+			}
+			got32, want32 := make([]float32, n), make([]float32, n)
+			got64, want64 := make([]float64, n), make([]float64, n)
+			f64SIMD = true
+			ConvertVec(got32, src)
+			ConvertVec(got64, src32)
+			f64SIMD = false
+			ConvertVec(want32, src)
+			ConvertVec(want64, src32)
+			f64SIMD = true
+			for i := range src {
+				if math.Float32bits(got32[i]) != math.Float32bits(want32[i]) {
+					t.Fatalf("%s n=%d: narrow %d: %#x, want %#x", reg.name, n, i, math.Float32bits(got32[i]), math.Float32bits(want32[i]))
+				}
+			}
+			requireBitsEqual(t, got64, want64, true, fmt.Sprintf("%s n=%d widen", reg.name, n))
+		}
+	}
+}
+
+// TestF32OuterMatchesGo pins the float32 AddScaledOuter's AVX path to
+// the generic Go code bit for bit across simdShapes and the f64Regimes
+// narrowed to float32, zero-skip tail rows included.
+func TestF32OuterMatchesGo(t *testing.T) {
+	if !f64SIMD {
+		t.Skip("AVX not available on this CPU")
+	}
+	defer func() { f64SIMD = true }()
+	rng := rand.New(rand.NewSource(13))
+	for _, reg := range f64Regimes {
+		for _, sh := range simdShapes() {
+			w64 := make([]float64, sh.h*sh.d)
+			u64, v64 := make([]float64, sh.h), make([]float64, sh.d)
+			for _, d := range [][]float64{w64, u64, v64} {
+				reg.fill(rng, d)
+			}
+			w, u, v := make([]float32, len(w64)), make([]float32, sh.h), make([]float32, sh.d)
+			ConvertVec(w, w64)
+			ConvertVec(u, u64)
+			ConvertVec(v, v64)
+			if sh.h%4 != 0 {
+				u[sh.h-1] = 0
+			}
+			scale := []float32{1, -0.5, 1e-30, 0}[rng.Intn(4)]
+			got := &MatrixOf[float32]{Rows: sh.h, Cols: sh.d, Data: append([]float32(nil), w...)}
+			want := &MatrixOf[float32]{Rows: sh.h, Cols: sh.d, Data: append([]float32(nil), w...)}
+			f64SIMD = true
+			got.AddScaledOuter(scale, u, v)
+			f64SIMD = false
+			want.AddScaledOuter(scale, u, v)
+			f64SIMD = true
+			for i := range want.Data {
+				g, w := math.Float32bits(got.Data[i]), math.Float32bits(want.Data[i])
+				if g != w && (reg.strict || !math.IsNaN(float64(got.Data[i])) || !math.IsNaN(float64(want.Data[i]))) {
+					t.Fatalf("%s %dx%d element %d: %#x, want %#x", reg.name, sh.h, sh.d, i, g, w)
+				}
 			}
 		}
 	}

@@ -165,7 +165,8 @@ func ConvertVec[D, S Element](dst []D, src []S) {
 	if len(dst) != len(src) {
 		panic(ErrShape)
 	}
-	for i, v := range src {
-		dst[i] = D(v)
+	i := convertF32F64(dst, src)
+	for ; i < len(src); i++ {
+		dst[i] = D(src[i])
 	}
 }

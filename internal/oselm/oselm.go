@@ -333,13 +333,16 @@ func hiddenKernel[E mat.Element](dst []E, w *mat.MatrixOf[E], bias, x []E, act A
 // hiddenKernel so the float32 SIMD path runs the exact same element-wise
 // arithmetic as the generic kernel: bias add and activation at E,
 // transcendental evaluated at float64 and narrowed, identically in every
-// entry point.
+// entry point. The sigmoid is mat.SigmoidBias, whose vector kernel
+// returns the same bits as its Go loop.
 func activateKernel[E mat.Element](dst, bias []E, act Activation) {
+	if act == Sigmoid {
+		mat.SigmoidBias(dst, bias)
+		return
+	}
 	for i := range dst {
 		z := dst[i] + bias[i]
 		switch act {
-		case Sigmoid:
-			dst[i] = E(1 / (1 + math.Exp(float64(-z))))
 		case Tanh:
 			dst[i] = E(math.Tanh(float64(z)))
 		case Linear:

@@ -242,8 +242,10 @@ func (r *Router) serveConn(c *wire.Conn) {
 }
 
 // forward relays one batch frame to the owning shard and its reply
-// (ack, shed or error) back verbatim. Returns false when the client
-// connection is dead.
+// (ack, shed or error) back verbatim, straight from the pooled shard
+// connection's read buffer; the connection returns to the pool only
+// after the reply is written. Returns false when the client connection
+// is dead.
 func (r *Router) forward(c *wire.Conn, p []byte) bool {
 	b, err := wire.ParseBatch(p)
 	if err != nil {
@@ -251,39 +253,40 @@ func (r *Router) forward(c *wire.Conn, p []byte) bool {
 	}
 	e := r.entryFor(b.Stream)
 	e.mu.RLock()
-	typ, reply, err := r.exchange(e.addr, wire.TypeBatch, p)
+	pl := r.poolFor(e.addr)
+	sc, typ, reply, err := pl.exchange(wire.TypeBatch, p)
 	e.mu.RUnlock()
 	if err != nil {
 		r.forwardErrs.Inc()
-		return c.WriteFrame(wire.TypeError, []byte(fmt.Sprintf("router: shard %s: %v", e.addr, err))) == nil
+		return c.WriteFrame(wire.TypeError, []byte(fmt.Sprintf("router: shard %s: %v", pl.addr, err))) == nil
 	}
 	r.batches.Inc()
-	return c.WriteFrame(typ, reply) == nil
+	ok := c.WriteFrame(typ, reply) == nil
+	pl.put(sc)
+	return ok
 }
 
-// exchange runs one request/reply round-trip against a shard over a
-// pooled connection. The reply payload is copied (the pooled conn's
-// read buffer must not escape the call). There is no automatic retry:
-// once the request may have been received, retrying could double-count
-// samples.
-func (r *Router) exchange(addr string, typ byte, payload []byte) (byte, []byte, error) {
-	pl := r.poolFor(addr)
-	sc, err := pl.get()
+// exchange runs one request/reply round-trip against the shard over a
+// pooled connection and returns that connection with the reply, which
+// aliases its read buffer: the caller puts it back once done with the
+// reply. On error the connection is closed, not returned. There is no
+// automatic retry: once the request may have been received, retrying
+// could double-count samples.
+func (p *pool) exchange(typ byte, payload []byte) (*wire.Conn, byte, []byte, error) {
+	sc, err := p.get()
 	if err != nil {
-		return 0, nil, err
+		return nil, 0, nil, err
 	}
 	if err := sc.WriteFrame(typ, payload); err != nil {
 		sc.Close()
-		return 0, nil, err
+		return nil, 0, nil, err
 	}
 	rtyp, reply, err := sc.ReadFrame()
 	if err != nil {
 		sc.Close()
-		return 0, nil, err
+		return nil, 0, nil, err
 	}
-	reply = append([]byte(nil), reply...)
-	pl.put(sc)
-	return rtyp, reply, nil
+	return sc, rtyp, reply, nil
 }
 
 func (r *Router) poolFor(addr string) *pool {

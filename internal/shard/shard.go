@@ -105,6 +105,8 @@ type Server struct {
 	mergeFetches  metrics.Counter
 	mergeSeeds    metrics.Counter
 	ingestLatency metrics.Histogram // per-batch ProcessBatch wall time, ns
+	queueWait     metrics.Histogram // admission to worker pickup, ns
+	ackWrite      metrics.Histogram // ack encode and write, ns
 	queueDepth    atomic.Int64      // queued batches across all connections
 	connections   atomic.Int64
 
@@ -301,10 +303,12 @@ func (s *Server) Close() error {
 }
 
 // job is one admitted batch: the decoded samples (job-owned — the
-// frame buffer is reused by the reader) and the stream they belong to.
+// frame buffer is reused by the reader), the stream they belong to and
+// when the reader handed it to admission.
 type job struct {
-	stream string
-	xs     [][]float64
+	stream   string
+	xs       [][]float64
+	admitted time.Time
 }
 
 // serveConn runs one connection: handshake, then the reader loop
@@ -312,16 +316,22 @@ type job struct {
 // admitted (or shed) here; control frames (stats, migration) are
 // answered inline — the router fences migrations so no batch for the
 // moving stream is in flight anywhere when MigrateOut arrives.
+//
+// Batches decode into sample buffers that cycle between the reader and
+// the worker through free, so a warm connection allocates only each
+// batch's stream name.
 func (s *Server) serveConn(c *wire.Conn) {
 	if err := c.AcceptHandshake(); err != nil {
 		return
 	}
 	jobs := make(chan job, s.cfg.QueueDepth)
+	// Room for every buffer a full queue and the worker can hand back.
+	free := make(chan [][]float64, s.cfg.QueueDepth+1)
 	var workerWg sync.WaitGroup
 	workerWg.Add(1)
 	go func() {
 		defer workerWg.Done()
-		s.worker(c, jobs)
+		s.worker(c, jobs, free)
 	}()
 	defer func() {
 		close(jobs)
@@ -343,8 +353,13 @@ func (s *Server) serveConn(c *wire.Conn) {
 				c.WriteFrame(wire.TypeError, []byte(err.Error()))
 				return
 			}
-			j := job{stream: b.Stream, xs: b.Decode(nil)}
-			if !s.admit(c, jobs, j) {
+			var xs [][]float64
+			select {
+			case xs = <-free:
+			default:
+			}
+			j := job{stream: b.Stream, xs: b.Decode(xs[:0]), admitted: time.Now()}
+			if !s.admit(c, jobs, free, j) {
 				return
 			}
 		case wire.TypeMigrateOut:
@@ -384,9 +399,10 @@ func (s *Server) serveConn(c *wire.Conn) {
 	}
 }
 
-// admit enqueues a batch under the shed policy. Returns false only on
-// a write failure (connection is dead).
-func (s *Server) admit(c *wire.Conn, jobs chan job, j job) bool {
+// admit enqueues a batch under the shed policy, recycling a shed
+// batch's buffer into free. Returns false only on a write failure
+// (connection is dead).
+func (s *Server) admit(c *wire.Conn, jobs chan job, free chan [][]float64, j job) bool {
 	// Fast path: space available.
 	select {
 	case jobs <- j:
@@ -414,46 +430,70 @@ func (s *Server) admit(c *wire.Conn, jobs chan job, j job) bool {
 	// Shed: the batch is dropped at admission, never processed.
 	s.shedBatches.Inc()
 	s.shedSamples.Add(uint64(len(j.xs)))
-	return c.WriteFrame(wire.TypeShed, wire.AppendShed(nil, j.stream, len(j.xs))) == nil
+	ok := c.WriteFrame(wire.TypeShed, wire.AppendShed(nil, j.stream, len(j.xs))) == nil
+	recycle(free, j.xs)
+	return ok
+}
+
+// recycle returns a job's sample buffer to its connection's free list,
+// dropping it when the list is full.
+func recycle(free chan [][]float64, xs [][]float64) {
+	select {
+	case free <- xs:
+	default:
+	}
 }
 
 // worker drains one connection's queue in FIFO order: per-connection
 // arrival order is the per-stream sample order, as with a local fleet.
 // A batch whose samples are not the template's width is answered with
 // an error frame, in order, and never reaches a member: every member
-// stage panics on a sample of the wrong width.
-func (s *Server) worker(c *wire.Conn, jobs chan job) {
+// stage panics on a sample of the wrong width. Each batch's buffer goes
+// back to free once the fleet is done with it. The worker times the
+// three stages the shard exports: queue wait, compute and ack write.
+func (s *Server) worker(c *wire.Conn, jobs chan job, free chan [][]float64) {
 	var results []edgedrift.Result
 	var ack []byte
 	for j := range jobs {
+		pickup := time.Now()
 		s.queueDepth.Add(-1)
-		// The wire format gives every row of a batch one width.
-		if len(j.xs) > 0 && len(j.xs[0]) != s.inputs {
-			c.WriteFrame(wire.TypeError, []byte(fmt.Sprintf("shard: batch sample dimension %d, want %d", len(j.xs[0]), s.inputs)))
+		s.queueWait.Observe(uint64(pickup.Sub(j.admitted)))
+		err := s.process(&results, j)
+		recycle(free, j.xs)
+		if err != nil {
+			c.WriteFrame(wire.TypeError, []byte(err.Error()))
 			continue
 		}
-		start := time.Now()
-		var err error
-		results, err = s.fleet.ProcessBatchInto(results[:0], j.stream, j.xs)
-		if err != nil {
-			// Unknown stream: first sight — clone the template and retry.
-			if cerr := s.ensureStream(j.stream); cerr != nil {
-				c.WriteFrame(wire.TypeError, []byte(cerr.Error()))
-				continue
-			}
-			results, err = s.fleet.ProcessBatchInto(results[:0], j.stream, j.xs)
-			if err != nil {
-				c.WriteFrame(wire.TypeError, []byte(err.Error()))
-				continue
-			}
-		}
 		s.batches.Inc()
-		s.ingestLatency.Observe(uint64(time.Since(start)))
+		computed := time.Now()
+		s.ingestLatency.Observe(uint64(computed.Sub(pickup)))
 		ack = wire.AppendResults(ack[:0], j.stream, results)
 		if err := c.WriteFrame(wire.TypeBatchAck, ack); err != nil {
 			return
 		}
+		s.ackWrite.Observe(uint64(time.Since(computed)))
 	}
+}
+
+// process runs one batch through the fleet into *results, creating the
+// stream from the template on first sight. A batch of the wrong width
+// never reaches a member.
+func (s *Server) process(results *[]edgedrift.Result, j job) error {
+	// The wire format gives every row of a batch one width.
+	if len(j.xs) > 0 && len(j.xs[0]) != s.inputs {
+		return fmt.Errorf("shard: batch sample dimension %d, want %d", len(j.xs[0]), s.inputs)
+	}
+	var err error
+	*results, err = s.fleet.ProcessBatchInto((*results)[:0], j.stream, j.xs)
+	if err == nil {
+		return nil
+	}
+	// Unknown stream: first sight — clone the template and retry.
+	if err := s.ensureStream(j.stream); err != nil {
+		return err
+	}
+	*results, err = s.fleet.ProcessBatchInto((*results)[:0], j.stream, j.xs)
+	return err
 }
 
 // migrateOut exports a member and tombstones the stream.
@@ -587,6 +627,12 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 	tw.Gauge("edgedrift_shard_connections", "Live ingest connections.", nil, float64(s.connections.Load()))
 	if lat := s.ingestLatency.Snapshot(); lat.Count > 0 {
 		tw.Histogram("edgedrift_shard_ingest_latency_seconds", "Per-batch fleet ProcessBatch wall time.", nil, lat, 1e-9)
+	}
+	if qw := s.queueWait.Snapshot(); qw.Count > 0 {
+		tw.Histogram("edgedrift_shard_queue_wait_seconds", "Per-batch wait from admission to worker pickup.", nil, qw, 1e-9)
+	}
+	if aw := s.ackWrite.Snapshot(); aw.Count > 0 {
+		tw.Histogram("edgedrift_shard_ack_write_seconds", "Per-batch ack encode and write time.", nil, aw, 1e-9)
 	}
 	if s.gov != nil {
 		s.govMu.Lock()

@@ -379,6 +379,82 @@ func TestShardMetricsExposition(t *testing.T) {
 	}
 }
 
+// TestShardTimingSplit scrapes the shard's per-stage histograms after
+// one batch: queue wait and ack write sit next to the compute-only
+// ingest latency, one observation each.
+func TestShardTimingSplit(t *testing.T) {
+	template, stream := testTemplate(t)
+	s, addr := startShard(t, Config{Template: template})
+	cl, err := wire.DialClient(addr, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if _, _, err := cl.SendBatch(nil, "s", stream[:8]); err != nil {
+		t.Fatal(err)
+	}
+	// The ack write is observed after the client could read the ack.
+	waitFor(t, 2*time.Second, "ack write observed", func() bool { return s.ackWrite.Snapshot().Count == 1 })
+	var buf bytes.Buffer
+	if err := s.WriteMetrics(&buf); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	for _, family := range []string{
+		"edgedrift_shard_queue_wait_seconds",
+		"edgedrift_shard_ingest_latency_seconds",
+		"edgedrift_shard_ack_write_seconds",
+	} {
+		if !strings.Contains(out, "# TYPE "+family+" histogram") || !strings.Contains(out, family+"_count 1\n") {
+			t.Errorf("exposition lacks a one-batch %s histogram", family)
+		}
+	}
+}
+
+// TestShardWarmBatchAllocs pins the shard's per-batch allocations over
+// TCP: once a connection is warm, a batch round trip allocates only the
+// stream name ParseBatch returns. Decode reuses a recycled sample
+// buffer, the fleet scores without allocating, and the frame headers
+// and ack buffer live with the connection. The client side moves raw
+// frames and allocates nothing.
+func TestShardWarmBatchAllocs(t *testing.T) {
+	template, stream := testTemplate(t)
+	_, addr := startShard(t, Config{Template: template})
+	c, err := wire.Dial(addr, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	payload, err := wire.AppendBatch(nil, "warm-stream", stream[:8])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rerr error
+	roundTrip := func() {
+		if err := c.WriteFrame(wire.TypeBatch, payload); err != nil {
+			rerr = err
+			return
+		}
+		typ, _, err := c.ReadFrame()
+		if err == nil && typ != wire.TypeBatchAck {
+			err = errors.New("reply is not a batch ack")
+		}
+		if err != nil {
+			rerr = err
+		}
+	}
+	for i := 0; i < 10; i++ {
+		roundTrip()
+	}
+	allocs := testing.AllocsPerRun(200, roundTrip)
+	if rerr != nil {
+		t.Fatal(rerr)
+	}
+	if allocs != 1 {
+		t.Errorf("warm batch round trip: %v allocs, want 1 (the stream name)", allocs)
+	}
+}
+
 // TestShardMergeProtocol drives the cooperative control frames over
 // TCP: FetchState is non-destructive (the donor keeps serving, no
 // tombstone), MergeSeed replaces the target's model and is fenced by

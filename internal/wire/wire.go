@@ -119,10 +119,12 @@ type Conn struct {
 	c  net.Conn
 	br *bufio.Reader
 
-	wmu sync.Mutex
-	bw  *bufio.Writer
+	wmu  sync.Mutex
+	bw   *bufio.Writer
+	whdr [5]byte // WriteFrame's header, under wmu
 
-	rbuf []byte // reused ReadFrame buffer; valid until the next ReadFrame
+	rhdr [4]byte // ReadFrame's length prefix
+	rbuf []byte  // reused ReadFrame buffer; valid until the next ReadFrame
 }
 
 // NewConn wraps an established net.Conn. The caller still owes the
@@ -148,10 +150,11 @@ func (c *Conn) WriteFrame(typ byte, payload []byte) error {
 	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	var hdr [5]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(payload)+1))
-	hdr[4] = typ
-	if _, err := c.bw.Write(hdr[:]); err != nil {
+	// The header lives in the Conn: a local array escapes through the
+	// io.Writer call and would cost an allocation per frame.
+	binary.LittleEndian.PutUint32(c.whdr[:4], uint32(len(payload)+1))
+	c.whdr[4] = typ
+	if _, err := c.bw.Write(c.whdr[:]); err != nil {
 		return err
 	}
 	if _, err := c.bw.Write(payload); err != nil {
@@ -164,11 +167,10 @@ func (c *Conn) WriteFrame(typ byte, payload []byte) error {
 // buffer and is valid only until the next ReadFrame call — callers that
 // hand it to another goroutine must copy it first.
 func (c *Conn) ReadFrame() (typ byte, payload []byte, err error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(c.br, hdr[:]); err != nil {
+	if _, err := io.ReadFull(c.br, c.rhdr[:]); err != nil {
 		return 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := binary.LittleEndian.Uint32(c.rhdr[:])
 	if n == 0 || n > MaxFrame {
 		return 0, nil, fmt.Errorf("%w: implausible frame length %d", ErrProtocol, n)
 	}
@@ -309,17 +311,40 @@ func ParseBatch(p []byte) (Batch, error) {
 	return b, nil
 }
 
-// Decode materialises the batch into dst (reused across batches; rows
-// are grown as needed). The result is valid as long as dst's rows are.
+// Decode materialises the batch into dst, reusing its row headers (up
+// to cap(dst)) and every row whose capacity fits a sample; the rows that
+// do not fit are carved from one new slab. Decode(nil) therefore makes
+// two allocations, and decoding into the previous result of a batch at
+// least as wide makes none. The samples are copied out of the frame:
+// the result stays valid after the next ReadFrame, until dst is reused.
 func (b Batch) Decode(dst [][]float64) [][]float64 {
-	dst = dst[:0]
-	for i := 0; i < b.Count; i++ {
-		row := make([]float64, b.Dims)
-		off := i * b.Dims * 8
-		for j := 0; j < b.Dims; j++ {
-			row[j] = math.Float64frombits(binary.LittleEndian.Uint64(b.Samples[off+j*8:]))
+	if cap(dst) < b.Count {
+		grown := make([][]float64, b.Count)
+		copy(grown, dst[:cap(dst)])
+		dst = grown
+	}
+	dst = dst[:b.Count]
+	short := 0
+	for _, row := range dst {
+		if cap(row) < b.Dims {
+			short++
 		}
-		dst = append(dst, row)
+	}
+	var slab []float64
+	if short > 0 {
+		slab = make([]float64, short*b.Dims)
+	}
+	src := b.Samples
+	for i, row := range dst {
+		if cap(row) < b.Dims {
+			row, slab = slab[:b.Dims:b.Dims], slab[b.Dims:]
+		}
+		row = row[:b.Dims]
+		for j := range row {
+			row[j] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*j:]))
+		}
+		src = src[8*b.Dims:]
+		dst[i] = row
 	}
 	return dst
 }

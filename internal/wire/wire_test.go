@@ -37,6 +37,145 @@ func TestBatchRoundTrip(t *testing.T) {
 	}
 }
 
+// batchPayload encodes a count×dims batch whose sample i holds
+// base+i·dims+j at position j.
+func batchPayload(t *testing.T, count, dims int, base float64) []byte {
+	t.Helper()
+	xs := make([][]float64, count)
+	for i := range xs {
+		xs[i] = make([]float64, dims)
+		for j := range xs[i] {
+			xs[i][j] = base + float64(i*dims+j)
+		}
+	}
+	p, err := AppendBatch(nil, "sensor-7", xs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+func requireDecoded(t *testing.T, got [][]float64, count, dims int, base float64) {
+	t.Helper()
+	if len(got) != count {
+		t.Fatalf("decoded %d rows, want %d", len(got), count)
+	}
+	for i, row := range got {
+		if len(row) != dims {
+			t.Fatalf("row %d has %d values, want %d", i, len(row), dims)
+		}
+		for j, v := range row {
+			if v != base+float64(i*dims+j) {
+				t.Fatalf("row %d[%d] = %v, want %v", i, j, v, base+float64(i*dims+j))
+			}
+		}
+	}
+}
+
+// TestDecodeReusesRows pins Decode's buffer contract: Decode(nil) makes
+// the slab and the row headers (ParseBatch adds the stream name), a
+// decode into the previous result makes nothing, and rows that are too
+// short, or headers past cap(dst), are replaced without disturbing the
+// rows that fit.
+func TestDecodeReusesRows(t *testing.T) {
+	p8 := batchPayload(t, 8, 38, 0)
+	b8, err := ParseBatch(p8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		b, _ := ParseBatch(p8)
+		b.Decode(nil)
+	}); allocs != 3 {
+		t.Errorf("ParseBatch+Decode(nil): %v allocs, want 3 (stream name, row headers, slab)", allocs)
+	}
+	dst := b8.Decode(nil)
+	requireDecoded(t, dst, 8, 38, 0)
+	p8b := batchPayload(t, 8, 38, 1000)
+	b8b, _ := ParseBatch(p8b)
+	if allocs := testing.AllocsPerRun(50, func() { dst = b8b.Decode(dst[:0]) }); allocs != 0 {
+		t.Errorf("Decode into the previous rows: %v allocs, want 0", allocs)
+	}
+	requireDecoded(t, dst, 8, 38, 1000)
+
+	// Fewer, narrower samples reuse the first rows; the rest keep their
+	// storage for the next full batch.
+	b3, _ := ParseBatch(batchPayload(t, 3, 20, 5000))
+	first := &dst[0][0]
+	dst = b3.Decode(dst[:0])
+	requireDecoded(t, dst, 3, 20, 5000)
+	if &dst[0][0] != first {
+		t.Error("a narrower batch did not reuse the first row")
+	}
+	dst = b8b.Decode(dst[:0])
+	requireDecoded(t, dst, 8, 38, 1000)
+
+	// Wider and longer: every row is replaced and the headers grow.
+	b12, _ := ParseBatch(batchPayload(t, 12, 40, 7000))
+	dst = b12.Decode(dst[:0])
+	requireDecoded(t, dst, 12, 40, 7000)
+
+	// The decoded samples are copies: overwriting the frame leaves them.
+	dst = b8.Decode(nil)
+	requireDecoded(t, dst, 8, 38, 0)
+	clear(p8)
+	requireDecoded(t, dst, 8, 38, 0)
+}
+
+// TestFrameRoundTripZeroAlloc pins that moving a frame over a
+// connection allocates nothing once the read buffer has grown: the
+// frame headers live in the Conn.
+func TestFrameRoundTripZeroAlloc(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		nc, err := ln.Accept()
+		if err != nil {
+			close(accepted)
+			return
+		}
+		accepted <- nc
+	}()
+	nc, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer, ok := <-accepted
+	if !ok {
+		t.Fatal("accept failed")
+	}
+	a, b := NewConn(nc), NewConn(peer)
+	defer a.Close()
+	defer b.Close()
+	payload := batchPayload(t, 8, 38, 0)
+	var rerr error
+	roundTrip := func() {
+		if err := a.WriteFrame(TypeBatch, payload); err != nil {
+			rerr = err
+			return
+		}
+		typ, p, err := b.ReadFrame()
+		if err == nil && (typ != TypeBatch || !bytes.Equal(p, payload)) {
+			err = errors.New("frame changed in transit")
+		}
+		if err != nil {
+			rerr = err
+		}
+	}
+	roundTrip()
+	allocs := testing.AllocsPerRun(100, roundTrip)
+	if rerr != nil {
+		t.Fatal(rerr)
+	}
+	if allocs != 0 {
+		t.Errorf("WriteFrame+ReadFrame: %v allocs per frame, want 0", allocs)
+	}
+}
+
 func TestBatchRejects(t *testing.T) {
 	if _, err := AppendBatch(nil, "", [][]float64{{1}}); err == nil {
 		t.Fatal("empty stream name accepted")
