@@ -12,11 +12,17 @@ fmt:
 	@out=$$(git ls-files -co --exclude-standard -- '*.go' | xargs gofmt -l); \
 	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-# Cross-compile smoke for the 32-bit Arm edge targets the paper deploys
-# to (Pi Pico toolchains, armv7 Linux). Catches 64-bit-only assumptions
-# — int-sized constants, alignment — that amd64 CI would never see.
+# Cross-compile smoke for the edge targets the paper deploys to: 32-bit
+# Arm (Pi Pico toolchains, armv7 Linux), arm64, and 386. Catches
+# 64-bit-only assumptions — int-sized constants, alignment — that amd64
+# CI would never see. The vet runs type-check every test file and every
+# non-amd64 kernel stub on the two 32-bit targets too.
 cross:
 	GOOS=linux GOARCH=arm $(GO) build ./...
+	GOOS=linux GOARCH=arm64 $(GO) build ./...
+	GOOS=linux GOARCH=386 $(GO) build ./...
+	GOOS=linux GOARCH=arm $(GO) vet ./...
+	GOOS=linux GOARCH=386 $(GO) vet ./...
 
 test:
 	$(GO) test ./...
@@ -139,7 +145,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzLoadFleet -fuzztime=10s .
 	$(GO) test -fuzz=FuzzParseFrame -fuzztime=10s ./internal/wire/
 
-# The full pre-merge gate: gofmt, tier-1 plus the 32-bit Arm
-# cross-compile, static analysis, the race detector over the concurrent
-# packages, and a fuzz smoke over the artifact loaders.
+# The full pre-merge gate: gofmt, tier-1 plus the arm/arm64/386
+# cross-compile and 32-bit vet, static analysis, the race detector over
+# the concurrent packages, and a fuzz smoke over the artifact loaders.
 check: fmt build cross vet staticcheck test race fuzz-smoke

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 )
 
@@ -22,7 +23,7 @@ func TestProcessMonitoringZeroAllocs(t *testing.T) {
 
 func TestProcessCheckingZeroAllocs(t *testing.T) {
 	cfg := DefaultConfig(1 << 30) // window never closes: stays checking
-	cfg.NRecon = 1 << 31
+	cfg.NRecon = math.MaxInt32
 	cfg.NUpdate = 1 << 30
 	cfg.AlwaysCheck = true
 	cfg.DriftThreshold = 1e18

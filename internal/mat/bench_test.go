@@ -97,8 +97,10 @@ func benchSigmoid[E Element](b *testing.B, z, bias []E) {
 	}
 }
 
+// BenchmarkMulVecTrans is the reconstruction βᵀh at the NSL-KDD
+// surrogate's width (D=38) and the fan shapes.
 func BenchmarkMulVecTrans(b *testing.B) {
-	for _, s := range benchShapes {
+	for _, s := range append([]struct{ d, h int }{{38, 22}}, benchShapes...) {
 		b.Run(benchName(s.d, s.h), func(b *testing.B) {
 			r := rng.New(1)
 			beta := randMatrix(r, s.h, s.d) // H×M with M=D (autoencoder)
@@ -108,6 +110,45 @@ func BenchmarkMulVecTrans(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				MulVecTrans(dst, beta, h)
+			}
+		})
+	}
+}
+
+// BenchmarkMulVecTransF32 is the float32 backend's reconstruction at
+// both detector widths.
+func BenchmarkMulVecTransF32(b *testing.B) {
+	for _, s := range []struct{ d, h int }{{38, 22}, {511, 22}} {
+		b.Run(benchName(s.d, s.h), func(b *testing.B) {
+			r := rng.New(1)
+			beta := NewOf[float32](s.h, s.d)
+			ConvertVec(beta.Data, randVec(r, s.h*s.d))
+			h := make([]float32, s.h)
+			ConvertVec(h, randVec(r, s.h))
+			dst := make([]float32, s.d)
+			b.SetBytes(int64(4 * s.h * s.d))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				MulVecTransF32(dst, beta, h)
+			}
+		})
+	}
+}
+
+// BenchmarkAllFinite is the ingestion guard's scan of one sample at
+// both detector widths.
+func BenchmarkAllFinite(b *testing.B) {
+	for _, n := range []int{38, 511} {
+		b.Run(fmt.Sprintf("N%d", n), func(b *testing.B) {
+			x := randVec(rng.New(1), n)
+			b.SetBytes(int64(8 * n))
+			b.ResetTimer()
+			ok := true
+			for i := 0; i < b.N; i++ {
+				ok = AllFinite(x) && ok
+			}
+			if !ok {
+				b.Fatal("finite input reported non-finite")
 			}
 		})
 	}

@@ -65,9 +65,9 @@ func MulVecF32(dst []float32, m *MatrixOf[float32], x []float32) {
 	}
 }
 
-// MulVecTransF32 computes dst = mᵀ·x — the float32 MulVecTrans, folding
-// four matrix rows into dst per SIMD sweep and remaining rows one at a
-// time (the zero-skip on tail rows mirrors the generic kernel).
+// MulVecTransF32 computes dst = mᵀ·x — the float32 MulVecTrans, in one
+// SIMD call that keeps blocks of dst in registers across all rows (the
+// zero-skip on tail rows mirrors the generic kernel).
 func MulVecTransF32(dst []float32, m *MatrixOf[float32], x []float32) {
 	if len(x) != m.Rows || len(dst) != m.Cols {
 		panic(ErrShape)
@@ -76,20 +76,31 @@ func MulVecTransF32(dst []float32, m *MatrixOf[float32], x []float32) {
 		MulVecTrans(dst, m, x)
 		return
 	}
-	clear(dst)
-	cols := m.Cols
-	n := m.Rows
-	g := n / 4
-	if g > 0 {
-		axpyRowsF32Asm(&dst[0], &m.Data[0], cols, &x[0], cols, g)
+	if len(m.Data) < len(x)*len(dst) {
+		panic(ErrShape)
 	}
-	for i := 4 * g; i < n; i++ {
-		xi := x[i]
-		if xi == 0 {
-			continue
-		}
-		axpy1F32Asm(&dst[0], &m.Data[i*cols], xi, cols)
+	mulVecTransF32Asm(&dst[0], unsafe.SliceData(m.Data), unsafe.SliceData(x), len(x), len(dst), nil, nil)
+}
+
+// MulVecTransSqDistF32 computes dst = mᵀ·h as MulVecTransF32 does,
+// widens it into wide as ConvertVec(wide, dst) does, and returns
+// SqDist(ref, wide): the float32 backend's reconstruction and its
+// squared residual against the float64 target ref, with the same bits
+// as those three calls. On the SIMD path all three come from one pass
+// over m. dst must not alias h.
+func MulVecTransSqDistF32(wide []float64, dst []float32, m *MatrixOf[float32], h []float32, ref []float64) float64 {
+	if len(h) != m.Rows || len(dst) != m.Cols || len(wide) != len(dst) || len(ref) != len(dst) {
+		panic(ErrShape)
 	}
+	if !f32SIMD || m.Cols < f32SIMDMinLen {
+		MulVecTransF32(dst, m, h)
+		ConvertVec(wide, dst)
+		return SqDist(ref, wide)
+	}
+	if len(m.Data) < len(h)*len(dst) {
+		panic(ErrShape)
+	}
+	return mulVecTransF32Asm(&dst[0], unsafe.SliceData(m.Data), unsafe.SliceData(h), len(h), len(dst), &wide[0], &ref[0])
 }
 
 // useF32AVX reports whether a bit-exact float32 kernel with inner length

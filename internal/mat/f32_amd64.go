@@ -16,10 +16,7 @@ package mat
 func dotRowsF32Asm(dst, w *float32, ldw int, x *float32, n, groups int)
 
 //go:noescape
-func axpyRowsF32Asm(dst, b *float32, ldb int, x *float32, n, groups int)
-
-//go:noescape
-func axpy1F32Asm(dst, b *float32, s float32, n int)
+func mulVecTransF32Asm(dst, w, x *float32, rows, cols int, wide, ref *float64) float64
 
 //go:noescape
 func outerRowF32Asm(row, v *float32, su float32, n int)

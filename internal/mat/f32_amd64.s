@@ -2,10 +2,25 @@
 // the runtime probe in f32_amd64.go set mat.f32SIMD; callers guarantee
 // n >= 1 and non-nil pointers. All loads/stores are unaligned (VMOVUPS) —
 // Go slices carry no alignment guarantee — and the n%8 tail of every
-// kernel is one masked VMASKMOVPS step. Every exit runs VZEROUPPER so
+// kernel but the transposed matvec (which reruns its last eight
+// columns) is one masked VMASKMOVPS step. Every exit runs VZEROUPPER so
 // the surrounding SSE-encoded Go code pays no AVX transition penalty.
 
 #include "textflag.h"
+#include "sqdist_amd64.h"
+
+// WIDEN8(off, y, x, lo, hi) widens the eight float32 columns of y (x is
+// its low half) into wide at off(R13) and adds their squared residuals
+// against ref at off(R11) to X14, under the lane masks lo and hi.
+// Clobbers Y9–Y11.
+#define WIDEN8(off, y, x, lo, hi) \
+	VCVTPS2PD x, Y11; \
+	VMOVUPD Y11, off(R13); \
+	SQRESID(off, Y11, lo); \
+	VEXTRACTF128 $1, y, X11; \
+	VCVTPS2PD X11, Y11; \
+	VMOVUPD Y11, off+32(R13); \
+	SQRESID(off+32, Y11, hi)
 
 // f32TailMask is eight all-ones lanes followed by eight zero lanes: the
 // eight lanes starting at element 8−t select the first t lanes, the
@@ -113,107 +128,190 @@ drreduce:
 	VZEROUPPER
 	RET
 
-// func axpyRowsF32Asm(dst, b *float32, ldb int, x *float32, n, groups int)
+// func mulVecTransF32Asm(dst, w, x *float32, rows, cols int, wide, ref *float64) float64
 //
-// For each of groups steps g, with s = x[4g..4g+3] and b's rows
-// 4g..4g+3: dst[j] += s[0]·b[4g][j] + s[1]·b[4g+1][j] + s[2]·b[4g+2][j]
-// + s[3]·b[4g+3][j] for j in [0, n), n >= 1, as a chain of four FMAs
-// per element — the four-row folds of the transposed matvec, each
-// scalar broadcast across a YMM lane set.
-TEXT ·axpyRowsF32Asm(SB), NOSPLIT, $0-48
-	MOVQ dst+0(FP), R12
-	MOVQ b+8(FP), SI
-	MOVQ ldb+16(FP), DX
-	SHLQ $2, DX            // row stride in bytes
-	MOVQ x+24(FP), AX
-	MOVQ n+32(FP), CX
-	MOVQ groups+40(FP), R11
-	MOVQ CX, BX
-	ANDQ $7, BX
-	MOVQ $8, R13
-	SUBQ BX, R13
-	LEAQ ·f32TailMask(SB), BX
-	VMOVUPS (BX)(R13*4), Y9   // first n%8 lanes set
-argroup:
-	VBROADCASTSS 0(AX), Y1
-	VBROADCASTSS 4(AX), Y2
-	VBROADCASTSS 8(AX), Y3
-	VBROADCASTSS 12(AX), Y4
-	LEAQ (SI)(DX*1), R8    // row 1
-	LEAQ (SI)(DX*2), R9    // row 2
-	LEAQ (R8)(DX*2), R10   // row 3
-	XORQ BX, BX            // byte offset into dst and every row
-	MOVQ CX, R13
-	SHRQ $3, R13           // 8-element blocks
-	JZ   artail
-arloop:
-	VMOVUPS (R12)(BX*1), Y0
-	VMOVUPS (SI)(BX*1), Y5
-	VMOVUPS (R8)(BX*1), Y6
-	VMOVUPS (R9)(BX*1), Y7
-	VMOVUPS (R10)(BX*1), Y8
-	VFMADD231PS Y5, Y1, Y0
-	VFMADD231PS Y6, Y2, Y0
-	VFMADD231PS Y7, Y3, Y0
-	VFMADD231PS Y8, Y4, Y0
-	VMOVUPS Y0, (R12)(BX*1)
-	ADDQ $32, BX
-	DECQ R13
-	JNZ  arloop
-artail:
-	TESTQ $7, CX
-	JZ   arnext
-	VMASKMOVPS (R12)(BX*1), Y9, Y0
-	VMASKMOVPS (SI)(BX*1), Y9, Y5
-	VMASKMOVPS (R8)(BX*1), Y9, Y6
-	VMASKMOVPS (R9)(BX*1), Y9, Y7
-	VMASKMOVPS (R10)(BX*1), Y9, Y8
-	VFMADD231PS Y5, Y1, Y0
-	VFMADD231PS Y6, Y2, Y0
-	VFMADD231PS Y7, Y3, Y0
-	VFMADD231PS Y8, Y4, Y0
-	VMASKMOVPS Y0, Y9, (R12)(BX*1)
-arnext:
-	ADDQ $16, AX           // next four x
-	LEAQ (SI)(DX*4), SI    // next four rows
-	DECQ R11
-	JNZ  argroup
-	VZEROUPPER
-	RET
-
-// func axpy1F32Asm(dst, b *float32, s float32, n int)
+// dst = wᵀ·x for the row-major rows×cols slab w, cols >= 8: the whole
+// transposed matvec in one call. Columns run in blocks of 32, then 8,
+// and a block of dst stays in registers across all rows. Each element
+// runs one FMA chain from +0: acc = fma(x_i, w_i, acc) for the rows in
+// order, skipping the rows%4 tail rows whose x_i is ±0 — the chain the
+// per-4-row axpy kernels it replaces ran through dst. The cols%8
+// leftover columns rerun the last eight columns, which stores them
+// again with the same bits.
 //
-// dst[j] += s·b[j] for j in [0, n) — the tail-row form of the
-// transposed matvec (rows beyond the last multiple of four).
-TEXT ·axpy1F32Asm(SB), NOSPLIT, $0-32
+// With ref non-nil it also widens each block into wide (VCVTPS2PD, as
+// ConvertVec does) and returns SqDist(ref, wide), the sum built as in
+// mulVecTransF64Asm (sqdist_amd64.h); the rerun block masks the columns
+// already counted. With ref nil it returns 0 and leaves wide alone.
+TEXT ·mulVecTransF32Asm(SB), NOSPLIT, $0-64
 	MOVQ dst+0(FP), DI
-	MOVQ b+8(FP), SI
-	VBROADCASTSS s+16(FP), Y1
-	MOVQ n+24(FP), CX
+	MOVQ w+8(FP), SI
+	MOVQ x+16(FP), R8
+	MOVQ rows+24(FP), R12
+	MOVQ cols+32(FP), CX   // columns left
+	MOVQ wide+40(FP), R13
+	MOVQ ref+48(FP), R11
 	MOVQ CX, DX
-	SHRQ $3, DX
-	JZ   a1tail
-a1loop:
-	VMOVUPS (DI), Y0
-	VMOVUPS (SI), Y2
-	VFMADD231PS Y2, Y1, Y0
-	VMOVUPS Y0, (DI)
+	SHLQ $2, DX            // row stride in bytes
+	LEAQ (DX)(DX*2), R10   // three rows
+	VXORPS X13, X13, X13   // +0, for the zero-skip test
+	VXORPD X14, X14, X14   // Σ (ref−wide)²
+	LEAQ ·sqMask(SB), AX
+	VMOVUPD 64(AX), Y12    // every lane of a block counts
+	VMOVUPD 64(AX), Y8
+	CMPQ CX, $32
+	JB   mtf8
+mtf32:
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	MOVQ SI, AX            // row 0 of the block
+	MOVQ R8, R9
+	MOVQ R12, BX
+	SHRQ $2, BX            // 4-row groups
+	JZ   mtf32tail
+mtf32group:
+	VBROADCASTSS 0(R9), Y4
+	VBROADCASTSS 4(R9), Y5
+	VBROADCASTSS 8(R9), Y6
+	VBROADCASTSS 12(R9), Y7
+	VFMADD231PS 0(AX), Y4, Y0
+	VFMADD231PS 32(AX), Y4, Y1
+	VFMADD231PS 64(AX), Y4, Y2
+	VFMADD231PS 96(AX), Y4, Y3
+	VFMADD231PS 0(AX)(DX*1), Y5, Y0
+	VFMADD231PS 32(AX)(DX*1), Y5, Y1
+	VFMADD231PS 64(AX)(DX*1), Y5, Y2
+	VFMADD231PS 96(AX)(DX*1), Y5, Y3
+	VFMADD231PS 0(AX)(DX*2), Y6, Y0
+	VFMADD231PS 32(AX)(DX*2), Y6, Y1
+	VFMADD231PS 64(AX)(DX*2), Y6, Y2
+	VFMADD231PS 96(AX)(DX*2), Y6, Y3
+	VFMADD231PS 0(AX)(R10*1), Y7, Y0
+	VFMADD231PS 32(AX)(R10*1), Y7, Y1
+	VFMADD231PS 64(AX)(R10*1), Y7, Y2
+	VFMADD231PS 96(AX)(R10*1), Y7, Y3
+	LEAQ (AX)(DX*4), AX
+	ADDQ $16, R9
+	DECQ BX
+	JNZ  mtf32group
+mtf32tail:
+	MOVQ R12, BX
+	ANDQ $3, BX
+	JZ   mtf32store
+mtf32row:
+	VMOVSS (R9), X4
+	VUCOMISS X13, X4
+	JPS  mtf32rowdo        // NaN is not zero
+	JEQ  mtf32rownext      // ±0: skipped, as in the Go code
+mtf32rowdo:
+	VBROADCASTSS (R9), Y4
+	VFMADD231PS 0(AX), Y4, Y0
+	VFMADD231PS 32(AX), Y4, Y1
+	VFMADD231PS 64(AX), Y4, Y2
+	VFMADD231PS 96(AX), Y4, Y3
+mtf32rownext:
+	ADDQ DX, AX
+	ADDQ $4, R9
+	DECQ BX
+	JNZ  mtf32row
+mtf32store:
+	VMOVUPS Y0, 0(DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	TESTQ R11, R11
+	JZ   mtf32next
+	WIDEN8(0, Y0, X0, Y12, Y12)
+	WIDEN8(64, Y1, X1, Y12, Y12)
+	WIDEN8(128, Y2, X2, Y12, Y12)
+	WIDEN8(192, Y3, X3, Y12, Y12)
+	ADDQ $256, R11
+	ADDQ $256, R13
+mtf32next:
+	ADDQ $128, DI
+	ADDQ $128, SI
+	SUBQ $32, CX
+	CMPQ CX, $32
+	JAE  mtf32
+mtf8:
+	CMPQ CX, $8
+	JB   mtfrem
+mtf8block:
+	VXORPS Y0, Y0, Y0
+	MOVQ SI, AX
+	MOVQ R8, R9
+	MOVQ R12, BX
+	SHRQ $2, BX
+	JZ   mtf8tail
+mtf8group:
+	VBROADCASTSS 0(R9), Y4
+	VFMADD231PS 0(AX), Y4, Y0
+	VBROADCASTSS 4(R9), Y5
+	VFMADD231PS 0(AX)(DX*1), Y5, Y0
+	VBROADCASTSS 8(R9), Y6
+	VFMADD231PS 0(AX)(DX*2), Y6, Y0
+	VBROADCASTSS 12(R9), Y7
+	VFMADD231PS 0(AX)(R10*1), Y7, Y0
+	LEAQ (AX)(DX*4), AX
+	ADDQ $16, R9
+	DECQ BX
+	JNZ  mtf8group
+mtf8tail:
+	MOVQ R12, BX
+	ANDQ $3, BX
+	JZ   mtf8store
+mtf8row:
+	VMOVSS (R9), X4
+	VUCOMISS X13, X4
+	JPS  mtf8rowdo
+	JEQ  mtf8rownext
+mtf8rowdo:
+	VBROADCASTSS (R9), Y4
+	VFMADD231PS 0(AX), Y4, Y0
+mtf8rownext:
+	ADDQ DX, AX
+	ADDQ $4, R9
+	DECQ BX
+	JNZ  mtf8row
+mtf8store:
+	VMOVUPS Y0, 0(DI)
+	TESTQ R11, R11
+	JZ   mtf8next
+	WIDEN8(0, Y0, X0, Y12, Y8)
+	ADDQ $64, R11
+	ADDQ $64, R13
+mtf8next:
 	ADDQ $32, DI
 	ADDQ $32, SI
-	DECQ DX
-	JNZ  a1loop
-a1tail:
-	ANDQ $7, CX
-	JZ   a1done
-	MOVQ $8, DX
-	SUBQ CX, DX
-	LEAQ ·f32TailMask(SB), AX
-	VMOVUPS (AX)(DX*4), Y9
-	VMASKMOVPS (DI), Y9, Y0
-	VMASKMOVPS (SI), Y9, Y2
-	VFMADD231PS Y2, Y1, Y0
-	VMASKMOVPS Y0, Y9, (DI)
-a1done:
+	SUBQ $8, CX
+	CMPQ CX, $8
+	JAE  mtf8block
+mtfrem:
+	TESTQ CX, CX
+	JZ   mtfdone
+	// 1–7 columns left: step back so one more block ends at the last
+	// column, and count only the new columns' squares.
+	LEAQ ·sqMask(SB), AX
+	VMOVUPD (AX)(CX*8), Y12   // lanes 0–3 of the last CX
+	VMOVUPD 32(AX)(CX*8), Y8  // lanes 4–7
+	MOVQ $8, BX
+	SUBQ CX, BX
+	SHLQ $2, BX            // (8−left)·4 bytes
+	SUBQ BX, DI
+	SUBQ BX, SI
+	TESTQ R11, R11
+	JZ   mtfremgo
+	SUBQ BX, R11           // (8−left)·8 bytes of ref and wide
+	SUBQ BX, R11
+	SUBQ BX, R13
+	SUBQ BX, R13
+mtfremgo:
+	MOVQ $8, CX
+	JMP  mtf8block
+mtfdone:
+	VMOVSD X14, ret+56(FP)
 	VZEROUPPER
 	RET
 

@@ -11,12 +11,8 @@ func dotRowsF32Asm(dst, w *float32, ldw int, x *float32, n, groups int) {
 	panic("mat: dotRowsF32Asm called without SIMD support")
 }
 
-func axpyRowsF32Asm(dst, b *float32, ldb int, x *float32, n, groups int) {
-	panic("mat: axpyRowsF32Asm called without SIMD support")
-}
-
-func axpy1F32Asm(dst, b *float32, s float32, n int) {
-	panic("mat: axpy1F32Asm called without SIMD support")
+func mulVecTransF32Asm(dst, w, x *float32, rows, cols int, wide, ref *float64) float64 {
+	panic("mat: mulVecTransF32Asm called without SIMD support")
 }
 
 func narrowF32Asm(dst *float32, src *float64, n int) {

@@ -2,23 +2,26 @@ package mat
 
 import "unsafe"
 
-// Float64 SIMD path. The generic entry points MulVec, MulVecTrans, Dot
-// and AddScaledOuter (and the batch forms built on them) dispatch here
-// when their element type is 8 bytes wide (float64, or a type defined over
-// it) and the CPU has AVX (f64_amd64.s). unsafe.Sizeof of a type
-// parameter folds to a constant in each shape instantiation, so the
-// float32 instantiations compile the test away and the float64 ones
-// reach these functions through unsafe.Slice views, with no interface
-// boxing and no allocation.
+// Float64 SIMD path. The generic entry points MulVec, MulVecTrans,
+// MulVecTransSqDist, Dot and AddScaledOuter (and the batch forms built
+// on them) dispatch here when their element type is 8 bytes wide
+// (float64, or a type defined over it) and the CPU has AVX
+// (f64_amd64.s). unsafe.Sizeof of a type parameter folds to a constant
+// in each shape instantiation, so the float32 instantiations compile the
+// test away and the float64 ones reach these functions through
+// unsafe.Slice views, with no interface boxing and no allocation.
 //
 // Unlike the float32 kernels, these are bit-identical to the generic Go
 // kernels: no FMA, and every lane runs one of the Go code's own add
 // chains in the Go code's order. A dot product keeps dotKernel's four
 // strided accumulators as the four lanes of one YMM register, so the
 // kernel cannot split a row's chain any further; it gains by running
-// four weight rows' chains side by side instead, sharing each x load.
-// The n%4 tail, the final (s0+s1)+(s2+s3) reduction and the zero-skip
-// on tail rows stay in Go below, written exactly as in the generic code.
+// four weight rows' chains side by side, sharing each x load. A
+// transposed product runs independent output columns side by side and
+// keeps a block of them in registers across all rows. MulVec and
+// MulVecTrans are one kernel call each, tails and zero-skips included;
+// only AddScaledOuter's zero-skip tail rows stay in Go below, written
+// exactly as in the generic code.
 
 // f64SIMD reports whether the AVX kernels that reproduce the Go code bit
 // for bit are usable on this CPU: the float64 kernels here, and the
@@ -74,25 +77,29 @@ func mulVecF64(dst, w, x []float64) {
 	mulVecF64Asm(&dst[0], &w[0], &x[0], len(dst), len(x))
 }
 
+// mulVecTransChunk is how many rows of w one mulVecTransF64Asm call
+// covers. A column block touches every row it covers, each row on its
+// own 4 KiB page at the fan width; at H=128 one call over all rows ran
+// ~15% slower than calls of 16 to 64 rows, consistent with a 64-entry
+// L1 data TLB. Each call continues the chains the last one left in dst,
+// so chunking does not change a bit.
+const mulVecTransChunk = 32
+
 // mulVecTransF64 is MulVecTrans on the AVX path: dst = wᵀ·x for the
-// row-major len(x)×len(dst) slab w; len(dst) >= 4.
-func mulVecTransF64(dst, w, x []float64) {
-	clear(dst)
-	cols := len(dst)
-	n4 := len(x) &^ 3
-	var s [4]float64
-	i := 0
-	for ; i < n4; i += 4 {
-		rows := w[i*cols : (i+4)*cols]
-		s = [4]float64{x[i], x[i+1], x[i+2], x[i+3]}
-		axpy4F64Asm(&dst[0], &rows[0], cols, &s, cols)
+// row-major len(x)×len(dst) slab w; len(dst) >= 4. With ref non-nil
+// (len(ref) == len(dst)) it also returns SqDist(ref, dst), added inside
+// the last pass; otherwise 0.
+func mulVecTransF64(dst, w, x, ref []float64) float64 {
+	rows, cols := len(x), len(dst)
+	if len(w) < rows*cols {
+		panic(ErrShape)
 	}
-	for ; i < len(x); i++ {
-		if x[i] == 0 {
-			continue
-		}
-		axpy1F64Asm(&dst[0], &w[i*cols], x[i], cols)
+	acc, r := 0, 0
+	for ; rows-r > mulVecTransChunk; r += mulVecTransChunk {
+		mulVecTransF64Asm(&dst[0], &w[r*cols], &x[r], mulVecTransChunk, cols, nil, acc)
+		acc = 1
 	}
+	return mulVecTransF64Asm(&dst[0], unsafe.SliceData(w[r*cols:]), unsafe.SliceData(x[r:]), rows-r, cols, unsafe.SliceData(ref), acc)
 }
 
 // addScaledOuterF64 is AddScaledOuter on the AVX path: m ← m + s·u·vᵀ

@@ -6,7 +6,7 @@ package mat
 func mulVecF64Asm(dst, w, x *float64, rows, cols int)
 
 //go:noescape
-func axpy4F64Asm(dst, b *float64, ldb int, s *[4]float64, n int)
+func mulVecTransF64Asm(dst, w, x *float64, rows, cols int, ref *float64, acc int) float64
 
 //go:noescape
 func axpy1F64Asm(dst, b *float64, s float64, n int)

@@ -9,12 +9,13 @@
 // exactly as MULSD/ADDSD do, no FMA is emitted, and every lane runs the
 // same add chain, in the same order, as one scalar accumulator or one
 // output element of the Go code. Throughput comes from running
-// independent chains side by side (four weight rows, or four output
-// columns), never from re-associating one. The sigmoid kernels use FMA
-// exactly where math.Exp does (see there). All loads and stores are
-// unaligned; every exit runs VZEROUPPER.
+// independent chains side by side (four weight rows, or up to 16
+// output columns), never from re-associating one. The sigmoid kernels
+// use FMA exactly where math.Exp does (see there). All loads and stores
+// are unaligned; every exit runs VZEROUPPER.
 
 #include "textflag.h"
+#include "sqdist_amd64.h"
 
 // func mulVecF64Asm(dst, w, x *float64, rows, cols int)
 //
@@ -121,75 +122,265 @@ mvdone:
 	VZEROUPPER
 	RET
 
-// func axpy4F64Asm(dst, b *float64, ldb int, s *[4]float64, n int)
+// sqMask is eight zero float64 lanes then eight all-ones lanes: lane i
+// of a load from element j on is set exactly when j+i >= 8. The
+// transposed kernels mask a rerun block's squared residuals with it, so
+// the columns already counted add +0 (sqdist_amd64.h).
+DATA ·sqMask+0(SB)/8, $0
+DATA ·sqMask+8(SB)/8, $0
+DATA ·sqMask+16(SB)/8, $0
+DATA ·sqMask+24(SB)/8, $0
+DATA ·sqMask+32(SB)/8, $0
+DATA ·sqMask+40(SB)/8, $0
+DATA ·sqMask+48(SB)/8, $0
+DATA ·sqMask+56(SB)/8, $0
+DATA ·sqMask+64(SB)/8, $0xffffffffffffffff
+DATA ·sqMask+72(SB)/8, $0xffffffffffffffff
+DATA ·sqMask+80(SB)/8, $0xffffffffffffffff
+DATA ·sqMask+88(SB)/8, $0xffffffffffffffff
+DATA ·sqMask+96(SB)/8, $0xffffffffffffffff
+DATA ·sqMask+104(SB)/8, $0xffffffffffffffff
+DATA ·sqMask+112(SB)/8, $0xffffffffffffffff
+DATA ·sqMask+120(SB)/8, $0xffffffffffffffff
+GLOBL ·sqMask(SB), RODATA|NOPTR, $128
+
+// func mulVecTransF64Asm(dst, w, x *float64, rows, cols int, ref *float64, acc int) float64
 //
-// dst[j] += ((s[0]·b[j] + s[1]·b[ldb+j]) + s[2]·b[2ldb+j]) + s[3]·b[3ldb+j]
-// for j in [0, n), n >= 1: MulVecTrans's four-row fold, in Go's
-// evaluation order, four columns per step and a scalar column tail.
-TEXT ·axpy4F64Asm(SB), NOSPLIT, $0-40
+// dst = wᵀ·x for the row-major rows×cols slab w, cols >= 4, or with
+// acc = 1, dst += wᵀ·x continuing the chains a previous call left in
+// dst. Columns run in blocks of 16, then 4, and a block of dst stays in
+// registers across all rows, so every β element is read once and dst
+// written once. Each element runs MulVecTrans's add chain:
+// acc + (((x0·r0 + x1·r1) + x2·r2) + x3·r3) per 4-row group, then
+// acc + xi·ri for each of the rows%4 tail rows whose xi is not ±0. The
+// cols%4 leftover columns rerun the last four columns: a column's result
+// depends only on that column, x and its starting value, which with
+// acc = 1 is the one saved in Y15 on entry, so the columns it
+// recomputes are stored again with the same bits.
+//
+// With ref non-nil it also returns Σ (ref_j − dst_j)² added in column
+// order, SqDist(ref, dst): each block's squares join the serial sum
+// while the next block's β loads are in flight. The rerun block masks
+// the squares of the columns already counted to +0, which leaves the
+// sum's bits unchanged (it is never −0). With ref nil it returns 0.
+TEXT ·mulVecTransF64Asm(SB), NOSPLIT, $0-64
 	MOVQ dst+0(FP), DI
-	MOVQ b+8(FP), SI
-	MOVQ ldb+16(FP), DX
-	SHLQ $3, DX
-	LEAQ (SI)(DX*1), R9
-	LEAQ (SI)(DX*2), R10
-	LEAQ (R10)(DX*1), R11
-	MOVQ s+24(FP), AX
-	VBROADCASTSD 0(AX), Y1
-	VBROADCASTSD 8(AX), Y2
-	VBROADCASTSD 16(AX), Y3
-	VBROADCASTSD 24(AX), Y4
-	MOVQ n+32(FP), CX
+	MOVQ w+8(FP), SI
+	MOVQ x+16(FP), R8
+	MOVQ rows+24(FP), R12
+	MOVQ cols+32(FP), CX   // columns left
+	MOVQ ref+40(FP), R11
+	MOVQ acc+48(FP), R13   // 0: blocks start at +0; 1: from dst
 	MOVQ CX, DX
-	SHRQ $2, DX
-	JZ   a4tail
-a4loop:
-	VMULPD (SI), Y1, Y5
-	VMULPD (R9), Y2, Y6
-	VADDPD Y6, Y5, Y5
-	VMULPD (R10), Y3, Y6
-	VADDPD Y6, Y5, Y5
-	VMULPD (R11), Y4, Y6
-	VADDPD Y6, Y5, Y5
-	VMOVUPD (DI), Y0
-	VADDPD Y5, Y0, Y0
-	VMOVUPD Y0, (DI)
+	SHLQ $3, DX            // row stride in bytes
+	LEAQ (DX)(DX*2), R10   // three rows
+	TESTQ R13, R13
+	JZ   mtinit
+	VMOVUPD -32(DI)(DX*1), Y15 // the last four columns' starting values
+mtinit:
+	VXORPD X13, X13, X13   // +0, for the zero-skip test
+	VXORPD X14, X14, X14   // Σ (ref−dst)²
+	LEAQ ·sqMask(SB), AX
+	VMOVUPD 64(AX), Y12    // every lane of a block counts
+	CMPQ CX, $16
+	JB   mt4
+mt16:
+	TESTQ R13, R13
+	JNZ  mt16load
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	JMP  mt16rows
+mt16load:
+	VMOVUPD 0(DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+	VMOVUPD 96(DI), Y3
+mt16rows:
+	MOVQ SI, AX            // row 0 of the block
+	MOVQ R8, R9
+	MOVQ R12, BX
+	SHRQ $2, BX            // 4-row groups
+	JZ   mt16tail
+mt16group:
+	VBROADCASTSD 0(R9), Y8
+	VMULPD 0(AX), Y8, Y4
+	VMULPD 32(AX), Y8, Y5
+	VMULPD 64(AX), Y8, Y6
+	VMULPD 96(AX), Y8, Y7
+	VBROADCASTSD 8(R9), Y8
+	VMULPD 0(AX)(DX*1), Y8, Y9
+	VADDPD Y9, Y4, Y4
+	VMULPD 32(AX)(DX*1), Y8, Y9
+	VADDPD Y9, Y5, Y5
+	VMULPD 64(AX)(DX*1), Y8, Y9
+	VADDPD Y9, Y6, Y6
+	VMULPD 96(AX)(DX*1), Y8, Y9
+	VADDPD Y9, Y7, Y7
+	VBROADCASTSD 16(R9), Y8
+	VMULPD 0(AX)(DX*2), Y8, Y9
+	VADDPD Y9, Y4, Y4
+	VMULPD 32(AX)(DX*2), Y8, Y9
+	VADDPD Y9, Y5, Y5
+	VMULPD 64(AX)(DX*2), Y8, Y9
+	VADDPD Y9, Y6, Y6
+	VMULPD 96(AX)(DX*2), Y8, Y9
+	VADDPD Y9, Y7, Y7
+	VBROADCASTSD 24(R9), Y8
+	VMULPD 0(AX)(R10*1), Y8, Y9
+	VADDPD Y9, Y4, Y4
+	VMULPD 32(AX)(R10*1), Y8, Y9
+	VADDPD Y9, Y5, Y5
+	VMULPD 64(AX)(R10*1), Y8, Y9
+	VADDPD Y9, Y6, Y6
+	VMULPD 96(AX)(R10*1), Y8, Y9
+	VADDPD Y9, Y7, Y7
+	VADDPD Y4, Y0, Y0
+	VADDPD Y5, Y1, Y1
+	VADDPD Y6, Y2, Y2
+	VADDPD Y7, Y3, Y3
+	LEAQ (AX)(DX*4), AX
+	ADDQ $32, R9
+	DECQ BX
+	JNZ  mt16group
+mt16tail:
+	MOVQ R12, BX
+	ANDQ $3, BX
+	JZ   mt16store
+mt16row:
+	VMOVSD (R9), X8
+	VUCOMISD X13, X8
+	JPS  mt16rowdo         // NaN is not zero
+	JEQ  mt16rownext       // ±0: skipped, as in the Go code
+mt16rowdo:
+	VBROADCASTSD (R9), Y8
+	VMULPD 0(AX), Y8, Y9
+	VADDPD Y9, Y0, Y0
+	VMULPD 32(AX), Y8, Y9
+	VADDPD Y9, Y1, Y1
+	VMULPD 64(AX), Y8, Y9
+	VADDPD Y9, Y2, Y2
+	VMULPD 96(AX), Y8, Y9
+	VADDPD Y9, Y3, Y3
+mt16rownext:
+	ADDQ DX, AX
+	ADDQ $8, R9
+	DECQ BX
+	JNZ  mt16row
+mt16store:
+	VMOVUPD Y0, 0(DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	TESTQ R11, R11
+	JZ   mt16next
+	SQRESID(0, Y0, Y12)
+	SQRESID(32, Y1, Y12)
+	SQRESID(64, Y2, Y12)
+	SQRESID(96, Y3, Y12)
+	ADDQ $128, R11
+mt16next:
+	ADDQ $128, DI
+	ADDQ $128, SI
+	SUBQ $16, CX
+	CMPQ CX, $16
+	JAE  mt16
+mt4:
+	CMPQ CX, $4
+	JB   mtrem
+mt4block:
+	CMPQ R13, $1
+	JB   mt4zero
+	JA   mt4saved
+	VMOVUPD 0(DI), Y0
+	JMP  mt4rows
+mt4saved:
+	VMOVAPD Y15, Y0
+	JMP  mt4rows
+mt4zero:
+	VXORPD Y0, Y0, Y0
+mt4rows:
+	MOVQ SI, AX
+	MOVQ R8, R9
+	MOVQ R12, BX
+	SHRQ $2, BX
+	JZ   mt4tail
+mt4group:
+	VBROADCASTSD 0(R9), Y8
+	VMULPD 0(AX), Y8, Y4
+	VBROADCASTSD 8(R9), Y8
+	VMULPD 0(AX)(DX*1), Y8, Y9
+	VADDPD Y9, Y4, Y4
+	VBROADCASTSD 16(R9), Y8
+	VMULPD 0(AX)(DX*2), Y8, Y9
+	VADDPD Y9, Y4, Y4
+	VBROADCASTSD 24(R9), Y8
+	VMULPD 0(AX)(R10*1), Y8, Y9
+	VADDPD Y9, Y4, Y4
+	VADDPD Y4, Y0, Y0
+	LEAQ (AX)(DX*4), AX
+	ADDQ $32, R9
+	DECQ BX
+	JNZ  mt4group
+mt4tail:
+	MOVQ R12, BX
+	ANDQ $3, BX
+	JZ   mt4store
+mt4row:
+	VMOVSD (R9), X8
+	VUCOMISD X13, X8
+	JPS  mt4rowdo
+	JEQ  mt4rownext
+mt4rowdo:
+	VBROADCASTSD (R9), Y8
+	VMULPD 0(AX), Y8, Y9
+	VADDPD Y9, Y0, Y0
+mt4rownext:
+	ADDQ DX, AX
+	ADDQ $8, R9
+	DECQ BX
+	JNZ  mt4row
+mt4store:
+	VMOVUPD Y0, 0(DI)
+	TESTQ R11, R11
+	JZ   mt4next
+	SQRESID(0, Y0, Y12)
+	ADDQ $32, R11
+mt4next:
 	ADDQ $32, DI
 	ADDQ $32, SI
-	ADDQ $32, R9
-	ADDQ $32, R10
-	ADDQ $32, R11
-	DECQ DX
-	JNZ  a4loop
-a4tail:
-	ANDQ $3, CX
-	JZ   a4done
-a4tailloop:
-	VMULSD (SI), X1, X5
-	VMULSD (R9), X2, X6
-	VADDSD X6, X5, X5
-	VMULSD (R10), X3, X6
-	VADDSD X6, X5, X5
-	VMULSD (R11), X4, X6
-	VADDSD X6, X5, X5
-	VMOVSD (DI), X0
-	VADDSD X5, X0, X0
-	VMOVSD X0, (DI)
-	ADDQ $8, DI
-	ADDQ $8, SI
-	ADDQ $8, R9
-	ADDQ $8, R10
-	ADDQ $8, R11
-	DECQ CX
-	JNZ  a4tailloop
-a4done:
+	SUBQ $4, CX
+	CMPQ CX, $4
+	JAE  mt4block
+mtrem:
+	TESTQ CX, CX
+	JZ   mtdone
+	// 1–3 columns left: step back so one more block ends at the last
+	// column, and count only the new columns' squares.
+	LEAQ ·sqMask+32(SB), AX
+	VMOVUPD (AX)(CX*8), Y12   // the last CX lanes
+	MOVQ $4, BX
+	SUBQ CX, BX
+	SHLQ $3, BX            // (4−left)·8 bytes
+	SUBQ BX, DI
+	SUBQ BX, SI
+	TESTQ R11, R11
+	JZ   mtremgo
+	SUBQ BX, R11
+mtremgo:
+	ADDQ R13, R13          // 1 → 2: start from the saved values
+	MOVQ $4, CX
+	JMP  mt4block
+mtdone:
+	VMOVSD X14, ret+56(FP)
 	VZEROUPPER
 	RET
 
 // func axpy1F64Asm(dst, b *float64, s float64, n int)
 //
 // dst[j] += s·b[j] for j in [0, n), n >= 1: a single-row tail of
-// MulVecTrans or AddScaledOuter.
+// AddScaledOuter.
 TEXT ·axpy1F64Asm(SB), NOSPLIT, $0-32
 	MOVQ dst+0(FP), DI
 	MOVQ b+8(FP), SI

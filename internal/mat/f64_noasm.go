@@ -10,8 +10,8 @@ func mulVecF64Asm(dst, w, x *float64, rows, cols int) {
 	panic("mat: mulVecF64Asm called without SIMD support")
 }
 
-func axpy4F64Asm(dst, b *float64, ldb int, s *[4]float64, n int) {
-	panic("mat: axpy4F64Asm called without SIMD support")
+func mulVecTransF64Asm(dst, w, x *float64, rows, cols int, ref *float64, acc int) float64 {
+	panic("mat: mulVecTransF64Asm called without SIMD support")
 }
 
 func axpy1F64Asm(dst, b *float64, s float64, n int) {

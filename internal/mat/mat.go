@@ -296,14 +296,14 @@ func MulVec[E Element](dst []E, m *MatrixOf[E], x []E) {
 }
 
 // MulVecTrans computes dst = mᵀ·x for x of length m.Rows into dst of
-// length m.Cols, without materialising mᵀ. Four matrix rows are folded
-// into dst per pass.
+// length m.Cols, without materialising mᵀ. dst must not alias x. Four
+// matrix rows are folded into dst per pass.
 func MulVecTrans[E Element](dst []E, m *MatrixOf[E], x []E) {
 	if len(x) != m.Rows || len(dst) != m.Cols {
 		panic(ErrShape)
 	}
 	if useF64SIMD[E](m.Cols) {
-		mulVecTransF64(f64View(dst), f64View(m.Data), f64View(x))
+		mulVecTransF64(f64View(dst), f64View(m.Data), f64View(x), nil)
 		return
 	}
 	for j := range dst {
@@ -336,6 +336,21 @@ func MulVecTrans[E Element](dst []E, m *MatrixOf[E], x []E) {
 			dst[j] += E(xi * v)
 		}
 	}
+}
+
+// MulVecTransSqDist computes dst = mᵀ·h as MulVecTrans does and returns
+// SqDist(ref, dst), the squared residual of a reconstruction dst against
+// its target ref, with the same bits as those two calls. On the float64
+// SIMD path both come from one pass over m. dst must not alias h.
+func MulVecTransSqDist[E Element](dst []E, m *MatrixOf[E], h, ref []E) E {
+	if len(h) != m.Rows || len(dst) != m.Cols || len(ref) != len(dst) {
+		panic(ErrShape)
+	}
+	if useF64SIMD[E](m.Cols) {
+		return E(mulVecTransF64(f64View(dst), f64View(m.Data), f64View(h), f64View(ref)))
+	}
+	MulVecTrans(dst, m, h)
+	return SqDist(ref, dst)
 }
 
 // AddScaledOuter performs the rank-1 update m ← m + s·u·vᵀ in place.

@@ -2,6 +2,7 @@ package mat
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"testing"
@@ -57,7 +58,9 @@ var parityShapes = []struct{ n, d, h int }{
 // and minimum lengths. Rows 1–9 and 22 also run at the NSL-KDD width 38
 // and the fan width 511, and 22 rows at widths 4–9: the one-call f64
 // matvec's single-row, whole-group and stepped-back last-group cases
-// at each tail length.
+// at each tail length. Widths 31–33, 35–37 and 63–65 at rows 1–9, 22
+// and 64 sit either side of the one-call transposed kernels' 16- and
+// 32-column blocks, with every 4- and 8-column remainder behind them.
 func simdShapes() []struct{ n, d, h int } {
 	shapes := append([]struct{ n, d, h int }(nil), parityShapes...)
 	for h := 1; h <= 9; h++ {
@@ -67,6 +70,11 @@ func simdShapes() []struct{ n, d, h int } {
 	}
 	for _, h := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 22} {
 		shapes = append(shapes, struct{ n, d, h int }{2, 38, h}, struct{ n, d, h int }{2, 511, h})
+	}
+	for _, h := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 22, 64} {
+		for _, d := range []int{31, 32, 33, 35, 36, 37, 63, 64, 65} {
+			shapes = append(shapes, struct{ n, d, h int }{2, d, h})
+		}
 	}
 	for d := 4; d <= 9; d++ {
 		shapes = append(shapes, struct{ n, d, h int }{2, d, 22})
@@ -250,7 +258,8 @@ func requireBitsEqual(t *testing.T, got, want []float64, strict bool, what strin
 
 // f64KernelOutputs runs every float64 kernel that dispatches to the SIMD
 // path on one rows×cols weight matrix and returns their outputs in
-// order: Dot, MulVec, MulVecTrans, AddScaledOuter, MulBatchRows and
+// order: Dot, MulVec, MulVecTrans, MulVecTransSqDist (dst, then the
+// returned sum against v), AddScaledOuter, MulBatchRows and
 // MulBatchTrans.
 func f64KernelOutputs(w *Matrix, x, xh, u, v []float64, s float64, a *Matrix) [][]float64 {
 	rows, cols, n := w.Rows, w.Cols, a.Rows
@@ -259,6 +268,8 @@ func f64KernelOutputs(w *Matrix, x, xh, u, v []float64, s float64, a *Matrix) []
 	MulVec(mv, w, x)
 	mvt := make([]float64, cols)
 	MulVecTrans(mvt, w, xh)
+	mvts := make([]float64, cols)
+	mvts = append(mvts, MulVecTransSqDist(mvts, w, xh, v))
 	outer := w.Clone()
 	outer.AddScaledOuter(s, u, v)
 	batch := New(n, rows)
@@ -272,10 +283,10 @@ func f64KernelOutputs(w *Matrix, x, xh, u, v []float64, s float64, a *Matrix) []
 	MulBatchRows(batch, xs, w)
 	batchT := New(n, cols)
 	MulBatchTrans(batchT, a, w)
-	return [][]float64{dot, mv, mvt, outer.Data, batch.Data, batchT.Data}
+	return [][]float64{dot, mv, mvt, mvts, outer.Data, batch.Data, batchT.Data}
 }
 
-var f64KernelNames = []string{"Dot", "MulVec", "MulVecTrans", "AddScaledOuter", "MulBatchRows", "MulBatchTrans"}
+var f64KernelNames = []string{"Dot", "MulVec", "MulVecTrans", "MulVecTransSqDist", "AddScaledOuter", "MulBatchRows", "MulBatchTrans"}
 
 // TestF64SIMDMatchesGo pins the float64 SIMD contract: every dispatched
 // kernel returns exactly the bits of the generic Go code, across
@@ -420,6 +431,7 @@ func TestF64KernelsZeroAlloc(t *testing.T) {
 		{"Dot", func() { sink += Dot(x, v) }},
 		{"MulVec", func() { MulVec(mv, w, x) }},
 		{"MulVecTrans", func() { MulVecTrans(mvt, w, xh) }},
+		{"MulVecTransSqDist", func() { sink += MulVecTransSqDist(mvt, w, xh, x) }},
 		{"AddScaledOuter", func() { w.AddScaledOuter(0, u, v) }},
 		{"MulBatchRows", func() { MulBatchRows(batch, xs, w) }},
 		{"MulBatchTrans", func() { MulBatchTrans(batchT, a, w) }},
@@ -485,6 +497,89 @@ func TestF32SIMDKernelsMatchScalar(t *testing.T) {
 			if math.Abs(float64(gotMVT[j])-float64(wantMVT[j])) > tolT {
 				t.Fatalf("MulVecTransF32 shape %dx%d col %d: simd %v scalar %v", s.h, s.d, j, gotMVT[j], wantMVT[j])
 			}
+		}
+	}
+}
+
+// mulVecTransF32Hash pins the float32 SIMD MulVecTransF32 bit for bit:
+// the FNV-1a hash of its outputs over simdShapes in every f64Regimes
+// regime (narrowed to float32) at a fixed seed, with a −0 zero-skip row
+// in every 4-row remainder; every NaN hashes as one value. It was
+// recorded with the per-row-group axpy kernels the one-call kernel
+// replaced. Both run the same FMA chain per element, so any change to
+// it is a change of results.
+const mulVecTransF32Hash = 0x623cad9f22d8319d
+
+func TestMulVecTransF32Pinned(t *testing.T) {
+	if !f32SIMD {
+		t.Skip("SIMD kernels not available on this CPU")
+	}
+	rng := rand.New(rand.NewSource(14))
+	h := fnv.New64a()
+	var buf [4]byte
+	for _, reg := range f64Regimes {
+		for _, s := range simdShapes() {
+			w64, xh64 := make([]float64, s.h*s.d), make([]float64, s.h)
+			reg.fill(rng, w64)
+			reg.fill(rng, xh64)
+			w := NewOf[float32](s.h, s.d)
+			xh := make([]float32, s.h)
+			ConvertVec(w.Data, w64)
+			ConvertVec(xh, xh64)
+			if s.h%4 != 0 {
+				xh[s.h-1] = float32(math.Copysign(0, -1))
+			}
+			dst := make([]float32, s.d)
+			MulVecTransF32(dst, w, xh)
+			for _, v := range dst {
+				u := math.Float32bits(v)
+				if v != v {
+					u = 0x7fc00000
+				}
+				buf = [4]byte{byte(u), byte(u >> 8), byte(u >> 16), byte(u >> 24)}
+				h.Write(buf[:])
+			}
+		}
+	}
+	if got := h.Sum64(); got != mulVecTransF32Hash {
+		t.Fatalf("MulVecTransF32 output hash %#016x, want %#016x", got, uint64(mulVecTransF32Hash))
+	}
+}
+
+// TestMulVecTransSqDistF32MatchesCalls pins the fused float32 kernel to
+// MulVecTransF32, ConvertVec and SqDist called in turn, bit for bit, in
+// every f64Regimes regime (narrowed to float32 for the weights and h)
+// across simdShapes, with a −0 zero-skip row in every 4-row remainder.
+func TestMulVecTransSqDistF32MatchesCalls(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for _, reg := range f64Regimes {
+		for _, sh := range simdShapes() {
+			w64, h64 := make([]float64, sh.h*sh.d), make([]float64, sh.h)
+			ref := make([]float64, sh.d)
+			for _, d := range [][]float64{w64, h64, ref} {
+				reg.fill(rng, d)
+			}
+			w := NewOf[float32](sh.h, sh.d)
+			h := make([]float32, sh.h)
+			ConvertVec(w.Data, w64)
+			ConvertVec(h, h64)
+			if sh.h%4 != 0 {
+				h[sh.h-1] = float32(math.Copysign(0, -1))
+			}
+			dst, wide := make([]float32, sh.d), make([]float64, sh.d)
+			got := MulVecTransSqDistF32(wide, dst, w, h, ref)
+			wantDst, wantWide := make([]float32, sh.d), make([]float64, sh.d)
+			MulVecTransF32(wantDst, w, h)
+			ConvertVec(wantWide, wantDst)
+			want := SqDist(ref, wantWide)
+			what := fmt.Sprintf("%s %dx%d", reg.name, sh.h, sh.d)
+			for i := range dst {
+				if g, w := math.Float32bits(dst[i]), math.Float32bits(wantDst[i]); g != w && (reg.strict || !math.IsNaN(float64(dst[i])) || !math.IsNaN(float64(wantDst[i]))) {
+					t.Fatalf("%s dst element %d: %#x, want %#x", what, i, g, w)
+				}
+			}
+			requireBitsEqual(t, wide, wantWide, reg.strict, what+" wide")
+			requireBitsEqual(t, []float64{got}, []float64{want}, reg.strict, what+" sum")
 		}
 	}
 }

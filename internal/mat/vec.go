@@ -141,14 +141,24 @@ func EWMAUpdate[E Element](mean []E, gamma E, x []E) {
 
 // AllFinite reports whether every element of x is finite. The v−v trick
 // compiles to one subtract and one add per element: v−v is 0 for every
-// finite v and NaN for ±Inf and NaN, so the accumulator ends non-zero
-// (NaN) exactly when a non-finite element is present.
+// finite v and NaN for ±Inf and NaN, so an accumulator ends non-zero
+// (NaN) exactly when a non-finite element reached it. Four independent
+// accumulators keep four adds in flight instead of one serial chain.
 func AllFinite[E Element](x []E) bool {
-	var acc E
-	for _, v := range x {
-		acc += v - v
+	var a0, a1, a2, a3 E
+	n4 := len(x) &^ 3
+	var i int
+	for ; i < n4; i += 4 {
+		v := x[i : i+4 : i+4]
+		a0 += v[0] - v[0]
+		a1 += v[1] - v[1]
+		a2 += v[2] - v[2]
+		a3 += v[3] - v[3]
 	}
-	return acc == 0
+	for _, v := range x[i:] {
+		a0 += v - v
+	}
+	return (a0+a1)+(a2+a3) == 0
 }
 
 // CopyVec returns a copy of x.

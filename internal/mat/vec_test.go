@@ -159,3 +159,49 @@ func TestPropRunningMeanFixedPoint(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAllFinite places one NaN or ±Inf at every index of lengths 1–9,
+// 38 and 511 — each of the four accumulators and the tail — and checks
+// that finite extremes (±MaxFloat64, subnormals, −0) still pass.
+func TestAllFinite(t *testing.T) {
+	finite := []float64{math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64,
+		-0x1p-1060, math.Copysign(0, -1), 0, 1.5}
+	finite32 := []float32{math.MaxFloat32, -math.MaxFloat32, math.SmallestNonzeroFloat32,
+		float32(math.Copysign(0, -1)), 1.5}
+	bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 38, 511} {
+		x := make([]float64, n)
+		for i := range x {
+			x[i] = finite[i%len(finite)]
+		}
+		if !AllFinite(x) {
+			t.Fatalf("n=%d: finite extremes reported non-finite", n)
+		}
+		x32 := make([]float32, n)
+		for i := range x32 {
+			x32[i] = finite32[i%len(finite32)]
+		}
+		if !AllFinite(x32) {
+			t.Fatalf("float32 n=%d: finite values reported non-finite", n)
+		}
+		for i := range x {
+			for _, b := range bad {
+				keep := x[i]
+				x[i] = b
+				if AllFinite(x) {
+					t.Fatalf("n=%d: %v at index %d reported finite", n, b, i)
+				}
+				x[i] = keep
+				keep32 := x32[i]
+				x32[i] = float32(b)
+				if AllFinite(x32) {
+					t.Fatalf("float32 n=%d: %v at index %d reported finite", n, b, i)
+				}
+				x32[i] = keep32
+			}
+		}
+	}
+	if !AllFinite([]float64(nil)) {
+		t.Fatal("empty slice reported non-finite")
+	}
+}

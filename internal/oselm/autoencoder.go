@@ -3,6 +3,7 @@ package oselm
 import (
 	"math"
 
+	"edgedrift/internal/mat"
 	"edgedrift/internal/opcount"
 	"edgedrift/internal/rng"
 )
@@ -58,41 +59,27 @@ func NewAutoencoder(cfg Config, metric ScoreMetric, r *rng.Rand) (*Autoencoder, 
 
 // Score returns the reconstruction-error anomaly score of x. The
 // residual is always computed at float64: Predict widens the float32
-// backend's reconstruction before it reaches the metric.
+// backend's reconstruction before it reaches the metric. The squared
+// metrics take the residual from the model's βᵀh pass itself (see
+// Model.predictSqDist).
 func (a *Autoencoder) Score(x []float64) float64 {
-	recon := a.model.Predict(a.recon, x)
 	ops := a.model.ops
 	d := len(x)
-	switch a.metric {
-	case L1Mean:
-		var s float64
-		for i, v := range x {
-			s += math.Abs(v - recon[i])
-		}
+	if a.metric == L1Mean {
+		s := mat.L1Dist(x, a.model.Predict(a.recon, x))
 		ops.AddAbs(d)
 		ops.AddAdd(d)
 		ops.AddDiv(1)
 		return s / float64(d)
-	case L2Norm:
-		var s float64
-		for i, v := range x {
-			r := v - recon[i]
-			s += float64(r * r)
-		}
-		ops.AddMulAdd(d)
-		ops.AddAdd(d)
-		return math.Sqrt(s)
-	default: // MSE
-		var s float64
-		for i, v := range x {
-			r := v - recon[i]
-			s += float64(r * r)
-		}
-		ops.AddMulAdd(d)
-		ops.AddAdd(d)
-		ops.AddDiv(1)
-		return s / float64(d)
 	}
+	s := a.model.predictSqDist(a.recon, x)
+	ops.AddMulAdd(d)
+	ops.AddAdd(d)
+	if a.metric == L2Norm {
+		return math.Sqrt(s)
+	}
+	ops.AddDiv(1) // MSE
+	return s / float64(d)
 }
 
 // ScoreBatch writes the anomaly score of each xs[i] into dst[i], one

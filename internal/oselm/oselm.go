@@ -408,6 +408,26 @@ func (m *Model) Predict(dst, x []float64) []float64 {
 	return dst
 }
 
+// predictSqDist writes the network output for x into dst as Predict
+// does and returns SqDist(x, dst), the squared reconstruction residual
+// of an autoencoder (Outputs == Inputs), with the same bits. Both
+// backends add it up inside the βᵀh pass.
+func (m *Model) predictSqDist(dst, x []float64) float64 {
+	if len(dst) != m.cfg.Outputs {
+		panic("oselm: bad output buffer length")
+	}
+	var s float64
+	if m.w32 != nil {
+		m.hidden32(x)
+		s = mat.MulVecTransSqDistF32(dst, m.o32, m.beta32, m.h32, x)
+	} else {
+		m.hiddenInto(m.h, x)
+		s = mat.MulVecTransSqDist(dst, m.beta, m.h, x)
+	}
+	m.ops.AddMulAdd(m.cfg.Hidden * m.cfg.Outputs)
+	return s
+}
+
 // Train folds one (x, t) sample into the model with the rank-1 RLS
 // update. This is the only training path used at deployment time.
 func (m *Model) Train(x, t []float64) {

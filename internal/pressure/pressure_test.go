@@ -3,6 +3,7 @@ package pressure
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"sort"
 	"testing"
@@ -284,7 +285,7 @@ func TestGovernorForgetsRemovedMembers(t *testing.T) {
 func TestGovernorZeroBudgetsNeverAct(t *testing.T) {
 	p := newFakePool("a")
 	g := New(Config{}, p)
-	if acts := tickN(g, p, Sample{P99Ns: 1 << 60, MemoryBytes: 1 << 40}, map[string]uint64{"a": 1}, 50); len(acts) != 0 {
+	if acts := tickN(g, p, Sample{P99Ns: 1 << 60, MemoryBytes: math.MaxInt}, map[string]uint64{"a": 1}, 50); len(acts) != 0 {
 		t.Fatalf("governor with no budgets acted: %+v", acts)
 	}
 }

@@ -70,24 +70,6 @@ func (h *Histogram) Total() int { return h.total }
 // the silent-data-loss counter surfaced by the health snapshot.
 func (h *Histogram) Dropped() uint64 { return h.dropped }
 
-// Probabilities returns the empirical bin probabilities (uniform over bins
-// when the histogram is empty, so it is always a valid distribution).
-func (h *Histogram) Probabilities() []float64 {
-	p := make([]float64, len(h.counts))
-	if h.total == 0 {
-		u := 1 / float64(len(p))
-		for i := range p {
-			p[i] = u
-		}
-		return p
-	}
-	inv := 1 / float64(h.total)
-	for i, c := range h.counts {
-		p[i] = float64(c) * inv
-	}
-	return p
-}
-
 // Reset zeroes all counts, including the dropped-NaN counter.
 func (h *Histogram) Reset() {
 	for i := range h.counts {

@@ -128,39 +128,6 @@ func TotalVariation(observed []int, expectedProb []float64) float64 {
 	return 0.5 * s
 }
 
-// EWMA is an exponentially weighted moving average of a scalar stream.
-type EWMA struct {
-	// Alpha is the weight on the newest observation, in (0, 1].
-	Alpha float64
-	value float64
-	seen  bool
-}
-
-// NewEWMA returns an EWMA with the given new-sample weight.
-func NewEWMA(alpha float64) *EWMA {
-	if alpha <= 0 || alpha > 1 {
-		panic("stats: EWMA alpha out of (0,1]")
-	}
-	return &EWMA{Alpha: alpha}
-}
-
-// Observe folds x into the average. The first observation initialises the
-// average exactly.
-func (e *EWMA) Observe(x float64) {
-	if !e.seen {
-		e.value = x
-		e.seen = true
-		return
-	}
-	e.value = float64((1-e.Alpha)*e.value) + float64(e.Alpha*x)
-}
-
-// Value returns the current average (0 before any observation).
-func (e *EWMA) Value() float64 { return e.value }
-
-// Reset clears the accumulator.
-func (e *EWMA) Reset() { e.value, e.seen = 0, false }
-
 // MovingAccuracy tracks windowed classification accuracy over a stream —
 // the quantity plotted in the paper's Figure 4.
 type MovingAccuracy struct {

@@ -55,63 +55,3 @@ func (r *Running) Merge(o *Running) {
 	r.m2 += o.m2 + delta*delta*nA*nB/total
 	r.n += o.n
 }
-
-// RunningVec accumulates per-dimension mean and variance of a vector
-// stream, O(D) memory. Used for feature standardisation and dataset
-// diagnostics.
-type RunningVec struct {
-	n    int
-	mean []float64
-	m2   []float64
-}
-
-// NewRunningVec returns an accumulator for dim-dimensional vectors.
-func NewRunningVec(dim int) *RunningVec {
-	return &RunningVec{mean: make([]float64, dim), m2: make([]float64, dim)}
-}
-
-// Observe folds the vector x into the accumulator.
-func (r *RunningVec) Observe(x []float64) {
-	if len(x) != len(r.mean) {
-		panic("stats: RunningVec dimension mismatch")
-	}
-	r.n++
-	fn := float64(r.n)
-	for i, v := range x {
-		d := v - r.mean[i]
-		r.mean[i] += d / fn
-		r.m2[i] += float64(d * (v - r.mean[i]))
-	}
-}
-
-// N returns the number of observations.
-func (r *RunningVec) N() int { return r.n }
-
-// Mean returns the per-dimension mean (a view; do not mutate).
-func (r *RunningVec) Mean() []float64 { return r.mean }
-
-// Std writes the per-dimension population standard deviation into dst.
-func (r *RunningVec) Std(dst []float64) {
-	if len(dst) != len(r.mean) {
-		panic("stats: RunningVec dimension mismatch")
-	}
-	if r.n < 2 {
-		for i := range dst {
-			dst[i] = 0
-		}
-		return
-	}
-	fn := float64(r.n)
-	for i := range dst {
-		dst[i] = math.Sqrt(r.m2[i] / fn)
-	}
-}
-
-// Reset clears the accumulator, keeping the dimension.
-func (r *RunningVec) Reset() {
-	r.n = 0
-	for i := range r.mean {
-		r.mean[i] = 0
-		r.m2[i] = 0
-	}
-}
