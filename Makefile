@@ -16,13 +16,22 @@ fmt:
 # Arm (Pi Pico toolchains, armv7 Linux), arm64, and 386. Catches
 # 64-bit-only assumptions — int-sized constants, alignment — that amd64
 # CI would never see. The vet runs type-check every test file and every
-# non-amd64 kernel stub on the two 32-bit targets too.
+# non-amd64 kernel stub on the two 32-bit targets too. The 386 test run
+# executes natively on an amd64 Linux host and covers every internal
+# package but two:
+#   - internal/eval: TestPressureMatrix asserts that the f32 demotion
+#     outruns f64, a premise built on the amd64 SIMD kernels;
+#   - internal/pool: TestPoolSaveBytesPinned's pinned bytes drift with
+#     math.Exp off amd64+FMA (ROADMAP item 1), as do the root package's
+#     goldens, which is why the root package is left out too.
+CROSS_386_SKIP = -e '/internal/eval$$' -e '/internal/pool$$'
 cross:
 	GOOS=linux GOARCH=arm $(GO) build ./...
 	GOOS=linux GOARCH=arm64 $(GO) build ./...
 	GOOS=linux GOARCH=386 $(GO) build ./...
 	GOOS=linux GOARCH=arm $(GO) vet ./...
 	GOOS=linux GOARCH=386 $(GO) vet ./...
+	GOOS=linux GOARCH=386 $(GO) test $$($(GO) list ./internal/... | grep -v $(CROSS_386_SKIP))
 
 test:
 	$(GO) test ./...
@@ -74,17 +83,18 @@ bench-fleet:
 # benchstat.txt) for artifact upload.
 BENCH_BASE ?= HEAD
 BENCH_COUNT ?= 10
-BENCH_PATTERN ?= 'BenchmarkScore$$|BenchmarkScorePrecision'
+BENCH_PATTERN ?= 'BenchmarkScore$$|BenchmarkScorePrecision|BenchmarkPredictTrain$$|BenchmarkRunningMeanUpdateL1Dist$$'
+BENCH_PKGS ?= ./internal/oselm/ ./internal/model/ ./internal/mat/ .
 BENCH_DIR ?= bench-out
 bench-compare:
 	@mkdir -p $(BENCH_DIR)
 	@$(GO) test -run '^$$' -bench $(BENCH_PATTERN) -count=$(BENCH_COUNT) \
-		./internal/oselm/ . > $(BENCH_DIR)/bench-new.txt || \
+		$(BENCH_PKGS) > $(BENCH_DIR)/bench-new.txt || \
 		{ cat $(BENCH_DIR)/bench-new.txt; echo "bench-compare: head bench failed (warn-only)"; }
 	@base=$$(mktemp -d) && \
 	if git worktree add -q $$base/tree $(BENCH_BASE) 2>/dev/null; then \
 		( cd $$base/tree && $(GO) test -run '^$$' -bench $(BENCH_PATTERN) -count=$(BENCH_COUNT) \
-			./internal/oselm/ . > $(CURDIR)/$(BENCH_DIR)/bench-old.txt ) || \
+			$(BENCH_PKGS) > $(CURDIR)/$(BENCH_DIR)/bench-old.txt ) || \
 			echo "bench-compare: base bench failed (warn-only; base may predate these benches)"; \
 		git worktree remove --force $$base/tree; \
 	else \

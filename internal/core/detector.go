@@ -468,17 +468,22 @@ func (d *Detector) StageOps(s Stage) (opcount.Counter, uint64) {
 // distance returns the configured metric between two vectors, counting
 // ops.
 func (d *Detector) distance(a, b []float64) float64 {
-	n := len(a)
-	switch d.cfg.Distance {
-	case L2:
-		d.ops.AddMulAdd(n)
-		d.ops.AddAdd(n)
+	d.chargeDistance(len(a))
+	if d.cfg.Distance == L2 {
 		return mat.L2Dist(a, b)
-	default:
-		d.ops.AddAbs(n)
-		d.ops.AddAdd(n)
-		return mat.L1Dist(a, b)
 	}
+	return mat.L1Dist(a, b)
+}
+
+// chargeDistance charges the operation counter for one distance between
+// n-vectors under the configured metric.
+func (d *Detector) chargeDistance(n int) {
+	if d.cfg.Distance == L2 {
+		d.ops.AddMulAdd(n)
+	} else {
+		d.ops.AddAbs(n)
+	}
+	d.ops.AddAdd(n)
 }
 
 // centroidDist is Algorithm 1 line 14: the summed distance between every
@@ -487,6 +492,32 @@ func (d *Detector) centroidDist() float64 {
 	var s float64
 	for c := range d.cor {
 		s += d.distance(d.cor[c], d.trainCor[c])
+	}
+	return s
+}
+
+// windowStep is Algorithm 1 lines 12–14 for one window sample: fold x
+// into label's recent centroid, then return centroidDist. Under the
+// paper's running mean and L1 metric the label's centroid is updated
+// and measured in one pass (mat.RunningMeanUpdateL1Dist); the sum keeps
+// class order, so the bits and the op counts are those of updateRecent
+// followed by centroidDist, which the ablations still call.
+func (d *Detector) windowStep(label int, x []float64) float64 {
+	if d.cfg.Update != RunningMean || d.cfg.Distance != L1 {
+		d.updateRecent(label, x)
+		return d.centroidDist()
+	}
+	d.ops.AddMulAdd(d.dims)
+	d.ops.AddDiv(d.dims)
+	var s, dist float64
+	for c := range d.cor {
+		if c == label {
+			d.chargeDistance(d.dims)
+			d.num[c], dist = mat.RunningMeanUpdateL1Dist(d.cor[c], d.num[c], x, d.trainCor[c])
+		} else {
+			dist = d.distance(d.cor[c], d.trainCor[c])
+		}
+		s += dist
 	}
 	return s
 }
@@ -718,8 +749,7 @@ func (d *Detector) processAccepted(x []float64) Result {
 
 	if d.check && d.win < d.cfg.Window {
 		d.stage(StageDistance, func() {
-			d.updateRecent(label, x)
-			d.dist = d.centroidDist()
+			d.dist = d.windowStep(label, x)
 		})
 		d.win++
 		// Dist is reported only on samples a window actually consumed;

@@ -26,7 +26,7 @@ func (d *Detector) reconstructStep(x []float64) Result {
 	// pseudocode's overlapping guards are read as alternatives.
 	if d.count < d.cfg.NRecon/2 {
 		d.stage(StageRetrainNoPred, func() {
-			label, _ := d.nearestCoord(x)
+			label := d.nearestCoord(x)
 			d.model.Train(x, label)
 			res.Label = label
 		})
@@ -34,10 +34,7 @@ func (d *Detector) reconstructStep(x []float64) Result {
 		var label int
 		var score float64
 		d.stage(StageRetrainWithPred, func() {
-			label, score = d.model.Predict(x)
-			if !math.IsNaN(score) && !math.IsInf(score, 0) {
-				d.model.Train(x, label)
-			}
+			label, score = d.model.PredictTrain(x)
 		})
 		if math.IsNaN(score) || math.IsInf(score, 0) {
 			// The rebuilding model itself diverged; training on its own
@@ -63,8 +60,14 @@ func (d *Detector) reconstructStep(x []float64) Result {
 }
 
 // nearestCoord returns the label whose coordinate is closest to x under
-// the configured metric (Algorithm 2 line 8), and the distance.
-func (d *Detector) nearestCoord(x []float64) (int, float64) {
+// the configured metric (Algorithm 2 line 8). With one class the label
+// is 0 whatever the distance, so the distance is charged to the
+// operation counter, as the algorithm computes it, but not computed.
+func (d *Detector) nearestCoord(x []float64) int {
+	if d.classes == 1 {
+		d.chargeDistance(len(x))
+		return 0
+	}
 	best, bd := 0, d.distance(x, d.cor[0])
 	for c := 1; c < d.classes; c++ {
 		if dist := d.distance(x, d.cor[c]); dist < bd {
@@ -72,7 +75,7 @@ func (d *Detector) nearestCoord(x []float64) (int, float64) {
 		}
 	}
 	d.ops.AddCmp(d.classes - 1)
-	return best, bd
+	return best
 }
 
 // initCoord is Algorithm 3: tentatively substitute x for each label
@@ -125,7 +128,7 @@ func (d *Detector) updateCoord(x []float64) {
 	for c := range d.cor {
 		d.starve[c]++
 	}
-	label, _ := d.nearestCoord(x)
+	label := d.nearestCoord(x)
 	limit := d.starveLimit()
 	repaired := false
 	for c := range d.cor {

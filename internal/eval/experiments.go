@@ -108,9 +108,6 @@ func SetPrecision(p oselm.Precision) error {
 	}
 }
 
-// ModelPrecision reports the backend experiments currently build with.
-func ModelPrecision() oselm.Precision { return modelPrecision }
-
 // trainPrequential trains the model sample-by-sample while recording the
 // winner anomaly score of each sample *before* training on it — the
 // unbiased estimate of deployment-time scores. It returns μ + 2σ of the

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -191,6 +192,28 @@ func TestTable6Shape(t *testing.T) {
 	}
 	if upd := ms["label coordinates update"]; upd >= pred/3 {
 		t.Fatalf("coordinate update %v not ≪ prediction %v", upd, pred)
+	}
+}
+
+// TestTable6Pinned pins Table 6's six rows, ms per invocation and
+// invocations, to results/table6_table0.csv. The op counter prices the
+// paper's algorithm, so a host-side saving (such as training from the
+// score's forward pass) must leave every row where it is.
+func TestTable6Pinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment run in -short mode")
+	}
+	want := [][]string{
+		{"label prediction", "150.54", "500"},
+		{"distance computation", "13.26", "435"},
+		{"model retraining without label prediction", "233.15", "99"},
+		{"model retraining with label prediction", "379.08", "101"},
+		{"label coordinates initialization", "0", "3"},
+		{"label coordinates update", "13.26", "49"},
+	}
+	rows := Table6(1).Tables[0].Rows
+	if !reflect.DeepEqual(rows, want) {
+		t.Fatalf("Table 6 rows\n%q\nwant\n%q", rows, want)
 	}
 }
 

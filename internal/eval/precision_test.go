@@ -18,8 +18,8 @@ func TestSetPrecisionValidation(t *testing.T) {
 	if err := SetPrecision(oselm.Float32); err != nil {
 		t.Fatal(err)
 	}
-	if got := ModelPrecision(); got != oselm.Float32 {
-		t.Fatalf("ModelPrecision = %v after SetPrecision(Float32)", got)
+	if got := modelPrecision; got != oselm.Float32 {
+		t.Fatalf("modelPrecision = %v after SetPrecision(Float32)", got)
 	}
 	if err := SetPrecision(oselm.Float64); err != nil {
 		t.Fatal(err)
@@ -52,8 +52,8 @@ func TestTable2Float32Parity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full Table-2 reproductions")
 	}
-	if ModelPrecision() != oselm.Float64 {
-		t.Fatalf("precondition: experiments default to Float64, got %v", ModelPrecision())
+	if modelPrecision != oselm.Float64 {
+		t.Fatalf("precondition: experiments default to Float64, got %v", modelPrecision)
 	}
 	golden := Table2(1).Tables[0]
 	if err := SetPrecision(oselm.Float32); err != nil {

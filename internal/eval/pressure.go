@@ -3,6 +3,7 @@ package eval
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"slices"
 	"time"
 
@@ -128,46 +129,75 @@ func demoteFor(mon *edgedrift.Monitor, level string) error {
 }
 
 // pressureRounds is how many times every level of a stream is replayed,
-// each time by a fresh monitor, with the levels alternating inside a
-// round. Every replay computes the same results, so accuracy, delay and
-// memory come from the first round; throughput is the median round. On
-// a shared host one ~50 ms replay's rate varies by ±25%, and the levels
-// being compared are closer than that; alternating rounds expose every
-// level to the same host phases.
+// each time by a fresh monitor. Every replay computes the same results,
+// so accuracy, delay and memory come from the first round; throughput
+// is the median round.
 const pressureRounds = 5
 
-// replayPressure runs the whole stream through the monitor per-sample,
-// measuring wall-clock throughput, labelled accuracy and detection
-// delay. Detections are counted from per-sample results because a
-// q16-demoted monitor's lifetime DriftEvents belong to the frozen
-// origin, not the twin doing the work.
-func replayPressure(mon *edgedrift.Monitor, st pressureStream) PressurePoint {
-	correct, detectedAt := 0, -1
-	start := time.Now()
-	for i, x := range st.xs {
-		res := mon.Process(x)
-		if st.ys != nil && res.Label == st.ys[i] {
-			correct++
+// pressureChunk is how many samples one level's monitor processes
+// before the replay hands the host to the next level. On a shared host
+// one ~50 ms replay's rate varies by ±25%, and the levels being compared
+// are closer than that (f32 leads f64 by ~12% on NSL-KDD). Taking turns
+// every chunk (well under a millisecond at the NSL-KDD shape) exposes
+// every level to the same host phases, so a slow phase slows them all
+// instead of deciding their order.
+const pressureChunk = 256
+
+// replayPressure runs the whole stream through each level's monitor,
+// per sample and in order, with the monitors taking turns every
+// pressureChunk samples (in reversed order every other chunk). It
+// measures each level's wall-clock throughput, labelled accuracy and
+// detection delay. Detections are counted from per-sample results
+// because a q16-demoted monitor's lifetime DriftEvents belong to the
+// frozen origin, not the twin doing the work. The garbage of building
+// the monitors is collected before the clock starts, so a collection
+// it triggers is not charged to any level's scoring.
+func replayPressure(mons []*edgedrift.Monitor, st pressureStream) []PressurePoint {
+	elapsed := make([]time.Duration, len(mons))
+	correct := make([]int, len(mons))
+	detectedAt := make([]int, len(mons))
+	for i := range detectedAt {
+		detectedAt[i] = -1
+	}
+	runtime.GC()
+	for lo := 0; lo < len(st.xs); lo += pressureChunk {
+		hi := min(lo+pressureChunk, len(st.xs))
+		for k := range mons {
+			m := k
+			if lo/pressureChunk%2 == 1 {
+				m = len(mons) - 1 - k
+			}
+			start := time.Now()
+			for i := lo; i < hi; i++ {
+				res := mons[m].Process(st.xs[i])
+				if st.ys != nil && res.Label == st.ys[i] {
+					correct[m]++
+				}
+				if res.DriftDetected && detectedAt[m] < 0 && i >= st.driftAt {
+					detectedAt[m] = i
+				}
+			}
+			elapsed[m] += time.Since(start)
 		}
-		if res.DriftDetected && detectedAt < 0 && i >= st.driftAt {
-			detectedAt = i
+	}
+	points := make([]PressurePoint, len(mons))
+	for m, mon := range mons {
+		p := PressurePoint{
+			Stream:        st.name,
+			SamplesPerSec: float64(len(st.xs)) / elapsed[m].Seconds(),
+			AccuracyPct:   -1,
+			Delay:         -1,
+			MemoryBytes:   mon.MemoryBytes(),
 		}
+		if st.ys != nil {
+			p.AccuracyPct = 100 * float64(correct[m]) / float64(len(st.xs))
+		}
+		if detectedAt[m] >= 0 {
+			p.Delay = detectedAt[m] - st.driftAt
+		}
+		points[m] = p
 	}
-	elapsed := time.Since(start).Seconds()
-	p := PressurePoint{
-		Stream:        st.name,
-		SamplesPerSec: float64(len(st.xs)) / elapsed,
-		AccuracyPct:   -1,
-		Delay:         -1,
-		MemoryBytes:   mon.MemoryBytes(),
-	}
-	if st.ys != nil {
-		p.AccuracyPct = 100 * float64(correct) / float64(len(st.xs))
-	}
-	if detectedAt >= 0 {
-		p.Delay = detectedAt - st.driftAt
-	}
-	return p
+	return points
 }
 
 // pressureGolden is the gate: replay the stream through a monitor that
@@ -210,14 +240,15 @@ func pressureGolden(st pressureStream) (bool, error) {
 // PressureMatrix produces the forced-degradation matrix: for each Table
 // 2/3 stream and each degradation level, a fresh monitor is fitted,
 // demoted to the level, and replayed end to end, pressureRounds times
-// with the levels alternating. The golden gate runs on the cooling-fan
-// stream (the cheaper of the two full replays).
+// with the levels taking turns (see replayPressure). The golden gate
+// runs on the cooling-fan stream (the cheaper of the two full replays).
 func PressureMatrix(seed uint64) (*PressureReport, error) {
 	ss := pressureStreams(seed)
 	rep := &PressureReport{Seed: seed}
 	for _, st := range ss {
-		points := make([]PressurePoint, len(PressureLevels))
+		var points []PressurePoint
 		rates := make([][]float64, len(PressureLevels))
+		mons := make([]*edgedrift.Monitor, len(PressureLevels))
 		for r := 0; r < pressureRounds; r++ {
 			for i, level := range PressureLevels {
 				mon, err := st.build()
@@ -227,10 +258,13 @@ func PressureMatrix(seed uint64) (*PressureReport, error) {
 				if err := demoteFor(mon, level); err != nil {
 					return nil, fmt.Errorf("eval: pressure %s/%s: %w", st.name, level, err)
 				}
-				p := replayPressure(mon, st)
-				if r == 0 {
-					points[i] = p
-				}
+				mons[i] = mon
+			}
+			ps := replayPressure(mons, st)
+			if r == 0 {
+				points = ps
+			}
+			for i, p := range ps {
 				rates[i] = append(rates[i], p.SamplesPerSec)
 			}
 		}

@@ -20,6 +20,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"edgedrift/internal/core"
 	"edgedrift/internal/health"
@@ -946,14 +947,11 @@ func (f *Fleet) MemberHealth() map[string]health.Snapshot {
 
 // memberOverheadBytes is the registry's own cost per member beyond the
 // stage's audit and the ID/cohort bytes (charged as len(id) +
-// len(cohort)): the member struct (mutex, 16-byte stage interface
-// header, the concrete instr pointer, the 24-byte slabs slice header,
-// the 16-byte merger and trans capability headers, the phase func
-// value, the cohort string header, the fingerprint, two uint64
-// counters, removed mark + padding = 144), the map's *member value (8),
-// and the string header of the map key (16). Pinned to the real layout
-// by an unsafe.Sizeof test so it cannot rot when the struct changes.
-const memberOverheadBytes = 144 + 8 + 16
+// len(cohort)): the member struct, the map's *member value and the
+// string header of the map key. It is taken from the target's own
+// layout (168 bytes on 64-bit targets, 100 on 32-bit ones), so it
+// cannot rot when the struct changes.
+const memberOverheadBytes = int(unsafe.Sizeof(member{}) + unsafe.Sizeof((*member)(nil)) + unsafe.Sizeof(""))
 
 // memberBytes is one member's share of the audit: its stage's own
 // state (which leaves out shared projections), its ID

@@ -154,6 +154,32 @@ func BenchmarkAllFinite(b *testing.B) {
 	}
 }
 
+// BenchmarkRunningMeanUpdateL1Dist times the detector's window step on
+// one class at the NSL-KDD and cooling-fan widths: "fused" is the one
+// pass, "calls" is RunningMeanUpdate followed by L1Dist.
+func BenchmarkRunningMeanUpdateL1Dist(b *testing.B) {
+	for _, n := range []int{38, 511} {
+		r := rng.New(1)
+		mean, x, ref := randVec(r, n), randVec(r, n), randVec(r, n)
+		b.Run(fmt.Sprintf("N%d/fused", n), func(b *testing.B) {
+			var s float64
+			for i := 0; i < b.N; i++ {
+				_, d := RunningMeanUpdateL1Dist(mean, 1000, x, ref)
+				s += d
+			}
+			sinkFloat = s
+		})
+		b.Run(fmt.Sprintf("N%d/calls", n), func(b *testing.B) {
+			var s float64
+			for i := 0; i < b.N; i++ {
+				RunningMeanUpdate(mean, 1000, x)
+				s += L1Dist(mean, ref)
+			}
+			sinkFloat = s
+		})
+	}
+}
+
 func BenchmarkDot(b *testing.B) {
 	for _, n := range []int{22, 128, 511} {
 		b.Run(fmt.Sprintf("N%d", n), func(b *testing.B) {

@@ -126,6 +126,28 @@ func RunningMeanUpdate[E Element](mean []E, n int, x []E) int {
 	return n + 1
 }
 
+// RunningMeanUpdateL1Dist is RunningMeanUpdate(mean, n, x) followed by
+// L1Dist(mean, ref), with the same bits, in one pass: each updated
+// element is measured against ref as it is written. L1Dist's serial
+// add chain bounds the loop, so the update runs in its shadow. Each
+// updated element is rounded explicitly before the subtraction, as its
+// store would round it, so no target fuses it into the distance.
+func RunningMeanUpdateL1Dist[E Element](mean []E, n int, x, ref []E) (int, float64) {
+	if len(mean) != len(x) || len(ref) != len(x) {
+		panic(ErrShape)
+	}
+	mean, ref = mean[:len(x)], ref[:len(x)]
+	fn := E(n)
+	inv := 1 / (fn + 1)
+	var s E
+	for i, v := range x {
+		m := E((E(mean[i]*fn) + v) * inv)
+		mean[i] = m
+		s += E(math.Abs(float64(m - ref[i])))
+	}
+	return n + 1, float64(s)
+}
+
 // EWMAUpdate folds x into mean with weight gamma on the new sample:
 // mean ← (1−γ)·mean + γ·x. This implements the paper's remark that recent
 // test centroids may weight newer samples more heavily.

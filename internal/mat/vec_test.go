@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -203,5 +204,42 @@ func TestAllFinite(t *testing.T) {
 	}
 	if !AllFinite([]float64(nil)) {
 		t.Fatal("empty slice reported non-finite")
+	}
+}
+
+// TestRunningMeanUpdateL1DistMatchesCalls pins the fused window step to
+// RunningMeanUpdate followed by L1Dist, bit for bit, across the
+// f64Regimes inputs (±0, subnormals, huge values, NaN and ±Inf) at the
+// short lengths, the NSL-KDD width and the cooling-fan width.
+func TestRunningMeanUpdateL1DistMatchesCalls(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	lengths := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 38, 511}
+	for _, reg := range f64Regimes {
+		for _, n := range lengths {
+			for _, count := range []int{0, 1, 7, 1 << 20} {
+				mean, x, ref := make([]float64, n), make([]float64, n), make([]float64, n)
+				reg.fill(rng, mean)
+				reg.fill(rng, x)
+				reg.fill(rng, ref)
+				want := append([]float64(nil), mean...)
+				wantN := RunningMeanUpdate(want, count, x)
+				wantD := L1Dist(want, ref)
+				gotN, gotD := RunningMeanUpdateL1Dist(mean, count, x, ref)
+				what := fmt.Sprintf("%s/n=%d/count=%d", reg.name, n, count)
+				if gotN != wantN {
+					t.Fatalf("%s: count %d, want %d", what, gotN, wantN)
+				}
+				requireBitsEqual(t, mean, want, reg.strict, what+" mean")
+				requireBitsEqual(t, []float64{gotD}, []float64{wantD}, reg.strict, what+" distance")
+			}
+		}
+	}
+}
+
+func TestRunningMeanUpdateL1DistZeroAllocs(t *testing.T) {
+	mean, x, ref := make([]float64, 511), make([]float64, 511), make([]float64, 511)
+	n := 0
+	if a := testing.AllocsPerRun(100, func() { n, _ = RunningMeanUpdateL1Dist(mean, n, x, ref) }); a != 0 {
+		t.Fatalf("RunningMeanUpdateL1Dist allocates %v objects per call, want 0", a)
 	}
 }

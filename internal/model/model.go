@@ -140,8 +140,28 @@ func (m *Multi) Train(x []float64, label int) {
 // default sequential-learning behaviour; it returns the predicted label
 // and score.
 func (m *Multi) TrainClosest(x []float64) (int, float64) {
+	return m.predictTrain(x, false)
+}
+
+// PredictTrain is Algorithm 2's retraining with label prediction:
+// it predicts x and trains the winning instance on it, but only when
+// the winning score is finite, so a diverged model never learns from
+// its own prediction. It returns the predicted label and score.
+func (m *Multi) PredictTrain(x []float64) (int, float64) {
+	return m.predictTrain(x, true)
+}
+
+// predictTrain predicts x, then trains the winner from the forward
+// pass its Score just ran (Autoencoder.TrainScored), unless finiteOnly
+// is set and the score is NaN or ±Inf. Each instance keeps its own
+// scratch and nothing runs between the two calls, so the winner's
+// scratch still holds x's pass.
+func (m *Multi) predictTrain(x []float64, finiteOnly bool) (int, float64) {
 	label, score := m.Predict(x)
-	m.Train(x, label)
+	if finiteOnly && (math.IsNaN(score) || math.IsInf(score, 0)) {
+		return label, score
+	}
+	m.instances[label].TrainScored(x)
 	return label, score
 }
 

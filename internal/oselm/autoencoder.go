@@ -96,6 +96,14 @@ func (a *Autoencoder) ScoreBatch(dst []float64, xs [][]float64) {
 // Train folds x into the autoencoder (target = input).
 func (a *Autoencoder) Train(x []float64) { a.model.Train(x, x) }
 
+// TrainScored folds x into the autoencoder as Train does, starting from
+// the forward pass the immediately preceding Score(x) left behind: the
+// hidden activations and the reconstruction. The caller guarantees that
+// Score with this same x was the autoencoder's last call; the update is
+// then bit-identical to Train(x), one hidden pass and one βᵀh pass
+// cheaper.
+func (a *Autoencoder) TrainScored(x []float64) { a.model.trainForwarded(x, a.recon) }
+
 // InitTrainBatch batch-initialises the autoencoder on xs.
 func (a *Autoencoder) InitTrainBatch(xs [][]float64) error {
 	return a.model.InitTrainBatch(xs, xs)

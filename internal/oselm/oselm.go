@@ -434,15 +434,47 @@ func (m *Model) Train(x, t []float64) {
 	if len(t) != m.cfg.Outputs {
 		panic(fmt.Sprintf("oselm: target dimension %d, want %d", len(t), m.cfg.Outputs))
 	}
-	h := m.h
+	// The forward pass: h = g(W·x+b), then the output βᵀh into e. On the
+	// float32 backend both run at float32, the precision β actually
+	// lives at, so the residual measures — and therefore corrects — the
+	// rounded model's real error rather than an idealised float64
+	// shadow's; h is widened once so the Sherman-Morrison recursion
+	// runs untouched at float64.
 	if m.w32 != nil {
-		// Forward pass at float32; widen the activations once so the
-		// Sherman-Morrison recursion below runs untouched at float64.
 		m.hidden32(x)
-		mat.ConvertVec(h, m.h32)
+		mat.ConvertVec(m.h, m.h32)
+		mat.MulVecTransF32(m.o32, m.beta32, m.h32)
+		mat.ConvertVec(m.e, m.o32)
 	} else {
-		m.hiddenInto(h, x)
+		m.hiddenInto(m.h, x)
+		mat.MulVecTrans(m.e, m.beta, m.h)
 	}
+	m.update(t, m.e)
+}
+
+// trainForwarded is Train for a sample whose forward pass the model's
+// last call has already run: the hidden activations sit in h (h32 on
+// the float32 backend) and y holds the output βᵀh at float64. Nothing
+// may have touched the model since. The update then starts from those
+// values instead of recomputing them, with Train's bits, and the
+// operation counter is charged for the forward pass all the same: the
+// count prices the algorithm, which runs it (see DESIGN §7).
+func (m *Model) trainForwarded(t, y []float64) {
+	if len(t) != m.cfg.Outputs {
+		panic(fmt.Sprintf("oselm: target dimension %d, want %d", len(t), m.cfg.Outputs))
+	}
+	m.opsHidden()
+	if m.w32 != nil {
+		mat.ConvertVec(m.h, m.h32)
+	}
+	m.update(t, y)
+}
+
+// update is the rank-1 RLS step for target t around the hidden
+// activations in m.h, whose model output βᵀh is y (which may be m.e).
+// It charges the operation counter for βᵀh but not for h.
+func (m *Model) update(t, y []float64) {
+	h := m.h
 
 	// ph = P·h
 	mat.MulVec(m.ph, m.p, h)
@@ -475,23 +507,11 @@ func (m *Model) Train(x, t []float64) {
 	}
 
 	// e = t − βᵀh (residual against the *pre-update* β, using post-update
-	// P per the OS-ELM recursion: β ← β + P·h·eᵀ). On the float32 backend
-	// the forward product runs at the precision β actually lives at, so
-	// the residual measures — and therefore corrects — the rounded
-	// model's real error rather than an idealised float64 shadow's.
-	if m.beta32 != nil {
-		mat.MulVecTransF32(m.o32, m.beta32, m.h32)
-		m.ops.AddMulAdd(m.cfg.Hidden * m.cfg.Outputs)
-		for i := range m.e {
-			m.e[i] = t[i] - float64(m.o32[i])
-		}
-	} else {
-		mat.MulVecTrans(m.e, m.beta, h)
-		m.ops.AddMulAdd(m.cfg.Hidden * m.cfg.Outputs)
-		for i := range m.e {
-			m.e[i] = t[i] - m.e[i]
-		}
+	// P per the OS-ELM recursion: β ← β + P·h·eᵀ).
+	for i := range m.e {
+		m.e[i] = t[i] - y[i]
 	}
+	m.ops.AddMulAdd(m.cfg.Hidden * m.cfg.Outputs)
 	m.ops.AddAdd(m.cfg.Outputs)
 
 	// gain k = P·h (with the updated P).

@@ -150,25 +150,8 @@ func (r *Rand) ShuffleInts(p []int) {
 	}
 }
 
-// Shuffle permutes n elements using the provided swap function.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // Bernoulli returns true with probability p.
 func (r *Rand) Bernoulli(p float64) bool { return r.Float64() < p }
-
-// Exponential returns an exponential deviate with the given rate λ.
-func (r *Rand) Exponential(rate float64) float64 {
-	if rate <= 0 {
-		panic("rng: Exponential with non-positive rate")
-	}
-	// 1-Float64() avoids Log(0).
-	return -math.Log(1-r.Float64()) / rate
-}
 
 // FillNorm fills dst with independent Normal(mean, std) deviates.
 func (r *Rand) FillNorm(dst []float64, mean, std float64) {

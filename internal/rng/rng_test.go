@@ -159,19 +159,6 @@ func TestPermUniformityFirstElement(t *testing.T) {
 	}
 }
 
-func TestShuffleSwapCount(t *testing.T) {
-	r := New(10)
-	xs := []string{"a", "b", "c", "d"}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	seen := map[string]bool{}
-	for _, v := range xs {
-		seen[v] = true
-	}
-	if len(seen) != 4 {
-		t.Fatalf("Shuffle lost elements: %v", xs)
-	}
-}
-
 func TestBernoulli(t *testing.T) {
 	r := New(11)
 	const n = 100000
@@ -187,27 +174,6 @@ func TestBernoulli(t *testing.T) {
 	if r.Bernoulli(0) {
 		t.Fatal("Bernoulli(0) returned true")
 	}
-}
-
-func TestExponentialMean(t *testing.T) {
-	r := New(12)
-	const n = 200000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += r.Exponential(2)
-	}
-	if mean := sum / n; math.Abs(mean-0.5) > 0.01 {
-		t.Fatalf("Exp(2) mean = %v, want ≈0.5", mean)
-	}
-}
-
-func TestExponentialPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	New(1).Exponential(0)
 }
 
 func TestFillHelpers(t *testing.T) {

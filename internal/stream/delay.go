@@ -3,7 +3,6 @@ package stream
 import (
 	"fmt"
 	"math"
-	"strings"
 
 	"edgedrift/internal/rng"
 )
@@ -37,20 +36,6 @@ func (k DelayKind) String() string {
 		return "geometric"
 	default:
 		return "unknown"
-	}
-}
-
-// ParseDelayKind maps the CLI spelling to a DelayKind.
-func ParseDelayKind(s string) (DelayKind, error) {
-	switch strings.ToLower(s) {
-	case "fixed":
-		return DelayFixed, nil
-	case "uniform":
-		return DelayUniform, nil
-	case "geometric":
-		return DelayGeometric, nil
-	default:
-		return 0, fmt.Errorf("stream: unknown delay kind %q (fixed, uniform, geometric)", s)
 	}
 }
 

@@ -149,16 +149,3 @@ func TestDelaySpecErrors(t *testing.T) {
 		t.Fatal("budget > 1 accepted")
 	}
 }
-
-// TestParseDelayKind round-trips the CLI spellings.
-func TestParseDelayKind(t *testing.T) {
-	for _, k := range []DelayKind{DelayFixed, DelayUniform, DelayGeometric} {
-		got, err := ParseDelayKind(k.String())
-		if err != nil || got != k {
-			t.Fatalf("ParseDelayKind(%q) = %v, %v", k.String(), got, err)
-		}
-	}
-	if _, err := ParseDelayKind("bogus"); err == nil {
-		t.Fatal("bogus kind accepted")
-	}
-}
