@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmt cross test vet staticcheck race bench bench-kernels bench-fleet bench-compare bench-loadgen bench-coop bench-scenarios bench-pressure fuzz-smoke check
+.PHONY: build fmt cross test vet staticcheck race bench bench-kernels bench-fleet bench-compare bench-loadgen bench-coop bench-scenarios bench-pressure fuzz-smoke loc check
 
 build:
 	$(GO) build ./...
@@ -154,6 +154,15 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzLoadMonitor -fuzztime=10s .
 	$(GO) test -fuzz=FuzzLoadFleet -fuzztime=10s .
 	$(GO) test -fuzz=FuzzParseFrame -fuzztime=10s ./internal/wire/
+
+# Code size, in lines, outside the edgebench/ module: non-test Go,
+# amd64 assembly (.s and .h) and test Go. Files come from git (tracked
+# plus untracked-but-not-ignored), like the fmt gate.
+LOC_FILES = git ls-files -co --exclude-standard -z --
+loc:
+	@printf 'non-test Go  %s\n' $$($(LOC_FILES) '*.go' ':!:*_test.go' ':!:edgebench/' | xargs -0 cat | wc -l)
+	@printf 'assembly     %s\n' $$($(LOC_FILES) '*.s' '*.h' ':!:edgebench/' | xargs -0 cat | wc -l)
+	@printf 'test Go      %s\n' $$($(LOC_FILES) '*_test.go' ':!:edgebench/' | xargs -0 cat | wc -l)
 
 # The full pre-merge gate: gofmt, tier-1 plus the arm/arm64/386
 # cross-compile and 32-bit vet, static analysis, the race detector over

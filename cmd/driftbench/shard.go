@@ -11,7 +11,6 @@ import (
 
 	"edgedrift"
 	"edgedrift/internal/datasets/nslkdd"
-	"edgedrift/internal/pressure"
 	"edgedrift/internal/shard"
 )
 
@@ -58,7 +57,6 @@ func runShard(args []string) int {
 	shards := fs.Int("fleet-shards", 8, "fleet registry shard count")
 	seed := fs.Uint64("seed", 1, "random seed for the trained template (when -template is empty)")
 	pressureBudget := fs.Duration("pressure-latency-budget", 0, "per-batch ingest p99 budget; >0 runs the adaptive capacity governor, demoting members while the windowed p99 exceeds it")
-	pressureMem := fs.Int("pressure-memory-budget", 0, "fleet retained-bytes budget for the governor (0 leaves the memory axis unenforced)")
 	pressureInterval := fs.Duration("pressure-interval", 0, "governor sampling interval (0 means 500ms)")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -80,20 +78,13 @@ func runShard(args []string) int {
 		return 1
 	}
 
-	var pcfg *pressure.Config
-	if *pressureBudget > 0 || *pressureMem > 0 {
-		pcfg = &pressure.Config{
-			LatencyBudgetNs:   uint64(*pressureBudget),
-			MemoryBudgetBytes: *pressureMem,
-		}
-	}
 	s, err := shard.New(shard.Config{
 		Template:         tmpl,
 		Precision:        prec,
 		QueueDepth:       *queueDepth,
 		ShedAfter:        *shedAfter,
 		Fleet:            edgedrift.FleetConfig{Shards: *shards},
-		Pressure:         pcfg,
+		PressureBudget:   *pressureBudget,
 		PressureInterval: *pressureInterval,
 	})
 	if err != nil {

@@ -231,7 +231,7 @@ func (m *Monitor) Fit(xs [][]float64, labels []int) error {
 		// Pin the prequential threshold in place. Rebuilding the detector
 		// via core.New here (the old implementation) silently discarded
 		// every guard and health counter accumulated before calibration.
-		if theta := tail.Mean() + z*tail.Std(); theta > 0 {
+		if theta := tail.Mean() + float64(z*tail.Std()); theta > 0 {
 			if err := m.det.SetErrorThreshold(theta); err != nil {
 				return err
 			}

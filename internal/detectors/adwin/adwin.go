@@ -218,9 +218,6 @@ func (d *Detector) dropOldest(level, b int) {
 	}
 }
 
-// Width returns the current window length.
-func (d *Detector) Width() int { return d.total }
-
 // Mean returns the current window mean (0 when empty).
 func (d *Detector) Mean() float64 {
 	if d.total == 0 {
@@ -228,9 +225,6 @@ func (d *Detector) Mean() float64 {
 	}
 	return d.sum / float64(d.total)
 }
-
-// Cuts returns how many cuts (detections) have occurred.
-func (d *Detector) Cuts() int { return d.cuts }
 
 // MemoryBytes audits retained state: O(M · log W) bucket summaries.
 func (d *Detector) MemoryBytes() int {

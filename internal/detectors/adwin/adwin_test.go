@@ -17,7 +17,7 @@ func TestConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Width() != 0 || d.Mean() != 0 || d.Cuts() != 0 {
+	if d.total != 0 || d.Mean() != 0 || d.cuts != 0 {
 		t.Fatal("fresh detector state")
 	}
 }
@@ -46,8 +46,8 @@ func TestMeanTracksStationaryStream(t *testing.T) {
 		t.Fatalf("window mean %v, want ≈0.3", m)
 	}
 	// The window should have grown large with no change.
-	if d.Width() < 2000 {
-		t.Fatalf("stationary window width %d, expected to grow", d.Width())
+	if d.total < 2000 {
+		t.Fatalf("stationary window width %d, expected to grow", d.total)
 	}
 }
 
@@ -62,8 +62,8 @@ func TestNoCutsOnStationaryStream(t *testing.T) {
 		d.Observe(v)
 	}
 	// δ=0.002 keeps false cuts very rare.
-	if d.Cuts() > 2 {
-		t.Fatalf("%d cuts on a stationary stream", d.Cuts())
+	if d.cuts > 2 {
+		t.Fatalf("%d cuts on a stationary stream", d.cuts)
 	}
 }
 
@@ -106,7 +106,7 @@ func TestWindowShrinksAfterCut(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		d.Observe(0)
 	}
-	widthBefore := d.Width()
+	widthBefore := d.total
 	for i := 0; i < 500; i++ {
 		var v float64
 		if r.Bernoulli(0.9) {
@@ -114,11 +114,11 @@ func TestWindowShrinksAfterCut(t *testing.T) {
 		}
 		d.Observe(v)
 	}
-	if d.Cuts() == 0 {
+	if d.cuts == 0 {
 		t.Fatal("no cut on a 0→0.9 shift")
 	}
-	if d.Width() >= widthBefore+500 {
-		t.Fatalf("window did not shrink: %d → %d", widthBefore, d.Width())
+	if d.total >= widthBefore+500 {
+		t.Fatalf("window did not shrink: %d → %d", widthBefore, d.total)
 	}
 }
 

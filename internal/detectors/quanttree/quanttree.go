@@ -328,9 +328,6 @@ func (t *Tree) Batch() [][]float64 { return t.buf }
 // Threshold returns the calibrated detection threshold.
 func (t *Tree) Threshold() float64 { return t.threshold }
 
-// LastStatistic returns the statistic of the most recent completed batch.
-func (t *Tree) LastStatistic() float64 { return t.lastStat }
-
 // Batches returns how many batches have been tested.
 func (t *Tree) Batches() int { return t.batches }
 

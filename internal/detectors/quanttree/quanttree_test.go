@@ -108,7 +108,7 @@ func TestDetectsShiftedDistribution(t *testing.T) {
 		flagged = flagged || d
 	}
 	if !flagged {
-		t.Fatalf("shifted batch not detected (stat %v vs threshold %v)", tree.LastStatistic(), tree.Threshold())
+		t.Fatalf("shifted batch not detected (stat %v vs threshold %v)", tree.lastStat, tree.Threshold())
 	}
 }
 

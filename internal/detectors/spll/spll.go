@@ -330,9 +330,6 @@ func (d *Detector) Observe(x []float64) (checked, drift bool) {
 // Thresholds returns the calibrated (low, high) detection thresholds.
 func (d *Detector) Thresholds() (lo, hi float64) { return d.lo, d.hi }
 
-// LastStatistic returns the statistic of the most recent completed batch.
-func (d *Detector) LastStatistic() float64 { return d.lastStat }
-
 // Batches returns how many batches have been tested.
 func (d *Detector) Batches() int { return d.batches }
 

@@ -63,7 +63,7 @@ func TestStatisticNearDimensionUnderNull(t *testing.T) {
 		d.Observe(mixtureData(r, 1, 4, 0)[0])
 	}
 	// min-Mahalanobis² averages ≈ D for in-distribution data.
-	if s := d.LastStatistic(); s < 1 || s > 8 {
+	if s := d.lastStat; s < 1 || s > 8 {
 		t.Fatalf("null statistic %v, want ≈4", s)
 	}
 }
@@ -99,7 +99,7 @@ func TestDetectsShiftedDistribution(t *testing.T) {
 	}
 	if !flagged {
 		lo, hi := d.Thresholds()
-		t.Fatalf("shift missed: stat %v, thresholds (%v, %v)", d.LastStatistic(), lo, hi)
+		t.Fatalf("shift missed: stat %v, thresholds (%v, %v)", d.lastStat, lo, hi)
 	}
 	if d.Detections() != 1 || d.Batches() != 1 {
 		t.Fatalf("counters: %d detections, %d batches", d.Detections(), d.Batches())
@@ -121,7 +121,7 @@ func TestTwoSidedFlagsCollapse(t *testing.T) {
 	}
 	if !flagged {
 		lo, _ := d.Thresholds()
-		t.Fatalf("collapse missed: stat %v vs lo %v", d.LastStatistic(), lo)
+		t.Fatalf("collapse missed: stat %v vs lo %v", d.lastStat, lo)
 	}
 }
 
@@ -150,8 +150,8 @@ func TestDegenerateTrainingDataSurvivesRegularisation(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		d.Observe([]float64{7, r.Norm(), r.Norm()})
 	}
-	if math.IsNaN(d.LastStatistic()) || math.IsInf(d.LastStatistic(), 0) {
-		t.Fatalf("statistic = %v", d.LastStatistic())
+	if math.IsNaN(d.lastStat) || math.IsInf(d.lastStat, 0) {
+		t.Fatalf("statistic = %v", d.lastStat)
 	}
 }
 

@@ -46,7 +46,7 @@ type PressurePoint struct {
 	Delay int `json:"delay"`
 	// MemoryBytes is the monitor's retained footprint at this level —
 	// origin plus twin while demoted, which is why demotion helps
-	// latency budgets but *raises* the memory axis.
+	// latency budgets but *raises* retained memory.
 	MemoryBytes int `json:"memory_bytes"`
 }
 

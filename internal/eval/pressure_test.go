@@ -45,7 +45,7 @@ func TestPressureMatrix(t *testing.T) {
 	if d := f32.AccuracyDeltaPct; d < -2 || d > 2 {
 		t.Fatalf("f32 accuracy delta %.2f%% out of the bounded band", d)
 	}
-	// Demotion retains origin + twin, so the memory axis must go UP.
+	// Demotion retains origin + twin, so retained memory must go UP.
 	if f32.MemoryBytes <= base.MemoryBytes {
 		t.Fatalf("demoted footprint %d not larger than baseline %d", f32.MemoryBytes, base.MemoryBytes)
 	}

@@ -1,13 +1,13 @@
-// Package kmeans implements Lloyd's k-means with k-means++ seeding and a
-// sequential (online) variant.
+// Package kmeans implements Lloyd's k-means with k-means++ seeding.
 //
-// Three places in the reproduction depend on it: the unsupervised initial
+// Three places in the reproduction call it: the unsupervised initial
 // labelling the paper assumes for the training set (§3.2 "it is assumed
 // that these initial samples can be labeled with a clustering algorithm
 // such as k-means"), the SPLL baseline's cluster step (Kuncheva 2013), and
-// the conceptual basis of the proposed method's Init_Coord/Update_Coord
-// routines (Algorithms 3 and 4 are explicitly "inspired by k-means++" and
-// "very similar to a sequential k-means").
+// the batch-adapt baseline's window relabelling. The proposed method's
+// Init_Coord/Update_Coord routines (Algorithms 3 and 4, "inspired by
+// k-means++" and "very similar to a sequential k-means") live in
+// internal/core, which updates its centroids in place.
 package kmeans
 
 import (
@@ -165,9 +165,9 @@ func Run(data [][]float64, cfg Config, r *rng.Rand) *Result {
 			inv := 1 / float64(counts[ci])
 			var m float64
 			for j := range cents[ci] {
-				nv := sums[ci][j] * inv
+				nv := float64(sums[ci][j] * inv)
 				d := nv - cents[ci][j]
-				m += d * d
+				m += float64(d * d)
 				cents[ci][j] = nv
 			}
 			moved += math.Sqrt(m)
@@ -220,38 +220,4 @@ func NearestL1(centroids [][]float64, x []float64) (idx int, dist float64) {
 		}
 	}
 	return idx, dist
-}
-
-// Sequential is an online k-means clusterer: each sample moves its nearest
-// centroid by the running-mean rule. This is the primitive the paper's
-// Update_Coord (Algorithm 4) is built on.
-type Sequential struct {
-	Centroids [][]float64
-	Counts    []int
-}
-
-// NewSequential starts an online clusterer from the given initial
-// centroids (deep-copied) with per-centroid prior counts of initCount.
-func NewSequential(initial [][]float64, initCount int) *Sequential {
-	if len(initial) == 0 {
-		panic("kmeans: NewSequential with no centroids")
-	}
-	s := &Sequential{
-		Centroids: make([][]float64, len(initial)),
-		Counts:    make([]int, len(initial)),
-	}
-	for i, c := range initial {
-		s.Centroids[i] = mat.CopyVec(c)
-		s.Counts[i] = initCount
-	}
-	return s
-}
-
-// Observe assigns x to its nearest centroid (L1, matching Algorithm 4
-// line 2), updates that centroid by the running mean, and returns the
-// chosen cluster index.
-func (s *Sequential) Observe(x []float64) int {
-	idx, _ := NearestL1(s.Centroids, x)
-	s.Counts[idx] = mat.RunningMeanUpdate(s.Centroids[idx], s.Counts[idx], x)
-	return idx
 }

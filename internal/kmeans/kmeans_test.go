@@ -164,33 +164,6 @@ func TestNearestPanicsOnNoCentroids(t *testing.T) {
 	Nearest(nil, []float64{1})
 }
 
-func TestSequentialTracksShiftedMean(t *testing.T) {
-	r := rng.New(7)
-	s := NewSequential([][]float64{{0, 0}, {10, 10}}, 1)
-	// Feed samples near (1,1): cluster 0 should drift towards it.
-	for i := 0; i < 500; i++ {
-		s.Observe([]float64{r.Normal(1, 0.1), r.Normal(1, 0.1)})
-	}
-	if mat.L2Dist(s.Centroids[0], []float64{1, 1}) > 0.2 {
-		t.Fatalf("sequential centroid = %v, want near (1,1)", s.Centroids[0])
-	}
-	if mat.L2Dist(s.Centroids[1], []float64{10, 10}) != 0 {
-		t.Fatal("unassigned centroid must not move")
-	}
-	if s.Counts[0] != 501 || s.Counts[1] != 1 {
-		t.Fatalf("counts = %v", s.Counts)
-	}
-}
-
-func TestNewSequentialDeepCopies(t *testing.T) {
-	init := [][]float64{{1, 1}}
-	s := NewSequential(init, 0)
-	s.Observe([]float64{3, 3})
-	if init[0][0] != 1 {
-		t.Fatal("NewSequential must deep-copy initial centroids")
-	}
-}
-
 func TestRunConvergesWithinMaxIter(t *testing.T) {
 	r := rng.New(8)
 	data, _ := threeBlobs(r, 30, [][]float64{{0, 0}, {20, 20}}, 0.2)

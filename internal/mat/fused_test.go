@@ -14,13 +14,14 @@ import (
 var fusedOp = regexp.MustCompile(`\tFN?M(ADD|SUB)[DS]\t`)
 
 // TestNoFusedMultiplyAddOnArm64 cross-compiles the numeric packages —
-// this one and the oselm, core and stats code that inlines it — for
-// arm64 and asserts the compiler emitted no fused multiply-add in any
-// of them. The Go spec lets a compiler fuse x*y+z into one rounding
-// unless the product is explicitly converted, and gc does so on arm64
-// (never on amd64 at the default GOAMD64=v1), so every product feeding
-// an add in these packages is written E(x*y). Without that, arm64
-// scores, centroid distances, Welford thresholds and RLS updates would
+// this one, the oselm, core and stats code that inlines it, kmeans'
+// centroid update and the root package's Eq. 1 θ_error — for arm64 and
+// asserts the compiler emitted no fused multiply-add in any of them.
+// The Go spec lets a compiler fuse x*y+z into one rounding unless the
+// product is explicitly converted, and gc does so on arm64 (never on
+// amd64 at the default GOAMD64=v1), so every product feeding an add in
+// these packages is written E(x*y). Without that, arm64 scores,
+// centroid distances, Welford thresholds, θ_error and RLS updates would
 // round differently from amd64 and from the AVX kernels, and goldens,
 // migration and merge fingerprints would diverge silently.
 func TestNoFusedMultiplyAddOnArm64(t *testing.T) {
@@ -28,7 +29,7 @@ func TestNoFusedMultiplyAddOnArm64(t *testing.T) {
 	if _, err := os.Stat(goBin); err != nil {
 		t.Skipf("no go command next to the test's GOROOT: %v", err)
 	}
-	for _, pkg := range []string{".", "../oselm", "../core", "../stats"} {
+	for _, pkg := range []string{".", "../oselm", "../core", "../stats", "../kmeans", "../.."} {
 		cmd := exec.Command(goBin, "build", "-gcflags=-S", pkg)
 		cmd.Env = append(os.Environ(), "GOOS=linux", "GOARCH=arm64", "CGO_ENABLED=0")
 		out, err := cmd.CombinedOutput()

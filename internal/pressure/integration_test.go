@@ -38,7 +38,7 @@ func TestGovernorDrivesRealFleet(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	g := pressure.New(pressure.Config{LatencyBudgetNs: 1000, HighStreak: 2, LowStreak: 2, Cooldown: 1}, f)
+	g := pressure.New(1000, f)
 
 	serve := func(id string, n int) {
 		if _, err := f.ProcessBatch(id, st.X[:n]); err != nil {
@@ -49,7 +49,7 @@ func TestGovernorDrivesRealFleet(t *testing.T) {
 	for i := 0; i < 20 && demoted < 2; i++ {
 		serve("hot", 40)
 		serve("cold", 2)
-		if a := g.Tick(pressure.Sample{P99Ns: 5000}); a.Kind == pressure.Demote {
+		if a := g.Tick(5000); a.Kind == pressure.Demote {
 			demoted++
 			if demoted == 1 && a.Stream != "cold" {
 				t.Fatalf("first demotion hit %q, want the cold member", a.Stream)
@@ -73,7 +73,7 @@ func TestGovernorDrivesRealFleet(t *testing.T) {
 	for i := 0; i < 20 && promoted < 2; i++ {
 		serve("hot", 40)
 		serve("cold", 2)
-		if a := g.Tick(pressure.Sample{P99Ns: 100}); a.Kind == pressure.Promote {
+		if a := g.Tick(100); a.Kind == pressure.Promote {
 			promoted++
 		}
 	}

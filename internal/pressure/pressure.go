@@ -1,20 +1,23 @@
 // Package pressure is the adaptive capacity governor: the control loop
 // that turns the precision lifecycle (Monitor.Demote / Promote, fleet
-// transitions) into an automatic response to resource pressure on a
-// shard. It watches two budgets — p99 ingest latency and retained
-// memory — and demotes the coldest members first when either budget is
-// exceeded, promoting them back (most recently demoted first) when the
-// pressure clears.
+// transitions) into an automatic response to load on a shard. It
+// watches one budget — p99 ingest latency — and demotes the coldest
+// members to f32 first while the budget is exceeded, promoting them
+// back (most recently demoted first) when the pressure clears.
+//
+// There is no memory budget: demotion keeps each member's f64 origin
+// alongside its twin (that is what makes promotion bit-exact), so a
+// demotion always raises retained memory and can never relieve it.
 //
 // The governor is deliberately clock-free and side-effect-free except
-// through the Pool interface: the caller samples the pressure signals
-// and calls Tick, so every decision is a pure function of the observed
-// sequence and the tests can replay any scenario deterministically.
-// Flap resistance is structural, not tuned: a demotion needs HighStreak
-// consecutive over-budget ticks, a promotion needs LowStreak
-// consecutive ticks below ClearFraction of the budget (a genuine
+// through the Pool interface: the caller samples the p99 and calls
+// Tick, so every decision is a pure function of the observed sequence
+// and the tests can replay any scenario deterministically. Flap
+// resistance is structural, not tuned: a demotion needs highStreak
+// consecutive over-budget ticks, a promotion needs lowStreak
+// consecutive ticks at or below clearFraction of the budget (a genuine
 // hysteresis band — ticks between the two thresholds reset both
-// streaks), and any transition starts a Cooldown during which the
+// streaks), and any transition starts a cooldown during which the
 // governor only watches.
 package pressure
 
@@ -38,62 +41,27 @@ type Pool interface {
 	PromoteMember(id string) error
 }
 
-// Config parameterises a Governor. The zero value of every field gets
-// a sane default from New; budgets left at zero are unenforced axes.
-type Config struct {
-	// LatencyBudgetNs is the p99 ingest-latency budget in nanoseconds;
-	// 0 disables the latency axis.
-	LatencyBudgetNs uint64
-	// MemoryBudgetBytes is the retained-state budget; 0 disables the
-	// memory axis. Note that demotion RAISES the retained total (the
-	// full-precision origin is kept alongside the twin — that retention
-	// is what makes promotion bit-exact), so the memory axis relieves
-	// pressure only through the smaller hot working set; size the
-	// budget against the latency axis for the primary effect.
-	MemoryBudgetBytes int
-	// Target is the precision members are demoted to; default Float32.
-	Target oselm.Precision
-	// HighStreak is how many consecutive over-budget ticks arm a
-	// demotion; default 3.
-	HighStreak int
-	// LowStreak is how many consecutive clear ticks (every enforced
-	// axis below ClearFraction of its budget) arm a promotion;
-	// default 6.
-	LowStreak int
-	// ClearFraction scales the budgets down to the promotion threshold,
-	// opening the hysteresis band between "over budget" and "clear";
-	// default 0.75. Must be in (0, 1].
-	ClearFraction float64
-	// Cooldown is the minimum number of ticks between two transitions;
-	// default 5.
-	Cooldown int
-}
-
-func (c Config) withDefaults() Config {
-	if c.Target == 0 {
-		c.Target = oselm.Float32
-	}
-	if c.HighStreak <= 0 {
-		c.HighStreak = 3
-	}
-	if c.LowStreak <= 0 {
-		c.LowStreak = 6
-	}
-	if c.ClearFraction <= 0 || c.ClearFraction > 1 {
-		c.ClearFraction = 0.75
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 5
-	}
-	return c
-}
-
-// Sample is one tick's observed pressure: the shard's current p99
-// ingest latency and retained memory.
-type Sample struct {
-	P99Ns       uint64
-	MemoryBytes int
-}
+// The control loop's constants. None is a setting: the streaks, the
+// band and the cooldown are what make the loop flap-proof.
+const (
+	// target is the precision members are demoted to: f32 runs about
+	// 1.15× as fast as f64 on NSL-KDD (BENCH_10) and, unlike q16, still
+	// trains, so a demoted member keeps its full Algorithm 2.
+	target = oselm.Float32
+	// highStreak consecutive over-budget ticks arm a demotion, so one
+	// slow window (a GC pause, a burst) never demotes anything.
+	highStreak = 3
+	// lowStreak consecutive clear ticks arm a promotion: twice the
+	// demotion streak, so recovery waits for evidence that the load
+	// has really gone.
+	lowStreak = 6
+	// clearFraction scales the budget down to the promotion threshold,
+	// opening the hysteresis band between "over budget" and "clear".
+	clearFraction = 0.75
+	// cooldown is the minimum number of ticks between two transitions,
+	// so the p99 windows after a transition measure its effect.
+	cooldown = 5
+)
 
 // ActionKind classifies what a Tick did.
 type ActionKind int
@@ -101,7 +69,7 @@ type ActionKind int
 const (
 	// None: the governor only watched this tick.
 	None ActionKind = iota
-	// Demote: one member was demoted to the configured target.
+	// Demote: one member was demoted to f32.
 	Demote
 	// Promote: the most recently governor-demoted member was promoted.
 	Promote
@@ -115,22 +83,19 @@ type Action struct {
 
 // Metrics is the governor's counter snapshot.
 type Metrics struct {
-	Ticks       uint64
-	OverBudget  uint64 // ticks with at least one axis over budget
-	Demotions   uint64
-	Promotions  uint64
-	Errors      uint64 // transitions the pool refused
-	Demoted     int    // members currently demoted by this governor
-	HighStreak  int    // current consecutive over-budget ticks
-	LowStreak   int    // current consecutive clear ticks
-	SinceChange int    // ticks since the last transition
+	Ticks      uint64
+	OverBudget uint64 // ticks with the p99 over budget
+	Demotions  uint64
+	Promotions uint64
+	Errors     uint64 // transitions the pool refused
+	Demoted    int    // members currently demoted by this governor
 }
 
 // Governor is the control loop. Not safe for concurrent Tick calls;
 // drive it from one goroutine (the shard's pressure loop).
 type Governor struct {
-	cfg  Config
-	pool Pool
+	budgetNs uint64
+	pool     Pool
 
 	lastSamples map[string]uint64 // per-member lifetime samples at the previous tick
 	lastDelta   map[string]uint64 // samples served between the last two ticks
@@ -142,65 +107,45 @@ type Governor struct {
 	ticks, overBudget, demotions, promotions, errs uint64
 }
 
-// New builds a governor over a pool.
-func New(cfg Config, pool Pool) *Governor {
+// New builds a governor over a pool with a p99 ingest-latency budget
+// in nanoseconds. A zero budget never acts.
+func New(budgetNs uint64, pool Pool) *Governor {
 	return &Governor{
-		cfg:         cfg.withDefaults(),
+		budgetNs:    budgetNs,
 		pool:        pool,
 		lastSamples: map[string]uint64{},
 		lastDelta:   map[string]uint64{},
-		sinceChange: 1 << 30, // no cooldown before the first transition
+		sinceChange: cooldown + 1, // no cooldown before the first transition
 	}
 }
 
-// over reports whether any enforced axis exceeds its budget.
-func (g *Governor) over(s Sample) bool {
-	if g.cfg.LatencyBudgetNs > 0 && s.P99Ns > g.cfg.LatencyBudgetNs {
-		return true
-	}
-	if g.cfg.MemoryBudgetBytes > 0 && s.MemoryBytes > g.cfg.MemoryBudgetBytes {
-		return true
-	}
-	return false
-}
-
-// clear reports whether every enforced axis is below ClearFraction of
-// its budget — the promotion side of the hysteresis band.
-func (g *Governor) clear(s Sample) bool {
-	if g.cfg.LatencyBudgetNs > 0 && float64(s.P99Ns) > g.cfg.ClearFraction*float64(g.cfg.LatencyBudgetNs) {
-		return false
-	}
-	if g.cfg.MemoryBudgetBytes > 0 && float64(s.MemoryBytes) > g.cfg.ClearFraction*float64(g.cfg.MemoryBudgetBytes) {
-		return false
-	}
-	return true
-}
-
-// Tick advances the control loop one step with the given pressure
-// sample and performs at most one transition. It never flaps: the
+// Tick advances the control loop one step with the observed p99 ingest
+// latency and performs at most one transition. It never flaps: the
 // streak and cooldown preconditions make a demote→promote oscillation
 // impossible under any steady pressure signal.
-func (g *Governor) Tick(s Sample) Action {
+func (g *Governor) Tick(p99Ns uint64) Action {
 	g.ticks++
 	g.sinceChange++
 	g.updateColdness()
 
 	switch {
-	case g.over(s):
+	case g.budgetNs == 0:
+		// No budget: the governor only counts ticks.
+	case p99Ns > g.budgetNs:
 		g.overBudget++
 		g.high++
 		g.low = 0
-		if g.high >= g.cfg.HighStreak && g.sinceChange > g.cfg.Cooldown {
+		if g.high >= highStreak && g.sinceChange > cooldown {
 			if id, ok := g.demoteColdest(); ok {
 				g.high = 0
 				g.sinceChange = 0
 				return Action{Kind: Demote, Stream: id}
 			}
 		}
-	case g.clear(s):
+	case float64(p99Ns) <= clearFraction*float64(g.budgetNs):
 		g.low++
 		g.high = 0
-		if g.low >= g.cfg.LowStreak && g.sinceChange > g.cfg.Cooldown && len(g.stack) > 0 {
+		if g.low >= lowStreak && g.sinceChange > cooldown && len(g.stack) > 0 {
 			if id, ok := g.promoteLatest(); ok {
 				g.low = 0
 				g.sinceChange = 0
@@ -276,7 +221,7 @@ func (g *Governor) demoteColdest() (string, bool) {
 		return cands[i].id < cands[j].id
 	})
 	for _, c := range cands {
-		if err := g.pool.DemoteMember(c.id, g.cfg.Target); err != nil {
+		if err := g.pool.DemoteMember(c.id, target); err != nil {
 			g.errs++
 			continue
 		}
@@ -306,19 +251,12 @@ func (g *Governor) promoteLatest() (string, bool) {
 
 // Metrics snapshots the governor's counters.
 func (g *Governor) Metrics() Metrics {
-	since := g.sinceChange
-	if since > 1<<29 {
-		since = 0 // never transitioned; render as 0 rather than the sentinel
-	}
 	return Metrics{
-		Ticks:       g.ticks,
-		OverBudget:  g.overBudget,
-		Demotions:   g.demotions,
-		Promotions:  g.promotions,
-		Errors:      g.errs,
-		Demoted:     len(g.stack),
-		HighStreak:  g.high,
-		LowStreak:   g.low,
-		SinceChange: since,
+		Ticks:      g.ticks,
+		OverBudget: g.overBudget,
+		Demotions:  g.demotions,
+		Promotions: g.promotions,
+		Errors:     g.errs,
+		Demoted:    len(g.stack),
 	}
 }

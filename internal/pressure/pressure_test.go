@@ -3,7 +3,6 @@ package pressure
 import (
 	"errors"
 	"fmt"
-	"math"
 	"reflect"
 	"sort"
 	"testing"
@@ -93,11 +92,11 @@ func (p *fakePool) serve(counts map[string]uint64) {
 
 // tickN drives n identical ticks, serving traffic before each so the
 // coldness ranking stays populated.
-func tickN(g *Governor, p *fakePool, s Sample, traffic map[string]uint64, n int) []Action {
+func tickN(g *Governor, p *fakePool, p99Ns uint64, traffic map[string]uint64, n int) []Action {
 	var acts []Action
 	for i := 0; i < n; i++ {
 		p.serve(traffic)
-		if a := g.Tick(s); a.Kind != None {
+		if a := g.Tick(p99Ns); a.Kind != None {
 			acts = append(acts, a)
 		}
 	}
@@ -105,14 +104,11 @@ func tickN(g *Governor, p *fakePool, s Sample, traffic map[string]uint64, n int)
 }
 
 const (
-	overNs  = 2_000_000 // over a 1ms budget
-	clearNs = 500_000   // below 0.75 * 1ms
-	bandNs  = 900_000   // inside the hysteresis band
+	budgetNs = 1_000_000 // 1ms
+	overNs   = 2_000_000 // over budget
+	clearNs  = 500_000   // below clearFraction * budget
+	bandNs   = 900_000   // inside the hysteresis band
 )
-
-func testConfig() Config {
-	return Config{LatencyBudgetNs: 1_000_000, HighStreak: 3, LowStreak: 4, Cooldown: 2}
-}
 
 // hot/cold traffic: "busy" serves 100 samples per tick, "idle" 1,
 // "mid" 10 — the demotion order must be idle, mid, busy.
@@ -120,8 +116,8 @@ var traffic = map[string]uint64{"busy": 100, "mid": 10, "idle": 1}
 
 func TestGovernorDemotesColdestFirst(t *testing.T) {
 	p := newFakePool("busy", "mid", "idle")
-	g := New(testConfig(), p)
-	acts := tickN(g, p, Sample{P99Ns: overNs}, traffic, 20)
+	g := New(budgetNs, p)
+	acts := tickN(g, p, overNs, traffic, 20)
 	if len(acts) != 3 {
 		t.Fatalf("actions under sustained pressure: %+v", acts)
 	}
@@ -131,7 +127,7 @@ func TestGovernorDemotesColdestFirst(t *testing.T) {
 	}
 	// Everything demoted: further pressure is a no-op, not an error loop.
 	before := g.Metrics()
-	if extra := tickN(g, p, Sample{P99Ns: overNs}, traffic, 10); len(extra) != 0 {
+	if extra := tickN(g, p, overNs, traffic, 10); len(extra) != 0 {
 		t.Fatalf("transitions with nothing left to demote: %+v", extra)
 	}
 	if after := g.Metrics(); after.Errors != before.Errors {
@@ -141,10 +137,10 @@ func TestGovernorDemotesColdestFirst(t *testing.T) {
 
 func TestGovernorPromotesLIFOWhenClear(t *testing.T) {
 	p := newFakePool("busy", "mid", "idle")
-	g := New(testConfig(), p)
-	tickN(g, p, Sample{P99Ns: overNs}, traffic, 20)
+	g := New(budgetNs, p)
+	tickN(g, p, overNs, traffic, 20)
 	p.log = nil
-	acts := tickN(g, p, Sample{P99Ns: clearNs}, traffic, 30)
+	acts := tickN(g, p, clearNs, traffic, 30)
 	if len(acts) != 3 {
 		t.Fatalf("promotions when clear: %+v", acts)
 	}
@@ -165,22 +161,22 @@ func TestGovernorPromotesLIFOWhenClear(t *testing.T) {
 func TestGovernorNeverFlaps(t *testing.T) {
 	t.Run("steady-in-band", func(t *testing.T) {
 		p := newFakePool("busy", "idle")
-		g := New(testConfig(), p)
-		if acts := tickN(g, p, Sample{P99Ns: bandNs}, traffic, 200); len(acts) != 0 {
+		g := New(budgetNs, p)
+		if acts := tickN(g, p, bandNs, traffic, 200); len(acts) != 0 {
 			t.Fatalf("transitions inside the hysteresis band: %+v", acts)
 		}
 	})
 	t.Run("oscillation-below-streaks", func(t *testing.T) {
 		p := newFakePool("busy", "idle")
-		g := New(testConfig(), p)
+		g := New(budgetNs, p)
 		var acts []Action
 		for i := 0; i < 200; i++ {
-			s := Sample{P99Ns: clearNs}
+			p99 := uint64(clearNs)
 			if i%4 < 2 { // 2 over, 2 clear — never 3 consecutive of either
-				s.P99Ns = overNs
+				p99 = overNs
 			}
 			p.serve(traffic)
-			if a := g.Tick(s); a.Kind != None {
+			if a := g.Tick(p99); a.Kind != None {
 				acts = append(acts, a)
 			}
 		}
@@ -190,15 +186,15 @@ func TestGovernorNeverFlaps(t *testing.T) {
 	})
 	t.Run("band-resets-streaks", func(t *testing.T) {
 		p := newFakePool("busy", "idle")
-		g := New(testConfig(), p)
+		g := New(budgetNs, p)
 		var acts []Action
 		for i := 0; i < 200; i++ {
-			s := Sample{P99Ns: overNs}
+			p99 := uint64(overNs)
 			if i%3 == 2 { // 2 over, then 1 in-band: the band tick resets
-				s.P99Ns = bandNs
+				p99 = bandNs
 			}
 			p.serve(traffic)
-			if a := g.Tick(s); a.Kind != None {
+			if a := g.Tick(p99); a.Kind != None {
 				acts = append(acts, a)
 			}
 		}
@@ -208,73 +204,61 @@ func TestGovernorNeverFlaps(t *testing.T) {
 	})
 }
 
+// TestGovernorCooldownSpacesTransitions: the over-budget streak refills
+// in highStreak ticks, faster than the cooldown expires, so sustained
+// pressure spaces demotions by the cooldown alone.
 func TestGovernorCooldownSpacesTransitions(t *testing.T) {
 	p := newFakePool("a", "b", "c", "d")
-	g := New(Config{LatencyBudgetNs: 1_000_000, HighStreak: 1, Cooldown: 10}, p)
+	g := New(budgetNs, p)
 	even := map[string]uint64{"a": 1, "b": 2, "c": 3, "d": 4}
 	var gaps []int
 	last := -1
 	for i := 0; i < 50; i++ {
 		p.serve(even)
-		if a := g.Tick(Sample{P99Ns: overNs}); a.Kind == Demote {
+		if a := g.Tick(overNs); a.Kind == Demote {
 			if last >= 0 {
 				gaps = append(gaps, i-last)
 			}
 			last = i
 		}
 	}
-	if len(gaps) == 0 {
-		t.Fatal("no successive demotions to measure")
+	if len(gaps) != 3 {
+		t.Fatalf("%d gaps between 4 demotions, want 3", len(gaps))
 	}
 	for _, gap := range gaps {
-		if gap <= 10 {
-			t.Fatalf("demotions %d ticks apart, cooldown is 10", gap)
+		if gap <= cooldown {
+			t.Fatalf("demotions %d ticks apart, cooldown is %d", gap, cooldown)
 		}
-	}
-}
-
-func TestGovernorMemoryAxis(t *testing.T) {
-	p := newFakePool("a", "b")
-	g := New(Config{MemoryBudgetBytes: 1000, HighStreak: 2, LowStreak: 2, Cooldown: 1}, p)
-	tr := map[string]uint64{"a": 1, "b": 2}
-	if acts := tickN(g, p, Sample{MemoryBytes: 2000}, tr, 10); len(acts) == 0 {
-		t.Fatal("memory pressure alone did not demote")
-	}
-	if !p.members["a"].degraded {
-		t.Fatal("colder member a not the one demoted")
-	}
-	if acts := tickN(g, p, Sample{MemoryBytes: 500}, tr, 10); len(acts) == 0 {
-		t.Fatal("clear memory did not promote")
-	}
-	if p.members["a"].degraded {
-		t.Fatal("member a still demoted after clear")
 	}
 }
 
 func TestGovernorSkipsRefusalsAndCountsErrors(t *testing.T) {
 	p := newFakePool("cold", "warm")
 	p.members["cold"].failDemote = true
-	g := New(Config{LatencyBudgetNs: 1_000_000, HighStreak: 1, Cooldown: 1}, p)
+	g := New(budgetNs, p)
 	tr := map[string]uint64{"cold": 1, "warm": 5}
-	tickN(g, p, Sample{P99Ns: overNs}, tr, 5)
-	if !p.members["warm"].degraded {
-		t.Fatal("governor did not fall through to the next candidate")
+	if acts := tickN(g, p, overNs, tr, highStreak); len(acts) != 1 || acts[0].Stream != "warm" {
+		t.Fatalf("governor did not fall through to the next candidate: %+v", acts)
 	}
-	if m := g.Metrics(); m.Errors == 0 {
+	if !p.members["warm"].degraded {
+		t.Fatal("warm member not demoted")
+	}
+	if m := g.Metrics(); m.Errors != 1 {
 		t.Fatalf("refusals not counted: %+v", m)
 	}
 }
 
 func TestGovernorForgetsRemovedMembers(t *testing.T) {
 	p := newFakePool("a", "b")
-	g := New(Config{LatencyBudgetNs: 1_000_000, HighStreak: 1, LowStreak: 1, Cooldown: 0}, p)
+	g := New(budgetNs, p)
 	tr := map[string]uint64{"a": 1, "b": 5}
-	tickN(g, p, Sample{P99Ns: overNs}, tr, 3) // demotes a
+	tickN(g, p, overNs, tr, highStreak) // demotes a
 	if !p.members["a"].degraded {
 		t.Fatal("a not demoted")
 	}
 	delete(p.members, "a") // the member migrates away while demoted
-	if acts := tickN(g, p, Sample{P99Ns: clearNs}, map[string]uint64{"b": 5}, 10); len(acts) != 0 {
+	// Long enough for a promotion had a stayed.
+	if acts := tickN(g, p, clearNs, map[string]uint64{"b": 5}, 2*(lowStreak+cooldown)); len(acts) != 0 {
 		t.Fatalf("promoted a removed member: %+v", acts)
 	}
 	if m := g.Metrics(); m.Demoted != 0 {
@@ -284,8 +268,8 @@ func TestGovernorForgetsRemovedMembers(t *testing.T) {
 
 func TestGovernorZeroBudgetsNeverAct(t *testing.T) {
 	p := newFakePool("a")
-	g := New(Config{}, p)
-	if acts := tickN(g, p, Sample{P99Ns: 1 << 60, MemoryBytes: math.MaxInt}, map[string]uint64{"a": 1}, 50); len(acts) != 0 {
-		t.Fatalf("governor with no budgets acted: %+v", acts)
+	g := New(0, p)
+	if acts := tickN(g, p, 1<<60, map[string]uint64{"a": 1}, 50); len(acts) != 0 {
+		t.Fatalf("governor with no budget acted: %+v", acts)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"edgedrift"
-	"edgedrift/internal/pressure"
 	"edgedrift/internal/wire"
 )
 
@@ -34,7 +33,7 @@ func TestShardGovernorDemotesUnderPressureAndRecovers(t *testing.T) {
 		// 1ns latency budget: every processed batch is over budget, so
 		// demotion pressure is sustained while traffic flows and clears
 		// the moment it stops.
-		Pressure:         &pressure.Config{LatencyBudgetNs: 1, HighStreak: 2, LowStreak: 2, Cooldown: 1},
+		PressureBudget:   time.Nanosecond,
 		PressureInterval: 5 * time.Millisecond,
 	})
 
@@ -103,7 +102,7 @@ func TestShardGovernorSteadyLoadNoFlap(t *testing.T) {
 	template, stream := testTemplate(t)
 	s, addr := startShard(t, Config{
 		Template:         template,
-		Pressure:         &pressure.Config{LatencyBudgetNs: uint64(time.Hour), HighStreak: 2, LowStreak: 2, Cooldown: 1},
+		PressureBudget:   time.Hour,
 		PressureInterval: 2 * time.Millisecond,
 	})
 	cl, err := wire.DialClient(addr, 2*time.Second)

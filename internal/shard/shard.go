@@ -68,13 +68,14 @@ type Config struct {
 	Cohort string
 	// Fleet configures the shard's fleet.
 	Fleet edgedrift.FleetConfig
-	// Pressure, when non-nil, runs the adaptive capacity governor over
-	// this shard's fleet: every PressureInterval the shard samples its
-	// p99 batch-ingest latency and retained memory and feeds one
-	// governor tick, demoting the coldest members under sustained
-	// budget pressure and promoting them back when it clears (see
-	// internal/pressure for the hysteresis contract).
-	Pressure *pressure.Config
+	// PressureBudget, when > 0, runs the adaptive capacity governor
+	// over this shard's fleet: every PressureInterval the shard feeds
+	// its windowed p99 batch-ingest latency to one governor tick,
+	// demoting the coldest members while the p99 stays over this
+	// budget and promoting them back when it clears (see
+	// internal/pressure for the hysteresis contract). 0 means no
+	// governor.
+	PressureBudget time.Duration
 	// PressureInterval is the governor tick period; 0 means 500ms.
 	PressureInterval time.Duration
 	// Logf receives shard lifecycle logs; nil means log.Printf.
@@ -145,12 +146,12 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("shard: bad template: %w", err)
 	}
 	s.inputs = tmpl.Model().Config().Inputs
-	if cfg.Pressure != nil {
+	if cfg.PressureBudget > 0 {
 		interval := cfg.PressureInterval
 		if interval <= 0 {
 			interval = 500 * time.Millisecond
 		}
-		s.gov = pressure.New(*cfg.Pressure, s.fleet)
+		s.gov = pressure.New(uint64(cfg.PressureBudget), s.fleet)
 		s.govStop = make(chan struct{})
 		s.wg.Add(1)
 		go s.governorLoop(interval)
@@ -159,8 +160,7 @@ func New(cfg Config) (*Server, error) {
 }
 
 // governorLoop drives the pressure governor: each tick samples the
-// shard's p99 ingest latency and retained memory and lets the governor
-// decide. The governor itself is clock-free — this loop is the only
+// shard's p99 ingest latency and lets the governor decide. The governor itself is clock-free — this loop is the only
 // place wall time enters the control path.
 func (s *Server) governorLoop(interval time.Duration) {
 	defer s.wg.Done()
@@ -178,16 +178,13 @@ func (s *Server) governorLoop(interval time.Duration) {
 			cur := s.ingestLatency.Snapshot()
 			win := cur.Delta(prev)
 			prev = cur
-			sample := pressure.Sample{
-				P99Ns:       win.Quantile(0.99),
-				MemoryBytes: s.fleet.MemoryBytes(),
-			}
+			p99 := win.Quantile(0.99)
 			s.govMu.Lock()
-			act := s.gov.Tick(sample)
+			act := s.gov.Tick(p99)
 			s.govMu.Unlock()
 			switch act.Kind {
 			case pressure.Demote:
-				s.cfg.Logf("shard: governor demoted %q (p99 %dns, %d bytes retained)", act.Stream, sample.P99Ns, sample.MemoryBytes)
+				s.cfg.Logf("shard: governor demoted %q (p99 %dns)", act.Stream, p99)
 			case pressure.Promote:
 				s.cfg.Logf("shard: governor promoted %q (pressure cleared)", act.Stream)
 			}
@@ -639,7 +636,7 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 		gm := s.gov.Metrics()
 		s.govMu.Unlock()
 		tw.Counter("edgedrift_shard_governor_ticks_total", "Pressure-governor control-loop ticks.", nil, gm.Ticks)
-		tw.Counter("edgedrift_shard_governor_over_budget_total", "Ticks with at least one pressure axis over budget.", nil, gm.OverBudget)
+		tw.Counter("edgedrift_shard_governor_over_budget_total", "Ticks with the windowed ingest p99 over the governor budget.", nil, gm.OverBudget)
 		tw.Counter("edgedrift_shard_governor_demotions_total", "Members demoted by the governor.", nil, gm.Demotions)
 		tw.Counter("edgedrift_shard_governor_promotions_total", "Members promoted back by the governor.", nil, gm.Promotions)
 		tw.Counter("edgedrift_shard_governor_errors_total", "Transitions the fleet refused to the governor.", nil, gm.Errors)

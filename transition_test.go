@@ -158,7 +158,7 @@ func TestDemoteLifecycleErrors(t *testing.T) {
 
 // TestDemotedMemoryAudit checks MemoryBytes counts origin + twin while
 // demoted and falls back to the origin alone after promotion — the
-// honest number for a governor's memory budget.
+// honest number for sizing a deployment's memory.
 func TestDemotedMemoryAudit(t *testing.T) {
 	ds := goldenDataset()
 	mon := goldenMonitor(t, edgedrift.GuardReject)
