@@ -83,7 +83,7 @@ bench-fleet:
 # benchstat.txt) for artifact upload.
 BENCH_BASE ?= HEAD
 BENCH_COUNT ?= 10
-BENCH_PATTERN ?= 'BenchmarkScore$$|BenchmarkScorePrecision|BenchmarkPredictTrain$$|BenchmarkRunningMeanUpdateL1Dist$$'
+BENCH_PATTERN ?= 'BenchmarkScore$$|BenchmarkScorePrecision|BenchmarkPredictTrain$$|BenchmarkRunningMeanUpdateL1Dist$$|BenchmarkMulVec$$|BenchmarkAllFinite$$'
 BENCH_PKGS ?= ./internal/oselm/ ./internal/model/ ./internal/mat/ .
 BENCH_DIR ?= bench-out
 bench-compare:
@@ -145,15 +145,19 @@ bench-pressure:
 # Short fuzz passes over every deserialiser: corrupt or truncated
 # artifacts must fail with ErrBadFormat, and malformed network frames
 # with ErrProtocol, never panic. `go test -fuzz` takes one target per
-# invocation, hence one run per format.
+# invocation, hence one run per format. Minimising a new-coverage input
+# tries every removable byte range, O(n²) runs for an n-byte artifact:
+# under the default 60 s budget the root targets' ~700-byte seeds spent
+# the whole 10 s in one minimisation, so each is capped at 1 s.
+FUZZ_FLAGS = -fuzztime=10s -fuzzminimizetime=1s
 fuzz-smoke:
-	$(GO) test -fuzz=FuzzLoad -fuzztime=10s ./internal/oselm/
-	$(GO) test -fuzz=FuzzLoadState -fuzztime=10s ./internal/core/
-	$(GO) test -fuzz=FuzzLoadPool -fuzztime=10s ./internal/pool/
-	$(GO) test -fuzz=FuzzLoadMonitor -fuzztime=10s ./internal/fixed/
-	$(GO) test -fuzz=FuzzLoadMonitor -fuzztime=10s .
-	$(GO) test -fuzz=FuzzLoadFleet -fuzztime=10s .
-	$(GO) test -fuzz=FuzzParseFrame -fuzztime=10s ./internal/wire/
+	$(GO) test -fuzz=FuzzLoad $(FUZZ_FLAGS) ./internal/oselm/
+	$(GO) test -fuzz=FuzzLoadState $(FUZZ_FLAGS) ./internal/core/
+	$(GO) test -fuzz=FuzzLoadPool $(FUZZ_FLAGS) ./internal/pool/
+	$(GO) test -fuzz=FuzzLoadMonitor $(FUZZ_FLAGS) ./internal/fixed/
+	$(GO) test -fuzz=FuzzLoadMonitor $(FUZZ_FLAGS) .
+	$(GO) test -fuzz=FuzzLoadFleet $(FUZZ_FLAGS) .
+	$(GO) test -fuzz=FuzzParseFrame $(FUZZ_FLAGS) ./internal/wire/
 
 # Code size, in lines, outside the edgebench/ module: non-test Go,
 # amd64 assembly (.s and .h) and test Go. Files come from git (tracked

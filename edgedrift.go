@@ -263,7 +263,7 @@ func (m *Monitor) FitUnsupervised(xs [][]float64) ([]int, error) {
 // reconstruction. It panics if Fit has not run.
 //
 // Samples with a non-finite feature are handled by the configured
-// GuardPolicy (Options.Guard) before they can touch model or centroid
+// GuardPolicy (Options.Guard) before they can change model or centroid
 // state; under the default GuardReject they return the last accepted
 // Result with Rejected set and are never trained on.
 func (m *Monitor) Process(x []float64) Result {

@@ -622,7 +622,7 @@ func (d *Detector) stage(s Stage, fn func()) {
 // Process consumes one sample and advances the state machine
 // (Algorithm 1). It panics if Calibrate has not run.
 //
-// Samples carrying a non-finite feature never reach the model or
+// Samples carrying a non-finite feature never change the model or
 // centroid state; the Config.Guard policy handles them first. Under
 // the default GuardReject the accepted-sample stream behaves exactly as
 // if the bad samples had never existed — same drift events, same
@@ -660,32 +660,66 @@ func (d *Detector) ProcessBatch(dst []Result, xs [][]float64) []Result {
 	return dst
 }
 
-// process applies the ingestion guard policy to one sample, then runs
-// the admitted (under GuardClamp, repaired) sample through the state
-// machine. The finiteness scan is integer-pipeline work (one subtract
-// and compare per feature) and is deliberately not op-counted: the
-// paper's Table 5/6 cost model tracks floating-point arithmetic on the
-// data path.
+// process runs one sample through the state machine behind the
+// ingestion guard. While monitoring, the score is the guard's witness:
+// every score metric sums a term in each feature at float64 on both
+// backends, so a NaN or ±Inf feature always makes the winning score
+// NaN or +Inf, and scoring writes no model or detector state. So the
+// sample is scored first and scanned (mat.AllFinite) only when its
+// score is not finite; a refused sample's prediction is then taken
+// back from the op counters, leaving every counter as if it had never
+// been scored. Reconstruction writes state before any score exists, so
+// there x is scanned up front. The scan is integer-pipeline work (one
+// subtract and add per feature) and is deliberately not op-counted:
+// the paper's Table 5/6 cost model tracks floating-point arithmetic on
+// the data path.
 func (d *Detector) process(x []float64) Result {
-	if !mat.AllFinite(x) {
-		switch d.cfg.Guard {
-		case GuardPanic:
-			panic("core: non-finite feature in sample (GuardPanic policy)")
-		case GuardClamp:
-			d.clamped++
-			x = d.clampInto(x)
-		default: // GuardReject
-			d.rejected++
-			res := d.lastGood
-			res.Rejected = true
-			res.DriftDetected = false
-			res.Phase = d.PhaseNow()
-			return res
+	if d.drift {
+		if !mat.AllFinite(x) {
+			return d.refuse(x)
 		}
+		d.samplesSeen++
+		d.lastGood = d.reconstructStep(x)
+		return d.lastGood
 	}
-	res := d.processAccepted(x)
-	d.lastGood = res
-	return res
+	var ops, stageOps opcount.Counter
+	if d.ops != nil {
+		ops, stageOps = *d.ops, d.stageOps[StageLabelPrediction]
+	}
+	var label int
+	var score float64
+	d.stage(StageLabelPrediction, func() {
+		label, score = d.model.Predict(x)
+	})
+	if (math.IsNaN(score) || math.IsInf(score, 0)) && !mat.AllFinite(x) {
+		if d.ops != nil {
+			*d.ops, d.stageOps[StageLabelPrediction] = ops, stageOps
+		}
+		d.stageN[StageLabelPrediction]--
+		return d.refuse(x)
+	}
+	d.samplesSeen++
+	d.lastGood = d.monitorStep(x, label, score)
+	return d.lastGood
+}
+
+// refuse applies the Config.Guard policy to a sample carrying a
+// non-finite feature, before it has changed any state.
+func (d *Detector) refuse(x []float64) Result {
+	switch d.cfg.Guard {
+	case GuardPanic:
+		panic("core: non-finite feature in sample (GuardPanic policy)")
+	case GuardClamp:
+		d.clamped++
+		return d.process(d.clampInto(x))
+	default: // GuardReject
+		d.rejected++
+		res := d.lastGood
+		res.Rejected = true
+		res.DriftDetected = false
+		res.Phase = d.PhaseNow()
+		return res
+	}
 }
 
 // clampInto copies x into the repair scratch with non-finite features
@@ -708,21 +742,9 @@ func (d *Detector) clampInto(x []float64) []float64 {
 	return buf
 }
 
-// processAccepted is the raw Algorithm 1 state machine, running on
-// samples the ingestion guard has already admitted (and, under
-// GuardClamp, repaired).
-func (d *Detector) processAccepted(x []float64) Result {
-	d.samplesSeen++
-
-	if d.drift {
-		return d.reconstructStep(x)
-	}
-
-	var label int
-	var score float64
-	d.stage(StageLabelPrediction, func() {
-		label, score = d.model.Predict(x)
-	})
+// monitorStep is the Algorithm 1 state machine for an admitted (under
+// GuardClamp, repaired) sample that the model has already scored.
+func (d *Detector) monitorStep(x []float64, label int, score float64) Result {
 	if math.IsNaN(score) || math.IsInf(score, 0) {
 		// The input was finite, so the model's own state has diverged
 		// (e.g. RLS blow-up between watchdog passes). Degrade gracefully:

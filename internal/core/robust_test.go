@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"edgedrift/internal/ckpt"
+	"edgedrift/internal/health"
 	"edgedrift/internal/model"
+	"edgedrift/internal/opcount"
 	"edgedrift/internal/rng"
 )
 
@@ -52,15 +55,66 @@ func guardCfg(g GuardPolicy) Config {
 	return cfg
 }
 
+// requireSameAccounting fails unless two detectors hold the same op
+// counts (overall and per stage, with invocation counts), the same
+// Health snapshot once the guard counters named in want are taken out,
+// and, when both are monitoring, the same SaveState bytes.
+func requireSameAccounting(t *testing.T, got, want *Detector, gotOps, wantOps *opcount.Counter, guard health.Snapshot) {
+	t.Helper()
+	if *gotOps != *wantOps {
+		t.Fatalf("op counter %+v, want %+v", *gotOps, *wantOps)
+	}
+	for _, s := range Stages() {
+		go1, gn := got.StageOps(s)
+		wo, wn := want.StageOps(s)
+		if go1 != wo || gn != wn {
+			t.Fatalf("stage %v: %+v over %d calls, want %+v over %d", s, go1, gn, wo, wn)
+		}
+	}
+	gh, wh := got.Health(), want.Health()
+	if gh.Rejected != guard.Rejected || gh.Clamped != guard.Clamped {
+		t.Fatalf("guard counters rejected %d clamped %d, want %d and %d", gh.Rejected, gh.Clamped, guard.Rejected, guard.Clamped)
+	}
+	gh.Rejected, gh.Clamped = wh.Rejected, wh.Clamped
+	if gh != wh {
+		t.Fatalf("Health %+v, want %+v", gh, wh)
+	}
+	if want.PhaseNow() == Reconstructing {
+		t.Fatal("stream ends mid-reconstruction; SaveState cannot be compared")
+	}
+	var gb, wb bytes.Buffer
+	if err := got.SaveState(&gb); err != nil {
+		t.Fatal(err)
+	}
+	if err := want.SaveState(&wb); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gb.Bytes(), wb.Bytes()) {
+		t.Fatal("SaveState bytes differ")
+	}
+}
+
+// withOps attaches a fresh op counter to d and returns it.
+func withOps(d *Detector) *opcount.Counter {
+	c := &opcount.Counter{}
+	d.SetOps(c)
+	return c
+}
+
 // TestGuardRejectBitIdentical is the PR's poison acceptance test: under
 // the default GuardReject, a stream interleaved with NaN/Inf samples
 // must produce bit-identical drift events and final centroids to the
 // same stream with those samples removed, and no Result may carry a
-// non-finite field.
+// non-finite field. A refused sample is scored before it is refused
+// (the score is the guard's witness), so the op counts, the per-stage
+// counts, Health and the saved state must match the filtered stream's
+// too.
 func TestGuardRejectBitIdentical(t *testing.T) {
 	dirty, r := newCalibrated(t, 7, guardCfg(GuardReject))
 	clean, _ := newCalibrated(t, 7, guardCfg(GuardReject))
+	dirtyOps, cleanOps := withOps(dirty), withOps(clean)
 	stream := driftStream(r, 800, 800, 4)
+	stream = append(stream, driftStream(r, 0, 400, 4)...) // settle after the drift
 	poisoned, filtered := poisonEvery(stream, 37)
 
 	for _, x := range poisoned {
@@ -100,6 +154,57 @@ func TestGuardRejectBitIdentical(t *testing.T) {
 			}
 		}
 	}
+	requireSameAccounting(t, dirty, clean, dirtyOps, cleanOps, health.Snapshot{Rejected: dirty.Rejected()})
+}
+
+// TestGuardClampEqualsPreClamped pins GuardClamp to its definition: a
+// stream with NaN/±Inf samples gives, sample for sample, the Results of
+// the same stream with those samples repaired beforehand (NaN → 0,
+// ±Inf → ±ClampLimit), and ends in the same state and accounting.
+func TestGuardClampEqualsPreClamped(t *testing.T) {
+	dirty, r := newCalibrated(t, 8, guardCfg(GuardClamp))
+	clean, _ := newCalibrated(t, 8, guardCfg(GuardClamp))
+	dirtyOps, cleanOps := withOps(dirty), withOps(clean)
+	stream := driftStream(r, 800, 800, 4)
+	stream = append(stream, driftStream(r, 0, 400, 4)...)
+	poisoned, _ := poisonEvery(stream, 37)
+	limit := dirty.Config().ClampLimit
+	bad := 0
+	for i, x := range poisoned {
+		fixed := append([]float64(nil), x...)
+		for j, v := range fixed {
+			switch {
+			case math.IsNaN(v):
+				fixed[j] = 0
+			case math.IsInf(v, 1):
+				fixed[j] = limit
+			case math.IsInf(v, -1):
+				fixed[j] = -limit
+			default:
+				continue
+			}
+			bad++
+		}
+		got, want := dirty.Process(x), clean.Process(fixed)
+		if got != want {
+			t.Fatalf("sample %d: %+v, want %+v", i, got, want)
+		}
+	}
+	// Repaired ±Inf features (±1e12) keep triggering drift; settle both
+	// on clean samples so the saved states can be compared.
+	for i := 0; clean.PhaseNow() == Reconstructing && i < 2000; i++ {
+		x := sample(r, i%testClasses, 4)
+		if got, want := dirty.Process(x), clean.Process(x); got != want {
+			t.Fatalf("settling sample %d: %+v, want %+v", i, got, want)
+		}
+	}
+	if bad == 0 || dirty.Clamped() == 0 || clean.Clamped() != 0 {
+		t.Fatalf("clamped %d (pre-clamped %d) over %d bad features", dirty.Clamped(), clean.Clamped(), bad)
+	}
+	if de, ce := dirty.DriftEvents(), clean.DriftEvents(); len(de) == 0 || !slices.Equal(de, ce) {
+		t.Fatalf("drift events %v, want %v", de, ce)
+	}
+	requireSameAccounting(t, dirty, clean, dirtyOps, cleanOps, health.Snapshot{Clamped: dirty.Clamped()})
 }
 
 func TestGuardRejectReplaysLastGood(t *testing.T) {

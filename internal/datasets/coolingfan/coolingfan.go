@@ -141,7 +141,7 @@ func addPeak(spec []float64, f, amp float64) {
 			continue
 		}
 		d := float64(b) - f
-		spec[b-1] += amp * math.Exp(-d*d/0.8)
+		spec[b-1] += float64(amp * math.Exp(-d*d/0.8))
 	}
 }
 
@@ -182,7 +182,7 @@ func (g *Generator) Spectrum(kind FanKind, env Env) []float64 {
 	}
 
 	// Blade-pass frequency and chipped-blade sidebands.
-	bpf := float64(p.Blades) * p.Rotation
+	bpf := float64(float64(p.Blades) * p.Rotation)
 	if bpf <= Features {
 		addPeak(spec, bpf, jit(0.8*p.BaseAmp))
 		if kind == Chipped {

@@ -157,7 +157,7 @@ func Generate(p Params) *Dataset {
 		if specR.Bernoulli(0.3) {
 			dir = -1
 		}
-		attack.mean[j] = normal.mean[j] + dir*p.Separation*specR.Uniform(0.7, 1.3)
+		attack.mean[j] = normal.mean[j] + float64(dir*p.Separation*specR.Uniform(0.7, 1.3))
 	}
 	for _, j := range quiet {
 		normal.std[j] = specR.Uniform(0.005, 0.02)
@@ -189,7 +189,7 @@ func Generate(p Params) *Dataset {
 		if dec > 1 {
 			dec = 1
 		}
-		attackPost.mean[j] = normal.mean[j] + (attack.mean[j]-normal.mean[j])*dec
+		attackPost.mean[j] = normal.mean[j] + float64((attack.mean[j]-normal.mean[j])*dec)
 	}
 
 	ds := &Dataset{DriftAt: p.DriftAt}

@@ -93,11 +93,11 @@ func (g *Gaussian) Interp(other Source, t float64) Source {
 	for c := range means {
 		m := make([]float64, len(g.Means[c]))
 		for j := range m {
-			m[j] = (1-t)*g.Means[c][j] + t*o.Means[c][j]
+			m[j] = float64((1-t)*g.Means[c][j]) + float64(t*o.Means[c][j])
 		}
 		means[c] = m
 	}
-	return &Gaussian{Means: means, Std: (1-t)*g.Std + t*o.Std, Weights: g.Weights}
+	return &Gaussian{Means: means, Std: float64((1-t)*g.Std) + float64(t*o.Std), Weights: g.Weights}
 }
 
 // Kind is a drift shape from Figure 1.

@@ -206,18 +206,3 @@ func Nearest(centroids [][]float64, x []float64) (idx int, sq float64) {
 	}
 	return idx, sq
 }
-
-// NearestL1 returns the index of the centroid closest in L1 distance to x,
-// and that distance — the metric the paper's Algorithms 2–4 use.
-func NearestL1(centroids [][]float64, x []float64) (idx int, dist float64) {
-	if len(centroids) == 0 {
-		panic("kmeans: NearestL1 with no centroids")
-	}
-	idx, dist = 0, math.Inf(1)
-	for c, cent := range centroids {
-		if d := mat.L1Dist(x, cent); d < dist {
-			idx, dist = c, d
-		}
-	}
-	return idx, dist
-}

@@ -142,16 +142,11 @@ func TestSeedPlusPlusDegenerateData(t *testing.T) {
 	}
 }
 
-func TestNearestAndNearestL1(t *testing.T) {
+func TestNearest(t *testing.T) {
 	cents := [][]float64{{0, 0}, {10, 0}}
 	idx, sq := Nearest(cents, []float64{1, 0})
 	if idx != 0 || sq != 1 {
 		t.Fatalf("Nearest = %d, %v", idx, sq)
-	}
-	idx, d := NearestL1(cents, []float64{6, 3})
-	// L1 to (0,0)=9, to (10,0)=7 → cluster 1
-	if idx != 1 || d != 7 {
-		t.Fatalf("NearestL1 = %d, %v", idx, d)
 	}
 }
 

@@ -4,7 +4,8 @@ import "unsafe"
 
 // Float64 SIMD path. The generic entry points MulVec, MulVecTrans,
 // MulVecTransSqDist, Dot and AddScaledOuter (and the batch forms built
-// on them) dispatch here when their element type is 8 bytes wide
+// on them) dispatch here, and RunningMeanUpdateL1Dist straight to its
+// kernel, when their element type is 8 bytes wide
 // (float64, or a type defined over it) and the CPU has AVX
 // (f64_amd64.s). unsafe.Sizeof of a type parameter folds to a constant
 // in each shape instantiation, so the float32 instantiations compile the

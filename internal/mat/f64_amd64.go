@@ -15,6 +15,9 @@ func axpy1F64Asm(dst, b *float64, s float64, n int)
 func outer4F64Asm(m *float64, ldm int, v *float64, s *[4]float64, n int)
 
 //go:noescape
+func runningMeanL1F64Asm(mean, x, ref *float64, n int, fn, inv float64) float64
+
+//go:noescape
 func sigmoidF64Asm(dst, bias *float64, groups int) int
 
 //go:noescape

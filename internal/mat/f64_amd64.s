@@ -17,35 +17,79 @@
 #include "textflag.h"
 #include "sqdist_amd64.h"
 
+// MVTRANSPOSE turns four row accumulators a0..a3, each holding
+// dotKernel's s_0..s_3 of one row, into a_k = s_k of the four rows.
+// Clobbers t0..t3.
+#define MVTRANSPOSE(a0, a1, a2, a3, t0, t1, t2, t3) \
+	VUNPCKLPD a1, a0, t0; \
+	VUNPCKHPD a1, a0, t1; \
+	VUNPCKLPD a3, a2, t2; \
+	VUNPCKHPD a3, a2, t3; \
+	VPERM2F128 $0x20, t2, t0, a0; \
+	VPERM2F128 $0x20, t3, t1, a1; \
+	VPERM2F128 $0x31, t2, t0, a2; \
+	VPERM2F128 $0x31, t3, t1, a3
+
+// MVREDUCE is dotKernel's (s_0+s_1)+(s_2+s_3) for four rows, into a0.
+#define MVREDUCE(a0, a1, a2, a3) \
+	VADDPD a1, a0, a0; \
+	VADDPD a3, a2, a2; \
+	VADDPD a2, a0, a0
+
+// MVSTEP(row, acc) adds x·row for the four elements at byte offset AX
+// to acc; x is in Y8. Clobbers Y9.
+#define MVSTEP(row, acc) \
+	VMULPD (row)(AX*1), Y8, Y9; \
+	VADDPD Y9, acc, acc
+
 // func mulVecF64Asm(dst, w, x *float64, rows, cols int)
 //
 // dst[r] = dotKernel(row r of w, x) for the row-major rows×cols slab w,
-// cols >= 4: the whole matvec in one call. Four rows run side by side,
-// each keeping dotKernel's four strided accumulators s_k as the lanes of
-// one YMM register, and one x load feeds all four. After the 4-element
-// steps the four registers are transposed so that S_k holds s_k of all
-// four rows; the cols%4 tail elements then fold into S_0 in order, and
+// cols >= 4: the whole matvec in one call. Rows run side by side, each
+// keeping dotKernel's four strided accumulators s_k as the lanes of one
+// YMM register, and one x load feeds them all. After the 4-element
+// steps each set of four rows is transposed so that S_k holds s_k of
+// all four; the cols%4 tail elements then fold into S_0 in order, and
 // (S_0+S_1)+(S_2+S_3) is dotKernel's reduction for four rows at once.
-// The rows%4 leftover rows rerun the last four rows as one group: a
-// row's result depends only on that row and x, so the rows it recomputes
-// are stored again with the same bits. Under four rows, each row runs
-// alone with all four lanes on it (zero row stride) and only lane 0 is
-// stored.
+//
+// Each s_k is a serial add chain, so a step takes an add's latency
+// however few rows share it: a group of one to three rows costs as much
+// as a group of four. Rows therefore go in groups of four, except that
+// the rows%4 leftover rows join the last four in one group of five to
+// seven whose step multiplies only its own rows, so no row is computed
+// twice. A matrix of under four rows runs as one group of four whose
+// absent rows alias row 0, free by the same argument, and are never
+// stored. In the wide group the absent rows alias row 4 for the tail
+// only, and their accumulators stay zero.
 TEXT ·mulVecF64Asm(SB), NOSPLIT, $0-40
 	MOVQ dst+0(FP), R8
 	MOVQ w+8(FP), SI
 	MOVQ x+16(FP), DI
-	MOVQ rows+24(FP), R12
+	MOVQ rows+24(FP), R12  // rows left
 	MOVQ cols+32(FP), R13
 	MOVQ R13, DX
 	SHLQ $3, DX            // row stride in bytes
 	CMPQ R12, $4
 	JAE  mvgroup
-	XORQ DX, DX            // under four rows: one row per group
+	MOVQ SI, R9            // under four rows: absent rows alias row 0
+	MOVQ SI, R10
+	MOVQ SI, R11
+	CMPQ R12, $2
+	JB   mvrows
+	LEAQ (SI)(DX*1), R9
+	JE   mvrows
+	LEAQ (SI)(DX*2), R10
+	JMP  mvrows
 mvgroup:
-	LEAQ (SI)(DX*1), R9    // row 1
-	LEAQ (SI)(DX*2), R10   // row 2
-	LEAQ (R9)(DX*2), R11   // row 3
+	CMPQ R12, $8
+	JAE  mvfour
+	CMPQ R12, $4
+	JA   mvwide
+mvfour:
+	LEAQ (SI)(DX*1), R9
+	LEAQ (SI)(DX*2), R10
+	LEAQ (R9)(DX*2), R11
+mvrows:
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
@@ -53,71 +97,147 @@ mvgroup:
 	XORQ AX, AX            // byte offset into every row and x
 	MOVQ R13, BX
 	SHRQ $2, BX            // 4-element steps
-mvloop:
-	VMOVUPD (DI)(AX*1), Y4
-	VMULPD (SI)(AX*1), Y4, Y5
-	VADDPD Y5, Y0, Y0
-	VMULPD (R9)(AX*1), Y4, Y6
-	VADDPD Y6, Y1, Y1
-	VMULPD (R10)(AX*1), Y4, Y7
-	VADDPD Y7, Y2, Y2
-	VMULPD (R11)(AX*1), Y4, Y8
-	VADDPD Y8, Y3, Y3
+mvloop4:
+	VMOVUPD (DI)(AX*1), Y8
+	MVSTEP(SI, Y0)
+	MVSTEP(R9, Y1)
+	MVSTEP(R10, Y2)
+	MVSTEP(R11, Y3)
 	ADDQ $32, AX
 	DECQ BX
-	JNZ  mvloop
-	// Transpose: Y_k = s_k of rows 0..3.
-	VUNPCKLPD Y1, Y0, Y4   // r0s0 r1s0 r0s2 r1s2
-	VUNPCKHPD Y1, Y0, Y5   // r0s1 r1s1 r0s3 r1s3
-	VUNPCKLPD Y3, Y2, Y6   // r2s0 r3s0 r2s2 r3s2
-	VUNPCKHPD Y3, Y2, Y7   // r2s1 r3s1 r2s3 r3s3
-	VPERM2F128 $0x20, Y6, Y4, Y0
-	VPERM2F128 $0x20, Y7, Y5, Y1
-	VPERM2F128 $0x31, Y6, Y4, Y2
-	VPERM2F128 $0x31, Y7, Y5, Y3
+	JNZ  mvloop4
+	MVTRANSPOSE(Y0, Y1, Y2, Y3, Y8, Y9, Y10, Y11)
 	MOVQ R13, BX
 	ANDQ $3, BX
 	JZ   mvreduce
 mvtail:
-	VMOVSD (SI)(AX*1), X4
-	VMOVHPD (R9)(AX*1), X4, X4
-	VMOVSD (R10)(AX*1), X5
-	VMOVHPD (R11)(AX*1), X5, X5
-	VINSERTF128 $1, X5, Y4, Y4
-	VBROADCASTSD (DI)(AX*1), Y5
-	VMULPD Y5, Y4, Y4
-	VADDPD Y4, Y0, Y0
+	VMOVSD (SI)(AX*1), X8
+	VMOVHPD (R9)(AX*1), X8, X8
+	VMOVSD (R10)(AX*1), X9
+	VMOVHPD (R11)(AX*1), X9, X9
+	VINSERTF128 $1, X9, Y8, Y8
+	VBROADCASTSD (DI)(AX*1), Y9
+	VMULPD Y9, Y8, Y8
+	VADDPD Y8, Y0, Y0
 	ADDQ $8, AX
 	DECQ BX
 	JNZ  mvtail
 mvreduce:
-	VADDPD Y1, Y0, Y0
-	VADDPD Y3, Y2, Y2
-	VADDPD Y2, Y0, Y0
-	TESTQ DX, DX
-	JZ   mvone
+	MVREDUCE(Y0, Y1, Y2, Y3)
+	CMPQ R12, $4
+	JB   mvlast
 	VMOVUPD Y0, (R8)
 	LEAQ (SI)(DX*4), SI
 	ADDQ $32, R8
 	SUBQ $4, R12
-	JZ   mvdone
-	CMPQ R12, $4
-	JAE  mvgroup
-	// 1–3 rows left: step back so one more group ends at the last row.
-	MOVQ $4, AX
-	SUBQ R12, AX
-	SHLQ $3, AX            // (4−left)·8 bytes of dst
-	SUBQ AX, R8
-	IMULQ R13, AX          // (4−left) rows of w
-	SUBQ AX, SI
-	MOVQ $4, R12
-	JMP  mvgroup
-mvone:
-	VMOVSD X0, (R8)
-	ADDQ $8, R8
-	LEAQ (SI)(R13*8), SI
-	DECQ R12
 	JNZ  mvgroup
+	JMP  mvdone
+mvlast:
+	// Store the R12 = 1–3 rows of Y0.
+	CMPQ R12, $2
+	JB   mvlast1
+	VMOVUPD X0, (R8)
+	JE   mvdone
+	VEXTRACTF128 $1, Y0, X1
+	VMOVSD X1, 16(R8)
+	JMP  mvdone
+mvlast1:
+	VMOVSD X0, (R8)
+	JMP  mvdone
+
+mvwide:
+	// Five to seven rows left: rows 0–3 in Y0–Y3 and rows 4–6 in Y4–Y6,
+	// with row 7's Y7 at zero. Rows 5 and 6 alias row 4 where absent.
+	LEAQ (SI)(DX*1), R9
+	LEAQ (SI)(DX*2), R10
+	LEAQ (R9)(DX*2), R11
+	LEAQ (SI)(DX*4), CX    // row 4
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	XORQ AX, AX
+	MOVQ R13, BX
+	SHRQ $2, BX
+	CMPQ R12, $6           // MOVQ and LEAQ leave the flags alone
+	MOVQ CX, R12           // row 5
+	MOVQ CX, R13           // row 6
+	JB   mvloop5
+	LEAQ (CX)(DX*1), R12
+	JE   mvloop6
+	LEAQ (CX)(DX*2), R13
+mvloop7:
+	VMOVUPD (DI)(AX*1), Y8
+	MVSTEP(SI, Y0)
+	MVSTEP(R9, Y1)
+	MVSTEP(R10, Y2)
+	MVSTEP(R11, Y3)
+	MVSTEP(CX, Y4)
+	MVSTEP(R12, Y5)
+	MVSTEP(R13, Y6)
+	ADDQ $32, AX
+	DECQ BX
+	JNZ  mvloop7
+	JMP  mvwidefinish
+mvloop6:
+	VMOVUPD (DI)(AX*1), Y8
+	MVSTEP(SI, Y0)
+	MVSTEP(R9, Y1)
+	MVSTEP(R10, Y2)
+	MVSTEP(R11, Y3)
+	MVSTEP(CX, Y4)
+	MVSTEP(R12, Y5)
+	ADDQ $32, AX
+	DECQ BX
+	JNZ  mvloop6
+	JMP  mvwidefinish
+mvloop5:
+	VMOVUPD (DI)(AX*1), Y8
+	MVSTEP(SI, Y0)
+	MVSTEP(R9, Y1)
+	MVSTEP(R10, Y2)
+	MVSTEP(R11, Y3)
+	MVSTEP(CX, Y4)
+	ADDQ $32, AX
+	DECQ BX
+	JNZ  mvloop5
+mvwidefinish:
+	MVTRANSPOSE(Y0, Y1, Y2, Y3, Y8, Y9, Y10, Y11)
+	MVTRANSPOSE(Y4, Y5, Y6, Y7, Y8, Y9, Y10, Y11)
+	MOVQ cols+32(FP), BX
+	ANDQ $3, BX
+	JZ   mvwidereduce
+mvwidetail:
+	VMOVSD (SI)(AX*1), X8
+	VMOVHPD (R9)(AX*1), X8, X8
+	VMOVSD (R10)(AX*1), X9
+	VMOVHPD (R11)(AX*1), X9, X9
+	VINSERTF128 $1, X9, Y8, Y8
+	VMOVSD (CX)(AX*1), X9
+	VMOVHPD (R12)(AX*1), X9, X9
+	VMOVSD (R13)(AX*1), X10 // row 7's lane loads +0
+	VINSERTF128 $1, X10, Y9, Y9
+	VBROADCASTSD (DI)(AX*1), Y10
+	VMULPD Y10, Y8, Y8
+	VADDPD Y8, Y0, Y0
+	VMULPD Y10, Y9, Y9
+	VADDPD Y9, Y4, Y4
+	ADDQ $8, AX
+	DECQ BX
+	JNZ  mvwidetail
+mvwidereduce:
+	MVREDUCE(Y0, Y1, Y2, Y3)
+	MVREDUCE(Y4, Y5, Y6, Y7)
+	VMOVUPD Y0, (R8)
+	ADDQ $32, R8
+	VMOVAPD Y4, Y0
+	MOVQ rows+24(FP), R12
+	ANDQ $3, R12           // the rows past the first four
+	JMP  mvlast
 mvdone:
 	VZEROUPPER
 	RET
@@ -482,6 +602,62 @@ o4tailloop:
 	DECQ CX
 	JNZ  o4tailloop
 o4done:
+	VZEROUPPER
+	RET
+
+// func runningMeanL1F64Asm(mean, x, ref *float64, n int, fn, inv float64) float64
+//
+// mean[i] = (mean[i]·fn + x[i])·inv for i in [0, n), returning
+// Σ |mean[i] − ref[i]| over the updated elements, added in element
+// order: RunningMeanUpdateL1Dist's loop. Four elements are updated per
+// step with VMULPD, VADDPD, VMULPD (no FMA, each product and sum
+// rounded as MULSD/ADDSD round them) and stored; their distances to ref
+// (VSUBPD, then VANDPD clearing the sign as math.Abs does) join the
+// serial sum one lane at a time, so the n%4 scalar tail continues the
+// same chain.
+TEXT ·runningMeanL1F64Asm(SB), NOSPLIT, $0-56
+	MOVQ mean+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ ref+16(FP), R11
+	MOVQ n+24(FP), CX
+	VBROADCASTSD fn+32(FP), Y1
+	VBROADCASTSD inv+40(FP), Y2
+	VMOVUPD sigConst<>+480(SB), Y3 // |x| mask
+	VXORPD X14, X14, X14   // Σ |mean − ref|
+	MOVQ CX, BX
+	SHRQ $2, BX
+	JZ   rmtail
+rmloop:
+	VMULPD (DI), Y1, Y0
+	VADDPD (SI), Y0, Y0
+	VMULPD Y2, Y0, Y0
+	VMOVUPD Y0, (DI)
+	VSUBPD (R11), Y0, Y9
+	VANDPD Y3, Y9, Y9
+	SUMLANES_Y9
+	ADDQ $32, DI
+	ADDQ $32, SI
+	ADDQ $32, R11
+	DECQ BX
+	JNZ  rmloop
+rmtail:
+	ANDQ $3, CX
+	JZ   rmdone
+rmtailloop:
+	VMULSD (DI), X1, X0
+	VADDSD (SI), X0, X0
+	VMULSD X2, X0, X0
+	VMOVSD X0, (DI)
+	VSUBSD (R11), X0, X9
+	VANDPD X3, X9, X9
+	VADDSD X9, X14, X14
+	ADDQ $8, DI
+	ADDQ $8, SI
+	ADDQ $8, R11
+	DECQ CX
+	JNZ  rmtailloop
+rmdone:
+	VMOVSD X14, ret+48(FP)
 	VZEROUPPER
 	RET
 

@@ -22,6 +22,10 @@ func outer4F64Asm(m *float64, ldm int, v *float64, s *[4]float64, n int) {
 	panic("mat: outer4F64Asm called without SIMD support")
 }
 
+func runningMeanL1F64Asm(mean, x, ref *float64, n int, fn, inv float64) float64 {
+	panic("mat: runningMeanL1F64Asm called without SIMD support")
+}
+
 func sigmoidF64Asm(dst, bias *float64, groups int) int {
 	panic("mat: sigmoidF64Asm called without SIMD support")
 }

@@ -15,8 +15,10 @@ var fusedOp = regexp.MustCompile(`\tFN?M(ADD|SUB)[DS]\t`)
 
 // TestNoFusedMultiplyAddOnArm64 cross-compiles the numeric packages —
 // this one, the oselm, core and stats code that inlines it, kmeans'
-// centroid update and the root package's Eq. 1 θ_error — for arm64 and
-// asserts the compiler emitted no fused multiply-add in any of them.
+// centroid update, the root package's Eq. 1 θ_error, and the random
+// numbers and generated streams every golden starts from (rng and the
+// three dataset generators) — for arm64 and asserts the compiler
+// emitted no fused multiply-add in any of them.
 // The Go spec lets a compiler fuse x*y+z into one rounding unless the
 // product is explicitly converted, and gc does so on arm64 (never on
 // amd64 at the default GOAMD64=v1), so every product feeding an add in
@@ -29,7 +31,8 @@ func TestNoFusedMultiplyAddOnArm64(t *testing.T) {
 	if _, err := os.Stat(goBin); err != nil {
 		t.Skipf("no go command next to the test's GOROOT: %v", err)
 	}
-	for _, pkg := range []string{".", "../oselm", "../core", "../stats", "../kmeans", "../.."} {
+	for _, pkg := range []string{".", "../oselm", "../core", "../stats", "../kmeans", "../..",
+		"../rng", "../datasets/nslkdd", "../datasets/coolingfan", "../datasets/synth"} {
 		cmd := exec.Command(goBin, "build", "-gcflags=-S", pkg)
 		cmd.Env = append(os.Environ(), "GOOS=linux", "GOARCH=arm64", "CGO_ENABLED=0")
 		out, err := cmd.CombinedOutput()

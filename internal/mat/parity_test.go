@@ -259,8 +259,8 @@ func requireBitsEqual(t *testing.T, got, want []float64, strict bool, what strin
 // f64KernelOutputs runs every float64 kernel that dispatches to the SIMD
 // path on one rows×cols weight matrix and returns their outputs in
 // order: Dot, MulVec, MulVecTrans, MulVecTransSqDist (dst, then the
-// returned sum against v), AddScaledOuter, MulBatchRows and
-// MulBatchTrans.
+// returned sum against v), AddScaledOuter, MulBatchRows, MulBatchTrans
+// and RunningMeanUpdateL1Dist (the mean, then the distance).
 func f64KernelOutputs(w *Matrix, x, xh, u, v []float64, s float64, a *Matrix) [][]float64 {
 	rows, cols, n := w.Rows, w.Cols, a.Rows
 	dot := []float64{Dot(w.Row(0), x), Dot(x, x)}
@@ -283,10 +283,14 @@ func f64KernelOutputs(w *Matrix, x, xh, u, v []float64, s float64, a *Matrix) []
 	MulBatchRows(batch, xs, w)
 	batchT := New(n, cols)
 	MulBatchTrans(batchT, a, w)
-	return [][]float64{dot, mv, mvt, mvts, outer.Data, batch.Data, batchT.Data}
+	// The window step: w's row 0 is the running mean, x the sample and v
+	// the trained centroid; the updated mean, then the distance.
+	mean := append([]float64(nil), w.Row(0)...)
+	_, l1 := RunningMeanUpdateL1Dist(mean, rows*cols, x, v)
+	return [][]float64{dot, mv, mvt, mvts, outer.Data, batch.Data, batchT.Data, append(mean, l1)}
 }
 
-var f64KernelNames = []string{"Dot", "MulVec", "MulVecTrans", "MulVecTransSqDist", "AddScaledOuter", "MulBatchRows", "MulBatchTrans"}
+var f64KernelNames = []string{"Dot", "MulVec", "MulVecTrans", "MulVecTransSqDist", "AddScaledOuter", "MulBatchRows", "MulBatchTrans", "RunningMeanUpdateL1Dist"}
 
 // TestF64SIMDMatchesGo pins the float64 SIMD contract: every dispatched
 // kernel returns exactly the bits of the generic Go code, across
@@ -322,6 +326,46 @@ func TestF64SIMDMatchesGo(t *testing.T) {
 			for k := range want {
 				what := fmt.Sprintf("%s %s n=%d %dx%d", reg.name, f64KernelNames[k], sh.n, sh.h, sh.d)
 				requireBitsEqual(t, got[k], want[k], reg.strict, what)
+			}
+		}
+	}
+}
+
+// TestMulVecShortGroupMatchesGo pins the W·x kernel's last group of
+// 1–3 rows: every rows%4 alone and after one to five full groups, at
+// widths with and without a cols%4 tail, in every f64Regimes regime.
+// dst is a window into a larger buffer, so a store past its last row
+// shows as a changed sentinel.
+func TestMulVecShortGroupMatchesGo(t *testing.T) {
+	if !f64SIMD {
+		t.Skip("float64 SIMD kernels not available on this CPU")
+	}
+	defer func() { f64SIMD = true }()
+	rng := rand.New(rand.NewSource(16))
+	const sentinel = 12345.5
+	for _, reg := range f64Regimes {
+		for _, rows := range []int{1, 2, 3, 5, 6, 7, 9, 10, 11, 21, 22, 23} {
+			for _, cols := range []int{4, 5, 7, 38, 511} {
+				w := New(rows, cols)
+				x := make([]float64, cols)
+				reg.fill(rng, w.Data)
+				reg.fill(rng, x)
+				buf := make([]float64, rows+4)
+				for i := range buf {
+					buf[i] = sentinel
+				}
+				got, want := buf[:rows], make([]float64, rows)
+				f64SIMD = true
+				MulVec(got, w, x)
+				f64SIMD = false
+				MulVec(want, w, x)
+				f64SIMD = true
+				requireBitsEqual(t, got, want, reg.strict, fmt.Sprintf("%s MulVec %dx%d", reg.name, rows, cols))
+				for i, v := range buf[rows:] {
+					if v != sentinel {
+						t.Fatalf("%s MulVec %dx%d wrote dst[%d] past the last row", reg.name, rows, cols, rows+i)
+					}
+				}
 			}
 		}
 	}
@@ -435,6 +479,7 @@ func TestF64KernelsZeroAlloc(t *testing.T) {
 		{"AddScaledOuter", func() { w.AddScaledOuter(0, u, v) }},
 		{"MulBatchRows", func() { MulBatchRows(batch, xs, w) }},
 		{"MulBatchTrans", func() { MulBatchTrans(batchT, a, w) }},
+		{"RunningMeanUpdateL1Dist", func() { _, l1 := RunningMeanUpdateL1Dist(v, 3, x, mvt); sink += l1 }},
 	} {
 		if allocs := testing.AllocsPerRun(20, k.fn); allocs != 0 {
 			t.Errorf("%s (f64SIMD=%v): %v allocs/op, want 0", k.name, f64SIMD, allocs)

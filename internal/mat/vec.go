@@ -131,7 +131,9 @@ func RunningMeanUpdate[E Element](mean []E, n int, x []E) int {
 // element is measured against ref as it is written. L1Dist's serial
 // add chain bounds the loop, so the update runs in its shadow. Each
 // updated element is rounded explicitly before the subtraction, as its
-// store would round it, so no target fuses it into the distance.
+// store would round it, so no target fuses it into the distance. On
+// the float64 SIMD path one kernel call updates four elements per step
+// and adds their distances to the sum in element order, the same bits.
 func RunningMeanUpdateL1Dist[E Element](mean []E, n int, x, ref []E) (int, float64) {
 	if len(mean) != len(x) || len(ref) != len(x) {
 		panic(ErrShape)
@@ -139,6 +141,9 @@ func RunningMeanUpdateL1Dist[E Element](mean []E, n int, x, ref []E) (int, float
 	mean, ref = mean[:len(x)], ref[:len(x)]
 	fn := E(n)
 	inv := 1 / (fn + 1)
+	if useF64SIMD[E](len(x)) {
+		return n + 1, runningMeanL1F64Asm(&f64View(mean)[0], &f64View(x)[0], &f64View(ref)[0], len(x), float64(fn), float64(inv))
+	}
 	var s E
 	for i, v := range x {
 		m := E((E(mean[i]*fn) + v) * inv)

@@ -59,17 +59,18 @@ func loadBody(r io.Reader) (*Multi, error) {
 	if classes <= 0 || classes > 1<<20 {
 		return nil, ckpt.ErrBadFormat
 	}
-	m := &Multi{
-		instances: make([]*oselm.Autoencoder, classes),
-		scores:    make([]float64, classes),
-	}
-	for i := range m.instances {
+	// The instance list grows as instances arrive: a forged count fails
+	// at the first missing instance having allocated for the ones the
+	// stream carried, not for the 1<<20 it may claim.
+	m := &Multi{}
+	for i := 0; i < classes; i++ {
 		ae, err := oselm.LoadAutoencoder(r)
 		if err != nil {
 			return nil, fmt.Errorf("model: instance %d: %w", i, err)
 		}
-		m.instances[i] = ae
+		m.instances = append(m.instances, ae)
 	}
+	m.scores = make([]float64, classes)
 	c0 := m.instances[0].Model().Config()
 	m.cfg = Config{
 		Classes:     classes,

@@ -79,12 +79,12 @@ func (r *Rand) Split() *Rand { return New(r.Uint64()) }
 
 // Float64 returns a uniform deviate in [0, 1) with 53 bits of precision.
 func (r *Rand) Float64() float64 {
-	return float64(r.Uint64()>>11) * (1.0 / (1 << 53))
+	return float64(float64(r.Uint64()>>11) * (1.0 / (1 << 53)))
 }
 
 // Uniform returns a uniform deviate in [lo, hi).
 func (r *Rand) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.Float64()
+	return lo + float64((hi-lo)*r.Float64())
 }
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
@@ -115,9 +115,9 @@ func (r *Rand) Norm() float64 {
 	}
 	var u, v, s float64
 	for {
-		u = 2*r.Float64() - 1
-		v = 2*r.Float64() - 1
-		s = u*u + v*v
+		u = float64(2*r.Float64()) - 1
+		v = float64(2*r.Float64()) - 1
+		s = float64(u*u) + float64(v*v)
 		if s > 0 && s < 1 {
 			break
 		}
@@ -130,7 +130,7 @@ func (r *Rand) Norm() float64 {
 
 // Normal returns a normal deviate with the given mean and standard
 // deviation.
-func (r *Rand) Normal(mean, std float64) float64 { return mean + std*r.Norm() }
+func (r *Rand) Normal(mean, std float64) float64 { return mean + float64(std*r.Norm()) }
 
 // Perm returns a uniformly random permutation of [0, n).
 func (r *Rand) Perm(n int) []int {

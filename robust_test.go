@@ -2,10 +2,12 @@ package edgedrift
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -248,22 +250,52 @@ func TestLoadMonitorFileCorruptMatchesErrBadFormat(t *testing.T) {
 	}
 }
 
-func FuzzLoadMonitor(f *testing.F) {
+// fuzzArtifact returns the monitor artifact FuzzLoadMonitor starts from,
+// and a copy whose model header claims 1<<20 classes, the most a
+// header may claim, while carrying the artifact's two.
+func fuzzArtifact(tb testing.TB) (full, forged []byte) {
+	tb.Helper()
 	mon, err := New(Options{Classes: 2, Inputs: 3, Hidden: 4, Window: 20, Seed: 1, NRecon: 100})
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
 	trainX, trainY, _ := scenario(40)
 	if err := mon.Fit(trainX, trainY); err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
 	var buf bytes.Buffer
 	if err := mon.Save(&buf, Float32); err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
-	full := buf.Bytes()
+	full = buf.Bytes()
+	forged = append([]byte(nil), full...)
+	binary.LittleEndian.PutUint32(forged[len("MULTI2"):], 1<<20)
+	return full, forged
+}
+
+// TestLoadMonitorForgedClassCount pins that a forged class count fails
+// as ErrBadFormat having allocated for the instances the stream
+// carried, not the 16 MiB of instance and score slots its count
+// claims.
+func TestLoadMonitorForgedClassCount(t *testing.T) {
+	_, forged := fuzzArtifact(t)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := LoadMonitor(bytes.NewReader(forged))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrBadFormat) {
+		t.Fatalf("err = %v, want ErrBadFormat", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+		t.Fatalf("forged class count allocated %d bytes", n)
+	}
+}
+
+func FuzzLoadMonitor(f *testing.F) {
+	full, forged := fuzzArtifact(f)
 	f.Add(full)
 	f.Add(full[:len(full)/3])
+	f.Add(forged)
 	f.Add([]byte("MULTI2"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
