@@ -41,10 +41,10 @@ func MulVecF32(dst []float32, m *MatrixOf[float32], x []float32) {
 	// rerunning the last four rows as one step, or, under four rows,
 	// from one step per row with a zero row stride.
 	w := m.Data
-	cols := len(x)
+	cols, st := len(x), m.stride()
 	if !f32SIMD || cols < f32SIMDMinLen {
 		for i := range dst {
-			dst[i] = dotKernel(w[i*cols:i*cols+cols], x)
+			dst[i] = dotKernel(m.Row(i), x)
 		}
 		return
 	}
@@ -53,26 +53,27 @@ func MulVecF32(dst []float32, m *MatrixOf[float32], x []float32) {
 	var s [4]float32
 	if g == 0 {
 		for r := range dst {
-			dotRowsF32Asm(&s[0], &w[r*cols], 0, &x[0], cols, 1)
+			dotRowsF32Asm(&s[0], &w[r*st], 0, &x[0], cols, 1)
 			dst[r] = s[0]
 		}
 		return
 	}
-	dotRowsF32Asm(&dst[0], &w[0], cols, &x[0], cols, g)
+	dotRowsF32Asm(&dst[0], &w[0], st, &x[0], cols, g)
 	if rem := rows - 4*g; rem > 0 {
-		dotRowsF32Asm(&s[0], &w[(rows-4)*cols], cols, &x[0], cols, 1)
+		dotRowsF32Asm(&s[0], &w[(rows-4)*st], st, &x[0], cols, 1)
 		copy(dst[4*g:], s[4-rem:])
 	}
 }
 
 // MulVecTransF32 computes dst = mᵀ·x — the float32 MulVecTrans, in one
 // SIMD call that keeps blocks of dst in registers across all rows (the
-// zero-skip on tail rows mirrors the generic kernel).
+// zero-skip on tail rows mirrors the generic kernel). The SIMD kernel
+// walks dense rows; a strided m takes the generic kernel.
 func MulVecTransF32(dst []float32, m *MatrixOf[float32], x []float32) {
 	if len(x) != m.Rows || len(dst) != m.Cols {
 		panic(ErrShape)
 	}
-	if !f32SIMD || m.Cols < f32SIMDMinLen {
+	if !f32SIMD || m.Cols < f32SIMDMinLen || m.stride() != m.Cols {
 		MulVecTrans(dst, m, x)
 		return
 	}
@@ -92,7 +93,7 @@ func MulVecTransSqDistF32(wide []float64, dst []float32, m *MatrixOf[float32], h
 	if len(h) != m.Rows || len(dst) != m.Cols || len(wide) != len(dst) || len(ref) != len(dst) {
 		panic(ErrShape)
 	}
-	if !f32SIMD || m.Cols < f32SIMDMinLen {
+	if !f32SIMD || m.Cols < f32SIMDMinLen || m.stride() != m.Cols {
 		MulVecTransF32(dst, m, h)
 		ConvertVec(wide, dst)
 		return SqDist(ref, wide)
@@ -112,19 +113,22 @@ func useF32AVX[E Element](n int) bool {
 }
 
 // addScaledOuterF32 is AddScaledOuter on the AVX path for float32:
-// m ← m + s·u·vᵀ for the row-major len(u)×len(v) slab m, one kernel
-// call per row, skipping the zero rows past the last multiple of four
-// exactly as the generic code does.
-func addScaledOuterF32(m []float32, s float32, u, v []float32) {
+// m ← m + s·u·vᵀ for the row-major len(u)×len(v) slab m, whose rows
+// start stride elements apart, one kernel call per row, skipping the
+// zero rows past the last multiple of four exactly as the generic code
+// does.
+func addScaledOuterF32(m []float32, s float32, u, v []float32, stride int) {
 	cols := len(v)
 	n4 := len(u) &^ 3
-	_ = m[len(u)*cols-1]
+	if len(u) > 0 {
+		_ = m[(len(u)-1)*stride+cols-1]
+	}
 	for i, ui := range u {
 		su := s * ui
 		if su == 0 && i >= n4 {
 			continue
 		}
-		outerRowF32Asm(&m[i*cols], &v[0], su, cols)
+		outerRowF32Asm(&m[i*stride], &v[0], su, cols)
 	}
 }
 

@@ -64,18 +64,19 @@ func f32View[E Element](s []E) []float32 {
 // len(a) >= 4, len(b) >= len(a).
 func dotF64(a, b []float64) float64 {
 	var s float64
-	mulVecF64Asm(&s, &a[0], &b[0], 1, len(a))
+	mulVecF64Asm(&s, &a[0], &b[0], 1, len(a), len(a))
 	return s
 }
 
 // mulVecF64 sets dst[r] = dotKernel(row r of w, x) for the row-major
-// len(dst)×len(x) slab w in one kernel call; len(x) >= 4.
-func mulVecF64(dst, w, x []float64) {
+// len(dst)×len(x) slab w, whose rows start stride elements apart, in
+// one kernel call; len(x) >= 4.
+func mulVecF64(dst, w, x []float64, stride int) {
 	if len(dst) == 0 {
 		return
 	}
-	_ = w[len(dst)*len(x)-1]
-	mulVecF64Asm(&dst[0], &w[0], &x[0], len(dst), len(x))
+	_ = w[(len(dst)-1)*stride+len(x)-1]
+	mulVecF64Asm(&dst[0], &w[0], &x[0], len(dst), len(x), stride)
 }
 
 // mulVecTransChunk is how many rows of w one mulVecTransF64Asm call
@@ -87,39 +88,40 @@ func mulVecF64(dst, w, x []float64) {
 const mulVecTransChunk = 32
 
 // mulVecTransF64 is MulVecTrans on the AVX path: dst = wᵀ·x for the
-// row-major len(x)×len(dst) slab w; len(dst) >= 4. With ref non-nil
-// (len(ref) == len(dst)) it also returns SqDist(ref, dst), added inside
-// the last pass; otherwise 0.
-func mulVecTransF64(dst, w, x, ref []float64) float64 {
+// row-major len(x)×len(dst) slab w, whose rows start stride elements
+// apart; len(dst) >= 4. With ref non-nil (len(ref) == len(dst)) it also
+// returns SqDist(ref, dst), added inside the last pass; otherwise 0.
+func mulVecTransF64(dst, w, x, ref []float64, stride int) float64 {
 	rows, cols := len(x), len(dst)
-	if len(w) < rows*cols {
+	if rows > 0 && len(w) < (rows-1)*stride+cols {
 		panic(ErrShape)
 	}
 	acc, r := 0, 0
 	for ; rows-r > mulVecTransChunk; r += mulVecTransChunk {
-		mulVecTransF64Asm(&dst[0], &w[r*cols], &x[r], mulVecTransChunk, cols, nil, acc)
+		mulVecTransF64Asm(&dst[0], &w[r*stride], &x[r], mulVecTransChunk, cols, stride, nil, acc)
 		acc = 1
 	}
-	return mulVecTransF64Asm(&dst[0], unsafe.SliceData(w[r*cols:]), unsafe.SliceData(x[r:]), rows-r, cols, unsafe.SliceData(ref), acc)
+	return mulVecTransF64Asm(&dst[0], unsafe.SliceData(w[r*stride:]), unsafe.SliceData(x[r:]), rows-r, cols, stride, unsafe.SliceData(ref), acc)
 }
 
 // addScaledOuterF64 is AddScaledOuter on the AVX path: m ← m + s·u·vᵀ
-// for the row-major len(u)×len(v) slab m; len(v) >= 4.
-func addScaledOuterF64(m []float64, s float64, u, v []float64) {
+// for the row-major len(u)×len(v) slab m, whose rows start stride
+// elements apart; len(v) >= 4.
+func addScaledOuterF64(m []float64, s float64, u, v []float64, stride int) {
 	cols := len(v)
 	n4 := len(u) &^ 3
 	var su [4]float64
 	i := 0
 	for ; i < n4; i += 4 {
-		rows := m[i*cols : (i+4)*cols]
+		rows := m[i*stride : (i+3)*stride+cols]
 		su = [4]float64{s * u[i], s * u[i+1], s * u[i+2], s * u[i+3]}
-		outer4F64Asm(&rows[0], cols, &v[0], &su, cols)
+		outer4F64Asm(&rows[0], stride, &v[0], &su, cols)
 	}
 	for ; i < len(u); i++ {
 		sui := s * u[i]
 		if sui == 0 {
 			continue
 		}
-		axpy1F64Asm(&m[i*cols], &v[0], sui, cols)
+		axpy1F64Asm(&m[i*stride], &v[0], sui, cols)
 	}
 }

@@ -3,10 +3,10 @@
 package mat
 
 //go:noescape
-func mulVecF64Asm(dst, w, x *float64, rows, cols int)
+func mulVecF64Asm(dst, w, x *float64, rows, cols, stride int)
 
 //go:noescape
-func mulVecTransF64Asm(dst, w, x *float64, rows, cols int, ref *float64, acc int) float64
+func mulVecTransF64Asm(dst, w, x *float64, rows, cols, stride int, ref *float64, acc int) float64
 
 //go:noescape
 func axpy1F64Asm(dst, b *float64, s float64, n int)

@@ -42,12 +42,13 @@
 	VMULPD (row)(AX*1), Y8, Y9; \
 	VADDPD Y9, acc, acc
 
-// func mulVecF64Asm(dst, w, x *float64, rows, cols int)
+// func mulVecF64Asm(dst, w, x *float64, rows, cols, stride int)
 //
 // dst[r] = dotKernel(row r of w, x) for the row-major rows×cols slab w,
-// cols >= 4: the whole matvec in one call. Rows run side by side, each
-// keeping dotKernel's four strided accumulators s_k as the lanes of one
-// YMM register, and one x load feeds them all. After the 4-element
+// whose rows start stride elements apart, cols >= 4: the whole matvec
+// in one call. Rows run side by side, each keeping dotKernel's four
+// strided accumulators s_k as the lanes of one YMM register, and one x
+// load feeds them all. After the 4-element
 // steps each set of four rows is transposed so that S_k holds s_k of
 // all four; the cols%4 tail elements then fold into S_0 in order, and
 // (S_0+S_1)+(S_2+S_3) is dotKernel's reduction for four rows at once.
@@ -61,13 +62,13 @@
 // absent rows alias row 0, free by the same argument, and are never
 // stored. In the wide group the absent rows alias row 4 for the tail
 // only, and their accumulators stay zero.
-TEXT ·mulVecF64Asm(SB), NOSPLIT, $0-40
+TEXT ·mulVecF64Asm(SB), NOSPLIT, $0-48
 	MOVQ dst+0(FP), R8
 	MOVQ w+8(FP), SI
 	MOVQ x+16(FP), DI
 	MOVQ rows+24(FP), R12  // rows left
 	MOVQ cols+32(FP), R13
-	MOVQ R13, DX
+	MOVQ stride+40(FP), DX
 	SHLQ $3, DX            // row stride in bytes
 	CMPQ R12, $4
 	JAE  mvgroup
@@ -264,9 +265,10 @@ DATA ·sqMask+112(SB)/8, $0xffffffffffffffff
 DATA ·sqMask+120(SB)/8, $0xffffffffffffffff
 GLOBL ·sqMask(SB), RODATA|NOPTR, $128
 
-// func mulVecTransF64Asm(dst, w, x *float64, rows, cols int, ref *float64, acc int) float64
+// func mulVecTransF64Asm(dst, w, x *float64, rows, cols, stride int, ref *float64, acc int) float64
 //
-// dst = wᵀ·x for the row-major rows×cols slab w, cols >= 4, or with
+// dst = wᵀ·x for the row-major rows×cols slab w, whose rows start
+// stride elements apart, cols >= 4, or with
 // acc = 1, dst += wᵀ·x continuing the chains a previous call left in
 // dst. Columns run in blocks of 16, then 4, and a block of dst stays in
 // registers across all rows, so every β element is read once and dst
@@ -283,20 +285,20 @@ GLOBL ·sqMask(SB), RODATA|NOPTR, $128
 // while the next block's β loads are in flight. The rerun block masks
 // the squares of the columns already counted to +0, which leaves the
 // sum's bits unchanged (it is never −0). With ref nil it returns 0.
-TEXT ·mulVecTransF64Asm(SB), NOSPLIT, $0-64
+TEXT ·mulVecTransF64Asm(SB), NOSPLIT, $0-72
 	MOVQ dst+0(FP), DI
 	MOVQ w+8(FP), SI
 	MOVQ x+16(FP), R8
 	MOVQ rows+24(FP), R12
 	MOVQ cols+32(FP), CX   // columns left
-	MOVQ ref+40(FP), R11
-	MOVQ acc+48(FP), R13   // 0: blocks start at +0; 1: from dst
-	MOVQ CX, DX
+	MOVQ stride+40(FP), DX
+	MOVQ ref+48(FP), R11
+	MOVQ acc+56(FP), R13   // 0: blocks start at +0; 1: from dst
 	SHLQ $3, DX            // row stride in bytes
 	LEAQ (DX)(DX*2), R10   // three rows
 	TESTQ R13, R13
 	JZ   mtinit
-	VMOVUPD -32(DI)(DX*1), Y15 // the last four columns' starting values
+	VMOVUPD -32(DI)(CX*8), Y15 // the last four columns' starting values (dst ends at cols, not at the stride)
 mtinit:
 	VXORPD X13, X13, X13   // +0, for the zero-skip test
 	VXORPD X14, X14, X14   // Σ (ref−dst)²
@@ -493,7 +495,7 @@ mtremgo:
 	MOVQ $4, CX
 	JMP  mt4block
 mtdone:
-	VMOVSD X14, ret+56(FP)
+	VMOVSD X14, ret+64(FP)
 	VZEROUPPER
 	RET
 

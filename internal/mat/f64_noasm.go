@@ -6,11 +6,11 @@ package mat
 // never set on other architectures, so these are unreachable; they keep
 // the dispatchers in f64.go and sigmoid.go compiling on every GOARCH.
 
-func mulVecF64Asm(dst, w, x *float64, rows, cols int) {
+func mulVecF64Asm(dst, w, x *float64, rows, cols, stride int) {
 	panic("mat: mulVecF64Asm called without SIMD support")
 }
 
-func mulVecTransF64Asm(dst, w, x *float64, rows, cols int, ref *float64, acc int) float64 {
+func mulVecTransF64Asm(dst, w, x *float64, rows, cols, stride int, ref *float64, acc int) float64 {
 	panic("mat: mulVecTransF64Asm called without SIMD support")
 }
 

@@ -1,12 +1,17 @@
 // Package mat provides small, allocation-conscious dense linear algebra
 // primitives used by the OS-ELM learner and the SPLL drift detector.
 //
-// The package is deliberately minimal: row-major dense matrices, the
-// handful of kernels sequential learning needs (multiply, rank-1
-// updates, symmetric inverses), and nothing else. It trades generality
-// for predictable memory behaviour, which is what the paper's
+// The package is deliberately minimal: row-major matrices, the handful
+// of kernels sequential learning needs (multiply, rank-1 updates,
+// symmetric inverses), and nothing else. It trades generality for
+// predictable memory behaviour, which is what the paper's
 // resource-limited setting is about: every retained buffer is visible
 // and accountable.
+//
+// A matrix's rows are dense unless it carries a row stride: element
+// (i, j) is Data[i*Stride+j], and Stride 0 means Cols. NewAligned is
+// the one constructor that sets a stride, padding wide float64 rows to
+// whole 64-byte cache lines.
 //
 // Since the precision refactor the kernel layer is generic over the
 // element type: the same unrolled loops instantiate at float64 (the
@@ -48,15 +53,22 @@ type Element interface {
 	~float32 | ~float64
 }
 
-// MatrixOf is a dense, row-major matrix of E.
+// MatrixOf is a row-major matrix of E.
 //
 // The zero value is an empty matrix; use New/NewOf or NewFromData to
-// create a sized one. Methods that write results take the receiver as
-// destination where practical so hot loops can reuse storage.
+// create a dense one and NewAligned for cache-line-aligned rows.
+// Methods that write results take the receiver as destination where
+// practical so hot loops can reuse storage.
 type MatrixOf[E Element] struct {
 	Rows, Cols int
+	// Stride is the distance in elements from the start of one row to
+	// the start of the next; 0 means Cols, a dense matrix. The Stride−Cols
+	// elements past each row's end are padding: no method reads them,
+	// and none but Zero writes them.
+	Stride int
 	// Data holds the elements in row-major order: element (i, j) is
-	// Data[i*Cols+j]. len(Data) == Rows*Cols.
+	// Data[i*Stride+j] (Data[i*Cols+j] when dense). len(Data) ==
+	// Rows*Stride.
 	Data []E
 }
 
@@ -73,6 +85,49 @@ func NewOf[E Element](r, c int) *MatrixOf[E] {
 		panic(fmt.Sprintf("mat: negative dimension %dx%d", r, c))
 	}
 	return &MatrixOf[E]{Rows: r, Cols: c, Data: make([]E, r*c)}
+}
+
+// lineBytes is the cache-line size NewAligned aligns rows to.
+const lineBytes = 64
+
+// NewAligned returns a zeroed r×c float64 matrix whose rows each start
+// on a 64-byte cache line, when that is cheap: a row is padded to a
+// whole number of lines (a multiple of 8 float64) only if the padding
+// is at most 1/64 of the row. Otherwise the matrix is dense, as New
+// returns it. At the cooling-fan width c=511 every row gains one
+// element (stride 512, +0.2%); at c=38 (stride 40 would add 5%) and for
+// a 22×22 matrix the rows stay dense. Rows that start mid-line make the
+// wide matvec and rank-1 kernels split loads and stores across lines.
+// The rule pads only rows of at least 64 elements, so a padded slab is
+// at least 512 bytes, and the Go heap places every block that large on
+// a 64-byte boundary: its size classes from 512 B up are multiples of
+// 64, carved from page-aligned spans.
+func NewAligned(r, c int) *Matrix {
+	stride := AlignedStride(c)
+	if stride == c {
+		return New(r, c)
+	}
+	m := New(r, stride)
+	m.Cols, m.Stride = c, stride
+	return m
+}
+
+// AlignedStride returns the row stride NewAligned gives rows of c
+// float64: c itself where it leaves them dense.
+func AlignedStride(c int) int {
+	stride := (c + lineBytes/8 - 1) &^ (lineBytes/8 - 1)
+	if (stride-c)*64 > c { // more than 1/64 of the row
+		return c
+	}
+	return stride
+}
+
+// stride returns the distance in elements between row starts.
+func (m *MatrixOf[E]) stride() int {
+	if m.Stride == 0 {
+		return m.Cols
+	}
+	return m.Stride
 }
 
 // NewFromData wraps data (not copied) as an r×c matrix.
@@ -93,40 +148,50 @@ func Identity(n int) *Matrix {
 }
 
 // At returns element (i, j).
-func (m *MatrixOf[E]) At(i, j int) E { return m.Data[i*m.Cols+j] }
+func (m *MatrixOf[E]) At(i, j int) E { return m.Data[i*m.stride()+j] }
 
 // Set assigns element (i, j).
-func (m *MatrixOf[E]) Set(i, j int, v E) { m.Data[i*m.Cols+j] = v }
+func (m *MatrixOf[E]) Set(i, j int, v E) { m.Data[i*m.stride()+j] = v }
 
-// Row returns a view (not a copy) of row i.
-func (m *MatrixOf[E]) Row(i int) []E { return m.Data[i*m.Cols : (i+1)*m.Cols] }
+// Row returns a view (not a copy) of row i: its Cols elements, without
+// the padding.
+func (m *MatrixOf[E]) Row(i int) []E {
+	o := i * m.stride()
+	return m.Data[o : o+m.Cols : o+m.Cols]
+}
 
-// Clone returns a deep copy of m.
+// Clone returns a dense deep copy of m.
 func (m *MatrixOf[E]) Clone() *MatrixOf[E] {
 	c := NewOf[E](m.Rows, m.Cols)
-	copy(c.Data, m.Data)
+	c.CopyFrom(m)
 	return c
 }
 
-// CopyFrom copies src into m. Shapes must match.
+// CopyFrom copies src's elements into m. Shapes must match; the
+// strides need not.
 func (m *MatrixOf[E]) CopyFrom(src *MatrixOf[E]) {
 	if m.Rows != src.Rows || m.Cols != src.Cols {
 		panic(ErrShape)
 	}
-	copy(m.Data, src.Data)
-}
-
-// Zero sets every element of m to zero.
-func (m *MatrixOf[E]) Zero() {
-	for i := range m.Data {
-		m.Data[i] = 0
+	if m.stride() == m.Cols && src.stride() == src.Cols {
+		copy(m.Data, src.Data)
+		return
+	}
+	for i := 0; i < m.Rows; i++ {
+		copy(m.Row(i), src.Row(i))
 	}
 }
 
+// Zero sets every element of m to zero.
+func (m *MatrixOf[E]) Zero() { clear(m.Data) }
+
 // Scale multiplies every element of m by s in place.
 func (m *MatrixOf[E]) Scale(s E) {
-	for i := range m.Data {
-		m.Data[i] *= s
+	for i := 0; i < m.Rows; i++ {
+		row := m.Row(i)
+		for j := range row {
+			row[j] *= s
+		}
 	}
 }
 
@@ -135,8 +200,9 @@ func (m *MatrixOf[E]) AddDiag(s E) {
 	if m.Rows != m.Cols {
 		panic(ErrShape)
 	}
+	st := m.stride()
 	for i := 0; i < m.Rows; i++ {
-		m.Data[i*m.Cols+i] += s
+		m.Data[i*st+i] += s
 	}
 }
 
@@ -156,7 +222,6 @@ func Mul[E Element](dst, a, b *MatrixOf[E]) {
 		panic(ErrShape)
 	}
 	n := a.Cols
-	bc := b.Cols
 	n4 := n &^ 3
 	n8 := n &^ 7
 	for i := 0; i < a.Rows; i++ {
@@ -169,14 +234,8 @@ func Mul[E Element](dst, a, b *MatrixOf[E]) {
 		for ; k < n8; k += 8 {
 			a0, a1, a2, a3 := arow[k], arow[k+1], arow[k+2], arow[k+3]
 			a4, a5, a6, a7 := arow[k+4], arow[k+5], arow[k+6], arow[k+7]
-			b0 := b.Data[k*bc : k*bc+bc]
-			b1 := b.Data[(k+1)*bc : (k+1)*bc+bc]
-			b2 := b.Data[(k+2)*bc : (k+2)*bc+bc]
-			b3 := b.Data[(k+3)*bc : (k+3)*bc+bc]
-			b4 := b.Data[(k+4)*bc : (k+4)*bc+bc]
-			b5 := b.Data[(k+5)*bc : (k+5)*bc+bc]
-			b6 := b.Data[(k+6)*bc : (k+6)*bc+bc]
-			b7 := b.Data[(k+7)*bc : (k+7)*bc+bc]
+			b0, b1, b2, b3 := b.Row(k), b.Row(k+1), b.Row(k+2), b.Row(k+3)
+			b4, b5, b6, b7 := b.Row(k+4), b.Row(k+5), b.Row(k+6), b.Row(k+7)
 			if len(b0) < len(drow) || len(b1) < len(drow) || len(b2) < len(drow) || len(b3) < len(drow) ||
 				len(b4) < len(drow) || len(b5) < len(drow) || len(b6) < len(drow) || len(b7) < len(drow) {
 				panic(ErrShape) // unreachable; hoists the bounds checks
@@ -188,10 +247,7 @@ func Mul[E Element](dst, a, b *MatrixOf[E]) {
 		}
 		for ; k < n4; k += 4 {
 			a0, a1, a2, a3 := arow[k], arow[k+1], arow[k+2], arow[k+3]
-			b0 := b.Data[k*bc : k*bc+bc]
-			b1 := b.Data[(k+1)*bc : (k+1)*bc+bc]
-			b2 := b.Data[(k+2)*bc : (k+2)*bc+bc]
-			b3 := b.Data[(k+3)*bc : (k+3)*bc+bc]
+			b0, b1, b2, b3 := b.Row(k), b.Row(k+1), b.Row(k+2), b.Row(k+3)
 			if len(b0) < len(drow) || len(b1) < len(drow) || len(b2) < len(drow) || len(b3) < len(drow) {
 				panic(ErrShape) // unreachable; hoists the bounds checks
 			}
@@ -223,9 +279,7 @@ func MulTransA[E Element](dst, a, b *MatrixOf[E]) {
 	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols {
 		panic(ErrShape)
 	}
-	for i := range dst.Data {
-		dst.Data[i] = 0
-	}
+	dst.Zero()
 	n := a.Rows
 	n4 := n &^ 3
 	n8 := n &^ 7
@@ -286,12 +340,11 @@ func MulVec[E Element](dst []E, m *MatrixOf[E], x []E) {
 		panic(ErrShape)
 	}
 	if useF64SIMD[E](len(x)) {
-		mulVecF64(f64View(dst), f64View(m.Data), f64View(x))
+		mulVecF64(f64View(dst), f64View(m.Data), f64View(x), m.stride())
 		return
 	}
-	cols := len(x)
 	for i := range dst {
-		dst[i] = dotKernel(m.Data[i*cols:i*cols+cols], x)
+		dst[i] = dotKernel(m.Row(i), x)
 	}
 }
 
@@ -303,22 +356,18 @@ func MulVecTrans[E Element](dst []E, m *MatrixOf[E], x []E) {
 		panic(ErrShape)
 	}
 	if useF64SIMD[E](m.Cols) {
-		mulVecTransF64(f64View(dst), f64View(m.Data), f64View(x), nil)
+		mulVecTransF64(f64View(dst), f64View(m.Data), f64View(x), nil, m.stride())
 		return
 	}
 	for j := range dst {
 		dst[j] = 0
 	}
-	cols := m.Cols
 	n := m.Rows
 	n4 := n &^ 3
 	var i int
 	for ; i < n4; i += 4 {
 		x0, x1, x2, x3 := x[i], x[i+1], x[i+2], x[i+3]
-		r0 := m.Data[i*cols : i*cols+cols]
-		r1 := m.Data[(i+1)*cols : (i+1)*cols+cols]
-		r2 := m.Data[(i+2)*cols : (i+2)*cols+cols]
-		r3 := m.Data[(i+3)*cols : (i+3)*cols+cols]
+		r0, r1, r2, r3 := m.Row(i), m.Row(i+1), m.Row(i+2), m.Row(i+3)
 		if len(r0) < len(dst) || len(r1) < len(dst) || len(r2) < len(dst) || len(r3) < len(dst) {
 			panic(ErrShape) // unreachable; hoists the bounds checks
 		}
@@ -347,7 +396,7 @@ func MulVecTransSqDist[E Element](dst []E, m *MatrixOf[E], h, ref []E) E {
 		panic(ErrShape)
 	}
 	if useF64SIMD[E](m.Cols) {
-		return E(mulVecTransF64(f64View(dst), f64View(m.Data), f64View(h), f64View(ref)))
+		return E(mulVecTransF64(f64View(dst), f64View(m.Data), f64View(h), f64View(ref), m.stride()))
 	}
 	MulVecTrans(dst, m, h)
 	return SqDist(ref, dst)
@@ -365,23 +414,19 @@ func (m *MatrixOf[E]) AddScaledOuter(s E, u, v []E) {
 		panic(ErrShape)
 	}
 	if useF64SIMD[E](m.Cols) {
-		addScaledOuterF64(f64View(m.Data), float64(s), f64View(u), f64View(v))
+		addScaledOuterF64(f64View(m.Data), float64(s), f64View(u), f64View(v), m.stride())
 		return
 	}
 	if useF32AVX[E](m.Cols) {
-		addScaledOuterF32(f32View(m.Data), float32(s), f32View(u), f32View(v))
+		addScaledOuterF32(f32View(m.Data), float32(s), f32View(u), f32View(v), m.stride())
 		return
 	}
-	cols := m.Cols
 	n := len(u)
 	n4 := n &^ 3
 	var i int
 	for ; i < n4; i += 4 {
 		s0, s1, s2, s3 := s*u[i], s*u[i+1], s*u[i+2], s*u[i+3]
-		r0 := m.Data[i*cols : i*cols+cols]
-		r1 := m.Data[(i+1)*cols : (i+1)*cols+cols]
-		r2 := m.Data[(i+2)*cols : (i+2)*cols+cols]
-		r3 := m.Data[(i+3)*cols : (i+3)*cols+cols]
+		r0, r1, r2, r3 := m.Row(i), m.Row(i+1), m.Row(i+2), m.Row(i+3)
 		if len(v) < len(r0) || len(r1) < len(r0) || len(r2) < len(r0) || len(r3) < len(r0) {
 			panic(ErrShape) // unreachable; hoists the bounds checks
 		}
@@ -537,9 +582,12 @@ func MaxAbsDiff[E Element](a, b *MatrixOf[E]) float64 {
 		panic(ErrShape)
 	}
 	var m float64
-	for i, v := range a.Data {
-		if d := math.Abs(float64(v - b.Data[i])); d > m {
-			m = d
+	for i := 0; i < a.Rows; i++ {
+		br := b.Row(i)
+		for j, v := range a.Row(i) {
+			if d := math.Abs(float64(v - br[j])); d > m {
+				m = d
+			}
 		}
 	}
 	return m
@@ -552,7 +600,7 @@ func (m *MatrixOf[E]) Trace() float64 {
 	}
 	var s float64
 	for i := 0; i < m.Rows; i++ {
-		s += float64(m.Data[i*m.Cols+i])
+		s += float64(m.At(i, i))
 	}
 	return s
 }
@@ -561,8 +609,10 @@ func (m *MatrixOf[E]) Trace() float64 {
 // at float64 for every element type.
 func (m *MatrixOf[E]) FrobeniusNorm() float64 {
 	var s float64
-	for _, v := range m.Data {
-		s += float64(float64(v) * float64(v))
+	for i := 0; i < m.Rows; i++ {
+		for _, v := range m.Row(i) {
+			s += float64(float64(v) * float64(v))
+		}
 	}
 	return math.Sqrt(s)
 }

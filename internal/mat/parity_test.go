@@ -37,7 +37,8 @@ import (
 
 // parityShapes covers the awkward cases: single-element dims, exact
 // multiples of the 4- and 8-wide blocking, one-off-a-multiple (ragged
-// tails), and the paper's real shapes (D=511, H=22).
+// tails), and the paper's real shapes (D=511, H=22). It is part of
+// f32PinShapes, so a shape added here moves mulVecTransF32Hash.
 var parityShapes = []struct{ n, d, h int }{
 	{1, 1, 1},
 	{1, 511, 22},
@@ -53,15 +54,29 @@ var parityShapes = []struct{ n, d, h int }{
 	{65, 63, 129},
 }
 
-// simdShapes is parityShapes plus every h×d in 1..9 × 1..17 (n=3): each
-// side of the SIMD kernels' four-row grouping, lane width, tail masks
-// and minimum lengths. Rows 1–9 and 22 also run at the NSL-KDD width 38
-// and the fan width 511, and 22 rows at widths 4–9: the one-call f64
-// matvec's single-row, whole-group and stepped-back last-group cases
-// at each tail length. Widths 31–33, 35–37 and 63–65 at rows 1–9, 22
-// and 64 sit either side of the one-call transposed kernels' 16- and
-// 32-column blocks, with every 4- and 8-column remainder behind them.
+// simdShapes is f32PinShapes plus the widths NewAligned pads that it
+// lacks: 127 and 505 (strides 128 and 512, one and seven elements of
+// padding) at rows 1–9 and 22. TestStridedKernelsMatchDense also runs
+// every shape at padded strides.
 func simdShapes() []struct{ n, d, h int } {
+	shapes := f32PinShapes()
+	for _, h := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 22} {
+		shapes = append(shapes, struct{ n, d, h int }{2, 127, h}, struct{ n, d, h int }{2, 505, h})
+	}
+	return shapes
+}
+
+// f32PinShapes is the shape list mulVecTransF32Hash was recorded over,
+// frozen so that simdShapes can grow without moving the pin; it is
+// parityShapes plus every h×d in 1..9 × 1..17 (n=3): each side of the
+// SIMD kernels' four-row grouping, lane width, tail masks and minimum
+// lengths. Rows 1–9 and 22 also run at the NSL-KDD width 38 and the fan
+// width 511, and 22 rows at widths 4–9: the one-call f64 matvec's
+// single-row, whole-group and stepped-back last-group cases at each
+// tail length. Widths 31–33, 35–37 and 63–65 at rows 1–9, 22 and 64 sit
+// either side of the one-call transposed kernels' 16- and 32-column
+// blocks, with every 4- and 8-column remainder behind them.
+func f32PinShapes() []struct{ n, d, h int } {
 	shapes := append([]struct{ n, d, h int }(nil), parityShapes...)
 	for h := 1; h <= 9; h++ {
 		for d := 1; d <= 17; d++ {
@@ -547,7 +562,7 @@ func TestF32SIMDKernelsMatchScalar(t *testing.T) {
 }
 
 // mulVecTransF32Hash pins the float32 SIMD MulVecTransF32 bit for bit:
-// the FNV-1a hash of its outputs over simdShapes in every f64Regimes
+// the FNV-1a hash of its outputs over f32PinShapes in every f64Regimes
 // regime (narrowed to float32) at a fixed seed, with a −0 zero-skip row
 // in every 4-row remainder; every NaN hashes as one value. It was
 // recorded with the per-row-group axpy kernels the one-call kernel
@@ -563,7 +578,7 @@ func TestMulVecTransF32Pinned(t *testing.T) {
 	h := fnv.New64a()
 	var buf [4]byte
 	for _, reg := range f64Regimes {
-		for _, s := range simdShapes() {
+		for _, s := range f32PinShapes() {
 			w64, xh64 := make([]float64, s.h*s.d), make([]float64, s.h)
 			reg.fill(rng, w64)
 			reg.fill(rng, xh64)

@@ -32,10 +32,10 @@ func (m *Model) AdoptState(src *Model) error {
 		}
 		copy(m.beta32.Data, src.beta32.Data)
 	} else {
-		if !sameBits64(m.w.Data, src.w.Data) || !sameBits64(m.bias, src.bias) {
+		if !sameBitsMat(m.w, src.w) || !sameBits64(m.bias, src.bias) {
 			m.w, m.bias, m.wShared, m.fprintOK = src.w, src.bias, src.wShared, false
 		}
-		copy(m.beta.Data, src.beta.Data)
+		m.beta.CopyFrom(src.beta)
 	}
 	copy(m.p.Data, src.p.Data)
 	m.inits = src.inits

@@ -38,11 +38,11 @@ func (s ScoreMetric) String() string {
 // Autoencoder wraps an OS-ELM whose targets are its inputs, yielding the
 // unsupervised anomaly detector of the paper's §3.1: the reconstruction
 // error is the anomaly score, and training on a sample pulls the score
-// for similar samples down.
+// for similar samples down. Score writes the reconstruction into the
+// model's residual buffer e, where Train's own forward pass puts it.
 type Autoencoder struct {
 	model  *Model
 	metric ScoreMetric
-	recon  []float64
 }
 
 // NewAutoencoder builds an autoencoder with the given input dimension,
@@ -54,7 +54,7 @@ func NewAutoencoder(cfg Config, metric ScoreMetric, r *rng.Rand) (*Autoencoder, 
 	if err != nil {
 		return nil, err
 	}
-	return &Autoencoder{model: m, metric: metric, recon: make([]float64, cfg.Inputs)}, nil
+	return &Autoencoder{model: m, metric: metric}, nil
 }
 
 // Score returns the reconstruction-error anomaly score of x. The
@@ -66,13 +66,13 @@ func (a *Autoencoder) Score(x []float64) float64 {
 	ops := a.model.ops
 	d := len(x)
 	if a.metric == L1Mean {
-		s := mat.L1Dist(x, a.model.Predict(a.recon, x))
+		s := mat.L1Dist(x, a.model.Predict(a.model.e, x))
 		ops.AddAbs(d)
 		ops.AddAdd(d)
 		ops.AddDiv(1)
 		return s / float64(d)
 	}
-	s := a.model.predictSqDist(a.recon, x)
+	s := a.model.predictSqDist(a.model.e, x)
 	ops.AddMulAdd(d)
 	ops.AddAdd(d)
 	if a.metric == L2Norm {
@@ -98,11 +98,11 @@ func (a *Autoencoder) Train(x []float64) { a.model.Train(x, x) }
 
 // TrainScored folds x into the autoencoder as Train does, starting from
 // the forward pass the immediately preceding Score(x) left behind: the
-// hidden activations and the reconstruction. The caller guarantees that
-// Score with this same x was the autoencoder's last call; the update is
-// then bit-identical to Train(x), one hidden pass and one βᵀh pass
-// cheaper.
-func (a *Autoencoder) TrainScored(x []float64) { a.model.trainForwarded(x, a.recon) }
+// hidden activations and the reconstruction in e. The caller guarantees
+// that Score with this same x was the autoencoder's last call; the
+// update is then bit-identical to Train(x), one hidden pass and one βᵀh
+// pass cheaper.
+func (a *Autoencoder) TrainScored(x []float64) { a.model.trainForwarded(x, a.model.e) }
 
 // InitTrainBatch batch-initialises the autoencoder on xs.
 func (a *Autoencoder) InitTrainBatch(xs [][]float64) error {
@@ -125,11 +125,6 @@ func (a *Autoencoder) SamplesSeen() int { return a.model.SamplesSeen() }
 // Precision returns the compute precision of the underlying model.
 func (a *Autoencoder) Precision() Precision { return a.model.cfg.Precision }
 
-// MemoryBytes reports retained state including the reconstruction
-// buffer, which is counted at the backend's element width: on the
-// float32 backend the model already retains the width-matched
-// reconstruction (its o32 staging buffer), so the float64 recon here is
-// the widened image of state counted once.
-func (a *Autoencoder) MemoryBytes() int {
-	return a.model.MemoryBytes() + a.model.cfg.Precision.Bytes()*len(a.recon)
-}
+// MemoryBytes reports retained state: the model's, whose residual
+// buffer holds the reconstruction.
+func (a *Autoencoder) MemoryBytes() int { return a.model.MemoryBytes() }

@@ -107,8 +107,9 @@ func TestAutoencoderOpsAndMemory(t *testing.T) {
 	if c.Abs != 4 {
 		t.Fatalf("L1 score Abs count = %d, want 4", c.Abs)
 	}
-	if ae.MemoryBytes() <= ae.Model().MemoryBytes() {
-		t.Fatal("autoencoder memory must include reconstruction buffer")
+	// The reconstruction lives in the model's residual buffer.
+	if ae.MemoryBytes() != ae.Model().MemoryBytes() {
+		t.Fatalf("autoencoder memory %d, want the model's %d", ae.MemoryBytes(), ae.Model().MemoryBytes())
 	}
 }
 

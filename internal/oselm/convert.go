@@ -28,9 +28,11 @@ func (m *Model) ConvertPrecision(p Precision) (*Model, error) {
 	cfg := m.cfg
 	cfg.Precision = p
 	nm := alloc(cfg)
-	mat.ConvertVec(nm.w32.Data, m.w.Data)
+	for i := 0; i < cfg.Hidden; i++ {
+		mat.ConvertVec(nm.w32.Row(i), m.w.Row(i))
+		mat.ConvertVec(nm.beta32.Row(i), m.beta.Row(i))
+	}
 	mat.ConvertVec(nm.bias32, m.bias)
-	mat.ConvertVec(nm.beta32.Data, m.beta.Data)
 	copy(nm.p.Data, m.p.Data)
 	nm.inits = m.inits
 	nm.wdCount = m.wdCount
@@ -46,9 +48,5 @@ func (a *Autoencoder) ConvertPrecision(p Precision) (*Autoencoder, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Autoencoder{
-		model:  nm,
-		metric: a.metric,
-		recon:  make([]float64, nm.cfg.Inputs),
-	}, nil
+	return &Autoencoder{model: nm, metric: a.metric}, nil
 }

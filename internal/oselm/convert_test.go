@@ -30,7 +30,7 @@ func TestConvertPrecisionState(t *testing.T) {
 	if m32.cfg.Precision != Float32 {
 		t.Fatalf("twin precision %v", m32.cfg.Precision)
 	}
-	for i, v := range m.w.Data {
+	for i, v := range dense(m.w) {
 		if m32.w32.Data[i] != float32(v) {
 			t.Fatalf("W[%d] not the narrowed image", i)
 		}
@@ -40,7 +40,7 @@ func TestConvertPrecisionState(t *testing.T) {
 			t.Fatalf("bias[%d] not the narrowed image", i)
 		}
 	}
-	for i, v := range m.beta.Data {
+	for i, v := range dense(m.beta) {
 		if m32.beta32.Data[i] != float32(v) {
 			t.Fatalf("beta[%d] not the narrowed image", i)
 		}
@@ -133,8 +133,5 @@ func TestAutoencoderConvertPrecision(t *testing.T) {
 	}
 	if twin.metric != ae.metric {
 		t.Fatalf("metric %v, want %v", twin.metric, ae.metric)
-	}
-	if len(twin.recon) != 8 {
-		t.Fatalf("recon buffer %d, want 8", len(twin.recon))
 	}
 }

@@ -63,10 +63,24 @@ func (m *Model) CompatibleWith(o *Model) error {
 		}
 		return nil
 	}
-	if !sameBits64(m.w.Data, o.w.Data) || !sameBits64(m.bias, o.bias) {
+	if !sameBitsMat(m.w, o.w) || !sameBits64(m.bias, o.bias) {
 		return mergeErrf("different seed topology (random projections W·b differ)")
 	}
 	return nil
+}
+
+// sameBitsMat reports whether a and b hold the same bits in every
+// element, comparing rows so that padding never counts.
+func sameBitsMat(a, b *mat.Matrix) bool {
+	if a.Rows != b.Rows || a.Cols != b.Cols {
+		return false
+	}
+	for i := 0; i < a.Rows; i++ {
+		if !sameBits64(a.Row(i), b.Row(i)) {
+			return false
+		}
+	}
+	return true
 }
 
 func sameBits64(a, b []float64) bool {
@@ -123,8 +137,10 @@ func (m *Model) fingerprint() uint64 {
 			h = fnvWord(h, uint64(math.Float32bits(v)))
 		}
 	} else {
-		for _, v := range m.w.Data {
-			h = fnvWord(h, math.Float64bits(v))
+		for i := 0; i < m.w.Rows; i++ {
+			for _, v := range m.w.Row(i) {
+				h = fnvWord(h, math.Float64bits(v))
+			}
 		}
 		for _, v := range m.bias {
 			h = fnvWord(h, math.Float64bits(v))
@@ -221,7 +237,7 @@ func (m *Model) Merge(srcs ...*Model) error {
 	if m.beta32 != nil {
 		mat.ConvertVec(m.beta32.Data, betaNew.Data)
 	} else {
-		copy(m.beta.Data, betaNew.Data)
+		m.beta.CopyFrom(betaNew)
 	}
 	m.inits = total
 	m.wdCount = 0

@@ -198,7 +198,10 @@ func New(cfg Config, r *rng.Rand) (*Model, error) {
 		mat.ConvertVec(m.w32.Data, wd)
 		mat.ConvertVec(m.bias32, bd)
 	} else {
-		r.FillUniform(m.w.Data, -c.WeightScale, c.WeightScale)
+		// Row by row, so a padded W draws the dense slab's stream.
+		for i := 0; i < m.w.Rows; i++ {
+			r.FillUniform(m.w.Row(i), -c.WeightScale, c.WeightScale)
+		}
 		r.FillUniform(m.bias, -c.WeightScale, c.WeightScale)
 	}
 	m.resetState()
@@ -208,20 +211,21 @@ func New(cfg Config, r *rng.Rand) (*Model, error) {
 // alloc builds a model with the backend state the configuration's
 // precision selects, leaving weights zero.
 func alloc(c Config) *Model {
-	var w, bias, beta []float64
+	var bias []float64
 	if c.Precision != Float32 {
-		w = make([]float64, c.Hidden*c.Inputs)
 		bias = make([]float64, c.Hidden)
-		beta = make([]float64, c.Hidden*c.Outputs)
 	}
-	return build(c, w, bias, beta, make([]float64, c.Hidden*c.Hidden))
+	return build(c, nil, bias, nil, make([]float64, c.Hidden*c.Hidden))
 }
 
 // build assembles a model around the given slabs: P (Hidden×Hidden)
-// for every backend, and W, b and β for the Float64 backend, whose
-// slabs are used as is. The float32 backend allocates its own narrowed
-// state and ignores w, bias and beta. The RLS scratch and the float64
-// activation image are allocated for every backend.
+// for every backend, and W, b and β for the Float64 backend. P and b
+// are used as is; W and β take mat.NewAligned's layout, so a dense
+// row-major slab is used as is where that layout is dense and copied
+// into padded rows where it is not, and a nil one starts at zero. The
+// float32 backend allocates its own narrowed state, all dense, and
+// ignores w, bias and beta. The RLS scratch and the float64 activation
+// image are allocated for every backend.
 func build(c Config, w, bias, beta, p []float64) *Model {
 	m := &Model{
 		cfg: c,
@@ -240,12 +244,35 @@ func build(c Config, w, bias, beta, p []float64) *Model {
 		m.u32 = make([]float32, c.Hidden)
 		m.e32 = make([]float32, c.Outputs)
 	} else {
-		m.w = &mat.Matrix{Rows: c.Hidden, Cols: c.Inputs, Data: w}
+		m.w = aligned(c.Hidden, c.Inputs, w)
 		m.bias = bias
-		m.beta = &mat.Matrix{Rows: c.Hidden, Cols: c.Outputs, Data: beta}
+		m.beta = aligned(c.Hidden, c.Outputs, beta)
 	}
 	m.initWatchdog()
 	return m
+}
+
+// aligned returns an r×c matrix in mat.NewAligned's layout holding the
+// dense row-major slab d: d itself where that layout is dense, a padded
+// copy where it is not, zeros for a nil d.
+func aligned(r, c int, d []float64) *mat.Matrix {
+	if d != nil && mat.AlignedStride(c) == c {
+		return mat.NewFromData(r, c, d)
+	}
+	m := mat.NewAligned(r, c)
+	if d != nil {
+		m.CopyFrom(mat.NewFromData(r, c, d))
+	}
+	return m
+}
+
+// dense returns m's elements in dense row-major order: m.Data itself
+// when m is dense, else a copy.
+func dense(m *mat.Matrix) []float64 {
+	if m.Stride == 0 {
+		return m.Data
+	}
+	return m.Clone().Data
 }
 
 // initWatchdog sets the watchdog defaults from the configuration.
@@ -299,7 +326,9 @@ func (m *Model) zeroBeta() {
 	m.beta.Zero()
 }
 
-// betaFinite reports whether every learned output weight is finite.
+// betaFinite reports whether every learned output weight is finite. A
+// padded β's padding is zero (see mat.MatrixOf), so its slab can be
+// scanned whole.
 func (m *Model) betaFinite() bool {
 	if m.beta32 != nil {
 		return mat.AllFinite(m.beta32.Data)
@@ -669,10 +698,11 @@ func (m *Model) Beta() *mat.Matrix {
 }
 
 // Weights returns the raw parameters at float64 — input weights W
-// (row-major Hidden×Inputs), biases, and output weights β (row-major
-// Hidden×Outputs) — for quantisation and export. The float64 backend
-// returns live views the caller must not mutate; the float32 backend
-// returns widened copies.
+// (dense row-major Hidden×Inputs), biases, and output weights β (dense
+// row-major Hidden×Outputs) — for quantisation and export. The float64
+// backend returns live views the caller must not mutate, except that W
+// and β are copies where their rows are padded (see mat.NewAligned);
+// the float32 backend returns widened copies.
 func (m *Model) Weights() (w, bias, beta []float64) {
 	if m.w32 != nil {
 		w = make([]float64, len(m.w32.Data))
@@ -683,13 +713,14 @@ func (m *Model) Weights() (w, bias, beta []float64) {
 		mat.ConvertVec(beta, m.beta32.Data)
 		return w, bias, beta
 	}
-	return m.w.Data, m.bias, m.beta.Data
+	return dense(m.w), m.bias, dense(m.beta)
 }
 
 // MemoryBytes reports the number of bytes of persistent state the model
 // retains (the quantity audited in the paper's Table 4), derived from
-// the backend's element width. Scratch and staging buffers are included
-// since a deployed implementation must also hold them; P and the RLS
+// the backend's element width, row padding included. Scratch and
+// staging buffers are included since a deployed implementation must
+// also hold them; P and the RLS
 // scratch are counted at float64 on every backend because that is where
 // they live (see Config.Precision). A shared projection, which the
 // model holds but does not own, is counted once by its owner instead.

@@ -32,7 +32,7 @@ func (m *Model) Projection() *Projection {
 // MemoryBytes leaves W and b out: whoever keeps p counts them once.
 func (m *Model) ShareProjection(p *Projection) bool {
 	if m.w == nil || p == nil || p.w.Rows != m.w.Rows || p.w.Cols != m.w.Cols ||
-		!sameBits64(m.w.Data, p.w.Data) || !sameBits64(m.bias, p.bias) {
+		!sameBitsMat(m.w, p.w) || !sameBits64(m.bias, p.bias) {
 		return false
 	}
 	m.w, m.bias, m.wShared = p.w, p.bias, true

@@ -147,12 +147,13 @@ func (m *Model) Save(w io.Writer, prec Precision) (int64, error) {
 }
 
 // exportSlabs returns the persistent state in serialisation order
-// (W, bias, β, P) as float64 slices. The float64 backend returns live
-// views; the float32 backend materialises converted copies — Save is an
-// export path, not a hot loop.
+// (W, bias, β, P) as dense float64 slices. The float64 backend returns
+// live views of dense slabs and copies of padded ones; the float32
+// backend materialises converted copies — Save is an export path, not a
+// hot loop.
 func (m *Model) exportSlabs() [][]float64 {
 	if m.w32 == nil {
-		return [][]float64{m.w.Data, m.bias, m.beta.Data, m.p.Data}
+		return [][]float64{dense(m.w), m.bias, dense(m.beta), m.p.Data}
 	}
 	w := make([]float64, len(m.w32.Data))
 	bias := make([]float64, len(m.bias32))
@@ -311,9 +312,5 @@ func LoadAutoencoder(r io.Reader) (*Autoencoder, error) {
 	if m.cfg.Inputs != m.cfg.Outputs {
 		return nil, fmt.Errorf("%w: serialised model is not an autoencoder", ckpt.ErrBadFormat)
 	}
-	return &Autoencoder{
-		model:  m,
-		metric: ScoreMetric(metric),
-		recon:  make([]float64, m.cfg.Inputs),
-	}, nil
+	return &Autoencoder{model: m, metric: ScoreMetric(metric)}, nil
 }

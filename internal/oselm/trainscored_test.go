@@ -11,8 +11,8 @@ import (
 
 // requireSameState fails unless a and b hold the same bits in their
 // learned state, counters and forward-pass scratch. The residual
-// scratch is left out: every update writes it before reading it, and
-// on the watchdog's repair path only Train has written it.
+// buffer e holds the residual after an update and, on the watchdog's
+// repair path, the reconstruction Score or Train wrote there.
 func requireSameState(t *testing.T, a, b *Autoencoder, what string) {
 	t.Helper()
 	ma, mb := a.model, b.model
@@ -26,7 +26,7 @@ func requireSameState(t *testing.T, a, b *Autoencoder, what string) {
 	same("β", ma.Beta().Data, mb.Beta().Data)
 	same("h", ma.h, mb.h)
 	same("ph", ma.ph, mb.ph)
-	same("recon", a.recon, b.recon)
+	same("e", ma.e, mb.e)
 	if ma.beta32 != nil && (!sameBits32(ma.o32, mb.o32) || !sameBits32(ma.u32, mb.u32)) {
 		t.Fatalf("%s: float32 staging differs", what)
 	}
