@@ -12,6 +12,7 @@
 package edgedrift_test
 
 import (
+	"bytes"
 	"strconv"
 	"testing"
 
@@ -246,5 +247,55 @@ func BenchmarkScorePrecision(b *testing.B) {
 			b.StopTimer()
 			b.ReportMetric(float64(s.MemoryBytes()), "state-bytes")
 		})
+	}
+}
+
+// nslkddArtifact fits the NSL-KDD monitor at the serve tier's member
+// shape (D=38, H=22, C=2) and returns its Save bytes.
+func nslkddArtifact(b *testing.B) []byte {
+	b.Helper()
+	ds := nslkdd.Generate(nslkdd.DefaultParams())
+	mon, err := edgedrift.New(edgedrift.Options{
+		Classes: 2, Inputs: nslkdd.Features, Hidden: 22, Window: 100, Seed: 1,
+	})
+	if err == nil {
+		err = mon.Fit(ds.TrainX, ds.TrainY)
+	}
+	var art bytes.Buffer
+	if err == nil {
+		err = mon.Save(&art, edgedrift.Float64)
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
+	return art.Bytes()
+}
+
+// BenchmarkLoadMonitor times parsing one member from its artifact, the
+// path migration import and LoadFleet take.
+func BenchmarkLoadMonitor(b *testing.B) {
+	art := nslkddArtifact(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := edgedrift.LoadMonitor(bytes.NewReader(art)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkMonitorClone times creating one member from a parsed
+// template, the path a shard takes for each stream it has not seen.
+func BenchmarkMonitorClone(b *testing.B) {
+	tmpl, err := edgedrift.LoadMonitor(bytes.NewReader(nslkddArtifact(b)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := tmpl.Clone(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

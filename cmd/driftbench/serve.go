@@ -119,16 +119,16 @@ func runServe(args []string) int {
 	for i, x := range ds.TestX {
 		parts[i%*streams] = append(parts[i%*streams], x)
 	}
+	tmpl, err := edgedrift.LoadMonitor(bytes.NewReader(art.Bytes()))
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "serve: load shared monitor: %v\n", err)
+		return 1
+	}
 	ids := make([]string, *streams)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("stream-%03d", i)
-		m, err := edgedrift.LoadMonitor(bytes.NewReader(art.Bytes()))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "serve: clone monitor: %v\n", err)
-			return 1
-		}
 		if prec == edgedrift.Fixed16 {
-			st, err := m.QuantizeQ16()
+			st, err := tmpl.QuantizeQ16()
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "serve: quantize member: %v\n", err)
 				return 1
@@ -138,6 +138,11 @@ func runServe(args []string) int {
 				return 1
 			}
 			continue
+		}
+		m, err := tmpl.Clone()
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "serve: clone monitor: %v\n", err)
+			return 1
 		}
 		if err := f.Add(ids[i], m); err != nil {
 			fmt.Fprintf(os.Stderr, "serve: %v\n", err)

@@ -425,6 +425,41 @@ func (m *Monitor) MergeSeed(states [][]byte) error {
 
 var _ core.Merger = (*Monitor)(nil)
 
+// Clone returns a monitor that continues m's stream independently: it
+// processes every sample bit-identically to m itself from this point,
+// and a clone of a loaded template behaves exactly as another
+// LoadMonitor of the same bytes. It is the way to start many streams
+// from one fitted template. The clone shares m's
+// read-only random projections and, copy-on-write, its learned state
+// (β and P): both read the same slabs until one of them trains, resets
+// or adopts state, which first takes a private copy. Options, guard
+// policy and lifetime diagnostics are carried over (see
+// core.Detector.CloneAt). Clone marks m's state shared, so it must not
+// run concurrently with m's own use. It fails before Fit, while m is
+// demoted and mid-reconstruction.
+//
+// Until a monitor's first write its MemoryBytes leaves the shared slabs
+// out; a Fleet counts each of them once.
+func (m *Monitor) Clone() (*Monitor, error) {
+	// CloneAt refuses reconstruction too, but only after model.Clone has
+	// marked m's state shared; a refusal must leave m as it was.
+	switch {
+	case !m.fit:
+		return nil, errors.New("edgedrift: Clone before Fit")
+	case m.degraded != nil:
+		return nil, errors.New("edgedrift: Clone of a demoted monitor")
+	case m.det.PhaseNow() == Reconstructing:
+		return nil, errors.New("edgedrift: Clone during reconstruction")
+	}
+	mm := m.model.Clone()
+	det, err := m.det.CloneAt(mm)
+	if err != nil {
+		return nil, err
+	}
+	r := *m.rng
+	return &Monitor{opts: m.opts, model: mm, det: det, rng: &r, fit: true}, nil
+}
+
 // Detector exposes the underlying core detector for advanced use
 // (stage-level op accounting, centroid inspection).
 func (m *Monitor) Detector() *core.Detector { return m.det }

@@ -31,6 +31,7 @@ func (f *Fleet) WriteMetrics(w io.Writer) error {
 	tw.Counter("edgedrift_drifts_total", "Drift detections across all streams.", nil, m.Drifts)
 	tw.Counter("edgedrift_events_dropped_total", "Drift events dropped on a full subscriber buffer.", nil, m.EventsDropped)
 	tw.Gauge("edgedrift_memory_bytes", "Retained state of the whole fleet (registry overhead included).", nil, float64(m.MemoryBytes))
+	tw.Gauge("edgedrift_shared_streams", "Members still sharing their template's learned state; each takes a private copy at its first reconstruction, merge seed or adopt.", nil, float64(m.SharedStreams))
 
 	// Adaptive capacity: the precision-lifecycle roll-up.
 	tw.Gauge("edgedrift_degraded_streams", "Members currently demoted to a reduced precision.", nil, float64(m.Degraded))

@@ -30,6 +30,51 @@ func instrumentedFleet(t *testing.T, fx *fleetFixture) *edgedrift.Fleet {
 	return f
 }
 
+// TestSharedStreamsGauge: edgedrift_shared_streams counts the members
+// still sharing their template's learned state, and memory rises by a
+// private copy as a clone drifts.
+func TestSharedStreamsGauge(t *testing.T) {
+	fx := newFleetFixture(t)
+	tmpl := fx.monitor(t, 1)
+	f := edgedrift.NewFleet(edgedrift.FleetConfig{})
+	for _, id := range []string{"a", "b", "c"} {
+		if err := f.Add(id, mustClone(t, tmpl)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gauge := func() string {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := f.WriteMetrics(&buf); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if strings.HasPrefix(line, "edgedrift_shared_streams ") {
+				return line
+			}
+		}
+		t.Fatal("exposition has no edgedrift_shared_streams sample")
+		return ""
+	}
+	if got := gauge(); got != "edgedrift_shared_streams 3" {
+		t.Fatalf("before any drift: %q", got)
+	}
+	before := f.MemoryBytes()
+	if _, err := f.ProcessBatch("a", fx.stream[:1200]); err != nil {
+		t.Fatal(err)
+	}
+	if _, drifts, _ := f.MemberStats("a"); drifts == 0 {
+		t.Fatal("the stream never drifted")
+	}
+	if got := gauge(); got != "edgedrift_shared_streams 2" {
+		t.Fatalf("after one drift: %q", got)
+	}
+	// The fixture's monitors are C=2, D=3, H=8: β is H×D, P is H×H.
+	if got, want := f.MemoryBytes()-before, 8*(8*3+8*8)*2; got != want {
+		t.Fatalf("memory rose %d B when a clone took its private copy, want %d B", got, want)
+	}
+}
+
 // TestWriteMetricsExposition renders an instrumented fleet in the
 // Prometheus text format and checks the families a scraper relies on
 // are present, typed, and carry the expected values.

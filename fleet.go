@@ -459,6 +459,11 @@ func (f *Fleet) ImportMember(st *MemberState) error {
 	return f.f.ImportMember(st.ID, st.Kind, st.Cohort, st.Payload, st.Samples, st.Drifts, decodeMember)
 }
 
+// ErrAlreadyRegistered is re-exported so callers can tell a taken
+// stream ID from other registration failures: Add, AddCohort, AddStage
+// and ImportMember wrap it when the ID is already registered.
+var ErrAlreadyRegistered = fleet.ErrAlreadyRegistered
+
 // ErrMergeIncompatible is re-exported so callers can classify merge
 // rejections (see the oselm package): shape/precision/seed-topology
 // mismatches and detect-only members all wrap it.

@@ -209,14 +209,29 @@ func GetF64(r io.Reader) (float64, error) {
 	return math.Float64frombits(v), err
 }
 
-// GetF64s fills dst with consecutive little-endian IEEE-754 doubles.
+// f64Chunk is how many doubles GetF64s stages per read.
+const f64Chunk = 64
+
+// GetF64s fills dst with consecutive little-endian IEEE-754 doubles,
+// staging them through one fixed-size chunk rather than a buffer the
+// size of dst, so it commits no memory beyond dst itself. As with one
+// io.ReadFull over the whole run, a stream that ends before the first
+// byte fails with io.EOF and one that ends later with
+// io.ErrUnexpectedEOF.
 func GetF64s(r io.Reader, dst []float64) error {
-	b := make([]byte, 8*len(dst))
-	if _, err := io.ReadFull(r, b); err != nil {
-		return err
-	}
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	var b [8 * f64Chunk]byte
+	for first := true; len(dst) > 0; first = false {
+		n := min(len(dst), f64Chunk)
+		if _, err := io.ReadFull(r, b[:8*n]); err != nil {
+			if err == io.EOF && !first {
+				err = io.ErrUnexpectedEOF
+			}
+			return err
+		}
+		for i := range dst[:n] {
+			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+		}
+		dst = dst[n:]
 	}
 	return nil
 }

@@ -218,3 +218,58 @@ func TestWriteFileAtomic(t *testing.T) {
 		t.Fatalf("dir holds %d entries after a failed save, want 1", len(entries))
 	}
 }
+
+// TestGetF64sChunked: GetF64s decodes runs shorter than, equal to and
+// longer than its staging chunk exactly as PutF64 wrote them, fails a
+// stream that ends early as one io.ReadFull over the whole run would
+// (io.EOF before the first byte, io.ErrUnexpectedEOF after, chunk
+// boundaries included), and commits one chunk, not the run, per call.
+func TestGetF64sChunked(t *testing.T) {
+	for _, n := range []int{0, 1, f64Chunk - 1, f64Chunk, f64Chunk + 1, 3*f64Chunk + 7} {
+		want := make([]float64, n)
+		for i := range want {
+			want[i] = float64(i)*1.5 - 7
+		}
+		var buf bytes.Buffer
+		if err := PutF64(&buf, want...); err != nil {
+			t.Fatal(err)
+		}
+		raw := buf.Bytes()
+		got := make([]float64, n)
+		if err := GetF64s(bytes.NewReader(raw), got); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("n=%d: element %d = %v, want %v", n, i, got[i], want[i])
+			}
+		}
+		for _, cut := range []int{0, 3, 8 * f64Chunk, len(raw) - 1} {
+			if cut < 0 || cut >= len(raw) {
+				continue
+			}
+			wantErr := io.ErrUnexpectedEOF
+			if cut == 0 {
+				wantErr = io.EOF
+			}
+			if err := GetF64s(bytes.NewReader(raw[:cut]), got); err != wantErr {
+				t.Fatalf("n=%d cut at %d: err %v, want %v", n, cut, err, wantErr)
+			}
+		}
+	}
+	big := make([]float64, 64*f64Chunk)
+	var buf bytes.Buffer
+	if err := PutF64(&buf, big...); err != nil {
+		t.Fatal(err)
+	}
+	r := bytes.NewReader(buf.Bytes())
+	allocs := testing.AllocsPerRun(20, func() {
+		r.Reset(buf.Bytes())
+		if err := GetF64s(r, big); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("GetF64s of %d doubles made %v allocations, want at most the one chunk", len(big), allocs)
+	}
+}

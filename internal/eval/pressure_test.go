@@ -1,6 +1,10 @@
 package eval
 
-import "testing"
+import (
+	"encoding/json"
+	"os"
+	"testing"
+)
 
 // TestPressureMatrix runs the full forced-degradation matrix once and checks
 // its structural invariants: every stream×level cell present, the
@@ -52,6 +56,47 @@ func TestPressureMatrix(t *testing.T) {
 	for _, s := range []string{"nsl-kdd", "fan-sudden"} {
 		if cells[s+"/f64"].Delay < 0 {
 			t.Fatalf("%s baseline missed the drift", s)
+		}
+	}
+}
+
+// TestPressureArtifactMatchesCode regenerates the BENCH_10 matrix at the
+// committed artifact's seed and compares every deterministic field with
+// BENCH_10.json — accuracy, detection delay, retained memory and the
+// golden gate — so the committed file cannot drift from the code that
+// emits it (`make bench-pressure` regenerates it). Throughput is host
+// timing and is not compared.
+func TestPressureArtifactMatchesCode(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full stream replays")
+	}
+	raw, err := os.ReadFile("../../BENCH_10.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var committed PressureReport
+	if err := json.Unmarshal(raw, &committed); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := PressureMatrix(committed.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.GoldenGateOK != committed.GoldenGateOK {
+		t.Fatalf("golden_gate_ok %v, BENCH_10.json says %v", rep.GoldenGateOK, committed.GoldenGateOK)
+	}
+	if len(rep.Points) != len(committed.Points) {
+		t.Fatalf("%d points, BENCH_10.json has %d", len(rep.Points), len(committed.Points))
+	}
+	for i, got := range rep.Points {
+		want := committed.Points[i]
+		if got.Stream != want.Stream || got.Level != want.Level {
+			t.Fatalf("point %d is %s/%s, BENCH_10.json has %s/%s", i, got.Stream, got.Level, want.Stream, want.Level)
+		}
+		if got.AccuracyPct != want.AccuracyPct || got.Delay != want.Delay || got.MemoryBytes != want.MemoryBytes {
+			t.Errorf("%s/%s: accuracy %v%%, delay %d, memory %d B; BENCH_10.json says %v%%, %d, %d B",
+				got.Stream, got.Level, got.AccuracyPct, got.Delay, got.MemoryBytes,
+				want.AccuracyPct, want.Delay, want.MemoryBytes)
 		}
 	}
 }

@@ -15,6 +15,7 @@
 package fleet
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -116,6 +117,10 @@ type member struct {
 	drifts  uint64
 	removed bool
 }
+
+// ErrAlreadyRegistered is the error Add, AddMember, Load and
+// ImportMember wrap when the stream ID is already taken.
+var ErrAlreadyRegistered = errors.New("already registered")
 
 // shard is one slice of the registry.
 type shard struct {
@@ -245,7 +250,7 @@ func (f *Fleet) addMember(id string, s core.Streaming, mc MemberConfig, samples,
 	if _, ok := sh.members[id]; ok {
 		sh.mu.Unlock()
 		mb.mu.Unlock()
-		return fmt.Errorf("fleet: stream %q already registered", id)
+		return fmt.Errorf("fleet: stream %q %w", id, ErrAlreadyRegistered)
 	}
 	sh.members[id] = mb
 	sh.mu.Unlock()
@@ -883,6 +888,11 @@ type Metrics struct {
 	TransitionFailures uint64
 	// MemoryBytes is the whole-fleet retained-state audit.
 	MemoryBytes int
+	// SharedStreams counts members that still share their template's
+	// learned state (see oselm.Model.Clone): each takes a private copy at
+	// its first reconstruction, merge seed or adopt, so memory rises as
+	// this falls.
+	SharedStreams int
 	// PerStream holds each member's counters keyed by stream ID.
 	PerStream map[string]StreamMetrics
 }
@@ -893,6 +903,7 @@ type Metrics struct {
 // taken under load is per-member consistent.
 func (f *Fleet) Metrics() Metrics {
 	m := Metrics{PerStream: make(map[string]StreamMetrics, f.Len())}
+	shared := sharedAudit{seen: map[any]bool{}}
 	f.eachMember(func(id string, mb *member) {
 		sm := StreamMetrics{Samples: mb.samples, Drifts: mb.drifts}
 		if mb.instr != nil {
@@ -907,12 +918,14 @@ func (f *Fleet) Metrics() Metrics {
 			}
 		}
 		m.MemoryBytes += memberBytes(id, mb)
+		shared.add(mb.stage)
 		m.Streams++
 		m.Samples += sm.Samples
 		m.Drifts += sm.Drifts
 		m.PerStream[id] = sm
 	})
-	m.MemoryBytes += f.proj.size()
+	m.MemoryBytes += f.proj.size() + shared.bytes
+	m.SharedStreams = shared.streams
 	m.EventsDropped = f.dropped.Load()
 	m.WarmRecoveries = f.warmRecoveries.Load()
 	m.ColdFallbacks = f.coldFallbacks.Load()
@@ -954,21 +967,24 @@ func (f *Fleet) MemberHealth() map[string]health.Snapshot {
 const memberOverheadBytes = int(unsafe.Sizeof(member{}) + unsafe.Sizeof((*member)(nil)) + unsafe.Sizeof(""))
 
 // memberBytes is one member's share of the audit: its stage's own
-// state (which leaves out shared projections), its ID
-// and cohort bytes, and the registry overhead.
+// state (which leaves out shared projections and shared learned state),
+// its ID and cohort bytes, and the registry overhead.
 func memberBytes(id string, m *member) int {
 	return m.stage.MemoryBytes() + len(id) + len(m.cohort) + memberOverheadBytes
 }
 
 // MemoryBytes audits the whole fleet's retained state: the sum of every
 // member's audit plus the registry's own per-member overhead, plus the
-// projections the fleet shares among members, each counted once.
+// projections the fleet shares among members and the learned state
+// members still share with their template, each slab counted once.
 func (f *Fleet) MemoryBytes() int {
+	shared := sharedAudit{seen: map[any]bool{}}
 	total := f.proj.size()
 	f.eachMember(func(id string, m *member) {
 		total += memberBytes(id, m)
+		shared.add(m.stage)
 	})
-	return total
+	return total + shared.bytes
 }
 
 // eachMember visits every live member under that member's own lock —

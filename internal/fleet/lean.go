@@ -3,13 +3,17 @@ package fleet
 import (
 	"sync"
 
+	"edgedrift/internal/core"
 	"edgedrift/internal/model"
 	"edgedrift/internal/oselm"
 )
 
 // Lean members: members cloned from one template hold bit-identical
 // random projections, which never change, so the fleet interns them
-// into one read-only copy, counted once in Fleet.MemoryBytes.
+// into one read-only copy, counted once in Fleet.MemoryBytes. Clones
+// (oselm.Model.Clone) also share their template's learned state until
+// their first write; the audit finds those slabs through the members
+// that still hold them (sharedAudit) and counts each once too.
 
 // slab is one interned projection and the number of members holding it.
 type slab struct {
@@ -89,4 +93,37 @@ func (p *projections) size() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.bytes
+}
+
+// sharedAudit totals the slabs members hold in common without the fleet
+// interning them — learned state shared copy-on-write with a template,
+// float32 projections shared by clones — each counted once however many
+// members hold it, and counts the members still sharing learned state.
+type sharedAudit struct {
+	seen    map[any]bool
+	bytes   int
+	streams int
+}
+
+// add folds in one member's stage; the caller holds the member lock.
+func (a *sharedAudit) add(s core.Streaming) {
+	mh, ok := core.Find[modelHolder](s)
+	if !ok {
+		return
+	}
+	mm := mh.Model()
+	shares := false
+	for i := 0; i < mm.Classes(); i++ {
+		om := mm.Instance(i).Model()
+		shares = shares || om.SharesLearnedState()
+		om.EachShared(func(key any, n int) {
+			if !a.seen[key] {
+				a.seen[key] = true
+				a.bytes += n
+			}
+		})
+	}
+	if shares {
+		a.streams++
+	}
 }

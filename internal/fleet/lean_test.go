@@ -140,4 +140,51 @@ func TestFleetMemoryAuditCountsSharedStateOnce(t *testing.T) {
 	if got, want := f.proj.size(), before-perMember; got != want {
 		t.Fatalf("projection bytes %d after the last holder left, want %d", got, want)
 	}
+
+	// Clones share their template's learned state β and P too, until
+	// they write: of N clones with k drifted (reset, so private), the
+	// audit counts the k private copies in full and the shared slabs
+	// once, however many clones still read them.
+	const n, k = 6, 2
+	tmpl := leanDetector(t, 3, 4)
+	full := leanDetector(t, 3, 4).MemoryBytes() // the same detector owning everything
+	c := tmpl.Model().Config()
+	proj := 8 * (c.Hidden*c.Inputs + c.Hidden) * c.Classes
+	learned := 8 * (c.Hidden*c.Hidden + c.Hidden*c.Inputs) * c.Classes
+	for _, drifted := range []int{k, n} {
+		fc := New(Config{})
+		want := proj // the one interned projection
+		if drifted < n {
+			want += learned // the shared learned state, once
+		}
+		for i := 0; i < n; i++ {
+			id := fmt.Sprintf("clone-%d", i)
+			d, err := tmpl.CloneAt(tmpl.Model().Clone())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := fc.Add(id, d); err != nil {
+				t.Fatal(err)
+			}
+			stage := full - proj - learned
+			if i < drifted {
+				if err := fc.Do(id, func(s core.Streaming) error {
+					s.(*core.Detector).TriggerReconstruction()
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+				stage += learned // its private copy
+			}
+			want += stage + len(id) + memberOverheadBytes
+		}
+		if got := fc.MemoryBytes(); got != want {
+			t.Fatalf("%d of %d clones drifted: MemoryBytes = %d, want %d", drifted, n, got, want)
+		}
+		m := fc.Metrics()
+		if m.MemoryBytes != want || m.SharedStreams != n-drifted {
+			t.Fatalf("%d of %d clones drifted: Metrics() audits %d B with %d shared streams, want %d B and %d",
+				drifted, n, m.MemoryBytes, m.SharedStreams, want, n-drifted)
+		}
+	}
 }

@@ -214,6 +214,22 @@ func (m *Multi) Reset() {
 	}
 }
 
+// Clone returns a model that continues m's stream, each instance a
+// copy-on-write clone of m's (see oselm.Model.Clone): the projections
+// are shared for life, β and P until the first write to them. No
+// operation counter is attached.
+func (m *Multi) Clone() *Multi {
+	nm := &Multi{
+		cfg:       m.cfg,
+		instances: make([]*oselm.Autoencoder, len(m.instances)),
+		scores:    make([]float64, len(m.instances)),
+	}
+	for i, ae := range m.instances {
+		nm.instances[i] = ae.Clone()
+	}
+	return nm
+}
+
 // Instance exposes a single autoencoder, mainly for tests and
 // serialisation.
 func (m *Multi) Instance(i int) *oselm.Autoencoder { return m.instances[i] }

@@ -10,7 +10,9 @@ import (
 // sequential-init counter and the watchdog phase are copied, and the
 // random projection (W, b) — read-only for life — is rebound to src's
 // unless m already holds the same bits, so a projection m shares with
-// other models is never written through. Both models must share one
+// other models is never written through; neither is learned state m
+// shares with its clones, which is replaced by private slabs (see
+// Clone). Both models must share one
 // configuration. Adoption exists for restores that must not rebind the
 // model itself — a Monitor or a wrapping stage holds this model, so a
 // checkpointed model is poured into the live instance rather than
@@ -26,9 +28,10 @@ func (m *Model) AdoptState(src *Model) error {
 	if m.cfg != src.cfg {
 		return fmt.Errorf("oselm: AdoptState config mismatch: have %+v, adopting %+v", m.cfg, src.cfg)
 	}
+	m.own(false)
 	if m.w32 != nil {
 		if !sameBits32(m.w32.Data, src.w32.Data) || !sameBits32(m.bias32, src.bias32) {
-			m.w32, m.bias32, m.fprintOK = src.w32, src.bias32, false
+			m.w32, m.bias32, m.wShared, m.fprintOK = src.w32, src.bias32, src.wShared, false
 		}
 		copy(m.beta32.Data, src.beta32.Data)
 	} else {

@@ -1,0 +1,114 @@
+package oselm
+
+import "edgedrift/internal/mat"
+
+// Clone returns a model at m's precision that continues m's stream. It
+// shares what m never writes — the random projection W, b and its
+// cached fingerprint — and holds m's learned state, β (β32 on the
+// float32 backend) and P, copy-on-write: both models read the same
+// slabs until one of them writes, and every writer (Train, Reset,
+// InitTrainBatch, Merge, AdoptState) first takes a private copy (see
+// own). The scratch buffers are the clone's own; the sequential-init
+// counter and the watchdog state are copied, and no operation counter
+// is attached. Clone marks m's learned state shared too, so it is a
+// use of m under m's one-goroutine contract.
+//
+// Until its first write a clone's MemoryBytes leaves the shared slabs
+// out, as it does an interned projection; EachShared names them, so an
+// audit over many clones counts each slab once.
+func (m *Model) Clone() *Model {
+	fp := m.Fingerprint()
+	m.lshared, m.wShared = true, true
+	c := &Model{
+		cfg:        m.cfg,
+		w:          m.w,
+		bias:       m.bias,
+		beta:       m.beta,
+		p:          m.p,
+		wShared:    true,
+		lshared:    true,
+		fprint:     fp,
+		fprintOK:   true,
+		w32:        m.w32,
+		bias32:     m.bias32,
+		beta32:     m.beta32,
+		h:          make([]float64, m.cfg.Hidden),
+		ph:         make([]float64, m.cfg.Hidden),
+		e:          make([]float64, m.cfg.Outputs),
+		inits:      m.inits,
+		wdPeriod:   m.wdPeriod,
+		wdCount:    m.wdCount,
+		wdResets:   m.wdResets,
+		traceLimit: m.traceLimit,
+	}
+	if m.w32 != nil {
+		c.h32 = make([]float32, m.cfg.Hidden)
+		c.x32 = make([]float32, m.cfg.Inputs)
+		c.o32 = make([]float32, m.cfg.Outputs)
+		c.u32 = make([]float32, m.cfg.Hidden)
+		c.e32 = make([]float32, m.cfg.Outputs)
+	}
+	return c
+}
+
+// own gives m private β (β32) and P before a write when it still shares
+// them with a clone or a template: copies of the shared slabs when keep
+// is set, zeroed ones when the caller overwrites them whole. The shared
+// slabs themselves are never written.
+func (m *Model) own(keep bool) {
+	if !m.lshared {
+		return
+	}
+	p := mat.New(m.cfg.Hidden, m.cfg.Hidden)
+	if m.beta32 != nil {
+		b := mat.NewOf[float32](m.cfg.Hidden, m.cfg.Outputs)
+		if keep {
+			b.CopyFrom(m.beta32)
+		}
+		m.beta32 = b
+	} else {
+		b := mat.NewAligned(m.cfg.Hidden, m.cfg.Outputs)
+		if keep {
+			b.CopyFrom(m.beta)
+		}
+		m.beta = b
+	}
+	if keep {
+		copy(p.Data, m.p.Data)
+	}
+	m.p, m.lshared = p, false
+}
+
+// SharesLearnedState reports whether m still reads β (β32) and P from
+// slabs it shares with a clone or a template, having written neither
+// since the clone was made.
+func (m *Model) SharesLearnedState() bool { return m.lshared }
+
+// EachShared calls fn once for every group of slabs m holds in common
+// with its clones and leaves out of its own MemoryBytes: the
+// copy-on-write learned state until m's first write, and a float32
+// projection (a float64 one is the fleet's interned Projection, counted
+// by its owner instead). key is the same for every holder of a group,
+// so an audit that counts each key once counts each slab once.
+func (m *Model) EachShared(fn func(key any, bytes int)) {
+	if m.lshared {
+		fn(m.p, m.learnedBytes())
+	}
+	if m.w32 != nil && m.wShared {
+		fn(m.w32, 4*(len(m.w32.Data)+len(m.bias32)))
+	}
+}
+
+// learnedBytes is the size of the learned state, β (β32) and P.
+func (m *Model) learnedBytes() int {
+	if m.beta32 != nil {
+		return 8*len(m.p.Data) + 4*len(m.beta32.Data)
+	}
+	return 8 * (len(m.p.Data) + len(m.beta.Data))
+}
+
+// Clone returns a copy-on-write clone of the autoencoder (see
+// Model.Clone) under the same score metric.
+func (a *Autoencoder) Clone() *Autoencoder {
+	return &Autoencoder{model: a.model.Clone(), metric: a.metric}
+}

@@ -232,6 +232,7 @@ func (m *Model) Merge(srcs ...*Model) error {
 	}
 	// Install only after every source combined cleanly: a failed merge
 	// must leave m exactly as it was.
+	m.own(false)
 	copy(m.p.Data, pNew.Data)
 	m.p.SymmetrizeInPlace() // the RLS recursion assumes symmetric P
 	if m.beta32 != nil {

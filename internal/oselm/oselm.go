@@ -124,9 +124,14 @@ type Model struct {
 	bias []float64   // Hidden biases (Float64 backend)
 	beta *mat.Matrix // Hidden×Outputs learned output weights (Float64 backend)
 	p    *mat.Matrix // Hidden×Hidden inverse-covariance state (always float64)
-	// wShared marks w and bias as a read-only projection other models
-	// hold too (see ShareProjection); MemoryBytes leaves it to its owner.
+	// wShared marks the projection (w and bias, or w32 and bias32) as
+	// read-only slabs other models hold too (see ShareProjection and
+	// Clone); MemoryBytes leaves it to its owner or, on the float32
+	// backend, to EachShared.
 	wShared bool
+	// lshared marks β (β32) and P as copy-on-write slabs shared with a
+	// clone or a template (see Clone): every writer calls own first.
+	lshared bool
 	// fprint caches Fingerprint once computed (fprintOK): everything it
 	// hashes is fixed for the model's life, barring an AdoptState that
 	// rebinds the projection.
@@ -303,6 +308,7 @@ func (m *Model) initWatchdog() {
 // resetState restores the sequential-learning start state, keeping the
 // random projection.
 func (m *Model) resetState() {
+	m.own(false)
 	m.zeroBeta()
 	m.p.Zero()
 	m.p.AddDiag(1 / m.cfg.Ridge)
@@ -503,6 +509,7 @@ func (m *Model) trainForwarded(t, y []float64) {
 // activations in m.h, whose model output βᵀh is y (which may be m.e).
 // It charges the operation counter for βᵀh but not for h.
 func (m *Model) update(t, y []float64) {
+	m.own(true)
 	h := m.h
 
 	// ph = P·h
@@ -667,6 +674,7 @@ func (m *Model) InitTrainBatch(xs, ts [][]float64) error {
 	}
 	gram := mat.New(m.cfg.Hidden, m.cfg.Hidden)
 	mat.RidgeGram(gram, hm, m.cfg.Ridge)
+	m.own(true)
 	if err := mat.Inverse(m.p, gram); err != nil {
 		return fmt.Errorf("oselm: batch init: %w", err)
 	}
@@ -722,17 +730,23 @@ func (m *Model) Weights() (w, bias, beta []float64) {
 // staging buffers are included since a deployed implementation must
 // also hold them; P and the RLS
 // scratch are counted at float64 on every backend because that is where
-// they live (see Config.Precision). A shared projection, which the
-// model holds but does not own, is counted once by its owner instead.
+// they live (see Config.Precision). A shared projection and shared
+// learned state, which the model holds but does not own, are counted
+// once by their owner instead (see ShareProjection and EachShared).
 func (m *Model) MemoryBytes() int {
 	const f64 = 8
-	training := f64 * (len(m.p.Data) + len(m.h) + len(m.ph) + len(m.e))
+	n := f64 * (len(m.h) + len(m.ph) + len(m.e))
 	es := m.cfg.Precision.Bytes()
-	if m.w32 != nil {
-		return training + es*(len(m.w32.Data)+len(m.bias32)+len(m.beta32.Data)+
-			len(m.h32)+len(m.x32)+len(m.o32)+len(m.u32)+len(m.e32))
+	if !m.lshared {
+		n += m.learnedBytes()
 	}
-	n := training + es*len(m.beta.Data)
+	if m.w32 != nil {
+		n += es * (len(m.h32) + len(m.x32) + len(m.o32) + len(m.u32) + len(m.e32))
+		if !m.wShared {
+			n += es * (len(m.w32.Data) + len(m.bias32))
+		}
+		return n
+	}
 	if !m.wShared {
 		n += es * (len(m.w.Data) + len(m.bias))
 	}

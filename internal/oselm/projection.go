@@ -28,11 +28,17 @@ func (m *Model) Projection() *Projection {
 }
 
 // ShareProjection rebinds m's input layer to p's slabs when they hold
-// exactly m's bits, and reports whether it did. From then on m's
-// MemoryBytes leaves W and b out: whoever keeps p counts them once.
+// exactly m's bits, and reports whether it did. A model that already
+// holds p's very slabs (a clone of a member) is accepted without
+// comparing them. From then on m's MemoryBytes leaves W and b out:
+// whoever keeps p counts them once.
 func (m *Model) ShareProjection(p *Projection) bool {
-	if m.w == nil || p == nil || p.w.Rows != m.w.Rows || p.w.Cols != m.w.Cols ||
-		!sameBitsMat(m.w, p.w) || !sameBits64(m.bias, p.bias) {
+	if m.w == nil || p == nil {
+		return false
+	}
+	same := m.w == p.w && len(m.bias) == len(p.bias) && &m.bias[0] == &p.bias[0]
+	if !same && (p.w.Rows != m.w.Rows || p.w.Cols != m.w.Cols ||
+		!sameBitsMat(m.w, p.w) || !sameBits64(m.bias, p.bias)) {
 		return false
 	}
 	m.w, m.bias, m.wShared = p.w, p.bias, true

@@ -16,12 +16,12 @@
 // exactly — the accounting loadgen asserts.
 //
 // Streams are created on first use by cloning the shard's template
-// artifact, so the router can place new streams anywhere without a
-// control round-trip. Live migration is the fleet member handoff over
-// the wire: MigrateOut exports the member (sample-boundary snapshot,
-// CRC-checksummed payload) and tombstones the stream so a late batch
-// cannot silently respawn a fresh member; MigrateIn imports it with
-// lifetime counters carried over.
+// monitor, parsed once from its artifact, so the router can place new
+// streams anywhere without a control round-trip. Live migration is the
+// fleet member handoff over the wire: MigrateOut exports the member
+// (sample-boundary snapshot, CRC-checksummed payload) and tombstones
+// the stream so a late batch cannot silently respawn a fresh member;
+// MigrateIn imports it with lifetime counters carried over.
 package shard
 
 import (
@@ -32,7 +32,6 @@ import (
 	"log"
 	"net"
 	"net/http"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -45,12 +44,14 @@ import (
 
 // Config parameterises a shard server.
 type Config struct {
-	// Template is a serialised Monitor artifact (Monitor.Save) cloned
-	// for every stream the shard has not seen before. Required.
+	// Template is a serialised Monitor artifact (Monitor.Save), parsed
+	// once by New and cloned for every stream the shard has not seen
+	// before. Required.
 	Template []byte
 	// Precision selects the member backend built from the template:
-	// Float64/Float32 register the loaded Monitor as-is (the artifact's
-	// own backend governs), Fixed16 quantises it to a Q16.16 stage.
+	// Float64/Float32 register a clone of the loaded Monitor (the
+	// artifact's own backend governs), Fixed16 quantises it to a Q16.16
+	// stage.
 	Precision edgedrift.Precision
 	// QueueDepth bounds each connection's ingest queue in batches;
 	// 0 means 64.
@@ -91,6 +92,12 @@ type Server struct {
 
 	mu         sync.Mutex
 	tombstones map[string]bool // migrated-out streams: never auto-recreate
+
+	// tmpl is the parsed template every new member is cloned from; Clone
+	// marks it shared, so tmplMu serialises the connections creating
+	// streams.
+	tmplMu sync.Mutex
+	tmpl   *edgedrift.Monitor
 
 	closed atomic.Bool
 	wg     sync.WaitGroup
@@ -145,7 +152,7 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("shard: bad template: %w", err)
 	}
-	s.inputs = tmpl.Model().Config().Inputs
+	s.tmpl, s.inputs = tmpl, tmpl.Model().Config().Inputs
 	if cfg.PressureBudget > 0 {
 		interval := cfg.PressureInterval
 		if interval <= 0 {
@@ -197,14 +204,12 @@ func (s *Server) Fleet() *edgedrift.Fleet { return s.fleet }
 
 // newMember clones the template into a fresh member stage.
 func (s *Server) newMember() (edgedrift.Streaming, error) {
-	mon, err := edgedrift.LoadMonitor(bytes.NewReader(s.cfg.Template))
-	if err != nil {
-		return nil, err
-	}
+	s.tmplMu.Lock()
+	defer s.tmplMu.Unlock()
 	if s.cfg.Precision == edgedrift.Fixed16 {
-		return mon.QuantizeQ16()
+		return s.tmpl.QuantizeQ16()
 	}
-	return mon, nil
+	return s.tmpl.Clone()
 }
 
 // ensureStream registers a member for an unseen stream, cloning the
@@ -229,15 +234,10 @@ func (s *Server) ensureStream(stream string) error {
 	} else {
 		err = s.fleet.AddStage(stream, st)
 	}
-	if err != nil && isAlreadyRegistered(err) {
+	if errors.Is(err, edgedrift.ErrAlreadyRegistered) {
 		return nil // lost a create race; the member exists
 	}
 	return err
-}
-
-// isAlreadyRegistered matches the fleet's duplicate-Add error.
-func isAlreadyRegistered(err error) bool {
-	return err != nil && strings.Contains(err.Error(), "already registered")
 }
 
 // Serve accepts connections on ln until Close. It always returns a

@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"net"
 	"reflect"
 	"strings"
@@ -581,5 +582,132 @@ func TestShardRejectsWrongWidthBatch(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestShardCreateRace: two connections send a new stream's first batch
+// at once. The one that loses the create race finds the winner's member
+// (edgedrift.ErrAlreadyRegistered) and processes its batch there: one
+// member, every sample counted. The losing path is also taken
+// deterministically, against a member that is already registered.
+func TestShardCreateRace(t *testing.T) {
+	template, stream := testTemplate(t)
+	s, addr := startShard(t, Config{Template: template})
+	for i := 0; i < 2; i++ {
+		if err := s.ensureStream("taken"); err != nil {
+			t.Fatalf("create %d of a registered stream: %v", i, err)
+		}
+	}
+	cls := make([]*wire.Client, 2)
+	for i := range cls {
+		cl, err := wire.DialClient(addr, 2*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		cls[i] = cl
+	}
+	const rounds, batch = 20, 10
+	for r := 0; r < rounds; r++ {
+		id := fmt.Sprintf("race-%d", r)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for _, cl := range cls {
+			wg.Add(1)
+			go func(cl *wire.Client) {
+				defer wg.Done()
+				<-start
+				if _, shed, err := cl.SendBatch(nil, id, stream[:batch]); err != nil || shed != 0 {
+					t.Errorf("%s: err %v, shed %d", id, err, shed)
+				}
+			}(cl)
+		}
+		close(start)
+		wg.Wait()
+		if samples, _, err := s.Fleet().MemberStats(id); err != nil || samples != 2*batch {
+			t.Fatalf("%s: %d samples (err %v), want %d on one member", id, samples, err, 2*batch)
+		}
+	}
+	if got := s.Fleet().Len(); got != rounds+1 {
+		t.Fatalf("%d members, want %d", got, rounds+1)
+	}
+}
+
+// TestShardConcurrentClonesDrift: two connections create and drive
+// streams at once, half of which drift, so members take private copies
+// of the template's learned state while siblings on the other
+// connection still read the shared slabs (make race runs this under the
+// race detector). Every result matches a local replay, the template is
+// never written, and only the undrifted members still share.
+func TestShardConcurrentClonesDrift(t *testing.T) {
+	template, stream := testTemplate(t)
+	s, addr := startShard(t, Config{Template: template})
+	conns := [][]string{{"c0-drift", "c0-calm", "c0-drift2"}, {"c1-calm", "c1-drift", "c1-calm2"}}
+	var all []string
+	for _, ids := range conns {
+		all = append(all, ids...)
+	}
+	ref := referenceFleet(t, template, edgedrift.Float64, all...)
+	// The drift sits at sample 1000: drifting streams run past it and
+	// through their reconstruction, calm ones stop short of it.
+	length := func(id string) int {
+		if strings.Contains(id, "drift") {
+			return 1500
+		}
+		return 900
+	}
+	var wg sync.WaitGroup
+	for _, ids := range conns {
+		cl, err := wire.DialClient(addr, 2*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		wg.Add(1)
+		go func(ids []string) {
+			defer wg.Done()
+			for off := 0; off < 1500; off += 50 {
+				for _, id := range ids {
+					if off >= length(id) {
+						continue
+					}
+					xs := stream[off : off+50]
+					got, _, err := cl.SendBatch(nil, id, xs)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					want, err := ref.ProcessBatch(id, xs)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%s: shard results diverge from local replay at offset %d", id, off)
+						return
+					}
+				}
+			}
+		}(ids)
+	}
+	wg.Wait()
+	for _, id := range all {
+		_, drifts, err := s.Fleet().MemberStats(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (drifts > 0) != strings.Contains(id, "drift") {
+			t.Fatalf("%s: %d drifts", id, drifts)
+		}
+	}
+	if got := s.Fleet().Metrics().SharedStreams; got != 3 {
+		t.Fatalf("%d members still share the template's learned state, want the 3 calm ones", got)
+	}
+	var buf bytes.Buffer
+	if err := s.tmpl.Save(&buf, edgedrift.Float64); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), template) {
+		t.Fatal("the shard's template changed")
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"edgedrift"
+	"edgedrift/internal/pool"
 )
 
 // memberProjection returns the live W and b slabs of every instance of
@@ -57,21 +58,45 @@ func sameSlabs(a, b [][]float64) bool {
 	return true
 }
 
+// templateLearned returns a checksum of the learned state (β and P) of
+// every instance of mon's full-precision model.
+func templateLearned(mon *edgedrift.Monitor) uint64 {
+	var slabs [][]float64
+	for i := 0; i < mon.Model().Classes(); i++ {
+		om := mon.Model().Instance(i).Model()
+		slabs = append(slabs, om.Beta().Data, om.P().Data)
+	}
+	return checksum(slabs)
+}
+
 // TestFleetSharedProjectionNeverWritten: members cloned from one
-// template share one read-only projection, and a full life cycle —
-// drift and reconstruction, demote/promote, a cooperative merge seed,
-// export/import and save/load — never writes it.
+// template share its read-only projection and, until they write, its
+// learned state β and P. No writer ever reaches a shared slab: drift
+// and reconstruction, demote → train → promote, a cooperative merge
+// seed, export/import, a batch initialisation, sequential training, an
+// adopt, a pool restore and save/load all leave the template's slabs
+// and an idle sibling's Save bytes as they were.
 func TestFleetSharedProjectionNeverWritten(t *testing.T) {
 	fx := newFleetFixture(t)
+	tmpl := fx.monitor(t, 1)
 	f := edgedrift.NewFleet(edgedrift.FleetConfig{})
-	for _, id := range []string{"a", "b", "c"} {
-		if err := f.AddCohort(id, fx.monitor(t, 1), "cohort"); err != nil {
+	clone := func(id, cohort string) {
+		t.Helper()
+		if err := f.AddCohort(id, mustClone(t, tmpl), cohort); err != nil {
 			t.Fatal(err)
 		}
 	}
+	for _, id := range []string{"a", "b", "c"} {
+		clone(id, "cohort")
+	}
+	clone("idle", "")
+	clone("adopt", "")
+	clone("batch", "")
+	clone("train", "")
 	slab := memberProjection(t, f, "a")
-	sum := checksum(slab)
-	for _, id := range []string{"b", "c"} {
+	sum, learned := checksum(slab), templateLearned(tmpl)
+	idle := memberSave(t, f, "idle")
+	for _, id := range f.IDs() {
 		if !sameSlabs(slab, memberProjection(t, f, id)) {
 			t.Fatalf("member %q does not share the template's projection", id)
 		}
@@ -84,11 +109,24 @@ func TestFleetSharedProjectionNeverWritten(t *testing.T) {
 			}
 		}
 	}
+	check := func(step string) {
+		t.Helper()
+		if got := templateLearned(tmpl); got != learned {
+			t.Fatalf("after %s: template learned-state checksum %x, was %x", step, got, learned)
+		}
+		if got := checksum(slab); got != sum {
+			t.Fatalf("after %s: shared projection checksum %x, was %x", step, got, sum)
+		}
+		if !bytes.Equal(memberSave(t, f, "idle"), idle) {
+			t.Fatalf("after %s: the idle sibling's Save bytes changed", step)
+		}
+	}
 
 	feed(f, "a", fx.stream) // drift at 1000, then Algorithm 2
 	if _, drifts, _ := f.MemberStats("a"); drifts == 0 {
 		t.Fatal("the stream never drifted; the cycle did not reconstruct")
 	}
+	check("drift and reconstruction")
 	if err := f.DemoteMember("b", edgedrift.Float32); err != nil {
 		t.Fatal(err)
 	}
@@ -96,6 +134,7 @@ func TestFleetSharedProjectionNeverWritten(t *testing.T) {
 	if err := f.PromoteMember("b"); err != nil {
 		t.Fatal(err)
 	}
+	check("demote, train, promote")
 	state, _, err := f.ExportMergeState("c")
 	if err != nil {
 		t.Fatal(err)
@@ -103,6 +142,7 @@ func TestFleetSharedProjectionNeverWritten(t *testing.T) {
 	if err := f.MergeSeedMember("b", [][]byte{state}); err != nil {
 		t.Fatal(err)
 	}
+	check("merge seed")
 	st, err := f.ExportMember("c")
 	if err != nil {
 		t.Fatal(err)
@@ -110,6 +150,46 @@ func TestFleetSharedProjectionNeverWritten(t *testing.T) {
 	if err := f.ImportMember(st); err != nil {
 		t.Fatal(err)
 	}
+	feed(f, "c", fx.stream)
+	check("export, import and drift")
+	if err := f.Do("batch", func(mon *edgedrift.Monitor) error {
+		return mon.Model().InitBatch(fx.trainX, fx.trainY)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	check("batch initialisation")
+	if err := f.Do("train", func(mon *edgedrift.Monitor) error {
+		for _, x := range fx.stream[:100] {
+			mon.Model().Train(x, 0)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	check("sequential training")
+	donor := fx.monitor(t, 1)
+	donor.Process(fx.stream[1500])
+	if err := f.Do("adopt", func(mon *edgedrift.Monitor) error {
+		return mon.Model().AdoptState(donor.Model())
+	}); err != nil {
+		t.Fatal(err)
+	}
+	check("adopt")
+	pooled, err := pool.NewStage(mustClone(t, tmpl).Detector(), pool.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.AddStage("pooled", pooled); err != nil {
+		t.Fatal(err)
+	}
+	// Old concept, new concept, old concept again: the return is matched
+	// against the checkpoint cut at the first drift and restored.
+	feed(f, "pooled", append(append(append([][]float64(nil), fx.stream...), fx.stream[1000:2500]...), fx.stream[:1500]...))
+	if pooled.Restores() == 0 {
+		t.Fatal("the pool never restored a checkpoint")
+	}
+	check("pool restore")
+	f.Remove("pooled") // a pool stage has no fleet wire format
 	var art bytes.Buffer
 	if err := f.Save(&art, edgedrift.Float64); err != nil {
 		t.Fatal(err)
@@ -122,11 +202,9 @@ func TestFleetSharedProjectionNeverWritten(t *testing.T) {
 		feed(f, id, fx.stream[:200])
 		feed(loaded, id, fx.stream[:200])
 	}
+	check("save and load")
 
-	if got := checksum(slab); got != sum {
-		t.Fatalf("shared projection checksum %x after the cycle, was %x", got, sum)
-	}
-	for _, id := range []string{"a", "b", "c"} {
+	for _, id := range []string{"a", "b", "c", "idle", "adopt", "batch", "train"} {
 		if !sameSlabs(slab, memberProjection(t, f, id)) {
 			t.Fatalf("member %q left the shared projection", id)
 		}
@@ -134,6 +212,16 @@ func TestFleetSharedProjectionNeverWritten(t *testing.T) {
 			t.Fatalf("loaded member %q does not share the reloaded projection", id)
 		}
 	}
+}
+
+// memberSave returns one fleet member's Save bytes.
+func memberSave(t *testing.T, f *edgedrift.Fleet, id string) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := f.Do(id, func(mon *edgedrift.Monitor) error { return mon.Save(&b, edgedrift.Float64) }); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
 }
 
 // TestFleetConcurrentSharedProjectionBitIdentical drives many members
