@@ -252,7 +252,7 @@ func BenchmarkScorePrecision(b *testing.B) {
 
 // nslkddArtifact fits the NSL-KDD monitor at the serve tier's member
 // shape (D=38, H=22, C=2) and returns its Save bytes.
-func nslkddArtifact(b *testing.B) []byte {
+func nslkddArtifact(b testing.TB) []byte {
 	b.Helper()
 	ds := nslkdd.Generate(nslkdd.DefaultParams())
 	mon, err := edgedrift.New(edgedrift.Options{

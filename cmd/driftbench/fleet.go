@@ -19,9 +19,12 @@ import (
 // surrogate as K interleaved streams (sample i goes to stream i mod K),
 // registers one trained monitor per stream in a Fleet, and measures
 // per-stream and aggregate throughput while drift events fan in on the
-// single subscriber channel. One monitor is trained once and cloned
-// K times through its serialised artifact, so fleet setup cost is
-// deserialisation, not K trainings.
+// single subscriber channel. One monitor is trained once, its artifact
+// is loaded once and the loaded template is cloned K times, so fleet
+// setup cost is one deserialisation, not K trainings. The fleet's
+// memory is read twice: after the members are created, when every clone
+// still shares the template's learned state and trained centroids, and
+// after the replay, when the streams that drifted hold private copies.
 func runFleet(args []string) int {
 	fs := flag.NewFlagSet("fleet", flag.ContinueOnError)
 	streams := fs.Int("streams", 8, "independent streams (NSL-KDD test set interleaved round-robin)")
@@ -108,6 +111,8 @@ func runFleet(args []string) int {
 		}
 	}
 
+	created := f.MemoryBytes()
+
 	durs := make([]time.Duration, *streams)
 	pool := eval.NewPool(*parallel)
 	wall := time.Now()
@@ -179,8 +184,8 @@ func runFleet(args []string) int {
 	}
 	fmt.Printf("drift: %d of %d streams fired, %d detections total, %d events fanned in, %d dropped\n",
 		fired, *streams, drifts, fanned, f.EventsDropped())
-	fmt.Printf("fleet memory: %.1f kB retained; %s\n",
-		float64(f.MemoryBytes())/1024, h.String())
+	fmt.Printf("fleet memory: %.1f kB retained when created, %.1f kB after the replay; %s\n",
+		float64(created)/1024, float64(f.MemoryBytes())/1024, h.String())
 
 	if *jsonPath != "" {
 		sum := fleetSummary{
@@ -191,7 +196,7 @@ func runFleet(args []string) int {
 			Aggregate: float64(len(ds.TestX)) / elapsed.Seconds(),
 			Drifts:    drifts, StreamsFired: fired,
 			EventsFanned: fanned, EventsDropped: f.EventsDropped(),
-			MemoryBytes: f.MemoryBytes(), Healthy: h.Healthy(),
+			MemoryBytesCreated: created, MemoryBytes: f.MemoryBytes(), Healthy: h.Healthy(),
 		}
 		if len(rates) > 0 {
 			sum.PerStreamMin = rates[0]
@@ -224,8 +229,11 @@ type fleetSummary struct {
 	StreamsFired    int     `json:"streams_fired"`
 	EventsFanned    int     `json:"events_fanned"`
 	EventsDropped   uint64  `json:"events_dropped"`
-	MemoryBytes     int     `json:"memory_bytes"`
-	Healthy         bool    `json:"healthy"`
+	// MemoryBytesCreated is Fleet.MemoryBytes once every member is
+	// created, before the replay; MemoryBytes is read after it.
+	MemoryBytesCreated int  `json:"memory_bytes_created"`
+	MemoryBytes        int  `json:"memory_bytes"`
+	Healthy            bool `json:"healthy"`
 }
 
 func writeFleetJSON(path string, sum fleetSummary) error {

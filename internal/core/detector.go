@@ -304,7 +304,7 @@ type Detector struct {
 	classes int
 	dims    int
 
-	trainCor [][]float64 // trained centroids, one per class
+	trainCor [][]float64 // trained centroids, one per class (see corShared)
 	cor      [][]float64 // recent test centroids
 	num      []int       // per-class sample counts backing the running mean
 	baseNum  []int       // counts at calibration, for ResetWindowState
@@ -330,6 +330,9 @@ type Detector struct {
 	reconsDone  int
 
 	calibrated bool
+	// corShared marks trainCor as slabs shared with a clone or its
+	// source (see CloneAt): every writer calls ownTrainCor first.
+	corShared bool
 
 	// Ingestion-guard state (Config.Guard): samples refused and
 	// repaired, the last accepted Result a GuardReject rejection
@@ -351,8 +354,11 @@ type Detector struct {
 	// serialisable. The model pool checkpoints from here.
 	driftHook func()
 
-	ops      *opcount.Counter
-	stageOps [numStages]opcount.Counter
+	ops *opcount.Counter
+	// stageOps holds the per-stage operation tallies; SetOps allocates
+	// it with the first counter, so a detector that never counts
+	// operations does not carry the table. stageN counts every run.
+	stageOps *[numStages]opcount.Counter
 	stageN   [numStages]uint64
 
 	scoreHist *stats.Running   // anomaly scores seen while monitoring (diagnostics)
@@ -392,6 +398,9 @@ func (d *Detector) Model() *model.Multi { return d.model }
 // SetOps attaches an operation counter to the detector and its model.
 func (d *Detector) SetOps(c *opcount.Counter) {
 	d.ops = c
+	if c != nil && d.stageOps == nil {
+		d.stageOps = new([numStages]opcount.Counter)
+	}
 	d.model.SetOps(c)
 }
 
@@ -462,6 +471,9 @@ func (d *Detector) RecentCentroid(c int) []float64 { return mat.CopyVec(d.cor[c]
 // StageOps returns the accumulated operation counts and invocation count
 // for a stage.
 func (d *Detector) StageOps(s Stage) (opcount.Counter, uint64) {
+	if d.stageOps == nil {
+		return opcount.Counter{}, d.stageN[s]
+	}
 	return d.stageOps[s], d.stageN[s]
 }
 
@@ -533,13 +545,9 @@ func (d *Detector) Calibrate(xs [][]float64, labels []int) error {
 	if len(xs[0]) != d.dims {
 		return fmt.Errorf("core: sample dimension %d, want %d", len(xs[0]), d.dims)
 	}
-	d.trainCor = make([][]float64, d.classes)
-	d.cor = make([][]float64, d.classes)
+	d.trainCor, d.corShared = newCentroids(d.classes, d.dims), false
+	d.cor = newCentroids(d.classes, d.dims)
 	d.num = make([]int, d.classes)
-	for c := range d.trainCor {
-		d.trainCor[c] = make([]float64, d.dims)
-		d.cor[c] = make([]float64, d.dims)
-	}
 	for i, x := range xs {
 		l := labels[i]
 		if l < 0 || l >= d.classes {
@@ -593,6 +601,49 @@ func (d *Detector) Calibrate(xs [][]float64, labels []int) error {
 	d.reconScores.Reset()
 	d.calibrated = true
 	return nil
+}
+
+// newCentroids allocates one zeroed centroid per class.
+func newCentroids(classes, dims int) [][]float64 {
+	cs := make([][]float64, classes)
+	for c := range cs {
+		cs[c] = make([]float64, dims)
+	}
+	return cs
+}
+
+// copyCentroids returns a private copy of the centroids cs.
+func copyCentroids(cs [][]float64) [][]float64 {
+	out := make([][]float64, len(cs))
+	for c := range cs {
+		out[c] = append([]float64(nil), cs[c]...)
+	}
+	return out
+}
+
+// ownTrainCor gives d private trained centroids before a write when it
+// still shares them with a clone or its source, copying the shared
+// values. The shared slabs themselves are never written.
+func (d *Detector) ownTrainCor() {
+	if !d.corShared {
+		return
+	}
+	d.trainCor, d.corShared = copyCentroids(d.trainCor), false
+}
+
+// EachShared calls fn once for every group of slabs d holds in common
+// with its clones and leaves out of its own MemoryBytes: the trained
+// centroids until d's first write to them, and each model instance's
+// shared slabs (see oselm.Model.EachShared). key is the same for every
+// holder of a group, so an audit that counts each key once counts each
+// slab once.
+func (d *Detector) EachShared(fn func(key any, bytes int)) {
+	if d.corShared {
+		fn(&d.trainCor[0], 8*d.classes*d.dims)
+	}
+	for i := 0; i < d.model.Classes(); i++ {
+		d.model.Instance(i).Model().EachShared(fn)
+	}
 }
 
 // initScoreBins (re)creates the health histogram of monitoring scores
@@ -898,12 +949,18 @@ func (d *Detector) Health() health.Snapshot {
 // quantity the paper's Table 4 compares against the batch methods'
 // buffers — and the scratch buffers the hot paths keep. The batch
 // staging lives in the model's scratch and is counted there.
+//
+// Trained centroids still shared with a clone or its source are left
+// out, as the model leaves out its shared slabs; EachShared names them.
 func (d *Detector) MemoryBytes() int {
 	const f = 8
 	centroids := 2 * d.classes * d.dims * f // trained + recent
-	counts := 2 * d.classes * 8             // num + baseNum
-	scalars := 16 * f                       // thresholds, window state, accumulators
-	clamp := 8 * len(d.clampBuf)            // GuardClamp only
+	if d.corShared {
+		centroids -= d.classes * d.dims * f
+	}
+	counts := 2 * d.classes * 8  // num + baseNum
+	scalars := 16 * f            // thresholds, window state, accumulators
+	clamp := 8 * len(d.clampBuf) // GuardClamp only
 	return d.model.MemoryBytes() + centroids + counts + scalars + clamp
 }
 

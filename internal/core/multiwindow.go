@@ -211,6 +211,7 @@ var _ Streaming = (*MultiWindow)(nil)
 // adoptStateFrom copies the post-reconstruction centroid state and
 // thresholds from src, re-arming the member against the new concept.
 func (d *Detector) adoptStateFrom(src *Detector) {
+	d.ownTrainCor()
 	for c := range d.trainCor {
 		copy(d.trainCor[c], src.trainCor[c])
 		copy(d.cor[c], src.cor[c])

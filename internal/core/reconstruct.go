@@ -164,6 +164,7 @@ func (d *Detector) starveLimit() int {
 // retraining (Eq. 1 over the reconstruction samples), and re-arms the
 // detector.
 func (d *Detector) finishReconstruction() {
+	d.ownTrainCor()
 	for c := range d.trainCor {
 		copy(d.trainCor[c], d.cor[c])
 	}

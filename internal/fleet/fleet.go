@@ -25,7 +25,6 @@ import (
 
 	"edgedrift/internal/core"
 	"edgedrift/internal/health"
-	"edgedrift/internal/model"
 	"edgedrift/internal/oselm"
 )
 
@@ -254,19 +253,12 @@ func (f *Fleet) addMember(id string, s core.Streaming, mc MemberConfig, samples,
 	}
 	sh.members[id] = mb
 	sh.mu.Unlock()
-	if mh, ok := core.Find[modelHolder](mb.stage); ok {
-		mb.slabs = f.proj.intern(mh.Model())
+	if d, ok := stageDetector(mb.stage); ok {
+		mb.slabs = f.proj.intern(d.Model())
 	}
 	mb.mu.Unlock()
 	f.cohortAdd(mc.Cohort, id)
 	return nil
-}
-
-// modelHolder is the stage capability projection interning uses: the
-// float64 model whose fixed projections the fleet can share (a
-// Monitor's origin model; a bare detector's model).
-type modelHolder interface {
-	Model() *model.Multi
 }
 
 // cohortAdd indexes id under its cohort (no-op for the empty cohort).

@@ -96,9 +96,10 @@ func (p *projections) size() int {
 }
 
 // sharedAudit totals the slabs members hold in common without the fleet
-// interning them — learned state shared copy-on-write with a template,
-// float32 projections shared by clones — each counted once however many
-// members hold it, and counts the members still sharing learned state.
+// interning them — learned state and trained centroids shared
+// copy-on-write with a template, float32 projections shared by clones —
+// each counted once however many members hold it, and counts the
+// members still sharing learned state.
 type sharedAudit struct {
 	seen    map[any]bool
 	bytes   int
@@ -107,23 +108,38 @@ type sharedAudit struct {
 
 // add folds in one member's stage; the caller holds the member lock.
 func (a *sharedAudit) add(s core.Streaming) {
-	mh, ok := core.Find[modelHolder](s)
+	d, ok := stageDetector(s)
 	if !ok {
 		return
 	}
-	mm := mh.Model()
-	shares := false
+	d.EachShared(func(key any, n int) {
+		if !a.seen[key] {
+			a.seen[key] = true
+			a.bytes += n
+		}
+	})
+	mm := d.Model()
 	for i := 0; i < mm.Classes(); i++ {
-		om := mm.Instance(i).Model()
-		shares = shares || om.SharesLearnedState()
-		om.EachShared(func(key any, n int) {
-			if !a.seen[key] {
-				a.seen[key] = true
-				a.bytes += n
-			}
-		})
+		if mm.Instance(i).Model().SharesLearnedState() {
+			a.streams++
+			return
+		}
 	}
-	if shares {
-		a.streams++
+}
+
+// detectorHolder is the capability of a stage built around a proposed
+// detector (a Monitor, a pool stage).
+type detectorHolder interface {
+	Detector() *core.Detector
+}
+
+// stageDetector finds the proposed detector in a member's stage chain —
+// the detector a Monitor or a pool stage wraps, or a bare one — whose
+// model's projections the fleet interns and whose shared slabs the
+// audit counts. Baselines and the Q16.16 port have none.
+func stageDetector(s core.Streaming) (*core.Detector, bool) {
+	if h, ok := core.Find[detectorHolder](s); ok {
+		return h.Detector(), true
 	}
+	return core.Find[*core.Detector](s)
 }

@@ -141,21 +141,29 @@ func TestFleetMemoryAuditCountsSharedStateOnce(t *testing.T) {
 		t.Fatalf("projection bytes %d after the last holder left, want %d", got, want)
 	}
 
-	// Clones share their template's learned state β and P too, until
-	// they write: of N clones with k drifted (reset, so private), the
-	// audit counts the k private copies in full and the shared slabs
-	// once, however many clones still read them.
-	const n, k = 6, 2
+	// Clones share their template's learned state β and P and its
+	// trained centroids too, until they write: of N clones with some
+	// drifted (reset, so β and P are private) and some of those with
+	// the reconstruction finished (the trained centroids private too),
+	// the audit counts the private copies in full and each shared group
+	// once, however many clones still read it.
+	const n = 6
 	tmpl := leanDetector(t, 3, 4)
 	full := leanDetector(t, 3, 4).MemoryBytes() // the same detector owning everything
 	c := tmpl.Model().Config()
 	proj := 8 * (c.Hidden*c.Inputs + c.Hidden) * c.Classes
 	learned := 8 * (c.Hidden*c.Hidden + c.Hidden*c.Inputs) * c.Classes
-	for _, drifted := range []int{k, n} {
+	scratch := 8 * c.Hidden * c.Classes // P·h, taken with the private β and P
+	trained := 8 * c.Inputs * c.Classes // the trained centroids
+	recon, _ := leanSamples(tmpl.Config().NRecon, c.Inputs, 11)
+	for _, tc := range []struct{ drifted, rebuilt int }{{2, 0}, {3, 2}, {n, 1}, {n, n}} {
 		fc := New(Config{})
 		want := proj // the one interned projection
-		if drifted < n {
+		if tc.drifted < n {
 			want += learned // the shared learned state, once
+		}
+		if tc.rebuilt < n {
+			want += trained // the shared trained centroids, once
 		}
 		for i := 0; i < n; i++ {
 			id := fmt.Sprintf("clone-%d", i)
@@ -166,25 +174,30 @@ func TestFleetMemoryAuditCountsSharedStateOnce(t *testing.T) {
 			if err := fc.Add(id, d); err != nil {
 				t.Fatal(err)
 			}
-			stage := full - proj - learned
-			if i < drifted {
-				if err := fc.Do(id, func(s core.Streaming) error {
-					s.(*core.Detector).TriggerReconstruction()
-					return nil
-				}); err != nil {
+			stage := full - proj - learned - scratch - trained
+			if i < tc.drifted {
+				d.TriggerReconstruction()
+				stage += learned + scratch // its private β, P and P·h
+			}
+			if i < tc.rebuilt {
+				if _, err := fc.ProcessBatch(id, recon); err != nil {
 					t.Fatal(err)
 				}
-				stage += learned // its private copy
+				if d.Reconstructions() != 1 {
+					t.Fatal("the reconstruction did not finish")
+				}
+				stage += trained // its private trained centroids
 			}
 			want += stage + len(id) + memberOverheadBytes
 		}
+		name := fmt.Sprintf("%d of %d clones drifted, %d rebuilt", tc.drifted, n, tc.rebuilt)
 		if got := fc.MemoryBytes(); got != want {
-			t.Fatalf("%d of %d clones drifted: MemoryBytes = %d, want %d", drifted, n, got, want)
+			t.Fatalf("%s: MemoryBytes = %d, want %d", name, got, want)
 		}
 		m := fc.Metrics()
-		if m.MemoryBytes != want || m.SharedStreams != n-drifted {
-			t.Fatalf("%d of %d clones drifted: Metrics() audits %d B with %d shared streams, want %d B and %d",
-				drifted, n, m.MemoryBytes, m.SharedStreams, want, n-drifted)
+		if m.MemoryBytes != want || m.SharedStreams != n-tc.drifted {
+			t.Fatalf("%s: Metrics() audits %d B with %d shared streams, want %d B and %d",
+				name, m.MemoryBytes, m.SharedStreams, want, n-tc.drifted)
 		}
 	}
 }

@@ -8,10 +8,13 @@ import "edgedrift/internal/mat"
 // float32 backend) and P, copy-on-write: both models read the same
 // slabs until one of them writes, and every writer (Train, Reset,
 // InitTrainBatch, Merge, AdoptState) first takes a private copy (see
-// own). The scratch buffers are the clone's own; the sequential-init
-// counter and the watchdog state are copied, and no operation counter
-// is attached. Clone marks m's learned state shared too, so it is a
-// use of m under m's one-goroutine contract.
+// own). The scoring scratch is the clone's own; the RLS scratch that
+// only training reads (P·h, and the gain and residual narrowed to
+// float32 on that backend) comes with the private copy, so a clone that
+// never trains never holds it. The sequential-init counter and the
+// watchdog state are copied, and no operation counter is attached.
+// Clone marks m's learned state shared too, so it is a use of m under
+// m's one-goroutine contract.
 //
 // Until its first write a clone's MemoryBytes leaves the shared slabs
 // out, as it does an interned projection; EachShared names them, so an
@@ -33,7 +36,6 @@ func (m *Model) Clone() *Model {
 		bias32:     m.bias32,
 		beta32:     m.beta32,
 		h:          make([]float64, m.cfg.Hidden),
-		ph:         make([]float64, m.cfg.Hidden),
 		e:          make([]float64, m.cfg.Outputs),
 		inits:      m.inits,
 		wdPeriod:   m.wdPeriod,
@@ -45,19 +47,25 @@ func (m *Model) Clone() *Model {
 		c.h32 = make([]float32, m.cfg.Hidden)
 		c.x32 = make([]float32, m.cfg.Inputs)
 		c.o32 = make([]float32, m.cfg.Outputs)
-		c.u32 = make([]float32, m.cfg.Hidden)
-		c.e32 = make([]float32, m.cfg.Outputs)
 	}
 	return c
 }
 
 // own gives m private β (β32) and P before a write when it still shares
 // them with a clone or a template: copies of the shared slabs when keep
-// is set, zeroed ones when the caller overwrites them whole. The shared
-// slabs themselves are never written.
+// is set, zeroed ones when the caller overwrites them whole — and, on a
+// clone, the RLS scratch Clone left out. The shared slabs themselves
+// are never written.
 func (m *Model) own(keep bool) {
 	if !m.lshared {
 		return
+	}
+	if m.ph == nil {
+		m.ph = make([]float64, m.cfg.Hidden)
+		if m.w32 != nil {
+			m.u32 = make([]float32, m.cfg.Hidden)
+			m.e32 = make([]float32, m.cfg.Outputs)
+		}
 	}
 	p := mat.New(m.cfg.Hidden, m.cfg.Hidden)
 	if m.beta32 != nil {

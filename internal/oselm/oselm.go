@@ -752,16 +752,3 @@ func (m *Model) MemoryBytes() int {
 	}
 	return n
 }
-
-// InferenceBytes reports the bytes of inference-side state alone — the
-// projection, biases, output weights and activation buffer. This is the
-// footprint a deploy-only port carries (the RLS training state stays
-// host-side) and it scales directly with the element width: float32 is
-// exactly half of float64 at equal shape.
-func (m *Model) InferenceBytes() int {
-	es := m.cfg.Precision.Bytes()
-	if m.w32 != nil {
-		return es * (len(m.w32.Data) + len(m.bias32) + len(m.beta32.Data) + len(m.h32))
-	}
-	return es * (len(m.w.Data) + len(m.bias) + len(m.beta.Data) + len(m.h))
-}

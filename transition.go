@@ -97,8 +97,9 @@ func (m *Monitor) ActivePrecision() Precision {
 
 // deriveAt builds the monitor's reduced-precision float twin: the model
 // converted in the oselm layer (weights narrowed, RLS state bit-exact)
-// and the detector state carried through the core checkpoint path, with
-// guard policy and lifetime diagnostics preserved. The receiver is not
+// and the detector state copied by core.Detector.CloneAt, with guard
+// policy and lifetime diagnostics preserved. A clone at another
+// precision shares nothing with its source, so the receiver is not
 // mutated.
 func (m *Monitor) deriveAt(p Precision) (*Monitor, error) {
 	mm, err := m.model.ConvertPrecision(p)
