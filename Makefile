@@ -83,7 +83,7 @@ bench-fleet:
 # benchstat.txt) for artifact upload.
 BENCH_BASE ?= HEAD
 BENCH_COUNT ?= 10
-BENCH_PATTERN ?= 'BenchmarkScore$$|BenchmarkScorePrecision|BenchmarkPredictTrain$$|BenchmarkRunningMeanUpdateL1Dist$$|BenchmarkMulVec$$|BenchmarkMulVecTrans$$|BenchmarkAddScaledOuterBeta$$|BenchmarkAllFinite$$|BenchmarkMonitorClone$$|BenchmarkLoadMonitor$$'
+BENCH_PATTERN ?= 'BenchmarkScore$$|BenchmarkScorePrecision|BenchmarkPredictTrain$$|BenchmarkRunningMeanUpdateL1Dist$$|BenchmarkMulVec$$|BenchmarkMulVecTrans$$|BenchmarkAddScaledOuterBeta$$|BenchmarkAllFinite$$|BenchmarkMonitorClone$$|BenchmarkLoadMonitor$$|BenchmarkLoadFleet$$'
 BENCH_PKGS ?= ./internal/oselm/ ./internal/model/ ./internal/mat/ .
 BENCH_DIR ?= bench-out
 bench-compare:

@@ -13,6 +13,7 @@ package edgedrift_test
 
 import (
 	"bytes"
+	"fmt"
 	"strconv"
 	"testing"
 
@@ -295,6 +296,38 @@ func BenchmarkMonitorClone(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := tmpl.Clone(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkLoadFleet times loading a saved fleet of 1024 NSL-KDD
+// members cloned from one template: every member is decoded from its
+// payload and, at registration, rebound to a peer's copy of the shared
+// projection.
+func BenchmarkLoadFleet(b *testing.B) {
+	tmpl, err := edgedrift.LoadMonitor(bytes.NewReader(nslkddArtifact(b)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	f := edgedrift.NewFleet(edgedrift.FleetConfig{})
+	for i := 0; i < 1024; i++ {
+		m, err := tmpl.Clone()
+		if err == nil {
+			err = f.Add(fmt.Sprintf("stream-%04d", i), m)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	var art bytes.Buffer
+	if err := f.Save(&art, edgedrift.Float64); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := edgedrift.LoadFleet(bytes.NewReader(art.Bytes()), edgedrift.FleetConfig{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -115,7 +115,7 @@ func Open(r io.Reader, magic string) (*Reader, error) {
 		return nil, ErrBadFormat
 	}
 	cr := NewReader(r)
-	cr.Fold(got)
+	cr.fold(got)
 	return cr, nil
 }
 
@@ -126,9 +126,9 @@ func (r *Reader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// Fold hashes bytes the caller already consumed from the underlying
+// fold hashes bytes the caller already consumed from the underlying
 // stream before wrapping it, such as a magic read raw.
-func (r *Reader) Fold(p []byte) { r.crc.Write(p) }
+func (r *Reader) fold(p []byte) { r.crc.Write(p) }
 
 // VerifyFooter reads the 4-byte footer from the underlying stream
 // (deliberately not folding it into this reader's own hash) and compares

@@ -51,7 +51,7 @@ func TestFoldCoversPreConsumedMagic(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := NewReader(raw)
-	r.Fold(magic)
+	r.fold(magic)
 	if _, err := io.Copy(io.Discard, io.LimitReader(r, int64(len(payload)-6))); err != nil {
 		t.Fatal(err)
 	}

@@ -174,9 +174,6 @@ func (h *Hybrid) Observe(label, predicted int) bool {
 // Inner returns the wrapped unsupervised stage.
 func (h *Hybrid) Inner() Streaming { return h.inner }
 
-// Supervised returns the error-rate arm.
-func (h *Hybrid) Supervised() Streaming { return h.sup }
-
 // LabelsObserved returns how many labels reached the side channel.
 func (h *Hybrid) LabelsObserved() uint64 { return h.labelsObserved }
 

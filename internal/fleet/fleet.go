@@ -93,9 +93,6 @@ type member struct {
 	// call target) instead of re-dispatching through the interface, so
 	// instrumentation costs one direct call, not a second virtual one.
 	instr *core.Instrumented
-	// slabs are the interned projections the member's model holds,
-	// released when the member leaves the fleet.
-	slabs []*slab
 	// merger is the stage's mergeable-state capability, discovered once
 	// at Add time through the Instrumented/Hybrid seams (nil for stages
 	// that cannot merge, e.g. Q16.16 detect-only members).
@@ -154,8 +151,10 @@ type Fleet struct {
 	promotions         atomic.Uint64
 	transitionFailures atomic.Uint64
 
-	// Lean-member state (see lean.go): the interned random projections.
-	proj projections
+	// regMu serialises registrations, so that two members of one
+	// projection registered at once cannot both miss each other (see
+	// shareProjection). It is taken before any member or shard lock.
+	regMu sync.Mutex
 }
 
 // New builds an empty fleet.
@@ -166,7 +165,6 @@ func New(cfg Config) *Fleet {
 		shards:  make([]shard, c.Shards),
 		events:  make(chan Event, c.EventBuffer),
 		cohorts: map[string]map[string]struct{}{},
-		proj:    projections{slabs: map[uint64][]*slab{}},
 	}
 	for i := range f.shards {
 		f.shards[i].members = map[string]*member{}
@@ -240,23 +238,27 @@ func (f *Fleet) addMember(id string, s core.Streaming, mc MemberConfig, samples,
 		return fmt.Errorf("fleet: stream %q: cohort %q requires a mergeable stage (detect-only members cannot cooperate): %w",
 			id, mc.Cohort, oselm.ErrMergeIncompatible)
 	}
-	// The member lock is held across registration so that no batch can
-	// reach the model before its projections are interned. Taking the
-	// shard lock under a member lock is the order ExportMember uses.
-	mb.mu.Lock()
+	// The projection is shared before the member becomes visible, so no
+	// batch can reach the model while it is rebound, and only when the
+	// ID is free, so a refused registration leaves s as it was (the
+	// check under the shard lock still catches an ExportMember rollback
+	// that re-takes the slot meanwhile).
+	f.regMu.Lock()
+	defer f.regMu.Unlock()
 	sh := f.shardOf(id)
+	sh.mu.RLock()
+	_, taken := sh.members[id]
+	sh.mu.RUnlock()
+	if !taken {
+		f.shareProjection(mb)
+	}
 	sh.mu.Lock()
 	if _, ok := sh.members[id]; ok {
 		sh.mu.Unlock()
-		mb.mu.Unlock()
 		return fmt.Errorf("fleet: stream %q %w", id, ErrAlreadyRegistered)
 	}
 	sh.members[id] = mb
 	sh.mu.Unlock()
-	if d, ok := stageDetector(mb.stage); ok {
-		mb.slabs = f.proj.intern(d.Model())
-	}
-	mb.mu.Unlock()
 	f.cohortAdd(mc.Cohort, id)
 	return nil
 }
@@ -343,7 +345,6 @@ func (f *Fleet) Remove(id string) (samples, drifts uint64, ok bool) {
 	m.removed = true
 	samples, drifts = m.samples, m.drifts
 	cohort := m.cohort
-	f.proj.release(m.slabs)
 	m.mu.Unlock()
 	f.cohortRemove(cohort, id)
 	return samples, drifts, true
@@ -895,7 +896,7 @@ type Metrics struct {
 // taken under load is per-member consistent.
 func (f *Fleet) Metrics() Metrics {
 	m := Metrics{PerStream: make(map[string]StreamMetrics, f.Len())}
-	shared := sharedAudit{seen: map[any]bool{}}
+	var audit memoryAudit
 	f.eachMember(func(id string, mb *member) {
 		sm := StreamMetrics{Samples: mb.samples, Drifts: mb.drifts}
 		if mb.instr != nil {
@@ -909,15 +910,13 @@ func (f *Fleet) Metrics() Metrics {
 				m.Degraded++
 			}
 		}
-		m.MemoryBytes += memberBytes(id, mb)
-		shared.add(mb.stage)
+		audit.add(id, mb)
 		m.Streams++
 		m.Samples += sm.Samples
 		m.Drifts += sm.Drifts
 		m.PerStream[id] = sm
 	})
-	m.MemoryBytes += f.proj.size() + shared.bytes
-	m.SharedStreams = shared.streams
+	m.MemoryBytes, m.SharedStreams = audit.bytes, audit.streams
 	m.EventsDropped = f.dropped.Load()
 	m.WarmRecoveries = f.warmRecoveries.Load()
 	m.ColdFallbacks = f.coldFallbacks.Load()
@@ -954,7 +953,7 @@ func (f *Fleet) MemberHealth() map[string]health.Snapshot {
 // stage's audit and the ID/cohort bytes (charged as len(id) +
 // len(cohort)): the member struct, the map's *member value and the
 // string header of the map key. It is taken from the target's own
-// layout (168 bytes on 64-bit targets, 100 on 32-bit ones), so it
+// layout (144 bytes on 64-bit targets, 88 on 32-bit ones), so it
 // cannot rot when the struct changes.
 const memberOverheadBytes = int(unsafe.Sizeof(member{}) + unsafe.Sizeof((*member)(nil)) + unsafe.Sizeof(""))
 
@@ -967,16 +966,13 @@ func memberBytes(id string, m *member) int {
 
 // MemoryBytes audits the whole fleet's retained state: the sum of every
 // member's audit plus the registry's own per-member overhead, plus the
-// projections the fleet shares among members and the learned state
-// members still share with their template, each slab counted once.
+// slabs members hold in common — projections, and the learned state and
+// trained centroids clones still share with their template — each slab
+// counted once (see memoryAudit).
 func (f *Fleet) MemoryBytes() int {
-	shared := sharedAudit{seen: map[any]bool{}}
-	total := f.proj.size()
-	f.eachMember(func(id string, m *member) {
-		total += memberBytes(id, m)
-		shared.add(m.stage)
-	})
-	return total + shared.bytes
+	var audit memoryAudit
+	f.eachMember(audit.add)
+	return audit.bytes
 }
 
 // eachMember visits every live member under that member's own lock —

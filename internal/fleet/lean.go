@@ -1,116 +1,90 @@
 package fleet
 
 import (
-	"sync"
-
 	"edgedrift/internal/core"
 	"edgedrift/internal/model"
-	"edgedrift/internal/oselm"
 )
 
-// Lean members: members cloned from one template hold bit-identical
-// random projections, which never change, so the fleet interns them
-// into one read-only copy, counted once in Fleet.MemoryBytes. Clones
-// (oselm.Model.Clone) also share their template's learned state until
-// their first write; the audit finds those slabs through the members
-// that still hold them (sharedAudit) and counts each once too.
+// Lean members: members of one template or seed hold bit-identical
+// random projections, which never change, so a member joining the fleet
+// is rebound to a live peer's copy (shareProjection), and clones
+// (oselm.Model.Clone) share their template's projection and, until
+// their first write, its learned state and trained centroids. Each
+// model's MemoryBytes leaves what it shares out; the audit finds those
+// slabs through the members that hold them (memoryAudit) and counts
+// each once.
 
-// slab is one interned projection and the number of members holding it.
-type slab struct {
-	proj   *oselm.Projection
-	fprint uint64
-	refs   int
+// shareProjection rebinds the float64 projections of mb, a member being
+// registered, to those of a live member with the same merge
+// fingerprint, so members of one projection hold one copy of W and b
+// however they were made: cloned, decoded, or built apart from one
+// seed. oselm.Model.ShareProjection checks each pair bit for bit, so a
+// fingerprint collision binds nothing, and accepts a clone's own slabs
+// by pointer. It tries the first match in each registry shard until one
+// shares. The caller holds regMu and no other lock; each shard lock is
+// released before a peer's member lock is taken.
+func (f *Fleet) shareProjection(mb *member) {
+	d, ok := stageDetector(mb.stage)
+	if !ok || mb.merger == nil {
+		return
+	}
+	for i := range f.shards {
+		sh := &f.shards[i]
+		var peer *member
+		sh.mu.RLock()
+		for _, p := range sh.members {
+			if p.merger != nil && p.fprint == mb.fprint {
+				peer = p
+				break
+			}
+		}
+		sh.mu.RUnlock()
+		if peer != nil && sharePeer(d.Model(), peer) {
+			return
+		}
+	}
 }
 
-// projections interns float64 projections by merge fingerprint.
-type projections struct {
-	mu    sync.Mutex
-	slabs map[uint64][]*slab
-	bytes int
-}
-
-// intern rebinds every float64 instance of mm to the fleet's copy of its
-// projection, adding a copy when the fleet has none with those bits,
-// and returns the slabs the member now holds. The fingerprint narrows
-// the search; ShareProjection confirms each match bit for bit, so a
-// hash collision can never bind a model to a different projection.
-func (p *projections) intern(mm *model.Multi) []*slab {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var held []*slab
+// sharePeer rebinds every instance of mm to the projection of the same
+// instance of peer's model, under peer's lock, and reports whether any
+// instance was rebound.
+func sharePeer(mm *model.Multi, peer *member) bool {
+	peer.mu.Lock()
+	defer peer.mu.Unlock()
+	pd, ok := stageDetector(peer.stage)
+	if peer.removed || !ok || pd.Model().Classes() != mm.Classes() {
+		return false
+	}
+	shared := false
 	for i := 0; i < mm.Classes(); i++ {
-		om := mm.Instance(i).Model()
-		if om.Precision() != oselm.Float64 {
-			continue
+		if mm.Instance(i).Model().ShareProjection(pd.Model().Instance(i).Model()) {
+			shared = true
 		}
-		fp := om.Fingerprint()
-		var s *slab
-		for _, c := range p.slabs[fp] {
-			if om.ShareProjection(c.proj) {
-				s = c
-				break
-			}
-		}
-		if s == nil {
-			s = &slab{proj: om.Projection(), fprint: fp}
-			om.ShareProjection(s.proj)
-			p.slabs[fp] = append(p.slabs[fp], s)
-			p.bytes += s.proj.Bytes()
-		}
-		s.refs++
-		held = append(held, s)
 	}
-	return held
+	return shared
 }
 
-// release drops a departing member's holds, forgetting each slab no
-// member holds any more.
-func (p *projections) release(held []*slab) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, s := range held {
-		if s.refs--; s.refs > 0 {
-			continue
-		}
-		l := p.slabs[s.fprint]
-		for i, c := range l {
-			if c == s {
-				l = append(l[:i], l[i+1:]...)
-				break
-			}
-		}
-		if len(l) == 0 {
-			delete(p.slabs, s.fprint)
-		} else {
-			p.slabs[s.fprint] = l
-		}
-		p.bytes -= s.proj.Bytes()
-	}
-}
-
-// size reports the bytes of every interned projection.
-func (p *projections) size() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.bytes
-}
-
-// sharedAudit totals the slabs members hold in common without the fleet
-// interning them — learned state and trained centroids shared
-// copy-on-write with a template, float32 projections shared by clones —
-// each counted once however many members hold it, and counts the
-// members still sharing learned state.
-type sharedAudit struct {
+// memoryAudit is the whole-fleet memory audit over the members it has
+// visited: each member's own bytes (memberBytes) plus the slabs members
+// hold in common — projections, and learned state and trained centroids
+// shared copy-on-write with a template — each counted once however many
+// members hold it. It also counts the members still sharing learned
+// state.
+type memoryAudit struct {
 	seen    map[any]bool
 	bytes   int
 	streams int
 }
 
-// add folds in one member's stage; the caller holds the member lock.
-func (a *sharedAudit) add(s core.Streaming) {
-	d, ok := stageDetector(s)
+// add folds in one member; the caller holds the member lock.
+func (a *memoryAudit) add(id string, m *member) {
+	a.bytes += memberBytes(id, m)
+	d, ok := stageDetector(m.stage)
 	if !ok {
 		return
+	}
+	if a.seen == nil {
+		a.seen = map[any]bool{}
 	}
 	d.EachShared(func(key any, n int) {
 		if !a.seen[key] {
@@ -135,7 +109,7 @@ type detectorHolder interface {
 
 // stageDetector finds the proposed detector in a member's stage chain —
 // the detector a Monitor or a pool stage wraps, or a bare one — whose
-// model's projections the fleet interns and whose shared slabs the
+// model's projection registration shares and whose shared slabs the
 // audit counts. Baselines and the Q16.16 port have none.
 func stageDetector(s core.Streaming) (*core.Detector, bool) {
 	if h, ok := core.Find[detectorHolder](s); ok {

@@ -1,12 +1,16 @@
 package fleet
 
 import (
+	"bytes"
 	"fmt"
 	"io"
+	"reflect"
+	"sync"
 	"testing"
 
 	"edgedrift/internal/core"
 	"edgedrift/internal/model"
+	"edgedrift/internal/oselm"
 	"edgedrift/internal/rng"
 )
 
@@ -48,27 +52,64 @@ func leanSamples(n, dims int, seed uint64) ([][]float64, []int) {
 	return xs, labels
 }
 
-// projectionBytes sums the distinct W and b arrays the detectors'
-// models hold, each counted once however many models share it, and
-// reports how many distinct arrays there were.
-func projectionBytes(ds ...*core.Detector) (bytes, distinct int) {
-	seen := map[*float64]bool{}
-	for _, d := range ds {
-		for i := 0; i < d.Model().Classes(); i++ {
-			w, bias, _ := d.Model().Instance(i).Model().Weights()
-			if !seen[&w[0]] {
-				seen[&w[0]] = true
-				bytes += 8 * (len(w) + len(bias))
-				distinct++
-			}
+// projectionBytes reads the slabs detectors can hold in common — W/b,
+// β/P and the trained centroids — from the structs themselves rather
+// than through EachShared. all is the bytes of every distinct slab,
+// found by the address of its backing array and counted once however
+// many detectors hold it; owned is the bytes of the slabs the
+// detectors' own audits count (those not marked shared), once per
+// holder; distinct is the number of distinct W arrays.
+func projectionBytes(ds ...*core.Detector) (all, owned, distinct int) {
+	seen := map[uintptr]bool{}
+	ws := map[uintptr]bool{}
+	slab := func(shared bool, addr uintptr, n int) {
+		if !seen[addr] {
+			seen[addr] = true
+			all += n
+		}
+		if !shared {
+			owned += n
 		}
 	}
-	return bytes, distinct
+	data := func(mat reflect.Value) reflect.Value { return mat.Elem().FieldByName("Data") }
+	for _, d := range ds {
+		dv := reflect.ValueOf(d).Elem()
+		cor := dv.FieldByName("trainCor")
+		slab(dv.FieldByName("corShared").Bool(), cor.Index(0).Pointer(), 8*cor.Len()*cor.Index(0).Len())
+		for i := 0; i < d.Model().Classes(); i++ {
+			mv := reflect.ValueOf(d.Model().Instance(i).Model()).Elem()
+			w, bias, beta, es := mv.FieldByName("w"), mv.FieldByName("bias"), mv.FieldByName("beta"), 8
+			if w32 := mv.FieldByName("w32"); !w32.IsNil() {
+				w, bias, beta, es = w32, mv.FieldByName("bias32"), mv.FieldByName("beta32"), 4
+			}
+			slab(mv.FieldByName("wShared").Bool(), data(w).Pointer(), es*(data(w).Len()+bias.Len()))
+			p := data(mv.FieldByName("p"))
+			slab(mv.FieldByName("lshared").Bool(), p.Pointer(), 8*p.Len()+es*data(beta).Len())
+			ws[data(w).Pointer()] = true
+		}
+	}
+	return all, owned, len(ws)
+}
+
+// auditTruth is Fleet.MemoryBytes's ground truth: every member's own
+// audit with the slabs it counts taken out, plus every distinct slab the
+// members hold, once (see projectionBytes).
+func auditTruth(f *Fleet) int {
+	private := 0
+	var ds []*core.Detector
+	f.eachMember(func(id string, m *member) {
+		private += memberBytes(id, m)
+		if d, ok := stageDetector(m.stage); ok {
+			ds = append(ds, d)
+		}
+	})
+	all, owned, _ := projectionBytes(ds...)
+	return private - owned + all
 }
 
 // TestFleetMemoryAuditCountsSharedStateOnce pins the lean-member audit:
 // Fleet.MemoryBytes is every member's private bytes plus each distinct
-// interned projection once — through the Instrumented wrapper too.
+// shared projection once — through the Instrumented wrapper too.
 func TestFleetMemoryAuditCountsSharedStateOnce(t *testing.T) {
 	f := New(Config{Instrument: true})
 	var dets []*core.Detector
@@ -97,16 +138,16 @@ func TestFleetMemoryAuditCountsSharedStateOnce(t *testing.T) {
 		}
 	}
 
-	slabBytes, distinct := projectionBytes(dets...)
+	all, owned, distinct := projectionBytes(dets...)
 	if distinct != 6 {
 		t.Fatalf("%d distinct projections, want 6 (two instances × three seed/shape groups)", distinct)
 	}
 	private := 0
 	f.eachMember(func(id string, m *member) { private += memberBytes(id, m) })
-	want := private + slabBytes
+	want := private - owned + all
 	if got := f.MemoryBytes(); got != want {
-		t.Fatalf("MemoryBytes = %d, want %d (members %d + projections %d)",
-			got, want, private, slabBytes)
+		t.Fatalf("MemoryBytes = %d, want %d (members %d, %d of them slabs, + distinct slabs %d)",
+			got, want, private, owned, all)
 	}
 	if got := f.Metrics().MemoryBytes; got != want {
 		t.Fatalf("Metrics().MemoryBytes = %d, want %d", got, want)
@@ -123,22 +164,27 @@ func TestFleetMemoryAuditCountsSharedStateOnce(t *testing.T) {
 		t.Fatalf("standalone detector audits %d bytes more than a member, want %d", got, want)
 	}
 
-	// Projections are released with the last member that holds them.
-	before := f.proj.size()
+	// A projection leaves the audit with the last member that holds it:
+	// until then a departing member takes only its own bytes along.
+	own := map[string]int{}
+	f.eachMember(func(id string, m *member) { own[id] = memberBytes(id, m) })
+	want = f.MemoryBytes()
 	for i := 0; i < 2; i++ {
-		if _, _, ok := f.Remove(fmt.Sprintf("same-%d", i)); !ok {
+		id := fmt.Sprintf("same-%d", i)
+		if _, _, ok := f.Remove(id); !ok {
 			t.Fatal("remove failed")
 		}
+		want -= own[id]
 	}
-	if got := f.proj.size(); got != before {
-		t.Fatalf("projection bytes %d after removing two of three holders, want %d", got, before)
+	if got := f.MemoryBytes(); got != want {
+		t.Fatalf("MemoryBytes %d after removing two of three holders, want %d", got, want)
 	}
 	enc := func(string, core.Streaming, io.Writer) (byte, error) { return 0, nil }
 	if _, _, _, _, _, err := f.ExportMember("same-2", enc); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := f.proj.size(), before-perMember; got != want {
-		t.Fatalf("projection bytes %d after the last holder left, want %d", got, want)
+	if got, want := f.MemoryBytes(), want-own["same-2"]-perMember; got != want {
+		t.Fatalf("MemoryBytes %d after the last holder left, want %d", got, want)
 	}
 
 	// Clones share their template's learned state β and P and its
@@ -158,7 +204,7 @@ func TestFleetMemoryAuditCountsSharedStateOnce(t *testing.T) {
 	recon, _ := leanSamples(tmpl.Config().NRecon, c.Inputs, 11)
 	for _, tc := range []struct{ drifted, rebuilt int }{{2, 0}, {3, 2}, {n, 1}, {n, n}} {
 		fc := New(Config{})
-		want := proj // the one interned projection
+		want := proj // the one shared projection
 		if tc.drifted < n {
 			want += learned // the shared learned state, once
 		}
@@ -198,6 +244,214 @@ func TestFleetMemoryAuditCountsSharedStateOnce(t *testing.T) {
 		if m.MemoryBytes != want || m.SharedStreams != n-tc.drifted {
 			t.Fatalf("%s: Metrics() audits %d B with %d shared streams, want %d B and %d",
 				name, m.MemoryBytes, m.SharedStreams, want, n-tc.drifted)
+		}
+	}
+}
+
+// encDetector and decDetector are a member codec for bare detectors: the
+// model, then the detector state. A decoded detector holds slabs of its
+// own until the fleet rebinds its projection.
+func encDetector(_ string, s core.Streaming, w io.Writer) (byte, error) {
+	d := s.(*core.Detector)
+	if _, err := d.Model().Save(w, oselm.Float64); err != nil {
+		return 0, err
+	}
+	return 0, d.SaveState(w)
+}
+
+func decDetector(_ string, _ byte, r io.Reader) (core.Streaming, error) {
+	m, err := model.Load(r)
+	if err != nil {
+		return nil, err
+	}
+	return core.LoadState(r, m)
+}
+
+// decoded returns a copy of d decoded from its own encoding.
+func decoded(t testing.TB, d *core.Detector) *core.Detector {
+	t.Helper()
+	var b bytes.Buffer
+	if _, err := encDetector("", d, &b); err != nil {
+		t.Fatal(err)
+	}
+	s, err := decDetector("", 0, &b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s.(*core.Detector)
+}
+
+// memberDetector returns a member's detector.
+func memberDetector(t testing.TB, f *Fleet, id string) *core.Detector {
+	t.Helper()
+	m, err := f.member(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, ok := stageDetector(m.stage)
+	if !ok {
+		t.Fatalf("member %q has no detector", id)
+	}
+	return d
+}
+
+// TestFleetSharesSurvivorsProjection: with the first holder of a
+// projection gone, a decoded member with the same bits joins the
+// survivors' copy instead of keeping its own.
+func TestFleetSharesSurvivorsProjection(t *testing.T) {
+	tmpl := leanDetector(t, 5, 4)
+	f := New(Config{})
+	for _, id := range []string{"first", "survivor"} {
+		if err := f.Add(id, decoded(t, tmpl)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, ok := f.Remove("first"); !ok {
+		t.Fatal("remove failed")
+	}
+	if err := f.Add("late", decoded(t, tmpl)); err != nil {
+		t.Fatal(err)
+	}
+	survivor, late := memberDetector(t, f, "survivor"), memberDetector(t, f, "late")
+	if _, _, distinct := projectionBytes(survivor, late); distinct != tmpl.Model().Classes() {
+		t.Fatalf("%d distinct projections, want the survivors' %d", distinct, tmpl.Model().Classes())
+	}
+	if got, want := f.MemoryBytes(), auditTruth(f); got != want {
+		t.Fatalf("MemoryBytes = %d, want %d", got, want)
+	}
+}
+
+// TestFleetConcurrentRegistrationSharesOneProjection: two decoded
+// members of one projection registered from two goroutines at once end
+// on one copy. make race runs it under the race detector.
+func TestFleetConcurrentRegistrationSharesOneProjection(t *testing.T) {
+	tmpl := leanDetector(t, 6, 4)
+	for round := 0; round < 20; round++ {
+		f := New(Config{})
+		ds := []*core.Detector{decoded(t, tmpl), decoded(t, tmpl)}
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i, d := range ds {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				if err := f.Add(fmt.Sprintf("m%d", i), d); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if _, _, distinct := projectionBytes(ds...); distinct != tmpl.Model().Classes() {
+			t.Fatalf("round %d: %d distinct projections, want %d", round, distinct, tmpl.Model().Classes())
+		}
+		if got, want := f.MemoryBytes(), auditTruth(f); got != want {
+			t.Fatalf("round %d: MemoryBytes = %d, want %d", round, got, want)
+		}
+	}
+}
+
+// TestFleetMemoryAuditProperty runs seeded random sequences of
+// registrations (clones and decoded copies of two templates), removals,
+// export/import round trips, drift, finished reconstructions and
+// save/load, and checks after every step that Fleet.MemoryBytes and
+// Metrics agree with the ground truth read from the structs.
+func TestFleetMemoryAuditProperty(t *testing.T) {
+	tmpls := []*core.Detector{leanDetector(t, 7, 4), leanDetector(t, 8, 4)}
+	recon, _ := leanSamples(tmpls[0].Config().NRecon, 4, 13)
+	for seed := uint64(1); seed <= 4; seed++ {
+		r := rng.New(seed)
+		f := New(Config{})
+		next := 0
+		pick := func() (string, bool) {
+			ids := f.IDs()
+			if len(ids) == 0 {
+				return "", false
+			}
+			return ids[r.Intn(len(ids))], true
+		}
+		// settle finishes a member's reconstruction: a detector is saved
+		// only between reconstructions.
+		settle := func(id string) {
+			if memberDetector(t, f, id).PhaseNow() != core.Reconstructing {
+				return
+			}
+			if _, err := f.ProcessBatch(id, recon); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for step := 0; step < 60; step++ {
+			var op string
+			switch k := r.Intn(7); k {
+			case 0, 1:
+				tmpl := tmpls[r.Intn(len(tmpls))]
+				d := decoded(t, tmpl)
+				op = "add decoded"
+				if k == 0 {
+					var err error
+					if d, err = tmpl.CloneAt(tmpl.Model().Clone()); err != nil {
+						t.Fatal(err)
+					}
+					op = "add clone"
+				}
+				if err := f.Add(fmt.Sprintf("m%d", next), d); err != nil {
+					t.Fatal(err)
+				}
+				next++
+			case 2:
+				op = "remove"
+				if id, ok := pick(); ok {
+					f.Remove(id)
+				}
+			case 3:
+				op = "export/import"
+				if id, ok := pick(); ok {
+					settle(id)
+					kind, cohort, payload, samples, drifts, err := f.ExportMember(id, encDetector)
+					if err == nil {
+						err = f.ImportMember(id, kind, cohort, payload, samples, drifts, decDetector)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+			case 4:
+				op = "drift"
+				if id, ok := pick(); ok {
+					f.Do(id, func(s core.Streaming) error {
+						s.(*core.Detector).TriggerReconstruction()
+						return nil
+					})
+				}
+			case 5:
+				op = "process"
+				if id, ok := pick(); ok {
+					if _, err := f.ProcessBatch(id, recon); err != nil {
+						t.Fatal(err)
+					}
+				}
+			case 6:
+				op = "save/load"
+				for _, id := range f.IDs() {
+					settle(id)
+				}
+				var b bytes.Buffer
+				if err := f.Save(&b, encDetector); err != nil {
+					t.Fatal(err)
+				}
+				f = New(Config{})
+				if err := f.Load(&b, decDetector); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want := auditTruth(f)
+			if got := f.MemoryBytes(); got != want {
+				t.Fatalf("seed %d step %d (%s): MemoryBytes = %d, want %d", seed, step, op, got, want)
+			}
+			if got := f.Metrics().MemoryBytes; got != want {
+				t.Fatalf("seed %d step %d (%s): Metrics().MemoryBytes = %d, want %d", seed, step, op, got, want)
+			}
 		}
 	}
 }

@@ -288,7 +288,6 @@ func (f *Fleet) ExportMember(id string, enc EncodeFunc) (kind byte, cohort strin
 			// so the exported member is retired and the collision reported
 			// as a typed error: its lifetime counters did not survive.
 			m.removed = true
-			f.proj.release(m.slabs)
 			if m.cohort != "" {
 				// Drop the retired member's cohort entry unless the new
 				// member re-joined the same cohort (the index is keyed by
@@ -309,7 +308,6 @@ func (f *Fleet) ExportMember(id string, enc EncodeFunc) (kind byte, cohort strin
 		return 0, "", nil, 0, 0, fmt.Errorf("fleet: export %q: %w", id, err)
 	}
 	m.removed = true
-	f.proj.release(m.slabs)
 	f.cohortRemove(m.cohort, id)
 	return kind, m.cohort, buf.Bytes(), m.samples, m.drifts, nil
 }

@@ -31,11 +31,6 @@ import "unsafe"
 // compare the kernels with the Go code.
 var f64SIMD bool
 
-// F64SIMD reports whether the float64 kernels are running the
-// hand-written AVX path on this machine (amd64 only). Results are the
-// same bits either way; benchmarks record it so timings are attributable.
-func F64SIMD() bool { return f64SIMD }
-
 // f64SIMDMinLen is the vector length below which the Go kernel is used.
 // It exists for correctness, not speed: the dot kernels run at least one
 // 4-element step and must not be entered with fewer than four elements.

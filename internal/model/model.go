@@ -115,10 +115,6 @@ func (m *Multi) Predict(x []float64) (int, float64) {
 	return best, bestScore
 }
 
-// Scores returns the per-instance anomaly scores computed by the most
-// recent Predict (a view; valid until the next Predict).
-func (m *Multi) Scores() []float64 { return m.scores }
-
 // PredictBatch predicts every sample of xs, writing the argmin label and
 // its score into labels[i] and scores[i] (both len(xs)), one Predict
 // call per sample.

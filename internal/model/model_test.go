@@ -75,15 +75,10 @@ func TestPredictSeparatesClasses(t *testing.T) {
 func TestScoresViewMatchesPredict(t *testing.T) {
 	m, xs, _ := newTrained(t, 11)
 	label, score := m.Predict(xs[0])
-	scores := m.Scores()
-	if len(scores) != 2 {
-		t.Fatalf("scores len = %d", len(scores))
+	if got := m.Instance(label).Score(xs[0]); got != score {
+		t.Fatalf("winning score %v, instance %d scores %v", score, label, got)
 	}
-	if scores[label] != score {
-		t.Fatalf("winning score %v not at index %d in %v", score, label, scores)
-	}
-	other := 1 - label
-	if scores[other] < score {
+	if m.Instance(1-label).Score(xs[0]) < score {
 		t.Fatal("argmin violated")
 	}
 }

@@ -8,10 +8,11 @@ import (
 // AdoptState pours src's learned and random state into m in place:
 // the learned output weights β, the RLS inverse-covariance P, the
 // sequential-init counter and the watchdog phase are copied, and the
-// random projection (W, b) — read-only for life — is rebound to src's
-// unless m already holds the same bits, so a projection m shares with
-// other models is never written through; neither is learned state m
-// shares with its clones, which is replaced by private slabs (see
+// random projection (W, b) — read-only for life — is rebound to src's,
+// with src's shared mark, unless m already holds the same bits, so a
+// projection m shares with other models is never written through and m
+// keeps counting it the same way; neither is learned state m shares
+// with its clones written, which is replaced by private slabs (see
 // Clone). Both models must share one
 // configuration. Adoption exists for restores that must not rebind the
 // model itself — a Monitor or a wrapping stage holds this model, so a

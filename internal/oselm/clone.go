@@ -16,9 +16,9 @@ import "edgedrift/internal/mat"
 // Clone marks m's learned state shared too, so it is a use of m under
 // m's one-goroutine contract.
 //
-// Until its first write a clone's MemoryBytes leaves the shared slabs
-// out, as it does an interned projection; EachShared names them, so an
-// audit over many clones counts each slab once.
+// A clone's MemoryBytes leaves the shared projection out, and the
+// shared learned state until its first write; EachShared names them, so
+// an audit over many clones counts each slab once.
 func (m *Model) Clone() *Model {
 	fp := m.Fingerprint()
 	m.lshared, m.wShared = true, true
@@ -92,19 +92,53 @@ func (m *Model) own(keep bool) {
 // since the clone was made.
 func (m *Model) SharesLearnedState() bool { return m.lshared }
 
+// ShareProjection rebinds m's float64 input layer to peer's when it
+// holds exactly m's bits, and reports whether it did. The layer is fixed
+// for a model's life — Reset keeps it, training never touches it, and
+// AdoptState rebinds rather than writes it — so one read-only copy can
+// serve any number of models; cooperative merge already requires peers
+// to hold identical W and b (see CompatibleWith). A model that already
+// holds peer's very slabs (a clone) is accepted without comparing them.
+// Like Clone, it marks both models' projection shared, so from then on
+// each one's MemoryBytes leaves W and b out and EachShared names them.
+// It is a use of peer under peer's one-goroutine contract.
+func (m *Model) ShareProjection(peer *Model) bool {
+	if m.w == nil || peer.w == nil {
+		return false
+	}
+	same := m.w == peer.w && len(m.bias) == len(peer.bias) && &m.bias[0] == &peer.bias[0]
+	if !same && (peer.w.Rows != m.w.Rows || peer.w.Cols != m.w.Cols ||
+		!sameBitsMat(m.w, peer.w) || !sameBits64(m.bias, peer.bias)) {
+		return false
+	}
+	m.w, m.bias = peer.w, peer.bias
+	m.wShared, peer.wShared = true, true
+	return true
+}
+
 // EachShared calls fn once for every group of slabs m holds in common
-// with its clones and leaves out of its own MemoryBytes: the
-// copy-on-write learned state until m's first write, and a float32
-// projection (a float64 one is the fleet's interned Projection, counted
-// by its owner instead). key is the same for every holder of a group,
-// so an audit that counts each key once counts each slab once.
+// with other models and leaves out of its own MemoryBytes: the
+// copy-on-write learned state until m's first write, and the projection
+// once it is shared (see Clone and ShareProjection), at either
+// precision. key is the same for every holder of a group — the P slab,
+// the W slab — so an audit that counts each key once counts each slab
+// once.
 func (m *Model) EachShared(fn func(key any, bytes int)) {
 	if m.lshared {
 		fn(m.p, m.learnedBytes())
 	}
-	if m.w32 != nil && m.wShared {
-		fn(m.w32, 4*(len(m.w32.Data)+len(m.bias32)))
+	if m.wShared {
+		fn(m.projection())
 	}
+}
+
+// projection returns the W slab, which keys the projection for
+// EachShared, and the size of W and b at the backend's width.
+func (m *Model) projection() (any, int) {
+	if m.w32 != nil {
+		return m.w32, 4 * (len(m.w32.Data) + len(m.bias32))
+	}
+	return m.w, 8 * (len(m.w.Data) + len(m.bias))
 }
 
 // learnedBytes is the size of the learned state, β (β32) and P.

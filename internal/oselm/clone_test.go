@@ -137,7 +137,6 @@ func TestCloneSharesProjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := tmpl.Projection()
 	clone := tmpl.Clone()
 	if clone.w != tmpl.w || &clone.bias[0] != &tmpl.bias[0] {
 		t.Fatal("the clone does not hold the template's projection")
@@ -145,10 +144,10 @@ func TestCloneSharesProjection(t *testing.T) {
 	if !clone.fprintOK || clone.fprint != tmpl.Fingerprint() {
 		t.Fatal("the clone does not carry the template's fingerprint")
 	}
-	if !clone.ShareProjection(p) || !clone.wShared {
+	if !clone.ShareProjection(tmpl) || !clone.wShared {
 		t.Fatal("ShareProjection refused the very slabs the clone holds")
 	}
-	if other := mustModel(t, Config{Inputs: 4, Hidden: 3, Outputs: 4}, 2); other.ShareProjection(p) {
+	if other := mustModel(t, Config{Inputs: 4, Hidden: 3, Outputs: 4}, 2); other.ShareProjection(tmpl) {
 		t.Fatal("ShareProjection accepted a different projection")
 	}
 }

@@ -125,9 +125,9 @@ type Model struct {
 	beta *mat.Matrix // Hidden×Outputs learned output weights (Float64 backend)
 	p    *mat.Matrix // Hidden×Hidden inverse-covariance state (always float64)
 	// wShared marks the projection (w and bias, or w32 and bias32) as
-	// read-only slabs other models hold too (see ShareProjection and
-	// Clone); MemoryBytes leaves it to its owner or, on the float32
-	// backend, to EachShared.
+	// read-only slabs other models may hold too (see Clone and
+	// ShareProjection): MemoryBytes leaves it out and EachShared names
+	// it, at either precision.
 	wShared bool
 	// lshared marks β (β32) and P as copy-on-write slabs shared with a
 	// clone or a template (see Clone): every writer calls own first.
@@ -731,24 +731,21 @@ func (m *Model) Weights() (w, bias, beta []float64) {
 // also hold them; P and the RLS
 // scratch are counted at float64 on every backend because that is where
 // they live (see Config.Precision). A shared projection and shared
-// learned state, which the model holds but does not own, are counted
-// once by their owner instead (see ShareProjection and EachShared).
+// learned state, which the model holds in common with others, are left
+// out: EachShared names them, so an audit over the models that hold
+// them counts each once.
 func (m *Model) MemoryBytes() int {
 	const f64 = 8
 	n := f64 * (len(m.h) + len(m.ph) + len(m.e))
-	es := m.cfg.Precision.Bytes()
 	if !m.lshared {
 		n += m.learnedBytes()
 	}
-	if m.w32 != nil {
-		n += es * (len(m.h32) + len(m.x32) + len(m.o32) + len(m.u32) + len(m.e32))
-		if !m.wShared {
-			n += es * (len(m.w32.Data) + len(m.bias32))
-		}
-		return n
-	}
 	if !m.wShared {
-		n += es * (len(m.w.Data) + len(m.bias))
+		_, w := m.projection()
+		n += w
+	}
+	if m.w32 != nil {
+		n += 4 * (len(m.h32) + len(m.x32) + len(m.o32) + len(m.u32) + len(m.e32))
 	}
 	return n
 }

@@ -7,30 +7,41 @@ import (
 )
 
 // TestShareProjection: models drawn from one seed share one projection,
-// bit for bit, and stop counting it; a model with other bits refuses
+// bit for bit, and both stop counting it in MemoryBytes while
+// EachShared names it under one key; a model with other bits refuses
 // it; the float32 backend has none to share.
 func TestShareProjection(t *testing.T) {
 	cfg := Config{Inputs: 10, Hidden: 4, Outputs: 10}
 	owner, _ := New(cfg, rng.New(3))
 	same, _ := New(cfg, rng.New(3))
 	other, _ := New(cfg, rng.New(4))
-	p := owner.Projection()
-	before := same.MemoryBytes()
-	if !same.ShareProjection(p) {
+	before, ownerBefore := same.MemoryBytes(), owner.MemoryBytes()
+	if !same.ShareProjection(owner) {
 		t.Fatal("same-seed model refused an identical projection")
 	}
 	if same.w != owner.w || &same.bias[0] != &owner.bias[0] {
 		t.Fatal("ShareProjection did not rebind to the shared slabs")
 	}
-	if got, want := before-same.MemoryBytes(), p.Bytes(); got != want {
-		t.Fatalf("sharing saved %d bytes, want %d", got, want)
+	proj := 8 * (len(owner.w.Data) + len(owner.bias))
+	if got := before - same.MemoryBytes(); got != proj {
+		t.Fatalf("sharing saved %d bytes, want %d", got, proj)
 	}
-	if other.ShareProjection(p) {
+	if got := ownerBefore - owner.MemoryBytes(); got != proj {
+		t.Fatalf("the peer's audit fell %d bytes, want %d", got, proj)
+	}
+	keys := map[any]int{}
+	for _, m := range []*Model{owner, same} {
+		m.EachShared(func(key any, n int) { keys[key] = n })
+	}
+	if len(keys) != 1 || keys[owner.w] != proj {
+		t.Fatalf("EachShared named %v, want the one W slab with %d bytes", keys, proj)
+	}
+	if other.ShareProjection(owner) {
 		t.Fatal("a model with different bits accepted the projection")
 	}
 	f32, _ := New(Config{Inputs: 10, Hidden: 4, Outputs: 10, Precision: Float32}, rng.New(3))
-	if f32.Projection() != nil || f32.ShareProjection(p) {
-		t.Fatal("float32 backend must neither expose nor share a float64 projection")
+	if f32.ShareProjection(owner) || owner.ShareProjection(f32) {
+		t.Fatal("float32 backend must not share a float64 projection")
 	}
 }
 

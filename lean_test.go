@@ -226,7 +226,7 @@ func memberSave(t *testing.T, f *edgedrift.Fleet, id string) []byte {
 
 // TestFleetConcurrentSharedProjectionBitIdentical drives many members
 // of two templates from concurrent goroutines, so several members score
-// on one interned projection at once, and checks each stream against
+// on one shared projection at once, and checks each stream against
 // the same monitor running alone, one Process call per sample. Run
 // under -race (make race) it also proves the shared projections are
 // only read.
