@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmt cross test vet staticcheck race bench bench-kernels bench-fleet bench-compare bench-loadgen bench-coop bench-scenarios bench-pressure fuzz-smoke loc check
+.PHONY: build fmt cross test vet staticcheck race bench bench-kernels bench-fleet bench-compare bench-loadgen bench-coop bench-scenarios bench-pressure fuzz-smoke loc edgebench-check check
 
 build:
 	$(GO) build ./...
@@ -38,6 +38,13 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# edgebench is a module of its own (the benchmark harness), so the
+# root's `go test ./...` never reaches it. It imports the internal
+# packages, so vet and test it here: a signature change there then
+# fails the gate instead of the next benchmark run.
+edgebench-check:
+	cd edgebench && $(GO) vet ./... && $(GO) test ./...
 
 # Deeper static analysis. Gated on the binary being installed so the
 # gate still runs on boxes without it (CI installs it explicitly):
@@ -169,6 +176,7 @@ loc:
 	@printf 'test Go      %s\n' $$($(LOC_FILES) '*_test.go' ':!:edgebench/' | xargs -0 cat | wc -l)
 
 # The full pre-merge gate: gofmt, tier-1 plus the arm/arm64/386
-# cross-compile and 32-bit vet, static analysis, the race detector over
-# the concurrent packages, and a fuzz smoke over the artifact loaders.
-check: fmt build cross vet staticcheck test race fuzz-smoke
+# cross-compile and 32-bit vet, static analysis, the edgebench module's
+# vet and tests, the race detector over the concurrent packages, and a
+# fuzz smoke over the artifact loaders.
+check: fmt build cross vet staticcheck test edgebench-check race fuzz-smoke

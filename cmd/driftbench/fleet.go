@@ -47,68 +47,21 @@ func runFleet(args []string) int {
 		return 2
 	}
 
-	ds := nslkdd.Generate(nslkdd.DefaultParams())
-	// The Q16.16 port is quantised from a fitted monitor, so the shared
-	// artifact is trained (and serialised) at f64 and each clone is
-	// quantised after loading; f32 trains and ships at f32 directly.
-	trainPrec := prec
-	if prec == edgedrift.Fixed16 {
-		trainPrec = edgedrift.Float64
-	}
-	mon, err := edgedrift.New(edgedrift.Options{
-		Classes: 2, Inputs: nslkdd.Features, Hidden: 22, Window: 100, Seed: *seed,
-		Precision: trainPrec,
-	})
-	if err == nil {
-		err = mon.Fit(ds.TrainX, ds.TrainY)
-	}
-	var art bytes.Buffer
-	if err == nil {
-		err = mon.Save(&art, trainPrec)
-	}
+	art, err := trainTemplate(*seed, prec)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "fleet: train shared monitor: %v\n", err)
 		return 1
 	}
+	ds := nslkdd.Generate(nslkdd.DefaultParams())
 
 	f := edgedrift.NewFleet(edgedrift.FleetConfig{
 		Shards: *shards, EventBuffer: 4 * *streams,
 	})
 	events := f.Events()
-
-	parts := make([][][]float64, *streams)
-	for i, x := range ds.TestX {
-		parts[i%*streams] = append(parts[i%*streams], x)
-	}
-	tmpl, err := edgedrift.LoadMonitor(bytes.NewReader(art.Bytes()))
+	ids, parts, err := addMembers(f, art, prec, ds.TestX, *streams)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "fleet: load shared monitor: %v\n", err)
+		fmt.Fprintf(os.Stderr, "fleet: %v\n", err)
 		return 1
-	}
-	ids := make([]string, *streams)
-	for i := range ids {
-		ids[i] = fmt.Sprintf("stream-%03d", i)
-		if prec == edgedrift.Fixed16 {
-			st, err := tmpl.QuantizeQ16()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "fleet: quantize member: %v\n", err)
-				return 1
-			}
-			if err := f.AddStage(ids[i], st); err != nil {
-				fmt.Fprintf(os.Stderr, "fleet: %v\n", err)
-				return 1
-			}
-			continue
-		}
-		m, err := tmpl.Clone()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fleet: clone monitor: %v\n", err)
-			return 1
-		}
-		if err := f.Add(ids[i], m); err != nil {
-			fmt.Fprintf(os.Stderr, "fleet: %v\n", err)
-			return 1
-		}
 	}
 
 	created := f.MemoryBytes()
@@ -209,6 +162,45 @@ func runFleet(args []string) int {
 		}
 	}
 	return 0
+}
+
+// addMembers registers n members in f, named stream-000, stream-001,
+// …: each a clone of the template artifact, or its Q16.16 port when
+// prec is Fixed16 (the artifact is then the f64 model it is quantised
+// from). The template is parsed once, so setup costs one
+// deserialisation, not n. It also splits xs round-robin into one part
+// per member: sample i goes to stream i mod n.
+func addMembers(f *edgedrift.Fleet, art []byte, prec edgedrift.Precision, xs [][]float64, n int) (ids []string, parts [][][]float64, err error) {
+	tmpl, err := edgedrift.LoadMonitor(bytes.NewReader(art))
+	if err != nil {
+		return nil, nil, fmt.Errorf("load shared monitor: %w", err)
+	}
+	parts = make([][][]float64, n)
+	for i, x := range xs {
+		parts[i%n] = append(parts[i%n], x)
+	}
+	ids = make([]string, n)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("stream-%03d", i)
+		if prec == edgedrift.Fixed16 {
+			st, err := tmpl.QuantizeQ16()
+			if err != nil {
+				return nil, nil, fmt.Errorf("quantize member: %w", err)
+			}
+			if err := f.AddStage(ids[i], st); err != nil {
+				return nil, nil, err
+			}
+			continue
+		}
+		m, err := tmpl.Clone()
+		if err != nil {
+			return nil, nil, fmt.Errorf("clone monitor: %w", err)
+		}
+		if err := f.Add(ids[i], m); err != nil {
+			return nil, nil, err
+		}
+	}
+	return ids, parts, nil
 }
 
 // fleetSummary is the machine-readable form of the fleet benchmark

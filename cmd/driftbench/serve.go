@@ -88,66 +88,23 @@ func runServe(args []string) int {
 		return 2
 	}
 
-	ds := nslkdd.Generate(nslkdd.DefaultParams())
 	// Same cloning scheme as `driftbench fleet`: q16 members are
 	// quantised from an f64-trained clone, f64/f32 train directly.
-	trainPrec := prec
-	if prec == edgedrift.Fixed16 {
-		trainPrec = edgedrift.Float64
-	}
-	mon, err := edgedrift.New(edgedrift.Options{
-		Classes: 2, Inputs: nslkdd.Features, Hidden: 22, Window: 100, Seed: *seed,
-		Precision: trainPrec,
-	})
-	if err == nil {
-		err = mon.Fit(ds.TrainX, ds.TrainY)
-	}
-	var art bytes.Buffer
-	if err == nil {
-		err = mon.Save(&art, trainPrec)
-	}
+	art, err := trainTemplate(*seed, prec)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "serve: train shared monitor: %v\n", err)
 		return 1
 	}
+	ds := nslkdd.Generate(nslkdd.DefaultParams())
 
 	f := edgedrift.NewFleet(edgedrift.FleetConfig{
 		Shards: *shards, EventBuffer: 4 * *streams,
 		Instrument: true, SampleEvery: *sampleEvery, TraceDepth: *traceDepth,
 	})
-	parts := make([][][]float64, *streams)
-	for i, x := range ds.TestX {
-		parts[i%*streams] = append(parts[i%*streams], x)
-	}
-	tmpl, err := edgedrift.LoadMonitor(bytes.NewReader(art.Bytes()))
+	ids, parts, err := addMembers(f, art, prec, ds.TestX, *streams)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "serve: load shared monitor: %v\n", err)
+		fmt.Fprintf(os.Stderr, "serve: %v\n", err)
 		return 1
-	}
-	ids := make([]string, *streams)
-	for i := range ids {
-		ids[i] = fmt.Sprintf("stream-%03d", i)
-		if prec == edgedrift.Fixed16 {
-			st, err := tmpl.QuantizeQ16()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "serve: quantize member: %v\n", err)
-				return 1
-			}
-			if err := f.AddStage(ids[i], st); err != nil {
-				fmt.Fprintf(os.Stderr, "serve: %v\n", err)
-				return 1
-			}
-			continue
-		}
-		m, err := tmpl.Clone()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "serve: clone monitor: %v\n", err)
-			return 1
-		}
-		if err := f.Add(ids[i], m); err != nil {
-			fmt.Fprintf(os.Stderr, "serve: %v\n", err)
-			return 1
-		}
 	}
 
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt)

@@ -223,34 +223,20 @@ func (f *Fleet) MemberPrecision(id string) (degraded bool, active Precision, cap
 	return f.f.MemberPrecision(id)
 }
 
-// asMonitor recovers the Monitor inside a member stage, seeing through
-// the Instrumented wrapper an instrumented fleet adds at registration.
-// It deliberately sees through nothing else (so not core.Find): a
-// serialiser that looked through a Hybrid or a pool.Stage would save the
-// Monitor and silently drop the wrapper.
-func asMonitor(s core.Streaming) (*Monitor, bool) {
+// unwrap recovers the T (a *Monitor or a *fixed.Monitor) inside a
+// member stage, seeing through the Instrumented wrapper an instrumented
+// fleet adds at registration. It deliberately sees through nothing else
+// (so not core.Find): a serialiser that looked through a Hybrid or a
+// pool.Stage would save the Monitor and silently drop the wrapper.
+func unwrap[T core.Streaming](s core.Streaming) (T, bool) {
 	for {
-		if mon, ok := s.(*Monitor); ok {
-			return mon, true
+		if t, ok := s.(T); ok {
+			return t, true
 		}
 		in, ok := s.(*core.Instrumented)
 		if !ok {
-			return nil, false
-		}
-		s = in.Inner()
-	}
-}
-
-// asFixedMonitor recovers the Q16.16 stage inside a member, seeing
-// through the Instrumented wrapper like asMonitor.
-func asFixedMonitor(s core.Streaming) (*fixed.Monitor, bool) {
-	for {
-		if fs, ok := s.(*fixed.Monitor); ok {
-			return fs, true
-		}
-		in, ok := s.(*core.Instrumented)
-		if !ok {
-			return nil, false
+			var zero T
+			return zero, false
 		}
 		s = in.Inner()
 	}
@@ -273,17 +259,18 @@ const (
 	memberKindDegraded = 2
 )
 
-// encodeMember serialises one member stage with its kind byte; prec
-// applies to float Monitors only (the Q16.16 wire format is exact).
-func encodeMember(prec Precision) fleet.EncodeFunc {
+// encodeMember serialises one member stage with its kind byte. A float
+// Monitor is written at prec(mon), read from the very Monitor being
+// encoded; the Q16.16 wire format is exact and takes no precision.
+func encodeMember(prec func(*Monitor) Precision) fleet.EncodeFunc {
 	return func(id string, s core.Streaming, w io.Writer) (byte, error) {
-		if mon, ok := asMonitor(s); ok {
+		if mon, ok := unwrap[*Monitor](s); ok {
 			if mon.degraded != nil {
 				return memberKindDegraded, encodeDegraded(mon, w)
 			}
-			return memberKindMonitor, mon.Save(w, prec)
+			return memberKindMonitor, mon.Save(w, prec(mon))
 		}
-		if fs, ok := asFixedMonitor(s); ok {
+		if fs, ok := unwrap[*fixed.Monitor](s); ok {
 			return memberKindQ16, fs.Save(w)
 		}
 		return 0, fmt.Errorf("edgedrift: fleet member %q has no wire format (not a Monitor or Q16.16 stage)", id)
@@ -356,7 +343,7 @@ func decodeMember(id string, kind byte, r io.Reader) (core.Streaming, error) {
 // safe way to inspect a single stream while the fleet keeps processing.
 func (f *Fleet) Do(id string, fn func(*Monitor) error) error {
 	return f.f.Do(id, func(s core.Streaming) error {
-		mon, ok := asMonitor(s)
+		mon, ok := unwrap[*Monitor](s)
 		if !ok {
 			return fmt.Errorf("edgedrift: fleet member %q is not a Monitor", id)
 		}
@@ -371,7 +358,7 @@ func (f *Fleet) Do(id string, fn func(*Monitor) error) error {
 // covered again by a container-level footer. Corruption fails loudly at
 // load, naming the damaged member.
 func (f *Fleet) Save(w io.Writer, prec Precision) error {
-	return f.f.Save(w, encodeMember(prec))
+	return f.f.Save(w, encodeMember(func(*Monitor) Precision { return prec }))
 }
 
 // SaveFile atomically writes the fleet artifact to path (temp file,
@@ -413,14 +400,7 @@ func LoadFleetFile(path string, cfg FleetConfig) (*Fleet, error) {
 // member artifact with its own CRC32 footer; Kind discriminates the
 // encoding; Samples/Drifts are the lifetime counters the importing
 // fleet carries over so the roll-up neither loses nor double-counts.
-type MemberState struct {
-	ID      string
-	Kind    byte
-	Cohort  string
-	Samples uint64
-	Drifts  uint64
-	Payload []byte
-}
+type MemberState = fleet.MemberState
 
 // ExportMember atomically deregisters one member and returns its
 // serialised state — the source half of a live stream migration. The
@@ -432,20 +412,7 @@ type MemberState struct {
 // their exact integer format. A failed export leaves the fleet
 // unchanged.
 func (f *Fleet) ExportMember(id string) (*MemberState, error) {
-	prec := Float64
-	if err := f.f.Do(id, func(s core.Streaming) error {
-		if mon, ok := asMonitor(s); ok {
-			prec = mon.opts.Precision
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	kind, cohort, payload, samples, drifts, err := f.f.ExportMember(id, encodeMember(prec))
-	if err != nil {
-		return nil, err
-	}
-	return &MemberState{ID: id, Kind: kind, Cohort: cohort, Samples: samples, Drifts: drifts, Payload: payload}, nil
+	return f.f.ExportMember(id, encodeMember(func(mon *Monitor) Precision { return mon.opts.Precision }))
 }
 
 // ImportMember registers a member exported from another fleet — the
@@ -456,7 +423,7 @@ func (f *Fleet) ImportMember(st *MemberState) error {
 	if st == nil {
 		return fmt.Errorf("edgedrift: import: nil member state")
 	}
-	return f.f.ImportMember(st.ID, st.Kind, st.Cohort, st.Payload, st.Samples, st.Drifts, decodeMember)
+	return f.f.ImportMember(st, decodeMember)
 }
 
 // ErrAlreadyRegistered is re-exported so callers can tell a taken

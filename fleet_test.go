@@ -314,6 +314,38 @@ func TestFleetSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestFleetSealedMemberForwarders: once Remove or ExportMember has
+// sealed a member, the merge forwarders fail with the internal fleet's
+// unknown-stream error and leave the fleet as it was.
+func TestFleetSealedMemberForwarders(t *testing.T) {
+	fx := newFleetFixture(t)
+	for _, seal := range []string{"Remove", "ExportMember"} {
+		f := edgedrift.NewFleet(edgedrift.FleetConfig{})
+		if err := f.AddCohort("s", fx.monitor(t, 1), "c"); err != nil {
+			t.Fatal(err)
+		}
+		state, _, err := f.ExportMergeState("s")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seal == "Remove" {
+			f.Remove("s")
+		} else if _, err := f.ExportMember("s"); err != nil {
+			t.Fatal(err)
+		}
+		want := `fleet: unknown stream "s"`
+		if _, _, err := f.ExportMergeState("s"); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: ExportMergeState err = %v, want %s", seal, err, want)
+		}
+		if err := f.MergeSeedMember("s", [][]byte{state}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: MergeSeedMember err = %v, want %s", seal, err, want)
+		}
+		if f.Len() != 0 || len(f.CohortMembers("c")) != 0 {
+			t.Fatalf("%s: a sealed member came back: Len %d, cohort %v", seal, f.Len(), f.CohortMembers("c"))
+		}
+	}
+}
+
 // TestFleetCooperativeWarmRecovery drives the public cooperative
 // surface end to end with real monitors: same-seed members fingerprint
 // identically, peers that adapted to the new concept donate state when

@@ -429,18 +429,18 @@ func TestCohortMigrationRoundTrip(t *testing.T) {
 	if err := f.AddMember("s", newMergeStage(5, 99), MemberConfig{Cohort: "fans"}); err != nil {
 		t.Fatal(err)
 	}
-	kind, cohort, payload, smp, dr, err := f.ExportMember("s", encMerge)
+	st, err := f.ExportMember("s", encMerge)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cohort != "fans" || kind != mergeKind {
-		t.Fatalf("exported kind=%d cohort=%q", kind, cohort)
+	if st.Cohort != "fans" || st.Kind != mergeKind {
+		t.Fatalf("exported kind=%d cohort=%q", st.Kind, st.Cohort)
 	}
 	if got := f.CohortMembers("fans"); len(got) != 0 {
 		t.Fatalf("cohort still lists exported member: %v", got)
 	}
 	g := New(Config{})
-	if err := g.ImportMember("s", kind, cohort, payload, smp, dr, decMerge); err != nil {
+	if err := g.ImportMember(st, decMerge); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := g.Cohort("s"); got != "fans" {

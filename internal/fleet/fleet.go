@@ -82,9 +82,9 @@ func (c Config) withDefaults() Config {
 
 // member is one registered stream: its stage, the lock serialising it,
 // and its lifetime counters. removed (guarded by mu) marks a member
-// whose Remove has completed, so a caller that looked the member up
-// before removal and then won the lock afterwards cannot process
-// samples on a ghost stream.
+// that Remove or ExportMember sealed, so a caller that looked the
+// member up before the seal and then won the lock afterwards cannot
+// reach a ghost stream (see lockLive).
 type member struct {
 	mu    sync.Mutex
 	stage core.Streaming
@@ -295,15 +295,11 @@ func (f *Fleet) cohortRemove(cohort, id string) {
 
 // Cohort returns the member's cohort name ("" for none).
 func (f *Fleet) Cohort(id string) (string, error) {
-	m, err := f.member(id)
+	m, err := f.lockLive(id)
 	if err != nil {
 		return "", err
 	}
-	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.removed {
-		return "", fmt.Errorf("fleet: unknown stream %q", id)
-	}
 	return m.cohort, nil
 }
 
@@ -328,16 +324,10 @@ func (f *Fleet) CohortMembers(cohort string) []string {
 // lookup against Remove and win the member lock afterwards see the
 // removed mark and fail with an unknown-stream error.
 func (f *Fleet) Remove(id string) (samples, drifts uint64, ok bool) {
-	sh := f.shardOf(id)
-	sh.mu.Lock()
-	m, found := sh.members[id]
-	if !found {
-		sh.mu.Unlock()
+	m := f.deregister(id)
+	if m == nil {
 		return 0, 0, false
 	}
-	delete(sh.members, id)
-	sh.mu.Unlock()
-
 	// Wait out any in-flight batch, then seal the member. The shard lock
 	// is already released: a long batch must not block Add/Remove of the
 	// shard's other streams.
@@ -377,15 +367,39 @@ func (f *Fleet) IDs() []string {
 	return ids
 }
 
-func (f *Fleet) member(id string) (*member, error) {
+// lockLive is the one way to reach a registered member: it looks id up
+// under the shard's read lock, releases that, and takes the member's
+// own lock. It returns the member locked — the caller unlocks — or,
+// holding no lock, the unknown-stream error when id is not registered
+// or its member was sealed (Remove, ExportMember) between the lookup
+// and the lock. That is the sealed-member invariant: once Remove or
+// ExportMember has sealed a member, no per-member method reads or
+// mutates it again. The found path allocates nothing.
+func (f *Fleet) lockLive(id string) (*member, error) {
 	sh := f.shardOf(id)
 	sh.mu.RLock()
 	m, ok := sh.members[id]
 	sh.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("fleet: unknown stream %q", id)
+	if ok {
+		m.mu.Lock()
+		if !m.removed {
+			return m, nil
+		}
+		m.mu.Unlock()
 	}
-	return m, nil
+	return nil, fmt.Errorf("fleet: unknown stream %q", id)
+}
+
+// deregister deletes id from the registry and returns its member (nil
+// when id is not registered): the first half of Remove and ExportMember,
+// which then seal the member under its own lock.
+func (f *Fleet) deregister(id string) *member {
+	sh := f.shardOf(id)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	m := sh.members[id]
+	delete(sh.members, id)
+	return m
 }
 
 // ProcessBatch feeds a batch of samples to one stream in order and
@@ -414,16 +428,12 @@ func (f *Fleet) ProcessBatchInto(dst []core.Result, id string, xs [][]float64) (
 // processMember is the locked body of ProcessBatchInto, reporting
 // whether any sample in the batch detected drift.
 func (f *Fleet) processMember(dst []core.Result, id string, xs [][]float64) ([]core.Result, bool, error) {
-	m, err := f.member(id)
+	m, err := f.lockLive(id)
 	if err != nil {
 		return dst, false, err
 	}
-	drifted := false
-	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.removed {
-		return dst, false, fmt.Errorf("fleet: unknown stream %q", id)
-	}
+	drifted := false
 	for _, x := range xs {
 		var r core.Result
 		if m.instr != nil {
@@ -456,15 +466,13 @@ func (f *Fleet) processMember(dst []core.Result, id string, xs [][]float64) ([]c
 // target's, so recovery cannot deadlock against concurrent batches,
 // Remove, or another member's recovery.
 func (f *Fleet) warmRecover(id string) {
-	m, err := f.member(id)
+	m, err := f.lockLive(id)
 	if err != nil {
 		return // removed since the batch; nothing to recover
 	}
-	m.mu.Lock()
 	cohort, fprint, merger := m.cohort, m.fprint, m.merger
-	removed := m.removed
 	m.mu.Unlock()
-	if removed || cohort == "" || merger == nil {
+	if cohort == "" || merger == nil {
 		return
 	}
 
@@ -473,13 +481,11 @@ func (f *Fleet) warmRecover(id string) {
 		if peerID == id {
 			continue
 		}
-		p, err := f.member(peerID)
+		p, err := f.lockLive(peerID)
 		if err != nil {
-			continue
+			continue // left the cohort since it was listed
 		}
-		p.mu.Lock()
-		eligible := !p.removed && p.merger != nil && p.fprint == fprint &&
-			p.phase != nil && p.phase() != core.Reconstructing
+		eligible := p.donor() && p.fprint == fprint
 		var st []byte
 		if eligible {
 			st, err = p.merger.ExportMergeState()
@@ -496,6 +502,8 @@ func (f *Fleet) warmRecover(id string) {
 		return
 	}
 
+	// Re-lock the member itself, not the id: a member re-registered
+	// under id meanwhile is not the one these peers were matched to.
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.removed {
@@ -518,20 +526,15 @@ func (f *Fleet) warmRecover(id string) {
 // never from a reconstructing member: half-trained state is rejected
 // at this mechanism level so no policy above can ship it.
 func (f *Fleet) ExportMergeState(id string) ([]byte, uint64, error) {
-	m, err := f.member(id)
+	m, err := f.lockLive(id)
 	if err != nil {
 		return nil, 0, err
 	}
-	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.removed {
-		return nil, 0, fmt.Errorf("fleet: unknown stream %q", id)
-	}
-	if m.merger == nil {
-		return nil, 0, fmt.Errorf("fleet: stream %q: %w", id,
-			&oselm.MergeError{Reason: "member has no mergeable state (detect-only stage)"})
-	}
-	if m.phase != nil && m.phase() == core.Reconstructing {
+	if !m.donor() {
+		if m.merger == nil {
+			return nil, 0, errDetectOnly(id)
+		}
 		return nil, 0, fmt.Errorf("fleet: stream %q is mid-reconstruction; merge state is only exported from a stable model", id)
 	}
 	st, err := m.merger.ExportMergeState()
@@ -546,18 +549,13 @@ func (f *Fleet) ExportMergeState(id string) ([]byte, uint64, error) {
 // or across shards). Incompatible state is rejected loudly and leaves
 // the member untouched.
 func (f *Fleet) MergeSeedMember(id string, states [][]byte) error {
-	m, err := f.member(id)
+	m, err := f.lockLive(id)
 	if err != nil {
 		return err
 	}
-	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.removed {
-		return fmt.Errorf("fleet: unknown stream %q", id)
-	}
 	if m.merger == nil {
-		return fmt.Errorf("fleet: stream %q: %w", id,
-			&oselm.MergeError{Reason: "member has no mergeable state (detect-only stage)"})
+		return errDetectOnly(id)
 	}
 	if err := m.merger.MergeSeed(states); err != nil {
 		return fmt.Errorf("fleet: merge seed %q: %w", id, err)
@@ -568,16 +566,30 @@ func (f *Fleet) MergeSeedMember(id string, states [][]byte) error {
 // MemberFingerprint returns a member's merge fingerprint (0 when the
 // member has no mergeable state).
 func (f *Fleet) MemberFingerprint(id string) (uint64, error) {
-	m, err := f.member(id)
+	m, err := f.lockLive(id)
 	if err != nil {
 		return 0, err
 	}
-	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.removed {
-		return 0, fmt.Errorf("fleet: unknown stream %q", id)
-	}
 	return m.fprint, nil
+}
+
+// donor reports the one cooperative-merge eligibility rule: the member
+// has mergeable state and is not mid-reconstruction (monitoring and
+// checking models are static between samples; a rebuilding one is
+// not). A stage that reports no phase has no reconstruction to be in
+// the middle of. Liveness is lockLive's, and the fingerprint match is
+// the caller's, since each caller compares against a different
+// reference. The caller holds m.mu.
+func (m *member) donor() bool {
+	return m.merger != nil && (m.phase == nil || m.phase() != core.Reconstructing)
+}
+
+// errDetectOnly is the error a merge operation on a member without
+// mergeable state fails with.
+func errDetectOnly(id string) error {
+	return fmt.Errorf("fleet: stream %q: %w", id,
+		&oselm.MergeError{Reason: "member has no mergeable state (detect-only stage)"})
 }
 
 // DemoteMember switches one member to a cheaper numeric backend at
@@ -589,30 +601,7 @@ func (f *Fleet) MemberFingerprint(id string) (uint64, error) {
 // detectors, the Q16.16 port) and invalid transitions fail loudly and
 // count as TransitionFailures.
 func (f *Fleet) DemoteMember(id string, p oselm.Precision) error {
-	m, err := f.member(id)
-	if err != nil {
-		f.transitionFailures.Add(1)
-		return err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.removed {
-		f.transitionFailures.Add(1)
-		return fmt.Errorf("fleet: unknown stream %q", id)
-	}
-	if m.trans == nil {
-		f.transitionFailures.Add(1)
-		return fmt.Errorf("fleet: stream %q has no precision-transition capability", id)
-	}
-	if err := m.trans.Demote(p); err != nil {
-		f.transitionFailures.Add(1)
-		return fmt.Errorf("fleet: demote %q: %w", id, err)
-	}
-	f.demotions.Add(1)
-	if m.instr != nil {
-		m.instr.Stamp("demote:" + p.String())
-	}
-	return nil
+	return f.transition(id, "demote", &f.demotions, func(t core.Transitioner) error { return t.Demote(p) })
 }
 
 // PromoteMember drops a demoted member's reduced-precision twin and
@@ -620,28 +609,31 @@ func (f *Fleet) DemoteMember(id string, p oselm.Precision) error {
 // demotion instant (samples served while demoted advanced only the
 // twin). Same locking, stamping and failure accounting as DemoteMember.
 func (f *Fleet) PromoteMember(id string) error {
-	m, err := f.member(id)
+	return f.transition(id, "promote", &f.promotions, core.Transitioner.Promote)
+}
+
+// transition is the one body of DemoteMember and PromoteMember: act
+// runs under the member lock, a success counts in done and is stamped
+// "<verb>:<active precision>" into an instrumented member's trace ring,
+// and every failure — unknown stream included — counts one
+// TransitionFailures.
+func (f *Fleet) transition(id, verb string, done *atomic.Uint64, act func(core.Transitioner) error) error {
+	m, err := f.lockLive(id)
+	if err == nil {
+		defer m.mu.Unlock()
+		if m.trans == nil {
+			err = fmt.Errorf("fleet: stream %q has no precision-transition capability", id)
+		} else if err = act(m.trans); err != nil {
+			err = fmt.Errorf("fleet: %s %q: %w", verb, id, err)
+		}
+	}
 	if err != nil {
 		f.transitionFailures.Add(1)
 		return err
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.removed {
-		f.transitionFailures.Add(1)
-		return fmt.Errorf("fleet: unknown stream %q", id)
-	}
-	if m.trans == nil {
-		f.transitionFailures.Add(1)
-		return fmt.Errorf("fleet: stream %q has no precision-transition capability", id)
-	}
-	if err := m.trans.Promote(); err != nil {
-		f.transitionFailures.Add(1)
-		return fmt.Errorf("fleet: promote %q: %w", id, err)
-	}
-	f.promotions.Add(1)
+	done.Add(1)
 	if m.instr != nil {
-		m.instr.Stamp("promote:" + m.trans.ActivePrecision().String())
+		m.instr.Stamp(verb + ":" + m.trans.ActivePrecision().String())
 	}
 	return nil
 }
@@ -651,15 +643,11 @@ func (f *Fleet) PromoteMember(id string) error {
 // without the capability report (false, Float64-zero-value) with ok
 // false.
 func (f *Fleet) MemberPrecision(id string) (degraded bool, active oselm.Precision, ok bool, err error) {
-	m, err := f.member(id)
+	m, err := f.lockLive(id)
 	if err != nil {
 		return false, 0, false, err
 	}
-	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.removed {
-		return false, 0, false, fmt.Errorf("fleet: unknown stream %q", id)
-	}
 	if m.trans == nil {
 		return false, 0, false, nil
 	}
@@ -684,16 +672,11 @@ func (f *Fleet) AntiEntropy(cohort string) (int, error) {
 		haveRef bool
 	)
 	for _, id := range ids {
-		m, err := f.member(id)
+		m, err := f.lockLive(id)
 		if err != nil {
-			continue
+			continue // left the cohort since it was listed
 		}
-		m.mu.Lock()
-		ok := !m.removed && m.merger != nil &&
-			(m.phase == nil || m.phase() != core.Reconstructing)
-		if ok && haveRef && m.fprint != fprint {
-			ok = false
-		}
+		ok := m.donor() && (!haveRef || m.fprint == fprint)
 		var st []byte
 		if ok {
 			st, err = m.merger.ExportMergeState()
@@ -753,29 +736,21 @@ func (f *Fleet) emit(ev Event) {
 // lock — the safe way to inspect or checkpoint a single stream while
 // the rest of the fleet keeps processing.
 func (f *Fleet) Do(id string, fn func(core.Streaming) error) error {
-	m, err := f.member(id)
+	m, err := f.lockLive(id)
 	if err != nil {
 		return err
 	}
-	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.removed {
-		return fmt.Errorf("fleet: unknown stream %q", id)
-	}
 	return fn(m.stage)
 }
 
 // MemberStats returns one stream's lifetime sample and drift counts.
 func (f *Fleet) MemberStats(id string) (samples, drifts uint64, err error) {
-	m, err := f.member(id)
+	m, err := f.lockLive(id)
 	if err != nil {
 		return 0, 0, err
 	}
-	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.removed {
-		return 0, 0, fmt.Errorf("fleet: unknown stream %q", id)
-	}
 	return m.samples, m.drifts, nil
 }
 

@@ -356,13 +356,12 @@ func TestExportImportMember(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	kind, cohort, payload, smp, dr, err := f.ExportMember("s", encCount)
-	_ = cohort
+	st, err := f.ExportMember("s", encCount)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kind != 0 || smp != 7 || dr != 2 {
-		t.Fatalf("export kind=%d samples=%d drifts=%d, want 0/7/2", kind, smp, dr)
+	if st.Kind != 0 || st.Samples != 7 || st.Drifts != 2 {
+		t.Fatalf("export kind=%d samples=%d drifts=%d, want 0/7/2", st.Kind, st.Samples, st.Drifts)
 	}
 	if _, err := f.ProcessBatch("s", samples(1, 0)); err == nil {
 		t.Fatal("exported stream still accepts samples on the source")
@@ -372,7 +371,7 @@ func TestExportImportMember(t *testing.T) {
 	}
 
 	g := New(Config{})
-	if err := g.ImportMember("s", kind, "", payload, smp, dr, decCount); err != nil {
+	if err := g.ImportMember(st, decCount); err != nil {
 		t.Fatal(err)
 	}
 	got, err := g.ProcessBatch("s", samples(5, 0))
@@ -414,7 +413,7 @@ func TestExportMemberFailureRollsBack(t *testing.T) {
 	}
 	boom := errors.New("encode failed")
 	encFail := func(id string, s core.Streaming, w io.Writer) (byte, error) { return 0, boom }
-	if _, _, _, _, _, err := f.ExportMember("s", encFail); !errors.Is(err, boom) {
+	if _, err := f.ExportMember("s", encFail); !errors.Is(err, boom) {
 		t.Fatalf("export err = %v, want the encoder's error", err)
 	}
 	if _, err := f.ProcessBatch("s", samples(3, 0)); err != nil {
@@ -449,7 +448,7 @@ func TestExportMemberCollision(t *testing.T) {
 		}
 		return 0, boom
 	}
-	_, _, _, _, _, err := f.ExportMember("s", encCollide)
+	_, err := f.ExportMember("s", encCollide)
 	if !errors.Is(err, ErrExportCollision) {
 		t.Fatalf("export err = %v, want ErrExportCollision", err)
 	}
@@ -479,16 +478,16 @@ func TestImportMemberCorruption(t *testing.T) {
 	if err := f.Add("s", &countStage{driftEvery: 2}); err != nil {
 		t.Fatal(err)
 	}
-	kind, cohort, payload, smp, dr, err := f.ExportMember("s", encCount)
-	_ = cohort
+	st, err := f.ExportMember("s", encCount)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for pos := 0; pos < len(payload); pos++ {
-		bad := append([]byte(nil), payload...)
-		bad[pos] ^= 0x40
+	for pos := 0; pos < len(st.Payload); pos++ {
+		bad := *st
+		bad.Payload = append([]byte(nil), st.Payload...)
+		bad.Payload[pos] ^= 0x40
 		g := New(Config{})
-		if err := g.ImportMember("s", kind, "", bad, smp, dr, decCount); !errors.Is(err, ckpt.ErrBadFormat) {
+		if err := g.ImportMember(&bad, decCount); !errors.Is(err, ckpt.ErrBadFormat) {
 			t.Fatalf("flip at byte %d: err = %v, want ErrBadFormat", pos, err)
 		}
 		if g.Len() != 0 {
@@ -497,7 +496,9 @@ func TestImportMemberCorruption(t *testing.T) {
 	}
 	// Trailing garbage after the footer must also fail.
 	g := New(Config{})
-	if err := g.ImportMember("s", kind, "", append(payload, 0), smp, dr, decCount); !errors.Is(err, ckpt.ErrBadFormat) {
+	trailing := *st
+	trailing.Payload = append(st.Payload, 0)
+	if err := g.ImportMember(&trailing, decCount); !errors.Is(err, ckpt.ErrBadFormat) {
 		t.Fatalf("trailing byte: err = %v, want ErrBadFormat", err)
 	}
 }

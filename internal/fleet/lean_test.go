@@ -180,7 +180,7 @@ func TestFleetMemoryAuditCountsSharedStateOnce(t *testing.T) {
 		t.Fatalf("MemoryBytes %d after removing two of three holders, want %d", got, want)
 	}
 	enc := func(string, core.Streaming, io.Writer) (byte, error) { return 0, nil }
-	if _, _, _, _, _, err := f.ExportMember("same-2", enc); err != nil {
+	if _, err := f.ExportMember("same-2", enc); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := f.MemoryBytes(), want-own["same-2"]-perMember; got != want {
@@ -284,10 +284,11 @@ func decoded(t testing.TB, d *core.Detector) *core.Detector {
 // memberDetector returns a member's detector.
 func memberDetector(t testing.TB, f *Fleet, id string) *core.Detector {
 	t.Helper()
-	m, err := f.member(id)
+	m, err := f.lockLive(id)
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.mu.Unlock()
 	d, ok := stageDetector(m.stage)
 	if !ok {
 		t.Fatalf("member %q has no detector", id)
@@ -408,9 +409,9 @@ func TestFleetMemoryAuditProperty(t *testing.T) {
 				op = "export/import"
 				if id, ok := pick(); ok {
 					settle(id)
-					kind, cohort, payload, samples, drifts, err := f.ExportMember(id, encDetector)
+					st, err := f.ExportMember(id, encDetector)
 					if err == nil {
-						err = f.ImportMember(id, kind, cohort, payload, samples, drifts, decDetector)
+						err = f.ImportMember(st, decDetector)
 					}
 					if err != nil {
 						t.Fatal(err)

@@ -75,18 +75,14 @@ func (f *Fleet) Save(w io.Writer, enc EncodeFunc) error {
 		var cohort string
 		var fprint uint64
 		inner := ckpt.NewWriter(&buf)
-		err = f.Do(id, func(s core.Streaming) error {
-			var encErr error
-			kind, encErr = enc(id, s, inner)
-			return encErr
-		})
-		if err != nil {
-			return fmt.Errorf("fleet: save %q: %w", id, err)
-		}
-		if m, merr := f.member(id); merr == nil {
-			m.mu.Lock()
+		m, err := f.lockLive(id)
+		if err == nil {
+			kind, err = enc(id, m.stage, inner)
 			cohort, fprint = m.cohort, m.fprint
 			m.mu.Unlock()
+		}
+		if err != nil {
+			return fmt.Errorf("fleet: save %q: %w", id, err)
 		}
 		if err := inner.WriteFooter(); err != nil {
 			return fmt.Errorf("fleet: save %q: %w", id, err)
@@ -236,32 +232,40 @@ func getString(r io.Reader, min uint32) (string, error) {
 	return string(b), err
 }
 
+// MemberState is one exported member: the self-contained checkpoint a
+// live migration carries from a source fleet to a target fleet (see
+// ExportMember / ImportMember). Payload is a complete member artifact
+// with its own CRC32 footer; Kind is the member-kind byte its encoder
+// recorded; Cohort is the cooperation group the importing fleet joins
+// it to; Samples/Drifts are the lifetime counters the importing fleet
+// carries over so the roll-up neither loses nor double-counts.
+type MemberState struct {
+	ID      string
+	Kind    byte
+	Cohort  string
+	Samples uint64
+	Drifts  uint64
+	Payload []byte
+}
+
 // ExportMember atomically deregisters one member and serialises its
 // final state — the source half of a live stream migration. The member
 // is deleted from the registry first (new batches fail with
 // unknown-stream), then encoded under the member lock after any
 // in-flight batch completes, so the payload is a sample-boundary
-// snapshot and no sample can land on the member after its export. The
-// payload carries its own ckpt CRC32 footer; samples/drifts are the
-// lifetime counters and cohort is the cooperation group the importing
-// fleet must carry over. If encoding fails, the member is re-registered
-// and the fleet is unchanged.
-func (f *Fleet) ExportMember(id string, enc EncodeFunc) (kind byte, cohort string, payload []byte, samples, drifts uint64, err error) {
-	sh := f.shardOf(id)
-	sh.mu.Lock()
-	m, ok := sh.members[id]
-	if !ok {
-		sh.mu.Unlock()
-		return 0, "", nil, 0, 0, fmt.Errorf("fleet: unknown stream %q", id)
+// snapshot and no sample can land on the member after its export. If
+// encoding fails, the member is re-registered and the fleet is
+// unchanged.
+func (f *Fleet) ExportMember(id string, enc EncodeFunc) (*MemberState, error) {
+	m := f.deregister(id)
+	if m == nil {
+		return nil, fmt.Errorf("fleet: unknown stream %q", id)
 	}
-	delete(sh.members, id)
-	sh.mu.Unlock()
-
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var buf bytes.Buffer
 	cw := ckpt.NewWriter(&buf)
-	kind, err = enc(id, m.stage, cw)
+	kind, err := enc(id, m.stage, cw)
 	if err == nil {
 		err = cw.WriteFooter()
 	}
@@ -269,12 +273,7 @@ func (f *Fleet) ExportMember(id string, enc EncodeFunc) (kind byte, cohort strin
 		// Roll back: the member must survive a failed export. Taking the
 		// shard lock while holding the member lock is safe — no path in
 		// this package waits on a member lock while holding a shard lock.
-		// If Add re-created the id while the member was deregistered, the
-		// new member keeps the slot: overwriting it would vanish a live
-		// stream, and dropping the new one would undo a registration the
-		// caller was told succeeded. The exported member is retired
-		// instead, and the collision is reported as a typed error so the
-		// caller knows its lifetime counters did not survive the rollback.
+		sh := f.shardOf(id)
 		sh.mu.Lock()
 		usurper, exists := sh.members[id]
 		if !exists {
@@ -302,30 +301,30 @@ func (f *Fleet) ExportMember(id string, enc EncodeFunc) (kind byte, cohort strin
 					f.cohortRemove(m.cohort, id)
 				}
 			}
-			return 0, "", nil, 0, 0, fmt.Errorf("fleet: export %q: %w (samples=%d drifts=%d lost; encode error: %w)",
+			return nil, fmt.Errorf("fleet: export %q: %w (samples=%d drifts=%d lost; encode error: %w)",
 				id, ErrExportCollision, m.samples, m.drifts, err)
 		}
-		return 0, "", nil, 0, 0, fmt.Errorf("fleet: export %q: %w", id, err)
+		return nil, fmt.Errorf("fleet: export %q: %w", id, err)
 	}
 	m.removed = true
 	f.cohortRemove(m.cohort, id)
-	return kind, m.cohort, buf.Bytes(), m.samples, m.drifts, nil
+	return &MemberState{ID: id, Kind: kind, Cohort: m.cohort, Samples: m.samples, Drifts: m.drifts, Payload: buf.Bytes()}, nil
 }
 
-// ImportMember registers a member from an ExportMember payload — the
+// ImportMember registers a member from an ExportMember record — the
 // target half of a live stream migration. The payload's CRC32 footer is
 // verified before registration, and the member starts with the exported
 // lifetime counters and cohort so the fleet-level roll-up neither loses
 // nor double-counts samples across the move and the stream keeps
 // cooperating with its group.
-func (f *Fleet) ImportMember(id string, kind byte, cohort string, payload []byte, samples, drifts uint64, dec DecodeFunc) error {
-	br := bytes.NewReader(payload)
-	s, err := decodePayload(id, kind, br, dec)
+func (f *Fleet) ImportMember(st *MemberState, dec DecodeFunc) error {
+	br := bytes.NewReader(st.Payload)
+	s, err := decodePayload(st.ID, st.Kind, br, dec)
 	if err == nil && br.Len() != 0 {
 		err = fmt.Errorf("%d payload bytes left unconsumed", br.Len())
 	}
 	if err != nil {
-		return ckpt.Corrupt("fleet", fmt.Errorf("import %q: %w", id, err))
+		return ckpt.Corrupt("fleet", fmt.Errorf("import %q: %w", st.ID, err))
 	}
-	return f.addMember(id, s, MemberConfig{Cohort: cohort}, samples, drifts)
+	return f.addMember(st.ID, s, MemberConfig{Cohort: st.Cohort}, st.Samples, st.Drifts)
 }

@@ -8,7 +8,7 @@
 // points) so adding a shard only remaps ~1/N of the streams, and is
 // then overridden per stream by live migration: Migrate exports the
 // member from its current shard (sample-boundary checkpoint under the
-// fleet's Do fence), imports it on the target, and flips the routing
+// member's lock), imports it on the target, and flips the routing
 // entry. The per-stream entry lock fences this against the forwarding
 // path — forwards hold it shared, migration exclusively — so no batch
 // for the moving stream is in flight anywhere between export and
@@ -30,7 +30,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"edgedrift/internal/metrics"
@@ -61,18 +60,12 @@ type Router struct {
 	streams map[string]*entry
 	pools   map[string]*pool
 
-	ln     net.Listener
-	closed atomic.Bool
-	wg     sync.WaitGroup
-
-	connMu sync.Mutex
-	conns  map[net.Conn]struct{}
+	acc *wire.Acceptor
 
 	batches     metrics.Counter
 	forwardErrs metrics.Counter
 	migrations  metrics.Counter
 	recoveries  metrics.Counter
-	connections atomic.Int64
 }
 
 // entry is one stream's routing state. Forwards hold mu shared while a
@@ -105,8 +98,8 @@ func New(cfg Config) (*Router, error) {
 		ring:    newRing(cfg.Shards, cfg.Vnodes),
 		streams: map[string]*entry{},
 		pools:   map[string]*pool{},
-		conns:   map[net.Conn]struct{}{},
 	}
+	r.acc = wire.NewAcceptor(r.serveConn)
 	for _, addr := range cfg.Shards {
 		r.pools[addr] = &pool{addr: addr, timeout: cfg.DialTimeout,
 			ch: make(chan *wire.Conn, cfg.PoolSize)}
@@ -144,57 +137,12 @@ func (r *Router) Streams() map[string]string {
 
 // Serve accepts client connections on ln until Close. It always
 // returns a non-nil error (net.ErrClosed after a clean Close).
-func (r *Router) Serve(ln net.Listener) error {
-	r.connMu.Lock()
-	r.ln = ln
-	r.connMu.Unlock()
-	if r.closed.Load() { // Close raced ahead of us
-		ln.Close()
-		return net.ErrClosed
-	}
-	for {
-		nc, err := ln.Accept()
-		if err != nil {
-			if r.closed.Load() {
-				return net.ErrClosed
-			}
-			return err
-		}
-		r.connMu.Lock()
-		r.conns[nc] = struct{}{}
-		r.connMu.Unlock()
-		r.connections.Add(1)
-		r.wg.Add(1)
-		go func() {
-			defer r.wg.Done()
-			defer func() {
-				r.connMu.Lock()
-				delete(r.conns, nc)
-				r.connMu.Unlock()
-				r.connections.Add(-1)
-				nc.Close()
-			}()
-			r.serveConn(wire.NewConn(nc))
-		}()
-	}
-}
+func (r *Router) Serve(ln net.Listener) error { return r.acc.Serve(ln) }
 
 // Close stops accepting, closes live client connections and drains the
 // shard pools.
 func (r *Router) Close() error {
-	if !r.closed.CompareAndSwap(false, true) {
-		return nil
-	}
-	var err error
-	r.connMu.Lock()
-	if r.ln != nil {
-		err = r.ln.Close()
-	}
-	for nc := range r.conns {
-		nc.Close()
-	}
-	r.connMu.Unlock()
-	r.wg.Wait()
+	err := r.acc.Close()
 	r.mu.Lock()
 	for _, p := range r.pools {
 		p.drain()
@@ -211,7 +159,7 @@ func (r *Router) serveConn(c *wire.Conn) {
 	for {
 		typ, p, err := c.ReadFrame()
 		if err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !r.closed.Load() {
+			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !r.acc.Closed() {
 				r.cfg.Logf("router: connection error: %v", err)
 			}
 			return
@@ -312,7 +260,7 @@ func (r *Router) knownShard(addr string) bool {
 }
 
 // Migrate moves a live stream to another shard: checkpoint round-trip
-// (export on the source under the fleet's Do fence, import on the
+// (export on the source under the member's lock, import on the
 // target with lifetime counters carried over), then flip the routing
 // entry. The entry's exclusive lock guarantees no batch for the stream
 // is in flight anywhere during the move, so the continuation on the
@@ -484,7 +432,7 @@ func (r *Router) WriteMetrics(w io.Writer) error {
 	tw.Counter("edgedrift_route_recoveries_total", "Cross-shard warm recoveries completed.", nil, r.recoveries.Load())
 	tw.Gauge("edgedrift_route_shards", "Shards in the ring.", nil, float64(len(r.cfg.Shards)))
 	tw.Gauge("edgedrift_route_streams", "Streams in the routing table.", nil, float64(nStreams))
-	tw.Gauge("edgedrift_route_connections", "Live client connections.", nil, float64(r.connections.Load()))
+	tw.Gauge("edgedrift_route_connections", "Live client connections.", nil, float64(r.acc.Connections()))
 	return tw.Err()
 }
 

@@ -87,7 +87,7 @@ type Config struct {
 type Server struct {
 	cfg    Config
 	fleet  *edgedrift.Fleet
-	ln     net.Listener
+	acc    *wire.Acceptor
 	inputs int // the template's sample width; every batch must match
 
 	mu         sync.Mutex
@@ -98,12 +98,6 @@ type Server struct {
 	// streams.
 	tmplMu sync.Mutex
 	tmpl   *edgedrift.Monitor
-
-	closed atomic.Bool
-	wg     sync.WaitGroup
-
-	connMu sync.Mutex
-	conns  map[net.Conn]struct{}
 
 	batches       metrics.Counter
 	shedSamples   metrics.Counter
@@ -116,11 +110,9 @@ type Server struct {
 	queueWait     metrics.Histogram // admission to worker pickup, ns
 	ackWrite      metrics.Histogram // ack encode and write, ns
 	queueDepth    atomic.Int64      // queued batches across all connections
-	connections   atomic.Int64
 
-	govMu   sync.Mutex // guards gov (Tick vs Metrics scrapes)
-	gov     *pressure.Governor
-	govStop chan struct{}
+	govMu sync.Mutex // guards gov (Tick vs Metrics scrapes)
+	gov   *pressure.Governor
 }
 
 // New builds a shard server (not yet listening; call Serve).
@@ -141,8 +133,8 @@ func New(cfg Config) (*Server, error) {
 		cfg:        cfg,
 		fleet:      edgedrift.NewFleet(cfg.Fleet),
 		tombstones: map[string]bool{},
-		conns:      map[net.Conn]struct{}{},
 	}
+	s.acc = wire.NewAcceptor(s.serveConn)
 	// Validate the template once up front so a bad artifact fails at
 	// startup, not on the first stream.
 	tmpl, err := edgedrift.LoadMonitor(bytes.NewReader(cfg.Template))
@@ -159,24 +151,22 @@ func New(cfg Config) (*Server, error) {
 			interval = 500 * time.Millisecond
 		}
 		s.gov = pressure.New(uint64(cfg.PressureBudget), s.fleet)
-		s.govStop = make(chan struct{})
-		s.wg.Add(1)
-		go s.governorLoop(interval)
+		s.acc.Go(func() { s.governorLoop(interval) })
 	}
 	return s, nil
 }
 
 // governorLoop drives the pressure governor: each tick samples the
-// shard's p99 ingest latency and lets the governor decide. The governor itself is clock-free — this loop is the only
-// place wall time enters the control path.
+// shard's p99 ingest latency and lets the governor decide, until Close.
+// The governor itself is clock-free — this loop is the only place wall
+// time enters the control path.
 func (s *Server) governorLoop(interval time.Duration) {
-	defer s.wg.Done()
 	t := time.NewTicker(interval)
 	defer t.Stop()
 	var prev metrics.HistogramSnapshot
 	for {
 		select {
-		case <-s.govStop:
+		case <-s.acc.Done():
 			return
 		case <-t.C:
 			// Windowed p99: the lifetime histogram diffed against the
@@ -242,62 +232,11 @@ func (s *Server) ensureStream(stream string) error {
 
 // Serve accepts connections on ln until Close. It always returns a
 // non-nil error (net.ErrClosed after a clean Close).
-func (s *Server) Serve(ln net.Listener) error {
-	s.connMu.Lock()
-	s.ln = ln
-	s.connMu.Unlock()
-	if s.closed.Load() { // Close raced ahead of us
-		ln.Close()
-		return net.ErrClosed
-	}
-	for {
-		nc, err := ln.Accept()
-		if err != nil {
-			if s.closed.Load() {
-				return net.ErrClosed
-			}
-			return err
-		}
-		s.connMu.Lock()
-		s.conns[nc] = struct{}{}
-		s.connMu.Unlock()
-		s.connections.Add(1)
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer func() {
-				s.connMu.Lock()
-				delete(s.conns, nc)
-				s.connMu.Unlock()
-				s.connections.Add(-1)
-				nc.Close()
-			}()
-			s.serveConn(wire.NewConn(nc))
-		}()
-	}
-}
+func (s *Server) Serve(ln net.Listener) error { return s.acc.Serve(ln) }
 
-// Close stops accepting, closes every live connection and waits for
-// the per-connection goroutines to drain.
-func (s *Server) Close() error {
-	if !s.closed.CompareAndSwap(false, true) {
-		return nil
-	}
-	if s.govStop != nil {
-		close(s.govStop)
-	}
-	var err error
-	s.connMu.Lock()
-	if s.ln != nil {
-		err = s.ln.Close()
-	}
-	for nc := range s.conns {
-		nc.Close()
-	}
-	s.connMu.Unlock()
-	s.wg.Wait()
-	return err
-}
+// Close stops the governor and accepting, closes every live connection
+// and waits for the per-connection goroutines to drain.
+func (s *Server) Close() error { return s.acc.Close() }
 
 // job is one admitted batch: the decoded samples (job-owned — the
 // frame buffer is reused by the reader), the stream they belong to and
@@ -338,7 +277,7 @@ func (s *Server) serveConn(c *wire.Conn) {
 	for {
 		typ, p, err := c.ReadFrame()
 		if err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !s.closed.Load() {
+			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !s.acc.Closed() {
 				s.cfg.Logf("shard: connection error: %v", err)
 			}
 			return
@@ -621,7 +560,7 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 	tw.Counter("edgedrift_shard_merge_fetches_total", "Mergeable model states served to peers (cross-shard recovery donors).", nil, s.mergeFetches.Load())
 	tw.Counter("edgedrift_shard_merge_seeds_total", "Members re-seeded from peer merge states (cross-shard recovery targets).", nil, s.mergeSeeds.Load())
 	tw.Gauge("edgedrift_shard_queue_depth", "Batches queued across all ingest connections.", nil, float64(s.queueDepth.Load()))
-	tw.Gauge("edgedrift_shard_connections", "Live ingest connections.", nil, float64(s.connections.Load()))
+	tw.Gauge("edgedrift_shard_connections", "Live ingest connections.", nil, float64(s.acc.Connections()))
 	if lat := s.ingestLatency.Snapshot(); lat.Count > 0 {
 		tw.Histogram("edgedrift_shard_ingest_latency_seconds", "Per-batch fleet ProcessBatch wall time.", nil, lat, 1e-9)
 	}
