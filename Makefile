@@ -63,8 +63,10 @@ staticcheck:
 # distributed serve tier — the router test is the end-to-end shard
 # migration integration test, so it runs under the detector too.
 # pressure holds the governor that ticks inside the shard's loop.
+# oselm and model hold the scratch lists that models of one shape
+# borrow their working sets from across goroutines.
 race:
-	$(GO) test -race ./internal/eval/... ./internal/core/... ./internal/fleet/... ./internal/wire/... ./internal/shard/... ./internal/router/... ./internal/pressure/... .
+	$(GO) test -race ./internal/oselm/... ./internal/model/... ./internal/eval/... ./internal/core/... ./internal/fleet/... ./internal/wire/... ./internal/shard/... ./internal/router/... ./internal/pressure/... .
 
 # Kernel and hot-path micro-benchmarks at the detector's real shapes.
 bench-kernels:

@@ -69,11 +69,11 @@ func TestSharedStreamsGauge(t *testing.T) {
 	if got := gauge(); got != "edgedrift_shared_streams 2" {
 		t.Fatalf("after one drift: %q", got)
 	}
-	// The fixture's monitors are C=2, D=3, H=8: β is H×D, P is H×H,
-	// and the private copy brings the RLS scratch P·h (H). The
+	// The fixture's monitors are C=2, D=3, H=8: β is H×D, P is H×H;
+	// the working sets stay on the scratch list the clones share. The
 	// reconstruction is still running, so the trained centroids are
 	// still shared.
-	if got, want := f.MemoryBytes()-before, 8*(8*3+8*8+8)*2; got != want {
+	if got, want := f.MemoryBytes()-before, 8*(8*3+8*8)*2; got != want {
 		t.Fatalf("memory rose %d B when a clone took its private copy, want %d B", got, want)
 	}
 }

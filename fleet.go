@@ -302,11 +302,24 @@ func encodeDegraded(mon *Monitor, w io.Writer) error {
 	}
 }
 
-// decodeMember reconstructs one member stage from its kind byte.
-func decodeMember(id string, kind byte, r io.Reader) (core.Streaming, error) {
+// decodeMember returns the decoder of member stages for f: each stage
+// is reconstructed from its kind byte, and every float64 projection is
+// read through one oselm.Projections, so the members of one load, and a
+// member joining live peers, allocate W and b only for a projection no
+// decoded or registered member holds yet.
+func (f *Fleet) decodeMember() fleet.DecodeFunc {
+	p := &oselm.Projections{Share: f.f.ShareProjection}
+	return func(id string, kind byte, r io.Reader) (core.Streaming, error) {
+		return decodeMember(id, kind, r, p)
+	}
+}
+
+// decodeMember reconstructs one member stage from its kind byte, reading
+// its projections through p.
+func decodeMember(id string, kind byte, r io.Reader, p *oselm.Projections) (core.Streaming, error) {
 	switch kind {
 	case memberKindMonitor:
-		return LoadMonitor(r)
+		return loadMonitor(r, p)
 	case memberKindQ16:
 		return fixed.LoadMonitor(r)
 	case memberKindDegraded:
@@ -314,7 +327,7 @@ func decodeMember(id string, kind byte, r io.Reader) (core.Streaming, error) {
 		if _, err := io.ReadFull(r, ab[:]); err != nil {
 			return nil, fmt.Errorf("edgedrift: fleet member %q: degraded header: %w", id, err)
 		}
-		mon, err := LoadMonitor(r)
+		mon, err := loadMonitor(r, p)
 		if err != nil {
 			return nil, fmt.Errorf("edgedrift: fleet member %q: degraded origin: %w", id, err)
 		}
@@ -374,7 +387,7 @@ func (f *Fleet) SaveFile(path string, prec Precision) error {
 // FLEET4 fail with an error matching ErrBadFormat.
 func LoadFleet(r io.Reader, cfg FleetConfig) (*Fleet, error) {
 	fl := NewFleet(cfg)
-	if err := fl.f.Load(r, decodeMember); err != nil {
+	if err := fl.f.Load(r, fl.decodeMember()); err != nil {
 		return nil, err
 	}
 	return fl, nil
@@ -423,7 +436,7 @@ func (f *Fleet) ImportMember(st *MemberState) error {
 	if st == nil {
 		return fmt.Errorf("edgedrift: import: nil member state")
 	}
-	return f.f.ImportMember(st, decodeMember)
+	return f.f.ImportMember(st, f.decodeMember())
 }
 
 // ErrAlreadyRegistered is re-exported so callers can tell a taken

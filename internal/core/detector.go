@@ -441,13 +441,6 @@ func (d *Detector) PhaseNow() Phase {
 	}
 }
 
-// ScoreStats returns the running count, mean and standard deviation of
-// the anomaly scores observed while monitoring — the live counterpart of
-// the θ_error calibration, useful for operational dashboards.
-func (d *Detector) ScoreStats() (n int, mean, std float64) {
-	return d.scoreHist.N(), d.scoreHist.Mean(), d.scoreHist.Std()
-}
-
 // DriftEvents returns the 0-based indices of samples on which drift was
 // detected, in order.
 func (d *Detector) DriftEvents() []int {
@@ -634,16 +627,14 @@ func (d *Detector) ownTrainCor() {
 // EachShared calls fn once for every group of slabs d holds in common
 // with its clones and leaves out of its own MemoryBytes: the trained
 // centroids until d's first write to them, and each model instance's
-// shared slabs (see oselm.Model.EachShared). key is the same for every
-// holder of a group, so an audit that counts each key once counts each
-// slab once.
+// shared slabs and scratch list (see model.Multi.EachShared). key is
+// the same for every holder of a group, so an audit that counts each
+// key once counts each slab once.
 func (d *Detector) EachShared(fn func(key any, bytes int)) {
 	if d.corShared {
 		fn(&d.trainCor[0], 8*d.classes*d.dims)
 	}
-	for i := 0; i < d.model.Classes(); i++ {
-		d.model.Instance(i).Model().EachShared(fn)
-	}
+	d.model.EachShared(fn)
 }
 
 // initScoreBins (re)creates the health histogram of monitoring scores
@@ -922,7 +913,9 @@ func (d *Detector) Clamped() uint64 { return d.clamped }
 // instances, and the monitoring-score distribution summary.
 func (d *Detector) Health() health.Snapshot {
 	mh := d.model.Health()
-	n, mean, std := d.ScoreStats()
+	// The running monitoring-score moments: the live counterpart of the
+	// θ_error calibration.
+	n, mean, std := d.scoreHist.N(), d.scoreHist.Mean(), d.scoreHist.Std()
 	s := health.Snapshot{
 		SamplesSeen:      d.samplesSeen,
 		Rejected:         d.rejected,

@@ -170,14 +170,14 @@ func TestTriggerReconstructionIdempotentWhileActive(t *testing.T) {
 
 func TestScoreStatsTracksMonitoring(t *testing.T) {
 	d, r := newCalibrated(t, 35, DefaultConfig(30))
-	n0, _, _ := d.ScoreStats()
+	n0 := d.scoreHist.N()
 	if n0 != 0 {
 		t.Fatalf("fresh detector score count %d", n0)
 	}
 	for i := 0; i < 120; i++ {
 		d.Process(sample(r, i%testClasses, 0))
 	}
-	n, mean, std := d.ScoreStats()
+	n, mean, std := d.scoreHist.N(), d.scoreHist.Mean(), d.scoreHist.Std()
 	if n != 120 {
 		t.Fatalf("score count %d, want 120", n)
 	}

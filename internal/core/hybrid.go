@@ -184,9 +184,6 @@ func (h *Hybrid) SupervisedFires() uint64 { return h.supFires }
 // arm started.
 func (h *Hybrid) SupervisedTriggers() uint64 { return h.supTriggers }
 
-// Confirms returns how many alarms the two arms confirmed jointly.
-func (h *Hybrid) Confirms() uint64 { return h.confirms }
-
 // PhaseNow forwards the inner stage's phase capability.
 func (h *Hybrid) PhaseNow() Phase {
 	if h.phase != nil {

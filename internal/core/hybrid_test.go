@@ -147,8 +147,8 @@ func TestHybridConfirm(t *testing.T) {
 	if !h.Observe(1, 0) {
 		t.Fatal("supervised arm must fire")
 	}
-	if h.Confirms() != 1 {
-		t.Fatalf("confirms = %d, want 1 (sup after unsup)", h.Confirms())
+	if h.confirms != 1 {
+		t.Fatalf("confirms = %d, want 1 (sup after unsup)", h.confirms)
 	}
 	if inner.triggers != 0 {
 		t.Fatal("FuseConfirm must never trigger reconstruction")
@@ -163,8 +163,8 @@ func TestHybridConfirm(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		h2.Process(x)
 	}
-	if h2.Confirms() != 1 {
-		t.Fatalf("confirms = %d, want 1 (unsup after sup)", h2.Confirms())
+	if h2.confirms != 1 {
+		t.Fatalf("confirms = %d, want 1 (unsup after sup)", h2.confirms)
 	}
 	// Outside the window: no confirmation.
 	inner3 := &fakeInner{fire: map[int]bool{2: true}}
@@ -173,8 +173,8 @@ func TestHybridConfirm(t *testing.T) {
 		h3.Process(x)
 	}
 	h3.Observe(1, 0)
-	if h3.Confirms() != 0 {
-		t.Fatalf("confirms = %d, want 0 (alarms 18 steps apart, window 10)", h3.Confirms())
+	if h3.confirms != 0 {
+		t.Fatalf("confirms = %d, want 0 (alarms 18 steps apart, window 10)", h3.confirms)
 	}
 	if h3.Health().HybridConfirms != 0 || h2.Health().HybridConfirms != 1 {
 		t.Fatal("health confirm counters wrong")

@@ -83,20 +83,3 @@ func ParallelErr(fns ...func() error) error {
 	}
 	return p.Wait()
 }
-
-// Parallel runs the given closures concurrently, bounded by GOMAXPROCS,
-// and returns when all have finished. It panics if a closure panics —
-// the historical behaviour callers of this helper rely on.
-func Parallel(fns ...func()) {
-	err := ParallelErr(func() []func() error {
-		out := make([]func() error, len(fns))
-		for i, fn := range fns {
-			fn := fn
-			out[i] = func() error { fn(); return nil }
-		}
-		return out
-	}()...)
-	if err != nil {
-		panic(err)
-	}
-}

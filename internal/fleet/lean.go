@@ -3,6 +3,7 @@ package fleet
 import (
 	"edgedrift/internal/core"
 	"edgedrift/internal/model"
+	"edgedrift/internal/oselm"
 )
 
 // Lean members: members of one template or seed hold bit-identical
@@ -47,7 +48,8 @@ func (f *Fleet) shareProjection(mb *member) {
 
 // sharePeer rebinds every instance of mm to the projection of the same
 // instance of peer's model, under peer's lock, and reports whether any
-// instance was rebound.
+// instance was rebound; mm then borrows its working sets from peer's
+// scratch list too.
 func sharePeer(mm *model.Multi, peer *member) bool {
 	peer.mu.Lock()
 	defer peer.mu.Unlock()
@@ -61,7 +63,56 @@ func sharePeer(mm *model.Multi, peer *member) bool {
 			shared = true
 		}
 	}
+	if shared {
+		mm.ShareScratch(pd.Model())
+	}
 	return shared
+}
+
+// ShareProjection binds om, a model instance being decoded, to the
+// projection of a live member's instance with om's fingerprint (see
+// oselm.Projections and oselm.Model.ShareProjection), and reports
+// whether it did: a decoded member then holds the registered copy of
+// W and b instead of allocating its own. It takes each shard lock,
+// then, released, the member locks one at a time, and holds no lock on
+// return.
+func (f *Fleet) ShareProjection(om *oselm.Model) bool {
+	fp := om.Fingerprint()
+	var cands []*member
+	for i := range f.shards {
+		sh := &f.shards[i]
+		cands = cands[:0]
+		sh.mu.RLock()
+		for _, m := range sh.members {
+			if m.merger != nil {
+				cands = append(cands, m)
+			}
+		}
+		sh.mu.RUnlock()
+		for _, m := range cands {
+			if memberShares(m, om, fp) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// memberShares is ShareProjection's try at one member, under its lock.
+func memberShares(m *member, om *oselm.Model, fp uint64) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	d, ok := stageDetector(m.stage)
+	if m.removed || !ok {
+		return false
+	}
+	mm := d.Model()
+	for i := 0; i < mm.Classes(); i++ {
+		if peer := mm.Instance(i).Model(); peer.Fingerprint() == fp && om.ShareProjection(peer) {
+			return true
+		}
+	}
+	return false
 }
 
 // memoryAudit is the whole-fleet memory audit over the members it has

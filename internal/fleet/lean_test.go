@@ -53,8 +53,8 @@ func leanSamples(n, dims int, seed uint64) ([][]float64, []int) {
 }
 
 // projectionBytes reads the slabs detectors can hold in common — W/b,
-// β/P and the trained centroids — from the structs themselves rather
-// than through EachShared. all is the bytes of every distinct slab,
+// β/P, the trained centroids and the model's scratch list — from the
+// structs themselves rather than through EachShared. all is the bytes of every distinct slab,
 // found by the address of its backing array and counted once however
 // many detectors hold it; owned is the bytes of the slabs the
 // detectors' own audits count (those not marked shared), once per
@@ -76,6 +76,9 @@ func projectionBytes(ds ...*core.Detector) (all, owned, distinct int) {
 		dv := reflect.ValueOf(d).Elem()
 		cor := dv.FieldByName("trainCor")
 		slab(dv.FieldByName("corShared").Bool(), cor.Index(0).Pointer(), 8*cor.Len()*cor.Index(0).Len())
+		mm := reflect.ValueOf(d.Model()).Elem()
+		scr := mm.FieldByName("scr")
+		slab(mm.FieldByName("scrShared").Bool(), scr.Pointer(), listBytes(d.Model(), scr.Elem()))
 		for i := 0; i < d.Model().Classes(); i++ {
 			mv := reflect.ValueOf(d.Model().Instance(i).Model()).Elem()
 			w, bias, beta, es := mv.FieldByName("w"), mv.FieldByName("bias"), mv.FieldByName("beta"), 8
@@ -89,6 +92,17 @@ func projectionBytes(ds ...*core.Detector) (all, owned, distinct int) {
 		}
 	}
 	return all, owned, len(ws)
+}
+
+// listBytes reads the number of working sets a model's scratch list l
+// has made from the struct itself, counting the one set a first call
+// makes for a list that has made none, each a slot per instance (its
+// buffers, which oselm's TestScratchesKeepEverySet checks against
+// oselm.ScratchBytes) and a score per instance at the model's
+// precision.
+func listBytes(m *model.Multi, l reflect.Value) int {
+	sets := max(int(l.FieldByName("made").Int()), 1)
+	return sets * m.Classes() * (oselm.ScratchBytes(m.Instance(0).Model().Config()) + m.Precision().Bytes())
 }
 
 // auditTruth is Fleet.MemoryBytes's ground truth: every member's own
@@ -153,19 +167,22 @@ func TestFleetMemoryAuditCountsSharedStateOnce(t *testing.T) {
 		t.Fatalf("Metrics().MemoryBytes = %d, want %d", got, want)
 	}
 
-	// A member's own audit leaves the projection out: the same detector
-	// standing alone owns it.
+	// A member's own audit leaves the projection and the scratch list
+	// out: the same detector standing alone owns them, the list with
+	// the one working set its calls made.
 	cfg := dets[0].Model().Config()
 	perMember := 8 * (cfg.Hidden*cfg.Inputs + cfg.Hidden) * cfg.Classes
+	list := cfg.Classes * (oselm.ScratchBytes(dets[0].Model().Instance(0).Model().Config()) + 8)
 	alone := leanDetector(t, 1, 4)
 	xs, _ := leanSamples(16, 4, 7)
 	alone.ProcessBatch(nil, xs)
-	if got, want := alone.MemoryBytes()-dets[0].MemoryBytes(), perMember; got != want {
+	if got, want := alone.MemoryBytes()-dets[0].MemoryBytes(), perMember+list; got != want {
 		t.Fatalf("standalone detector audits %d bytes more than a member, want %d", got, want)
 	}
 
-	// A projection leaves the audit with the last member that holds it:
-	// until then a departing member takes only its own bytes along.
+	// A projection and a scratch list leave the audit with the last
+	// member that holds them: until then a departing member takes only
+	// its own bytes along.
 	own := map[string]int{}
 	f.eachMember(func(id string, m *member) { own[id] = memberBytes(id, m) })
 	want = f.MemoryBytes()
@@ -183,7 +200,7 @@ func TestFleetMemoryAuditCountsSharedStateOnce(t *testing.T) {
 	if _, err := f.ExportMember("same-2", enc); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := f.MemoryBytes(), want-own["same-2"]-perMember; got != want {
+	if got, want := f.MemoryBytes(), want-own["same-2"]-perMember-list; got != want {
 		t.Fatalf("MemoryBytes %d after the last holder left, want %d", got, want)
 	}
 
@@ -199,12 +216,14 @@ func TestFleetMemoryAuditCountsSharedStateOnce(t *testing.T) {
 	c := tmpl.Model().Config()
 	proj := 8 * (c.Hidden*c.Inputs + c.Hidden) * c.Classes
 	learned := 8 * (c.Hidden*c.Hidden + c.Hidden*c.Inputs) * c.Classes
-	scratch := 8 * c.Hidden * c.Classes // P·h, taken with the private β and P
+	// The template's scratch list: the one working set its calls made,
+	// a slot and a score per instance.
+	scratch := c.Classes * (oselm.ScratchBytes(tmpl.Model().Instance(0).Model().Config()) + 8)
 	trained := 8 * c.Inputs * c.Classes // the trained centroids
 	recon, _ := leanSamples(tmpl.Config().NRecon, c.Inputs, 11)
 	for _, tc := range []struct{ drifted, rebuilt int }{{2, 0}, {3, 2}, {n, 1}, {n, n}} {
 		fc := New(Config{})
-		want := proj // the one shared projection
+		want := proj + scratch // the one shared projection and scratch list
 		if tc.drifted < n {
 			want += learned // the shared learned state, once
 		}
@@ -223,7 +242,7 @@ func TestFleetMemoryAuditCountsSharedStateOnce(t *testing.T) {
 			stage := full - proj - learned - scratch - trained
 			if i < tc.drifted {
 				d.TriggerReconstruction()
-				stage += learned + scratch // its private β, P and P·h
+				stage += learned // its private β and P
 			}
 			if i < tc.rebuilt {
 				if _, err := fc.ProcessBatch(id, recon); err != nil {
@@ -453,6 +472,104 @@ func TestFleetMemoryAuditProperty(t *testing.T) {
 			if got := f.Metrics().MemoryBytes; got != want {
 				t.Fatalf("seed %d step %d (%s): Metrics().MemoryBytes = %d, want %d", seed, step, op, got, want)
 			}
+		}
+	}
+}
+
+// TestSharedScratchConcurrentMembers: clones of one template and a
+// member decoded from it, which registration binds to the same scratch
+// list, run on two goroutines at once through drift and
+// reconstruction, so their calls borrow working sets from one list
+// concurrently (make race runs this under the race detector). Every
+// result equals a serial replay on private copies, and the list holds
+// at most the two sets two concurrent callers need.
+func TestSharedScratchConcurrentMembers(t *testing.T) {
+	tmpl := leanDetector(t, 9, 4)
+	stream, _ := leanSamples(600, 4, 21)
+	clone := func() *core.Detector {
+		d, err := tmpl.CloneAt(tmpl.Model().Clone())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	// drive runs the stream through process in batches of 8, triggering
+	// a reconstruction at sample 100, so the second part trains.
+	drive := func(process func([][]float64) []core.Result, trigger func()) []core.Result {
+		var out []core.Result
+		for i := 0; i < len(stream); i += 8 {
+			if i == 96 {
+				trigger()
+			}
+			out = append(out, process(stream[i:i+8])...)
+		}
+		return out
+	}
+	standalone := func(d *core.Detector) []core.Result {
+		return drive(func(xs [][]float64) []core.Result { return d.ProcessBatch(nil, xs) }, d.TriggerReconstruction)
+	}
+	ids := []string{"clone-0", "clone-1", "loaded"}
+	want := map[string][]core.Result{"clone-0": standalone(clone()), "clone-1": standalone(clone()), "loaded": standalone(decoded(t, tmpl))}
+
+	f := New(Config{})
+	for _, id := range ids {
+		d := clone()
+		if id == "loaded" {
+			d = decoded(t, tmpl)
+		}
+		if err := f.Add(id, d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	member := func(id string) []core.Result {
+		return drive(func(xs [][]float64) []core.Result {
+			res, err := f.ProcessBatch(id, xs)
+			if err != nil {
+				t.Error(err)
+			}
+			return res
+		}, func() {
+			f.Do(id, func(s core.Streaming) error {
+				s.(*core.Detector).TriggerReconstruction()
+				return nil
+			})
+		})
+	}
+	got := map[string][]core.Result{}
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for _, group := range [][]string{ids[:2], ids[2:]} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, id := range group {
+				res := member(id)
+				mu.Lock()
+				got[id] = res
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	for _, id := range ids {
+		if !reflect.DeepEqual(got[id], want[id]) {
+			t.Fatalf("%s: results differ from the serial replay", id)
+		}
+	}
+	lists := map[*oselm.Scratches]bool{}
+	for _, id := range ids {
+		memberDetector(t, f, id).EachShared(func(key any, _ int) {
+			if l, ok := key.(*oselm.Scratches); ok {
+				lists[l] = true
+			}
+		})
+	}
+	if len(lists) != 1 {
+		t.Fatalf("the members name %d shared scratch lists, want 1", len(lists))
+	}
+	for l := range lists {
+		if n := l.Sets(); n > 2 {
+			t.Fatalf("the shared list holds %d sets, want at most 2", n)
 		}
 	}
 }

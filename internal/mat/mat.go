@@ -575,24 +575,6 @@ func RidgeGram[E Element](dst, a *MatrixOf[E], lambda E) {
 	dst.AddDiag(lambda)
 }
 
-// MaxAbsDiff returns the largest absolute element-wise difference between
-// a and b; useful for approximate-equality assertions.
-func MaxAbsDiff[E Element](a, b *MatrixOf[E]) float64 {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		panic(ErrShape)
-	}
-	var m float64
-	for i := 0; i < a.Rows; i++ {
-		br := b.Row(i)
-		for j, v := range a.Row(i) {
-			if d := math.Abs(float64(v - br[j])); d > m {
-				m = d
-			}
-		}
-	}
-	return m
-}
-
 // Trace returns the sum of the diagonal of the square matrix m.
 func (m *MatrixOf[E]) Trace() float64 {
 	if m.Rows != m.Cols {
@@ -603,18 +585,6 @@ func (m *MatrixOf[E]) Trace() float64 {
 		s += float64(m.At(i, i))
 	}
 	return s
-}
-
-// FrobeniusNorm returns the Frobenius norm of m. The accumulation runs
-// at float64 for every element type.
-func (m *MatrixOf[E]) FrobeniusNorm() float64 {
-	var s float64
-	for i := 0; i < m.Rows; i++ {
-		for _, v := range m.Row(i) {
-			s += float64(float64(v) * float64(v))
-		}
-	}
-	return math.Sqrt(s)
 }
 
 // Asymmetry scans a square matrix and returns the largest absolute

@@ -127,7 +127,8 @@ func TestNewAlignedRowsOnLines(t *testing.T) {
 
 // TestStridedMatrixMethods checks the whole-matrix methods on a strided
 // matrix against its dense twin: element access, Clone (dense),
-// CopyFrom both ways, Scale, AddDiag, Trace, FrobeniusNorm, MaxAbsDiff,
+// CopyFrom both ways, Scale, AddDiag, Trace, the test helpers
+// frobeniusNorm and maxAbsDiff,
 // Mul and MulTransA with strided operands and destinations, and Zero.
 func TestStridedMatrixMethods(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
@@ -148,14 +149,14 @@ func TestStridedMatrixMethods(t *testing.T) {
 	requireBitEqual(t, cl.Data, a.Data, "Clone")
 	back := stridedCopy(New(r, c), 16)
 	back.CopyFrom(a)
-	if MaxAbsDiff(back, a) != 0 || MaxAbsDiff(a, back) != 0 {
+	if maxAbsDiff(back, a) != 0 || maxAbsDiff(a, back) != 0 {
 		t.Fatal("CopyFrom into a strided matrix lost elements")
 	}
 	as.Scale(-2)
 	a.Scale(-2)
 	requireBitEqual(t, as.Clone().Data, a.Data, "Scale")
-	if as.FrobeniusNorm() != a.FrobeniusNorm() {
-		t.Fatalf("FrobeniusNorm %v, want %v", as.FrobeniusNorm(), a.FrobeniusNorm())
+	if frobeniusNorm(as) != frobeniusNorm(a) {
+		t.Fatalf("FrobeniusNorm %v, want %v", frobeniusNorm(as), frobeniusNorm(a))
 	}
 
 	sq := randomOf[float64](rng, c, c)
@@ -174,7 +175,7 @@ func TestStridedMatrixMethods(t *testing.T) {
 	MulTransA(gotT, as, as)
 	requireBitEqual(t, gotT.Clone().Data, wantT.Data, "MulTransA")
 	gotT.Zero()
-	if gotT.FrobeniusNorm() != 0 {
+	if frobeniusNorm(gotT) != 0 {
 		t.Fatal("Zero left elements set")
 	}
 }

@@ -34,16 +34,6 @@ func dotKernel[E Element](a, b []E) E {
 	return (s0 + s1) + (s2 + s3)
 }
 
-// AxpyVec performs y ← y + s·x element-wise.
-func AxpyVec[E Element](y []E, s E, x []E) {
-	if len(x) != len(y) {
-		panic(ErrShape)
-	}
-	for i, v := range x {
-		y[i] += E(s * v)
-	}
-}
-
 // SubVec computes dst = a − b element-wise. dst may alias a or b.
 func SubVec[E Element](dst, a, b []E) {
 	if len(a) != len(b) || len(dst) != len(a) {

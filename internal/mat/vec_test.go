@@ -23,12 +23,7 @@ func TestDotPanicsOnShape(t *testing.T) {
 	Dot([]float64{1}, []float64{1, 2})
 }
 
-func TestAxpyScaleSubAdd(t *testing.T) {
-	y := []float64{1, 1}
-	AxpyVec(y, 2, []float64{3, -1})
-	if y[0] != 7 || y[1] != -1 {
-		t.Fatalf("Axpy = %v", y)
-	}
+func TestSubVec(t *testing.T) {
 	d := make([]float64, 2)
 	SubVec(d, []float64{5, 5}, []float64{2, 3})
 	if d[0] != 3 || d[1] != 2 {

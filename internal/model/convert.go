@@ -17,7 +17,6 @@ func (m *Multi) ConvertPrecision(p oselm.Precision) (*Multi, error) {
 	nm := &Multi{
 		cfg:       cfg,
 		instances: make([]*oselm.Autoencoder, len(m.instances)),
-		scores:    make([]float64, len(m.instances)),
 	}
 	for i, ae := range m.instances {
 		conv, err := ae.ConvertPrecision(p)
@@ -26,5 +25,6 @@ func (m *Multi) ConvertPrecision(p oselm.Precision) (*Multi, error) {
 		}
 		nm.instances[i] = conv
 	}
+	nm.bindScratch(nil)
 	return nm, nil
 }

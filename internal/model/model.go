@@ -54,10 +54,18 @@ type Config struct {
 // Multi is not safe for concurrent use by multiple goroutines; callers
 // that need throughput parallelise across streams (see internal/fleet),
 // not within one Predict.
+//
+// A Multi holds only its instances' state. Each call borrows one set
+// from scr — a slot per instance, each with its score — and gives it
+// back before it returns; the list is bound over the instances
+// (oselm.Model.UseScratch), so a direct call on one instance borrows
+// from it too. Clone shares it and so does ShareScratch, marking it
+// scrShared: MemoryBytes then leaves it out and EachShared names it.
 type Multi struct {
 	cfg       Config
 	instances []*oselm.Autoencoder
-	scores    []float64
+	scr       *oselm.Scratches
+	scrShared bool
 	ops       *opcount.Counter
 }
 
@@ -73,7 +81,6 @@ func New(cfg Config, r *rng.Rand) (*Multi, error) {
 	m := &Multi{
 		cfg:       cfg,
 		instances: make([]*oselm.Autoencoder, cfg.Classes),
-		scores:    make([]float64, cfg.Classes),
 	}
 	for i := range m.instances {
 		ae, err := oselm.NewAutoencoder(oselm.Config{
@@ -89,7 +96,34 @@ func New(cfg Config, r *rng.Rand) (*Multi, error) {
 		}
 		m.instances[i] = ae
 	}
+	m.bindScratch(nil)
 	return m, nil
+}
+
+// bindScratch makes l, a list of one slot per instance (a new one for a
+// nil l), m's scratch list and binds instance i to slot i of it.
+func (m *Multi) bindScratch(l *oselm.Scratches) {
+	if l == nil {
+		l = oselm.NewScratches(m.instances[0].Model().Config(), len(m.instances))
+	}
+	m.scr = l
+	for i, ae := range m.instances {
+		ae.Model().UseScratch(l, i)
+	}
+}
+
+// ShareScratch rebinds m's scratch list to peer's when peer's serves
+// m's instances, and reports whether it did: registration gives the
+// members of one projection one list, as it gives them one projection.
+// It marks both models' list shared (see Clone), so it is a use of
+// peer under peer's one-goroutine contract.
+func (m *Multi) ShareScratch(peer *Multi) bool {
+	if !peer.scr.Fits(m.instances[0].Model().Config(), len(m.instances)) {
+		return false
+	}
+	m.bindScratch(peer.scr)
+	m.scrShared, peer.scrShared = true, true
+	return true
 }
 
 // Classes returns C.
@@ -102,12 +136,21 @@ func (m *Multi) Config() Config { return m.cfg }
 // its score (Algorithm 1 lines 6–7). The instances score in order and
 // the first lowest score wins.
 func (m *Multi) Predict(x []float64) (int, float64) {
+	g := m.scr.Get()
+	label, score := m.predictIn(g, x)
+	m.scr.Put(g)
+	return label, score
+}
+
+// predictIn is Predict in the borrowed set g, whose slot i it leaves
+// holding instance i's forward pass of x.
+func (m *Multi) predictIn(g *oselm.ScratchSet, x []float64) (int, float64) {
 	for i, ae := range m.instances {
-		m.scores[i] = ae.Score(x)
+		ae.ScoreIn(g.Slot(i), x)
 	}
-	best, bestScore := 0, m.scores[0]
-	for i, s := range m.scores {
-		if s < bestScore {
+	best, bestScore := 0, g.Slot(0).Score()
+	for i := range m.instances {
+		if s := g.Slot(i).Score(); s < bestScore {
 			best, bestScore = i, s
 		}
 	}
@@ -116,20 +159,24 @@ func (m *Multi) Predict(x []float64) (int, float64) {
 }
 
 // PredictBatch predicts every sample of xs, writing the argmin label and
-// its score into labels[i] and scores[i] (both len(xs)), one Predict
-// call per sample.
+// its score into labels[i] and scores[i] (both len(xs)), one predictIn
+// per sample in one borrowed set.
 func (m *Multi) PredictBatch(labels []int, scores []float64, xs [][]float64) {
 	if len(labels) != len(xs) || len(scores) != len(xs) {
 		panic("model: PredictBatch buffer length mismatch")
 	}
+	g := m.scr.Get()
 	for i, x := range xs {
-		labels[i], scores[i] = m.Predict(x)
+		labels[i], scores[i] = m.predictIn(g, x)
 	}
+	m.scr.Put(g)
 }
 
 // Train folds x into the instance for label.
 func (m *Multi) Train(x []float64, label int) {
-	m.instances[label].Train(x)
+	g := m.scr.Get()
+	m.instances[label].TrainIn(g.Slot(label), x)
+	m.scr.Put(g)
 }
 
 // TrainClosest predicts x and trains the winning instance, the paper's
@@ -148,16 +195,16 @@ func (m *Multi) PredictTrain(x []float64) (int, float64) {
 }
 
 // predictTrain predicts x, then trains the winner from the forward
-// pass its Score just ran (Autoencoder.TrainScored), unless finiteOnly
-// is set and the score is NaN or ±Inf. Each instance keeps its own
-// scratch and nothing runs between the two calls, so the winner's
-// scratch still holds x's pass.
+// pass its ScoreIn left in the winner's slot (Autoencoder.TrainScored),
+// unless finiteOnly is set and the score is NaN or ±Inf. The set is
+// held across both, so the slot still holds x's pass.
 func (m *Multi) predictTrain(x []float64, finiteOnly bool) (int, float64) {
-	label, score := m.Predict(x)
-	if finiteOnly && (math.IsNaN(score) || math.IsInf(score, 0)) {
-		return label, score
+	g := m.scr.Get()
+	label, score := m.predictIn(g, x)
+	if !finiteOnly || !(math.IsNaN(score) || math.IsInf(score, 0)) {
+		m.instances[label].TrainScored(g.Slot(label), x)
 	}
-	m.instances[label].TrainScored(x)
+	m.scr.Put(g)
 	return label, score
 }
 
@@ -167,12 +214,14 @@ func (m *Multi) InitSequential(xs [][]float64, labels []int) error {
 	if len(xs) != len(labels) {
 		return fmt.Errorf("model: %d samples vs %d labels", len(xs), len(labels))
 	}
+	g := m.scr.Get()
+	defer m.scr.Put(g)
 	for i, x := range xs {
 		l := labels[i]
 		if l < 0 || l >= m.cfg.Classes {
 			return fmt.Errorf("model: label %d out of range [0,%d)", l, m.cfg.Classes)
 		}
-		m.instances[l].Train(x)
+		m.instances[l].TrainIn(g.Slot(l), x)
 	}
 	return nil
 }
@@ -212,14 +261,16 @@ func (m *Multi) Reset() {
 
 // Clone returns a model that continues m's stream, each instance a
 // copy-on-write clone of m's (see oselm.Model.Clone): the projections
-// are shared for life, β and P until the first write to them. No
-// operation counter is attached.
+// are shared for life, β and P until the first write to them, and the
+// scratch list for life. No operation counter is attached.
 func (m *Multi) Clone() *Multi {
 	nm := &Multi{
 		cfg:       m.cfg,
 		instances: make([]*oselm.Autoencoder, len(m.instances)),
-		scores:    make([]float64, len(m.instances)),
+		scr:       m.scr,
+		scrShared: true,
 	}
+	m.scrShared = true
 	for i, ae := range m.instances {
 		nm.instances[i] = ae.Clone()
 	}
@@ -256,14 +307,38 @@ func (m *Multi) Health() oselm.Health {
 // Precision returns the numeric backend the instances compute at.
 func (m *Multi) Precision() oselm.Precision { return m.cfg.Precision }
 
-// MemoryBytes reports the retained bytes across all instances plus the
-// score buffer. The score buffer holds one scalar per class at the backend's element width (the
-// float64 slice here is its widened image on reduced-precision
+// MemoryBytes reports the retained bytes across all instances plus,
+// unless it is shared, the scratch list: every set it holds (at least
+// one; see oselm.Scratches.Sets), each an instance working set and a
+// score per instance. A score is counted at the backend's element width
+// (the float64 in the slot is its widened image on reduced-precision
 // backends).
 func (m *Multi) MemoryBytes() int {
-	total := m.cfg.Precision.Bytes() * len(m.scores)
+	total := 0
+	if !m.scrShared {
+		total = m.scratchBytes()
+	}
 	for _, ae := range m.instances {
 		total += ae.MemoryBytes()
 	}
 	return total
+}
+
+// scratchBytes is the size of every set of m's scratch list.
+func (m *Multi) scratchBytes() int {
+	c := m.instances[0].Model().Config()
+	return m.scr.Sets() * len(m.instances) * (oselm.ScratchBytes(c) + m.cfg.Precision.Bytes())
+}
+
+// EachShared calls fn once for every group of slabs m holds in common
+// with other models and leaves out of its own MemoryBytes: its scratch
+// list once shared, and each instance's shared slabs (see
+// oselm.Model.EachShared). key is the same for every holder of a group.
+func (m *Multi) EachShared(fn func(key any, bytes int)) {
+	if m.scrShared {
+		fn(m.scr, m.scratchBytes())
+	}
+	for _, ae := range m.instances {
+		ae.Model().EachShared(fn)
+	}
 }

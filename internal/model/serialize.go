@@ -34,12 +34,16 @@ func (m *Multi) Save(w io.Writer, prec oselm.Precision) (int64, error) {
 
 // Load deserialises a MULTI2 model written by Save. Every failure
 // matches ckpt.ErrBadFormat.
-func Load(r io.Reader) (*Multi, error) {
+func Load(r io.Reader) (*Multi, error) { return LoadWith(r, nil) }
+
+// LoadWith is Load reading every instance's projection through p (see
+// oselm.Projections); a nil p loads as Load does.
+func LoadWith(r io.Reader, p *oselm.Projections) (*Multi, error) {
 	cr, err := ckpt.Open(r, magic)
 	if err != nil {
 		return nil, err
 	}
-	m, err := loadBody(cr)
+	m, err := loadBody(cr, p)
 	if err == nil {
 		err = cr.VerifyFooter()
 	}
@@ -50,7 +54,7 @@ func Load(r io.Reader) (*Multi, error) {
 }
 
 // loadBody parses the payload that follows the magic.
-func loadBody(r io.Reader) (*Multi, error) {
+func loadBody(r io.Reader, p *oselm.Projections) (*Multi, error) {
 	n, err := ckpt.GetU32(r)
 	if err != nil {
 		return nil, err
@@ -64,13 +68,12 @@ func loadBody(r io.Reader) (*Multi, error) {
 	// stream carried, not for the 1<<20 it may claim.
 	m := &Multi{}
 	for i := 0; i < classes; i++ {
-		ae, err := oselm.LoadAutoencoder(r)
+		ae, err := oselm.LoadAutoencoderWith(r, p)
 		if err != nil {
 			return nil, fmt.Errorf("model: instance %d: %w", i, err)
 		}
 		m.instances = append(m.instances, ae)
 	}
-	m.scores = make([]float64, classes)
 	c0 := m.instances[0].Model().Config()
 	m.cfg = Config{
 		Classes:     classes,
@@ -90,5 +93,6 @@ func loadBody(r io.Reader) (*Multi, error) {
 				i+1, ci.Inputs, ci.Hidden, ci.Precision, c0.Inputs, c0.Hidden, c0.Precision)
 		}
 	}
+	m.bindScratch(nil)
 	return m, nil
 }

@@ -38,8 +38,9 @@ func (s ScoreMetric) String() string {
 // Autoencoder wraps an OS-ELM whose targets are its inputs, yielding the
 // unsupervised anomaly detector of the paper's §3.1: the reconstruction
 // error is the anomaly score, and training on a sample pulls the score
-// for similar samples down. Score writes the reconstruction into the
-// model's residual buffer e, where Train's own forward pass puts it.
+// for similar samples down. Every call borrows its working set from the
+// model's scratch list (see Scratches); the In variants run in a slot
+// the caller borrowed, which is how model.Multi drives its instances.
 type Autoencoder struct {
 	model  *Model
 	metric ScoreMetric
@@ -57,52 +58,72 @@ func NewAutoencoder(cfg Config, metric ScoreMetric, r *rng.Rand) (*Autoencoder, 
 	return &Autoencoder{model: m, metric: metric}, nil
 }
 
-// Score returns the reconstruction-error anomaly score of x. The
-// residual is always computed at float64: Predict widens the float32
-// backend's reconstruction before it reaches the metric. The squared
-// metrics take the residual from the model's βᵀh pass itself (see
-// Model.predictSqDist).
+// Score returns the reconstruction-error anomaly score of x.
 func (a *Autoencoder) Score(x []float64) float64 {
+	g, s := a.model.borrow()
+	r := a.ScoreIn(s, x)
+	a.model.scr.Put(g)
+	return r
+}
+
+// ScoreIn is Score in the working set s, which it leaves holding x's
+// forward pass (for TrainScored) and the score (Scratch.Score).
+func (a *Autoencoder) ScoreIn(s *Scratch, x []float64) float64 {
+	s.score = a.score(s, x)
+	return s.score
+}
+
+// score computes ScoreIn's score. The residual is always computed at
+// float64: the float32 backend's reconstruction is widened before it
+// reaches the metric. The squared metrics take the residual from the
+// model's βᵀh pass itself (see Model.predictSqDist).
+func (a *Autoencoder) score(s *Scratch, x []float64) float64 {
 	ops := a.model.ops
 	d := len(x)
 	if a.metric == L1Mean {
-		s := mat.L1Dist(x, a.model.Predict(a.model.e, x))
+		a.model.predictIn(s, s.e, x)
+		r := mat.L1Dist(x, s.e)
 		ops.AddAbs(d)
 		ops.AddAdd(d)
 		ops.AddDiv(1)
-		return s / float64(d)
+		return r / float64(d)
 	}
-	s := a.model.predictSqDist(a.model.e, x)
+	r := a.model.predictSqDist(s, x)
 	ops.AddMulAdd(d)
 	ops.AddAdd(d)
 	if a.metric == L2Norm {
-		return math.Sqrt(s)
+		return math.Sqrt(r)
 	}
 	ops.AddDiv(1) // MSE
-	return s / float64(d)
+	return r / float64(d)
 }
 
 // ScoreBatch writes the anomaly score of each xs[i] into dst[i], one
-// Score call per sample.
+// ScoreIn per sample in one borrowed working set.
 func (a *Autoencoder) ScoreBatch(dst []float64, xs [][]float64) {
 	if len(dst) != len(xs) {
 		panic("oselm: ScoreBatch buffer length mismatch")
 	}
+	g, s := a.model.borrow()
 	for i, x := range xs {
-		dst[i] = a.Score(x)
+		dst[i] = a.ScoreIn(s, x)
 	}
+	a.model.scr.Put(g)
 }
 
 // Train folds x into the autoencoder (target = input).
 func (a *Autoencoder) Train(x []float64) { a.model.Train(x, x) }
 
+// TrainIn is Train in the working set s.
+func (a *Autoencoder) TrainIn(s *Scratch, x []float64) { a.model.trainIn(s, x, x) }
+
 // TrainScored folds x into the autoencoder as Train does, starting from
-// the forward pass the immediately preceding Score(x) left behind: the
-// hidden activations and the reconstruction in e. The caller guarantees
-// that Score with this same x was the autoencoder's last call; the
-// update is then bit-identical to Train(x), one hidden pass and one βᵀh
-// pass cheaper.
-func (a *Autoencoder) TrainScored(x []float64) { a.model.trainForwarded(x, a.model.e) }
+// the forward pass ScoreIn(s, x) left in s: the hidden activations and
+// the reconstruction. The caller guarantees that s holds this
+// autoencoder's ScoreIn of this same x and that the model has not been
+// written since; the update is then bit-identical to Train(x), one
+// hidden pass and one βᵀh pass cheaper.
+func (a *Autoencoder) TrainScored(s *Scratch, x []float64) { a.model.trainForwarded(s, x) }
 
 // InitTrainBatch batch-initialises the autoencoder on xs.
 func (a *Autoencoder) InitTrainBatch(xs [][]float64) error {

@@ -8,21 +8,24 @@ import "edgedrift/internal/mat"
 // float32 backend) and P, copy-on-write: both models read the same
 // slabs until one of them writes, and every writer (Train, Reset,
 // InitTrainBatch, Merge, AdoptState) first takes a private copy (see
-// own). The scoring scratch is the clone's own; the RLS scratch that
-// only training reads (P·h, and the gain and residual narrowed to
-// float32 on that backend) comes with the private copy, so a clone that
-// never trains never holds it. The sequential-init counter and the
+// own). The clone holds no working set: it borrows from m's scratch
+// list (see Scratches), which it shares, or from the list of the
+// model.Multi m's list is lent by. The sequential-init counter and the
 // watchdog state are copied, and no operation counter is attached.
-// Clone marks m's learned state shared too, so it is a use of m under
-// m's one-goroutine contract.
+// Clone marks m's learned state and scratch list shared too, so it is a
+// use of m under m's one-goroutine contract.
 //
-// A clone's MemoryBytes leaves the shared projection out, and the
-// shared learned state until its first write; EachShared names them, so
-// an audit over many clones counts each slab once.
+// A clone's MemoryBytes leaves the shared projection and scratch list
+// out, and the shared learned state until its first write; EachShared
+// names them, so an audit over many clones counts each slab once.
 func (m *Model) Clone() *Model {
 	fp := m.Fingerprint()
 	m.lshared, m.wShared = true, true
-	c := &Model{
+	m.scratches()
+	if !m.scrLent {
+		m.scrShared = true
+	}
+	return &Model{
 		cfg:        m.cfg,
 		w:          m.w,
 		bias:       m.bias,
@@ -35,37 +38,25 @@ func (m *Model) Clone() *Model {
 		w32:        m.w32,
 		bias32:     m.bias32,
 		beta32:     m.beta32,
-		h:          make([]float64, m.cfg.Hidden),
-		e:          make([]float64, m.cfg.Outputs),
+		scr:        m.scr,
+		slot:       m.slot,
+		scrShared:  m.scrShared,
+		scrLent:    m.scrLent,
 		inits:      m.inits,
 		wdPeriod:   m.wdPeriod,
 		wdCount:    m.wdCount,
 		wdResets:   m.wdResets,
 		traceLimit: m.traceLimit,
 	}
-	if m.w32 != nil {
-		c.h32 = make([]float32, m.cfg.Hidden)
-		c.x32 = make([]float32, m.cfg.Inputs)
-		c.o32 = make([]float32, m.cfg.Outputs)
-	}
-	return c
 }
 
 // own gives m private β (β32) and P before a write when it still shares
 // them with a clone or a template: copies of the shared slabs when keep
-// is set, zeroed ones when the caller overwrites them whole — and, on a
-// clone, the RLS scratch Clone left out. The shared slabs themselves
-// are never written.
+// is set, zeroed ones when the caller overwrites them whole. The shared
+// slabs themselves are never written.
 func (m *Model) own(keep bool) {
 	if !m.lshared {
 		return
-	}
-	if m.ph == nil {
-		m.ph = make([]float64, m.cfg.Hidden)
-		if m.w32 != nil {
-			m.u32 = make([]float32, m.cfg.Hidden)
-			m.e32 = make([]float32, m.cfg.Outputs)
-		}
 	}
 	p := mat.New(m.cfg.Hidden, m.cfg.Hidden)
 	if m.beta32 != nil {
@@ -118,17 +109,21 @@ func (m *Model) ShareProjection(peer *Model) bool {
 
 // EachShared calls fn once for every group of slabs m holds in common
 // with other models and leaves out of its own MemoryBytes: the
-// copy-on-write learned state until m's first write, and the projection
+// copy-on-write learned state until m's first write, the projection
 // once it is shared (see Clone and ShareProjection), at either
-// precision. key is the same for every holder of a group — the P slab,
-// the W slab — so an audit that counts each key once counts each slab
-// once.
+// precision, and the working sets of a shared scratch list (not of one
+// a model.Multi lends, which the Multi names). key is the same for
+// every holder of a group — the P slab, the W slab, the list — so an
+// audit that counts each key once counts each slab once.
 func (m *Model) EachShared(fn func(key any, bytes int)) {
 	if m.lshared {
 		fn(m.p, m.learnedBytes())
 	}
 	if m.wShared {
 		fn(m.projection())
+	}
+	if m.scrShared {
+		fn(m.scr, m.scr.Sets()*m.cfg.scratchBytes())
 	}
 }
 

@@ -112,14 +112,10 @@ func TestCloneCopyOnWrite(t *testing.T) {
 				if clone.SharesLearnedState() {
 					t.Fatal("the clone still shares after a write")
 				}
-				// The private copy brings the RLS scratch Clone left out:
-				// P·h, and on float32 the narrowed gain and residual.
-				scratch := 8 * 7
-				if prec == Float32 {
-					scratch += 4 * (7 + 5)
-				}
-				if got := clone.MemoryBytes() - before; got != shared+scratch {
-					t.Fatalf("the clone's audit rose %d B, want its private copy's %d B and %d B of scratch", got, shared, scratch)
+				// The private copy brings no working set: the clone
+				// borrows it from the scratch list it shares.
+				if got := clone.MemoryBytes() - before; got != shared {
+					t.Fatalf("the clone's audit rose %d B, want its private copy's %d B", got, shared)
 				}
 				if learnedSum(clone) != learnedSum(owner) || clone.inits != owner.inits {
 					t.Fatal("the clone's write differs from the same write on an unshared model")

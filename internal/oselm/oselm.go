@@ -141,22 +141,22 @@ type Model struct {
 	// Float32 backend state. When cfg.Precision == Float32 the model owns
 	// its inference-side parameters at float32 and the float64 twins above
 	// (w, bias, beta) are nil; P and the RLS scratch stay float64 so the
-	// Sherman-Morrison recursion keeps its conditioning. The staging
-	// buffers carry values across the precision boundary each sample
-	// without allocating.
+	// Sherman-Morrison recursion keeps its conditioning.
 	w32    *mat.MatrixOf[float32] // Hidden×Inputs random input weights
 	bias32 []float32              // Hidden biases
 	beta32 *mat.MatrixOf[float32] // Hidden×Outputs learned output weights
-	h32    []float32              // hidden activations
-	x32    []float32              // input narrowed to float32
-	o32    []float32              // forward output βᵀ·h
-	u32    []float32              // RLS gain P·h narrowed to float32
-	e32    []float32              // residual narrowed to float32
 
-	// scratch buffers reused across calls
-	h     []float64 // hidden activations (float64 image on the f32 path)
-	ph    []float64 // P·h
-	e     []float64 // residual tᵀ − hᵀβ
+	// scr is the free list each call borrows its working set from (see
+	// Scratches), slot the model's slot in each set. A bare model's list
+	// is its own, made at first use (nil until then); Clone shares it,
+	// marking both holders scrShared, as wShared marks the projection;
+	// scrLent marks a list a model.Multi binds over its instances and
+	// audits itself (UseScratch).
+	scr       *Scratches
+	slot      int
+	scrShared bool
+	scrLent   bool
+
 	ops   *opcount.Counter
 	inits int // samples consumed since last Reset (sequential-only training)
 
@@ -229,25 +229,17 @@ func alloc(c Config) *Model {
 // row-major slab is used as is where that layout is dense and copied
 // into padded rows where it is not, and a nil one starts at zero. The
 // float32 backend allocates its own narrowed state, all dense, and
-// ignores w, bias and beta. The RLS scratch and the float64 activation
-// image are allocated for every backend.
+// ignores w, bias and beta. No working set is made: calls borrow theirs
+// (see Scratches).
 func build(c Config, w, bias, beta, p []float64) *Model {
 	m := &Model{
 		cfg: c,
 		p:   &mat.Matrix{Rows: c.Hidden, Cols: c.Hidden, Data: p},
-		h:   make([]float64, c.Hidden),
-		ph:  make([]float64, c.Hidden),
-		e:   make([]float64, c.Outputs),
 	}
 	if c.Precision == Float32 {
 		m.w32 = mat.NewOf[float32](c.Hidden, c.Inputs)
 		m.bias32 = make([]float32, c.Hidden)
 		m.beta32 = mat.NewOf[float32](c.Hidden, c.Outputs)
-		m.h32 = make([]float32, c.Hidden)
-		m.x32 = make([]float32, c.Inputs)
-		m.o32 = make([]float32, c.Outputs)
-		m.u32 = make([]float32, c.Hidden)
-		m.e32 = make([]float32, c.Outputs)
 	} else {
 		m.w = aligned(c.Hidden, c.Inputs, w)
 		m.bias = bias
@@ -289,9 +281,8 @@ func dense(m *mat.Matrix) []float64 {
 // forgetting < 1, unbounded P growth — and eventual divergence — is the
 // variant's documented pathology, the behaviour the paper's comparison
 // tables record; silently repairing it would misrepresent that
-// baseline, so the periodic watchdog stays off unless a caller opts in
-// via SetWatchdogPeriod, which re-arms the per-sample denominator guard
-// in Train along with the periodic scan.
+// baseline, so the periodic watchdog stays off there, and so does the
+// per-sample denominator guard in Train, which the same period arms.
 func (m *Model) initWatchdog() {
 	if m.cfg.Forgetting < 1 {
 		m.wdPeriod = 0
@@ -407,17 +398,17 @@ func (m *Model) hiddenInto(dst, x []float64) {
 	m.opsHidden()
 }
 
-// hidden32 narrows x into the staging buffer and computes the hidden
-// activations into h32 (Float32 backend).
-func (m *Model) hidden32(x []float64) {
+// hidden32 narrows x into s's staging buffer and computes the hidden
+// activations into s.h32 (Float32 backend).
+func (m *Model) hidden32(s *Scratch, x []float64) {
 	if len(x) != m.cfg.Inputs {
 		panic(fmt.Sprintf("oselm: input dimension %d, want %d", len(x), m.cfg.Inputs))
 	}
-	mat.ConvertVec(m.x32, x)
+	mat.ConvertVec(s.x32, x)
 	// The concrete float32 matvec dispatches to the SIMD kernels when the
 	// CPU has them (see mat/f32.go).
-	mat.MulVecF32(m.h32, m.w32, m.x32)
-	activateKernel(m.h32, m.bias32, m.cfg.Activation)
+	mat.MulVecF32(s.h32, m.w32, s.x32)
+	activateKernel(s.h32, m.bias32, m.cfg.Activation)
 	m.opsHidden()
 }
 
@@ -427,45 +418,56 @@ func (m *Model) Predict(dst, x []float64) []float64 {
 	if dst == nil {
 		dst = make([]float64, m.cfg.Outputs)
 	}
-	if len(dst) != m.cfg.Outputs {
-		panic("oselm: bad output buffer length")
-	}
-	if m.w32 != nil {
-		m.hidden32(x)
-		mat.MulVecTransF32(m.o32, m.beta32, m.h32)
-		m.ops.AddMulAdd(m.cfg.Hidden * m.cfg.Outputs)
-		mat.ConvertVec(dst, m.o32)
-		return dst
-	}
-	m.hiddenInto(m.h, x)
-	mat.MulVecTrans(dst, m.beta, m.h)
-	m.ops.AddMulAdd(m.cfg.Hidden * m.cfg.Outputs)
+	g, s := m.borrow()
+	m.predictIn(s, dst, x)
+	m.scr.Put(g)
 	return dst
 }
 
-// predictSqDist writes the network output for x into dst as Predict
-// does and returns SqDist(x, dst), the squared reconstruction residual
-// of an autoencoder (Outputs == Inputs), with the same bits. Both
-// backends add it up inside the βᵀh pass.
-func (m *Model) predictSqDist(dst, x []float64) float64 {
+// predictIn is Predict in the working set s.
+func (m *Model) predictIn(s *Scratch, dst, x []float64) {
 	if len(dst) != m.cfg.Outputs {
 		panic("oselm: bad output buffer length")
 	}
-	var s float64
 	if m.w32 != nil {
-		m.hidden32(x)
-		s = mat.MulVecTransSqDistF32(dst, m.o32, m.beta32, m.h32, x)
+		m.hidden32(s, x)
+		mat.MulVecTransF32(s.o32, m.beta32, s.h32)
+		m.ops.AddMulAdd(m.cfg.Hidden * m.cfg.Outputs)
+		mat.ConvertVec(dst, s.o32)
+		return
+	}
+	m.hiddenInto(s.h, x)
+	mat.MulVecTrans(dst, m.beta, s.h)
+	m.ops.AddMulAdd(m.cfg.Hidden * m.cfg.Outputs)
+}
+
+// predictSqDist writes the network output for x into s.e as Predict
+// does and returns SqDist(x, s.e), the squared reconstruction residual
+// of an autoencoder (Outputs == Inputs), with the same bits. Both
+// backends add it up inside the βᵀh pass.
+func (m *Model) predictSqDist(s *Scratch, x []float64) float64 {
+	var d float64
+	if m.w32 != nil {
+		m.hidden32(s, x)
+		d = mat.MulVecTransSqDistF32(s.e, s.o32, m.beta32, s.h32, x)
 	} else {
-		m.hiddenInto(m.h, x)
-		s = mat.MulVecTransSqDist(dst, m.beta, m.h, x)
+		m.hiddenInto(s.h, x)
+		d = mat.MulVecTransSqDist(s.e, m.beta, s.h, x)
 	}
 	m.ops.AddMulAdd(m.cfg.Hidden * m.cfg.Outputs)
-	return s
+	return d
 }
 
 // Train folds one (x, t) sample into the model with the rank-1 RLS
 // update. This is the only training path used at deployment time.
 func (m *Model) Train(x, t []float64) {
+	g, s := m.borrow()
+	m.trainIn(s, x, t)
+	m.scr.Put(g)
+}
+
+// trainIn is Train in the working set s.
+func (m *Model) trainIn(s *Scratch, x, t []float64) {
 	if len(t) != m.cfg.Outputs {
 		panic(fmt.Sprintf("oselm: target dimension %d, want %d", len(t), m.cfg.Outputs))
 	}
@@ -476,48 +478,48 @@ func (m *Model) Train(x, t []float64) {
 	// shadow's; h is widened once so the Sherman-Morrison recursion
 	// runs untouched at float64.
 	if m.w32 != nil {
-		m.hidden32(x)
-		mat.ConvertVec(m.h, m.h32)
-		mat.MulVecTransF32(m.o32, m.beta32, m.h32)
-		mat.ConvertVec(m.e, m.o32)
+		m.hidden32(s, x)
+		mat.ConvertVec(s.h, s.h32)
+		mat.MulVecTransF32(s.o32, m.beta32, s.h32)
+		mat.ConvertVec(s.e, s.o32)
 	} else {
-		m.hiddenInto(m.h, x)
-		mat.MulVecTrans(m.e, m.beta, m.h)
+		m.hiddenInto(s.h, x)
+		mat.MulVecTrans(s.e, m.beta, s.h)
 	}
-	m.update(t, m.e)
+	m.update(s, t)
 }
 
-// trainForwarded is Train for a sample whose forward pass the model's
-// last call has already run: the hidden activations sit in h (h32 on
-// the float32 backend) and y holds the output βᵀh at float64. Nothing
-// may have touched the model since. The update then starts from those
+// trainForwarded is Train for a sample whose forward pass s already
+// holds: a scoring call of this model on this sample filled s, which
+// holds the hidden activations in h (h32 on the float32 backend) and
+// the output βᵀh at float64 in e. The update then starts from those
 // values instead of recomputing them, with Train's bits, and the
 // operation counter is charged for the forward pass all the same: the
 // count prices the algorithm, which runs it (see DESIGN §7).
-func (m *Model) trainForwarded(t, y []float64) {
+func (m *Model) trainForwarded(s *Scratch, t []float64) {
 	if len(t) != m.cfg.Outputs {
 		panic(fmt.Sprintf("oselm: target dimension %d, want %d", len(t), m.cfg.Outputs))
 	}
 	m.opsHidden()
 	if m.w32 != nil {
-		mat.ConvertVec(m.h, m.h32)
+		mat.ConvertVec(s.h, s.h32)
 	}
-	m.update(t, y)
+	m.update(s, t)
 }
 
 // update is the rank-1 RLS step for target t around the hidden
-// activations in m.h, whose model output βᵀh is y (which may be m.e).
-// It charges the operation counter for βᵀh but not for h.
-func (m *Model) update(t, y []float64) {
+// activations in s.h, whose model output βᵀh is in s.e. It charges the
+// operation counter for βᵀh but not for h.
+func (m *Model) update(s *Scratch, t []float64) {
 	m.own(true)
-	h := m.h
+	h := s.h
 
 	// ph = P·h
-	mat.MulVec(m.ph, m.p, h)
+	mat.MulVec(s.ph, m.p, h)
 	m.ops.AddMulAdd(m.cfg.Hidden * m.cfg.Hidden)
 
 	alpha := m.cfg.Forgetting
-	denom := alpha + mat.Dot(h, m.ph)
+	denom := alpha + mat.Dot(h, s.ph)
 	m.ops.AddMulAdd(m.cfg.Hidden)
 	m.ops.AddAdd(1)
 
@@ -534,7 +536,7 @@ func (m *Model) update(t, y []float64) {
 	}
 
 	// P ← (P − ph·phᵀ/denom) / alpha
-	m.p.AddScaledOuter(-1/denom, m.ph, m.ph)
+	m.p.AddScaledOuter(-1/denom, s.ph, s.ph)
 	m.ops.AddMulAdd(m.cfg.Hidden * m.cfg.Hidden)
 	m.ops.AddDiv(1)
 	if alpha != 1 {
@@ -544,21 +546,21 @@ func (m *Model) update(t, y []float64) {
 
 	// e = t − βᵀh (residual against the *pre-update* β, using post-update
 	// P per the OS-ELM recursion: β ← β + P·h·eᵀ).
-	for i := range m.e {
-		m.e[i] = t[i] - y[i]
+	for i := range s.e {
+		s.e[i] = t[i] - s.e[i]
 	}
 	m.ops.AddMulAdd(m.cfg.Hidden * m.cfg.Outputs)
 	m.ops.AddAdd(m.cfg.Outputs)
 
 	// gain k = P·h (with the updated P).
-	mat.MulVec(m.ph, m.p, h)
+	mat.MulVec(s.ph, m.p, h)
 	m.ops.AddMulAdd(m.cfg.Hidden * m.cfg.Hidden)
 	if m.beta32 != nil {
-		mat.ConvertVec(m.u32, m.ph)
-		mat.ConvertVec(m.e32, m.e)
-		m.beta32.AddScaledOuter(1, m.u32, m.e32)
+		mat.ConvertVec(s.u32, s.ph)
+		mat.ConvertVec(s.e32, s.e)
+		m.beta32.AddScaledOuter(1, s.u32, s.e32)
 	} else {
-		m.beta.AddScaledOuter(1, m.ph, m.e)
+		m.beta.AddScaledOuter(1, s.ph, s.e)
 	}
 	m.ops.AddMulAdd(m.cfg.Hidden * m.cfg.Outputs)
 
@@ -598,16 +600,6 @@ func (m *Model) HealthNow() Health {
 
 // WatchdogResets returns how many times the watchdog re-initialised P.
 func (m *Model) WatchdogResets() uint64 { return m.wdResets }
-
-// SetWatchdogPeriod overrides how many Train calls elapse between
-// watchdog passes; period ≤ 0 disables the watchdog entirely — both the
-// periodic pass and the in-update denominator guard. A positive period
-// arms both, including on forgetting models where the watchdog is off
-// by default (see initWatchdog).
-func (m *Model) SetWatchdogPeriod(period int) {
-	m.wdPeriod = period
-	m.wdCount = 0
-}
 
 // watchdog is the periodic RLS health pass: it re-symmetrises P (rank-1
 // updates preserve symmetry only up to floating-point rounding, and the
@@ -659,10 +651,12 @@ func (m *Model) InitTrainBatch(xs, ts [][]float64) error {
 	n := len(xs)
 	hm := mat.New(n, m.cfg.Hidden)
 	tm := mat.New(n, m.cfg.Outputs)
+	g, s := m.borrow()
+	defer m.scr.Put(g)
 	for i, x := range xs {
 		if m.w32 != nil {
-			m.hidden32(x)
-			mat.ConvertVec(hm.Row(i), m.h32)
+			m.hidden32(s, x)
+			mat.ConvertVec(hm.Row(i), s.h32)
 		} else {
 			m.hiddenInto(hm.Row(i), x)
 		}
@@ -726,26 +720,24 @@ func (m *Model) Weights() (w, bias, beta []float64) {
 
 // MemoryBytes reports the number of bytes of persistent state the model
 // retains (the quantity audited in the paper's Table 4), derived from
-// the backend's element width, row padding included. Scratch and
-// staging buffers are included since a deployed implementation must
-// also hold them; P and the RLS
-// scratch are counted at float64 on every backend because that is where
-// they live (see Config.Precision). A shared projection and shared
-// learned state, which the model holds in common with others, are left
-// out: EachShared names them, so an audit over the models that hold
-// them counts each once.
+// the backend's element width, row padding included. The working sets
+// of the model's own scratch list are included since a deployed
+// implementation must also hold them (at least one: see
+// Scratches.Sets); P and the RLS scratch are counted at float64 on
+// every backend because that is where they live (see
+// Config.Precision). A shared projection, shared learned state and a
+// shared scratch list, which the model holds in common with others,
+// are left out: EachShared names them, so an audit over the models that
+// hold them counts each once. A list a model.Multi lends is the
+// Multi's to count.
 func (m *Model) MemoryBytes() int {
-	const f64 = 8
-	n := f64 * (len(m.h) + len(m.ph) + len(m.e))
+	n := m.scratchOwnBytes()
 	if !m.lshared {
 		n += m.learnedBytes()
 	}
 	if !m.wShared {
 		_, w := m.projection()
 		n += w
-	}
-	if m.w32 != nil {
-		n += 4 * (len(m.h32) + len(m.x32) + len(m.o32) + len(m.u32) + len(m.e32))
 	}
 	return n
 }

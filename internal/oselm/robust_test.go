@@ -48,7 +48,7 @@ func TestWatchdogRepairsNaNCovariance(t *testing.T) {
 
 func TestPeriodicWatchdogCatchesSilentDivergence(t *testing.T) {
 	m := trainedModel(t)
-	m.SetWatchdogPeriod(8)
+	setWatchdogPeriod(m, 8)
 	// Poison P in a way a single Train's denominator check cannot see:
 	// h is sigmoid-activated, so a zero input row keeps hᵀPh away from
 	// the poisoned entry only in contrived cases; instead poison and
@@ -168,4 +168,13 @@ func FuzzLoad(f *testing.F) {
 			t.Fatal("nil model with nil error")
 		}
 	})
+}
+
+// setWatchdogPeriod overrides how many Train calls elapse between
+// watchdog passes; a positive period arms both the periodic pass and
+// the in-update denominator guard, including on forgetting models where
+// the watchdog is off by default (see initWatchdog).
+func setWatchdogPeriod(m *Model, period int) {
+	m.wdPeriod = period
+	m.wdCount = 0
 }

@@ -168,12 +168,16 @@ func (m *Model) exportSlabs() [][]float64 {
 // is ready to predict and to continue sequential training. Every failure
 // (unknown magic, truncation, checksum mismatch, implausible header)
 // matches ckpt.ErrBadFormat.
-func Load(r io.Reader) (*Model, error) {
+func Load(r io.Reader) (*Model, error) { return loadModel(r, nil) }
+
+// loadModel is Load reading the projection through p (nil for a plain
+// load: see Projections).
+func loadModel(r io.Reader, p *Projections) (*Model, error) {
 	cr, err := ckpt.Open(r, magic)
 	if err != nil {
 		return nil, err
 	}
-	m, err := loadBody(cr)
+	m, err := loadBody(cr, p)
 	if err == nil {
 		err = cr.VerifyFooter()
 	}
@@ -184,7 +188,7 @@ func Load(r io.Reader) (*Model, error) {
 }
 
 // loadBody parses the payload that follows the magic.
-func loadBody(r io.Reader) (*Model, error) {
+func loadBody(r io.Reader, p *Projections) (*Model, error) {
 	var precs [2]byte
 	if _, err := io.ReadFull(r, precs[:]); err != nil {
 		return nil, err
@@ -220,7 +224,11 @@ func loadBody(r io.Reader) (*Model, error) {
 	}
 	var slabs [4][]float64 // W, b, β, P
 	for i, n := range [...]int{c.Hidden * c.Inputs, c.Hidden, c.Hidden * c.Outputs, c.Hidden * c.Hidden} {
-		if slabs[i], err = readSlab(r, prec, n); err != nil {
+		var buf []float64
+		if p != nil && i < 2 {
+			buf = p.buf[i]
+		}
+		if slabs[i], err = readSlab(r, prec, n, buf); err != nil {
 			return nil, fmt.Errorf("oselm: load weights: %w", err)
 		}
 	}
@@ -232,17 +240,103 @@ func loadBody(r io.Reader) (*Model, error) {
 		mat.ConvertVec(m.bias32, slabs[1])
 		mat.ConvertVec(m.beta32.Data, slabs[2])
 	}
+	if p != nil {
+		p.resolve(m, slabs[0], slabs[1])
+	}
 	m.inits = int(u[4])
 	return m, nil
 }
 
-// readSlab reads an n-element slab, committing memory only as its bytes
+// Projections lets a run of decodes — the members of one fleet load, a
+// migrated member — hold one copy of each random projection. The
+// float64 W and b of every model decoded through it are read into
+// scratch the Projections keeps, then bound (ShareProjection) to a copy
+// with the same bits already held — by a model decoded earlier through
+// it, or one Share finds — and copied into slabs of the model's own
+// only when there is none. Reduced-precision models narrow their
+// projection from the scratch and share nothing. A Projections is for
+// one goroutine.
+type Projections struct {
+	// Share binds m's projection to that of a model outside the run
+	// with m's fingerprint, as m.ShareProjection does, and reports
+	// whether it did.
+	Share func(m *Model) bool
+
+	buf  [2][]float64      // W and b as read
+	seen map[uint64]*Model // models decoded through p that own their projection
+}
+
+// resolve binds m's projection, which still reads p's scratch w and
+// bias, to a copy of the same bits if one is known, or gives m its own
+// copy and remembers it.
+func (p *Projections) resolve(m *Model, w, bias []float64) {
+	p.buf = [2][]float64{w, bias}
+	if m.w == nil {
+		return // narrowed into the model's own float32 slabs
+	}
+	fp := m.Fingerprint()
+	if peer := p.seen[fp]; peer != nil && m.ShareProjection(peer) {
+		return
+	}
+	if p.Share != nil && p.Share(m) {
+		return
+	}
+	if m.w.Stride == 0 { // dense: m.w reads the scratch (see aligned)
+		m.w.Data = p.take(0, m.w.Data)
+	}
+	m.bias = p.take(1, m.bias)
+	if p.seen == nil {
+		p.seen = map[uint64]*Model{}
+	}
+	p.seen[fp] = m
+}
+
+// take gives a model that misses the scratch s, read into p.buf[i], as
+// a slab of its own: s itself when it has no spare capacity, p then
+// reading the next model into new scratch, or else a copy.
+func (p *Projections) take(i int, s []float64) []float64 {
+	if cap(s) == len(s) {
+		p.buf[i] = nil
+		return s
+	}
+	return append([]float64(nil), s...)
+}
+
+// LoadAutoencoderWith is LoadAutoencoder reading the projection through
+// p (see Projections); a nil p loads as LoadAutoencoder does.
+func LoadAutoencoderWith(r io.Reader, p *Projections) (*Autoencoder, error) {
+	cr := ckpt.NewReader(r)
+	metric, err := ckpt.GetU32(cr)
+	if err != nil {
+		return nil, ckpt.Corrupt("oselm", fmt.Errorf("load metric: %w", err))
+	}
+	if metric > uint32(L2Norm) {
+		return nil, fmt.Errorf("%w: unknown score metric %d", ckpt.ErrBadFormat, metric)
+	}
+	m, err := loadModel(cr, p)
+	if err != nil {
+		return nil, err
+	}
+	if err := cr.VerifyFooter(); err != nil {
+		return nil, ckpt.Corrupt("oselm", err)
+	}
+	if m.cfg.Inputs != m.cfg.Outputs {
+		return nil, fmt.Errorf("%w: serialised model is not an autoencoder", ckpt.ErrBadFormat)
+	}
+	return &Autoencoder{model: m, metric: ScoreMetric(metric)}, nil
+}
+
+// readSlab reads an n-element slab into buf when buf has room for it,
+// and otherwise into a new slab, committing memory only as its bytes
 // arrive: the first loadChunk elements, then doubling. A header can
 // claim up to maxLoadMatrixElems elements per slab, and a stream that
 // does not carry them fails having allocated about twice what it did
-// carry, not what it claimed. The returned slice has length and
-// capacity n.
-func readSlab(r io.Reader, prec Precision, n int) ([]float64, error) {
+// carry, not what it claimed. The returned slice has length n, and
+// capacity n when it is new.
+func readSlab(r io.Reader, prec Precision, n int, buf []float64) ([]float64, error) {
+	if cap(buf) >= n {
+		return buf[:n], readFloats(r, prec, buf[:n])
+	}
 	xs := make([]float64, min(n, loadChunk))
 	if err := readFloats(r, prec, xs); err != nil {
 		return nil, err
@@ -293,24 +387,4 @@ func (a *Autoencoder) Save(w io.Writer, prec Precision) (int64, error) {
 }
 
 // LoadAutoencoder deserialises an autoencoder written by Save.
-func LoadAutoencoder(r io.Reader) (*Autoencoder, error) {
-	cr := ckpt.NewReader(r)
-	metric, err := ckpt.GetU32(cr)
-	if err != nil {
-		return nil, ckpt.Corrupt("oselm", fmt.Errorf("load metric: %w", err))
-	}
-	if metric > uint32(L2Norm) {
-		return nil, fmt.Errorf("%w: unknown score metric %d", ckpt.ErrBadFormat, metric)
-	}
-	m, err := Load(cr)
-	if err != nil {
-		return nil, err
-	}
-	if err := cr.VerifyFooter(); err != nil {
-		return nil, ckpt.Corrupt("oselm", err)
-	}
-	if m.cfg.Inputs != m.cfg.Outputs {
-		return nil, fmt.Errorf("%w: serialised model is not an autoencoder", ckpt.ErrBadFormat)
-	}
-	return &Autoencoder{model: m, metric: ScoreMetric(metric)}, nil
-}
+func LoadAutoencoder(r io.Reader) (*Autoencoder, error) { return LoadAutoencoderWith(r, nil) }

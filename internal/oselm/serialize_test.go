@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"edgedrift/internal/ckpt"
-	"edgedrift/internal/mat"
 	"edgedrift/internal/rng"
 )
 
@@ -45,7 +44,7 @@ func TestSaveLoadFloat64ExactRoundTrip(t *testing.T) {
 	if got.SamplesSeen() != m.SamplesSeen() {
 		t.Fatalf("SamplesSeen %d vs %d", got.SamplesSeen(), m.SamplesSeen())
 	}
-	if d := mat.MaxAbsDiff(got.Beta(), m.Beta()); d != 0 {
+	if d := maxAbsDiff(got.Beta(), m.Beta()); d != 0 {
 		t.Fatalf("β differs by %v after exact round trip", d)
 	}
 	// Predictions must be bit-identical.
@@ -60,7 +59,7 @@ func TestSaveLoadFloat64ExactRoundTrip(t *testing.T) {
 	// Continued training must behave identically.
 	m.Train(x, []float64{0, 0, 0})
 	got.Train(x, []float64{0, 0, 0})
-	if d := mat.MaxAbsDiff(got.Beta(), m.Beta()); d != 0 {
+	if d := maxAbsDiff(got.Beta(), m.Beta()); d != 0 {
 		t.Fatalf("post-load training diverged by %v", d)
 	}
 }

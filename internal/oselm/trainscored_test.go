@@ -10,10 +10,11 @@ import (
 )
 
 // requireSameState fails unless a and b hold the same bits in their
-// learned state, counters and forward-pass scratch. The residual
-// buffer e holds the residual after an update and, on the watchdog's
-// repair path, the reconstruction Score or Train wrote there.
-func requireSameState(t *testing.T, a, b *Autoencoder, what string) {
+// learned state and counters, and their working sets sa and sb the same
+// forward pass. The residual buffer e holds the residual after an
+// update and, on the watchdog's repair path, the reconstruction ScoreIn
+// or TrainIn wrote there.
+func requireSameState(t *testing.T, a, b *Autoencoder, sa, sb *Scratch, what string) {
 	t.Helper()
 	ma, mb := a.model, b.model
 	same := func(name string, x, y []float64) {
@@ -24,10 +25,10 @@ func requireSameState(t *testing.T, a, b *Autoencoder, what string) {
 	}
 	same("P", ma.p.Data, mb.p.Data)
 	same("β", ma.Beta().Data, mb.Beta().Data)
-	same("h", ma.h, mb.h)
-	same("ph", ma.ph, mb.ph)
-	same("e", ma.e, mb.e)
-	if ma.beta32 != nil && (!sameBits32(ma.o32, mb.o32) || !sameBits32(ma.u32, mb.u32)) {
+	same("h", sa.h, sb.h)
+	same("ph", sa.ph, sb.ph)
+	same("e", sa.e, sb.e)
+	if ma.beta32 != nil && (!sameBits32(sa.o32, sb.o32) || !sameBits32(sa.u32, sb.u32)) {
 		t.Fatalf("%s: float32 staging differs", what)
 	}
 	if ma.inits != mb.inits || ma.wdCount != mb.wdCount || ma.wdResets != mb.wdResets {
@@ -36,9 +37,9 @@ func requireSameState(t *testing.T, a, b *Autoencoder, what string) {
 	}
 }
 
-// TestTrainScoredMatchesTrain pins the reuse: Score(x) then
-// TrainScored(x) leaves the bits, watchdog state and operation counts
-// that Score(x) then Train(x) leaves, on both backends, every metric and
+// TestTrainScoredMatchesTrain pins the reuse: ScoreIn(s, x) then
+// TrainScored(s, x) leaves the bits, watchdog state and operation counts
+// that ScoreIn(s, x) then TrainIn(s, x) leaves, on both backends, every metric and
 // with and without forgetting, including the watchdog's repair of a
 // poisoned P (a NaN denominator) in the middle of the stream.
 func TestTrainScoredMatchesTrain(t *testing.T) {
@@ -53,8 +54,9 @@ func TestTrainScoredMatchesTrain(t *testing.T) {
 					t.Fatal(err)
 				}
 				b, _ := NewAutoencoder(cfg, metric, rng.New(5))
-				a.model.SetWatchdogPeriod(16)
-				b.model.SetWatchdogPeriod(16)
+				setWatchdogPeriod(a.model, 16)
+				setWatchdogPeriod(b.model, 16)
+				sa, sb := newScratch(a.model.cfg), newScratch(b.model.cfg)
 				var opsA, opsB opcount.Counter
 				a.SetOps(&opsA)
 				b.SetOps(&opsB)
@@ -66,13 +68,13 @@ func TestTrainScoredMatchesTrain(t *testing.T) {
 						poisonP(a.model)
 						poisonP(b.model)
 					}
-					sa, sb := a.Score(x), b.Score(x)
-					if math.Float64bits(sa) != math.Float64bits(sb) {
-						t.Fatalf("%s sample %d: score %v vs %v", what, i, sa, sb)
+					va, vb := a.ScoreIn(&sa, x), b.ScoreIn(&sb, x)
+					if math.Float64bits(va) != math.Float64bits(vb) {
+						t.Fatalf("%s sample %d: score %v vs %v", what, i, va, vb)
 					}
-					a.TrainScored(x)
-					b.Train(x)
-					requireSameState(t, a, b, fmt.Sprintf("%s sample %d", what, i))
+					a.TrainScored(&sa, x)
+					b.TrainIn(&sb, x)
+					requireSameState(t, a, b, &sa, &sb, fmt.Sprintf("%s sample %d", what, i))
 				}
 				if a.model.WatchdogResets() != 1 {
 					t.Fatalf("%s: %d watchdog repairs, want the poisoned P's one", what, a.model.WatchdogResets())
@@ -93,7 +95,13 @@ func TestTrainScoredZeroAllocs(t *testing.T) {
 		}
 		x := make([]float64, 64)
 		rng.New(3).FillUniform(x, -1, 1)
-		if n := testing.AllocsPerRun(200, func() { ae.Score(x); ae.TrainScored(x) }); n != 0 {
+		l := ae.model.scratches()
+		if n := testing.AllocsPerRun(200, func() {
+			g := l.Get()
+			ae.ScoreIn(g.Slot(0), x)
+			ae.TrainScored(g.Slot(0), x)
+			l.Put(g)
+		}); n != 0 {
 			t.Fatalf("TrainScored(%v) allocates %v objects per Score+TrainScored, want 0", prec, n)
 		}
 	}

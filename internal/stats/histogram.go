@@ -56,13 +56,6 @@ func (h *Histogram) binOf(x float64) int {
 	return idx
 }
 
-// Counts returns a copy of the bin counts.
-func (h *Histogram) Counts() []int {
-	c := make([]int, len(h.counts))
-	copy(c, h.counts)
-	return c
-}
-
 // Total returns the number of binned observations (NaNs excluded).
 func (h *Histogram) Total() int { return h.total }
 

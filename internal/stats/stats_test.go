@@ -252,7 +252,7 @@ func TestHistogramBasics(t *testing.T) {
 	for _, v := range []float64{0, 1.9, 2, 5, 9.999} {
 		h.Observe(v)
 	}
-	counts := h.Counts()
+	counts := h.counts
 	want := []int{2, 1, 1, 0, 1}
 	for i := range want {
 		if counts[i] != want[i] {
@@ -268,7 +268,7 @@ func TestHistogramClampsOutliers(t *testing.T) {
 	h := NewHistogram(0, 1, 2)
 	h.Observe(-100)
 	h.Observe(100)
-	c := h.Counts()
+	c := h.counts
 	if c[0] != 1 || c[1] != 1 {
 		t.Fatalf("clamped counts = %v", c)
 	}
@@ -285,7 +285,7 @@ func TestHistogramCountsDroppedNaN(t *testing.T) {
 	if h.Total() != 1 {
 		t.Fatalf("Total = %d, want 1 (NaN must not be binned)", h.Total())
 	}
-	if c := h.Counts(); c[0] != 1 || c[1] != 0 {
+	if c := h.counts; c[0] != 1 || c[1] != 0 {
 		t.Fatalf("counts = %v: NaN leaked into a bin", c)
 	}
 	h.Reset()
@@ -366,7 +366,7 @@ func TestPropHistogramConservation(t *testing.T) {
 			return false
 		}
 		var sum int
-		for _, c := range h.Counts() {
+		for _, c := range h.counts {
 			sum += c
 		}
 		return sum == n

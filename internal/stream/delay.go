@@ -154,12 +154,5 @@ func (s *DelaySchedule) At(t int) []Arrival {
 	return s.arrivals[t]
 }
 
-// Observed returns how many labels arrive within the stream.
-func (s *DelaySchedule) Observed() int { return s.observed }
-
 // Dropped returns how many labels the budget removed entirely.
 func (s *DelaySchedule) Dropped() int { return s.dropped }
-
-// Expired returns how many labels were kept by the budget but drawn to
-// arrive after the stream ends.
-func (s *DelaySchedule) Expired() int { return s.expired }

@@ -35,9 +35,9 @@ func TestDelayFixed(t *testing.T) {
 			t.Fatalf("step %d: arrivals = %v, want index %d", step, arr, step-d)
 		}
 	}
-	if s.Observed() != n-d || s.Expired() != d || s.Dropped() != 0 {
+	if s.observed != n-d || s.expired != d || s.Dropped() != 0 {
 		t.Fatalf("observed/expired/dropped = %d/%d/%d, want %d/%d/0",
-			s.Observed(), s.Expired(), s.Dropped(), n-d, d)
+			s.observed, s.expired, s.Dropped(), n-d, d)
 	}
 }
 
@@ -92,7 +92,7 @@ func TestDelayDeterministic(t *testing.T) {
 			break
 		}
 	}
-	if same && a.Observed() == c.Observed() && a.Dropped() == c.Dropped() {
+	if same && a.observed == c.observed && a.Dropped() == c.Dropped() {
 		t.Fatal("different seeds produced an identical-looking schedule")
 	}
 }
@@ -105,12 +105,12 @@ func TestDelayBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kept := float64(s.Observed()) / n
+	kept := float64(s.observed) / n
 	if kept < 0.20 || kept > 0.30 {
 		t.Fatalf("kept fraction = %.3f, want ≈ 0.25", kept)
 	}
-	if s.Observed()+s.Dropped()+s.Expired() != n {
-		t.Fatalf("accounting leak: %d+%d+%d != %d", s.Observed(), s.Dropped(), s.Expired(), n)
+	if s.observed+s.Dropped()+s.expired != n {
+		t.Fatalf("accounting leak: %d+%d+%d != %d", s.observed, s.Dropped(), s.expired, n)
 	}
 }
 

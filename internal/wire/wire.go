@@ -26,7 +26,6 @@
 package wire
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -116,16 +115,23 @@ func (e *RemoteError) Error() string { return "wire: remote error: " + e.Msg }
 // additionally serialises concurrent writers internally so response
 // writers and shed notifications can share the connection.
 type Conn struct {
-	c  net.Conn
-	br *bufio.Reader
+	c net.Conn
 
 	wmu  sync.Mutex
 	wbuf []byte  // WriteFrame's frame image, at most maxKeptWrite bytes
 	whdr [5]byte // a larger frame's header
 
-	rhdr [4]byte // ReadFrame's length prefix
-	rbuf []byte  // reused ReadFrame buffer; valid until the next ReadFrame
+	// ReadFrame's buffer, as large as the largest frame read (and at
+	// least minRead): rbuf[:rpos] is the last frame returned, valid
+	// until the next ReadFrame, and rbuf[rpos:rend] the bytes of the
+	// frames after it that the same reads brought in.
+	rbuf       []byte
+	rpos, rend int
 }
+
+// minRead is the smallest read buffer a Conn keeps: room for a batch
+// frame of 8 NSL-KDD samples and its ack in one read.
+const minRead = 4 << 10
 
 // maxKeptWrite is the largest frame WriteFrame lays out in the buffer a
 // Conn keeps. A larger frame (a batch of more than ~215 NSL-KDD samples,
@@ -136,7 +142,7 @@ const maxKeptWrite = 64 << 10
 // NewConn wraps an established net.Conn. The caller still owes the
 // Hello handshake (Handshake client-side, AcceptHandshake server-side).
 func NewConn(c net.Conn) *Conn {
-	return &Conn{c: c, br: bufio.NewReaderSize(c, 64<<10)}
+	return &Conn{c: c}
 }
 
 // Close closes the underlying connection.
@@ -175,23 +181,48 @@ func (c *Conn) WriteFrame(typ byte, payload []byte) error {
 
 // ReadFrame reads one frame. The returned payload aliases an internal
 // buffer and is valid only until the next ReadFrame call — callers that
-// hand it to another goroutine must copy it first.
+// hand it to another goroutine must copy it first. Each read fills as
+// much of the buffer as the connection has ready, so a frame that fits
+// costs one read, and the bytes of the frames after it that arrive
+// with it are kept for the calls that return them.
 func (c *Conn) ReadFrame() (typ byte, payload []byte, err error) {
-	if _, err := io.ReadFull(c.br, c.rhdr[:]); err != nil {
+	// The last frame is spent: move what followed it to the front.
+	c.rend = copy(c.rbuf, c.rbuf[c.rpos:c.rend])
+	c.rpos = 0
+	if err := c.fill(4); err != nil {
 		return 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(c.rhdr[:])
+	n := binary.LittleEndian.Uint32(c.rbuf)
 	if n == 0 || n > MaxFrame {
 		return 0, nil, fmt.Errorf("%w: implausible frame length %d", ErrProtocol, n)
 	}
-	if cap(c.rbuf) < int(n) {
-		c.rbuf = make([]byte, n)
-	}
-	buf := c.rbuf[:n]
-	if _, err := io.ReadFull(c.br, buf); err != nil {
+	end := 4 + int(n)
+	if err := c.fill(end); err != nil {
 		return 0, nil, err
 	}
-	return buf[0], buf[1:], nil
+	c.rpos = end
+	return c.rbuf[4], c.rbuf[5:end], nil
+}
+
+// fill reads until the buffer holds n bytes of the frame at its front,
+// first growing it to n (minRead at least), keeping what it holds. It
+// fails with io.EOF when the connection ends between frames and
+// io.ErrUnexpectedEOF when it ends inside one.
+func (c *Conn) fill(n int) error {
+	if c.rend >= n {
+		return nil
+	}
+	if len(c.rbuf) < n {
+		grown := make([]byte, max(n, minRead))
+		copy(grown, c.rbuf[:c.rend])
+		c.rbuf = grown
+	}
+	k, err := io.ReadAtLeast(c.c, c.rbuf[c.rend:], n-c.rend)
+	c.rend += k
+	if err == io.EOF && c.rend > 0 {
+		err = io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 // Handshake runs the client half of the Hello exchange.

@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"math"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -269,5 +270,62 @@ func TestFleetConcurrentSharedProjectionBitIdentical(t *testing.T) {
 		if !reflect.DeepEqual(got[i], want[i]) {
 			t.Fatalf("member %d diverged from its standalone monitor", i)
 		}
+	}
+}
+
+// TestImportBindsHeldProjection: a member imported into a fleet where a
+// peer holds its projection reads each instance's W and b into one
+// decode scratch and binds the peer's copy, while an import that finds
+// no peer keeps the slabs it read, one per instance. At the NSL-KDD
+// shape (two instances) the import beside a peer therefore allocates
+// at least one instance's projection, (22×38 + 22) × 8 = 6,864 B, less;
+// an import that allocated every instance's W and b and dropped them at
+// registration allocated the same either way.
+func TestImportBindsHeldProjection(t *testing.T) {
+	tmpl, err := edgedrift.LoadMonitor(bytes.NewReader(nslkddArtifact(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := edgedrift.NewFleet(edgedrift.FleetConfig{})
+	if err := src.Add("moving", mustClone(t, tmpl)); err != nil {
+		t.Fatal(err)
+	}
+	st, err := src.ExportMember("moving")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// importBytes is the heap an import allocates, averaged over a few
+	// import-and-remove rounds on one goroutine.
+	importBytes := func(f *edgedrift.Fleet) uint64 {
+		const rounds = 8
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < rounds; i++ {
+			if err := f.ImportMember(st); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, ok := f.Remove(st.ID); !ok {
+				t.Fatal("remove failed")
+			}
+		}
+		runtime.ReadMemStats(&m1)
+		return (m1.TotalAlloc - m0.TotalAlloc) / rounds
+	}
+	alone := edgedrift.NewFleet(edgedrift.FleetConfig{})
+	withPeer := edgedrift.NewFleet(edgedrift.FleetConfig{})
+	if err := withPeer.Add("peer", mustClone(t, tmpl)); err != nil {
+		t.Fatal(err)
+	}
+	own, bound := importBytes(alone), importBytes(withPeer)
+	t.Logf("an import allocates %d B alone and %d B beside a peer", own, bound)
+	const projection = (22*38 + 22) * 8
+	if own < bound+projection {
+		t.Fatalf("an import beside a peer allocates %d B, want at least %d B less than the %d B of one alone", bound, projection, own)
+	}
+	if err := withPeer.ImportMember(st); err != nil {
+		t.Fatal(err)
+	}
+	if !sameSlabs(memberProjection(t, withPeer, "peer"), memberProjection(t, withPeer, st.ID)) {
+		t.Fatal("the imported member does not hold its peer's projection")
 	}
 }

@@ -58,8 +58,12 @@ func (m *Monitor) Save(w io.Writer, prec Precision) error {
 
 // LoadMonitor deserialises a monitor written by Save. It is immediately
 // ready to Process.
-func LoadMonitor(r io.Reader) (*Monitor, error) {
-	mm, err := model.Load(r)
+func LoadMonitor(r io.Reader) (*Monitor, error) { return loadMonitor(r, nil) }
+
+// loadMonitor is LoadMonitor reading the model's projections through p
+// (see oselm.Projections); a nil p loads as LoadMonitor does.
+func loadMonitor(r io.Reader, p *oselm.Projections) (*Monitor, error) {
+	mm, err := model.LoadWith(r, p)
 	if err != nil {
 		return nil, fmt.Errorf("edgedrift: load model: %w", err)
 	}
