@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmt cross test vet staticcheck race bench bench-kernels bench-fleet bench-compare bench-loadgen bench-coop bench-scenarios bench-pressure fuzz-smoke loc edgebench-check check
+.PHONY: build fmt cross test vet staticcheck race bench bench-kernels bench-fleet bench-compare bench-loadgen bench-coop bench-scenarios bench-pressure fuzz-smoke loc footprint edgebench-check check
 
 build:
 	$(GO) build ./...
@@ -167,6 +167,13 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzLoadMonitor $(FUZZ_FLAGS) .
 	$(GO) test -fuzz=FuzzLoadFleet $(FUZZ_FLAGS) .
 	$(GO) test -fuzz=FuzzParseFrame $(FUZZ_FLAGS) ./internal/wire/
+
+# Per-member cost at the NSL-KDD (D=38) and fan (D=511) shapes: the
+# allocations and bytes of one Monitor.Clone and the live-heap growth of
+# a clone registered into a fleet, as the footprint tests log them, and
+# the detector's size class.
+footprint:
+	$(GO) test -count=1 -v -run '^(TestMonitorCloneFootprint|TestCloneHeapGrowthPerMember|TestDetectorFitsItsSizeClass)$$' . ./internal/core/
 
 # Code size, in lines, outside the edgebench/ module: non-test Go,
 # amd64 assembly (.s and .h) and test Go. Files come from git (tracked

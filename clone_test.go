@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"edgedrift"
+	"edgedrift/internal/datasets/nslkdd"
 	"edgedrift/internal/datasets/synth"
 	"edgedrift/internal/rng"
 )
@@ -209,22 +210,89 @@ func TestMonitorCloneRefusals(t *testing.T) {
 	}
 }
 
+// TestCloneFrameWritesStayPrivate: a clone shares its template's
+// options, configurations and model frames by pointer, so each writer
+// of them takes a private copy first. Pinning one clone's θ_error and
+// running it through a demotion and back must leave the template and a
+// sibling clone — their thresholds, configuration and every result over
+// a stream that drifts and reconstructs — bit-identical to a monitor
+// loaded from the same bytes that was never cloned.
+func TestCloneFrameWritesStayPrivate(t *testing.T) {
+	art := nslkddArtifact(t)
+	load := func() *edgedrift.Monitor {
+		m, err := edgedrift.LoadMonitor(bytes.NewReader(art))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	tmpl, ref := load(), load()
+	writer, sibling := mustClone(t, tmpl), mustClone(t, tmpl)
+	stream := nslkdd.Generate(nslkdd.DefaultParams()).TestX
+	if err := writer.Detector().SetErrorThreshold(ref.Detector().ThetaError() / 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := writer.Demote(edgedrift.Float32); err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range stream[:200] {
+		writer.Process(x)
+	}
+	if err := writer.Promote(); err != nil {
+		t.Fatal(err)
+	}
+	if writer.Detector().ThetaError() == ref.Detector().ThetaError() {
+		t.Fatal("SetErrorThreshold did not reach the clone it was called on")
+	}
+	for name, m := range map[string]*edgedrift.Monitor{"template": tmpl, "sibling": sibling} {
+		if m.Detector().Config() != ref.Detector().Config() {
+			t.Fatalf("the %s's detector configuration changed: %+v, want %+v", name, m.Detector().Config(), ref.Detector().Config())
+		}
+		if m.Detector().ThetaError() != ref.Detector().ThetaError() {
+			t.Fatalf("the %s's θ_error changed", name)
+		}
+	}
+	for i, x := range stream {
+		want := ref.Process(x)
+		for name, m := range map[string]*edgedrift.Monitor{"template": tmpl, "sibling": sibling} {
+			if got := m.Process(x); !sameResult(got, want) {
+				t.Fatalf("sample %d: the %s gave %+v, want %+v", i, name, got, want)
+			}
+		}
+	}
+	if ref.Detector().Reconstructions() == 0 {
+		t.Fatal("the stream never reconstructed")
+	}
+	for name, m := range map[string]*edgedrift.Monitor{"template": tmpl, "sibling": sibling} {
+		if m.Detector().ThetaError() != ref.Detector().ThetaError() || m.Detector().ThetaDrift() != ref.Detector().ThetaDrift() {
+			t.Fatalf("the %s's thresholds drifted from the reference", name)
+		}
+		if !bytes.Equal(saveBytes(t, m), saveBytes(t, ref)) {
+			t.Fatalf("the %s's Save bytes differ from the reference", name)
+		}
+	}
+}
+
 // TestMonitorCloneFootprint pins what a new stream costs at the serve
 // tier's member shape (NSL-KDD: C=2, D=38, H=22). A fresh clone's audit
 // is its own state only — the recent centroids, the counts and the
-// scalars — since it shares the projection, β, P, the trained
-// centroids and the scratch list its calls borrow their working sets
-// (activations, reconstruction, scores, RLS gain) from. Clone allocates
-// that state plus the structs that hold it in 17 allocations: 2,488 B
-// on 64-bit targets (two oselm models of 248 B, the 600 B detector, the
-// centroids and counts, the Monitor, model and histogram headers),
-// against 22 allocations and 3,832 B when each clone held its own h, e
-// and scores and a model struct of 416 B, and 71 allocations and
-// 12.8 kB when a clone round-tripped its detector through
-// SaveState/LoadState. The bytes are read as a benchmark's B/op,
+// scalars — since it shares the configuration, the projection, β, P,
+// the trained centroids and the scratch list its calls borrow their
+// working sets from. Clone allocates that state plus the structs that
+// hold it in 10 allocations, 1,728 B on 64-bit targets: the Monitor
+// (64 B), its RNG (48 B), the model (64 B), its two autoencoders
+// (32 B) and their two 72 B models in one slab (144 B), the 504 B
+// detector (512 B), the C×D recent centroids (640 B), the counts
+// (32 B) and the score histogram (64 + 128 B). Each clone used to copy
+// the Options, the detector, model and instance configurations (456 B)
+// and hold its autoencoders and models one allocation each: 17
+// allocations and 2,488 B, and before that 22 allocations and 3,832 B
+// with its own working sets. The bytes are read as a benchmark's B/op,
 // averaged over enough clones that what the rest of the process
-// allocates meanwhile does not count; the 2,688 B bound leaves 200 B of
-// slack.
+// allocates meanwhile does not count; the 1,850 B bound leaves 122 B of
+// slack and fails the old layout. The fan shape (C=1, D=511) is pinned
+// beside it: 10 allocations and 5,088 B, bounded at 5,300 B (212 B of
+// slack), where the old layout made 14 and 5,624 B.
 func TestMonitorCloneFootprint(t *testing.T) {
 	tmpl, err := edgedrift.LoadMonitor(bytes.NewReader(nslkddArtifact(t)))
 	if err != nil {
@@ -238,17 +306,38 @@ func TestMonitorCloneFootprint(t *testing.T) {
 	if got := clone.MemoryBytes(); got != want {
 		t.Fatalf("a fresh clone audits %d B, want %d B", got, want)
 	}
+	fan, _ := fanPinStream(t)
+	for _, tc := range []struct {
+		name       string
+		tmpl       *edgedrift.Monitor
+		allocs     float64
+		bytesBound int64
+	}{
+		{"D38", tmpl, 10, 1850},
+		{"D511", fan, 10, 5300},
+	} {
+		allocs, perClone := cloneCost(t, tc.tmpl)
+		t.Logf("%s: Monitor.Clone makes %v allocations, %d B per member", tc.name, allocs, perClone)
+		if allocs != tc.allocs {
+			t.Errorf("%s: Monitor.Clone makes %v allocations per member, want %v", tc.name, allocs, tc.allocs)
+		}
+		if perClone > tc.bytesBound {
+			t.Errorf("%s: Monitor.Clone allocates %d B per member, want at most %d B", tc.name, perClone, tc.bytesBound)
+		}
+	}
+}
 
+// cloneCost returns the allocations and bytes one Clone of tmpl makes.
+func cloneCost(t *testing.T, tmpl *edgedrift.Monitor) (float64, int64) {
+	t.Helper()
 	var cerr error
-	const wantAllocs = 17
-	if allocs := testing.AllocsPerRun(100, func() {
+	allocs := testing.AllocsPerRun(100, func() {
 		if _, err := tmpl.Clone(); err != nil {
 			cerr = err
 		}
-	}); cerr != nil {
+	})
+	if cerr != nil {
 		t.Fatal(cerr)
-	} else if allocs != wantAllocs {
-		t.Errorf("Monitor.Clone makes %v allocations per member, want %d", allocs, wantAllocs)
 	}
 	r := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
@@ -261,48 +350,55 @@ func TestMonitorCloneFootprint(t *testing.T) {
 	if r.N == 0 {
 		t.Fatal("the Clone benchmark failed")
 	}
-	perClone := r.AllocedBytesPerOp()
-	t.Logf("Monitor.Clone allocates %d B per member over %d clones; a fresh member audits %d B", perClone, r.N, want)
-	const bound = 2688
-	if perClone > bound {
-		t.Fatalf("Monitor.Clone allocates %d B per member, want at most %d B", perClone, bound)
-	}
+	return allocs, r.AllocedBytesPerOp()
 }
 
 // TestCloneHeapGrowthPerMember measures what a member cloned from one
 // template really costs the heap, structs and registration included:
-// 4,096 NSL-KDD clones registered into a fleet, with the live heap read
-// after a GC before and after. Each clone grew the heap by ~4,040 B
-// (4,036–4,058 B measured on amd64) when it held its own working sets:
-// h, e and the per-instance scores, in two 416 B model structs.
-// Borrowing them from the template's scratch list brings it to
-// ~2,690 B; the 3,000 B bound leaves ~300 B of slack and fails the
-// old layout.
+// clones registered into a fleet, with the live heap read after a GC
+// before and after, at the NSL-KDD shape (4,096 clones of C=2, D=38)
+// and the fan shape (2,048 clones of C=1, D=511). An NSL-KDD clone grew
+// the heap by ~4,040 B when it held its own working sets, and by
+// ~2,690 B once it borrowed them but still copied its configurations;
+// sharing those brings it to ~1,890 B, and the 2,050 B bound leaves
+// ~160 B of slack and fails both old layouts. A fan clone grows it by
+// ~5,240 B (~5,810 B with copied configurations); the 5,450 B bound
+// leaves ~210 B of slack.
 func TestCloneHeapGrowthPerMember(t *testing.T) {
 	tmpl, err := edgedrift.LoadMonitor(bytes.NewReader(nslkddArtifact(t)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n, bound = 4096, 3000
-	ids := make([]string, n)
-	for i := range ids {
-		ids[i] = fmt.Sprintf("stream-%04d", i)
-	}
-	f := edgedrift.NewFleet(edgedrift.FleetConfig{})
-	var m0, m1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&m0)
-	for _, id := range ids {
-		if err := f.Add(id, mustClone(t, tmpl)); err != nil {
-			t.Fatal(err)
+	fan, _ := fanPinStream(t)
+	for _, tc := range []struct {
+		name     string
+		tmpl     *edgedrift.Monitor
+		n, bound int64
+	}{
+		{"D38", tmpl, 4096, 2050},
+		{"D511", fan, 2048, 5450},
+	} {
+		ids := make([]string, tc.n)
+		for i := range ids {
+			ids[i] = fmt.Sprintf("stream-%04d", i)
 		}
-	}
-	runtime.GC()
-	runtime.ReadMemStats(&m1)
-	runtime.KeepAlive(f)
-	perMember := (int64(m1.HeapAlloc) - int64(m0.HeapAlloc)) / n
-	t.Logf("%d clones grow the heap by %d B per member; the fleet audits %d B per member", n, perMember, f.MemoryBytes()/n)
-	if perMember >= bound {
-		t.Fatalf("a clone grows the heap by %d B, want less than %d B", perMember, bound)
+		f := edgedrift.NewFleet(edgedrift.FleetConfig{})
+		var m0, m1 runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m0)
+		for _, id := range ids {
+			if err := f.Add(id, mustClone(t, tc.tmpl)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&m1)
+		runtime.KeepAlive(f)
+		perMember := (int64(m1.HeapAlloc) - int64(m0.HeapAlloc)) / tc.n
+		t.Logf("%s: %d clones grow the heap by %d B per member; the fleet audits %d B per member",
+			tc.name, tc.n, perMember, int64(f.MemoryBytes())/tc.n)
+		if perMember >= tc.bound {
+			t.Errorf("%s: a clone grows the heap by %d B, want less than %d B", tc.name, perMember, tc.bound)
+		}
 	}
 }

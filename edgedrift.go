@@ -137,7 +137,9 @@ type Options struct {
 // one Monitor per stream in a Fleet, which serialises access per member
 // and is the concurrent entry point.
 type Monitor struct {
-	opts  Options
+	// opts is read-only once the monitor holds it, so a clone shares
+	// its template's; a monitor at another precision holds its own.
+	opts  *Options
 	model *model.Multi
 	det   *core.Detector
 	rng   *rng.Rand
@@ -190,7 +192,7 @@ func New(opts Options) (*Monitor, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Monitor{opts: opts, model: m, det: det, rng: r}, nil
+	return &Monitor{opts: &opts, model: m, det: det, rng: r}, nil
 }
 
 // Fit trains the discriminative model sequentially on the labelled
@@ -429,12 +431,12 @@ var _ core.Merger = (*Monitor)(nil)
 // processes every sample bit-identically to m itself from this point,
 // and a clone of a loaded template behaves exactly as another
 // LoadMonitor of the same bytes. It is the way to start many streams
-// from one fitted template. The clone shares m's
-// read-only random projections and, copy-on-write, its learned state
-// (β and P): both read the same slabs until one of them trains, resets
-// or adopts state, which first takes a private copy. Options, guard
-// policy and lifetime diagnostics are carried over (see
-// core.Detector.CloneAt). Clone marks m's state shared, so it must not
+// from one fitted template. The clone shares what m never writes — its
+// options, configurations, random projections and scratch list — and,
+// copy-on-write, its learned state (β and P): both read the same slabs
+// until one of them trains, resets or adopts state, which first takes a
+// private copy. Guard policy and lifetime diagnostics are carried over
+// (see core.Detector.CloneAt). Clone marks m's state shared, so it must not
 // run concurrently with m's own use. It fails before Fit, while m is
 // demoted and mid-reconstruction.
 //

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sync"
 	"time"
 
 	"edgedrift/internal/ckpt"
@@ -51,11 +52,18 @@ type Streaming = core.Streaming
 // Monitor alone.
 type Fleet struct {
 	f *fleet.Fleet
+	// proj reads the W and b of the members LoadFleet and ImportMember
+	// decode, each call one run, and keeps its decode scratch from one
+	// run to the next; projMu serialises the runs.
+	projMu sync.Mutex
+	proj   oselm.Projections
 }
 
 // NewFleet builds an empty fleet.
 func NewFleet(cfg FleetConfig) *Fleet {
-	return &Fleet{f: fleet.New(cfg)}
+	f := &Fleet{f: fleet.New(cfg)}
+	f.proj.Share = f.f.ShareProjection
+	return f
 }
 
 // Add registers a fitted monitor under a stream ID. The fleet owns the
@@ -302,16 +310,20 @@ func encodeDegraded(mon *Monitor, w io.Writer) error {
 	}
 }
 
-// decodeMember returns the decoder of member stages for f: each stage
-// is reconstructed from its kind byte, and every float64 projection is
-// read through one oselm.Projections, so the members of one load, and a
-// member joining live peers, allocate W and b only for a projection no
-// decoded or registered member holds yet.
-func (f *Fleet) decodeMember() fleet.DecodeFunc {
-	p := &oselm.Projections{Share: f.f.ShareProjection}
-	return func(id string, kind byte, r io.Reader) (core.Streaming, error) {
-		return decodeMember(id, kind, r, p)
-	}
+// decoding runs one load or import, run, with the decoder of member
+// stages for f: each stage is reconstructed from its kind byte, and
+// every float64 projection is read through the fleet's
+// oselm.Projections, so the members of one load, and a member joining
+// live peers, allocate W and b only for a projection no decoded or
+// registered member holds yet, and a run that binds every projection
+// it reads allocates none.
+func (f *Fleet) decoding(run func(fleet.DecodeFunc) error) error {
+	f.projMu.Lock()
+	defer f.projMu.Unlock()
+	defer f.proj.Reset()
+	return run(func(id string, kind byte, r io.Reader) (core.Streaming, error) {
+		return decodeMember(id, kind, r, &f.proj)
+	})
 }
 
 // decodeMember reconstructs one member stage from its kind byte, reading
@@ -387,7 +399,7 @@ func (f *Fleet) SaveFile(path string, prec Precision) error {
 // FLEET4 fail with an error matching ErrBadFormat.
 func LoadFleet(r io.Reader, cfg FleetConfig) (*Fleet, error) {
 	fl := NewFleet(cfg)
-	if err := fl.f.Load(r, fl.decodeMember()); err != nil {
+	if err := fl.decoding(func(dec fleet.DecodeFunc) error { return fl.f.Load(r, dec) }); err != nil {
 		return nil, err
 	}
 	return fl, nil
@@ -436,7 +448,7 @@ func (f *Fleet) ImportMember(st *MemberState) error {
 	if st == nil {
 		return fmt.Errorf("edgedrift: import: nil member state")
 	}
-	return f.f.ImportMember(st, f.decodeMember())
+	return f.decoding(func(dec fleet.DecodeFunc) error { return f.f.ImportMember(st, dec) })
 }
 
 // ErrAlreadyRegistered is re-exported so callers can tell a taken

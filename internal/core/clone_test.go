@@ -204,11 +204,14 @@ func TestCloneAtEnsembleAdopt(t *testing.T) {
 }
 
 // TestDetectorFitsItsSizeClass pins the detector's own struct, which
-// every stream allocates, to the 640 B allocation class on 64-bit
+// every stream allocates, to the 512 B allocation class on 64-bit
 // targets: the per-stage operation tables (6 × 56 B) live behind a
-// pointer that only SetOps fills.
+// pointer that only SetOps fills, the configuration (120 B) behind one
+// a clone shares with its source, and the monitoring-score moments sit
+// in the struct. It measures 504 B, 8 B of slack; at 600 B, with its
+// own configuration, it took the 640 B class.
 func TestDetectorFitsItsSizeClass(t *testing.T) {
-	if size := unsafe.Sizeof(Detector{}); unsafe.Sizeof(uintptr(0)) == 8 && size > 640 {
-		t.Fatalf("Detector is %d B, want at most 640 B", size)
+	if size := unsafe.Sizeof(Detector{}); unsafe.Sizeof(uintptr(0)) == 8 && size > 512 {
+		t.Fatalf("Detector is %d B, want at most 512 B", size)
 	}
 }

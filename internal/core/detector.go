@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"edgedrift/internal/health"
 	"edgedrift/internal/mat"
@@ -299,15 +300,20 @@ type Result struct {
 // multi-instance discriminative model. It is not safe for concurrent
 // use; the fleet layer (internal/fleet) is the concurrent entry point.
 type Detector struct {
-	cfg     Config
+	// cfg is read-only once the detector holds it, so a clone shares its
+	// source's (CloneAt); SetErrorThreshold, its one writer, swaps in a
+	// copy.
+	cfg     *Config
 	model   *model.Multi
 	classes int
 	dims    int
 
-	trainCor [][]float64 // trained centroids, one per class (see corShared)
-	cor      [][]float64 // recent test centroids
-	num      []int       // per-class sample counts backing the running mean
-	baseNum  []int       // counts at calibration, for ResetWindowState
+	// The centroids are C×D row-major slabs, one row per class (see
+	// row).
+	trainCor []float64 // trained centroids (see corShared)
+	cor      []float64 // recent test centroids
+	num      []int     // per-class sample counts backing the running mean
+	baseNum  []int     // counts at calibration, for ResetWindowState; one allocation with num
 
 	thetaError float64
 	thetaDrift float64
@@ -361,7 +367,7 @@ type Detector struct {
 	stageOps *[numStages]opcount.Counter
 	stageN   [numStages]uint64
 
-	scoreHist *stats.Running   // anomaly scores seen while monitoring (diagnostics)
+	scoreHist stats.Running    // anomaly scores seen while monitoring (diagnostics)
 	scoreBins *stats.Histogram // score distribution over [0, 4·θ_error), for health
 }
 
@@ -375,22 +381,27 @@ func New(m *model.Multi, cfg Config) (*Detector, error) {
 	if c.Precision != m.Precision() {
 		return nil, fmt.Errorf("core: config precision %v does not match model precision %v", c.Precision, m.Precision())
 	}
+	return newDetector(m, &c), nil
+}
+
+// newDetector binds a detector to m under the defaulted configuration
+// c, which it holds and never writes.
+func newDetector(m *model.Multi, c *Config) *Detector {
 	d := &Detector{
-		cfg:       c,
-		model:     m,
-		classes:   m.Classes(),
-		dims:      m.Config().Inputs,
-		scoreHist: &stats.Running{},
+		cfg:     c,
+		model:   m,
+		classes: m.Classes(),
+		dims:    m.Config().Inputs,
 	}
 	if c.Guard == GuardClamp {
 		// Pre-size the repair scratch so the hot path stays 0-alloc.
 		d.clampBuf = make([]float64, d.dims)
 	}
-	return d, nil
+	return d
 }
 
 // Config returns the defaulted configuration.
-func (d *Detector) Config() Config { return d.cfg }
+func (d *Detector) Config() Config { return *d.cfg }
 
 // Model returns the bound discriminative model.
 func (d *Detector) Model() *model.Multi { return d.model }
@@ -418,7 +429,9 @@ func (d *Detector) SetErrorThreshold(theta float64) error {
 	if !(theta > 0) || math.IsInf(theta, 0) {
 		return fmt.Errorf("core: error threshold %v must be finite and positive", theta)
 	}
-	d.cfg.ErrorThreshold = theta
+	c := *d.cfg
+	c.ErrorThreshold = theta
+	d.cfg = &c
 	if d.calibrated {
 		d.thetaError = theta
 		d.initScoreBins()
@@ -456,10 +469,15 @@ func (d *Detector) Reconstructions() int { return d.reconsDone }
 func (d *Detector) SamplesSeen() int { return d.samplesSeen }
 
 // TrainedCentroid returns a copy of class c's trained centroid.
-func (d *Detector) TrainedCentroid(c int) []float64 { return mat.CopyVec(d.trainCor[c]) }
+func (d *Detector) TrainedCentroid(c int) []float64 { return mat.CopyVec(d.row(d.trainCor, c)) }
 
 // RecentCentroid returns a copy of class c's recent test centroid.
-func (d *Detector) RecentCentroid(c int) []float64 { return mat.CopyVec(d.cor[c]) }
+func (d *Detector) RecentCentroid(c int) []float64 { return mat.CopyVec(d.row(d.cor, c)) }
+
+// row returns class c's centroid in the C×D slab cs.
+func (d *Detector) row(cs []float64, c int) []float64 {
+	return cs[c*d.dims : (c+1)*d.dims]
+}
 
 // StageOps returns the accumulated operation counts and invocation count
 // for a stage.
@@ -495,8 +513,8 @@ func (d *Detector) chargeDistance(n int) {
 // recent and trained centroid pair.
 func (d *Detector) centroidDist() float64 {
 	var s float64
-	for c := range d.cor {
-		s += d.distance(d.cor[c], d.trainCor[c])
+	for c := 0; c < d.classes; c++ {
+		s += d.distance(d.row(d.cor, c), d.row(d.trainCor, c))
 	}
 	return s
 }
@@ -515,12 +533,13 @@ func (d *Detector) windowStep(label int, x []float64) float64 {
 	d.ops.AddMulAdd(d.dims)
 	d.ops.AddDiv(d.dims)
 	var s, dist float64
-	for c := range d.cor {
+	for c := 0; c < d.classes; c++ {
+		cor, trained := d.row(d.cor, c), d.row(d.trainCor, c)
 		if c == label {
 			d.chargeDistance(d.dims)
-			d.num[c], dist = mat.RunningMeanUpdateL1Dist(d.cor[c], d.num[c], x, d.trainCor[c])
+			d.num[c], dist = mat.RunningMeanUpdateL1Dist(cor, d.num[c], x, trained)
 		} else {
-			dist = d.distance(d.cor[c], d.trainCor[c])
+			dist = d.distance(cor, trained)
 		}
 		s += dist
 	}
@@ -538,9 +557,9 @@ func (d *Detector) Calibrate(xs [][]float64, labels []int) error {
 	if len(xs[0]) != d.dims {
 		return fmt.Errorf("core: sample dimension %d, want %d", len(xs[0]), d.dims)
 	}
-	d.trainCor, d.corShared = newCentroids(d.classes, d.dims), false
-	d.cor = newCentroids(d.classes, d.dims)
-	d.num = make([]int, d.classes)
+	d.trainCor, d.corShared = make([]float64, d.classes*d.dims), false
+	d.cor = make([]float64, d.classes*d.dims)
+	d.num, d.baseNum = newCounts(d.classes)
 	for i, x := range xs {
 		l := labels[i]
 		if l < 0 || l >= d.classes {
@@ -549,15 +568,15 @@ func (d *Detector) Calibrate(xs [][]float64, labels []int) error {
 		if !mat.AllFinite(x) {
 			return fmt.Errorf("core: training sample %d has a non-finite feature", i)
 		}
-		d.num[l] = mat.RunningMeanUpdate(d.trainCor[l], d.num[l], x)
+		d.num[l] = mat.RunningMeanUpdate(d.row(d.trainCor, l), d.num[l], x)
 	}
-	for c := range d.cor {
-		copy(d.cor[c], d.trainCor[c])
+	copy(d.cor, d.trainCor)
+	for c := range d.num {
 		if d.num[c] == 0 {
 			return fmt.Errorf("core: class %d has no training samples", c)
 		}
 	}
-	d.baseNum = append([]int(nil), d.num...)
+	copy(d.baseNum, d.num)
 
 	// Eq. 1: θ_drift from the distribution of distances between each
 	// training sample and "the centroid of its predicted label" (§3.4) —
@@ -566,7 +585,7 @@ func (d *Detector) Calibrate(xs [][]float64, labels []int) error {
 	dists := make([]float64, len(xs))
 	for i, x := range xs {
 		pred, _ := d.model.Predict(x)
-		dists[i] = d.distance(x, d.trainCor[pred])
+		dists[i] = d.distance(x, d.row(d.trainCor, pred))
 	}
 	mu, sigma := stats.MeanStd(dists)
 	if d.cfg.DriftThreshold > 0 {
@@ -596,32 +615,21 @@ func (d *Detector) Calibrate(xs [][]float64, labels []int) error {
 	return nil
 }
 
-// newCentroids allocates one zeroed centroid per class.
-func newCentroids(classes, dims int) [][]float64 {
-	cs := make([][]float64, classes)
-	for c := range cs {
-		cs[c] = make([]float64, dims)
-	}
-	return cs
-}
-
-// copyCentroids returns a private copy of the centroids cs.
-func copyCentroids(cs [][]float64) [][]float64 {
-	out := make([][]float64, len(cs))
-	for c := range cs {
-		out[c] = append([]float64(nil), cs[c]...)
-	}
-	return out
+// newCounts returns zeroed per-class counts num and baseNum, in one
+// allocation.
+func newCounts(classes int) (num, baseNum []int) {
+	n := make([]int, 2*classes)
+	return n[:classes:classes], n[classes:]
 }
 
 // ownTrainCor gives d private trained centroids before a write when it
 // still shares them with a clone or its source, copying the shared
-// values. The shared slabs themselves are never written.
+// values. The shared slab itself is never written.
 func (d *Detector) ownTrainCor() {
 	if !d.corShared {
 		return
 	}
-	d.trainCor, d.corShared = copyCentroids(d.trainCor), false
+	d.trainCor, d.corShared = slices.Clone(d.trainCor), false
 }
 
 // EachShared calls fn once for every group of slabs d holds in common
@@ -839,11 +847,11 @@ func (d *Detector) monitorStep(x []float64, label int, score float64) Result {
 func (d *Detector) updateRecent(label int, x []float64) {
 	switch d.cfg.Update {
 	case EWMA:
-		mat.EWMAUpdate(d.cor[label], d.cfg.EWMAGamma, x)
+		mat.EWMAUpdate(d.row(d.cor, label), d.cfg.EWMAGamma, x)
 		d.num[label]++
 		d.ops.AddMulAdd(2 * d.dims)
 	default:
-		d.num[label] = mat.RunningMeanUpdate(d.cor[label], d.num[label], x)
+		d.num[label] = mat.RunningMeanUpdate(d.row(d.cor, label), d.num[label], x)
 		d.ops.AddMulAdd(d.dims)
 		d.ops.AddDiv(d.dims)
 	}
@@ -852,9 +860,7 @@ func (d *Detector) updateRecent(label int, x []float64) {
 // resetRecent restores recent centroids and counts to their calibrated
 // values (ResetWindowState ablation).
 func (d *Detector) resetRecent() {
-	for c := range d.cor {
-		copy(d.cor[c], d.trainCor[c])
-	}
+	copy(d.cor, d.trainCor)
 	copy(d.num, d.baseNum)
 	d.dist = 0
 }

@@ -212,12 +212,10 @@ var _ Streaming = (*MultiWindow)(nil)
 // thresholds from src, re-arming the member against the new concept.
 func (d *Detector) adoptStateFrom(src *Detector) {
 	d.ownTrainCor()
-	for c := range d.trainCor {
-		copy(d.trainCor[c], src.trainCor[c])
-		copy(d.cor[c], src.cor[c])
-	}
+	copy(d.trainCor, src.trainCor)
+	copy(d.cor, src.cor)
 	copy(d.num, src.num)
-	d.baseNum = append(d.baseNum[:0], src.baseNum...)
+	copy(d.baseNum, src.baseNum)
 	d.thetaDrift = src.thetaDrift
 	d.thetaError = src.thetaError
 	d.drift, d.check, d.win, d.dist, d.count = false, false, 0, 0, 0

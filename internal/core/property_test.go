@@ -115,12 +115,12 @@ func TestPropStateSanity(t *testing.T) {
 				if d.num[c] < 1 {
 					return false
 				}
-				for _, v := range d.cor[c] {
+				for _, v := range d.row(d.cor, c) {
 					if v != v { // NaN
 						return false
 					}
 				}
-				for _, v := range d.trainCor[c] {
+				for _, v := range d.row(d.trainCor, c) {
 					if v != v {
 						return false
 					}

@@ -45,7 +45,7 @@ func (d *Detector) reconstructStep(x []float64) Result {
 			// Threshold re-estimation uses only this phase: the coordinates
 			// have settled by NRecon/2, so these distances and scores
 			// characterise the new concept.
-			d.reconDists.Observe(d.distance(x, d.cor[label]))
+			d.reconDists.Observe(d.distance(x, d.row(d.cor, label)))
 			d.reconScores.Observe(score)
 			res.Label = label
 			res.Score = score
@@ -68,9 +68,9 @@ func (d *Detector) nearestCoord(x []float64) int {
 		d.chargeDistance(len(x))
 		return 0
 	}
-	best, bd := 0, d.distance(x, d.cor[0])
+	best, bd := 0, d.distance(x, d.row(d.cor, 0))
 	for c := 1; c < d.classes; c++ {
-		if dist := d.distance(x, d.cor[c]); dist < bd {
+		if dist := d.distance(x, d.row(d.cor, c)); dist < bd {
 			best, bd = c, dist
 		}
 	}
@@ -82,13 +82,10 @@ func (d *Detector) nearestCoord(x []float64) int {
 // coordinate and keep the substitution that maximises the total pairwise
 // distance between coordinates, spreading them out k-means++-style.
 func (d *Detector) initCoord(x []float64) {
-	min := d.pairwiseCoordDist()
+	min := d.pairwiseCoordDist(-1, nil)
 	label := -1
 	for c := 0; c < d.classes; c++ {
-		tmp := d.cor[c]
-		d.cor[c] = x
-		dist := d.pairwiseCoordDist()
-		d.cor[c] = tmp
+		dist := d.pairwiseCoordDist(c, x)
 		d.ops.AddCmp(1)
 		if min < dist {
 			label = c
@@ -96,19 +93,26 @@ func (d *Detector) initCoord(x []float64) {
 		}
 	}
 	if label != -1 {
-		copy(d.cor[label], x)
+		copy(d.row(d.cor, label), x)
 		// A freshly seeded coordinate represents one observation.
 		d.num[label] = 1
 	}
 }
 
 // pairwiseCoordDist is the Σ_{j<k} distance(cor[j], cor[k]) objective of
-// Algorithm 3.
-func (d *Detector) pairwiseCoordDist() float64 {
+// Algorithm 3, with x standing in for coordinate sub (none when sub is
+// -1).
+func (d *Detector) pairwiseCoordDist(sub int, x []float64) float64 {
+	coord := func(c int) []float64 {
+		if c == sub {
+			return x
+		}
+		return d.row(d.cor, c)
+	}
 	var s float64
 	for j := 0; j < d.classes; j++ {
 		for k := j + 1; k < d.classes; k++ {
-			s += d.distance(d.cor[j], d.cor[k])
+			s += d.distance(coord(j), coord(k))
 		}
 	}
 	return s
@@ -125,15 +129,15 @@ func (d *Detector) pairwiseCoordDist() float64 {
 // (a member of the data bulk), after which nearest-assignment can refine
 // it normally.
 func (d *Detector) updateCoord(x []float64) {
-	for c := range d.cor {
+	for c := range d.starve {
 		d.starve[c]++
 	}
 	label := d.nearestCoord(x)
 	limit := d.starveLimit()
 	repaired := false
-	for c := range d.cor {
+	for c := range d.num {
 		if c != label && d.num[c] <= 2 && d.starve[c] >= limit {
-			copy(d.cor[c], x)
+			copy(d.row(d.cor, c), x)
 			d.num[c] = 1
 			d.starve[c] = 0
 			repaired = true
@@ -144,7 +148,7 @@ func (d *Detector) updateCoord(x []float64) {
 		return
 	}
 	d.starve[label] = 0
-	d.num[label] = mat.RunningMeanUpdate(d.cor[label], d.num[label], x)
+	d.num[label] = mat.RunningMeanUpdate(d.row(d.cor, label), d.num[label], x)
 	d.ops.AddMulAdd(d.dims)
 	d.ops.AddDiv(d.dims)
 }
@@ -165,10 +169,8 @@ func (d *Detector) starveLimit() int {
 // detector.
 func (d *Detector) finishReconstruction() {
 	d.ownTrainCor()
-	for c := range d.trainCor {
-		copy(d.trainCor[c], d.cor[c])
-	}
-	d.baseNum = append(d.baseNum[:0], d.num...)
+	copy(d.trainCor, d.cor)
+	copy(d.baseNum, d.num)
 	if d.cfg.DriftThreshold <= 0 && d.reconDists.N() > 0 {
 		d.thetaDrift = d.reconDists.Mean() + float64(d.cfg.ZDrift*d.reconDists.Std())
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"edgedrift/internal/ckpt"
 	"edgedrift/internal/model"
@@ -56,9 +57,9 @@ func (d *Detector) SaveState(w io.Writer) error {
 			d.cfg.ErrorThreshold, d.cfg.DriftThreshold)
 	}
 	for c := 0; err == nil && c < d.classes; c++ {
-		err = ckpt.PutF64(cw, d.trainCor[c]...)
+		err = ckpt.PutF64(cw, d.row(d.trainCor, c)...)
 		if err == nil {
-			err = ckpt.PutF64(cw, d.cor[c]...)
+			err = ckpt.PutF64(cw, d.row(d.cor, c)...)
 		}
 		if err == nil {
 			err = ckpt.PutU32(cw, uint32(d.num[c]), uint32(d.baseNum[c]))
@@ -94,15 +95,13 @@ func (d *Detector) CheckpointState(w io.Writer) error {
 	if d.drift {
 		return errors.New("core: CheckpointState during reconstruction")
 	}
-	savedCor := copyCentroids(d.cor)
-	savedNum := append([]int(nil), d.num...)
+	savedCor := slices.Clone(d.cor)
+	savedNum := slices.Clone(d.num)
 	savedCheck, savedWin, savedDist := d.check, d.win, d.dist
 	d.resetRecent()
 	d.check, d.win = false, 0
 	err := d.SaveState(w)
-	for c := range d.cor {
-		copy(d.cor[c], savedCor[c])
-	}
+	copy(d.cor, savedCor)
 	copy(d.num, savedNum)
 	d.check, d.win, d.dist = savedCheck, savedWin, savedDist
 	return err
@@ -128,18 +127,16 @@ func (d *Detector) RestoreState(r io.Reader) error {
 	}
 	// Normalise the operational knobs that are host-local and not part
 	// of the serialised structural identity.
-	want := d.cfg
-	got := tmp.cfg
+	want := *d.cfg
+	got := *tmp.cfg
 	got.Guard, got.ClampLimit = want.Guard, want.ClampLimit
 	if got != want {
 		return fmt.Errorf("core: restore config mismatch: artifact %+v, detector %+v", tmp.cfg, d.cfg)
 	}
 	d.thetaError, d.thetaDrift = tmp.thetaError, tmp.thetaDrift
 	d.ownTrainCor()
-	for c := 0; c < d.classes; c++ {
-		copy(d.trainCor[c], tmp.trainCor[c])
-		copy(d.cor[c], tmp.cor[c])
-	}
+	copy(d.trainCor, tmp.trainCor)
+	copy(d.cor, tmp.cor)
 	copy(d.num, tmp.num)
 	copy(d.baseNum, tmp.baseNum)
 	d.check, d.win, d.dist = tmp.check, tmp.win, tmp.dist
@@ -218,13 +215,13 @@ func loadStateBody(r io.Reader, m *model.Multi) (*Detector, error) {
 	if err != nil {
 		return nil, err
 	}
-	trainCor, cor := newCentroids(classes, dims), newCentroids(classes, dims)
-	num, baseNum := make([]int, classes), make([]int, classes)
+	trainCor, cor := make([]float64, classes*dims), make([]float64, classes*dims)
+	num, baseNum := newCounts(classes)
 	for c := 0; c < classes; c++ {
-		if err := ckpt.GetF64s(r, trainCor[c]); err != nil {
+		if err := ckpt.GetF64s(r, d.row(trainCor, c)); err != nil {
 			return nil, err
 		}
-		if err := ckpt.GetF64s(r, cor[c]); err != nil {
+		if err := ckpt.GetF64s(r, d.row(cor, c)); err != nil {
 			return nil, err
 		}
 		var n, bn uint32
@@ -244,7 +241,7 @@ func loadStateBody(r io.Reader, m *model.Multi) (*Detector, error) {
 // parameter here, and neither can leave it out. The slices are adopted,
 // not copied.
 func (d *Detector) setSaved(thetaError, thetaDrift float64, check bool, win int, dist float64,
-	trainCor, cor [][]float64, num, baseNum []int) {
+	trainCor, cor []float64, num, baseNum []int) {
 	d.thetaError, d.thetaDrift = thetaError, thetaDrift
 	d.check, d.win, d.dist = check, win, dist
 	d.trainCor, d.cor = trainCor, cor

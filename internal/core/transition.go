@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 
 	"edgedrift/internal/model"
 	"edgedrift/internal/oselm"
@@ -43,6 +44,8 @@ type Transitioner interface {
 // window machinery — the host-local guard policy and the lifetime
 // diagnostics, bit for bit (all of it float64, so at any model
 // precision). The recent centroids and counts are the clone's own. The
+// configuration is shared, as no detector writes the one it holds
+// (SetErrorThreshold swaps in a copy), but at another precision. The
 // trained centroids, which only a finished reconstruction, an ensemble
 // adopt, a restore or a re-Calibrate writes, are shared copy-on-write
 // when m computes at d's precision, as a model clone shares β and P:
@@ -61,20 +64,22 @@ func (d *Detector) CloneAt(m *model.Multi) (*Detector, error) {
 	if d.drift {
 		return nil, errors.New("core: CloneAt during reconstruction")
 	}
-	cfg := d.cfg
-	cfg.Precision = m.Precision()
-	nd, err := New(m, cfg)
-	if err != nil {
-		return nil, err
-	}
-	trainCor := d.trainCor
-	if m.Precision() == d.model.Precision() {
-		d.corShared, nd.corShared = true, true
+	cfg, trainCor := d.cfg, d.trainCor
+	shared := m.Precision() == d.model.Precision()
+	if shared {
+		d.corShared = true
 	} else {
-		trainCor = copyCentroids(trainCor)
+		c := *d.cfg
+		c.Precision = m.Precision()
+		cfg, trainCor = &c, slices.Clone(trainCor)
 	}
+	nd := newDetector(m, cfg)
+	nd.corShared = shared
+	num, baseNum := newCounts(d.classes)
+	copy(num, d.num)
+	copy(baseNum, d.baseNum)
 	nd.setSaved(d.thetaError, d.thetaDrift, d.check, d.win, d.dist, trainCor,
-		copyCentroids(d.cor), append([]int(nil), d.num...), append([]int(nil), d.baseNum...))
+		slices.Clone(d.cor), num, baseNum)
 	// The clone rejects and repairs bit-identically: the guard's
 	// counters and the last accepted result (GuardReject replays it).
 	nd.rejected, nd.clamped, nd.lastGood = d.rejected, d.clamped, d.lastGood
@@ -85,6 +90,6 @@ func (d *Detector) CloneAt(m *model.Multi) (*Detector, error) {
 	nd.reconsDone = d.reconsDone
 	nd.divergences = d.divergences
 	nd.merges = d.merges
-	*nd.scoreHist = *d.scoreHist
+	nd.scoreHist = d.scoreHist
 	return nd, nil
 }

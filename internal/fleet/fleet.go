@@ -101,9 +101,6 @@ type member struct {
 	// once at Add time through the same seams (nil for single-precision
 	// stages — baselines, the Q16.16 port itself).
 	trans core.Transitioner
-	// phase reports the stage's detector phase, when it exposes one; the
-	// cooperative policies use it to skip mid-reconstruction peers.
-	phase func() core.Phase
 	// cohort names the member's cooperation group ("" = none) and fprint
 	// caches its merge fingerprint, so peer eligibility is an integer
 	// compare, not a state export.
@@ -230,9 +227,6 @@ func (f *Fleet) addMember(id string, s core.Streaming, mc MemberConfig, samples,
 	}
 	if tr, ok := core.Find[core.Transitioner](mb.stage); ok {
 		mb.trans = tr
-	}
-	if p, ok := mb.stage.(interface{ PhaseNow() core.Phase }); ok {
-		mb.phase = p.PhaseNow
 	}
 	if mc.Cohort != "" && mb.merger == nil {
 		return fmt.Errorf("fleet: stream %q: cohort %q requires a mergeable stage (detect-only members cannot cooperate): %w",
@@ -582,7 +576,11 @@ func (f *Fleet) MemberFingerprint(id string) (uint64, error) {
 // the caller's, since each caller compares against a different
 // reference. The caller holds m.mu.
 func (m *member) donor() bool {
-	return m.merger != nil && (m.phase == nil || m.phase() != core.Reconstructing)
+	if m.merger == nil {
+		return false
+	}
+	p, ok := m.stage.(interface{ PhaseNow() core.Phase })
+	return !ok || p.PhaseNow() != core.Reconstructing
 }
 
 // errDetectOnly is the error a merge operation on a member without

@@ -46,27 +46,15 @@ func (f *Fleet) shareProjection(mb *member) {
 	}
 }
 
-// sharePeer rebinds every instance of mm to the projection of the same
-// instance of peer's model, under peer's lock, and reports whether any
-// instance was rebound; mm then borrows its working sets from peer's
-// scratch list too.
+// sharePeer rebinds every instance of mm to the frame of the same
+// instance of peer's model (model.Multi.ShareFrames), under peer's
+// lock, and reports whether it did: mm then holds peer's projections
+// and borrows its working sets from peer's scratch list.
 func sharePeer(mm *model.Multi, peer *member) bool {
 	peer.mu.Lock()
 	defer peer.mu.Unlock()
 	pd, ok := stageDetector(peer.stage)
-	if peer.removed || !ok || pd.Model().Classes() != mm.Classes() {
-		return false
-	}
-	shared := false
-	for i := 0; i < mm.Classes(); i++ {
-		if mm.Instance(i).Model().ShareProjection(pd.Model().Instance(i).Model()) {
-			shared = true
-		}
-	}
-	if shared {
-		mm.ShareScratch(pd.Model())
-	}
-	return shared
+	return !peer.removed && ok && mm.ShareFrames(pd.Model())
 }
 
 // ShareProjection binds om, a model instance being decoded, to the

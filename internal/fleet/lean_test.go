@@ -75,15 +75,16 @@ func projectionBytes(ds ...*core.Detector) (all, owned, distinct int) {
 	for _, d := range ds {
 		dv := reflect.ValueOf(d).Elem()
 		cor := dv.FieldByName("trainCor")
-		slab(dv.FieldByName("corShared").Bool(), cor.Index(0).Pointer(), 8*cor.Len()*cor.Index(0).Len())
+		slab(dv.FieldByName("corShared").Bool(), cor.Pointer(), 8*cor.Len())
 		mm := reflect.ValueOf(d.Model()).Elem()
 		scr := mm.FieldByName("scr")
 		slab(mm.FieldByName("scrShared").Bool(), scr.Pointer(), listBytes(d.Model(), scr.Elem()))
 		for i := 0; i < d.Model().Classes(); i++ {
 			mv := reflect.ValueOf(d.Model().Instance(i).Model()).Elem()
-			w, bias, beta, es := mv.FieldByName("w"), mv.FieldByName("bias"), mv.FieldByName("beta"), 8
-			if w32 := mv.FieldByName("w32"); !w32.IsNil() {
-				w, bias, beta, es = w32, mv.FieldByName("bias32"), mv.FieldByName("beta32"), 4
+			fv := mv.FieldByName("f").Elem()
+			w, bias, beta, es := fv.FieldByName("w"), fv.FieldByName("bias"), mv.FieldByName("beta"), 8
+			if w32 := fv.FieldByName("w32"); !w32.IsNil() {
+				w, bias, beta, es = w32, fv.FieldByName("bias32"), mv.FieldByName("beta32"), 4
 			}
 			slab(mv.FieldByName("wShared").Bool(), data(w).Pointer(), es*(data(w).Len()+bias.Len()))
 			p := data(mv.FieldByName("p"))

@@ -78,9 +78,9 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() uint64 { return h.sum.Load() }
 
-// Quantile returns an upper bound on the q-quantile of the live
-// histogram — Snapshot().Quantile(q) without making the caller hold a
-// snapshot. See HistogramSnapshot.Quantile for the estimate's fidelity.
+// Quantile estimates the q-quantile of the live histogram —
+// Snapshot().Quantile(q) without making the caller hold a snapshot. See
+// HistogramSnapshot.Quantile for the estimate's fidelity.
 func (h *Histogram) Quantile(q float64) uint64 { return h.Snapshot().Quantile(q) }
 
 // Snapshot returns a consistent-enough point-in-time copy for
@@ -134,11 +134,13 @@ func (s HistogramSnapshot) Mean() float64 {
 	return float64(s.Sum) / float64(s.Count)
 }
 
-// Quantile returns an upper bound on the q-quantile (0 ≤ q ≤ 1) of the
-// observed distribution: the upper bound of the first bucket whose
-// cumulative count reaches q·Count. Power-of-two buckets make this a
-// within-2× estimate, which is the right fidelity for an operational
-// latency dashboard at zero hot-path cost.
+// Quantile estimates the q-quantile (0 ≤ q ≤ 1) of the observed
+// distribution: it finds the bucket holding the observation of rank
+// ⌈q·Count⌉ and interpolates by that rank within the bucket, as if its
+// observations were spread evenly over the bucket's integers. Observations
+// spread that way read back exactly; at worst the estimate stays inside
+// the bucket, within 2× of the true value, as the bucket's upper bound
+// was. A bucket holding one observation reads its upper bound.
 func (s HistogramSnapshot) Quantile(q float64) uint64 {
 	if s.Count == 0 {
 		return 0
@@ -149,10 +151,28 @@ func (s HistogramSnapshot) Quantile(q float64) uint64 {
 	}
 	var cum uint64
 	for i, c := range s.Buckets {
-		cum += c
-		if cum >= target {
-			return s.UpperBound(i)
+		if cum+c >= target {
+			return s.interpolate(i, target-cum)
 		}
+		cum += c
 	}
 	return s.UpperBound(HistogramBuckets - 1)
+}
+
+// interpolate returns the value of rank k (1 ≤ k ≤ Buckets[i]) within
+// bucket i, whose observations are taken as spread evenly over its
+// integers [2^(i−1), 2^i − 1] (bucket 0 holds only 0): the bucket's
+// lower bound plus ⌈width·k/count⌉ − 1.
+func (s HistogramSnapshot) interpolate(i int, k uint64) uint64 {
+	if i == 0 {
+		return 0
+	}
+	lo := uint64(1) << uint(i-1)
+	// width·k/count ≤ width, so the quotient fits in 64 bits.
+	hi, low := bits.Mul64(lo, k)
+	off, rem := bits.Div64(hi, low, s.Buckets[i])
+	if rem > 0 {
+		off++
+	}
+	return lo + off - 1
 }

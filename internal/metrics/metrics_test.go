@@ -69,23 +69,55 @@ func TestHistogramQuantile(t *testing.T) {
 		t.Fatal("empty histogram quantile must be 0")
 	}
 	for i := 0; i < 90; i++ {
-		h.Observe(100) // bucket 7, upper bound 127
+		h.Observe(100) // bucket 7, [64, 127]
 	}
 	for i := 0; i < 10; i++ {
-		h.Observe(100_000) // bucket 17, upper bound 131071
+		h.Observe(100_000) // bucket 17, [65536, 131071]
 	}
 	s := h.Snapshot()
-	if got := s.Quantile(0.5); got != 127 {
-		t.Fatalf("p50 = %d, want 127", got)
+	// Rank 50 of the 90 in bucket 7: 64 + ⌈64·50/90⌉ − 1.
+	if got := s.Quantile(0.5); got != 99 {
+		t.Fatalf("p50 = %d, want 99", got)
 	}
 	if got := h.Quantile(0.5); got != s.Quantile(0.5) {
 		t.Fatalf("live Quantile %d disagrees with snapshot %d", got, s.Quantile(0.5))
 	}
-	if got := s.Quantile(0.99); got != 131071 {
-		t.Fatalf("p99 = %d, want 131071", got)
+	// Rank 9 of the 10 in bucket 17: 65536 + ⌈65536·9/10⌉ − 1.
+	if got := s.Quantile(0.99); got != 124518 {
+		t.Fatalf("p99 = %d, want 124518", got)
 	}
 	if got, want := s.Mean(), (90*100.0+10*100_000.0)/100; got != want {
 		t.Fatalf("mean = %v, want %v", got, want)
+	}
+}
+
+// TestHistogramQuantileInterpolates: observations spread evenly over
+// one bucket read back their true quantiles, within 2%, not the
+// bucket's upper bound; zeros read 0, and the bucket boundaries hold.
+func TestHistogramQuantileInterpolates(t *testing.T) {
+	var h Histogram
+	for v := uint64(8192); v < 16384; v++ { // all of bucket 14
+		h.Observe(v)
+	}
+	s := h.Snapshot()
+	for _, q := range []float64{0.01, 0.25, 0.5, 0.9, 0.99, 1} {
+		// The true q-quantile of the 8,192 values: rank ⌈q·n⌉.
+		want := 8192 + math.Ceil(q*8192) - 1
+		if got := float64(s.Quantile(q)); math.Abs(got-want) > 0.02*want {
+			t.Errorf("q=%v: %v, want %v within 2%%", q, got, want)
+		}
+	}
+	if got := s.Quantile(1); got != 16383 {
+		t.Errorf("p100 = %d, want the bucket's top 16383", got)
+	}
+	if got := s.Quantile(0); got != 8192 {
+		t.Errorf("p0 = %d, want the bucket's bottom 8192", got)
+	}
+	var z Histogram
+	z.Observe(0)
+	z.Observe(0)
+	if got := z.Snapshot().Quantile(0.99); got != 0 {
+		t.Errorf("p99 of zeros = %d, want 0", got)
 	}
 }
 

@@ -23,8 +23,8 @@ func (m *Multi) AdoptState(src *Multi) error {
 	if len(m.instances) != len(src.instances) {
 		return fmt.Errorf("model: AdoptState class mismatch: have %d, adopting %d", len(m.instances), len(src.instances))
 	}
-	for i, inst := range m.instances {
-		if err := inst.AdoptState(src.instances[i]); err != nil {
+	for i := range m.instances {
+		if err := m.instances[i].AdoptState(&src.instances[i]); err != nil {
 			return fmt.Errorf("model: instance %d: %w", i, err)
 		}
 	}

@@ -28,8 +28,8 @@ func (m *Multi) Fingerprint() uint64 {
 		h.Write(buf[:])
 	}
 	put(uint64(m.cfg.Classes))
-	for _, ae := range m.instances {
-		put(ae.Fingerprint())
+	for i := range m.instances {
+		put(m.instances[i].Fingerprint())
 	}
 	return h.Sum64()
 }
@@ -60,7 +60,7 @@ func (m *Multi) Merge(srcs ...*Multi) error {
 	peers := make([]*oselm.Autoencoder, len(srcs))
 	for i := range m.instances {
 		for k, s := range srcs {
-			peers[k] = s.instances[i]
+			peers[k] = &s.instances[i]
 		}
 		if err := m.instances[i].Merge(peers...); err != nil {
 			return fmt.Errorf("model: merge instance %d: %w", i, err)
@@ -78,9 +78,9 @@ func (m *Multi) ExportMergeState() ([]byte, error) {
 	var u4 [4]byte
 	binary.LittleEndian.PutUint32(u4[:], uint32(len(m.instances)))
 	buf.Write(u4[:])
-	for i, ae := range m.instances {
+	for i := range m.instances {
 		var inst bytes.Buffer
-		if _, err := ae.Save(&inst, oselm.Float64); err != nil {
+		if _, err := m.instances[i].Save(&inst, oselm.Float64); err != nil {
 			return nil, fmt.Errorf("model: export instance %d: %w", i, err)
 		}
 		var u8 [8]byte

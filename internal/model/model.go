@@ -55,18 +55,19 @@ type Config struct {
 // that need throughput parallelise across streams (see internal/fleet),
 // not within one Predict.
 //
-// A Multi holds only its instances' state. Each call borrows one set
-// from scr — a slot per instance, each with its score — and gives it
-// back before it returns; the list is bound over the instances
-// (oselm.Model.UseScratch), so a direct call on one instance borrows
-// from it too. Clone shares it and so does ShareScratch, marking it
-// scrShared: MemoryBytes then leaves it out and EachShared names it.
+// A Multi holds only its instances' state, the instances by value in
+// one slice. Each call borrows one set from scr — a slot per instance,
+// each with its score — and gives it back before it returns; the list
+// is bound over the instances (oselm.Model.UseScratch), so a direct
+// call on one instance borrows from it too. Clone shares it, and the
+// configuration, and so does ShareFrames, marking the list scrShared:
+// MemoryBytes then leaves it out and EachShared names it.
 type Multi struct {
-	cfg       Config
-	instances []*oselm.Autoencoder
+	cfg       *Config
+	instances []oselm.Autoencoder
 	scr       *oselm.Scratches
-	scrShared bool
 	ops       *opcount.Counter
+	scrShared bool
 }
 
 var _ Discriminator = (*Multi)(nil)
@@ -79,8 +80,8 @@ func New(cfg Config, r *rng.Rand) (*Multi, error) {
 		return nil, fmt.Errorf("model: need at least one class, got %d", cfg.Classes)
 	}
 	m := &Multi{
-		cfg:       cfg,
-		instances: make([]*oselm.Autoencoder, cfg.Classes),
+		cfg:       &cfg,
+		instances: make([]oselm.Autoencoder, cfg.Classes),
 	}
 	for i := range m.instances {
 		ae, err := oselm.NewAutoencoder(oselm.Config{
@@ -94,7 +95,7 @@ func New(cfg Config, r *rng.Rand) (*Multi, error) {
 		if err != nil {
 			return nil, fmt.Errorf("model: instance %d: %w", i, err)
 		}
-		m.instances[i] = ae
+		m.instances[i] = *ae
 	}
 	m.bindScratch(nil)
 	return m, nil
@@ -107,22 +108,34 @@ func (m *Multi) bindScratch(l *oselm.Scratches) {
 		l = oselm.NewScratches(m.instances[0].Model().Config(), len(m.instances))
 	}
 	m.scr = l
-	for i, ae := range m.instances {
-		ae.Model().UseScratch(l, i)
+	for i := range m.instances {
+		m.instances[i].Model().UseScratch(l, i)
 	}
 }
 
-// ShareScratch rebinds m's scratch list to peer's when peer's serves
-// m's instances, and reports whether it did: registration gives the
-// members of one projection one list, as it gives them one projection.
-// It marks both models' list shared (see Clone), so it is a use of
-// peer under peer's one-goroutine contract.
-func (m *Multi) ShareScratch(peer *Multi) bool {
-	if !peer.scr.Fits(m.instances[0].Model().Config(), len(m.instances)) {
+// ShareFrames rebinds every instance of m to the frame of the same
+// instance of peer (oselm.Model.ShareFrame) and reports whether it
+// did: registration gives the members of one projection one copy of it
+// and one scratch list. When some instance's frame does not fit,
+// the instances keep whatever projection they were rebound to but go
+// back to m's own list, so a Multi never borrows from two lists. It
+// marks both models' list shared (see Clone), so it is a use of peer
+// under peer's one-goroutine contract.
+func (m *Multi) ShareFrames(peer *Multi) bool {
+	if len(peer.instances) != len(m.instances) {
 		return false
 	}
-	m.bindScratch(peer.scr)
-	m.scrShared, peer.scrShared = true, true
+	all := true
+	for i := range m.instances {
+		if !m.instances[i].Model().ShareFrame(peer.instances[i].Model()) {
+			all = false
+		}
+	}
+	if !all {
+		m.bindScratch(m.scr)
+		return false
+	}
+	m.scr, m.scrShared, peer.scrShared = peer.scr, true, true
 	return true
 }
 
@@ -130,7 +143,7 @@ func (m *Multi) ShareScratch(peer *Multi) bool {
 func (m *Multi) Classes() int { return m.cfg.Classes }
 
 // Config returns the construction config.
-func (m *Multi) Config() Config { return m.cfg }
+func (m *Multi) Config() Config { return *m.cfg }
 
 // Predict scores x under every instance and returns the argmin label with
 // its score (Algorithm 1 lines 6–7). The instances score in order and
@@ -145,8 +158,8 @@ func (m *Multi) Predict(x []float64) (int, float64) {
 // predictIn is Predict in the borrowed set g, whose slot i it leaves
 // holding instance i's forward pass of x.
 func (m *Multi) predictIn(g *oselm.ScratchSet, x []float64) (int, float64) {
-	for i, ae := range m.instances {
-		ae.ScoreIn(g.Slot(i), x)
+	for i := range m.instances {
+		m.instances[i].ScoreIn(g.Slot(i), x)
 	}
 	best, bestScore := 0, g.Slot(0).Score()
 	for i := range m.instances {
@@ -254,38 +267,37 @@ func (m *Multi) InitBatch(xs [][]float64, labels []int) error {
 // Reset clears every instance's learned state (random projections are
 // kept), used by drift-triggered model reconstruction.
 func (m *Multi) Reset() {
-	for _, ae := range m.instances {
-		ae.Reset()
+	for i := range m.instances {
+		m.instances[i].Reset()
 	}
 }
 
 // Clone returns a model that continues m's stream, each instance a
-// copy-on-write clone of m's (see oselm.Model.Clone): the projections
-// are shared for life, β and P until the first write to them, and the
-// scratch list for life. No operation counter is attached.
+// copy-on-write clone of m's (see oselm.Model.Clone): the
+// configuration, the frames (projections) and the scratch list are
+// shared for life, β and P until the first write to them. No operation
+// counter is attached.
 func (m *Multi) Clone() *Multi {
 	nm := &Multi{
 		cfg:       m.cfg,
-		instances: make([]*oselm.Autoencoder, len(m.instances)),
+		instances: make([]oselm.Autoencoder, len(m.instances)),
 		scr:       m.scr,
 		scrShared: true,
 	}
 	m.scrShared = true
-	for i, ae := range m.instances {
-		nm.instances[i] = ae.Clone()
-	}
+	oselm.CloneEach(nm.instances, m.instances)
 	return nm
 }
 
 // Instance exposes a single autoencoder, mainly for tests and
 // serialisation.
-func (m *Multi) Instance(i int) *oselm.Autoencoder { return m.instances[i] }
+func (m *Multi) Instance(i int) *oselm.Autoencoder { return &m.instances[i] }
 
 // SetOps attaches an operation counter to the model and all instances.
 func (m *Multi) SetOps(c *opcount.Counter) {
 	m.ops = c
-	for _, ae := range m.instances {
-		ae.SetOps(c)
+	for i := range m.instances {
+		m.instances[i].SetOps(c)
 	}
 }
 
@@ -294,8 +306,8 @@ func (m *Multi) SetOps(c *opcount.Counter) {
 // and the summed watchdog reset count.
 func (m *Multi) Health() oselm.Health {
 	agg := oselm.Health{PFinite: true, BetaFinite: true}
-	for _, ae := range m.instances {
-		h := ae.Model().HealthNow()
+	for i := range m.instances {
+		h := m.instances[i].Model().HealthNow()
 		agg.PTrace = math.Max(agg.PTrace, h.PTrace)
 		agg.PFinite = agg.PFinite && h.PFinite
 		agg.BetaFinite = agg.BetaFinite && h.BetaFinite
@@ -318,8 +330,8 @@ func (m *Multi) MemoryBytes() int {
 	if !m.scrShared {
 		total = m.scratchBytes()
 	}
-	for _, ae := range m.instances {
-		total += ae.MemoryBytes()
+	for i := range m.instances {
+		total += m.instances[i].MemoryBytes()
 	}
 	return total
 }
@@ -338,7 +350,7 @@ func (m *Multi) EachShared(fn func(key any, bytes int)) {
 	if m.scrShared {
 		fn(m.scr, m.scratchBytes())
 	}
-	for _, ae := range m.instances {
-		ae.Model().EachShared(fn)
+	for i := range m.instances {
+		m.instances[i].Model().EachShared(fn)
 	}
 }

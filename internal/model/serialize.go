@@ -72,10 +72,10 @@ func loadBody(r io.Reader, p *oselm.Projections) (*Multi, error) {
 		if err != nil {
 			return nil, fmt.Errorf("model: instance %d: %w", i, err)
 		}
-		m.instances = append(m.instances, ae)
+		m.instances = append(m.instances, *ae)
 	}
 	c0 := m.instances[0].Model().Config()
-	m.cfg = Config{
+	m.cfg = &Config{
 		Classes:     classes,
 		Inputs:      c0.Inputs,
 		Hidden:      c0.Hidden,
@@ -86,8 +86,8 @@ func loadBody(r io.Reader, p *oselm.Projections) (*Multi, error) {
 	}
 	// The model's config is instance 0's, so the instances must agree
 	// on shape and precision, as every saved model does.
-	for i, ae := range m.instances[1:] {
-		ci := ae.Model().Config()
+	for i := range m.instances[1:] {
+		ci := m.instances[i+1].Model().Config()
 		if ci.Inputs != c0.Inputs || ci.Hidden != c0.Hidden || ci.Precision != c0.Precision {
 			return nil, fmt.Errorf("model: instance %d shape %d×%d %v differs from %d×%d %v",
 				i+1, ci.Inputs, ci.Hidden, ci.Precision, c0.Inputs, c0.Hidden, c0.Precision)

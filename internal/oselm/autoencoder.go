@@ -62,7 +62,7 @@ func NewAutoencoder(cfg Config, metric ScoreMetric, r *rng.Rand) (*Autoencoder, 
 func (a *Autoencoder) Score(x []float64) float64 {
 	g, s := a.model.borrow()
 	r := a.ScoreIn(s, x)
-	a.model.scr.Put(g)
+	a.model.f.scr.Put(g)
 	return r
 }
 
@@ -108,7 +108,7 @@ func (a *Autoencoder) ScoreBatch(dst []float64, xs [][]float64) {
 	for i, x := range xs {
 		dst[i] = a.ScoreIn(s, x)
 	}
-	a.model.scr.Put(g)
+	a.model.f.scr.Put(g)
 }
 
 // Train folds x into the autoencoder (target = input).
@@ -144,7 +144,7 @@ func (a *Autoencoder) SetOps(c *opcount.Counter) { a.model.SetOps(c) }
 func (a *Autoencoder) SamplesSeen() int { return a.model.SamplesSeen() }
 
 // Precision returns the compute precision of the underlying model.
-func (a *Autoencoder) Precision() Precision { return a.model.cfg.Precision }
+func (a *Autoencoder) Precision() Precision { return a.model.f.cfg.Precision }
 
 // MemoryBytes reports retained state: the model's, whose residual
 // buffer holds the reconstruction.

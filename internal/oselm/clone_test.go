@@ -134,10 +134,10 @@ func TestCloneSharesProjection(t *testing.T) {
 		t.Fatal(err)
 	}
 	clone := tmpl.Clone()
-	if clone.w != tmpl.w || &clone.bias[0] != &tmpl.bias[0] {
+	if clone.f.w != tmpl.f.w || &clone.f.bias[0] != &tmpl.f.bias[0] {
 		t.Fatal("the clone does not hold the template's projection")
 	}
-	if !clone.fprintOK || clone.fprint != tmpl.Fingerprint() {
+	if !clone.f.fprintOK || clone.f.fprint != tmpl.Fingerprint() {
 		t.Fatal("the clone does not carry the template's fingerprint")
 	}
 	if !clone.ShareProjection(tmpl) || !clone.wShared {
@@ -145,5 +145,40 @@ func TestCloneSharesProjection(t *testing.T) {
 	}
 	if other := mustModel(t, Config{Inputs: 4, Hidden: 3, Outputs: 4}, 2); other.ShareProjection(tmpl) {
 		t.Fatal("ShareProjection accepted a different projection")
+	}
+}
+
+// TestCloneFrameCopyOnWrite: a clone holds its template's frame, and a
+// write to the frame — a watchdog setter, a scratch binding — gives the
+// writer a private copy first: the template and a sibling keep theirs
+// and train bit for bit as a model that was never cloned.
+func TestCloneFrameCopyOnWrite(t *testing.T) {
+	cfg := Config{Inputs: 6, Hidden: 5, Outputs: 6}
+	tmpl, ref := mustModel(t, cfg, 1), mustModel(t, cfg, 1)
+	writer, sibling := tmpl.Clone(), tmpl.Clone()
+	if writer.f != tmpl.f || sibling.f != tmpl.f {
+		t.Fatal("the clones do not hold the template's frame")
+	}
+	period, list := tmpl.f.wdPeriod, tmpl.f.scr
+	setWatchdogPeriod(writer, 1)
+	writer.UseScratch(NewScratches(writer.Config(), 2), 1)
+	if writer.f == tmpl.f || writer.f.wdPeriod != 1 || writer.f.slot != 1 {
+		t.Fatal("the writes did not land in a private frame")
+	}
+	if sibling.f != tmpl.f || tmpl.f.wdPeriod != period || tmpl.f.scr != list || tmpl.f.slot != 0 || tmpl.f.lent {
+		t.Fatal("a write through one clone reached the shared frame")
+	}
+	r := rng.New(9)
+	x := make([]float64, cfg.Inputs)
+	for i := 0; i < 300; i++ {
+		r.FillUniform(x, -1, 1)
+		for _, m := range []*Model{ref, tmpl, sibling, writer} {
+			m.Train(x, x)
+		}
+	}
+	for name, m := range map[string]*Model{"template": tmpl, "sibling": sibling} {
+		if !sameBitsMat(m.Beta(), ref.Beta()) || !sameBitsMat(m.P(), ref.P()) {
+			t.Fatalf("the %s's learned state differs from a model never cloned", name)
+		}
 	}
 }

@@ -19,20 +19,20 @@ import (
 // Fixed16 has its own quantisation path in internal/fixed). m is not
 // mutated.
 func (m *Model) ConvertPrecision(p Precision) (*Model, error) {
-	if p == m.cfg.Precision {
+	if p == m.f.cfg.Precision {
 		return nil, fmt.Errorf("oselm: ConvertPrecision to the current precision %v", p)
 	}
-	if m.cfg.Precision != Float64 || p != Float32 {
-		return nil, fmt.Errorf("oselm: unsupported precision conversion %v → %v (only f64 → f32; use internal/fixed for q16)", m.cfg.Precision, p)
+	if m.f.cfg.Precision != Float64 || p != Float32 {
+		return nil, fmt.Errorf("oselm: unsupported precision conversion %v → %v (only f64 → f32; use internal/fixed for q16)", m.f.cfg.Precision, p)
 	}
-	cfg := m.cfg
+	cfg := m.f.cfg
 	cfg.Precision = p
 	nm := alloc(cfg)
 	for i := 0; i < cfg.Hidden; i++ {
-		mat.ConvertVec(nm.w32.Row(i), m.w.Row(i))
+		mat.ConvertVec(nm.f.w32.Row(i), m.f.w.Row(i))
 		mat.ConvertVec(nm.beta32.Row(i), m.beta.Row(i))
 	}
-	mat.ConvertVec(nm.bias32, m.bias)
+	mat.ConvertVec(nm.f.bias32, m.f.bias)
 	copy(nm.p.Data, m.p.Data)
 	nm.inits = m.inits
 	nm.wdCount = m.wdCount

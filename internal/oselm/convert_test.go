@@ -27,16 +27,16 @@ func TestConvertPrecisionState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m32.cfg.Precision != Float32 {
-		t.Fatalf("twin precision %v", m32.cfg.Precision)
+	if m32.f.cfg.Precision != Float32 {
+		t.Fatalf("twin precision %v", m32.f.cfg.Precision)
 	}
-	for i, v := range dense(m.w) {
-		if m32.w32.Data[i] != float32(v) {
+	for i, v := range dense(m.f.w) {
+		if m32.f.w32.Data[i] != float32(v) {
 			t.Fatalf("W[%d] not the narrowed image", i)
 		}
 	}
-	for i, v := range m.bias {
-		if m32.bias32[i] != float32(v) {
+	for i, v := range m.f.bias {
+		if m32.f.bias32[i] != float32(v) {
 			t.Fatalf("bias[%d] not the narrowed image", i)
 		}
 	}
@@ -55,7 +55,7 @@ func TestConvertPrecisionState(t *testing.T) {
 	}
 
 	// The origin must stay bit-exact while the twin trains on.
-	wBefore := append([]float64(nil), m.w.Data...)
+	wBefore := append([]float64(nil), m.f.w.Data...)
 	betaBefore := append([]float64(nil), m.beta.Data...)
 	pBefore := append([]float64(nil), m.p.Data...)
 	o64 := make([]float64, d)
@@ -82,7 +82,7 @@ func TestConvertPrecisionState(t *testing.T) {
 		m32.Train(x, x)
 	}
 	for i := range wBefore {
-		if m.w.Data[i] != wBefore[i] {
+		if m.f.w.Data[i] != wBefore[i] {
 			t.Fatal("origin W mutated by the twin")
 		}
 	}

@@ -35,7 +35,7 @@ func TestFanWidthRowsOnLines(t *testing.T) {
 			if mm.p.Stride != 0 {
 				t.Fatalf("D=%d %s: P stride %d, want dense", tc.d, name, mm.p.Stride)
 			}
-			for which, w := range map[string]*mat.Matrix{"W": mm.w, "β": mm.beta} {
+			for which, w := range map[string]*mat.Matrix{"W": mm.f.w, "β": mm.beta} {
 				if w.Stride != tc.stride {
 					t.Fatalf("D=%d %s: %s stride %d, want %d", tc.d, name, which, w.Stride, tc.stride)
 				}
@@ -50,24 +50,24 @@ func TestFanWidthRowsOnLines(t *testing.T) {
 				t.Fatalf("D=%d %s: Weights lengths %d, %d, want %d", tc.d, name, len(w), len(beta), 22*tc.d)
 			}
 			for i := 0; i < 22; i++ {
-				if !sameBits64(w[i*tc.d:(i+1)*tc.d], mm.w.Row(i)) || !sameBits64(beta[i*tc.d:(i+1)*tc.d], mm.beta.Row(i)) {
+				if !sameBits64(w[i*tc.d:(i+1)*tc.d], mm.f.w.Row(i)) || !sameBits64(beta[i*tc.d:(i+1)*tc.d], mm.beta.Row(i)) {
 					t.Fatalf("D=%d %s: Weights row %d is not the matrix row", tc.d, name, i)
 				}
 			}
 		}
-		if !sameBitsMat(m.w, loaded.w) || !sameBitsMat(m.beta, loaded.beta) || m.Fingerprint() != loaded.Fingerprint() {
+		if !sameBitsMat(m.f.w, loaded.f.w) || !sameBitsMat(m.beta, loaded.beta) || m.Fingerprint() != loaded.Fingerprint() {
 			t.Fatalf("D=%d: loaded model differs from the saved one", tc.d)
 		}
 		m32, err := m.ConvertPrecision(Float32)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m32.w32.Stride != 0 || m32.beta32.Stride != 0 {
-			t.Fatalf("D=%d: float32 twin strides %d, %d, want dense", tc.d, m32.w32.Stride, m32.beta32.Stride)
+		if m32.f.w32.Stride != 0 || m32.beta32.Stride != 0 {
+			t.Fatalf("D=%d: float32 twin strides %d, %d, want dense", tc.d, m32.f.w32.Stride, m32.beta32.Stride)
 		}
 		w, _, beta := m.Weights()
 		for i, v := range w {
-			if m32.w32.Data[i] != float32(v) || m32.beta32.Data[i] != float32(beta[i]) {
+			if m32.f.w32.Data[i] != float32(v) || m32.beta32.Data[i] != float32(beta[i]) {
 				t.Fatalf("D=%d: float32 twin element %d is not the narrowed image", tc.d, i)
 			}
 		}

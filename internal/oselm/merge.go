@@ -41,7 +41,7 @@ func (m *Model) CompatibleWith(o *Model) error {
 	if o == nil {
 		return mergeErrf("nil model")
 	}
-	a, b := m.cfg, o.cfg
+	a, b := m.f.cfg, o.f.cfg
 	switch {
 	case a.Inputs != b.Inputs || a.Hidden != b.Hidden || a.Outputs != b.Outputs:
 		return mergeErrf("shape D×H×M %d×%d×%d vs %d×%d×%d",
@@ -57,13 +57,7 @@ func (m *Model) CompatibleWith(o *Model) error {
 	case a.WeightScale != b.WeightScale:
 		return mergeErrf("weight scale %v vs %v", a.WeightScale, b.WeightScale)
 	}
-	if m.w32 != nil {
-		if !sameBits32(m.w32.Data, o.w32.Data) || !sameBits32(m.bias32, o.bias32) {
-			return mergeErrf("different seed topology (random projections W·b differ)")
-		}
-		return nil
-	}
-	if !sameBitsMat(m.w, o.w) || !sameBits64(m.bias, o.bias) {
+	if !sameProjection(m.f, o.f) {
 		return mergeErrf("different seed topology (random projections W·b differ)")
 	}
 	return nil
@@ -115,34 +109,34 @@ func sameBits32(a, b []float32) bool {
 // compatibility without shipping full state, and the fleet keys its
 // shared projections by it. It is computed once and cached.
 func (m *Model) Fingerprint() uint64 {
-	if !m.fprintOK {
-		m.fprint, m.fprintOK = m.fingerprint(), true
+	if f := m.f; !f.fprintOK {
+		f.fprint, f.fprintOK = m.fingerprint(), true
 	}
-	return m.fprint
+	return m.f.fprint
 }
 
 // fingerprint computes Fingerprint.
 func (m *Model) fingerprint() uint64 {
 	h := uint64(fnvOffset64)
-	for _, v := range [...]uint64{uint64(m.cfg.Inputs), uint64(m.cfg.Hidden), uint64(m.cfg.Outputs),
-		uint64(m.cfg.Activation), uint64(m.cfg.Precision), math.Float64bits(m.cfg.Forgetting),
-		math.Float64bits(m.cfg.Ridge), math.Float64bits(m.cfg.WeightScale)} {
+	for _, v := range [...]uint64{uint64(m.f.cfg.Inputs), uint64(m.f.cfg.Hidden), uint64(m.f.cfg.Outputs),
+		uint64(m.f.cfg.Activation), uint64(m.f.cfg.Precision), math.Float64bits(m.f.cfg.Forgetting),
+		math.Float64bits(m.f.cfg.Ridge), math.Float64bits(m.f.cfg.WeightScale)} {
 		h = fnvWord(h, v)
 	}
-	if m.w32 != nil {
-		for _, v := range m.w32.Data {
+	if m.f.w32 != nil {
+		for _, v := range m.f.w32.Data {
 			h = fnvWord(h, uint64(math.Float32bits(v)))
 		}
-		for _, v := range m.bias32 {
+		for _, v := range m.f.bias32 {
 			h = fnvWord(h, uint64(math.Float32bits(v)))
 		}
 	} else {
-		for i := 0; i < m.w.Rows; i++ {
-			for _, v := range m.w.Row(i) {
+		for i := 0; i < m.f.w.Rows; i++ {
+			for _, v := range m.f.w.Row(i) {
 				h = fnvWord(h, math.Float64bits(v))
 			}
 		}
-		for _, v := range m.bias {
+		for _, v := range m.f.bias {
 			h = fnvWord(h, math.Float64bits(v))
 		}
 	}
@@ -201,7 +195,7 @@ func (m *Model) Merge(srcs ...*Model) error {
 			return fmt.Errorf("source %d: %w", i, err)
 		}
 	}
-	hn, mn := m.cfg.Hidden, m.cfg.Outputs
+	hn, mn := m.f.cfg.Hidden, m.f.cfg.Outputs
 	sumInv := mat.New(hn, hn) // Σ_k P_k⁻¹ − (K−1)·λ·I
 	rhs := mat.New(hn, mn)    // Σ_k P_k⁻¹·β_k
 	pinv := mat.New(hn, hn)
@@ -220,7 +214,7 @@ func (m *Model) Merge(srcs ...*Model) error {
 		}
 		total += s.inits
 	}
-	sumInv.AddDiag(float64(-float64(len(srcs)-1) * m.cfg.Ridge))
+	sumInv.AddDiag(float64(-float64(len(srcs)-1) * m.f.cfg.Ridge))
 	pNew := mat.New(hn, hn)
 	if err := mat.Inverse(pNew, sumInv); err != nil {
 		return fmt.Errorf("oselm: merge: invert joint gram: %w", err)

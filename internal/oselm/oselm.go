@@ -116,55 +116,73 @@ func (c Config) withDefaults() (Config, error) {
 	return c, nil
 }
 
-// Model is an OS-ELM instance. It is not safe for concurrent use.
+// Model is an OS-ELM instance: a frame it may share with other models,
+// and the learned state it owns. It is not safe for concurrent use.
 type Model struct {
-	cfg Config
+	f *frame
 
-	w    *mat.Matrix // Hidden×Inputs random input weights (Float64 backend)
-	bias []float64   // Hidden biases (Float64 backend)
 	beta *mat.Matrix // Hidden×Outputs learned output weights (Float64 backend)
 	p    *mat.Matrix // Hidden×Hidden inverse-covariance state (always float64)
-	// wShared marks the projection (w and bias, or w32 and bias32) as
-	// read-only slabs other models may hold too (see Clone and
-	// ShareProjection): MemoryBytes leaves it out and EachShared names
-	// it, at either precision.
-	wShared bool
-	// lshared marks β (β32) and P as copy-on-write slabs shared with a
-	// clone or a template (see Clone): every writer calls own first.
-	lshared bool
-	// fprint caches Fingerprint once computed (fprintOK): everything it
-	// hashes is fixed for the model's life, barring an AdoptState that
-	// rebinds the projection.
-	fprint   uint64
-	fprintOK bool
-
-	// Float32 backend state. When cfg.Precision == Float32 the model owns
-	// its inference-side parameters at float32 and the float64 twins above
-	// (w, bias, beta) are nil; P and the RLS scratch stay float64 so the
-	// Sherman-Morrison recursion keeps its conditioning.
-	w32    *mat.MatrixOf[float32] // Hidden×Inputs random input weights
-	bias32 []float32              // Hidden biases
-	beta32 *mat.MatrixOf[float32] // Hidden×Outputs learned output weights
-
-	// scr is the free list each call borrows its working set from (see
-	// Scratches), slot the model's slot in each set. A bare model's list
-	// is its own, made at first use (nil until then); Clone shares it,
-	// marking both holders scrShared, as wShared marks the projection;
-	// scrLent marks a list a model.Multi binds over its instances and
-	// audits itself (UseScratch).
-	scr       *Scratches
-	slot      int
-	scrShared bool
-	scrLent   bool
+	// beta32 is β on the Float32 backend, where beta is nil; P and the
+	// RLS scratch stay float64 there so the Sherman-Morrison recursion
+	// keeps its conditioning.
+	beta32 *mat.MatrixOf[float32]
 
 	ops   *opcount.Counter
 	inits int // samples consumed since last Reset (sequential-only training)
 
 	// RLS health watchdog state; see watchdog().
+	wdCount  int    // trains since the last pass
+	wdResets uint64 // divergence repairs since creation
+
+	// fShared marks the frame as held by other models too (Clone,
+	// ShareFrame): a writer of the frame first takes a private copy
+	// (ownFrame). Every holder of a shared frame has it set.
+	fShared bool
+	// wShared marks the frame's projection (w and bias, or w32 and
+	// bias32) as read-only slabs other models may hold too (see Clone
+	// and ShareProjection): MemoryBytes leaves it out and EachShared
+	// names it, at either precision.
+	wShared bool
+	// lshared marks β (β32) and P as copy-on-write slabs shared with a
+	// clone or a template (see Clone): every writer calls own first.
+	lshared bool
+	// scrShared marks the frame's scratch list as held by other models
+	// too (Clone, ShareFrame), as wShared marks the projection.
+	scrShared bool
+}
+
+// frame is what a model never writes once other models hold it: the
+// configuration, the random projection, the cached fingerprint, the
+// watchdog limits and the scratch list. A template and its clones hold
+// one frame; a writer of any of it (AdoptState, UseScratch) first gives
+// its model a private copy (ownFrame). Everything a frame caches —
+// the fingerprint, a bare model's list — is filled in before the frame
+// is first shared (share), so a shared frame is only read.
+type frame struct {
+	cfg Config
+
+	w    *mat.Matrix // Hidden×Inputs random input weights (Float64 backend)
+	bias []float64   // Hidden biases (Float64 backend)
+	// The Float32 backend's projection, where w and bias are nil.
+	w32    *mat.MatrixOf[float32]
+	bias32 []float32
+
+	// fprint caches Fingerprint once computed (fprintOK).
+	fprint   uint64
+	fprintOK bool
+	// lent marks a list a model.Multi binds over its instances and
+	// audits itself (UseScratch).
+	lent bool
+
 	wdPeriod   int     // trains between watchdog passes
-	wdCount    int     // trains since the last pass
-	wdResets   uint64  // divergence repairs since creation
 	traceLimit float64 // tr(P) above this counts as divergence
+
+	// scr is the free list each call borrows its working set from (see
+	// Scratches), slot the model's slot in each set. A bare model's list
+	// is its own, made at first use (nil until then).
+	scr  *Scratches
+	slot int
 }
 
 // Watchdog defaults. The period keeps the O(H²) P scan amortised to a
@@ -191,23 +209,23 @@ func New(cfg Config, r *rng.Rand) (*Model, error) {
 		return nil, err
 	}
 	m := alloc(c)
-	if m.w32 != nil {
+	if m.f.w32 != nil {
 		// Draw the projection at float64 from the same RNG stream as the
 		// full-precision backend and narrow, so an f32 model with a given
 		// seed is the rounded image of the f64 model with that seed —
 		// which is what makes cross-precision parity tests meaningful.
-		wd := make([]float64, len(m.w32.Data))
-		bd := make([]float64, len(m.bias32))
+		wd := make([]float64, len(m.f.w32.Data))
+		bd := make([]float64, len(m.f.bias32))
 		r.FillUniform(wd, -c.WeightScale, c.WeightScale)
 		r.FillUniform(bd, -c.WeightScale, c.WeightScale)
-		mat.ConvertVec(m.w32.Data, wd)
-		mat.ConvertVec(m.bias32, bd)
+		mat.ConvertVec(m.f.w32.Data, wd)
+		mat.ConvertVec(m.f.bias32, bd)
 	} else {
 		// Row by row, so a padded W draws the dense slab's stream.
-		for i := 0; i < m.w.Rows; i++ {
-			r.FillUniform(m.w.Row(i), -c.WeightScale, c.WeightScale)
+		for i := 0; i < m.f.w.Rows; i++ {
+			r.FillUniform(m.f.w.Row(i), -c.WeightScale, c.WeightScale)
 		}
-		r.FillUniform(m.bias, -c.WeightScale, c.WeightScale)
+		r.FillUniform(m.f.bias, -c.WeightScale, c.WeightScale)
 	}
 	m.resetState()
 	return m, nil
@@ -233,19 +251,19 @@ func alloc(c Config) *Model {
 // (see Scratches).
 func build(c Config, w, bias, beta, p []float64) *Model {
 	m := &Model{
-		cfg: c,
-		p:   &mat.Matrix{Rows: c.Hidden, Cols: c.Hidden, Data: p},
+		f: &frame{cfg: c},
+		p: &mat.Matrix{Rows: c.Hidden, Cols: c.Hidden, Data: p},
 	}
 	if c.Precision == Float32 {
-		m.w32 = mat.NewOf[float32](c.Hidden, c.Inputs)
-		m.bias32 = make([]float32, c.Hidden)
+		m.f.w32 = mat.NewOf[float32](c.Hidden, c.Inputs)
+		m.f.bias32 = make([]float32, c.Hidden)
 		m.beta32 = mat.NewOf[float32](c.Hidden, c.Outputs)
 	} else {
-		m.w = aligned(c.Hidden, c.Inputs, w)
-		m.bias = bias
+		m.f.w = aligned(c.Hidden, c.Inputs, w)
+		m.f.bias = bias
 		m.beta = aligned(c.Hidden, c.Outputs, beta)
 	}
-	m.initWatchdog()
+	m.f.initWatchdog()
 	return m
 }
 
@@ -283,16 +301,16 @@ func dense(m *mat.Matrix) []float64 {
 // tables record; silently repairing it would misrepresent that
 // baseline, so the periodic watchdog stays off there, and so does the
 // per-sample denominator guard in Train, which the same period arms.
-func (m *Model) initWatchdog() {
-	if m.cfg.Forgetting < 1 {
-		m.wdPeriod = 0
-		m.traceLimit = math.Inf(1)
+func (f *frame) initWatchdog() {
+	if f.cfg.Forgetting < 1 {
+		f.wdPeriod = 0
+		f.traceLimit = math.Inf(1)
 		return
 	}
-	m.wdPeriod = defaultWatchdogPeriod
-	m.traceLimit = defaultTraceLimitFactor * float64(m.cfg.Hidden) / m.cfg.Ridge
-	if m.traceLimit < watchdogTraceLimitMinimum {
-		m.traceLimit = watchdogTraceLimitMinimum
+	f.wdPeriod = defaultWatchdogPeriod
+	f.traceLimit = defaultTraceLimitFactor * float64(f.cfg.Hidden) / f.cfg.Ridge
+	if f.traceLimit < watchdogTraceLimitMinimum {
+		f.traceLimit = watchdogTraceLimitMinimum
 	}
 }
 
@@ -302,7 +320,7 @@ func (m *Model) resetState() {
 	m.own(false)
 	m.zeroBeta()
 	m.p.Zero()
-	m.p.AddDiag(1 / m.cfg.Ridge)
+	m.p.AddDiag(1 / m.f.cfg.Ridge)
 	m.inits = 0
 	m.wdCount = 0
 }
@@ -334,10 +352,10 @@ func (m *Model) betaFinite() bool {
 }
 
 // Config returns the (defaulted) configuration.
-func (m *Model) Config() Config { return m.cfg }
+func (m *Model) Config() Config { return m.f.cfg }
 
 // Precision returns the compute precision of the inference-side state.
-func (m *Model) Precision() Precision { return m.cfg.Precision }
+func (m *Model) Precision() Precision { return m.f.cfg.Precision }
 
 // SamplesSeen returns the number of sequential training samples folded in
 // since creation or the last Reset.
@@ -380,35 +398,35 @@ func activateKernel[E mat.Element](dst, bias []E, act Activation) {
 // opsHidden charges the operation counter for one hidden-layer pass;
 // the count is precision-independent.
 func (m *Model) opsHidden() {
-	m.ops.AddMulAdd(m.cfg.Hidden * m.cfg.Inputs)
-	m.ops.AddAdd(m.cfg.Hidden)
-	if m.cfg.Activation != Linear {
-		m.ops.AddExp(m.cfg.Hidden)
-		m.ops.AddDiv(m.cfg.Hidden)
+	m.ops.AddMulAdd(m.f.cfg.Hidden * m.f.cfg.Inputs)
+	m.ops.AddAdd(m.f.cfg.Hidden)
+	if m.f.cfg.Activation != Linear {
+		m.ops.AddExp(m.f.cfg.Hidden)
+		m.ops.AddDiv(m.f.cfg.Hidden)
 	}
 }
 
 // hiddenInto computes the hidden activation vector for x into dst
 // (Float64 backend).
 func (m *Model) hiddenInto(dst, x []float64) {
-	if len(x) != m.cfg.Inputs {
-		panic(fmt.Sprintf("oselm: input dimension %d, want %d", len(x), m.cfg.Inputs))
+	if len(x) != m.f.cfg.Inputs {
+		panic(fmt.Sprintf("oselm: input dimension %d, want %d", len(x), m.f.cfg.Inputs))
 	}
-	hiddenKernel(dst, m.w, m.bias, x, m.cfg.Activation)
+	hiddenKernel(dst, m.f.w, m.f.bias, x, m.f.cfg.Activation)
 	m.opsHidden()
 }
 
 // hidden32 narrows x into s's staging buffer and computes the hidden
 // activations into s.h32 (Float32 backend).
 func (m *Model) hidden32(s *Scratch, x []float64) {
-	if len(x) != m.cfg.Inputs {
-		panic(fmt.Sprintf("oselm: input dimension %d, want %d", len(x), m.cfg.Inputs))
+	if len(x) != m.f.cfg.Inputs {
+		panic(fmt.Sprintf("oselm: input dimension %d, want %d", len(x), m.f.cfg.Inputs))
 	}
 	mat.ConvertVec(s.x32, x)
 	// The concrete float32 matvec dispatches to the SIMD kernels when the
 	// CPU has them (see mat/f32.go).
-	mat.MulVecF32(s.h32, m.w32, s.x32)
-	activateKernel(s.h32, m.bias32, m.cfg.Activation)
+	mat.MulVecF32(s.h32, m.f.w32, s.x32)
+	activateKernel(s.h32, m.f.bias32, m.f.cfg.Activation)
 	m.opsHidden()
 }
 
@@ -416,29 +434,29 @@ func (m *Model) hidden32(s *Scratch, x []float64) {
 // returns dst. If dst is nil a new slice is allocated.
 func (m *Model) Predict(dst, x []float64) []float64 {
 	if dst == nil {
-		dst = make([]float64, m.cfg.Outputs)
+		dst = make([]float64, m.f.cfg.Outputs)
 	}
 	g, s := m.borrow()
 	m.predictIn(s, dst, x)
-	m.scr.Put(g)
+	m.f.scr.Put(g)
 	return dst
 }
 
 // predictIn is Predict in the working set s.
 func (m *Model) predictIn(s *Scratch, dst, x []float64) {
-	if len(dst) != m.cfg.Outputs {
+	if len(dst) != m.f.cfg.Outputs {
 		panic("oselm: bad output buffer length")
 	}
-	if m.w32 != nil {
+	if m.f.w32 != nil {
 		m.hidden32(s, x)
 		mat.MulVecTransF32(s.o32, m.beta32, s.h32)
-		m.ops.AddMulAdd(m.cfg.Hidden * m.cfg.Outputs)
+		m.ops.AddMulAdd(m.f.cfg.Hidden * m.f.cfg.Outputs)
 		mat.ConvertVec(dst, s.o32)
 		return
 	}
 	m.hiddenInto(s.h, x)
 	mat.MulVecTrans(dst, m.beta, s.h)
-	m.ops.AddMulAdd(m.cfg.Hidden * m.cfg.Outputs)
+	m.ops.AddMulAdd(m.f.cfg.Hidden * m.f.cfg.Outputs)
 }
 
 // predictSqDist writes the network output for x into s.e as Predict
@@ -447,14 +465,14 @@ func (m *Model) predictIn(s *Scratch, dst, x []float64) {
 // backends add it up inside the βᵀh pass.
 func (m *Model) predictSqDist(s *Scratch, x []float64) float64 {
 	var d float64
-	if m.w32 != nil {
+	if m.f.w32 != nil {
 		m.hidden32(s, x)
 		d = mat.MulVecTransSqDistF32(s.e, s.o32, m.beta32, s.h32, x)
 	} else {
 		m.hiddenInto(s.h, x)
 		d = mat.MulVecTransSqDist(s.e, m.beta, s.h, x)
 	}
-	m.ops.AddMulAdd(m.cfg.Hidden * m.cfg.Outputs)
+	m.ops.AddMulAdd(m.f.cfg.Hidden * m.f.cfg.Outputs)
 	return d
 }
 
@@ -463,13 +481,13 @@ func (m *Model) predictSqDist(s *Scratch, x []float64) float64 {
 func (m *Model) Train(x, t []float64) {
 	g, s := m.borrow()
 	m.trainIn(s, x, t)
-	m.scr.Put(g)
+	m.f.scr.Put(g)
 }
 
 // trainIn is Train in the working set s.
 func (m *Model) trainIn(s *Scratch, x, t []float64) {
-	if len(t) != m.cfg.Outputs {
-		panic(fmt.Sprintf("oselm: target dimension %d, want %d", len(t), m.cfg.Outputs))
+	if len(t) != m.f.cfg.Outputs {
+		panic(fmt.Sprintf("oselm: target dimension %d, want %d", len(t), m.f.cfg.Outputs))
 	}
 	// The forward pass: h = g(W·x+b), then the output βᵀh into e. On the
 	// float32 backend both run at float32, the precision β actually
@@ -477,7 +495,7 @@ func (m *Model) trainIn(s *Scratch, x, t []float64) {
 	// rounded model's real error rather than an idealised float64
 	// shadow's; h is widened once so the Sherman-Morrison recursion
 	// runs untouched at float64.
-	if m.w32 != nil {
+	if m.f.w32 != nil {
 		m.hidden32(s, x)
 		mat.ConvertVec(s.h, s.h32)
 		mat.MulVecTransF32(s.o32, m.beta32, s.h32)
@@ -497,11 +515,11 @@ func (m *Model) trainIn(s *Scratch, x, t []float64) {
 // operation counter is charged for the forward pass all the same: the
 // count prices the algorithm, which runs it (see DESIGN §7).
 func (m *Model) trainForwarded(s *Scratch, t []float64) {
-	if len(t) != m.cfg.Outputs {
-		panic(fmt.Sprintf("oselm: target dimension %d, want %d", len(t), m.cfg.Outputs))
+	if len(t) != m.f.cfg.Outputs {
+		panic(fmt.Sprintf("oselm: target dimension %d, want %d", len(t), m.f.cfg.Outputs))
 	}
 	m.opsHidden()
-	if m.w32 != nil {
+	if m.f.w32 != nil {
 		mat.ConvertVec(s.h, s.h32)
 	}
 	m.update(s, t)
@@ -516,11 +534,11 @@ func (m *Model) update(s *Scratch, t []float64) {
 
 	// ph = P·h
 	mat.MulVec(s.ph, m.p, h)
-	m.ops.AddMulAdd(m.cfg.Hidden * m.cfg.Hidden)
+	m.ops.AddMulAdd(m.f.cfg.Hidden * m.f.cfg.Hidden)
 
-	alpha := m.cfg.Forgetting
+	alpha := m.f.cfg.Forgetting
 	denom := alpha + mat.Dot(h, s.ph)
-	m.ops.AddMulAdd(m.cfg.Hidden)
+	m.ops.AddMulAdd(m.f.cfg.Hidden)
 	m.ops.AddAdd(1)
 
 	// With P symmetric positive definite, hᵀPh ≥ 0 and denom ≥ α > 0. A
@@ -530,18 +548,18 @@ func (m *Model) update(s *Scratch, t []float64) {
 	// same switch as the periodic watchdog (see initWatchdog): forgetting
 	// variants run unguarded by default because their divergence is the
 	// recorded baseline behaviour, not a fault.
-	if m.wdPeriod > 0 && (!(denom > 0) || math.IsInf(denom, 0)) {
+	if m.f.wdPeriod > 0 && (!(denom > 0) || math.IsInf(denom, 0)) {
 		m.repairDivergence()
 		return
 	}
 
 	// P ← (P − ph·phᵀ/denom) / alpha
 	m.p.AddScaledOuter(-1/denom, s.ph, s.ph)
-	m.ops.AddMulAdd(m.cfg.Hidden * m.cfg.Hidden)
+	m.ops.AddMulAdd(m.f.cfg.Hidden * m.f.cfg.Hidden)
 	m.ops.AddDiv(1)
 	if alpha != 1 {
 		m.p.Scale(1 / alpha)
-		m.ops.AddMul(m.cfg.Hidden * m.cfg.Hidden)
+		m.ops.AddMul(m.f.cfg.Hidden * m.f.cfg.Hidden)
 	}
 
 	// e = t − βᵀh (residual against the *pre-update* β, using post-update
@@ -549,12 +567,12 @@ func (m *Model) update(s *Scratch, t []float64) {
 	for i := range s.e {
 		s.e[i] = t[i] - s.e[i]
 	}
-	m.ops.AddMulAdd(m.cfg.Hidden * m.cfg.Outputs)
-	m.ops.AddAdd(m.cfg.Outputs)
+	m.ops.AddMulAdd(m.f.cfg.Hidden * m.f.cfg.Outputs)
+	m.ops.AddAdd(m.f.cfg.Outputs)
 
 	// gain k = P·h (with the updated P).
 	mat.MulVec(s.ph, m.p, h)
-	m.ops.AddMulAdd(m.cfg.Hidden * m.cfg.Hidden)
+	m.ops.AddMulAdd(m.f.cfg.Hidden * m.f.cfg.Hidden)
 	if m.beta32 != nil {
 		mat.ConvertVec(s.u32, s.ph)
 		mat.ConvertVec(s.e32, s.e)
@@ -562,11 +580,11 @@ func (m *Model) update(s *Scratch, t []float64) {
 	} else {
 		m.beta.AddScaledOuter(1, s.ph, s.e)
 	}
-	m.ops.AddMulAdd(m.cfg.Hidden * m.cfg.Outputs)
+	m.ops.AddMulAdd(m.f.cfg.Hidden * m.f.cfg.Outputs)
 
 	m.inits++
 	m.wdCount++
-	if m.wdCount >= m.wdPeriod {
+	if m.wdCount >= m.f.wdPeriod {
 		m.wdCount = 0
 		m.watchdog()
 	}
@@ -609,11 +627,11 @@ func (m *Model) WatchdogResets() uint64 { return m.wdResets }
 // when finite: the learned mapping is still valid, only the step-size
 // state is rebuilt.
 func (m *Model) watchdog() {
-	if m.wdPeriod <= 0 {
+	if m.f.wdPeriod <= 0 {
 		return
 	}
 	tr := m.p.Trace()
-	if math.IsNaN(tr) || math.IsInf(tr, 0) || tr > m.traceLimit || !mat.AllFinite(m.p.Data) {
+	if math.IsNaN(tr) || math.IsInf(tr, 0) || tr > m.f.traceLimit || !mat.AllFinite(m.p.Data) {
 		m.repairDivergence()
 		return
 	}
@@ -632,7 +650,7 @@ func (m *Model) watchdog() {
 // would, and β is zeroed only if it was itself poisoned.
 func (m *Model) repairDivergence() {
 	m.p.Zero()
-	m.p.AddDiag(1 / m.cfg.Ridge)
+	m.p.AddDiag(1 / m.f.cfg.Ridge)
 	if !m.betaFinite() {
 		m.zeroBeta()
 	}
@@ -649,36 +667,36 @@ func (m *Model) InitTrainBatch(xs, ts [][]float64) error {
 		return fmt.Errorf("oselm: batch init needs matched non-empty samples, got %d/%d", len(xs), len(ts))
 	}
 	n := len(xs)
-	hm := mat.New(n, m.cfg.Hidden)
-	tm := mat.New(n, m.cfg.Outputs)
+	hm := mat.New(n, m.f.cfg.Hidden)
+	tm := mat.New(n, m.f.cfg.Outputs)
 	g, s := m.borrow()
-	defer m.scr.Put(g)
+	defer m.f.scr.Put(g)
 	for i, x := range xs {
-		if m.w32 != nil {
+		if m.f.w32 != nil {
 			m.hidden32(s, x)
 			mat.ConvertVec(hm.Row(i), s.h32)
 		} else {
 			m.hiddenInto(hm.Row(i), x)
 		}
 		t := ts[i]
-		if len(t) != m.cfg.Outputs {
-			return fmt.Errorf("oselm: target %d has dimension %d, want %d", i, len(t), m.cfg.Outputs)
+		if len(t) != m.f.cfg.Outputs {
+			return fmt.Errorf("oselm: target %d has dimension %d, want %d", i, len(t), m.f.cfg.Outputs)
 		}
 		copy(tm.Row(i), t)
 	}
-	gram := mat.New(m.cfg.Hidden, m.cfg.Hidden)
-	mat.RidgeGram(gram, hm, m.cfg.Ridge)
+	gram := mat.New(m.f.cfg.Hidden, m.f.cfg.Hidden)
+	mat.RidgeGram(gram, hm, m.f.cfg.Ridge)
 	m.own(true)
 	if err := mat.Inverse(m.p, gram); err != nil {
 		return fmt.Errorf("oselm: batch init: %w", err)
 	}
-	ht := mat.New(m.cfg.Hidden, m.cfg.Outputs)
+	ht := mat.New(m.f.cfg.Hidden, m.f.cfg.Outputs)
 	mat.MulTransA(ht, hm, tm)
 	if m.beta32 != nil {
 		// Solve at float64 and narrow once — batch init is a host-side
 		// path, so the conditioning of the normal equations wins over
 		// keeping every intermediate at the deployment width.
-		tmp := mat.New(m.cfg.Hidden, m.cfg.Outputs)
+		tmp := mat.New(m.f.cfg.Hidden, m.f.cfg.Outputs)
 		mat.Mul(tmp, m.p, ht)
 		mat.ConvertVec(m.beta32.Data, tmp.Data)
 	} else {
@@ -706,16 +724,16 @@ func (m *Model) Beta() *mat.Matrix {
 // and β are copies where their rows are padded (see mat.NewAligned);
 // the float32 backend returns widened copies.
 func (m *Model) Weights() (w, bias, beta []float64) {
-	if m.w32 != nil {
-		w = make([]float64, len(m.w32.Data))
-		bias = make([]float64, len(m.bias32))
+	if m.f.w32 != nil {
+		w = make([]float64, len(m.f.w32.Data))
+		bias = make([]float64, len(m.f.bias32))
 		beta = make([]float64, len(m.beta32.Data))
-		mat.ConvertVec(w, m.w32.Data)
-		mat.ConvertVec(bias, m.bias32)
+		mat.ConvertVec(w, m.f.w32.Data)
+		mat.ConvertVec(bias, m.f.bias32)
 		mat.ConvertVec(beta, m.beta32.Data)
 		return w, bias, beta
 	}
-	return dense(m.w), m.bias, dense(m.beta)
+	return dense(m.f.w), m.f.bias, dense(m.beta)
 }
 
 // MemoryBytes reports the number of bytes of persistent state the model

@@ -137,7 +137,7 @@ func TestResetClearsLearning(t *testing.T) {
 	if m.SamplesSeen() != 0 {
 		t.Fatal("Reset did not clear SamplesSeen")
 	}
-	if d := maxAbsDiff(m.Beta(), mat.New(m.cfg.Hidden, m.cfg.Outputs)); d != 0 {
+	if d := maxAbsDiff(m.Beta(), mat.New(m.f.cfg.Hidden, m.f.cfg.Outputs)); d != 0 {
 		t.Fatalf("Reset left a β element of magnitude %v", d)
 	}
 	// Prediction after reset is zero (β = 0).

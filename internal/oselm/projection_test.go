@@ -19,10 +19,10 @@ func TestShareProjection(t *testing.T) {
 	if !same.ShareProjection(owner) {
 		t.Fatal("same-seed model refused an identical projection")
 	}
-	if same.w != owner.w || &same.bias[0] != &owner.bias[0] {
+	if same.f.w != owner.f.w || &same.f.bias[0] != &owner.f.bias[0] {
 		t.Fatal("ShareProjection did not rebind to the shared slabs")
 	}
-	proj := 8 * (len(owner.w.Data) + len(owner.bias))
+	proj := 8 * (len(owner.f.w.Data) + len(owner.f.bias))
 	if got := before - same.MemoryBytes(); got != proj {
 		t.Fatalf("sharing saved %d bytes, want %d", got, proj)
 	}
@@ -33,7 +33,7 @@ func TestShareProjection(t *testing.T) {
 	for _, m := range []*Model{owner, same} {
 		m.EachShared(func(key any, n int) { keys[key] = n })
 	}
-	if len(keys) != 1 || keys[owner.w] != proj {
+	if len(keys) != 1 || keys[owner.f.w] != proj {
 		t.Fatalf("EachShared named %v, want the one W slab with %d bytes", keys, proj)
 	}
 	if other.ShareProjection(owner) {
@@ -51,12 +51,12 @@ func TestShareProjection(t *testing.T) {
 func TestAdoptStateRebindsProjection(t *testing.T) {
 	cfg := Config{Inputs: 10, Hidden: 4, Outputs: 10}
 	m, _ := New(cfg, rng.New(3))
-	shared := m.w
+	shared := m.f.w
 	twin, _ := New(cfg, rng.New(3))
 	if err := m.AdoptState(twin); err != nil {
 		t.Fatal(err)
 	}
-	if m.w != shared {
+	if m.f.w != shared {
 		t.Fatal("adopting identical projection bits rebound the slab")
 	}
 	fp := m.Fingerprint()
@@ -65,7 +65,7 @@ func TestAdoptStateRebindsProjection(t *testing.T) {
 	if err := m.AdoptState(other); err != nil {
 		t.Fatal(err)
 	}
-	if m.w != other.w {
+	if m.f.w != other.f.w {
 		t.Fatal("adopting a different projection did not rebind")
 	}
 	if !sameBits64(shared.Data, wBefore) {

@@ -69,13 +69,13 @@ func TestPeriodicWatchdogCatchesSilentDivergence(t *testing.T) {
 func TestWatchdogTraceLimitReset(t *testing.T) {
 	m := trainedModel(t)
 	// Blow the trace past the configured limit without any NaN.
-	m.p.Data[0] = m.traceLimit * 10
+	m.p.Data[0] = m.f.traceLimit * 10
 	m.watchdog()
 	if got := m.WatchdogResets(); got != 1 {
 		t.Fatalf("WatchdogResets = %d, want 1 after trace blow-up", got)
 	}
-	if h := m.HealthNow(); h.PTrace > m.traceLimit {
-		t.Fatalf("trace %v still above limit %v", h.PTrace, m.traceLimit)
+	if h := m.HealthNow(); h.PTrace > m.f.traceLimit {
+		t.Fatalf("trace %v still above limit %v", h.PTrace, m.f.traceLimit)
 	}
 }
 
@@ -175,6 +175,6 @@ func FuzzLoad(f *testing.F) {
 // the in-update denominator guard, including on forgetting models where
 // the watchdog is off by default (see initWatchdog).
 func setWatchdogPeriod(m *Model, period int) {
-	m.wdPeriod = period
+	m.ownFrame().wdPeriod = period
 	m.wdCount = 0
 }

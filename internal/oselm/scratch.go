@@ -127,12 +127,6 @@ func (l *Scratches) Sets() int {
 	return max(l.made, 1)
 }
 
-// Fits reports whether the list serves models of configuration c in
-// sets of width slots.
-func (l *Scratches) Fits(c Config, width int) bool {
-	return l.cfg == c && l.width == width
-}
-
 func newScratch(c Config) Scratch {
 	s := Scratch{
 		h:  make([]float64, c.Hidden),
@@ -150,33 +144,36 @@ func newScratch(c Config) Scratch {
 }
 
 // scratches returns m's free list, making a bare model's own on first
-// use.
+// use; a shared frame has its list already (see share).
 func (m *Model) scratches() *Scratches {
-	if m.scr == nil {
-		m.scr = NewScratches(m.cfg, 1)
+	if m.f.scr == nil {
+		m.f.scr = NewScratches(m.f.cfg, 1)
 	}
-	return m.scr
+	return m.f.scr
 }
 
 // borrow takes a set from m's list and returns it with m's slot in it.
 func (m *Model) borrow() (*ScratchSet, *Scratch) {
 	g := m.scratches().Get()
-	return g, g.Slot(m.slot)
+	return g, g.Slot(m.f.slot)
 }
 
 // UseScratch binds m to slot of the sets of l, a list its holder — a
 // model.Multi over m and its sibling instances — owns and audits: m's
 // own calls borrow from l, and m's MemoryBytes and EachShared leave l
-// to the holder. l must serve m's configuration.
+// to the holder. l must serve m's configuration. The binding is part
+// of m's frame, so m takes a private one if it shares it.
 func (m *Model) UseScratch(l *Scratches, slot int) {
-	m.scr, m.slot, m.scrLent, m.scrShared = l, slot, true, false
+	f := m.ownFrame()
+	f.scr, f.slot, f.lent = l, slot, true
+	m.scrShared = false
 }
 
 // scratchOwnBytes is what m's list adds to its own MemoryBytes: every
 // set of a list m alone holds, nothing of one it shares or is lent.
 func (m *Model) scratchOwnBytes() int {
-	if m.scrLent || m.scrShared {
+	if m.f.lent || m.scrShared {
 		return 0
 	}
-	return m.scr.Sets() * m.cfg.scratchBytes()
+	return m.f.scr.Sets() * m.f.cfg.scratchBytes()
 }

@@ -94,10 +94,10 @@ func TestClonesScoreConcurrently(t *testing.T) {
 			}
 		}
 	}
-	if tmpl.model.scr != clone.model.scr {
+	if tmpl.model.f.scr != clone.model.f.scr {
 		t.Fatal("the clone does not borrow from the template's list")
 	}
-	if n := tmpl.model.scr.Sets(); n > 2 {
+	if n := tmpl.model.f.scr.Sets(); n > 2 {
 		t.Fatalf("the list holds %d sets, want at most 2", n)
 	}
 }

@@ -126,14 +126,14 @@ func (m *Model) Save(w io.Writer, prec Precision) (int64, error) {
 	}
 	cw, err := ckpt.Create(w, magic)
 	if err == nil {
-		_, err = cw.Write([]byte{byte(prec), byte(m.cfg.Precision)})
+		_, err = cw.Write([]byte{byte(prec), byte(m.f.cfg.Precision)})
 	}
 	if err == nil {
-		err = ckpt.PutU32(cw, uint32(m.cfg.Inputs), uint32(m.cfg.Hidden), uint32(m.cfg.Outputs),
-			uint32(m.cfg.Activation), uint32(m.inits))
+		err = ckpt.PutU32(cw, uint32(m.f.cfg.Inputs), uint32(m.f.cfg.Hidden), uint32(m.f.cfg.Outputs),
+			uint32(m.f.cfg.Activation), uint32(m.inits))
 	}
 	if err == nil {
-		err = ckpt.PutF64(cw, m.cfg.Forgetting, m.cfg.Ridge, m.cfg.WeightScale)
+		err = ckpt.PutF64(cw, m.f.cfg.Forgetting, m.f.cfg.Ridge, m.f.cfg.WeightScale)
 	}
 	for _, xs := range m.exportSlabs() {
 		if err == nil {
@@ -152,14 +152,14 @@ func (m *Model) Save(w io.Writer, prec Precision) (int64, error) {
 // backend materialises converted copies — Save is an export path, not a
 // hot loop.
 func (m *Model) exportSlabs() [][]float64 {
-	if m.w32 == nil {
-		return [][]float64{dense(m.w), m.bias, dense(m.beta), m.p.Data}
+	if m.f.w32 == nil {
+		return [][]float64{dense(m.f.w), m.f.bias, dense(m.beta), m.p.Data}
 	}
-	w := make([]float64, len(m.w32.Data))
-	bias := make([]float64, len(m.bias32))
+	w := make([]float64, len(m.f.w32.Data))
+	bias := make([]float64, len(m.f.bias32))
 	beta := make([]float64, len(m.beta32.Data))
-	mat.ConvertVec(w, m.w32.Data)
-	mat.ConvertVec(bias, m.bias32)
+	mat.ConvertVec(w, m.f.w32.Data)
+	mat.ConvertVec(bias, m.f.bias32)
 	mat.ConvertVec(beta, m.beta32.Data)
 	return [][]float64{w, bias, beta, m.p.Data}
 }
@@ -233,11 +233,11 @@ func loadBody(r io.Reader, p *Projections) (*Model, error) {
 		}
 	}
 	m := build(c, slabs[0], slabs[1], slabs[2], slabs[3])
-	if m.w32 != nil {
+	if m.f.w32 != nil {
 		// Float32 backend: narrow the staged slabs into the owned float32
 		// state. P stays float64.
-		mat.ConvertVec(m.w32.Data, slabs[0])
-		mat.ConvertVec(m.bias32, slabs[1])
+		mat.ConvertVec(m.f.w32.Data, slabs[0])
+		mat.ConvertVec(m.f.bias32, slabs[1])
 		mat.ConvertVec(m.beta32.Data, slabs[2])
 	}
 	if p != nil {
@@ -255,7 +255,7 @@ func loadBody(r io.Reader, p *Projections) (*Model, error) {
 // it, or one Share finds — and copied into slabs of the model's own
 // only when there is none. Reduced-precision models narrow their
 // projection from the scratch and share nothing. A Projections is for
-// one goroutine.
+// one goroutine; Reset ends a run and keeps the scratch for the next.
 type Projections struct {
 	// Share binds m's projection to that of a model outside the run
 	// with m's fingerprint, as m.ShareProjection does, and reports
@@ -266,12 +266,16 @@ type Projections struct {
 	seen map[uint64]*Model // models decoded through p that own their projection
 }
 
+// Reset forgets the models decoded through p, so the next decode starts
+// a new run, and keeps the scratch.
+func (p *Projections) Reset() { clear(p.seen) }
+
 // resolve binds m's projection, which still reads p's scratch w and
 // bias, to a copy of the same bits if one is known, or gives m its own
 // copy and remembers it.
 func (p *Projections) resolve(m *Model, w, bias []float64) {
 	p.buf = [2][]float64{w, bias}
-	if m.w == nil {
+	if m.f.w == nil {
 		return // narrowed into the model's own float32 slabs
 	}
 	fp := m.Fingerprint()
@@ -281,10 +285,10 @@ func (p *Projections) resolve(m *Model, w, bias []float64) {
 	if p.Share != nil && p.Share(m) {
 		return
 	}
-	if m.w.Stride == 0 { // dense: m.w reads the scratch (see aligned)
-		m.w.Data = p.take(0, m.w.Data)
+	if m.f.w.Stride == 0 { // dense: m.f.w reads the scratch (see aligned)
+		m.f.w.Data = p.take(0, m.f.w.Data)
 	}
-	m.bias = p.take(1, m.bias)
+	m.f.bias = p.take(1, m.f.bias)
 	if p.seen == nil {
 		p.seen = map[uint64]*Model{}
 	}
@@ -320,7 +324,7 @@ func LoadAutoencoderWith(r io.Reader, p *Projections) (*Autoencoder, error) {
 	if err := cr.VerifyFooter(); err != nil {
 		return nil, ckpt.Corrupt("oselm", err)
 	}
-	if m.cfg.Inputs != m.cfg.Outputs {
+	if m.f.cfg.Inputs != m.f.cfg.Outputs {
 		return nil, fmt.Errorf("%w: serialised model is not an autoencoder", ckpt.ErrBadFormat)
 	}
 	return &Autoencoder{model: m, metric: ScoreMetric(metric)}, nil

@@ -56,7 +56,7 @@ func TestTrainScoredMatchesTrain(t *testing.T) {
 				b, _ := NewAutoencoder(cfg, metric, rng.New(5))
 				setWatchdogPeriod(a.model, 16)
 				setWatchdogPeriod(b.model, 16)
-				sa, sb := newScratch(a.model.cfg), newScratch(b.model.cfg)
+				sa, sb := newScratch(a.model.f.cfg), newScratch(b.model.f.cfg)
 				var opsA, opsB opcount.Counter
 				a.SetOps(&opsA)
 				b.SetOps(&opsB)

@@ -73,7 +73,7 @@ func loadMonitor(r io.Reader, p *oselm.Projections) (*Monitor, error) {
 	}
 	cfg := mm.Config()
 	return &Monitor{
-		opts: Options{
+		opts: &Options{
 			Classes:    cfg.Classes,
 			Inputs:     cfg.Inputs,
 			Hidden:     cfg.Hidden,

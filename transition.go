@@ -110,9 +110,9 @@ func (m *Monitor) deriveAt(p Precision) (*Monitor, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := m.opts
+	opts := *m.opts
 	opts.Precision = p
-	return &Monitor{opts: opts, model: mm, det: det, rng: m.rng, fit: true}, nil
+	return &Monitor{opts: &opts, model: mm, det: det, rng: m.rng, fit: true}, nil
 }
 
 // deriveQ16 quantises the monitor's current state into the Q16.16
